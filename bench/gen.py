@@ -1,0 +1,129 @@
+"""Seeded generator of random Hermitian almost abelian data.
+
+This is the benchmark's own copy of the acceptance-suite generator: the same
+eight shapes and the same small-rational pool, so that a benchmark input
+never changes when the test fixtures do.  Every draw comes from the
+``random.Random`` instance passed in.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction as F
+
+from aalg import linalg
+from aalg.almost_abelian import data_from_parts, standard_j1
+
+POOL = [F(0), F(1), F(-1), F(1, 2), F(-1, 2), F(1, 4), F(-1, 4), F(2)]
+POOL_NZ = [x for x in POOL if x != 0]
+
+SHAPES = ("generic", "v0", "kahler", "lck", "balanced", "skt", "lcb", "lcb_false")
+
+
+def rand_scalar(rng, nonzero=False):
+    return rng.choice(POOL_NZ if nonzero else POOL)
+
+
+def rand_matrix(rng, m):
+    return [[rand_scalar(rng) for _ in range(m)] for _ in range(m)]
+
+
+def rand_vector(rng, m):
+    return [rand_scalar(rng) for _ in range(m)]
+
+
+def commutant_project(mat, j1):
+    """Projection onto the matrices commuting with j1."""
+    jmj = linalg.mat_mul(j1, linalg.mat_mul(mat, j1))
+    return linalg.mat_scale(F(1, 2), linalg.mat_sub(mat, jmj))
+
+
+def skew_commuting(rng, m, j1):
+    raw = rand_matrix(rng, m)
+    skew = linalg.mat_scale(F(1, 2), linalg.mat_sub(raw, linalg.transpose(raw)))
+    return commutant_project(skew, j1)
+
+
+def cayley_orthogonal_commuting(rng, m, j1):
+    """Rational orthogonal matrix commuting with j1 (Cayley transform)."""
+    s = skew_commuting(rng, m, j1)
+    i = linalg.idmat(m)
+    return linalg.mat_mul(linalg.mat_sub(i, s), linalg.inverse(linalg.mat_add(i, s)))
+
+
+def rotation_block_matrix(rng, m, alphas):
+    """Block diagonal with 2x2 blocks [[al, be], [-be, al]], al from alphas."""
+    out = linalg.zeros(m, m)
+    for t in range(m // 2):
+        al = rng.choice(alphas)
+        be = rand_scalar(rng)
+        out[2 * t][2 * t] = al
+        out[2 * t][2 * t + 1] = be
+        out[2 * t + 1][2 * t] = -be
+        out[2 * t + 1][2 * t + 1] = al
+    return out
+
+
+def random_data(rng, n, shape):
+    """Random exact HermitianData of dimension 2n in one of SHAPES."""
+    m = 2 * n - 2
+    j1 = standard_j1(m)
+    a = rand_scalar(rng)
+    if shape == "kahler":
+        A = skew_commuting(rng, m, j1)
+        v = [F(0)] * m
+    elif shape == "lck":
+        lam = rand_scalar(rng, nonzero=True)
+        A = linalg.mat_add(linalg.mat_scale(lam, linalg.idmat(m)),
+                           skew_commuting(rng, m, j1))
+        v = [F(0)] * m
+    elif shape == "balanced":
+        raw = commutant_project(rand_matrix(rng, m), j1)
+        tr = linalg.trace(raw)
+        A = linalg.mat_sub(raw, linalg.mat_scale(F(tr, m), linalg.idmat(m)))
+        v = [F(0)] * m
+    elif shape == "skt":
+        a = rand_scalar(rng, nonzero=True) if rng.random() < 0.7 else F(0)
+        A = rotation_block_matrix(rng, m, [F(0), -a / 2])
+        q = cayley_orthogonal_commuting(rng, m, j1)
+        A = linalg.mat_mul(q, linalg.mat_mul(A, linalg.transpose(q)))
+        v = rand_vector(rng, m)
+    elif shape == "lcb":
+        # a zero pair-block in A with v supported there, so A^t v = 0
+        A = rotation_block_matrix(rng, m, POOL_NZ)
+        dead = rng.randrange(m // 2)
+        for t in (2 * dead, 2 * dead + 1):
+            for s in range(m):
+                A[t][s] = F(0)
+                A[s][t] = F(0)
+        v = [F(0)] * m
+        v[2 * dead] = rand_scalar(rng, nonzero=True)
+        v[2 * dead + 1] = rand_scalar(rng)
+    elif shape == "lcb_false":
+        A = rotation_block_matrix(rng, m, POOL_NZ)  # invertible blocks
+        x = rand_vector(rng, m)
+        while all(c == 0 for c in x):
+            x = rand_vector(rng, m)
+        v = linalg.mat_vec(A, x)
+    elif shape == "v0":
+        A = commutant_project(rand_matrix(rng, m), j1)
+        v = [F(0)] * m
+    else:
+        A = commutant_project(rand_matrix(rng, m), j1)
+        v = rand_vector(rng, m)
+    return data_from_parts(a, v, A, j1)
+
+
+def data_stream(seed, count, dims):
+    """Deterministic (dim, shape, data) stream, round-robin over dims and shapes.
+
+    ``dims`` are real dimensions 2n; with len(dims) coprime to the eight
+    shapes, ``8 * len(dims)`` consecutive draws cover every pairing once.
+    """
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        dim = dims[i % len(dims)]
+        shape = SHAPES[i % len(SHAPES)]
+        out.append((dim, shape, random_data(rng, dim // 2, shape)))
+    return out
