@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .scalars import EXACT, coerce, is_zero, one, sqrt_scalar, zero
 from . import linalg
-from .forms import KForm, flat
+from .forms import KForm
 from .hermitian import ComplexStructure, Metric, is_integrable
 from .lie import LieAlgebra, Subspace, find_codim1_abelian_ideal
 
@@ -361,13 +361,6 @@ DATA_PREDICATES = {
 
 # ---------------------------------------------------------------------------
 # closed formulas
-
-def _frame_coframe_form(d: HermitianData, idx):
-    """The ambient 1-form dual to frame vector idx (0 = b_1, -1 = b_2n)."""
-    full = linalg.transpose([list(w) for w in d.frame])
-    inv = linalg.inverse(full)
-    return KForm.from_vector(inv[idx])
-
 
 def lee_form_closed(d: HermitianData, eps=None) -> KForm:
     """theta = (Jv)^flat - (tr A) e^{2n} in unit-frame terms.

@@ -1,7 +1,10 @@
 """Machine-readable catalog of the named algebras and their witnesses.
 
-Each entry stores a structure-equation template over parameters with
-constraints, a unimodularity locus, and one or more witness recipes:
+Each entry reads its structure equations from the shipped manifest
+(``data/catalog.alg``), whose document for the entry names its
+parameters and binds them to the first sample.  The entry adds
+constraints on the parameters, a unimodularity locus, and one or more
+witness recipes:
 
 * ``DataWitness`` -- adapted data (a, v, A, J1) plus an optional change of
   basis (S, c) identifying the built algebra with the entry's own basis:
@@ -20,17 +23,19 @@ that need a quantifier over all metrics are reported NOT-CHECKED.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from importlib import resources
 
 from .scalars import EXACT
 from . import linalg
 
+from .documents import (AlgebraDocument, Term, parse_manifest, to_algebra,
+                        to_ideal)
 from .hermitian import ComplexStructure, HermitianStructure, Metric
 from .lie import LieAlgebra, Subspace, find_codim1_abelian_ideal
-from .almost_abelian import (build_algebra, extract_data, is_balanced_data,
-                             is_kahler_data, is_lcb_data, is_lck_data,
-                             is_skt_data, standard_j1, lee_form_closed)
+from .almost_abelian import (DATA_PREDICATES, build_algebra, extract_data,
+                             standard_j1, lee_form_closed)
 from .lchk import construct_lchk, hyperkahler_flatness, lchk_admissible, verify_triple
 
 
@@ -68,30 +73,36 @@ class LchkWitness:
 @dataclass(frozen=True)
 class CatalogEntry:
     name: str
-    dim: int
-    tuple_template: object            # params -> {k: {(i, j): coeff}} 1-based
-    params: tuple = ()
+    document: AlgebraDocument         # structure equations, J, g and ideal
     constraints: object = None        # params -> bool
     constraint_text: str = ""
     samples: tuple = ()
     unimodular_locus: object = None   # params -> bool; None = never, True = always
     witnesses: tuple = ()
-    declared_ideal: tuple = ()        # 1-based basis indices spanning the ideal
     notes: str = ""
 
-    def differential_tuple(self, params):
-        return self.tuple_template(params)
+    @property
+    def dim(self):
+        return self.document.dim
+
+    @property
+    def params(self):
+        return tuple(self.document.params)
 
 
-def _brackets_from_tuple(dim, dtuple):
-    """Structure constants from {k: {(i,j): coeff}} (1-based, df^k data)."""
-    brackets = {}
-    for k, terms in dtuple.items():
-        for (i, j), c in terms.items():
-            key = (i - 1, j - 1)
-            vec = brackets.setdefault(key, [F(0)] * dim)
-            vec[k - 1] -= c
-    return {k: v for k, v in brackets.items() if any(x != 0 for x in v)}
+def shipped_manifest_text() -> str:
+    """Contents of the manifest file shipped with the package."""
+    return resources.files("aalg").joinpath("data/catalog.alg").read_text("utf-8")
+
+
+_MANIFEST = {doc.name: doc for doc in parse_manifest(shipped_manifest_text())}
+
+
+def entry_document(entry: CatalogEntry, params=None) -> AlgebraDocument:
+    """The entry's document with its parameters bound to ``params``
+    (default: the first sample)."""
+    params = entry.samples[0] if params is None else params
+    return replace(entry.document, params={k: params[k] for k in entry.params})
 
 
 def instantiate(entry: CatalogEntry, params=None) -> LieAlgebra:
@@ -104,20 +115,11 @@ def instantiate(entry: CatalogEntry, params=None) -> LieAlgebra:
         raise CatalogError(
             "CONSTRAINT_VIOLATION",
             f"{entry.name}: parameters {params} violate {entry.constraint_text}")
-    dtuple = entry.differential_tuple(params)
-    brackets = _brackets_from_tuple(entry.dim, dtuple)
-    return LieAlgebra(entry.dim, brackets)
+    return to_algebra(entry_document(entry, params))
 
 
 def _ideal_subspace(entry: CatalogEntry, L: LieAlgebra) -> Subspace:
-    if entry.declared_ideal:
-        vecs = []
-        for i in entry.declared_ideal:
-            v = [F(0)] * entry.dim
-            v[i - 1] = F(1)
-            vecs.append(tuple(v))
-        return Subspace(len(vecs), tuple(vecs))
-    ideal = find_codim1_abelian_ideal(L)
+    ideal = to_ideal(entry.document) or find_codim1_abelian_ideal(L)
     if ideal is None:
         raise CatalogError("WITNESS_FAILURE", f"{entry.name}: no abelian hyperplane ideal")
     return ideal
@@ -185,29 +187,12 @@ def _restrict_last(L: LieAlgebra):
     return [[ad[i][j] for j in range(n - 1)] for i in range(n - 1)]
 
 
-DIRECT_PREDICATES = {
-    "kahler": lambda H: H.is_kahler_direct(),
-    "lck": lambda H: H.is_lck_direct(),
-    "balanced": lambda H: H.is_balanced_direct(),
-    "skt": lambda H: H.is_skt_direct(),
-    "lcb": lambda H: H.is_lcb_direct(),
-    "vaisman": lambda H: H.is_vaisman()[0],
-}
-
-DATA_PREDICATES = {
-    "kahler": is_kahler_data,
-    "lck": is_lck_data,
-    "balanced": is_balanced_data,
-    "skt": is_skt_data,
-    "lcb": is_lcb_data,
-}
-
-
 def check_witness(entry, label, H, d, claims):
     """Check each claimed predicate through both routes; list of failures."""
     failures = []
     for prop, expected in claims.items():
-        direct = DIRECT_PREDICATES[prop](H)
+        direct = (H.is_vaisman()[0] if prop == "vaisman"
+                  else getattr(H, f"is_{prop}_direct")())
         if direct != expected:
             failures.append(f"{entry.name}/{label}: direct {prop} = {direct}, want {expected}")
         if prop in DATA_PREDICATES:
@@ -220,39 +205,6 @@ def check_witness(entry, label, H, d, claims):
 
 # ---------------------------------------------------------------------------
 # entry definitions
-
-
-def _diag_tuple(coeffs):
-    """{k: {(k, last): c}} for d f^k = c f^{k, 2n}; coeffs 1-based list."""
-    def template(dim):
-        def inner(c):
-            out = {}
-            for k, val in c.items():
-                out[k] = val
-            return out
-        return inner
-    return coeffs
-
-
-def _rot(i, j, last, al, be):
-    """Terms of the pair df^i = al f^{i,last} + be f^{j,last},
-    df^j = -be f^{i,last} + al f^{j,last}."""
-    return {i: {(i, last): al, (j, last): be}, j: {(i, last): -be, (j, last): al}}
-
-
-def _merge(*parts):
-    out = {}
-    for p in parts:
-        for k, terms in p.items():
-            tgt = out.setdefault(k, {})
-            for key, c in terms.items():
-                tgt[key] = tgt.get(key, F(0)) + c
-    return out
-
-
-def _scalar_rows(last, coeffs):
-    """df^i = c_i f^{i,last} for the 1-based dict {i: c_i}."""
-    return {i: {(i, last): c} for i, c in coeffs.items() if c != 0}
 
 
 def _perm_basis_map(images, dim_n):
@@ -300,35 +252,31 @@ def _diag(*vals):
 ENTRIES = {}
 
 
-def _register(entry):
-    ENTRIES[entry.name] = entry
-    return entry
+def _register(name, **fields):
+    """Add the entry whose equations are the manifest document ``name``."""
+    ENTRIES[name] = CatalogEntry(
+        name=name, document=_MANIFEST[name.replace("+", "_")], **fields)
 
 
 # -- six-dimensional LCK list (admits LCK, no Kahler) ------------------------
 
-_register(CatalogEntry(
-    name="g1", dim=6, params=("p",),
+_register(
+    "g1",
     constraints=lambda pr: pr["p"] != 0, constraint_text="p != 0",
     samples=({"p": F(-1, 4)}, {"p": F(1, 2)}, {"p": F(2)}),
     unimodular_locus=lambda pr: 1 + 4 * pr["p"] == 0,
-    tuple_template=lambda pr: _scalar_rows(6, {1: F(1), 2: pr["p"], 3: pr["p"],
-                                               4: pr["p"], 5: pr["p"]}),
     witnesses=(DataWitness(
         label="lck",
         data=lambda pr: (F(1), [0, 0, 0, 0], _diag(pr["p"], pr["p"], pr["p"], pr["p"]),
                          _consecutive_j1(4)),
         claims={"lck": True, "kahler": False, "balanced": False, "lcb": True}),),
-))
+)
 
-_register(CatalogEntry(
-    name="g2", dim=6, params=("p", "q"),
+_register(
+    "g2",
     constraints=lambda pr: pr["p"] * pr["q"] != 0, constraint_text="pq != 0",
     samples=({"p": F(-1), "q": F(1, 4)}, {"p": F(1), "q": F(1)}, {"p": F(1), "q": F(-1, 2)}),
     unimodular_locus=lambda pr: pr["p"] + 4 * pr["q"] == 0,
-    tuple_template=lambda pr: _merge(
-        _scalar_rows(6, {1: pr["p"], 2: pr["q"], 3: pr["q"]}),
-        _rot(4, 5, 6, pr["q"], F(1))),
     witnesses=(DataWitness(
         label="lck",
         data=lambda pr: (pr["p"], [0, 0, 0, 0],
@@ -336,20 +284,16 @@ _register(CatalogEntry(
                                      _rotmat(pr["q"], F(1), F(-1), pr["q"])),
                          _consecutive_j1(4)),
         claims={"lck": True, "kahler": False, "balanced": False, "lcb": True}),),
-))
+)
 
-_register(CatalogEntry(
-    name="g3", dim=6, params=("p", "q", "r"),
+_register(
+    "g3",
     constraints=lambda pr: pr["p"] * pr["q"] != 0 and pr["r"] != 0,
     constraint_text="pq != 0, r != 0",
     samples=({"p": F(-1), "q": F(1, 4), "r": F(1)},
              {"p": F(1), "q": F(1, 2), "r": F(2)},
              {"p": F(1), "q": F(1), "r": F(-1)}),
     unimodular_locus=lambda pr: pr["p"] + 4 * pr["q"] == 0,
-    tuple_template=lambda pr: _merge(
-        _scalar_rows(6, {1: pr["p"]}),
-        _rot(2, 3, 6, pr["q"], F(1)),
-        _rot(4, 5, 6, pr["q"], pr["r"])),
     witnesses=(DataWitness(
         label="lck",
         data=lambda pr: (pr["p"], [0, 0, 0, 0],
@@ -358,30 +302,26 @@ _register(CatalogEntry(
                          _consecutive_j1(4)),
         claims={"lck": True, "kahler": False, "balanced": False, "lcb": True}),),
     notes="label parameters read as (p, q, r); r is the live rotation parameter",
-))
+)
 
 _G4_IMAGES = [4, 0, 1, 2, 3]  # built (e1, u1..u4) -> entry basis (f5, f1, f2, f3, f4)
 
-_register(CatalogEntry(
-    name="g4", dim=6, params=(),
+_register(
+    "g4",
     samples=({},),
     unimodular_locus=None,
-    tuple_template=lambda pr: _scalar_rows(6, {1: F(1), 2: F(1), 3: F(1), 4: F(1)}),
     witnesses=(DataWitness(
         label="lck",
         data=lambda pr: (F(0), [0, 0, 0, 0], _diag(1, 1, 1, 1), _consecutive_j1(4)),
         basis_map=lambda pr: (_perm_basis_map(_G4_IMAGES, 5), F(1)),
         claims={"lck": True, "kahler": False, "balanced": False, "lcb": True}),),
-))
+)
 
-_register(CatalogEntry(
-    name="g5", dim=6, params=("r",),
+_register(
+    "g5",
     constraints=lambda pr: pr["r"] != 0, constraint_text="r != 0",
     samples=({"r": F(1)}, {"r": F(-1, 2)}, {"r": F(2)}),
     unimodular_locus=None,
-    tuple_template=lambda pr: _merge(
-        _scalar_rows(6, {1: F(1), 2: F(1)}),
-        _rot(3, 4, 6, F(1), pr["r"])),
     witnesses=(DataWitness(
         label="lck",
         data=lambda pr: (F(0), [0, 0, 0, 0],
@@ -389,16 +329,13 @@ _register(CatalogEntry(
                          _consecutive_j1(4)),
         basis_map=lambda pr: (_perm_basis_map(_G4_IMAGES, 5), F(1)),
         claims={"lck": True, "kahler": False, "balanced": False, "lcb": True}),),
-))
+)
 
-_register(CatalogEntry(
-    name="g6", dim=6, params=("p", "r"),
+_register(
+    "g6",
     constraints=lambda pr: pr["p"] * pr["r"] != 0, constraint_text="pr != 0",
     samples=({"p": F(1), "r": F(1)}, {"p": F(-1, 2), "r": F(2)}, {"p": F(1, 4), "r": F(-1)}),
     unimodular_locus=None,
-    tuple_template=lambda pr: _merge(
-        _rot(1, 2, 6, pr["p"], F(1)),
-        _rot(3, 4, 6, pr["p"], pr["r"])),
     witnesses=(DataWitness(
         label="lck",
         data=lambda pr: (F(0), [0, 0, 0, 0],
@@ -407,37 +344,28 @@ _register(CatalogEntry(
                          _consecutive_j1(4)),
         basis_map=lambda pr: (_perm_basis_map(_G4_IMAGES, 5), F(1)),
         claims={"lck": True, "kahler": False, "balanced": False, "lcb": True}),),
-))
+)
 
 # -- six-dimensional LCB list -------------------------------------------------
 
-_register(CatalogEntry(
-    name="l1", dim=6, params=("p", "q"),
+_register(
+    "l1",
     constraints=lambda pr: pr["p"] * pr["q"] != 0 and pr["p"] != pr["q"] and pr["p"] != -pr["q"],
     constraint_text="pq != 0, p != +-q (the stated pr != 0 read as pq != 0)",
     samples=({"p": F(1), "q": F(-3, 2)}, {"p": F(1, 2), "q": F(-1)}, {"p": F(2), "q": F(1)}),
     unimodular_locus=lambda pr: 1 + 2 * pr["p"] + 2 * pr["q"] == 0,
-    tuple_template=lambda pr: _scalar_rows(6, {1: F(1), 2: pr["p"], 3: pr["p"],
-                                               4: pr["q"], 5: pr["q"]}),
     witnesses=(DataWitness(
         label="lcb",
         data=lambda pr: (F(1), [0, 0, 0, 0],
                          _diag(pr["p"], pr["p"], pr["q"], pr["q"]), _consecutive_j1(4)),
         claims={"lcb": True, "balanced": False, "lck": False}),),
-))
+)
 
-_register(CatalogEntry(
-    name="l2", dim=6, params=("p",),
+_register(
+    "l2",
     constraints=lambda pr: pr["p"] != 0, constraint_text="p != 0",
     samples=({"p": F(-1, 4)}, {"p": F(1)}, {"p": F(1, 2)}),
     unimodular_locus=lambda pr: 1 + 4 * pr["p"] == 0,
-    tuple_template=lambda pr: {
-        1: {(1, 6): F(1)},
-        2: {(2, 6): pr["p"], (3, 6): F(1)},
-        3: {(3, 6): pr["p"]},
-        4: {(4, 6): pr["p"], (5, 6): F(1)},
-        5: {(5, 6): pr["p"]},
-    },
     witnesses=(DataWitness(
         label="lcb",
         data=lambda pr: (F(1), [0, 0, 0, 0],
@@ -447,19 +375,16 @@ _register(CatalogEntry(
                           [F(0), F(0), F(0), pr["p"]]],
                          _a4_j1(4)),
         claims={"lcb": True, "balanced": False, "lck": False}),),
-))
+)
 
-_register(CatalogEntry(
-    name="l3", dim=6, params=("p", "q", "r"),
+_register(
+    "l3",
     constraints=lambda pr: pr["p"] * pr["q"] != 0 and pr["q"] != pr["r"] and pr["q"] != -pr["r"],
     constraint_text="pq != 0, q != +-r",
     samples=({"p": F(1), "q": F(1), "r": F(-1, 2) - F(1)},
              {"p": F(2), "q": F(-1), "r": F(0)},
              {"p": F(1), "q": F(1, 2), "r": F(2)}),
     unimodular_locus=lambda pr: pr["p"] + 2 * pr["q"] + 2 * pr["r"] == 0,
-    tuple_template=lambda pr: _merge(
-        _scalar_rows(6, {1: pr["p"], 2: pr["q"], 3: pr["q"]}),
-        _rot(4, 5, 6, pr["r"], F(1))),
     witnesses=(DataWitness(
         label="lcb",
         data=lambda pr: (pr["p"], [0, 0, 0, 0],
@@ -467,10 +392,10 @@ _register(CatalogEntry(
                                      _rotmat(pr["r"], F(1), F(-1), pr["r"])),
                          _consecutive_j1(4)),
         claims={"lcb": True, "balanced": False}),),
-))
+)
 
-_register(CatalogEntry(
-    name="l4", dim=6, params=("p", "q", "r", "s"),
+_register(
+    "l4",
     constraints=lambda pr: (pr["p"] * pr["q"] * pr["s"] != 0
                             and pr["q"] != pr["r"] and pr["q"] != -pr["r"]),
     constraint_text="pqs != 0, q != +-r",
@@ -478,10 +403,6 @@ _register(CatalogEntry(
              {"p": F(2), "q": F(-1), "r": F(0), "s": F(1, 2)},
              {"p": F(1), "q": F(1, 2), "r": F(2), "s": F(-1)}),
     unimodular_locus=lambda pr: pr["p"] + 2 * pr["q"] + 2 * pr["r"] == 0,
-    tuple_template=lambda pr: _merge(
-        _scalar_rows(6, {1: pr["p"]}),
-        _rot(2, 3, 6, pr["q"], F(1)),
-        _rot(4, 5, 6, pr["r"], pr["s"])),
     witnesses=(DataWitness(
         label="lcb",
         data=lambda pr: (pr["p"], [0, 0, 0, 0],
@@ -489,20 +410,13 @@ _register(CatalogEntry(
                                      _rotmat(pr["r"], pr["s"], -pr["s"], pr["r"])),
                          _consecutive_j1(4)),
         claims={"lcb": True, "balanced": False}),),
-))
+)
 
-_register(CatalogEntry(
-    name="l5", dim=6, params=("p", "q"),
+_register(
+    "l5",
     constraints=lambda pr: pr["p"] * pr["q"] != 0, constraint_text="pq != 0",
     samples=({"p": F(1), "q": F(-1, 4)}, {"p": F(2), "q": F(1)}, {"p": F(1), "q": F(1, 2)}),
     unimodular_locus=lambda pr: pr["p"] + 4 * pr["q"] == 0,
-    tuple_template=lambda pr: {
-        1: {(1, 6): pr["p"]},
-        2: {(2, 6): pr["q"], (3, 6): F(1), (4, 6): F(-1)},
-        3: {(2, 6): F(-1), (3, 6): pr["q"], (5, 6): F(-1)},
-        4: {(4, 6): pr["q"], (5, 6): F(1)},
-        5: {(4, 6): F(-1), (5, 6): pr["q"]},
-    },
     witnesses=(DataWitness(
         label="lcb",
         data=lambda pr: (pr["p"], [0, 0, 0, 0],
@@ -512,19 +426,18 @@ _register(CatalogEntry(
                           [F(0), F(0), F(-1), pr["q"]]],
                          _consecutive_j1(4)),
         claims={"lcb": True, "balanced": False}),),
-))
+)
 
-_register(CatalogEntry(
-    name="l6", dim=6, params=(),
+_register(
+    "l6",
     samples=({},),
     unimodular_locus=None,
-    tuple_template=lambda pr: _scalar_rows(6, {1: F(1), 2: F(1)}),
     witnesses=(DataWitness(
         label="lcb",
         data=lambda pr: (F(0), [0, 0, 0, 0], _diag(1, 1, 0, 0), _consecutive_j1(4)),
         basis_map=lambda pr: (_perm_basis_map(_G4_IMAGES, 5), F(1)),
         claims={"lcb": True, "balanced": False}),),
-))
+)
 
 _L7_S = [[0, 1, 1, 0, 0],
          [-1, 0, 0, 1, 1],
@@ -532,15 +445,10 @@ _L7_S = [[0, 1, 1, 0, 0],
          [0, 0, 1, 0, 0],
          [1, 0, 0, -1, 0]]
 
-_register(CatalogEntry(
-    name="l7", dim=6, params=(),
+_register(
+    "l7",
     samples=({},),
     unimodular_locus=None,
-    tuple_template=lambda pr: {
-        1: {(1, 6): F(1)},
-        2: {(2, 6): F(1), (3, 6): F(1)},
-        3: {(3, 6): F(1)},
-    },
     witnesses=(DataWitness(
         label="lcb",
         data=lambda pr: (F(1), [0, 0, 1, 0],
@@ -552,14 +460,13 @@ _register(CatalogEntry(
         basis_map=lambda pr: ([[F(x) for x in row] for row in _L7_S], F(1)),
         claims={"lcb": True, "balanced": False}),),
     notes="witness realizes the nonzero-v case with a = p = 1",
-))
+)
 
-_register(CatalogEntry(
-    name="l8", dim=6, params=("p",),
+_register(
+    "l8",
     constraints=lambda pr: pr["p"] != 0, constraint_text="p != 0",
     samples=({"p": F(1)}, {"p": F(-1, 2)}, {"p": F(2)}),
     unimodular_locus=None,
-    tuple_template=lambda pr: _rot(1, 2, 6, pr["p"], F(1)),
     witnesses=(DataWitness(
         label="lcb",
         data=lambda pr: (F(0), [0, 0, 0, 0],
@@ -567,79 +474,66 @@ _register(CatalogEntry(
                          _consecutive_j1(4)),
         basis_map=lambda pr: (_perm_basis_map(_G4_IMAGES, 5), F(1)),
         claims={"lcb": True, "balanced": False}),),
-))
+)
 
-_register(CatalogEntry(
-    name="l9", dim=6, params=("p",),
+_register(
+    "l9",
     constraints=lambda pr: pr["p"] != 0, constraint_text="p != 0",
     samples=({"p": F(-1, 2)}, {"p": F(1)}, {"p": F(2)}),
     unimodular_locus=lambda pr: 1 + 2 * pr["p"] == 0,
-    tuple_template=lambda pr: _scalar_rows(6, {1: F(1), 2: pr["p"], 3: pr["p"]}),
     witnesses=(DataWitness(
         label="lcb",
         data=lambda pr: (F(1), [0, 0, 0, 0], _diag(pr["p"], pr["p"], 0, 0),
                          _consecutive_j1(4)),
         claims={"lcb": True, "balanced": False}),),
-))
+)
 
-_register(CatalogEntry(
-    name="l10", dim=6, params=("p", "q"),
+_register(
+    "l10",
     constraints=lambda pr: pr["p"] * pr["q"] != 0, constraint_text="pq != 0",
     samples=({"p": F(1), "q": F(-1, 2)}, {"p": F(2), "q": F(-1)}, {"p": F(1), "q": F(1)}),
     unimodular_locus=lambda pr: pr["p"] + 2 * pr["q"] == 0,
-    tuple_template=lambda pr: _merge(
-        _scalar_rows(6, {1: pr["p"]}),
-        _rot(2, 3, 6, pr["q"], F(1))),
     witnesses=(DataWitness(
         label="lcb",
         data=lambda pr: (pr["p"], [0, 0, 0, 0],
                          _block_diag(_rotmat(pr["q"], F(1), F(-1), pr["q"]), _diag(0, 0)),
                          _consecutive_j1(4)),
         claims={"lcb": True, "balanced": False}),),
-))
+)
 
-_register(CatalogEntry(
-    name="l11", dim=6, params=("p",),
+_register(
+    "l11",
     constraints=lambda pr: pr["p"] not in (F(0), F(1), F(-1)),
     constraint_text="p != 0, +-1",
     samples=({"p": F(1, 2)}, {"p": F(-2)}, {"p": F(2)}),
     unimodular_locus=None,
-    tuple_template=lambda pr: _scalar_rows(6, {1: F(1), 2: F(1), 3: pr["p"], 4: pr["p"]}),
     witnesses=(DataWitness(
         label="lcb",
         data=lambda pr: (F(0), [0, 0, 0, 0], _diag(1, 1, pr["p"], pr["p"]),
                          _consecutive_j1(4)),
         basis_map=lambda pr: (_perm_basis_map(_G4_IMAGES, 5), F(1)),
         claims={"lcb": True, "balanced": False}),),
-))
+)
 
 _L12_IMAGES = [3, 0, 1, 2, 4]  # built (e1, u1, u2, u3, u4) -> (f4, f1, f2, f3, f5)
 
-_register(CatalogEntry(
-    name="l12", dim=6, params=(),
+_register(
+    "l12",
     samples=({},),
     unimodular_locus=None,
-    tuple_template=lambda pr: {
-        1: {(1, 6): F(1)},
-        2: {(2, 6): F(1)},
-        3: {(4, 6): F(1)},
-    },
     witnesses=(DataWitness(
         label="lcb",
         data=lambda pr: (F(0), [0, 0, 1, 0], _diag(1, 1, 0, 0), _consecutive_j1(4)),
         basis_map=lambda pr: (_perm_basis_map(_L12_IMAGES, 5), F(1)),
         claims={"lcb": True, "balanced": False}),),
-))
+)
 
-_register(CatalogEntry(
-    name="l13", dim=6, params=("q", "r"),
+_register(
+    "l13",
     constraints=lambda pr: pr["q"] not in (F(1), F(-1)) and pr["r"] != 0,
     constraint_text="q != +-1, r != 0",
     samples=({"q": F(1, 2), "r": F(1)}, {"q": F(-2), "r": F(1, 2)}, {"q": F(0), "r": F(2)}),
     unimodular_locus=None,
-    tuple_template=lambda pr: _merge(
-        _scalar_rows(6, {1: F(1), 2: F(1)}),
-        _rot(3, 4, 6, pr["q"], pr["r"])),
     witnesses=(DataWitness(
         label="lcb",
         data=lambda pr: (F(0), [0, 0, 0, 0],
@@ -647,15 +541,12 @@ _register(CatalogEntry(
                          _consecutive_j1(4)),
         basis_map=lambda pr: (_perm_basis_map(_G4_IMAGES, 5), F(1)),
         claims={"lcb": True, "balanced": False}),),
-))
+)
 
-_register(CatalogEntry(
-    name="l14", dim=6, params=("p",),
+_register(
+    "l14",
     samples=({"p": F(0)}, {"p": F(1)}, {"p": F(-1, 2)}),
     unimodular_locus=lambda pr: pr["p"] == 0,
-    tuple_template=lambda pr: _merge(
-        _rot(1, 2, 6, pr["p"], F(1)),
-        {3: {(4, 6): F(1)}}),
     witnesses=(DataWitness(
         label="lcb",
         data=lambda pr: (F(0), [0, 0, 1, 0],
@@ -663,18 +554,12 @@ _register(CatalogEntry(
                          _consecutive_j1(4)),
         basis_map=lambda pr: (_perm_basis_map(_L12_IMAGES, 5), F(1)),
         claims={"lcb": True, "balanced": False}),),
-))
+)
 
-_register(CatalogEntry(
-    name="l15", dim=6, params=(),
+_register(
+    "l15",
     samples=({},),
     unimodular_locus=None,
-    tuple_template=lambda pr: {
-        1: {(1, 6): F(1), (2, 6): F(1)},
-        2: {(2, 6): F(1)},
-        3: {(3, 6): F(1), (4, 6): F(1)},
-        4: {(4, 6): F(1)},
-    },
     witnesses=(DataWitness(
         label="lcb",
         data=lambda pr: (F(0), [0, 0, 0, 0],
@@ -685,10 +570,10 @@ _register(CatalogEntry(
                          _a4_j1(4)),
         basis_map=lambda pr: (_perm_basis_map(_G4_IMAGES, 5), F(1)),
         claims={"lcb": True, "balanced": False}),),
-))
+)
 
-_register(CatalogEntry(
-    name="l16", dim=6, params=("p", "q", "r"),
+_register(
+    "l16",
     constraints=lambda pr: (pr["r"] != 0 and (pr["p"] != 0 or pr["q"] != 0)
                             and pr["p"] != pr["q"] and pr["p"] != -pr["q"]),
     constraint_text="r != 0, p^2 + q^2 != 0, p != +-q",
@@ -696,9 +581,6 @@ _register(CatalogEntry(
              {"p": F(0), "q": F(1), "r": F(2)},
              {"p": F(1), "q": F(1, 2), "r": F(-1)}),
     unimodular_locus=None,
-    tuple_template=lambda pr: _merge(
-        _rot(1, 2, 6, pr["p"], F(1)),
-        _rot(3, 4, 6, pr["q"], pr["r"])),
     witnesses=(DataWitness(
         label="lcb",
         data=lambda pr: (F(0), [0, 0, 0, 0],
@@ -707,19 +589,13 @@ _register(CatalogEntry(
                          _consecutive_j1(4)),
         basis_map=lambda pr: (_perm_basis_map(_G4_IMAGES, 5), F(1)),
         claims={"lcb": True, "balanced": False}),),
-))
+)
 
-_register(CatalogEntry(
-    name="l17", dim=6, params=("p",),
+_register(
+    "l17",
     constraints=lambda pr: pr["p"] != 0, constraint_text="p != 0",
     samples=({"p": F(1)}, {"p": F(-1, 2)}, {"p": F(2)}),
     unimodular_locus=None,
-    tuple_template=lambda pr: {
-        1: {(1, 6): pr["p"], (2, 6): F(1), (3, 6): F(-1)},
-        2: {(1, 6): F(-1), (2, 6): pr["p"], (4, 6): F(-1)},
-        3: {(3, 6): pr["p"], (4, 6): F(1)},
-        4: {(3, 6): F(-1), (4, 6): pr["p"]},
-    },
     witnesses=(DataWitness(
         label="lcb",
         data=lambda pr: (F(0), [0, 0, 0, 0],
@@ -730,47 +606,41 @@ _register(CatalogEntry(
                          _consecutive_j1(4)),
         basis_map=lambda pr: (_perm_basis_map(_G4_IMAGES, 5), F(1)),
         claims={"lcb": True, "balanced": False}),),
-))
+)
 
 # -- nilpotent LCB entries ----------------------------------------------------
 
-_register(CatalogEntry(
-    name="n1", dim=6, params=(),
+_register(
+    "n1",
     samples=({},),
     unimodular_locus=True,
-    tuple_template=lambda pr: {6: {(1, 2): F(1)}},
-    declared_ideal=(2, 3, 4, 5, 6),
     witnesses=(ExplicitWitness(
         label="lcb",
         j_pairs=((2, 1), (3, 4), (5, 6)),
         claims={"lcb": True, "balanced": False}),),
-))
+)
 
-_register(CatalogEntry(
-    name="n2", dim=6, params=(),
+_register(
+    "n2",
     samples=({},),
     unimodular_locus=True,
-    tuple_template=lambda pr: {4: {(1, 2): F(1)}, 5: {(1, 3): F(1)}, 6: {(1, 4): F(1)}},
-    declared_ideal=(2, 3, 4, 5, 6),
     witnesses=(ExplicitWitness(
         label="lcb",
         j_pairs=((2, 1), (3, 4), (5, 6)),
         claims={"lcb": True, "balanced": False}),),
-))
+)
 
 # -- four-dimensional algebras and the compatibility examples -----------------
 
-_register(CatalogEntry(
-    name="h3R", dim=4, params=(),
+_register(
+    "h3R",
     samples=({},),
     unimodular_locus=True,
-    tuple_template=lambda pr: {4: {(1, 2): F(1)}},
-    declared_ideal=(2, 3, 4),
     witnesses=(ExplicitWitness(
         label="lck",
         j_pairs=((2, 1), (3, 4)),
         claims={"lck": True, "vaisman": True, "kahler": False, "lcb": True}),),
-))
+)
 
 
 def _aff2_gprime(pr):
@@ -780,12 +650,10 @@ def _aff2_gprime(pr):
             [F(0), F(1), F(0), F(1)]]
 
 
-_register(CatalogEntry(
-    name="aff2+2R", dim=4, params=(),
+_register(
+    "aff2+2R",
     samples=({},),
     unimodular_locus=None,
-    tuple_template=lambda pr: {1: {(1, 2): F(1)}},
-    declared_ideal=(1, 3, 4),
     witnesses=(
         ExplicitWitness(
             label="kahler",
@@ -798,7 +666,7 @@ _register(CatalogEntry(
             metric=_aff2_gprime,
             claims={"lck": True, "kahler": False, "lcb": True, "vaisman": True}),
     ),
-))
+)
 
 
 def _b2_gprime(pr):
@@ -812,11 +680,10 @@ def _b2_gprime(pr):
     return g
 
 
-_register(CatalogEntry(
-    name="b2", dim=6, params=(),
+_register(
+    "b2",
     samples=({},),
     unimodular_locus=None,
-    tuple_template=lambda pr: {1: {(1, 6): F(1)}, 2: {(3, 6): F(1)}, 4: {(5, 6): F(1)}},
     witnesses=(
         ExplicitWitness(
             label="balanced",
@@ -828,27 +695,30 @@ _register(CatalogEntry(
             metric=_b2_gprime,
             claims={"lcb": True, "balanced": False, "lck": False}),
     ),
-))
+)
 
 
-def _s2n_tuple(n):
-    def template(pr):
-        a, c = pr["a"], pr.get("c", F(1))
-        last = 2 * n
-        out = {
-            1: {(1, last): a},
-            2: {(2, last): -a / 2, (3, last): F(1)},
-            3: {(2, last): F(-1), (3, last): -a / 2},
-        }
-        for i in range(2, n):
-            out[2 * i] = {(2 * i + 1, last): c}
-            out[2 * i + 1] = {(2 * i, last): -c}
-        return out
-    return template
+def _s2n_document(n):
+    """d f^1 = a f^{1,2n}, the (2, 3) block rotates with -a/2 and 1, and the
+    pairs (2i, 2i+1) for i >= 2 rotate with c; J and g as in the witness."""
+    last = 2 * n
+    differential = [
+        (Term(1, last, F(1), "a"),),
+        (Term(2, last, F(-1, 2), "a"), Term(3, last, F(1))),
+        (Term(2, last, F(-1)), Term(3, last, F(-1, 2), "a")),
+    ]
+    for i in range(2, n):
+        differential += [(Term(2 * i + 1, last, F(1), "c"),),
+                         (Term(2 * i, last, F(-1), "c"),)]
+    differential.append(())
+    params = {"a": F(1)} if n == 2 else {"a": F(1), "c": F(1)}
+    pairs = ((1, last),) + tuple((2 * i, 2 * i + 1) for i in range(1, n))
+    return AlgebraDocument(name=f"s{last}", dim=last, params=params,
+                           differential=tuple(differential),
+                           j_spec=("pairs", pairs), g_spec=("identity",))
 
 
 def _s2n_entry(n):
-    params = ("a",) if n == 2 else ("a", "c")
     if n == 2:
         samples = ({"a": F(1)}, {"a": F(-2)}, {"a": F(1, 2)})
         constraints = lambda pr: pr["a"] != 0
@@ -858,107 +728,60 @@ def _s2n_entry(n):
                    {"a": F(1, 2), "c": F(2)})
         constraints = lambda pr: pr["a"] != 0 and pr["c"] != 0
         text = "a != 0, c != 0"
-    pairs = ((1, 2 * n),) + tuple((2 * i, 2 * i + 1) for i in range(1, n))
+    document = _s2n_document(n)
     return CatalogEntry(
-        name=f"s{2 * n}", dim=2 * n, params=params,
+        name=document.name, document=document,
         constraints=constraints, constraint_text=text,
         samples=samples,
         unimodular_locus=True,
-        tuple_template=_s2n_tuple(n),
         witnesses=(ExplicitWitness(
             label="skt-lcb",
-            j_pairs=pairs,
+            j_pairs=document.j_spec[1],
             claims={"skt": True, "lcb": True, "balanced": False}),),
     )
 
 
 for _n in (2, 3, 4):
-    _register(_s2n_entry(_n))
+    ENTRIES[f"s{2 * _n}"] = _s2n_entry(_n)
 
 # -- LCHK catalog --------------------------------------------------------------
 
 
-def _lchk_entry(name, dim, template, params=(), constraints=None, text="",
-                samples=({},), hyperkahler=False):
-    return CatalogEntry(
-        name=name, dim=dim, params=params,
+def _lchk_entry(name, constraints=None, text="", samples=({},), hyperkahler=False):
+    _register(
+        name,
         constraints=constraints, constraint_text=text,
         samples=samples,
         unimodular_locus=True if hyperkahler else None,
-        tuple_template=template,
         witnesses=(LchkWitness(label="lchk", hyperkahler=hyperkahler),),
     )
 
 
-_register(_lchk_entry("lchk-m1-hk", 4, lambda pr: {}, hyperkahler=True))
-
-_register(_lchk_entry(
-    "lchk-m1", 4,
-    lambda pr: _scalar_rows(4, {1: F(1), 2: F(1), 3: F(1)})))
-
-_register(_lchk_entry("lchk-m2-hk1", 8, lambda pr: {}, hyperkahler=True))
-
-_register(_lchk_entry(
-    "lchk-m2-hk2", 8,
-    lambda pr: {1: {(2, 8): F(1)}, 2: {(1, 8): F(-1)},
-                3: {(4, 8): F(1)}, 4: {(3, 8): F(-1)}},
-    hyperkahler=True))
-
-_register(_lchk_entry(
-    "lchk-m2-1", 8,
-    lambda pr: _scalar_rows(8, {i: F(1) for i in range(1, 8)})))
-
-_register(_lchk_entry(
-    "lchk-m2-2", 8,
-    lambda pr: _merge(
-        _scalar_rows(8, {1: F(1), 2: F(1), 3: F(1)}),
-        _rot(4, 5, 8, F(1), pr["p"]),
-        _rot(6, 7, 8, F(1), pr["p"])),
-    params=("p",), constraints=lambda pr: pr["p"] != 0, text="p != 0",
-    samples=({"p": F(1)}, {"p": F(1, 2)}, {"p": F(2)})))
-
-_register(_lchk_entry("lchk-m3-hk1", 12, lambda pr: {}, hyperkahler=True))
-
-_register(_lchk_entry(
-    "lchk-m3-hk2", 12,
-    lambda pr: {1: {(2, 12): F(1)}, 2: {(1, 12): F(-1)},
-                3: {(4, 12): F(1)}, 4: {(3, 12): F(-1)}},
-    hyperkahler=True))
-
-_register(_lchk_entry(
-    "lchk-m3-hk3", 12,
-    lambda pr: {1: {(2, 12): F(1)}, 2: {(1, 12): F(-1)},
-                3: {(4, 12): F(1)}, 4: {(3, 12): F(-1)},
-                5: {(6, 12): pr["p"]}, 6: {(5, 12): -pr["p"]},
-                7: {(8, 12): pr["p"]}, 8: {(7, 12): -pr["p"]}},
-    params=("p",), constraints=lambda pr: pr["p"] != 0, text="p != 0",
+_lchk_entry("lchk-m1-hk", hyperkahler=True)
+_lchk_entry("lchk-m1")
+_lchk_entry("lchk-m2-hk1", hyperkahler=True)
+_lchk_entry("lchk-m2-hk2", hyperkahler=True)
+_lchk_entry("lchk-m2-1")
+_lchk_entry(
+    "lchk-m2-2",
+    constraints=lambda pr: pr["p"] != 0, text="p != 0",
+    samples=({"p": F(1)}, {"p": F(1, 2)}, {"p": F(2)}))
+_lchk_entry("lchk-m3-hk1", hyperkahler=True)
+_lchk_entry("lchk-m3-hk2", hyperkahler=True)
+_lchk_entry(
+    "lchk-m3-hk3",
+    constraints=lambda pr: pr["p"] != 0, text="p != 0",
     samples=({"p": F(1)}, {"p": F(1, 2)}, {"p": F(2)}),
-    hyperkahler=True))
-
-_register(_lchk_entry(
-    "lchk-m3-1", 12,
-    lambda pr: _scalar_rows(12, {i: F(1) for i in range(1, 12)})))
-
-_register(_lchk_entry(
-    "lchk-m3-2", 12,
-    lambda pr: _merge(
-        _scalar_rows(12, {i: F(1) for i in range(1, 8)}),
-        _rot(8, 9, 12, F(1), pr["p"]),
-        _rot(10, 11, 12, F(1), pr["p"])),
-    params=("p",), constraints=lambda pr: pr["p"] != 0, text="p != 0",
-    samples=({"p": F(1)}, {"p": F(1, 2)}, {"p": F(2)})))
-
-_register(_lchk_entry(
-    "lchk-m3-3", 12,
-    lambda pr: _merge(
-        _scalar_rows(12, {1: F(1), 2: F(1), 3: F(1)}),
-        _rot(4, 5, 12, F(1), pr["p"]),
-        _rot(6, 7, 12, F(1), pr["p"]),
-        _rot(8, 9, 12, F(1), pr["q"]),
-        _rot(10, 11, 12, F(1), pr["q"])),
-    params=("p", "q"),
+    hyperkahler=True)
+_lchk_entry("lchk-m3-1")
+_lchk_entry(
+    "lchk-m3-2",
+    constraints=lambda pr: pr["p"] != 0, text="p != 0",
+    samples=({"p": F(1)}, {"p": F(1, 2)}, {"p": F(2)}))
+_lchk_entry(
+    "lchk-m3-3",
     constraints=lambda pr: pr["p"] * pr["q"] != 0, text="pq != 0",
-    samples=({"p": F(1), "q": F(2)}, {"p": F(1, 2), "q": F(1)}, {"p": F(2), "q": F(1, 2)})))
+    samples=({"p": F(1), "q": F(2)}, {"p": F(1, 2), "q": F(1)}, {"p": F(2), "q": F(1, 2)}))
 
 
 # ---------------------------------------------------------------------------
@@ -1100,93 +923,3 @@ def verify_all(names=None, samples=None, deep=True):
         "ok": all(r["ok"] for r in results),
         "elapsed_s": time.monotonic() - t0,
     }
-
-
-# ---------------------------------------------------------------------------
-# manifest serialization
-
-def entry_document(entry: CatalogEntry, params=None):
-    """AlgebraDocument for an entry (default first sample when params=None).
-
-    The first explicit witness (if any) supplies the document's J and g.
-    """
-    from .documents import AlgebraDocument, Term
-
-    params = dict(entry.samples[0] if params is None else params)
-    dtuple = entry.differential_tuple(params)
-    differential = []
-    for k in range(1, entry.dim + 1):
-        terms = []
-        for (i, j), c in sorted(dtuple.get(k, {}).items()):
-            pname = _param_of(entry, params, k, i, j)
-            if pname is not None:
-                base = entry.differential_tuple({**params, pname: F(1)})[k][(i, j)]
-                terms.append(Term(i, j, base, pname))
-            else:
-                terms.append(Term(i, j, c, None))
-        differential.append(tuple(terms))
-    j_spec = None
-    g_spec = None
-    for w in entry.witnesses:
-        if isinstance(w, ExplicitWitness):
-            j_spec = ("pairs", tuple(w.j_pairs))
-            if w.metric is None:
-                g_spec = ("identity",)
-            else:
-                g_spec = ("matrix", tuple(tuple(row) for row in w.metric(params)))
-            break
-    ideal = None
-    if entry.declared_ideal:
-        vecs = []
-        for i in entry.declared_ideal:
-            v = [F(0)] * entry.dim
-            v[i - 1] = F(1)
-            vecs.append(tuple(v))
-        ideal = tuple(vecs)
-    return AlgebraDocument(
-        name=entry.name.replace("+", "_"), dim=entry.dim,
-        params={k: params[k] for k in entry.params},
-        differential=tuple(differential),
-        j_spec=j_spec, g_spec=g_spec, ideal=ideal)
-
-
-def _param_of(entry, params, k, i, j):
-    """Name of the parameter scaling the (k, i, j) slot, if exactly one fits.
-
-    Detected by perturbing each binding: a slot is attributed to parameter
-    p when the coefficient moves linearly with p and vanishes at p = 0.
-    """
-    base = entry.differential_tuple(params)[k][(i, j)]
-    for pname in entry.params:
-        try:
-            up = entry.differential_tuple({**params, pname: params[pname] + 1})
-        except Exception:
-            continue
-        moved = up.get(k, {}).get((i, j), F(0))
-        if moved == base:
-            continue
-        try:
-            at_zero = entry.differential_tuple({**params, pname: F(0)})
-        except Exception:
-            continue
-        if at_zero.get(k, {}).get((i, j), F(0)) != 0:
-            return None  # affine but not linear in the parameter
-        at_one = entry.differential_tuple({**params, pname: F(1)})
-        if at_one[k].get((i, j), F(0)) * params[pname] == base:
-            return pname
-    return None
-
-
-def catalog_manifest() -> str:
-    """The canonical text manifest for the whole catalog."""
-    from .documents import render_manifest
-
-    docs = [entry_document(ENTRIES[name]) for name in sorted(ENTRIES)]
-    return render_manifest(docs)
-
-
-def shipped_manifest_text() -> str:
-    """Contents of the manifest file shipped with the package."""
-    from importlib import resources
-
-    return resources.files("aalg").joinpath("data/catalog.alg").read_text("utf-8")

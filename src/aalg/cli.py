@@ -24,15 +24,14 @@ import sys
 from fractions import Fraction
 
 from . import scalars
-from .scalars import fmt
+from .scalars import EXACT, fmt
 from . import linalg
 from .documents import (AlgebraDocument, ParseError, parse, render,
                         to_algebra, to_complex_structure, to_ideal, to_metric)
 from .hermitian import HermitianError, HermitianStructure
 from .lie import LieAlgebraError, find_codim1_abelian_ideal
-from .almost_abelian import (DataError, extract_data, is_balanced_data,
-                             is_kahler_data, is_lcb_data, is_lck_data,
-                             is_skt_data, is_type_11, rho_b_closed,
+from .almost_abelian import (DATA_PREDICATES, DataError, extract_data,
+                             is_lcb_data, is_skt_data, is_type_11, rho_b_closed,
                              adapted_J_matrix, skt_to_lcb, skt_to_lcb_metric)
 from .lchk import LchkError, construct_lchk, lchk_admissible
 from .lattice import integrality_probe
@@ -132,14 +131,6 @@ def _print_human(report, indent=0):
 
 PROPERTIES = ("kahler", "lck", "balanced", "skt", "lcb", "vaisman")
 
-_DATA_FUNCS = {
-    "kahler": is_kahler_data,
-    "lck": is_lck_data,
-    "balanced": is_balanced_data,
-    "skt": is_skt_data,
-    "lcb": is_lcb_data,
-}
-
 
 def cmd_check(args):
     doc = _load_document(args.file)
@@ -156,14 +147,8 @@ def cmd_check(args):
             results[prop] = {"direct": direct, "data": None,
                              "agreement": None, "note": note}
         else:
-            direct = {
-                "kahler": H.is_kahler_direct,
-                "lck": H.is_lck_direct,
-                "balanced": H.is_balanced_direct,
-                "skt": H.is_skt_direct,
-                "lcb": H.is_lcb_direct,
-            }[prop]()
-            data_verdict = _DATA_FUNCS[prop](d)
+            direct = getattr(H, f"is_{prop}_direct")()
+            data_verdict = DATA_PREDICATES[prop](d)
             results[prop] = {"direct": direct, "data": data_verdict,
                              "agreement": direct == data_verdict}
     report = {"schema": SCHEMA, "command": "check", "algebra": doc.name,
@@ -222,6 +207,8 @@ def cmd_rho_b(args):
         "is_lcb_data": is_lcb_data(d),
     }
     _emit(report, args)
+    if not (closed == oracle if d.kind == EXACT else closed.equals(oracle)):
+        raise MathRejection("closed rho^B disagrees with the curvature oracle")
     return EXIT_OK
 
 

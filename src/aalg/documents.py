@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .scalars import EXACT, FLOAT, fmt
+from .scalars import EXACT, FLOAT, coerce, fmt
 from .lie import LieAlgebra, Subspace
 from .hermitian import ComplexStructure, Metric
 
@@ -539,7 +539,7 @@ def _term_value(t: Term, params, kind):
     c = t.coeff
     if t.param is not None:
         c = c * params[t.param]
-    return float(c) if kind == FLOAT else Fraction(c)
+    return coerce(c, kind)
 
 
 def to_algebra(doc: AlgebraDocument) -> LieAlgebra:

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 from .scalars import EXACT, coerce, is_zero, one
 from . import linalg
-from .forms import KForm, exterior_derivative, pullback, wedge, wedge_power
+from .forms import (KForm, exterior_derivative, pullback, sort_indices, wedge,
+                    wedge_power)
 from .lie import LieAlgebra
 
 
@@ -228,7 +229,7 @@ class HermitianStructure:
             lower = linalg.zeros(n2, n2, self.L.kind)
             for j in range(n2):
                 for l in range(n2):
-                    key = _sorted_key((i, j, l))
+                    key = sort_indices((i, j, l))
                     if key is None:
                         continue
                     idx, sign = key
@@ -274,21 +275,6 @@ class HermitianStructure:
                 if not is_zero(val, self.eps):
                     coeffs[(i, j)] = val
         return KForm(2, n2, coeffs, kind=self.L.kind)
-
-
-def _sorted_key(indices):
-    idx = list(indices)
-    sign = 1
-    for i in range(1, len(idx)):
-        j = i
-        while j > 0 and idx[j - 1] > idx[j]:
-            idx[j - 1], idx[j] = idx[j], idx[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(idx, idx[1:]):
-        if a == b:
-            return None
-    return tuple(idx), sign
 
 
 def nijenhuis(J: ComplexStructure, L: LieAlgebra):
@@ -396,13 +382,6 @@ def connection_preserves_metric(gamma, g: Metric, eps=None) -> bool:
 def connection_preserves_tensor(gamma, t, eps=None) -> bool:
     """D t = 0 for an endomorphism t: [Gamma_i, t] = 0 for all i."""
     return all(linalg.is_zero_matrix(linalg.commutator(gi, t), eps) for gi in gamma)
-
-
-def covariant_derivative_one_form(gamma, comps):
-    """(D_i theta)(e_j) = -theta(D_i e_j); returns the matrix over (i, j)."""
-    n = len(gamma)
-    return [[-sum(gamma[i][k][j] * comps[k] for k in range(n)) for j in range(n)]
-            for i in range(n)]
 
 
 def curvature_operator(gamma, L: LieAlgebra, i, j):

@@ -79,7 +79,6 @@ def mat_mul(a, b):
     n, k = len(a), len(b)
     if any(len(row) != k for row in a):
         raise LinAlgError("inner dimension mismatch")
-    m = len(b[0]) if k else 0
     bt = list(zip(*b))
     return [[sum(ra[t] * bc[t] for t in range(k)) for bc in bt] for ra in a]
 
@@ -147,7 +146,7 @@ def is_zero_vector(v, eps=None) -> bool:
 # ---------------------------------------------------------------------------
 # elimination
 
-def _pivot_row(col, rows_done, column_values, eps):
+def _pivot_row(column_values, eps):
     """Index of the usable pivot row, or None.
 
     Exact path takes the first nonzero entry, float path the largest one.
@@ -176,7 +175,7 @@ def rref(a, eps=None):
         if r >= nrows:
             break
         cand = [(i, m[i][c]) for i in range(r, nrows)]
-        p = _pivot_row(c, r, cand, eps)
+        p = _pivot_row(cand, eps)
         if p is None:
             continue
         m[r], m[p] = m[p], m[r]
@@ -260,7 +259,7 @@ def det(a, eps=None):
     acc = one(kind)
     for c in range(n):
         cand = [(i, m[i][c]) for i in range(c, n)]
-        p = _pivot_row(c, c, cand, eps)
+        p = _pivot_row(cand, eps)
         if p is None:
             return zero(kind)
         if p != c:
@@ -403,13 +402,6 @@ def poly_eval_matrix(p, m):
     for c in reversed(p[:-1]):
         acc = mat_add(mat_mul(acc, m), mat_scale(coerce(c, kind), idmat(n, kind)))
     return acc
-
-
-def poly_from_roots(roots, kind=EXACT):
-    p = [one(kind)]
-    for r in roots:
-        p = poly_mul(p, [-r, one(kind)])
-    return p
 
 
 def charpoly(m):

@@ -41,6 +41,12 @@ def test_constraint_violation():
         instantiate(ENTRIES["g1"], {})  # unbound
 
 
+def test_float_parameters_rejected():
+    """Floats never enter an exact entry's structure constants."""
+    with pytest.raises(TypeError):
+        instantiate(ENTRIES["g1"], {"p": 0.5})
+
+
 def test_unimodular_loci():
     assert instantiate(ENTRIES["g1"], {"p": F(-1, 4)}).is_unimodular()
     assert not instantiate(ENTRIES["g1"], {"p": F(1)}).is_unimodular()
@@ -119,10 +125,9 @@ def test_data_witness_certificates():
     from aalg.catalog import DataWitness, CatalogEntry, _restrict_last
     entry = ENTRIES["l7"]
     bad = CatalogEntry(
-        name="l7bad", dim=6, params=(),
+        name="l7bad", document=entry.document,
         samples=({},),
         unimodular_locus=None,
-        tuple_template=entry.tuple_template,
         witnesses=(DataWitness(
             label="broken",
             data=entry.witnesses[0].data,

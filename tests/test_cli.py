@@ -104,6 +104,28 @@ def test_rho_b_report(docs, capsys):
     assert rep["type_1_1"] is True
 
 
+@pytest.mark.parametrize("a", ["1", "1.0"])
+def test_rho_b_mismatch_exits_2(tmp_path, capsys, monkeypatch, a):
+    """A closed form that disagrees with the curvature oracle is a
+    mathematical rejection, on the exact and the float path."""
+    import aalg.cli
+    from aalg.forms import KForm
+    path = tmp_path / "s4.alg"
+    path.write_text(S4.replace("a = 1", f"a = {a}"), encoding="utf-8")
+    assert main(["rho-b", str(path), "--json"]) == 0
+    capsys.readouterr()
+    closed = aalg.cli.rho_b_closed
+
+    def perturbed(d):
+        form = closed(d)
+        return form + KForm.basis(4, 0, 1, kind=form.kind)
+
+    monkeypatch.setattr(aalg.cli, "rho_b_closed", perturbed)
+    code, rep = run_json(capsys, ["rho-b", str(path), "--json"])
+    assert code == 2
+    assert rep["residual"] == 1.0
+
+
 def test_lchk_id3(capsys):
     code, rep = run_json(capsys, ["lchk", "--matrix", "id3", "--json"])
     assert code == 0

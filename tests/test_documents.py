@@ -1,6 +1,7 @@
 """Parser and renderer: grammar coverage, round trips, manifests."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -145,12 +146,40 @@ def test_parse_render_roundtrip_random(doc):
 
 
 def test_manifest_roundtrip_shipped():
-    from aalg.catalog import catalog_manifest, shipped_manifest_text
+    from aalg.catalog import shipped_manifest_text
     text = shipped_manifest_text()
     docs = parse_manifest(text)
     assert render_manifest(docs) == text
-    # the shipped file stays in sync with the registry
-    assert text == catalog_manifest()
+
+
+def test_catalog_instantiates_from_manifest():
+    """Every sample of every entry gives the brackets of its manifest
+    document, and the generated s_2n documents match the manifest's."""
+    from aalg.catalog import ENTRIES, _s2n_entry, instantiate, shipped_manifest_text
+    manifest = {doc.name: doc for doc in parse_manifest(shipped_manifest_text())}
+    assert {name.replace("+", "_") for name in ENTRIES} == set(manifest)
+    for name, entry in ENTRIES.items():
+        doc = manifest[name.replace("+", "_")]
+        assert (entry.dim, entry.params) == (doc.dim, tuple(doc.params))
+        assert entry.samples[0] == doc.params
+        for params in entry.samples:
+            want = to_algebra(replace(doc, params=dict(params)))
+            assert instantiate(entry, params).brackets == want.brackets
+    for n in (2, 3, 4):
+        assert _s2n_entry(n).document == manifest[f"s{2 * n}"]
+
+
+def test_s2n_document_beyond_manifest():
+    """s_10 has no manifest document; its generated equations are pinned."""
+    from aalg.catalog import _s2n_entry, entry_document
+    doc = entry_document(_s2n_entry(5), {"a": F(-2), "c": F(1, 2)})
+    assert render(doc) == (
+        "algebra s10 dim 10\n"
+        "params a = -2, c = 1/2\n"
+        "d = (a f1,10, -1/2 a f2,10 + f3,10, -f2,10 - 1/2 a f3,10, c f5,10, "
+        "-c f4,10, c f7,10, -c f6,10, c f9,10, -c f8,10, 0)\n"
+        "J: f1->f10, f2->f3, f4->f5, f6->f7, f8->f9\n"
+        "g: identity\n")
 
 
 def test_manifest_documents_instantiate():
