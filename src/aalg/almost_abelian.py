@@ -21,13 +21,13 @@ orthonormal and matches the adapted-basis block form
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .scalars import EXACT, coerce, is_zero, one, sqrt_scalar, zero
 from . import linalg
 from .forms import KForm
 from .hermitian import ComplexStructure, Metric, is_integrable
-from .lie import LieAlgebra, Subspace, find_codim1_abelian_ideal
+from .lie import (LieAlgebra, Subspace, abelian_ideal_defect,
+                  find_codim1_abelian_ideal)
 
 
 class DataError(ValueError):
@@ -41,7 +41,9 @@ class HermitianData:
     """The (a, v, A) package together with the frame that realizes it.
 
     ``frame`` lists 2n vectors in the ambient coordinates, ordered
-    (b_1, u_1, .., u_{2n-2}, b_{2n}).  ``d_outer`` is the common squared
+    (b_1, u_1, .., u_{2n-2}, b_{2n}); ``coframe`` is the inverse of the
+    matrix with the frame as columns, so its rows are the dual covectors
+    b^t in ambient coordinates.  ``d_outer`` is the common squared
     norm of b_1 and b_{2n}; ``d_inner`` the squared norms of the u_i
     (equal within each J-pair).  A fully orthonormal frame has all of
     them equal to one.
@@ -53,6 +55,7 @@ class HermitianData:
     A: tuple
     J1: tuple
     frame: tuple
+    coframe: tuple
     d_outer: object
     d_inner: tuple
     kind: str
@@ -92,13 +95,12 @@ class HermitianData:
 
     def gauge_invariants(self, eps=None):
         """Quantities independent of the unitary gauge in the adapted frame."""
-        from .linalg import charpoly
         ahat = self.A_matrix
         return {
             "a": self.a,
             "trace_A": linalg.trace(ahat),
             "v_norm_sq": self.v_norm_sq(),
-            "charpoly_A": charpoly(ahat),
+            "charpoly_A": linalg.charpoly(ahat),
             "rank_A": linalg.rank(ahat, eps),
         }
 
@@ -128,7 +130,6 @@ def build_algebra(a, v, A, J1, eps=None):
         raise DataError("COMMUTATION", "A does not commute with J1")
     n2 = m + 2
     brackets = {}
-    col0 = [a] + v
     vec = [zero(kind)] * n2
     vec[0] = -a
     for t in range(m):
@@ -142,15 +143,23 @@ def build_algebra(a, v, A, J1, eps=None):
         if any(not is_zero(x, eps) for x in col):
             brackets[(1 + s, n2 - 1)] = col
     L = LieAlgebra(n2, brackets, kind=kind, _validated=True)
+    J = ComplexStructure.from_matrix(_adapted_j(J1, kind), eps)
+    g = Metric.identity(n2, kind)
+    return L, J, g
+
+
+def _adapted_j(J1, kind):
+    """J on the adapted basis (e_1, eps_1..eps_m, e_2n): J e_1 = e_2n and
+    J1 on n_1."""
+    m = len(J1)
+    n2 = m + 2
     jm = linalg.zeros(n2, n2, kind)
-    jm[n2 - 1][0] = one(kind)   # J e_1 = e_2n
+    jm[n2 - 1][0] = one(kind)
     jm[0][n2 - 1] = -one(kind)
     for s in range(m):
         for t in range(m):
             jm[1 + t][1 + s] = J1[t][s]
-    J = ComplexStructure.from_matrix(jm, eps)
-    g = Metric.identity(n2, kind)
-    return L, J, g
+    return jm
 
 
 def data_from_parts(a, v, A, J1, kind=None):
@@ -158,19 +167,15 @@ def data_from_parts(a, v, A, J1, kind=None):
     m = len(A)
     if kind is None:
         kind = linalg.matrix_kind(A) if m else EXACT
-    n2 = m + 2
-    frame = []
-    for i in range(n2):
-        e = [zero(kind)] * n2
-        e[i] = one(kind)
-        frame.append(tuple(e))
+    frame = tuple(tuple(e) for e in linalg.idmat(m + 2, kind))
     return HermitianData(
-        n=n2 // 2,
+        n=(m + 2) // 2,
         a=coerce(a, kind),
         v=tuple(coerce(x, kind) for x in v),
         A=tuple(tuple(coerce(x, kind) for x in row) for row in A),
         J1=tuple(tuple(coerce(x, kind) for x in row) for row in J1),
-        frame=tuple(frame),
+        frame=frame,
+        coframe=frame,
         d_outer=one(kind),
         d_inner=tuple(one(kind) for _ in range(m)),
         kind=kind,
@@ -191,19 +196,10 @@ def extract_data(L: LieAlgebra, ideal: Subspace | None, J: ComplexStructure,
         ideal = find_codim1_abelian_ideal(L, eps)
         if ideal is None:
             raise DataError("IDEAL_NOT_ABELIAN", "no codimension-one abelian ideal")
-    if ideal.dim != n2 - 1:
-        raise DataError("IDEAL_NOT_ABELIAN", "ideal is not a hyperplane")
+    defect = abelian_ideal_defect(L, ideal.vectors, eps)
+    if defect is not None:
+        raise DataError("IDEAL_NOT_ABELIAN", f"declared subspace is {defect}")
     vecs = [list(v) for v in ideal.vectors]
-    for x in range(len(vecs)):
-        for y in range(x + 1, len(vecs)):
-            if not linalg.is_zero_vector(L.bracket(vecs[x], vecs[y]), eps):
-                raise DataError("IDEAL_NOT_ABELIAN", "declared ideal is not abelian")
-    for i in range(n2):
-        ei = [zero(kind)] * n2
-        ei[i] = one(kind)
-        for v in vecs:
-            if not ideal.contains(L.bracket(ei, v), eps):
-                raise DataError("IDEAL_NOT_ABELIAN", "declared subspace is not an ideal")
     if not is_integrable(J, L, eps):
         raise DataError("J_NOT_COMPATIBLE", "J is not integrable")
     gm = g.matrix
@@ -215,7 +211,7 @@ def extract_data(L: LieAlgebra, ideal: Subspace | None, J: ComplexStructure,
     b2n = perp[0]
     for x in b2n:
         if not is_zero(x, eps):
-            if (isinstance(x, Fraction) and x < 0) or (not isinstance(x, Fraction) and x < 0):
+            if x < 0:
                 b2n = [-t for t in b2n]
             break
     b1 = [-x for x in linalg.mat_vec(jm, b2n)]
@@ -282,17 +278,16 @@ def extract_data(L: LieAlgebra, ideal: Subspace | None, J: ComplexStructure,
             raise DataError("J_NOT_COMPATIBLE", "J does not preserve n_1")
         for t in range(m):
             j1[t][s] = jcols[s][1 + t]
-    A_m = A
-    J1_m = j1
-    if not linalg.mat_eq(linalg.mat_mul(A_m, J1_m), linalg.mat_mul(J1_m, A_m), eps):
+    if not linalg.mat_eq(linalg.mat_mul(A, j1), linalg.mat_mul(j1, A), eps):
         raise DataError("J_NOT_COMPATIBLE", "A does not commute with J1")
     return HermitianData(
         n=n2 // 2,
         a=a,
         v=tuple(v),
-        A=tuple(tuple(row) for row in A_m),
-        J1=tuple(tuple(row) for row in J1_m),
+        A=tuple(tuple(row) for row in A),
+        J1=tuple(tuple(row) for row in j1),
         frame=tuple(tuple(w) for w in frame),
+        coframe=tuple(tuple(row) for row in full_inv),
         d_outer=d_outer,
         d_inner=tuple(d_inner),
         kind=kind,
@@ -369,23 +364,18 @@ def lee_form_closed(d: HermitianData, eps=None) -> KForm:
     theta = (1/d) (J1 v)^flat - (tr A) b^{2n}, where d is the squared norm
     of the outer frame pair and flats are taken with the honest metric.
     """
-    n2 = 2 * d.n
-    m = d.m
-    kind = d.kind
     jv = linalg.mat_vec(d.J1_matrix, d.v_vector)
-    full = linalg.transpose([list(w) for w in d.frame])
-    inv = linalg.inverse(full, eps)
-    comps = [zero(kind)] * n2
-    for t in range(m):
-        # (J1 v)^flat in the frame coframe: coefficient d_inner[t] * (Jv)_t / d_outer
-        comps[1 + t] = d.d_inner[t] * jv[t] / d.d_outer
-    comps[n2 - 1] -= linalg.trace(d.A_matrix)
-    # convert frame-coframe coefficients to ambient coordinates
-    out = [zero(kind)] * n2
-    for i in range(n2):
-        for t in range(n2):
-            out[i] += comps[t] * inv[t][i]
-    return KForm.from_vector(out)
+    return KForm.from_vector(_covector(d, jv, -linalg.trace(d.A_matrix)))
+
+
+def _covector(d: HermitianData, x, last):
+    """(1/d_outer) x^flat + last b^{2n} in ambient coordinates, x in n_1.
+
+    In the coframe, x^flat has the coefficient d_inner[t] x_t on b^{1+t}.
+    """
+    comps = ([zero(d.kind)] + [d.d_inner[t] * x[t] / d.d_outer for t in range(d.m)]
+             + [last])
+    return linalg.mat_vec(linalg.transpose(d.coframe), comps)
 
 
 def rho_b_closed(d: HermitianData, eps=None) -> KForm:
@@ -397,43 +387,22 @@ def rho_b_closed(d: HermitianData, eps=None) -> KForm:
     orthogonal frame (the first coefficient picks up 1/d on |v|^2, the
     second a global 1/d).
     """
-    n2 = 2 * d.n
-    m = d.m
-    kind = d.kind
-    full = linalg.transpose([list(w) for w in d.frame])
-    inv = linalg.inverse(full, eps)
-    b_co = [KForm.from_vector(inv[t]) for t in range(n2)]
-    half = coerce(1, kind) / 2
+    b_first = KForm.from_vector(d.coframe[0])
+    b_last = KForm.from_vector(d.coframe[-1])
+    half = coerce(1, d.kind) / 2
     coeff = -(d.a * d.a - half * d.a * linalg.trace(d.A_matrix)
               + d.v_norm_sq() / d.d_outer)
     from .forms import wedge
-    out = wedge(b_co[0], b_co[n2 - 1]).scale(coeff)
+    out = wedge(b_first, b_last).scale(coeff)
     atv = linalg.mat_vec(d.adjoint_A(eps), d.v_vector)
-    # (A* v)^flat in frame-coframe coordinates, scaled by 1/d_outer
-    comps = [zero(kind)] * n2
-    for t in range(m):
-        comps[1 + t] = d.d_inner[t] * atv[t] / d.d_outer
-    lowered = [zero(kind)] * n2
-    for i in range(n2):
-        for t in range(n2):
-            lowered[i] += comps[t] * inv[t][i]
-    out = out - wedge(KForm.from_vector(lowered), b_co[n2 - 1])
-    return out
+    lowered = _covector(d, atv, zero(d.kind))
+    return out - wedge(KForm.from_vector(lowered), b_last)
 
 
 def adapted_J_matrix(d: HermitianData):
     """Ambient J reconstructed from the frame (for type checks)."""
-    n2 = 2 * d.n
-    kind = d.kind
-    jm = linalg.zeros(n2, n2, kind)
-    jm[n2 - 1][0] = one(kind)
-    jm[0][n2 - 1] = -one(kind)
-    for s in range(d.m):
-        for t in range(d.m):
-            jm[1 + t][1 + s] = d.J1[t][s]
-    full = linalg.transpose([list(w) for w in d.frame])
-    inv = linalg.inverse(full)
-    return linalg.mat_mul(full, linalg.mat_mul(jm, inv))
+    full = linalg.transpose(d.frame)
+    return linalg.mat_mul(full, linalg.mat_mul(_adapted_j(d.J1, d.kind), d.coframe))
 
 
 def is_type_11(rho: KForm, J, eps=None) -> bool:
@@ -449,16 +418,9 @@ def lcb_iff_type_11(d: HermitianData, eps=None):
     jm = adapted_J_matrix(d)
     t11 = is_type_11(rho, jm, eps)
     lcb = is_lcb_data(d, eps)
-    n1_vanish = True
-    n2 = 2 * d.n
-    full = linalg.transpose([list(w) for w in d.frame])
-    for s in range(d.m):
-        x = [full[i][1 + s] for i in range(n2)]
-        for j in range(n2):
-            ej = [zero(d.kind)] * n2
-            ej[j] = one(d.kind)
-            if not is_zero(rho.evaluate([x, ej]), eps):
-                n1_vanish = False
+    units = linalg.idmat(2 * d.n, d.kind)
+    n1_vanish = all(is_zero(rho.evaluate([list(x), e]), eps)
+                    for x in d.frame[1:-1] for e in units)
     return {
         "is_lcb": lcb,
         "rho_type_11": t11,
@@ -478,12 +440,10 @@ def skt_to_lcb(d: HermitianData, eps=None) -> HermitianData:
         raise DataError("PRECONDITION", "input data is not SKT")
     m = d.m
     kind = d.kind
-    am = d.A_matrix
-    shifted = linalg.mat_sub(am, linalg.mat_scale(d.a, linalg.idmat(m, kind)))
     # cokernel: null space of (A - a)^* with respect to the frame Gram matrix
+    shifted_star = linalg.mat_sub(d.adjoint_A(eps),
+                                  linalg.mat_scale(d.a, linalg.idmat(m, kind)))
     s = d.gram_n1()
-    sinv = linalg.inverse(s, eps)
-    shifted_star = linalg.mat_mul(sinv, linalg.mat_mul(linalg.transpose(shifted), s))
     kernel = linalg.nullspace(shifted_star, eps)
     if kernel:
         cols = linalg.transpose(kernel)
@@ -498,7 +458,8 @@ def skt_to_lcb(d: HermitianData, eps=None) -> HermitianData:
     # produced by skt_to_lcb_metric; the rebased outer pair is unit by fiat
     return HermitianData(
         n=d.n, a=d.a, v=tuple(vprime), A=d.A, J1=d.J1,
-        frame=d.frame, d_outer=one(kind), d_inner=d.d_inner, kind=kind)
+        frame=d.frame, coframe=d.coframe, d_outer=one(kind), d_inner=d.d_inner,
+        kind=kind)
 
 
 def skt_to_lcb_metric(L: LieAlgebra, J: ComplexStructure, g: Metric,
@@ -508,13 +469,11 @@ def skt_to_lcb_metric(L: LieAlgebra, J: ComplexStructure, g: Metric,
     Writes v = (A - a)x + v', replaces b_1 by b_1 - X (X the ambient lift
     of x) and b_2n by J(b_1 - X), and declares the new frame orthonormal.
     """
-    if not is_skt_data(d, eps):
-        raise DataError("PRECONDITION", "input data is not SKT")
+    dprime = skt_to_lcb(d, eps)  # raises PRECONDITION unless d is SKT
     m = d.m
     kind = d.kind
     am = d.A_matrix
     shifted = linalg.mat_sub(am, linalg.mat_scale(d.a, linalg.idmat(m, kind)))
-    dprime = skt_to_lcb(d, eps)
     rhs = linalg.vec_sub(d.v_vector, dprime.v_vector)
     x = linalg.solve_general(shifted, rhs, eps)
     if x is None:

@@ -10,8 +10,8 @@ witness recipes:
   basis (S, c) identifying the built algebra with the entry's own basis:
   S ad_built S^-1 = c * ad_entry.  The Hermitian structure is transported
   onto the entry algebra before any predicate is checked.
-* ``ExplicitWitness`` -- a J given by a pairing list on the entry basis
-  plus a metric (identity by default).
+* ``ExplicitWitness`` -- the J and g of the entry's manifest document,
+  on the entry basis; a witness may replace g by a metric of its own.
 
 verify_all instantiates every entry at several exact parameter samples,
 checks the witness claims through both the data-level and the direct-form
@@ -31,7 +31,7 @@ from .scalars import EXACT
 from . import linalg
 
 from .documents import (AlgebraDocument, Term, parse_manifest, to_algebra,
-                        to_ideal)
+                        to_complex_structure, to_ideal, to_metric)
 from .hermitian import ComplexStructure, HermitianStructure, Metric
 from .lie import LieAlgebra, Subspace, find_codim1_abelian_ideal
 from .almost_abelian import (DATA_PREDICATES, build_algebra, extract_data,
@@ -59,8 +59,7 @@ class DataWitness:
 @dataclass(frozen=True)
 class ExplicitWitness:
     label: str
-    j_pairs: tuple                    # 1-based pairing list on the entry basis
-    metric: object = None             # params -> Gram matrix; None = identity
+    metric: object = None             # params -> Gram matrix; None = the document's g
     claims: dict = field(default_factory=dict)
 
 
@@ -138,9 +137,8 @@ def witness_structures(entry: CatalogEntry, params=None):
         if isinstance(w, LchkWitness):
             continue
         if isinstance(w, ExplicitWitness):
-            pairs = [(i - 1, j - 1) for i, j in w.j_pairs]
-            J = ComplexStructure.from_pairs(entry.dim, pairs)
-            gm = Metric.identity(entry.dim) if w.metric is None \
+            J = to_complex_structure(entry.document)
+            gm = to_metric(entry.document) if w.metric is None \
                 else Metric.from_matrix(w.metric(params))
             H = HermitianStructure(L, J, gm)
             d = extract_data(L, ideal, J, gm)
@@ -215,10 +213,6 @@ def _perm_basis_map(images, dim_n):
     return s
 
 
-def _consecutive_j1(m):
-    return standard_j1(m)
-
-
 def _a4_j1(m):
     """Pairs (eps_1, eps_3), (eps_2, eps_4): the A_4-compatible pairing."""
     pairs = [(0, 2), (1, 3)]
@@ -229,24 +223,8 @@ def _rotmat(p, q, r, s):
     return [[p, q], [r, s]]
 
 
-def _block_diag(*blocks):
-    n = sum(len(b) for b in blocks)
-    out = linalg.zeros(n, n, EXACT)
-    pos = 0
-    for b in blocks:
-        for i in range(len(b)):
-            for j in range(len(b)):
-                out[pos + i][pos + j] = F(b[i][j])
-        pos += len(b)
-    return out
-
-
 def _diag(*vals):
-    n = len(vals)
-    out = linalg.zeros(n, n, EXACT)
-    for i, v in enumerate(vals):
-        out[i][i] = F(v)
-    return out
+    return linalg.block_diag([[[v]] for v in vals])
 
 
 ENTRIES = {}
@@ -268,7 +246,7 @@ _register(
     witnesses=(DataWitness(
         label="lck",
         data=lambda pr: (F(1), [0, 0, 0, 0], _diag(pr["p"], pr["p"], pr["p"], pr["p"]),
-                         _consecutive_j1(4)),
+                         standard_j1(4)),
         claims={"lck": True, "kahler": False, "balanced": False, "lcb": True}),),
 )
 
@@ -280,9 +258,9 @@ _register(
     witnesses=(DataWitness(
         label="lck",
         data=lambda pr: (pr["p"], [0, 0, 0, 0],
-                         _block_diag(_diag(pr["q"], pr["q"]),
-                                     _rotmat(pr["q"], F(1), F(-1), pr["q"])),
-                         _consecutive_j1(4)),
+                         linalg.block_diag([_diag(pr["q"], pr["q"]),
+                                            _rotmat(pr["q"], F(1), F(-1), pr["q"])]),
+                         standard_j1(4)),
         claims={"lck": True, "kahler": False, "balanced": False, "lcb": True}),),
 )
 
@@ -297,9 +275,9 @@ _register(
     witnesses=(DataWitness(
         label="lck",
         data=lambda pr: (pr["p"], [0, 0, 0, 0],
-                         _block_diag(_rotmat(pr["q"], F(1), F(-1), pr["q"]),
-                                     _rotmat(pr["q"], pr["r"], -pr["r"], pr["q"])),
-                         _consecutive_j1(4)),
+                         linalg.block_diag([_rotmat(pr["q"], F(1), F(-1), pr["q"]),
+                                            _rotmat(pr["q"], pr["r"], -pr["r"], pr["q"])]),
+                         standard_j1(4)),
         claims={"lck": True, "kahler": False, "balanced": False, "lcb": True}),),
     notes="label parameters read as (p, q, r); r is the live rotation parameter",
 )
@@ -312,7 +290,7 @@ _register(
     unimodular_locus=None,
     witnesses=(DataWitness(
         label="lck",
-        data=lambda pr: (F(0), [0, 0, 0, 0], _diag(1, 1, 1, 1), _consecutive_j1(4)),
+        data=lambda pr: (F(0), [0, 0, 0, 0], _diag(1, 1, 1, 1), standard_j1(4)),
         basis_map=lambda pr: (_perm_basis_map(_G4_IMAGES, 5), F(1)),
         claims={"lck": True, "kahler": False, "balanced": False, "lcb": True}),),
 )
@@ -325,8 +303,8 @@ _register(
     witnesses=(DataWitness(
         label="lck",
         data=lambda pr: (F(0), [0, 0, 0, 0],
-                         _block_diag(_diag(1, 1), _rotmat(F(1), pr["r"], -pr["r"], F(1))),
-                         _consecutive_j1(4)),
+                         linalg.block_diag([_diag(1, 1), _rotmat(F(1), pr["r"], -pr["r"], F(1))]),
+                         standard_j1(4)),
         basis_map=lambda pr: (_perm_basis_map(_G4_IMAGES, 5), F(1)),
         claims={"lck": True, "kahler": False, "balanced": False, "lcb": True}),),
 )
@@ -339,9 +317,9 @@ _register(
     witnesses=(DataWitness(
         label="lck",
         data=lambda pr: (F(0), [0, 0, 0, 0],
-                         _block_diag(_rotmat(pr["p"], F(1), F(-1), pr["p"]),
-                                     _rotmat(pr["p"], pr["r"], -pr["r"], pr["p"])),
-                         _consecutive_j1(4)),
+                         linalg.block_diag([_rotmat(pr["p"], F(1), F(-1), pr["p"]),
+                                            _rotmat(pr["p"], pr["r"], -pr["r"], pr["p"])]),
+                         standard_j1(4)),
         basis_map=lambda pr: (_perm_basis_map(_G4_IMAGES, 5), F(1)),
         claims={"lck": True, "kahler": False, "balanced": False, "lcb": True}),),
 )
@@ -357,7 +335,7 @@ _register(
     witnesses=(DataWitness(
         label="lcb",
         data=lambda pr: (F(1), [0, 0, 0, 0],
-                         _diag(pr["p"], pr["p"], pr["q"], pr["q"]), _consecutive_j1(4)),
+                         _diag(pr["p"], pr["p"], pr["q"], pr["q"]), standard_j1(4)),
         claims={"lcb": True, "balanced": False, "lck": False}),),
 )
 
@@ -388,9 +366,9 @@ _register(
     witnesses=(DataWitness(
         label="lcb",
         data=lambda pr: (pr["p"], [0, 0, 0, 0],
-                         _block_diag(_diag(pr["q"], pr["q"]),
-                                     _rotmat(pr["r"], F(1), F(-1), pr["r"])),
-                         _consecutive_j1(4)),
+                         linalg.block_diag([_diag(pr["q"], pr["q"]),
+                                            _rotmat(pr["r"], F(1), F(-1), pr["r"])]),
+                         standard_j1(4)),
         claims={"lcb": True, "balanced": False}),),
 )
 
@@ -406,9 +384,9 @@ _register(
     witnesses=(DataWitness(
         label="lcb",
         data=lambda pr: (pr["p"], [0, 0, 0, 0],
-                         _block_diag(_rotmat(pr["q"], F(1), F(-1), pr["q"]),
-                                     _rotmat(pr["r"], pr["s"], -pr["s"], pr["r"])),
-                         _consecutive_j1(4)),
+                         linalg.block_diag([_rotmat(pr["q"], F(1), F(-1), pr["q"]),
+                                            _rotmat(pr["r"], pr["s"], -pr["s"], pr["r"])]),
+                         standard_j1(4)),
         claims={"lcb": True, "balanced": False}),),
 )
 
@@ -424,7 +402,7 @@ _register(
                           [F(-1), pr["q"], F(0), F(-1)],
                           [F(0), F(0), pr["q"], F(1)],
                           [F(0), F(0), F(-1), pr["q"]]],
-                         _consecutive_j1(4)),
+                         standard_j1(4)),
         claims={"lcb": True, "balanced": False}),),
 )
 
@@ -434,7 +412,7 @@ _register(
     unimodular_locus=None,
     witnesses=(DataWitness(
         label="lcb",
-        data=lambda pr: (F(0), [0, 0, 0, 0], _diag(1, 1, 0, 0), _consecutive_j1(4)),
+        data=lambda pr: (F(0), [0, 0, 0, 0], _diag(1, 1, 0, 0), standard_j1(4)),
         basis_map=lambda pr: (_perm_basis_map(_G4_IMAGES, 5), F(1)),
         claims={"lcb": True, "balanced": False}),),
 )
@@ -470,8 +448,8 @@ _register(
     witnesses=(DataWitness(
         label="lcb",
         data=lambda pr: (F(0), [0, 0, 0, 0],
-                         _block_diag(_rotmat(pr["p"], F(1), F(-1), pr["p"]), _diag(0, 0)),
-                         _consecutive_j1(4)),
+                         linalg.block_diag([_rotmat(pr["p"], F(1), F(-1), pr["p"]), _diag(0, 0)]),
+                         standard_j1(4)),
         basis_map=lambda pr: (_perm_basis_map(_G4_IMAGES, 5), F(1)),
         claims={"lcb": True, "balanced": False}),),
 )
@@ -484,7 +462,7 @@ _register(
     witnesses=(DataWitness(
         label="lcb",
         data=lambda pr: (F(1), [0, 0, 0, 0], _diag(pr["p"], pr["p"], 0, 0),
-                         _consecutive_j1(4)),
+                         standard_j1(4)),
         claims={"lcb": True, "balanced": False}),),
 )
 
@@ -496,8 +474,8 @@ _register(
     witnesses=(DataWitness(
         label="lcb",
         data=lambda pr: (pr["p"], [0, 0, 0, 0],
-                         _block_diag(_rotmat(pr["q"], F(1), F(-1), pr["q"]), _diag(0, 0)),
-                         _consecutive_j1(4)),
+                         linalg.block_diag([_rotmat(pr["q"], F(1), F(-1), pr["q"]), _diag(0, 0)]),
+                         standard_j1(4)),
         claims={"lcb": True, "balanced": False}),),
 )
 
@@ -510,7 +488,7 @@ _register(
     witnesses=(DataWitness(
         label="lcb",
         data=lambda pr: (F(0), [0, 0, 0, 0], _diag(1, 1, pr["p"], pr["p"]),
-                         _consecutive_j1(4)),
+                         standard_j1(4)),
         basis_map=lambda pr: (_perm_basis_map(_G4_IMAGES, 5), F(1)),
         claims={"lcb": True, "balanced": False}),),
 )
@@ -523,7 +501,7 @@ _register(
     unimodular_locus=None,
     witnesses=(DataWitness(
         label="lcb",
-        data=lambda pr: (F(0), [0, 0, 1, 0], _diag(1, 1, 0, 0), _consecutive_j1(4)),
+        data=lambda pr: (F(0), [0, 0, 1, 0], _diag(1, 1, 0, 0), standard_j1(4)),
         basis_map=lambda pr: (_perm_basis_map(_L12_IMAGES, 5), F(1)),
         claims={"lcb": True, "balanced": False}),),
 )
@@ -537,8 +515,9 @@ _register(
     witnesses=(DataWitness(
         label="lcb",
         data=lambda pr: (F(0), [0, 0, 0, 0],
-                         _block_diag(_diag(1, 1), _rotmat(pr["q"], pr["r"], -pr["r"], pr["q"])),
-                         _consecutive_j1(4)),
+                         linalg.block_diag([_diag(1, 1),
+                                            _rotmat(pr["q"], pr["r"], -pr["r"], pr["q"])]),
+                         standard_j1(4)),
         basis_map=lambda pr: (_perm_basis_map(_G4_IMAGES, 5), F(1)),
         claims={"lcb": True, "balanced": False}),),
 )
@@ -550,8 +529,8 @@ _register(
     witnesses=(DataWitness(
         label="lcb",
         data=lambda pr: (F(0), [0, 0, 1, 0],
-                         _block_diag(_rotmat(pr["p"], F(1), F(-1), pr["p"]), _diag(0, 0)),
-                         _consecutive_j1(4)),
+                         linalg.block_diag([_rotmat(pr["p"], F(1), F(-1), pr["p"]), _diag(0, 0)]),
+                         standard_j1(4)),
         basis_map=lambda pr: (_perm_basis_map(_L12_IMAGES, 5), F(1)),
         claims={"lcb": True, "balanced": False}),),
 )
@@ -584,9 +563,9 @@ _register(
     witnesses=(DataWitness(
         label="lcb",
         data=lambda pr: (F(0), [0, 0, 0, 0],
-                         _block_diag(_rotmat(pr["p"], F(1), F(-1), pr["p"]),
-                                     _rotmat(pr["q"], pr["r"], -pr["r"], pr["q"])),
-                         _consecutive_j1(4)),
+                         linalg.block_diag([_rotmat(pr["p"], F(1), F(-1), pr["p"]),
+                                            _rotmat(pr["q"], pr["r"], -pr["r"], pr["q"])]),
+                         standard_j1(4)),
         basis_map=lambda pr: (_perm_basis_map(_G4_IMAGES, 5), F(1)),
         claims={"lcb": True, "balanced": False}),),
 )
@@ -603,7 +582,7 @@ _register(
                           [F(-1), pr["p"], F(0), F(-1)],
                           [F(0), F(0), pr["p"], F(1)],
                           [F(0), F(0), F(-1), pr["p"]]],
-                         _consecutive_j1(4)),
+                         standard_j1(4)),
         basis_map=lambda pr: (_perm_basis_map(_G4_IMAGES, 5), F(1)),
         claims={"lcb": True, "balanced": False}),),
 )
@@ -616,7 +595,6 @@ _register(
     unimodular_locus=True,
     witnesses=(ExplicitWitness(
         label="lcb",
-        j_pairs=((2, 1), (3, 4), (5, 6)),
         claims={"lcb": True, "balanced": False}),),
 )
 
@@ -626,7 +604,6 @@ _register(
     unimodular_locus=True,
     witnesses=(ExplicitWitness(
         label="lcb",
-        j_pairs=((2, 1), (3, 4), (5, 6)),
         claims={"lcb": True, "balanced": False}),),
 )
 
@@ -638,7 +615,6 @@ _register(
     unimodular_locus=True,
     witnesses=(ExplicitWitness(
         label="lck",
-        j_pairs=((2, 1), (3, 4)),
         claims={"lck": True, "vaisman": True, "kahler": False, "lcb": True}),),
 )
 
@@ -657,13 +633,11 @@ _register(
     witnesses=(
         ExplicitWitness(
             label="kahler",
-            j_pairs=((1, 2), (3, 4)),
-            claims={"kahler": True, "balanced": True, "lck": True,
+                claims={"kahler": True, "balanced": True, "lck": True,
                     "lcb": True, "vaisman": True}),
         ExplicitWitness(
             label="lck-nonkahler",
-            j_pairs=((1, 2), (3, 4)),
-            metric=_aff2_gprime,
+                metric=_aff2_gprime,
             claims={"lck": True, "kahler": False, "lcb": True, "vaisman": True}),
     ),
 )
@@ -687,12 +661,10 @@ _register(
     witnesses=(
         ExplicitWitness(
             label="balanced",
-            j_pairs=((1, 6), (2, 4), (3, 5)),
-            claims={"balanced": True, "kahler": False, "lcb": True}),
+                claims={"balanced": True, "kahler": False, "lcb": True}),
         ExplicitWitness(
             label="lcb-nonbalanced",
-            j_pairs=((1, 6), (2, 4), (3, 5)),
-            metric=_b2_gprime,
+                metric=_b2_gprime,
             claims={"lcb": True, "balanced": False, "lck": False}),
     ),
 )
@@ -700,7 +672,8 @@ _register(
 
 def _s2n_document(n):
     """d f^1 = a f^{1,2n}, the (2, 3) block rotates with -a/2 and 1, and the
-    pairs (2i, 2i+1) for i >= 2 rotate with c; J and g as in the witness."""
+    pairs (2i, 2i+1) for i >= 2 rotate with c; J pairs f1 with f2n and
+    f2i with f2i+1, and g is the identity: the witness reads both here."""
     last = 2 * n
     differential = [
         (Term(1, last, F(1), "a"),),
@@ -736,7 +709,6 @@ def _s2n_entry(n):
         unimodular_locus=True,
         witnesses=(ExplicitWitness(
             label="skt-lcb",
-            j_pairs=document.j_spec[1],
             claims={"skt": True, "lcb": True, "balanced": False}),),
     )
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -68,37 +69,42 @@ def _form_json(form):
             for key, val in form.terms()}
 
 
-def _load_document(path):
+def _read(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}")
-    return parse(text)
+
+
+def _load_document(path):
+    return parse(_read(path))
 
 
 def _parse_ideal_flag(spec, dim):
     """--ideal 'f2, f3, f4' override (same syntax as the document line)."""
-    from .documents import parse as _p
-    doc = _p(f"algebra override dim {dim}\n"
-             + "d = (" + ", ".join(["0"] * dim) + ")\n"
-             + "ideal: " + spec + "\n")
+    doc = parse(f"algebra override dim {dim}\n"
+                + "d = (" + ", ".join(["0"] * dim) + ")\n"
+                + "ideal: " + spec + "\n")
     return to_ideal(doc)
 
 
-def _structures(doc, need_jg=True, ideal_flag=None):
+def _structures(doc, ideal_flag=None):
     L = to_algebra(doc)
     J = to_complex_structure(doc)
     g = to_metric(doc)
-    ideal = (_parse_ideal_flag(ideal_flag, doc.dim) if ideal_flag
-             else to_ideal(doc))
-    if need_jg and (J is None or g is None):
+    if J is None or g is None:
         raise ParseError("this command needs both J and g in the document")
+    return L, J, g, _ideal(doc, L, ideal_flag)
+
+
+def _ideal(doc, L, ideal_flag=None):
+    """The --ideal flag, else the document's ideal line, else the search."""
+    ideal = (_parse_ideal_flag(ideal_flag, doc.dim) if ideal_flag
+             else to_ideal(doc)) or find_codim1_abelian_ideal(L)
     if ideal is None:
-        ideal = find_codim1_abelian_ideal(L)
-        if ideal is None:
-            raise MathRejection("the algebra has no codimension-one abelian ideal")
-    return L, J, g, ideal
+        raise MathRejection("the algebra has no codimension-one abelian ideal")
+    return ideal
 
 
 def _emit(report, args):
@@ -215,21 +221,28 @@ def cmd_rho_b(args):
 def _parse_inline_matrix(spec):
     spec = spec.strip()
     if os.path.exists(spec):
-        with open(spec, "r", encoding="utf-8") as fh:
-            spec = fh.read().strip()
-    if spec.startswith("id"):
-        return linalg.idmat(int(spec[2:]))
-    if spec.startswith("zero"):
-        return linalg.zeros(int(spec[4:]), int(spec[4:]))
+        spec = _read(spec).strip()
     try:
+        if spec.startswith("id"):
+            return linalg.idmat(int(spec[2:]))
+        if spec.startswith("zero"):
+            return linalg.zeros(int(spec[4:]), int(spec[4:]))
         rows = json.loads(spec)
-    except json.JSONDecodeError as exc:
+        if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+            raise ValueError("expected a list of rows")
+        return [[_matrix_entry(x) for x in row] for row in rows]
+    except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"cannot parse matrix {spec!r}: {exc}")
-    out = []
-    for row in rows:
-        out.append([Fraction(x) if isinstance(x, int) or isinstance(x, str)
-                    else float(x) for x in row])
-    return out
+
+
+def _matrix_entry(x):
+    """A JSON matrix entry: an integer or a rational string (exact), or a
+    finite float."""
+    if isinstance(x, float) and math.isfinite(x):
+        return x
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
+        return Fraction(x)
+    raise ValueError(f"entry {x!r} is not a number")
 
 
 def cmd_lchk(args):
@@ -299,20 +312,12 @@ def _parse_grid(grid):
 def cmd_lattice(args):
     doc = _load_document(args.file)
     L = to_algebra(doc)
-    ideal = to_ideal(doc) or find_codim1_abelian_ideal(L)
-    if ideal is None:
-        raise MathRejection("the algebra has no codimension-one abelian ideal")
+    ideal = _ideal(doc, L)
     # matrix of ad on the ideal in the ideal basis
     vecs = [list(v) for v in ideal.vectors]
     n = L.dim
     # transversal: last basis vector not in the ideal
-    trans = None
-    for i in range(n - 1, -1, -1):
-        e = [Fraction(0)] * n
-        e[i] = Fraction(1)
-        if not ideal.contains(e):
-            trans = e
-            break
+    trans = next((e for e in reversed(linalg.idmat(n)) if not ideal.contains(e)), None)
     if trans is None:
         raise MathRejection("could not find a transversal direction")
     full = linalg.transpose(vecs + [trans])
@@ -451,24 +456,28 @@ def build_parser():
 
 
 def main(argv=None):
-    env_eps = os.environ.get("AALG_EPSILON")
-    if env_eps:
-        try:
-            scalars.DEFAULT_EPS = float(env_eps)
-        except ValueError:
-            print(f"error: bad AALG_EPSILON {env_eps!r}", file=sys.stderr)
-            return EXIT_INPUT
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    # AALG_EPSILON holds for this call only: in-process callers keep theirs
+    previous_eps = scalars.DEFAULT_EPS
     try:
-        return args.func(args)
-    except (ParseError, CatalogError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (MathRejection, HermitianError, LieAlgebraError, DataError,
-            LchkError) as exc:
-        print(f"rejected: {exc}", file=sys.stderr)
-        return EXIT_MATH
+        env_eps = os.environ.get("AALG_EPSILON")
+        if env_eps:
+            try:
+                scalars.DEFAULT_EPS = float(env_eps)
+            except ValueError:
+                print(f"error: bad AALG_EPSILON {env_eps!r}", file=sys.stderr)
+                return EXIT_INPUT
+        args = build_parser().parse_args(argv)
+        try:
+            return args.func(args)
+        except (ParseError, CatalogError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+        except (MathRejection, HermitianError, LieAlgebraError, DataError,
+                LchkError) as exc:
+            print(f"rejected: {exc}", file=sys.stderr)
+            return EXIT_MATH
+    finally:
+        scalars.DEFAULT_EPS = previous_eps
 
 
 if __name__ == "__main__":

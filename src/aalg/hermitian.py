@@ -281,19 +281,15 @@ def nijenhuis(J: ComplexStructure, L: LieAlgebra):
     """N(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] - [X, Y] on basis pairs."""
     jm = J.matrix
     n = L.dim
-    kind = L.kind
+    units = linalg.idmat(n, L.kind)
     out = {}
     cols = linalg.transpose(jm)  # cols[i] = J e_i
     for i in range(n):
         for j in range(i + 1, n):
             ji, jj = cols[i], cols[j]
-            ei = linalg.zero_vector(n, kind)
-            ei[i] = coerce(1, kind)
-            ej = linalg.zero_vector(n, kind)
-            ej[j] = coerce(1, kind)
-            term = L.bracket(list(ji), list(jj))
-            term = linalg.vec_sub(term, linalg.mat_vec(jm, L.bracket(list(ji), ej)))
-            term = linalg.vec_sub(term, linalg.mat_vec(jm, L.bracket(ei, list(jj))))
+            term = L.bracket(ji, jj)
+            term = linalg.vec_sub(term, linalg.mat_vec(jm, L.bracket(ji, units[j])))
+            term = linalg.vec_sub(term, linalg.mat_vec(jm, L.bracket(units[i], jj)))
             term = linalg.vec_sub(term, L.basis_bracket(i, j))
             if not linalg.is_zero_vector(term):
                 out[(i, j)] = term
@@ -313,24 +309,21 @@ def levi_civita(L: LieAlgebra, g: Metric, eps=None):
     n = L.dim
     kind = L.kind
     half = coerce(1, kind) / 2
+    # g(u, e_l) = u . (column l of G); on the float path G is symmetric
+    # only within eps, so the column, not the row
+    gcols = linalg.transpose(gm)
     gammas = []
     for i in range(n):
         lower = linalg.zeros(n, n, kind)
         for j in range(n):
             bij = L.basis_bracket(i, j)
             for l in range(n):
-                val = linalg.gdot(gm, bij, _basis(n, l, kind))
-                val -= linalg.gdot(gm, L.basis_bracket(j, l), _basis(n, i, kind))
-                val += linalg.gdot(gm, L.basis_bracket(l, i), _basis(n, j, kind))
+                val = linalg.dot(bij, gcols[l])
+                val -= linalg.dot(L.basis_bracket(j, l), gcols[i])
+                val += linalg.dot(L.basis_bracket(l, i), gcols[j])
                 lower[l][j] = half * val
         gammas.append(linalg.mat_mul(ginv, lower))
     return gammas
-
-
-def _basis(n, i, kind):
-    v = linalg.zero_vector(n, kind)
-    v[i] = coerce(1, kind)
-    return v
 
 
 def torsion_tensor(gamma, L: LieAlgebra):
@@ -386,7 +379,6 @@ def connection_preserves_tensor(gamma, t, eps=None) -> bool:
 
 def curvature_operator(gamma, L: LieAlgebra, i, j):
     """R(e_i, e_j) = [Gamma_i, Gamma_j] - Gamma_{[e_i, e_j]}."""
-    n = L.dim
     r = linalg.commutator(gamma[i], gamma[j])
     bij = L.basis_bracket(i, j)
     for t, c in enumerate(bij):

@@ -90,22 +90,9 @@ def matrix_exp(b, t=1.0, eps=None):
     b = _as_float_matrix(b)
     n = len(b)
     t = float(t)
-    out = [[0.0] * n for _ in range(n)]
     blocks = _rotation_blocks(b, 1e-14)
     if blocks is not None:
-        for blk in blocks:
-            if blk[0] == "diag":
-                _, i, lam = blk
-                out[i][i] = math.exp(t * lam)
-            else:
-                _, i, al, be = blk
-                e = math.exp(t * al)
-                c, s = math.cos(t * be), math.sin(t * be)
-                out[i][i] = e * c
-                out[i][i + 1] = e * s
-                out[i + 1][i] = -e * s
-                out[i + 1][i + 1] = e * c
-        return out
+        return _block_exp(blocks, n, t, lambda x: math.exp(t * x))
     arr = np.array(b) * t
     norm = float(np.max(np.sum(np.abs(arr), axis=1))) if n else 0.0
     squarings = max(0, int(math.ceil(math.log2(norm))) + 1) if norm > 1 else 0
@@ -131,14 +118,14 @@ def _eigenvalues(m):
     return list(np.linalg.eigvals(np.array(_as_float_matrix(m))))
 
 
-def _spectral_clusters(m, eps=None):
-    """(center, multiplicity, jordan_size) triples for a float matrix."""
-    eps = resolve_eps(eps)
-    arr = np.array(_as_float_matrix(m))
-    n = len(m)
-    eigs = _eigenvalues(m)
-    scale = max(1.0, float(max(abs(e) for e in eigs)))
-    tol = 1e3 * eps * scale
+def eigen_clusters(eigs, eps=None):
+    """Group float eigenvalues that lie within tol of a cluster's center.
+
+    tol = 1e3 eps max(1, max |lambda|); each cluster is (center, members)
+    with the mean of its members as center.  Returns (tol, clusters).
+    This is the one rule for float spectra, shared with the LCHK verdict.
+    """
+    tol = 1e3 * resolve_eps(eps) * max(1.0, float(max(abs(e) for e in eigs)))
     clusters = []
     for v in eigs:
         for idx, (center, members) in enumerate(clusters):
@@ -148,6 +135,21 @@ def _spectral_clusters(m, eps=None):
                 break
         else:
             clusters.append((v, [v]))
+    return tol, clusters
+
+
+def nullity(arr, tol):
+    """Number of singular values of arr at most tol, or at most 1e-9 of
+    the largest one when that bound is larger."""
+    sv = np.linalg.svd(arr, compute_uv=False)
+    return int(np.sum(sv <= max(tol, sv.max() * 1e-9 if sv.size else 0)))
+
+
+def _spectral_clusters(m, eps=None):
+    """(center, multiplicity, jordan_size) triples for a float matrix."""
+    arr = np.array(_as_float_matrix(m))
+    n = len(m)
+    tol, clusters = eigen_clusters(_eigenvalues(m), eps)
     out = []
     for center, members in clusters:
         mult = len(members)
@@ -158,13 +160,12 @@ def _spectral_clusters(m, eps=None):
             prev_nullity = 0
             for j in range(1, mult + 1):
                 power = power @ shifted
-                sv = np.linalg.svd(power, compute_uv=False)
-                nullity = int(np.sum(sv <= max(tol, (sv.max() if sv.size else 0) * 1e-9)))
-                if nullity == prev_nullity:
+                kernel_dim = nullity(power, tol)
+                if kernel_dim == prev_nullity:
                     break
                 size = j
-                prev_nullity = nullity
-                if nullity >= mult:
+                prev_nullity = kernel_dim
+                if kernel_dim >= mult:
                     break
         out.append((center, mult, size))
     return out
@@ -200,19 +201,23 @@ def _matrix_exp_rule(b, k, eps=None):
     the residual identity checked to 1e-9.
     """
     b = _as_float_matrix(b)
-    n = len(b)
     blocks = _rotation_blocks(b, 1e-14)
     if blocks is None:
         return matrix_exp(b, 2.0 * math.log(k), eps)
+    return _block_exp(blocks, len(b), 2.0 * math.log(k), lambda x: math.pow(k, 2.0 * x))
+
+
+def _block_exp(blocks, n, t, growth):
+    """exp(t b) for b in the rotation-block form ``blocks``; growth(x) is
+    exp(t x), which the 2 log k rule evaluates as a power of k."""
     out = [[0.0] * n for _ in range(n)]
-    t = 2.0 * math.log(k)
     for blk in blocks:
         if blk[0] == "diag":
             _, i, lam = blk
-            out[i][i] = math.pow(k, 2.0 * lam)
+            out[i][i] = growth(lam)
         else:
             _, i, al, be = blk
-            e = math.pow(k, 2.0 * al)
+            e = growth(al)
             c, s = math.cos(t * be), math.sin(t * be)
             out[i][i] = e * c
             out[i][i + 1] = e * s

@@ -21,12 +21,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .scalars import EXACT, coerce, exact_sqrt, is_zero, resolve_eps, zero
+from .scalars import EXACT, coerce, exact_sqrt, is_zero, zero
 from . import linalg
 from .forms import KForm
 from .hermitian import (ComplexStructure, HermitianStructure, Metric,
                         is_integrable, levi_civita, riemann_is_flat)
 from .lie import LieAlgebra
+from .lattice import eigen_clusters, nullity
 
 
 class LchkError(ValueError):
@@ -79,39 +80,47 @@ def lchk_admissible(D, eps=None) -> LchkVerdict:
     return _admissible_float(D, eps)
 
 
-def _admissible_exact(D) -> LchkVerdict:
+def _shifted_charpoly(D):
+    """Spectral data of D about a = tr D / n.
+
+    Returns (a, D - a, m0, h, hhat): the characteristic polynomial of
+    D - a is x^m0 h(x) with h(0) != 0, and hhat(y) collects the even
+    coefficients of h, so h(x) = hhat(x^2) when h is even.
+    """
     n = len(D)
-    mp = linalg.minpoly(D)
-    g = linalg.poly_gcd(mp, linalg.poly_deriv(mp))
-    diagonalizable = linalg.poly_deg(g) == 0
     a = Fraction(linalg.trace(D), n)
     shifted = linalg.mat_sub(D, linalg.mat_scale(a, linalg.idmat(n)))
     chi = linalg.charpoly(shifted)
     m0 = 0
-    while m0 < len(chi) and chi[m0] == 0:
+    while chi[m0] == 0:
         m0 += 1
     h = chi[m0:]
+    return a, shifted, m0, h, h[::2]
+
+
+def _admissible_exact(D) -> LchkVerdict:
+    mp = linalg.minpoly(D)
+    g = linalg.poly_gcd(mp, linalg.poly_deriv(mp))
+    diagonalizable = linalg.poly_deg(g) == 0
+    a, _, m0, h, hhat = _shifted_charpoly(D)
     # (i): the nonzero spectrum of D - a is purely imaginary <=> h is even
     # with all roots of h(sqrt) real and negative
     even_ok = all(h[i] == 0 for i in range(1, len(h), 2))
     cond_i = even_ok
     mult_table = [(Fraction(0), m0)] if m0 else []
-    hhat = None
     if even_ok:
-        hhat = [h[2 * i] for i in range((len(h) + 1) // 2)]
         if linalg.poly_deg(hhat) > 0:
-            all_real = (linalg.sturm_distinct_real_roots(
-                linalg.poly_monic(linalg.poly_divmod(
-                    hhat, linalg.poly_gcd(hhat, linalg.poly_deriv(hhat)))[0]))
-                == linalg.poly_deg(linalg.poly_divmod(
-                    hhat, linalg.poly_gcd(hhat, linalg.poly_deriv(hhat)))[0]))
+            squarefree = linalg.poly_divmod(
+                hhat, linalg.poly_gcd(hhat, linalg.poly_deriv(hhat)))[0]
+            all_real = (linalg.sturm_distinct_real_roots(linalg.poly_monic(squarefree))
+                        == linalg.poly_deg(squarefree))
             all_neg = all(c > 0 for c in hhat)
             cond_i = all_real and all_neg
         else:
             cond_i = True
     cond_ii = m0 >= 3
     cond_iii = False
-    if cond_i and hhat is not None:
+    if cond_i:
         if linalg.poly_deg(hhat) == 0:
             cond_iii = True
         else:
@@ -151,19 +160,11 @@ def _root_multiplicity_exact(poly, beta_float):
 
 def _admissible_float(D, eps=None) -> LchkVerdict:
     n = len(D)
-    eps = resolve_eps(eps)
     arr = np.array([[float(x) for x in row] for row in D])
-    eigs = np.linalg.eigvals(arr)
-    scale = max(1.0, float(np.max(np.abs(eigs))))
-    tol = 1e3 * eps * scale
-    clusters = _cluster(eigs, tol)
+    tol, clusters = eigen_clusters(np.linalg.eigvals(arr), eps)
     # diagonalizability: geometric multiplicity equals cluster size
-    diagonalizable = True
-    for center, members in clusters:
-        geo = _nullity(arr - center * np.eye(n), tol)
-        if geo != len(members):
-            diagonalizable = False
-    re_parts = sorted(c.real for c, _ in clusters)
+    diagonalizable = all(nullity(arr - center * np.eye(n), tol) == len(members)
+                         for center, members in clusters)
     a = float(np.trace(arr)) / n
     cond_i = all(abs(c.real - a) <= tol for c, _ in clusters)
     m0 = sum(len(m) for c, m in clusters if abs(c.imag) <= tol)
@@ -186,24 +187,6 @@ def _admissible_float(D, eps=None) -> LchkVerdict:
     )
 
 
-def _cluster(values, tol):
-    clusters = []
-    for v in values:
-        for idx, (center, members) in enumerate(clusters):
-            if abs(v - center) <= tol:
-                members.append(v)
-                clusters[idx] = (sum(members) / len(members), members)
-                break
-        else:
-            clusters.append((v, [v]))
-    return clusters
-
-
-def _nullity(arr, tol):
-    sv = np.linalg.svd(arr, compute_uv=False)
-    return int(np.sum(sv <= max(tol, sv.max() * 1e-10 if sv.size else 0)))
-
-
 def canonical_form(D, eps=None):
     """Change of basis bringing admissible D to diag(C_1,..,C_{m-1},a,a,a).
 
@@ -220,14 +203,7 @@ def canonical_form(D, eps=None):
                         "canonical witness construction runs on the exact path")
     n = len(D)
     kind = EXACT
-    a = verdict.a
-    shifted = linalg.mat_sub(D, linalg.mat_scale(a, linalg.idmat(n)))
-    chi = linalg.charpoly(shifted)
-    m0 = 0
-    while chi[m0] == 0:
-        m0 += 1
-    h = chi[m0:]
-    hhat = [h[2 * i] for i in range((len(h) + 1) // 2)]
+    a, shifted, _, _, hhat = _shifted_charpoly(D)
     bs = []  # (b, nu) with nu the number of C-blocks for this b
     if linalg.poly_deg(hhat) > 0:
         s = linalg.poly_square_root(hhat)
@@ -249,7 +225,6 @@ def canonical_form(D, eps=None):
                                linalg.mat_scale(b * b, linalg.idmat(n)))
         w_basis = linalg.nullspace(w_mat, eps)
         assert len(w_basis) == 4 * nu, "eigenspace dimension mismatch"
-        jhat_cols = [[x / b for x in linalg.mat_vec(shifted, w)] for w in w_basis]
         used = []
 
         def independent(v):
@@ -281,24 +256,12 @@ def canonical_form(D, eps=None):
         blocks.append(zero(kind))
     columns.extend(kernel[4 * h_zero:])
     p = linalg.transpose(columns)
-    dc = _canonical_matrix(a, blocks, n, kind)
+    dc = linalg.block_diag(
+        [[[a, b, 0, 0], [-b, a, 0, 0], [0, 0, a, -b], [0, 0, b, a]] for b in blocks]
+        + [[[a]]] * 3, kind)
     assert linalg.mat_eq(linalg.mat_mul(D, p), linalg.mat_mul(p, dc), eps), \
         "canonical form certificate failed"
     return p, dc, a, blocks
-
-
-def _canonical_matrix(a, blocks, n, kind):
-    dc = linalg.zeros(n, n, kind)
-    pos = 0
-    for b in blocks:
-        c = [[a, b, 0, 0], [-b, a, 0, 0], [0, 0, a, -b], [0, 0, b, a]]
-        for i in range(4):
-            for j in range(4):
-                dc[pos + i][pos + j] = coerce(c[i][j], kind)
-        pos += 4
-    for i in range(3):
-        dc[pos + i][pos + i] = coerce(a, kind)
-    return dc
 
 
 def construct_lchk(D, eps=None):
@@ -324,14 +287,8 @@ def construct_lchk(D, eps=None):
         if nz:
             brackets[(j, n2 - 1)] = col
     L = LieAlgebra(n2, brackets, kind=kind, _validated=True)
-    structs = []
-    for K in (K1, K2, K3):
-        jm = linalg.zeros(n2, n2, kind)
-        for blk in range(m):
-            for i in range(4):
-                for j in range(4):
-                    jm[4 * blk + i][4 * blk + j] = coerce(K[i][j], kind)
-        structs.append(ComplexStructure.from_matrix(jm, eps))
+    structs = [ComplexStructure.from_matrix(linalg.block_diag([K] * m, kind), eps)
+               for K in (K1, K2, K3)]
     g = Metric.identity(n2, kind)
     theta_coeff = -(4 * m - 2) * a
     theta = KForm(1, n2, {(n2 - 1,): theta_coeff}, kind=kind)

@@ -126,17 +126,11 @@ class LieAlgebra:
         """Matrix of ad_x = [x, .]."""
         if len(x) != self.dim:
             raise LieAlgebraError("DIMENSION", "vector length does not match algebra")
-        cols = []
-        for j in range(self.dim):
-            ej = linalg.zero_vector(self.dim, self.kind)
-            ej[j] = coerce(1, self.kind)
-            cols.append(self.bracket(x, ej))
-        return linalg.transpose(cols)
+        return linalg.transpose([self.bracket(x, e)
+                                 for e in linalg.idmat(self.dim, self.kind)])
 
     def ad_basis(self, i):
-        x = linalg.zero_vector(self.dim, self.kind)
-        x[i] = coerce(1, self.kind)
-        return self.ad(x)
+        return self.ad(linalg.idmat(self.dim, self.kind)[i])
 
     # -- invariants -----------------------------------------------------------
     def _check_jacobi(self, eps=None):
@@ -150,20 +144,15 @@ class LieAlgebra:
 
     def jacobi_witness(self, eps=None):
         """First basis triple violating Jacobi, or None."""
+        units = linalg.idmat(self.dim, self.kind)
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
                 bij = self.basis_bracket(i, j)
                 for k in range(j + 1, self.dim):
-                    ei = linalg.zero_vector(self.dim, self.kind)
-                    ei[i] = coerce(1, self.kind)
-                    ej = linalg.zero_vector(self.dim, self.kind)
-                    ej[j] = coerce(1, self.kind)
-                    ek = linalg.zero_vector(self.dim, self.kind)
-                    ek[k] = coerce(1, self.kind)
                     res = linalg.vec_add(
-                        self.bracket(bij, ek),
-                        linalg.vec_add(self.bracket(self.basis_bracket(j, k), ei),
-                                       self.bracket(self.basis_bracket(k, i), ej)))
+                        self.bracket(bij, units[k]),
+                        linalg.vec_add(self.bracket(self.basis_bracket(j, k), units[i]),
+                                       self.bracket(self.basis_bracket(k, i), units[j])))
                     if not linalg.is_zero_vector(res, eps):
                         return (i, j, k, res)
         return None
@@ -256,22 +245,19 @@ def find_codim1_abelian_ideal(L: LieAlgebra, eps=None):
                         coeffs[j] -= cti[k]
                     rows.append(coeffs)
                     rhs.append(cij[k])
+        xi = linalg.idmat(n, kind)[t]
         if t > 0:
             aug = [row + [val] for row, val in zip(rows, rhs)]
             red, pivots = linalg.rref(aug, eps)
             if t in pivots:
                 continue  # inconsistent branch
             freedom = t - len(pivots)
-            xi = linalg.zero_vector(n, kind)
-            xi[t] = coerce(1, kind)
             for ridx, pc in enumerate(pivots):
                 xi[pc] = red[ridx][t]
         else:
             if any(not is_zero(v, eps) for v in rhs):
                 continue
             freedom = 0
-            xi = linalg.zero_vector(n, kind)
-            xi[t] = coerce(1, kind)
         solutions.append((t, xi, freedom))
         total_freedom += freedom
     if not solutions:
@@ -281,15 +267,33 @@ def find_codim1_abelian_ideal(L: LieAlgebra, eps=None):
     basis = linalg.nullspace([xi], eps)
     ideal = Subspace(len(basis), tuple(tuple(v) for v in basis), ambiguous=ambiguous)
     # direct re-check guards against elimination bugs
-    vecs = [list(v) for v in ideal.vectors]
+    defect = abelian_ideal_defect(L, ideal.vectors, eps)
+    if defect is not None:
+        raise LieAlgebraError("INTERNAL", f"ideal candidate is {defect}")
+    return ideal
+
+
+def abelian_ideal_defect(L: LieAlgebra, vectors, eps=None):
+    """Why span(vectors) is not an abelian ideal of codimension one in L:
+    "not abelian", "not a hyperplane" or "not an ideal"; None when it is.
+
+    The vectors must be a basis of the hyperplane.  The hyperplane is
+    the kernel of the one covector xi vanishing on them, so it is an
+    ideal iff xi([e_i, v]) = 0 for every basis vector e_i and every v.
+    """
+    vecs = [list(v) for v in vectors]
     for a in range(len(vecs)):
         for b in range(a + 1, len(vecs)):
             if not linalg.is_zero_vector(L.bracket(vecs[a], vecs[b]), eps):
-                raise LieAlgebraError("INTERNAL", "ideal candidate is not abelian")
-    for i in range(n):
-        ei = linalg.zero_vector(n, kind)
-        ei[i] = coerce(1, kind)
+                return "not abelian"
+    units = linalg.idmat(L.dim, L.kind)
+    # the covectors vanishing on no vectors at all are the whole dual space
+    kernel = linalg.nullspace(vecs, eps) if vecs else units
+    if len(vecs) != L.dim - 1 or len(kernel) != 1:
+        return "not a hyperplane"
+    xi = kernel[0]
+    for e in units:
         for v in vecs:
-            if not ideal.contains(L.bracket(ei, v), eps):
-                raise LieAlgebraError("INTERNAL", "ideal candidate is not an ideal")
-    return ideal
+            if not is_zero(linalg.dot(xi, L.bracket(e, v)), eps):
+                return "not an ideal"
+    return None

@@ -56,6 +56,19 @@ def zeros(n, m, kind=EXACT):
     return [[zero(kind) for _ in range(m)] for _ in range(n)]
 
 
+def block_diag(blocks, kind=EXACT):
+    """Block-diagonal matrix of the given square blocks, in order."""
+    n = sum(len(b) for b in blocks)
+    out = zeros(n, n, kind)
+    pos = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            for j, x in enumerate(row):
+                out[pos + i][pos + j] = coerce(x, kind)
+        pos += len(b)
+    return out
+
+
 def zero_vector(n, kind=EXACT):
     return [zero(kind) for _ in range(n)]
 
@@ -76,7 +89,7 @@ def mat_scale(s, a):
 
 
 def mat_mul(a, b):
-    n, k = len(a), len(b)
+    k = len(b)
     if any(len(row) != k for row in a):
         raise LinAlgError("inner dimension mismatch")
     bt = list(zip(*b))
@@ -274,17 +287,13 @@ def det(a, eps=None):
 
 
 def column_space_basis(vectors, eps=None):
-    """Greedy subset of `vectors` that is linearly independent (stable order)."""
-    basis = []
-    for v in vectors:
-        if is_zero_vector(v, eps):
-            continue
-        if not basis:
-            basis.append(v)
-            continue
-        if rank(transpose(basis + [v]), eps) > len(basis):
-            basis.append(v)
-    return basis
+    """Subset of `vectors` that is a basis of their span (stable order).
+
+    These are the pivot columns of one elimination: column c is a pivot
+    exactly when it is independent of the columns before it.
+    """
+    _, pivots = rref(transpose(vectors), eps)
+    return [vectors[c] for c in pivots]
 
 
 def is_positive_definite(g, eps=None) -> bool:

@@ -6,7 +6,12 @@ Two scalar kinds exist and are never mixed inside one container:
   where the claims are equalities and rounding is not acceptable;
 * ``float`` -- IEEE doubles, compared against a single tolerance epsilon
   (default ``1e-9``, overridable per call and via the ``AALG_EPSILON``
-  environment variable in the CLI).
+  environment variable for one CLI call).
+
+Float spectra are clustered by one rule, with the tolerance
+``1e3 eps max(1, max |lambda|)``; :func:`aalg.lattice.eigen_clusters` is
+the only place it lives, and the LCHK verdict and the lattice probe both
+call it.
 
 Integers are accepted everywhere and coerced to Fractions.
 """

@@ -9,8 +9,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction as F
 
-import pytest
-
 from aalg import linalg
 from aalg.almost_abelian import data_from_parts, standard_j1
 

@@ -12,24 +12,21 @@ import time
 from fractions import Fraction as F
 
 import numpy as np
-import pytest
 
 from aalg import linalg
 from aalg.forms import KForm, exterior_derivative, wedge
 from aalg.hermitian import HermitianStructure
 from aalg.lie import LieAlgebra, LieAlgebraError
-from aalg.almost_abelian import (build_algebra, data_from_parts, extract_data,
-                                 is_balanced_data, is_kahler_data, is_lcb_data,
-                                 is_lck_data, is_skt_data, is_type_11,
-                                 adapted_J_matrix, rho_b_closed, skt_to_lcb,
-                                 standard_j1)
+from aalg.almost_abelian import (build_algebra, is_balanced_data, is_kahler_data,
+                                 is_lcb_data, is_lck_data, is_skt_data, is_type_11,
+                                 adapted_J_matrix, rho_b_closed, skt_to_lcb)
 from aalg.catalog import (ENTRIES, LCB_LIST, LCK_LIST, LCHK_LIST, instantiate,
                           verify_all, witness_structures, _restrict_last)
 from aalg.lchk import (construct_lchk, hyperkahler_flatness, lchk_admissible,
                        verify_triple)
 from aalg.lattice import integrality_probe, matrix_exp
 
-from conftest import ALL_SHAPES, data_stream, random_data
+from conftest import data_stream, random_data
 
 
 def report(num, ok, label):

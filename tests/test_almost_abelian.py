@@ -9,10 +9,9 @@ from aalg import linalg
 from aalg.forms import KForm, exterior_derivative
 from aalg.hermitian import ComplexStructure, HermitianStructure, Metric
 from aalg.lie import LieAlgebra, Subspace
-from aalg.almost_abelian import (DataError, adapted_J_matrix, build_algebra,
-                                 data_from_parts, extract_data,
-                                 is_balanced_data, is_kahler_data, is_lcb_data,
-                                 is_lck_data, is_skt_data, is_type_11,
+from aalg.almost_abelian import (DataError, build_algebra, data_from_parts,
+                                 extract_data, is_balanced_data, is_kahler_data,
+                                 is_lcb_data, is_lck_data, is_skt_data, is_type_11,
                                  lcb_iff_type_11, lee_form_closed, rho_b_closed,
                                  skt_to_lcb, skt_to_lcb_metric, standard_j1)
 
@@ -80,16 +79,22 @@ def test_build_rejects_noncommuting():
 
 
 def test_extract_requires_abelian_ideal():
-    # so(3) + R has no codimension-one abelian ideal at all; declare a bad one
-    L = LieAlgebra(4, {(0, 1): [F(0), F(0), F(1), F(0)],
-                       (1, 2): [F(1), F(0), F(0), F(0)],
-                       (0, 2): [F(0), F(-1), F(0), F(0)]})
+    """A declared subspace that is not abelian, not an ideal, or not given
+    by a basis of a hyperplane is refused with IDEAL_NOT_ABELIAN."""
+    # so(3) + R has no codimension-one abelian ideal at all
+    so3 = LieAlgebra(4, {(0, 1): [F(0), F(0), F(1), F(0)],
+                         (1, 2): [F(1), F(0), F(0), F(0)],
+                         (0, 2): [F(0), F(-1), F(0), F(0)]})
+    # aff(2) + R^2 with [e_1, e_2] = -e_1: span(e_2, e_3, e_4) is abelian
+    # but [e_1, e_2] leaves it
+    aff2 = LieAlgebra(4, {(0, 1): [F(-1), F(0), F(0), F(0)]})
+    e = linalg.idmat(4)
     J = ComplexStructure.from_pairs(4, [(0, 1), (2, 3)])
-    bad = Subspace(3, (tuple([F(1), F(0), F(0), F(0)]),
-                       tuple([F(0), F(1), F(0), F(0)]),
-                       tuple([F(0), F(0), F(1), F(0)])))
-    with pytest.raises(DataError):
-        extract_data(L, bad, J, Metric.identity(4))
+    for L, vecs in ((so3, e[:3]), (aff2, e[1:]), (aff2, [e[0], e[2], e[2]])):
+        bad = Subspace(3, tuple(tuple(v) for v in vecs))
+        with pytest.raises(DataError) as exc:
+            extract_data(L, bad, J, Metric.identity(4))
+        assert exc.value.code == "IDEAL_NOT_ABELIAN"
 
 
 def test_lcb_degenerate_witness():

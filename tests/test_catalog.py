@@ -7,7 +7,7 @@ import pytest
 from aalg import linalg
 from aalg.catalog import (CatalogError, ENTRIES, LCB_LIST, LCK_LIST, LCHK_LIST,
                           instantiate, verify_entry, witness_structures)
-from aalg.forms import KForm, exterior_derivative, wedge
+from aalg.forms import KForm, wedge
 from aalg.almost_abelian import is_kahler_data, is_lck_data
 
 

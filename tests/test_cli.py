@@ -1,10 +1,10 @@
 """CLI surface: exit codes, JSON schema, determinism."""
 
 import json
-from fractions import Fraction as F
 
 import pytest
 
+from aalg import scalars
 from aalg.cli import main
 from aalg.documents import parse, to_metric
 from aalg.hermitian import HermitianStructure
@@ -29,6 +29,14 @@ params p = 1/2, q = -1
 d = (f16, p f26, p f36, q f46, q f56, 0)
 """
 
+# the Kahler structure of aff(2) + R^2 with a bracket term of size 1e-7
+# added: not Kahler at the default tolerance, Kahler within 1e-3
+AFF2_PERTURBED = """algebra aff2p dim 4
+d = (f12, 0, 0, 0.0000001 f12)
+J: f1->f2, f3->f4
+g: identity
+"""
+
 NOT_ALMOST_ABELIAN = """algebra so3R dim 4
 d = (f23, -f13, f12, 0)
 J: f1->f2, f3->f4
@@ -40,7 +48,7 @@ g: identity
 def docs(tmp_path):
     paths = {}
     for name, text in (("b2p", B2_GPRIME), ("s4", S4), ("l1u", L1_UNIMODULAR),
-                       ("so3", NOT_ALMOST_ABELIAN)):
+                       ("aff2p", AFF2_PERTURBED), ("so3", NOT_ALMOST_ABELIAN)):
         p = tmp_path / f"{name}.alg"
         p.write_text(text, encoding="utf-8")
         paths[name] = str(p)
@@ -144,6 +152,32 @@ def test_lchk_witness_dump(capsys):
 def test_lchk_inline_rejected(capsys):
     code = main(["lchk", "--matrix", "[[1,0,0],[0,1,0],[0,0,2]]", "--json"])
     assert code == 2
+
+
+@pytest.mark.parametrize("spec", ['[["x",0,0],[0,0,0],[0,0,0]]', "idq", "5",
+                                  "[[1e400,0,0],[0,1,0],[0,0,1]]", "DIRECTORY"])
+def test_lchk_malformed_matrix_is_input_error(tmp_path, capsys, spec):
+    spec = str(tmp_path) if spec == "DIRECTORY" else spec
+    assert main(["lchk", "--matrix", spec]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_aalg_epsilon_sets_the_tolerance_for_one_call(docs, capsys, monkeypatch):
+    argv = ["check", docs["aff2p"], "--property", "kahler", "--json"]
+    before = scalars.DEFAULT_EPS
+    code, rep = run_json(capsys, argv)
+    assert code == 0 and rep["results"]["kahler"]["direct"] is False
+    monkeypatch.setenv("AALG_EPSILON", "1e-3")
+    code, rep = run_json(capsys, argv)
+    assert code == 0 and rep["results"]["kahler"]["direct"] is True
+    assert scalars.DEFAULT_EPS == before
+
+
+def test_aalg_epsilon_bad_value(capsys, monkeypatch):
+    monkeypatch.setenv("AALG_EPSILON", "tiny")
+    assert main(["lchk", "--matrix", "id3"]) == 1
+    assert capsys.readouterr().err.startswith("error: bad AALG_EPSILON")
 
 
 def test_lattice_rule(docs, capsys):

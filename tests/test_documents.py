@@ -1,6 +1,5 @@
 """Parser and renderer: grammar coverage, round trips, manifests."""
 
-import random
 from dataclasses import replace
 from fractions import Fraction as F
 

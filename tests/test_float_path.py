@@ -2,17 +2,13 @@
 
 import math
 import random
-from fractions import Fraction as F
 
-import pytest
-
-from aalg import linalg
-from aalg.forms import KForm, exterior_derivative, wedge
+from aalg.forms import KForm, wedge
 from aalg.hermitian import ComplexStructure, HermitianStructure, Metric
 from aalg.lie import LieAlgebra
 from aalg.almost_abelian import (build_algebra, extract_data, is_lcb_data,
                                  is_lck_data, is_skt_data, lee_form_closed,
-                                 rho_b_closed, standard_j1)
+                                 rho_b_closed)
 
 from conftest import data_stream
 

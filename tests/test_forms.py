@@ -3,11 +3,10 @@
 import random
 from fractions import Fraction as F
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from aalg.forms import (KForm, exterior_derivative, flat, pullback, sharp,
-                        sort_indices, wedge, wedge_power)
+                        sort_indices, wedge)
 from aalg.lie import LieAlgebra
 from aalg import linalg
 

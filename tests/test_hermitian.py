@@ -10,8 +10,8 @@ from aalg.forms import KForm, exterior_derivative, wedge
 from aalg.hermitian import (ComplexStructure, HermitianError, HermitianStructure,
                             Metric, connection_preserves_metric,
                             connection_preserves_tensor, is_integrable,
-                            levi_civita, nijenhuis, riemann_is_flat,
-                            torsion_is_totally_skew, torsion_tensor)
+                            levi_civita, nijenhuis, torsion_is_totally_skew,
+                            torsion_tensor)
 from aalg.lie import LieAlgebra
 from aalg.almost_abelian import build_algebra, standard_j1
 

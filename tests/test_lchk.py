@@ -6,7 +6,7 @@ import pytest
 
 from aalg import linalg
 from aalg.forms import KForm
-from aalg.lchk import (K1, K2, K3, LchkError, canonical_form, construct_lchk,
+from aalg.lchk import (K1, K2, K3, LchkError, construct_lchk,
                        hyperkahler_flatness, lchk_admissible, verify_triple)
 
 
@@ -86,8 +86,9 @@ def test_mixed_real_parts_rejected():
 
 def test_nondiagonalizable_rejected():
     d = blockdiag([[1, 1], [0, 1]], *scalars(1, 1, 1, 1, 1))
-    v = lchk_admissible(d)
-    assert not v.admissible and not v.diagonalizable
+    for D in (d, [[float(x) for x in row] for row in d]):
+        v = lchk_admissible(D)
+        assert not v.admissible and not v.diagonalizable
 
 
 def test_float_path_agrees():

@@ -3,13 +3,13 @@
 import random
 from fractions import Fraction as F
 
-import pytest
+from hypothesis import given, settings, strategies as st
 
 from aalg import linalg
 from aalg.linalg import (charpoly, det, inverse, minpoly, nullspace, poly_deriv,
-                         poly_divmod, poly_eval, poly_eval_matrix, poly_gcd,
-                         poly_mul, poly_square_root, rank, rational_roots,
-                         rref, solve, solve_general, sturm_distinct_real_roots)
+                         poly_divmod, poly_eval_matrix, poly_gcd, poly_mul,
+                         poly_square_root, rank, rational_roots, solve,
+                         solve_general, sturm_distinct_real_roots)
 
 
 def test_solve_exact():
@@ -122,3 +122,24 @@ def test_float_pivoting():
     x = solve(a, [1.0, 2.0])
     assert x is not None
     assert abs(a[0][0] * x[0] + x[1] - 1.0) < 1e-9
+
+
+def _greedy_column_basis(vectors):
+    """Reference: keep each vector that raises the rank of those kept."""
+    basis = []
+    for v in vectors:
+        if linalg.is_zero_vector(v):
+            continue
+        if not basis:
+            basis.append(v)
+            continue
+        if rank(linalg.transpose(basis + [v])) > len(basis):
+            basis.append(v)
+    return basis
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-2, 2).map(F), min_size=n, max_size=n), max_size=6)))
+def test_column_space_basis_matches_greedy(vectors):
+    assert linalg.column_space_basis(vectors) == _greedy_column_basis(vectors)
