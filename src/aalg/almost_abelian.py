@@ -80,10 +80,10 @@ class HermitianData:
         return [[self.d_inner[i] if i == j else zero(self.kind)
                  for j in range(self.m)] for i in range(self.m)]
 
-    def adjoint_A(self, eps=None):
+    def adjoint_A(self):
         """g-adjoint of A on n_1: S^-1 A^t S with S the frame Gram matrix."""
         s = self.gram_n1()
-        sinv = linalg.inverse(s, eps)
+        sinv = linalg.inverse(s)
         return linalg.mat_mul(sinv, linalg.mat_mul(linalg.transpose(self.A_matrix), s))
 
     def v_norm_sq(self):
@@ -93,7 +93,7 @@ class HermitianData:
         ok = self.d_outer == one(self.kind) or is_zero(self.d_outer - 1)
         return ok and all(is_zero(d - 1) for d in self.d_inner)
 
-    def gauge_invariants(self, eps=None):
+    def gauge_invariants(self):
         """Quantities independent of the unitary gauge in the adapted frame."""
         ahat = self.A_matrix
         return {
@@ -101,7 +101,7 @@ class HermitianData:
             "trace_A": linalg.trace(ahat),
             "v_norm_sq": self.v_norm_sq(),
             "charpoly_A": linalg.charpoly(ahat),
-            "rank_A": linalg.rank(ahat, eps),
+            "rank_A": linalg.rank(ahat),
         }
 
 
@@ -111,7 +111,7 @@ def standard_j1(m, kind=EXACT):
     return ComplexStructure.from_pairs(m, pairs, kind=kind).matrix
 
 
-def build_algebra(a, v, A, J1, eps=None):
+def build_algebra(a, v, A, J1):
     """Almost abelian algebra from adapted data; inverse of extract_data.
 
     Returns (LieAlgebra, ComplexStructure, Metric) on the basis
@@ -126,25 +126,15 @@ def build_algebra(a, v, A, J1, eps=None):
     J1 = linalg.as_matrix(J1, kind)
     if len(v) != m or len(J1) != m:
         raise DataError("DIMENSION", "v, A, J1 must share the n_1 dimension")
-    if not linalg.mat_eq(linalg.mat_mul(A, J1), linalg.mat_mul(J1, A), eps):
+    if not linalg.mat_eq(linalg.mat_mul(A, J1), linalg.mat_mul(J1, A)):
         raise DataError("COMMUTATION", "A does not commute with J1")
-    n2 = m + 2
-    brackets = {}
-    vec = [zero(kind)] * n2
-    vec[0] = -a
-    for t in range(m):
-        vec[1 + t] = -v[t]
-    if any(not is_zero(x, eps) for x in vec):
-        brackets[(0, n2 - 1)] = vec
-    for s in range(m):
-        col = [zero(kind)] * n2
-        for t in range(m):
-            col[1 + t] = -A[t][s]
-        if any(not is_zero(x, eps) for x in col):
-            brackets[(1 + s, n2 - 1)] = col
-    L = LieAlgebra(n2, brackets, kind=kind, _validated=True)
-    J = ComplexStructure.from_matrix(_adapted_j(J1, kind), eps)
-    g = Metric.identity(n2, kind)
+    # D = [[a, 0], [v, A]] with the first row's zeros as -0.0, so that the
+    # e_1 entries of [eps_s, e_2n] = -D eps_s are +0.0: float bracket
+    # tables stay equal bit for bit, signed zeros included
+    D = [[a] + [-zero(kind)] * m] + [[v[t]] + A[t] for t in range(m)]
+    L = LieAlgebra.semidirect(D)
+    J = ComplexStructure.from_matrix(_adapted_j(J1, kind))
+    g = Metric.identity(m + 2, kind)
     return L, J, g
 
 
@@ -183,7 +173,7 @@ def data_from_parts(a, v, A, J1, kind=None):
 
 
 def extract_data(L: LieAlgebra, ideal: Subspace | None, J: ComplexStructure,
-                 g: Metric, eps=None) -> HermitianData:
+                 g: Metric) -> HermitianData:
     """Read the (a, v, A) data off a Hermitian almost abelian algebra.
 
     The ideal may be passed explicitly (required when it is not unique);
@@ -193,31 +183,31 @@ def extract_data(L: LieAlgebra, ideal: Subspace | None, J: ComplexStructure,
     n2 = L.dim
     kind = L.kind
     if ideal is None:
-        ideal = find_codim1_abelian_ideal(L, eps)
+        ideal = find_codim1_abelian_ideal(L)
         if ideal is None:
             raise DataError("IDEAL_NOT_ABELIAN", "no codimension-one abelian ideal")
-    defect = abelian_ideal_defect(L, ideal.vectors, eps)
+    defect = abelian_ideal_defect(L, ideal.vectors)
     if defect is not None:
         raise DataError("IDEAL_NOT_ABELIAN", f"declared subspace is {defect}")
     vecs = [list(v) for v in ideal.vectors]
-    if not is_integrable(J, L, eps):
+    if not is_integrable(J, L):
         raise DataError("J_NOT_COMPATIBLE", "J is not integrable")
     gm = g.matrix
     jm = J.matrix
     # b_2n spans the g-orthogonal complement of n
-    perp = linalg.nullspace([linalg.mat_vec(gm, v) for v in vecs], eps)
+    perp = linalg.nullspace([linalg.mat_vec(gm, v) for v in vecs])
     if len(perp) != 1:
         raise DataError("IDEAL_NOT_ABELIAN", "orthogonal complement is not a line")
     b2n = perp[0]
     for x in b2n:
-        if not is_zero(x, eps):
+        if not is_zero(x):
             if x < 0:
                 b2n = [-t for t in b2n]
             break
     b1 = [-x for x in linalg.mat_vec(jm, b2n)]
     d_outer = linalg.gdot(gm, b2n, b2n)
     scale = sqrt_scalar(d_outer)
-    if scale is not None and not is_zero(scale - 1, eps):
+    if scale is not None and not is_zero(scale - 1):
         b2n = [x / scale for x in b2n]
         b1 = [x / scale for x in b1]
         d_outer = one(kind)
@@ -225,7 +215,7 @@ def extract_data(L: LieAlgebra, ideal: Subspace | None, J: ComplexStructure,
     # defining covector xi of n
     xi = linalg.mat_vec(gm, perp[0])
     xiJ = linalg.mat_vec(linalg.transpose(jm), xi)
-    n1_basis = linalg.nullspace([xi, xiJ], eps)
+    n1_basis = linalg.nullspace([xi, xiJ])
     if len(n1_basis) != n2 - 2:
         raise DataError("J_NOT_COMPATIBLE", "n intersect Jn has wrong dimension")
     # deterministic J-paired Gram-Schmidt inside n_1
@@ -243,11 +233,11 @@ def extract_data(L: LieAlgebra, ideal: Subspace | None, J: ComplexStructure,
         if len(used) == n2 - 2:
             break
         u = project_out(cand)
-        if linalg.is_zero_vector(u, eps):
+        if linalg.is_zero_vector(u):
             continue
         du = linalg.gdot(gm, u, u)
         s = sqrt_scalar(du)
-        if s is not None and not is_zero(s - 1, eps):
+        if s is not None and not is_zero(s - 1):
             u = [x / s for x in u]
             du = one(kind)
         ju = linalg.mat_vec(jm, u)
@@ -261,24 +251,24 @@ def extract_data(L: LieAlgebra, ideal: Subspace | None, J: ComplexStructure,
     m = n2 - 2
     # expansion of ad_{b2n} in the frame
     full = linalg.transpose(frame)
-    full_inv = linalg.inverse(full, eps)
+    full_inv = linalg.inverse(full)
     img = [linalg.mat_vec(full_inv, L.bracket(b2n, w)) for w in frame[:-1]]
     a = img[0][0]
     v = [img[0][1 + t] for t in range(m)]
-    if not is_zero(img[0][n2 - 1], eps):
+    if not is_zero(img[0][n2 - 1]):
         raise DataError("IDEAL_NOT_ABELIAN", "[e_2n, e_1] leaves the ideal")
     A = [[img[1 + s][1 + t] for s in range(m)] for t in range(m)]
     for s in range(m):
-        if not (is_zero(img[1 + s][0], eps) and is_zero(img[1 + s][n2 - 1], eps)):
+        if not (is_zero(img[1 + s][0]) and is_zero(img[1 + s][n2 - 1])):
             raise DataError("J_NOT_COMPATIBLE", "ad does not preserve the block form")
     j1 = linalg.zeros(m, m, kind)
     jcols = [linalg.mat_vec(full_inv, linalg.mat_vec(jm, frame[1 + s])) for s in range(m)]
     for s in range(m):
-        if not (is_zero(jcols[s][0], eps) and is_zero(jcols[s][n2 - 1], eps)):
+        if not (is_zero(jcols[s][0]) and is_zero(jcols[s][n2 - 1])):
             raise DataError("J_NOT_COMPATIBLE", "J does not preserve n_1")
         for t in range(m):
             j1[t][s] = jcols[s][1 + t]
-    if not linalg.mat_eq(linalg.mat_mul(A, j1), linalg.mat_mul(j1, A), eps):
+    if not linalg.mat_eq(linalg.mat_mul(A, j1), linalg.mat_mul(j1, A)):
         raise DataError("J_NOT_COMPATIBLE", "A does not commute with J1")
     return HermitianData(
         n=n2 // 2,
@@ -297,32 +287,30 @@ def extract_data(L: LieAlgebra, ideal: Subspace | None, J: ComplexStructure,
 # ---------------------------------------------------------------------------
 # predicates (pure linear algebra on the data)
 
-def is_kahler_data(d: HermitianData, eps=None) -> bool:
-    if not linalg.is_zero_vector(d.v_vector, eps):
+def is_kahler_data(d: HermitianData) -> bool:
+    if not linalg.is_zero_vector(d.v_vector):
         return False
-    astar = d.adjoint_A(eps)
-    return linalg.mat_eq(astar, linalg.mat_scale(-1, d.A_matrix), eps)
+    astar = d.adjoint_A()
+    return linalg.mat_eq(astar, linalg.mat_scale(-1, d.A_matrix))
 
 
-def is_lck_data(d: HermitianData, eps=None) -> bool:
+def is_lck_data(d: HermitianData) -> bool:
     m = d.m
-    if d.n == 2 and linalg.is_zero_matrix(d.A_matrix, eps):
+    if d.n == 2 and linalg.is_zero_matrix(d.A_matrix):
         return True
-    if not linalg.is_zero_vector(d.v_vector, eps):
+    if not linalg.is_zero_vector(d.v_vector):
         return False
     lam = linalg.trace(d.A_matrix) / m
     u = linalg.mat_sub(d.A_matrix, linalg.mat_scale(lam, linalg.idmat(m, d.kind)))
-    ustar = linalg.mat_sub(d.adjoint_A(eps),
-                           linalg.mat_scale(lam, linalg.idmat(m, d.kind)))
-    return linalg.mat_eq(ustar, linalg.mat_scale(-1, u), eps)
+    ustar = linalg.mat_sub(d.adjoint_A(), linalg.mat_scale(lam, linalg.idmat(m, d.kind)))
+    return linalg.mat_eq(ustar, linalg.mat_scale(-1, u))
 
 
-def is_balanced_data(d: HermitianData, eps=None) -> bool:
-    return (linalg.is_zero_vector(d.v_vector, eps)
-            and is_zero(linalg.trace(d.A_matrix), eps))
+def is_balanced_data(d: HermitianData) -> bool:
+    return linalg.is_zero_vector(d.v_vector) and is_zero(linalg.trace(d.A_matrix))
 
 
-def is_skt_data(d: HermitianData, eps=None) -> bool:
+def is_skt_data(d: HermitianData) -> bool:
     """[A, A*] = 0 and the eigenvalues of A have real part -a/2 or 0.
 
     For a g-normal A the real parts are the eigenvalues of the symmetric
@@ -331,18 +319,18 @@ def is_skt_data(d: HermitianData, eps=None) -> bool:
     frame scale exactly.
     """
     am = d.A_matrix
-    astar = d.adjoint_A(eps)
-    if not linalg.is_zero_matrix(linalg.commutator(am, astar), eps):
+    astar = d.adjoint_A()
+    if not linalg.is_zero_matrix(linalg.commutator(am, astar)):
         return False
     m = d.m
     half = coerce(1, d.kind) / 2
     s = linalg.mat_scale(half, linalg.mat_add(am, astar))
     shift = linalg.mat_add(s, linalg.mat_scale(d.a * half, linalg.idmat(m, d.kind)))
-    return linalg.is_zero_matrix(linalg.mat_mul(s, shift), eps)
+    return linalg.is_zero_matrix(linalg.mat_mul(s, shift))
 
 
-def is_lcb_data(d: HermitianData, eps=None) -> bool:
-    return linalg.is_zero_vector(linalg.mat_vec(d.adjoint_A(eps), d.v_vector), eps)
+def is_lcb_data(d: HermitianData) -> bool:
+    return linalg.is_zero_vector(linalg.mat_vec(d.adjoint_A(), d.v_vector))
 
 
 DATA_PREDICATES = {
@@ -357,7 +345,7 @@ DATA_PREDICATES = {
 # ---------------------------------------------------------------------------
 # closed formulas
 
-def lee_form_closed(d: HermitianData, eps=None) -> KForm:
+def lee_form_closed(d: HermitianData) -> KForm:
     """theta = (Jv)^flat - (tr A) e^{2n} in unit-frame terms.
 
     With a scaled adapted frame the exact corrections are
@@ -378,7 +366,7 @@ def _covector(d: HermitianData, x, last):
     return linalg.mat_vec(linalg.transpose(d.coframe), comps)
 
 
-def rho_b_closed(d: HermitianData, eps=None) -> KForm:
+def rho_b_closed(d: HermitianData) -> KForm:
     """Bismut-Ricci form from the data:
 
     rho^B = -(a^2 - a tr A / 2 + |v|^2) e^1 ^ e^{2n} - (A^t v)^flat ^ e^{2n}
@@ -394,7 +382,7 @@ def rho_b_closed(d: HermitianData, eps=None) -> KForm:
               + d.v_norm_sq() / d.d_outer)
     from .forms import wedge
     out = wedge(b_first, b_last).scale(coeff)
-    atv = linalg.mat_vec(d.adjoint_A(eps), d.v_vector)
+    atv = linalg.mat_vec(d.adjoint_A(), d.v_vector)
     lowered = _covector(d, atv, zero(d.kind))
     return out - wedge(KForm.from_vector(lowered), b_last)
 
@@ -405,22 +393,21 @@ def adapted_J_matrix(d: HermitianData):
     return linalg.mat_mul(full, linalg.mat_mul(_adapted_j(d.J1, d.kind), d.coframe))
 
 
-def is_type_11(rho: KForm, J, eps=None) -> bool:
+def is_type_11(rho: KForm, J) -> bool:
     """rho(J., J.) = rho."""
     from .forms import pullback
     jm = J.matrix if isinstance(J, ComplexStructure) else J
-    return pullback(rho, jm).equals(rho, eps)
+    return pullback(rho, jm).equals(rho)
 
 
-def lcb_iff_type_11(d: HermitianData, eps=None):
+def lcb_iff_type_11(d: HermitianData):
     """Consistency report for: LCB <=> rho^B of type (1,1)."""
-    rho = rho_b_closed(d, eps)
+    rho = rho_b_closed(d)
     jm = adapted_J_matrix(d)
-    t11 = is_type_11(rho, jm, eps)
-    lcb = is_lcb_data(d, eps)
+    t11 = is_type_11(rho, jm)
+    lcb = is_lcb_data(d)
     units = linalg.idmat(2 * d.n, d.kind)
-    n1_vanish = all(is_zero(rho.evaluate([list(x), e]), eps)
-                    for x in d.frame[1:-1] for e in units)
+    n1_vanish = all(is_zero(rho.evaluate([list(x), e])) for x in d.frame[1:-1] for e in units)
     return {
         "is_lcb": lcb,
         "rho_type_11": t11,
@@ -429,26 +416,25 @@ def lcb_iff_type_11(d: HermitianData, eps=None):
     }
 
 
-def skt_to_lcb(d: HermitianData, eps=None) -> HermitianData:
+def skt_to_lcb(d: HermitianData) -> HermitianData:
     """From SKT data to LCB data on the same (algebra, J).
 
     Splits v = (A - a)x + v' with v' the g-orthogonal projection onto
     the cokernel of A - a Id, and rebases e_1' = e_1 - x.  The output
     data (a, v', A) is LCB; when a != 0 it has v' = 0 exactly.
     """
-    if not is_skt_data(d, eps):
+    if not is_skt_data(d):
         raise DataError("PRECONDITION", "input data is not SKT")
     m = d.m
     kind = d.kind
     # cokernel: null space of (A - a)^* with respect to the frame Gram matrix
-    shifted_star = linalg.mat_sub(d.adjoint_A(eps),
-                                  linalg.mat_scale(d.a, linalg.idmat(m, kind)))
+    shifted_star = linalg.mat_sub(d.adjoint_A(), linalg.mat_scale(d.a, linalg.idmat(m, kind)))
     s = d.gram_n1()
-    kernel = linalg.nullspace(shifted_star, eps)
+    kernel = linalg.nullspace(shifted_star)
     if kernel:
         cols = linalg.transpose(kernel)
         gram = [[linalg.gdot(s, u, w) for w in kernel] for u in kernel]
-        gram_inv = linalg.inverse(gram, eps)
+        gram_inv = linalg.inverse(gram)
         coeffs = linalg.mat_vec(gram_inv,
                                 [linalg.gdot(s, u, d.v_vector) for u in kernel])
         vprime = linalg.mat_vec(cols, coeffs)
@@ -463,19 +449,19 @@ def skt_to_lcb(d: HermitianData, eps=None) -> HermitianData:
 
 
 def skt_to_lcb_metric(L: LieAlgebra, J: ComplexStructure, g: Metric,
-                      d: HermitianData, eps=None) -> Metric:
+                      d: HermitianData) -> Metric:
     """The LCB metric produced by the rebasing, in ambient coordinates.
 
     Writes v = (A - a)x + v', replaces b_1 by b_1 - X (X the ambient lift
     of x) and b_2n by J(b_1 - X), and declares the new frame orthonormal.
     """
-    dprime = skt_to_lcb(d, eps)  # raises PRECONDITION unless d is SKT
+    dprime = skt_to_lcb(d)  # raises PRECONDITION unless d is SKT
     m = d.m
     kind = d.kind
     am = d.A_matrix
     shifted = linalg.mat_sub(am, linalg.mat_scale(d.a, linalg.idmat(m, kind)))
     rhs = linalg.vec_sub(d.v_vector, dprime.v_vector)
-    x = linalg.solve_general(shifted, rhs, eps)
+    x = linalg.solve_general(shifted, rhs)
     if x is None:
         raise DataError("PRECONDITION", "projection split failed")
     n2 = 2 * d.n
@@ -487,10 +473,10 @@ def skt_to_lcb_metric(L: LieAlgebra, J: ComplexStructure, g: Metric,
     b2np = linalg.mat_vec(J.matrix, b1p)
     new_frame = [b1p] + frame[1:-1] + [b2np]
     p = linalg.transpose(new_frame)
-    pinv = linalg.inverse(p, eps)
+    pinv = linalg.inverse(p)
     # squared norms assigned to the new frame: n_1 keeps its old ones, the
     # rebased outer pair is declared unit
     weights = [one(kind)] + list(d.d_inner) + [one(kind)]
     gp = [[sum(weights[t] * pinv[t][i] * pinv[t][j] for t in range(n2))
            for j in range(n2)] for i in range(n2)]
-    return Metric.from_matrix(gp, eps)
+    return Metric.from_matrix(gp)

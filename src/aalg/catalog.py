@@ -786,7 +786,7 @@ def _off_locus_samples(entry, count=3):
     return tuple(out)
 
 
-def verify_entry(entry: CatalogEntry, samples=None, deep=True):
+def verify_entry(entry: CatalogEntry, samples=None):
     """Verify one entry; returns a result dict with a list of failures."""
     failures = []
     checked = []
@@ -814,7 +814,7 @@ def verify_entry(entry: CatalogEntry, samples=None, deep=True):
         # witnesses
         for w in entry.witnesses:
             if isinstance(w, LchkWitness):
-                failures.extend(_verify_lchk_witness(entry, L, params, w, deep))
+                failures.extend(_verify_lchk_witness(entry, L, params, w))
         try:
             structures = witness_structures(entry, params)
         except Exception as exc:
@@ -822,9 +822,8 @@ def verify_entry(entry: CatalogEntry, samples=None, deep=True):
             continue
         for label, H, d, claims in structures:
             failures.extend(check_witness(entry, f"{label}{params}", H, d, claims))
-            if deep:
-                if not lee_form_closed(d).equals(H.lee_form()):
-                    failures.append(f"{entry.name}/{label}{params}: closed Lee form mismatch")
+            if not lee_form_closed(d).equals(H.lee_form()):
+                failures.append(f"{entry.name}/{label}{params}: closed Lee form mismatch")
     # three perturbed off-locus samples must fail unimodularity
     if callable(entry.unimodular_locus):
         for params in _off_locus_samples(entry):
@@ -851,7 +850,7 @@ def _not_checked_claims(entry):
     return ()
 
 
-def _verify_lchk_witness(entry, L, params, w: LchkWitness, deep):
+def _verify_lchk_witness(entry, L, params, w: LchkWitness):
     failures = []
     D = _restrict_last(L)
     verdict = lchk_admissible(D)
@@ -862,8 +861,6 @@ def _verify_lchk_witness(entry, L, params, w: LchkWitness, deep):
         failures.append(
             f"{entry.name}{params}: hyperkahler flag {verdict.hyperkahler}, "
             f"want {w.hyperkahler}")
-    if not deep:
-        return failures
     Lc, triple, P, dc = construct_lchk(D)
     report = verify_triple(Lc, triple)
     if not report["ok"]:
@@ -879,7 +876,7 @@ def _verify_lchk_witness(entry, L, params, w: LchkWitness, deep):
     return failures
 
 
-def verify_all(names=None, samples=None, deep=True):
+def verify_all(names=None, samples=None):
     """Verify the requested entries (all by default); deterministic order."""
     names = sorted(ENTRIES) if names is None else list(names)
     results = []
@@ -889,7 +886,7 @@ def verify_all(names=None, samples=None, deep=True):
             raise CatalogError("UNKNOWN_ENTRY", f"no catalog entry named {name}")
         entry = ENTRIES[name]
         use = entry.samples if samples is None else entry.samples[:samples] or entry.samples
-        results.append(verify_entry(entry, use, deep=deep))
+        results.append(verify_entry(entry, use))
     return {
         "results": results,
         "ok": all(r["ok"] for r in results),

@@ -456,17 +456,15 @@ def build_parser():
 
 
 def main(argv=None):
-    # AALG_EPSILON holds for this call only: in-process callers keep theirs
-    previous_eps = scalars.DEFAULT_EPS
+    env_eps = os.environ.get("AALG_EPSILON")
     try:
-        env_eps = os.environ.get("AALG_EPSILON")
-        if env_eps:
-            try:
-                scalars.DEFAULT_EPS = float(env_eps)
-            except ValueError:
-                print(f"error: bad AALG_EPSILON {env_eps!r}", file=sys.stderr)
-                return EXIT_INPUT
-        args = build_parser().parse_args(argv)
+        eps = float(env_eps) if env_eps else scalars.current_eps()
+    except ValueError:
+        print(f"error: bad AALG_EPSILON {env_eps!r}", file=sys.stderr)
+        return EXIT_INPUT
+    args = build_parser().parse_args(argv)
+    # AALG_EPSILON holds for this call only: in-process callers keep theirs
+    with scalars.tolerance(eps):
         try:
             return args.func(args)
         except (ParseError, CatalogError) as exc:
@@ -476,8 +474,6 @@ def main(argv=None):
                 LchkError) as exc:
             print(f"rejected: {exc}", file=sys.stderr)
             return EXIT_MATH
-    finally:
-        scalars.DEFAULT_EPS = previous_eps
 
 
 if __name__ == "__main__":

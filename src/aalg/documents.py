@@ -433,10 +433,6 @@ def _document_kind(params, differential, g_spec, j_spec):
 # ---------------------------------------------------------------------------
 # rendering (canonical form)
 
-def _fmt_coeff(c):
-    return fmt(c)
-
-
 def _render_term(t: Term, lead, dim):
     c = t.coeff
     neg = c < 0
@@ -444,7 +440,7 @@ def _render_term(t: Term, lead, dim):
     pieces = []
     # a unit rational coefficient is left implicit; floats always render
     if not (isinstance(mag, Fraction) and mag == 1):
-        pieces.append(_fmt_coeff(mag))
+        pieces.append(fmt(mag))
     if t.param is not None:
         pieces.append(t.param)
     idx = f"f{t.i}{t.j}" if dim < 10 else f"f{t.i},{t.j}"
@@ -458,7 +454,7 @@ def _render_term(t: Term, lead, dim):
 def render(doc: AlgebraDocument) -> str:
     lines = [f"algebra {doc.name} dim {doc.dim}"]
     if doc.params:
-        binds = ", ".join(f"{k} = {_fmt_coeff(v)}" for k, v in doc.params.items())
+        binds = ", ".join(f"{k} = {fmt(v)}" for k, v in doc.params.items())
         lines.append(f"params {binds}")
     exprs = []
     for expr in doc.differential:
@@ -494,17 +490,16 @@ def render(doc: AlgebraDocument) -> str:
                 else:
                     mag = -c if c < 0 else c
                     if not terms:
-                        terms.append(("-" if c < 0 else "") + f"{_fmt_coeff(mag)} f{idx}")
+                        terms.append(("-" if c < 0 else "") + f"{fmt(mag)} f{idx}")
                     else:
-                        terms.append(("- " if c < 0 else "+ ") + f"{_fmt_coeff(mag)} f{idx}")
+                        terms.append(("- " if c < 0 else "+ ") + f"{fmt(mag)} f{idx}")
             parts.append(" ".join(terms))
         lines.append("ideal: " + ", ".join(parts))
     return "\n".join(lines) + "\n"
 
 
 def _render_matrix(rows):
-    return "[" + ", ".join("[" + ", ".join(_fmt_coeff(x) for x in row) + "]"
-                           for row in rows) + "]"
+    return "[" + ", ".join("[" + ", ".join(fmt(x) for x in row) + "]" for row in rows) + "]"
 
 
 MANIFEST_HEADER = "# aalg-catalog/1"

@@ -41,7 +41,7 @@ class KForm:
 
     __slots__ = ("degree", "dim", "kind", "coeffs")
 
-    def __init__(self, degree, dim, coeffs=None, kind=None, eps=None):
+    def __init__(self, degree, dim, coeffs=None, kind=None):
         self.degree = degree
         self.dim = dim
         clean = {}
@@ -56,7 +56,7 @@ class KForm:
             if k is None:
                 k = kind_of(val)
             val = coerce(val, k)
-            if not is_zero(val, eps):
+            if not is_zero(val):
                 clean[tuple(key)] = val
         self.kind = k if k is not None else (kind or EXACT)
         self.coeffs = clean
@@ -88,8 +88,8 @@ class KForm:
     def get(self, key):
         return self.coeffs.get(tuple(key), zero(self.kind))
 
-    def is_zero(self, eps=None):
-        return all(is_zero(v, eps) for v in self.coeffs.values())
+    def is_zero(self):
+        return all(is_zero(v) for v in self.coeffs.values())
 
     def __add__(self, other):
         self._check_compatible(other)
@@ -115,11 +115,11 @@ class KForm:
         return (self.degree == other.degree and self.dim == other.dim
                 and self.coeffs == other.coeffs)
 
-    def equals(self, other, eps=None):
+    def equals(self, other):
         if self.degree != other.degree or self.dim != other.dim:
             return False
         keys = set(self.coeffs) | set(other.coeffs)
-        return all(is_zero(self.get(k) - other.get(k), eps) for k in keys)
+        return all(is_zero(self.get(k) - other.get(k)) for k in keys)
 
     def _check_compatible(self, other):
         if self.dim != other.dim:
@@ -240,12 +240,12 @@ def flat(vector, metric) -> KForm:
     return KForm.from_vector(mat_vec(metric, vector))
 
 
-def sharp(alpha: KForm, metric, eps=None):
+def sharp(alpha: KForm, metric):
     """Inverse musical isomorphism on 1-forms."""
     if alpha.degree != 1:
         raise LinAlgError("sharp expects a 1-form")
     comps = [alpha.get((i,)) for i in range(alpha.dim)]
-    x = solve(metric, comps, eps)
+    x = solve(metric, comps)
     if x is None:
         raise LinAlgError("degenerate metric")
     return x

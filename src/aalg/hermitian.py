@@ -13,8 +13,9 @@ Conventions, fixed package-wide and spelled out in the README:
 * Bismut-Ricci  rho^B(X, Y) = -1/2 sum_i g(R^B(X, Y) f_i, J f_i) over a
   g-orthonormal frame, evaluated basis-free as a trace against g^{-1}.
 
-Connection tables and wedge powers are computed once per structure and
-cached on the instance; instances are otherwise immutable.
+Integrability, connection tables and wedge powers are computed once per
+structure and cached on the instance (under the tolerance in force at
+that first call); instances are otherwise immutable.
 """
 
 from __future__ import annotations
@@ -41,12 +42,12 @@ class ComplexStructure:
     J: tuple
 
     @classmethod
-    def from_matrix(cls, j, eps=None):
+    def from_matrix(cls, j):
         j = linalg.as_matrix(j)
         n = len(j)
         kind = linalg.matrix_kind(j)
         if not linalg.mat_eq(linalg.mat_mul(j, j),
-                             linalg.mat_scale(coerce(-1, kind), linalg.idmat(n, kind)), eps):
+                             linalg.mat_scale(coerce(-1, kind), linalg.idmat(n, kind))):
             raise HermitianError("NOT_COMPLEX", "J^2 != -Id")
         return cls(tuple(tuple(row) for row in j))
 
@@ -80,11 +81,11 @@ class Metric:
     g: tuple
 
     @classmethod
-    def from_matrix(cls, g, eps=None):
+    def from_matrix(cls, g):
         g = linalg.as_matrix(g)
-        if not linalg.mat_eq(g, linalg.transpose(g), eps):
+        if not linalg.mat_eq(g, linalg.transpose(g)):
             raise HermitianError("NOT_SYMMETRIC", "metric matrix is not symmetric")
-        if not linalg.is_positive_definite(g, eps):
+        if not linalg.is_positive_definite(g):
             raise HermitianError("NOT_POSITIVE_DEFINITE", "metric is not positive definite")
         return cls(tuple(tuple(row) for row in g))
 
@@ -100,24 +101,22 @@ class Metric:
 class HermitianStructure:
     """A Lie algebra with a compatible (J, g); omega = g(J., .)."""
 
-    def __init__(self, L: LieAlgebra, J: ComplexStructure, g: Metric, eps=None):
+    def __init__(self, L: LieAlgebra, J: ComplexStructure, g: Metric):
         if len(J.J) != L.dim or len(g.g) != L.dim:
             raise HermitianError("DIMENSION", "J or g dimension does not match the algebra")
         if L.dim % 2 != 0:
             raise HermitianError("DIMENSION", "Hermitian structures need even dimension")
         jm, gm = J.matrix, g.matrix
-        if not linalg.mat_eq(linalg.mat_mul(linalg.transpose(jm), linalg.mat_mul(gm, jm)),
-                             gm, eps):
+        if not linalg.mat_eq(linalg.mat_mul(linalg.transpose(jm), linalg.mat_mul(gm, jm)), gm):
             raise HermitianError("NOT_COMPATIBLE", "g(J., J.) != g")
         self.L = L
         self.J = J
         self.g = g
-        self.eps = eps
         om = linalg.mat_mul(linalg.transpose(jm), gm)
         coeffs = {}
         for i in range(L.dim):
             for j in range(i + 1, L.dim):
-                if not is_zero(om[i][j], eps):
+                if not is_zero(om[i][j]):
                     coeffs[(i, j)] = om[i][j]
         self.omega = KForm(2, L.dim, coeffs, kind=L.kind)
         self._cache = {}
@@ -139,8 +138,8 @@ class HermitianStructure:
     def nijenhuis(self):
         return nijenhuis(self.J, self.L)
 
-    def is_integrable(self, eps=None) -> bool:
-        return is_integrable(self.J, self.L, eps if eps is not None else self.eps)
+    def is_integrable(self) -> bool:
+        return self._memo("integrable", lambda: is_integrable(self.J, self.L))
 
     def _require_integrable(self):
         if not self.is_integrable():
@@ -172,45 +171,45 @@ class HermitianStructure:
                 row.append(wedge(KForm.basis(n2, i, kind=self.L.kind), om_pow).get(key))
             rows.append(row)
         rhs = [target.get(key) for key in keys]
-        theta = linalg.solve(rows, rhs, self.eps)
+        theta = linalg.solve(rows, rhs)
         if theta is None:
             raise HermitianError("SINGULAR", "omega is degenerate")
         return KForm.from_vector(theta)
 
     # -- direct predicates ------------------------------------------------------
-    def is_kahler_direct(self, eps=None) -> bool:
+    def is_kahler_direct(self) -> bool:
         self._require_integrable()
-        return self.domega().is_zero(eps)
+        return self.domega().is_zero()
 
-    def is_balanced_direct(self, eps=None) -> bool:
+    def is_balanced_direct(self) -> bool:
         self._require_integrable()
-        return exterior_derivative(self.omega_power(self.n - 1), self.L).is_zero(eps)
+        return exterior_derivative(self.omega_power(self.n - 1), self.L).is_zero()
 
-    def is_lck_direct(self, eps=None) -> bool:
+    def is_lck_direct(self) -> bool:
         self._require_integrable()
         theta = self.lee_form()
-        if not exterior_derivative(theta, self.L).is_zero(eps):
+        if not exterior_derivative(theta, self.L).is_zero():
             return False
         lhs = self.domega().scale(self.n - 1)
         rhs = wedge(theta, self.omega)
-        return lhs.equals(rhs, eps)
+        return lhs.equals(rhs)
 
-    def is_lcb_direct(self, eps=None) -> bool:
+    def is_lcb_direct(self) -> bool:
         self._require_integrable()
-        return exterior_derivative(self.lee_form(), self.L).is_zero(eps)
+        return exterior_derivative(self.lee_form(), self.L).is_zero()
 
     def dc_omega(self):
         """d^c omega = -d omega (J., J., J.)."""
         return self._memo("dc", lambda: pullback(self.domega(), self.J.matrix).scale(-1))
 
-    def is_skt_direct(self, eps=None) -> bool:
+    def is_skt_direct(self) -> bool:
         self._require_integrable()
-        return exterior_derivative(self.dc_omega(), self.L).is_zero(eps)
+        return exterior_derivative(self.dc_omega(), self.L).is_zero()
 
     # -- connections ------------------------------------------------------------
     def levi_civita(self):
         """Connection tables Gamma[i] = matrix of Y -> D_{e_i} Y."""
-        return self._memo("lc", lambda: levi_civita(self.L, self.g, self.eps))
+        return self._memo("lc", lambda: levi_civita(self.L, self.g))
 
     def bismut_connection(self):
         return self._memo("bismut", self._compute_bismut)
@@ -220,7 +219,7 @@ class HermitianStructure:
         lc = self.levi_civita()
         n2 = self.dim
         gm = self.g.matrix
-        ginv = linalg.inverse(gm, self.eps)
+        ginv = linalg.inverse(gm)
         jm = self.J.matrix
         sigma = pullback(self.domega(), jm)  # sigma(X,Y,Z) = domega(JX,JY,JZ)
         half = coerce(1, self.L.kind) / 2
@@ -234,23 +233,23 @@ class HermitianStructure:
                         continue
                     idx, sign = key
                     val = sigma.get(idx)
-                    if not is_zero(val, self.eps):
+                    if not is_zero(val):
                         lower[l][j] = sign * half * val
             gamma.append(linalg.mat_add(lc[i], linalg.mat_mul(ginv, lower)))
         return gamma
 
-    def is_vaisman(self, eps=None):
+    def is_vaisman(self):
         """LCK with Levi-Civita-parallel Lee form; returns (bool, note)."""
         self._require_integrable()
         theta = self.lee_form()
         comps = [theta.get((i,)) for i in range(self.dim)]
         lc = self.levi_civita()
         parallel = all(
-            is_zero(sum(lc[i][k][j] * comps[k] for k in range(self.dim)), eps)
+            is_zero(sum(lc[i][k][j] * comps[k] for k in range(self.dim)))
             for i in range(self.dim) for j in range(self.dim))
-        if not self.is_lck_direct(eps):
+        if not self.is_lck_direct():
             return False, "not LCK"
-        if theta.is_zero(eps):
+        if theta.is_zero():
             return parallel, "Kahler"
         return parallel, "parallel" if parallel else "theta not parallel"
 
@@ -263,7 +262,7 @@ class HermitianStructure:
         gamma = self.bismut_connection()
         gm = self.g.matrix
         jm = self.J.matrix
-        ginv = linalg.inverse(gm, self.eps)
+        ginv = linalg.inverse(gm)
         weight = linalg.mat_mul(ginv, linalg.mat_mul(linalg.transpose(jm), gm))
         n2 = self.dim
         half = coerce(1, self.L.kind) / 2
@@ -272,7 +271,7 @@ class HermitianStructure:
             for j in range(i + 1, n2):
                 r = curvature_operator(gamma, self.L, i, j)
                 val = -half * linalg.trace(linalg.mat_mul(weight, r))
-                if not is_zero(val, self.eps):
+                if not is_zero(val):
                     coeffs[(i, j)] = val
         return KForm(2, n2, coeffs, kind=self.L.kind)
 
@@ -296,14 +295,14 @@ def nijenhuis(J: ComplexStructure, L: LieAlgebra):
     return out
 
 
-def is_integrable(J: ComplexStructure, L: LieAlgebra, eps=None) -> bool:
-    return all(linalg.is_zero_vector(v, eps) for v in nijenhuis(J, L).values())
+def is_integrable(J: ComplexStructure, L: LieAlgebra) -> bool:
+    return all(linalg.is_zero_vector(v) for v in nijenhuis(J, L).values())
 
 
-def levi_civita(L: LieAlgebra, g: Metric, eps=None):
+def levi_civita(L: LieAlgebra, g: Metric):
     """Koszul connection on left-invariant fields; Gamma[i] maps Y to D_{e_i}Y."""
     gm = g.matrix
-    ginv = linalg.inverse(gm, eps)
+    ginv = linalg.inverse(gm)
     if ginv is None:
         raise HermitianError("NOT_POSITIVE_DEFINITE", "metric is degenerate")
     n = L.dim
@@ -339,7 +338,7 @@ def torsion_tensor(gamma, L: LieAlgebra):
     return out
 
 
-def torsion_is_totally_skew(gamma, L: LieAlgebra, g: Metric, eps=None) -> bool:
+def torsion_is_totally_skew(gamma, L: LieAlgebra, g: Metric) -> bool:
     """g(T(X, Y), Z) alternating in all three arguments.
 
     Antisymmetry in (X, Y) is structural, so it suffices that the lowered
@@ -350,31 +349,31 @@ def torsion_is_totally_skew(gamma, L: LieAlgebra, g: Metric, eps=None) -> bool:
     tor = torsion_tensor(gamma, L)
     lowered = {key: linalg.mat_vec(gm, vec) for key, vec in tor.items()}
     for (i, j), gv in lowered.items():
-        if not (is_zero(gv[i], eps) and is_zero(gv[j], eps)):
+        if not (is_zero(gv[i]) and is_zero(gv[j])):
             return False
         for l in range(n):
             if l in (i, j):
                 continue
             pair = (i, l) if i < l else (l, i)
             sgn = 1 if i < l else -1
-            if not is_zero(gv[l] + sgn * lowered[pair][j], eps):
+            if not is_zero(gv[l] + sgn * lowered[pair][j]):
                 return False
     return True
 
 
-def connection_preserves_metric(gamma, g: Metric, eps=None) -> bool:
+def connection_preserves_metric(gamma, g: Metric) -> bool:
     """D g = 0: with constant g this is Gamma_i^t G + G Gamma_i = 0."""
     gm = g.matrix
     for gi in gamma:
         m = linalg.mat_mul(gm, gi)
-        if not linalg.mat_eq(m, linalg.mat_scale(-1, linalg.transpose(m)), eps):
+        if not linalg.mat_eq(m, linalg.mat_scale(-1, linalg.transpose(m))):
             return False
     return True
 
 
-def connection_preserves_tensor(gamma, t, eps=None) -> bool:
+def connection_preserves_tensor(gamma, t) -> bool:
     """D t = 0 for an endomorphism t: [Gamma_i, t] = 0 for all i."""
-    return all(linalg.is_zero_matrix(linalg.commutator(gi, t), eps) for gi in gamma)
+    return all(linalg.is_zero_matrix(linalg.commutator(gi, t)) for gi in gamma)
 
 
 def curvature_operator(gamma, L: LieAlgebra, i, j):
@@ -387,8 +386,8 @@ def curvature_operator(gamma, L: LieAlgebra, i, j):
     return r
 
 
-def riemann_is_flat(gamma, L: LieAlgebra, eps=None) -> bool:
+def riemann_is_flat(gamma, L: LieAlgebra) -> bool:
     n = L.dim
     return all(
-        linalg.is_zero_matrix(curvature_operator(gamma, L, i, j), eps)
+        linalg.is_zero_matrix(curvature_operator(gamma, L, i, j))
         for i in range(n) for j in range(i + 1, n))

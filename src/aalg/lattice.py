@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scalars import EXACT, resolve_eps
+from .scalars import EXACT, current_eps
 from . import linalg
 
 
@@ -50,13 +50,14 @@ def _as_float_matrix(b):
     return [[float(x) for x in row] for row in b]
 
 
-def _is_diagonal(b, eps):
+def _is_diagonal(b):
     n = len(b)
-    return all(abs(b[i][j]) <= eps for i in range(n) for j in range(n) if i != j)
+    return all(b[i][j] == 0 for i in range(n) for j in range(n) if i != j)
 
 
-def _rotation_blocks(b, eps):
+def _rotation_blocks(b):
     """Decomposition into 1x1 and 2x2 [[al, be], [-be, al]] diagonal blocks."""
+    eps = 1e-14
     n = len(b)
     blocks = []
     i = 0
@@ -79,18 +80,17 @@ def _rotation_blocks(b, eps):
     return blocks
 
 
-def matrix_exp(b, t=1.0, eps=None):
+def matrix_exp(b, t=1.0):
     """exp(t b) as a float matrix.
 
     Diagonal and rotation-block matrices use the exact closed form; the
     general case runs scaling-and-squaring on the Taylor series to the
-    requested tolerance.
+    current tolerance.
     """
-    eps = resolve_eps(eps)
     b = _as_float_matrix(b)
     n = len(b)
     t = float(t)
-    blocks = _rotation_blocks(b, 1e-14)
+    blocks = _rotation_blocks(b)
     if blocks is not None:
         return _block_exp(blocks, n, t, lambda x: math.exp(t * x))
     arr = np.array(b) * t
@@ -100,7 +100,7 @@ def matrix_exp(b, t=1.0, eps=None):
     term = np.eye(n)
     acc = np.eye(n)
     k = 1
-    while float(np.max(np.abs(term))) > eps * 1e-3 or k < 4:
+    while float(np.max(np.abs(term))) > current_eps() * 1e-3 or k < 4:
         term = scaled @ term / k
         acc = acc + term
         k += 1
@@ -113,19 +113,19 @@ def matrix_exp(b, t=1.0, eps=None):
 
 def _eigenvalues(m):
     """Eigenvalues; exact diagonal fast path avoids numpy noise."""
-    if _is_diagonal(m, 0.0):
+    if _is_diagonal(m):
         return [complex(m[i][i]) for i in range(len(m))]
     return list(np.linalg.eigvals(np.array(_as_float_matrix(m))))
 
 
-def eigen_clusters(eigs, eps=None):
+def eigen_clusters(eigs):
     """Group float eigenvalues that lie within tol of a cluster's center.
 
     tol = 1e3 eps max(1, max |lambda|); each cluster is (center, members)
     with the mean of its members as center.  Returns (tol, clusters).
     This is the one rule for float spectra, shared with the LCHK verdict.
     """
-    tol = 1e3 * resolve_eps(eps) * max(1.0, float(max(abs(e) for e in eigs)))
+    tol = 1e3 * current_eps() * max(1.0, float(max(abs(e) for e in eigs)))
     clusters = []
     for v in eigs:
         for idx, (center, members) in enumerate(clusters):
@@ -145,11 +145,11 @@ def nullity(arr, tol):
     return int(np.sum(sv <= max(tol, sv.max() * 1e-9 if sv.size else 0)))
 
 
-def _spectral_clusters(m, eps=None):
+def _spectral_clusters(m):
     """(center, multiplicity, jordan_size) triples for a float matrix."""
     arr = np.array(_as_float_matrix(m))
     n = len(m)
-    tol, clusters = eigen_clusters(_eigenvalues(m), eps)
+    tol, clusters = eigen_clusters(_eigenvalues(m))
     out = []
     for center, members in clusters:
         mult = len(members)
@@ -171,7 +171,7 @@ def _spectral_clusters(m, eps=None):
     return out
 
 
-def char_min_poly(m, eps=None):
+def char_min_poly(m):
     """Characteristic and minimal polynomials (monic, low degree first).
 
     Exact matrices go through Faddeev-LeVerrier and Krylov chains; float
@@ -181,7 +181,7 @@ def char_min_poly(m, eps=None):
     kind = linalg.matrix_kind(m)
     if kind == EXACT:
         return linalg.charpoly(m), linalg.minpoly(m)
-    clusters = _spectral_clusters(m, eps)
+    clusters = _spectral_clusters(m)
     char = np.array([1.0 + 0j])
     minp = np.array([1.0 + 0j])
     for center, mult, size in clusters:
@@ -194,16 +194,16 @@ def char_min_poly(m, eps=None):
     return char_low, min_low
 
 
-def _matrix_exp_rule(b, k, eps=None):
+def _matrix_exp_rule(b, k):
     """exp(2 log k * b) with entries computed as powers k^(2 lam).
 
     Avoids the exp(log) round trip for the 2 log k rule, which matters for
     the residual identity checked to 1e-9.
     """
     b = _as_float_matrix(b)
-    blocks = _rotation_blocks(b, 1e-14)
+    blocks = _rotation_blocks(b)
     if blocks is None:
-        return matrix_exp(b, 2.0 * math.log(k), eps)
+        return matrix_exp(b, 2.0 * math.log(k))
     return _block_exp(blocks, len(b), 2.0 * math.log(k), lambda x: math.pow(k, 2.0 * x))
 
 
@@ -235,7 +235,7 @@ def _integer_deviation(coeffs):
 
 
 def integrality_probe(b, t_values=None, rule_k_max=None, eps_int=None,
-                      eps=None, with_residual=True) -> IntegralityReport:
+                      with_residual=True) -> IntegralityReport:
     """Integer char/min polynomial probe over a grid or the 2 log k rule.
 
     The verdict per point is INTEGER when every coefficient of both
@@ -253,8 +253,8 @@ def integrality_probe(b, t_values=None, rule_k_max=None, eps_int=None,
             schedule.append((float(t), None))
     found = None
     for t, k in schedule:
-        m = _matrix_exp_rule(b, k, eps) if k is not None else matrix_exp(b, t, eps)
-        char, minp = char_min_poly(m, eps)
+        m = _matrix_exp_rule(b, k) if k is not None else matrix_exp(b, t)
+        char, minp = char_min_poly(m)
         dev = max(_integer_deviation(char), _integer_deviation(minp))
         if dev <= eps_int:
             verdict = "INTEGER"
@@ -271,7 +271,7 @@ def integrality_probe(b, t_values=None, rule_k_max=None, eps_int=None,
                 # exactly representable for the catalog matrices, so fsum
                 # recovers the tiny residual despite the k^6 cancellations
                 lams = sorted({c.real for c, _, _ in
-                               ((cc, mm, ss) for cc, mm, ss in _spectral_clusters(m, eps))})
+                               ((cc, mm, ss) for cc, mm, ss in _spectral_clusters(m))})
                 if len(lams) == 3:
                     k2 = float(k) * float(k)
                     terms = [k2 * k2]

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .scalars import EXACT, coerce, exact_sqrt, is_zero, zero
+from .scalars import EXACT, coerce, exact_sqrt, zero
 from . import linalg
 from .forms import KForm
 from .hermitian import (ComplexStructure, HermitianStructure, Metric,
@@ -67,7 +67,7 @@ def _is_exact(m) -> bool:
     return linalg.matrix_kind(m) == EXACT
 
 
-def lchk_admissible(D, eps=None) -> LchkVerdict:
+def lchk_admissible(D) -> LchkVerdict:
     """Spectral admissibility of D for the LCHK construction."""
     D = linalg.as_matrix(D)
     n = len(D)
@@ -77,7 +77,7 @@ def lchk_admissible(D, eps=None) -> LchkVerdict:
         raise LchkError("BAD_DIMENSION", "D must be (4m-1) x (4m-1)")
     if _is_exact(D):
         return _admissible_exact(D)
-    return _admissible_float(D, eps)
+    return _admissible_float(D)
 
 
 def _shifted_charpoly(D):
@@ -158,10 +158,10 @@ def _root_multiplicity_exact(poly, beta_float):
     return count
 
 
-def _admissible_float(D, eps=None) -> LchkVerdict:
+def _admissible_float(D) -> LchkVerdict:
     n = len(D)
     arr = np.array([[float(x) for x in row] for row in D])
-    tol, clusters = eigen_clusters(np.linalg.eigvals(arr), eps)
+    tol, clusters = eigen_clusters(np.linalg.eigvals(arr))
     # diagonalizability: geometric multiplicity equals cluster size
     diagonalizable = all(nullity(arr - center * np.eye(n), tol) == len(members)
                          for center, members in clusters)
@@ -187,7 +187,7 @@ def _admissible_float(D, eps=None) -> LchkVerdict:
     )
 
 
-def canonical_form(D, eps=None):
+def canonical_form(D):
     """Change of basis bringing admissible D to diag(C_1,..,C_{m-1},a,a,a).
 
     Returns (P, D_canonical, a, blocks) with D P = P D_canonical; blocks is
@@ -195,7 +195,7 @@ def canonical_form(D, eps=None):
     requires the rotation parameters to be rational.
     """
     D = linalg.as_matrix(D)
-    verdict = lchk_admissible(D, eps)
+    verdict = lchk_admissible(D)
     if not verdict.admissible:
         raise LchkError("NOT_ADMISSIBLE", "D fails the spectral conditions")
     if not _is_exact(D):
@@ -223,14 +223,14 @@ def canonical_form(D, eps=None):
     for b, nu in bs:
         w_mat = linalg.mat_add(linalg.mat_mul(shifted, shifted),
                                linalg.mat_scale(b * b, linalg.idmat(n)))
-        w_basis = linalg.nullspace(w_mat, eps)
+        w_basis = linalg.nullspace(w_mat)
         assert len(w_basis) == 4 * nu, "eigenspace dimension mismatch"
         used = []
 
         def independent(v):
             if not used:
-                return not linalg.is_zero_vector(v, eps)
-            return linalg.rank(linalg.transpose(used + [v]), eps) > len(used)
+                return not linalg.is_zero_vector(v)
+            return linalg.rank(linalg.transpose(used + [v])) > len(used)
 
         def jhat_apply(v):
             return [x / b for x in linalg.mat_vec(shifted, v)]
@@ -248,7 +248,7 @@ def canonical_form(D, eps=None):
             used.extend([w, jw])
             columns.extend(quad)
             blocks.append(b)
-    kernel = linalg.nullspace(shifted, eps)
+    kernel = linalg.nullspace(shifted)
     assert len(kernel) == (n - len(columns))
     h_zero = (len(kernel) - 3) // 4
     for t in range(h_zero):
@@ -259,12 +259,12 @@ def canonical_form(D, eps=None):
     dc = linalg.block_diag(
         [[[a, b, 0, 0], [-b, a, 0, 0], [0, 0, a, -b], [0, 0, b, a]] for b in blocks]
         + [[[a]]] * 3, kind)
-    assert linalg.mat_eq(linalg.mat_mul(D, p), linalg.mat_mul(p, dc), eps), \
+    assert linalg.mat_eq(linalg.mat_mul(D, p), linalg.mat_mul(p, dc)), \
         "canonical form certificate failed"
     return p, dc, a, blocks
 
 
-def construct_lchk(D, eps=None):
+def construct_lchk(D):
     """Build the canonical-form algebra and its hypercomplex witness.
 
     Returns (L, triple, P, D_canonical) where L is the almost abelian
@@ -272,22 +272,12 @@ def construct_lchk(D, eps=None):
     with I_i = diag(K_i, .., K_i) and g the standard metric, and P
     certifies that the input D is conjugate to D_canonical.
     """
-    p, dc, a, blocks = canonical_form(D, eps)
-    n = len(dc)
-    n2 = n + 1
+    p, dc, a, blocks = canonical_form(D)
+    n2 = len(dc) + 1
     kind = EXACT
     m = n2 // 4
-    brackets = {}
-    for j in range(n):
-        col = [zero(kind)] * n2
-        nz = False
-        for t in range(n):
-            col[t] = -dc[t][j]
-            nz = nz or not is_zero(dc[t][j], eps)
-        if nz:
-            brackets[(j, n2 - 1)] = col
-    L = LieAlgebra(n2, brackets, kind=kind, _validated=True)
-    structs = [ComplexStructure.from_matrix(linalg.block_diag([K] * m, kind), eps)
+    L = LieAlgebra.semidirect(dc)
+    structs = [ComplexStructure.from_matrix(linalg.block_diag([K] * m, kind))
                for K in (K1, K2, K3)]
     g = Metric.identity(n2, kind)
     theta_coeff = -(4 * m - 2) * a
@@ -296,34 +286,34 @@ def construct_lchk(D, eps=None):
     return L, triple, p, dc
 
 
-def verify_triple(L: LieAlgebra, triple: HypercomplexTriple, eps=None):
+def verify_triple(L: LieAlgebra, triple: HypercomplexTriple):
     """Check every invariant of a hypercomplex LCK triple; returns a report."""
     i1, i2, i3 = triple.I1.matrix, triple.I2.matrix, triple.I3.matrix
     n = L.dim
     kind = L.kind
     report = {}
-    report["quaternion_i1i2_eq_i3"] = linalg.mat_eq(linalg.mat_mul(i1, i2), i3, eps)
+    report["quaternion_i1i2_eq_i3"] = linalg.mat_eq(linalg.mat_mul(i1, i2), i3)
     prod = linalg.mat_mul(linalg.mat_mul(i1, i2), i3)
     report["quaternion_product"] = linalg.mat_eq(
-        prod, linalg.mat_scale(coerce(-1, kind), linalg.idmat(n, kind)), eps)
+        prod, linalg.mat_scale(coerce(-1, kind), linalg.idmat(n, kind)))
     lee_forms = []
     for tag, J in (("I1", triple.I1), ("I2", triple.I2), ("I3", triple.I3)):
-        report[f"integrable_{tag}"] = is_integrable(J, L, eps)
-        H = HermitianStructure(L, J, triple.g, eps)
+        report[f"integrable_{tag}"] = is_integrable(J, L)
+        H = HermitianStructure(L, J, triple.g)
         lee_forms.append(H.lee_form())
-        report[f"lck_{tag}"] = H.is_lck_direct(eps)
-    report["lee_forms_equal"] = (lee_forms[0].equals(lee_forms[1], eps)
-                                 and lee_forms[0].equals(lee_forms[2], eps))
-    report["lee_form_matches"] = lee_forms[0].equals(triple.theta, eps)
+        report[f"lck_{tag}"] = H.is_lck_direct()
+    report["lee_forms_equal"] = (lee_forms[0].equals(lee_forms[1])
+                                 and lee_forms[0].equals(lee_forms[2]))
+    report["lee_form_matches"] = lee_forms[0].equals(triple.theta)
     from .forms import exterior_derivative
-    report["lee_form_closed"] = exterior_derivative(lee_forms[0], L).is_zero(eps)
+    report["lee_form_closed"] = exterior_derivative(lee_forms[0], L).is_zero()
     report["ok"] = all(v for k, v in report.items())
     return report
 
 
-def hyperkahler_flatness(triple: HypercomplexTriple, L: LieAlgebra, eps=None) -> bool:
+def hyperkahler_flatness(triple: HypercomplexTriple, L: LieAlgebra) -> bool:
     """Left-invariant hyperkahler metrics are flat: assert zero curvature."""
-    if not triple.theta.is_zero(eps):
+    if not triple.theta.is_zero():
         raise LchkError("PRECONDITION", "triple is not hyperkahler (theta != 0)")
-    gamma = levi_civita(L, triple.g, eps)
-    return riemann_is_flat(gamma, L, eps)
+    gamma = levi_civita(L, triple.g)
+    return riemann_is_flat(gamma, L)

@@ -29,11 +29,11 @@ class Subspace:
     vectors: tuple
     ambiguous: bool = False
 
-    def contains(self, v, eps=None) -> bool:
+    def contains(self, v) -> bool:
         if not self.vectors:
-            return linalg.is_zero_vector(v, eps)
+            return linalg.is_zero_vector(v)
         m = linalg.transpose(list(self.vectors))
-        return linalg.solve_general(m, list(v), eps) is not None
+        return linalg.solve_general(m, list(v)) is not None
 
 
 class LieAlgebra:
@@ -69,7 +69,7 @@ class LieAlgebra:
 
     # -- construction -------------------------------------------------------
     @classmethod
-    def from_tensor(cls, c, eps=None):
+    def from_tensor(cls, c):
         """Validate a cubic tensor c[i][j][k] = coefficient of e_k in [e_i,e_j]."""
         dim = len(c)
         kind = None
@@ -83,7 +83,7 @@ class LieAlgebra:
             for j in range(dim):
                 for k in range(dim):
                     s = coerce(c[i][j][k], kind) + coerce(c[j][i][k], kind)
-                    if not is_zero(s, eps):
+                    if not is_zero(s):
                         raise LieAlgebraError(
                             "ANTISYMMETRY_VIOLATION",
                             f"c^{k}_{{{i},{j}}} + c^{k}_{{{j},{i}}} = {s}",
@@ -99,6 +99,18 @@ class LieAlgebra:
     @classmethod
     def abelian(cls, dim, kind=EXACT):
         return cls(dim, {}, kind=kind, _validated=True)
+
+    @classmethod
+    def semidirect(cls, D):
+        """R^k x|_D R: [e_last, e_j] = D e_j for the first k basis vectors."""
+        k = len(D)
+        kind = linalg.matrix_kind(D)
+        brackets = {}
+        for j in range(k):
+            col = [-D[t][j] for t in range(k)] + [zero(kind)]
+            if any(not is_zero(x) for x in col):
+                brackets[(j, k)] = col
+        return cls(k + 1, brackets, kind=kind, _validated=True)
 
     # -- bracket machinery ----------------------------------------------------
     def basis_bracket(self, i, j):
@@ -133,8 +145,8 @@ class LieAlgebra:
         return self.ad(linalg.idmat(self.dim, self.kind)[i])
 
     # -- invariants -----------------------------------------------------------
-    def _check_jacobi(self, eps=None):
-        w = self.jacobi_witness(eps)
+    def _check_jacobi(self):
+        w = self.jacobi_witness()
         if w is not None:
             i, j, k, res = w
             raise LieAlgebraError(
@@ -142,7 +154,7 @@ class LieAlgebra:
                 f"cyclic sum on (e_{i + 1}, e_{j + 1}, e_{k + 1}) is {res}",
                 witness=(i, j, k))
 
-    def jacobi_witness(self, eps=None):
+    def jacobi_witness(self):
         """First basis triple violating Jacobi, or None."""
         units = linalg.idmat(self.dim, self.kind)
         for i in range(self.dim):
@@ -153,16 +165,16 @@ class LieAlgebra:
                         self.bracket(bij, units[k]),
                         linalg.vec_add(self.bracket(self.basis_bracket(j, k), units[i]),
                                        self.bracket(self.basis_bracket(k, i), units[j])))
-                    if not linalg.is_zero_vector(res, eps):
+                    if not linalg.is_zero_vector(res):
                         return (i, j, k, res)
         return None
 
-    def is_unimodular(self, eps=None) -> bool:
-        return all(is_zero(linalg.trace(self.ad_basis(i)), eps) for i in range(self.dim))
+    def is_unimodular(self) -> bool:
+        return all(is_zero(linalg.trace(self.ad_basis(i))) for i in range(self.dim))
 
-    def derived_algebra(self, eps=None) -> Subspace:
+    def derived_algebra(self) -> Subspace:
         vecs = [list(v) for _, v in sorted(self.brackets.items())]
-        basis = linalg.column_space_basis(vecs, eps)
+        basis = linalg.column_space_basis(vecs)
         return Subspace(len(basis), tuple(tuple(v) for v in basis))
 
     def coframe_differentials(self):
@@ -178,9 +190,9 @@ class LieAlgebra:
             self._coframe_diff = tuple(diffs)
         return self._coframe_diff
 
-    def change_basis(self, s, eps=None):
+    def change_basis(self, s):
         """Algebra in the new basis b_j = sum_i s[i][j] e_i."""
-        sinv = linalg.inverse(s, eps)
+        sinv = linalg.inverse(s)
         if sinv is None:
             raise LieAlgebraError("SINGULAR", "basis change matrix is singular")
         new = {}
@@ -189,7 +201,7 @@ class LieAlgebra:
                 bi = [s[t][i] for t in range(self.dim)]
                 bj = [s[t][j] for t in range(self.dim)]
                 vec = linalg.mat_vec(sinv, self.bracket(bi, bj))
-                if any(not is_zero(x, eps) for x in vec):
+                if any(not is_zero(x) for x in vec):
                     new[(i, j)] = vec
         return LieAlgebra(self.dim, new, kind=self.kind, _validated=True)
 
@@ -197,12 +209,12 @@ class LieAlgebra:
         return f"LieAlgebra(dim={self.dim}, nnz={len(self.brackets)}, kind={self.kind})"
 
 
-def validate(tensor, eps=None) -> LieAlgebra:
+def validate(tensor) -> LieAlgebra:
     """Tensor-input constructor: antisymmetry plus Jacobi, with witnesses."""
-    return LieAlgebra.from_tensor(tensor, eps)
+    return LieAlgebra.from_tensor(tensor)
 
 
-def find_codim1_abelian_ideal(L: LieAlgebra, eps=None):
+def find_codim1_abelian_ideal(L: LieAlgebra):
     """Hyperplane n with [n, n] = 0 and [L, n] in n, or None.
 
     A hyperplane containing [L, L] is automatically an ideal, so the search
@@ -214,7 +226,7 @@ def find_codim1_abelian_ideal(L: LieAlgebra, eps=None):
     """
     n = L.dim
     kind = L.kind
-    derived = L.derived_algebra(eps)
+    derived = L.derived_algebra()
     solutions = []
     total_freedom = 0
     for t in range(n - 1, -1, -1):
@@ -248,14 +260,14 @@ def find_codim1_abelian_ideal(L: LieAlgebra, eps=None):
         xi = linalg.idmat(n, kind)[t]
         if t > 0:
             aug = [row + [val] for row, val in zip(rows, rhs)]
-            red, pivots = linalg.rref(aug, eps)
+            red, pivots = linalg.rref(aug)
             if t in pivots:
                 continue  # inconsistent branch
             freedom = t - len(pivots)
             for ridx, pc in enumerate(pivots):
                 xi[pc] = red[ridx][t]
         else:
-            if any(not is_zero(v, eps) for v in rhs):
+            if any(not is_zero(v) for v in rhs):
                 continue
             freedom = 0
         solutions.append((t, xi, freedom))
@@ -264,16 +276,16 @@ def find_codim1_abelian_ideal(L: LieAlgebra, eps=None):
         return None
     t, xi, freedom = solutions[0]
     ambiguous = total_freedom > 0 or len(solutions) > 1
-    basis = linalg.nullspace([xi], eps)
+    basis = linalg.nullspace([xi])
     ideal = Subspace(len(basis), tuple(tuple(v) for v in basis), ambiguous=ambiguous)
     # direct re-check guards against elimination bugs
-    defect = abelian_ideal_defect(L, ideal.vectors, eps)
+    defect = abelian_ideal_defect(L, ideal.vectors)
     if defect is not None:
         raise LieAlgebraError("INTERNAL", f"ideal candidate is {defect}")
     return ideal
 
 
-def abelian_ideal_defect(L: LieAlgebra, vectors, eps=None):
+def abelian_ideal_defect(L: LieAlgebra, vectors):
     """Why span(vectors) is not an abelian ideal of codimension one in L:
     "not abelian", "not a hyperplane" or "not an ideal"; None when it is.
 
@@ -284,16 +296,16 @@ def abelian_ideal_defect(L: LieAlgebra, vectors, eps=None):
     vecs = [list(v) for v in vectors]
     for a in range(len(vecs)):
         for b in range(a + 1, len(vecs)):
-            if not linalg.is_zero_vector(L.bracket(vecs[a], vecs[b]), eps):
+            if not linalg.is_zero_vector(L.bracket(vecs[a], vecs[b])):
                 return "not abelian"
     units = linalg.idmat(L.dim, L.kind)
     # the covectors vanishing on no vectors at all are the whole dual space
-    kernel = linalg.nullspace(vecs, eps) if vecs else units
+    kernel = linalg.nullspace(vecs) if vecs else units
     if len(vecs) != L.dim - 1 or len(kernel) != 1:
         return "not a hyperplane"
     xi = kernel[0]
     for e in units:
         for v in vecs:
-            if not is_zero(linalg.dot(xi, L.bracket(e, v)), eps):
+            if not is_zero(linalg.dot(xi, L.bracket(e, v))):
                 return "not an ideal"
     return None

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import EXACT, FLOAT, coerce, is_zero, kind_of, resolve_eps, zero, one
+from .scalars import EXACT, FLOAT, coerce, current_eps, is_zero, kind_of, zero, one
 
 
 class LinAlgError(ValueError):
@@ -135,49 +135,46 @@ def commutator(a, b):
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
 
-def mat_eq(a, b, eps=None) -> bool:
+def mat_eq(a, b) -> bool:
     if len(a) != len(b):
         return False
     return all(
-        len(ra) == len(rb) and all(is_zero(x - y, eps) for x, y in zip(ra, rb))
+        len(ra) == len(rb) and all(is_zero(x - y) for x, y in zip(ra, rb))
         for ra, rb in zip(a, b)
     )
 
 
-def vec_eq(u, v, eps=None) -> bool:
-    return len(u) == len(v) and all(is_zero(x - y, eps) for x, y in zip(u, v))
+def is_zero_matrix(a) -> bool:
+    return all(is_zero(x) for row in a for x in row)
 
 
-def is_zero_matrix(a, eps=None) -> bool:
-    return all(is_zero(x, eps) for row in a for x in row)
-
-
-def is_zero_vector(v, eps=None) -> bool:
-    return all(is_zero(x, eps) for x in v)
+def is_zero_vector(v) -> bool:
+    return all(is_zero(x) for x in v)
 
 
 # ---------------------------------------------------------------------------
 # elimination
 
-def _pivot_row(column_values, eps):
+def _pivot_row(column_values):
     """Index of the usable pivot row, or None.
 
     Exact path takes the first nonzero entry, float path the largest one.
     """
     best = None
     best_mag = None
+    eps = current_eps()
     for r, x in column_values:
         if isinstance(x, Fraction):
             if x != 0:
                 return r
         else:
             mag = abs(x)
-            if mag > resolve_eps(eps) and (best_mag is None or mag > best_mag):
+            if mag > eps and (best_mag is None or mag > best_mag):
                 best, best_mag = r, mag
     return best
 
 
-def rref(a, eps=None):
+def rref(a):
     """Reduced row echelon form.  Returns (R, pivot_columns)."""
     m = [list(row) for row in a]
     nrows = len(m)
@@ -188,14 +185,14 @@ def rref(a, eps=None):
         if r >= nrows:
             break
         cand = [(i, m[i][c]) for i in range(r, nrows)]
-        p = _pivot_row(cand, eps)
+        p = _pivot_row(cand)
         if p is None:
             continue
         m[r], m[p] = m[p], m[r]
         pv = m[r][c]
         m[r] = [x / pv for x in m[r]]
         for i in range(nrows):
-            if i != r and not is_zero(m[i][c], eps):
+            if i != r and not is_zero(m[i][c]):
                 f = m[i][c]
                 m[i] = [x - f * y for x, y in zip(m[i], m[r])]
         pivots.append(c)
@@ -203,18 +200,18 @@ def rref(a, eps=None):
     return m, pivots
 
 
-def rank(a, eps=None) -> int:
+def rank(a) -> int:
     if not a:
         return 0
-    return len(rref(a, eps)[1])
+    return len(rref(a)[1])
 
 
-def nullspace(a, eps=None):
+def nullspace(a):
     """Deterministic basis of the kernel (free variables in column order)."""
     if not a:
         return []
     ncols = len(a[0])
-    r, pivots = rref(a, eps)
+    r, pivots = rref(a)
     kind = matrix_kind(a)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
@@ -227,23 +224,23 @@ def nullspace(a, eps=None):
     return basis
 
 
-def solve(a, b, eps=None):
+def solve(a, b):
     """Solve the square system a x = b; returns None when singular."""
     n = len(a)
     aug = [list(row) + [bv] for row, bv in zip(a, b)]
-    r, pivots = rref(aug, eps)
+    r, pivots = rref(aug)
     if pivots != list(range(n)):
         return None
     return [r[i][n] for i in range(n)]
 
 
-def solve_general(a, b, eps=None):
+def solve_general(a, b):
     """A particular solution of a x = b (not necessarily square), or None."""
     if not a:
         return None
     ncols = len(a[0])
     aug = [list(row) + [bv] for row, bv in zip(a, b)]
-    r, pivots = rref(aug, eps)
+    r, pivots = rref(aug)
     if ncols in pivots:
         return None  # inconsistent
     kind = matrix_kind(a)
@@ -253,17 +250,17 @@ def solve_general(a, b, eps=None):
     return x
 
 
-def inverse(a, eps=None):
+def inverse(a):
     n = len(a)
     kind = matrix_kind(a)
     aug = [list(row) + irow for row, irow in zip(a, idmat(n, kind))]
-    r, pivots = rref(aug, eps)
+    r, pivots = rref(aug)
     if pivots != list(range(n)):
         return None
     return [row[n:] for row in r]
 
 
-def det(a, eps=None):
+def det(a):
     """Determinant by fraction-free-ish Gaussian elimination with pivoting."""
     n = len(a)
     kind = matrix_kind(a)
@@ -272,7 +269,7 @@ def det(a, eps=None):
     acc = one(kind)
     for c in range(n):
         cand = [(i, m[i][c]) for i in range(c, n)]
-        p = _pivot_row(cand, eps)
+        p = _pivot_row(cand)
         if p is None:
             return zero(kind)
         if p != c:
@@ -286,25 +283,25 @@ def det(a, eps=None):
     return sign * acc
 
 
-def column_space_basis(vectors, eps=None):
+def column_space_basis(vectors):
     """Subset of `vectors` that is a basis of their span (stable order).
 
     These are the pivot columns of one elimination: column c is a pivot
     exactly when it is independent of the columns before it.
     """
-    _, pivots = rref(transpose(vectors), eps)
+    _, pivots = rref(transpose(vectors))
     return [vectors[c] for c in pivots]
 
 
-def is_positive_definite(g, eps=None) -> bool:
+def is_positive_definite(g) -> bool:
     """Sylvester criterion on leading principal minors."""
     n = len(g)
     for k in range(1, n + 1):
-        minor = det([row[:k] for row in g[:k]], eps)
+        minor = det([row[:k] for row in g[:k]])
         if isinstance(minor, Fraction):
             if minor <= 0:
                 return False
-        elif minor <= resolve_eps(eps):
+        elif minor <= current_eps():
             return False
     return True
 
@@ -312,9 +309,9 @@ def is_positive_definite(g, eps=None) -> bool:
 # ---------------------------------------------------------------------------
 # univariate polynomials (coefficient lists, low degree first)
 
-def poly_trim(p, eps=None):
+def poly_trim(p):
     q = list(p)
-    while len(q) > 1 and is_zero(q[-1], eps):
+    while len(q) > 1 and is_zero(q[-1]):
         q.pop()
     return q
 
@@ -349,12 +346,12 @@ def poly_mul(p, q):
     return poly_trim(out)
 
 
-def poly_divmod(p, q, eps=None):
-    q = poly_trim(q, eps)
-    if q == [q[0]] and is_zero(q[0], eps):
+def poly_divmod(p, q):
+    q = poly_trim(q)
+    if q == [q[0]] and is_zero(q[0]):
         raise ZeroDivisionError("polynomial division by zero")
     kind = kind_of(q[-1])
-    rem = list(poly_trim(p, eps))
+    rem = list(poly_trim(p))
     dq = len(q) - 1
     if len(rem) - 1 < dq:
         return [zero(kind)], rem
@@ -366,29 +363,29 @@ def poly_divmod(p, q, eps=None):
         if c != 0:
             for j in range(dq + 1):
                 rem[k + j] -= c * q[j]
-    return poly_trim(quot, eps), poly_trim(rem, eps)
+    return poly_trim(quot), poly_trim(rem)
 
 
-def poly_monic(p, eps=None):
-    p = poly_trim(p, eps)
+def poly_monic(p):
+    p = poly_trim(p)
     lead = p[-1]
     return [c / lead for c in p]
 
 
-def poly_gcd(p, q, eps=None):
+def poly_gcd(p, q):
     """Monic gcd over the rationals (Euclid)."""
-    a, b = poly_trim(p, eps), poly_trim(q, eps)
-    while not (len(b) == 1 and is_zero(b[0], eps)):
-        _, r = poly_divmod(a, b, eps)
+    a, b = poly_trim(p), poly_trim(q)
+    while not (len(b) == 1 and is_zero(b[0])):
+        _, r = poly_divmod(a, b)
         a, b = b, r
-    return poly_monic(a, eps)
+    return poly_monic(a)
 
 
-def poly_lcm(p, q, eps=None):
-    g = poly_gcd(p, q, eps)
-    quot, rem = poly_divmod(poly_mul(p, q), g, eps)
-    assert poly_deg(poly_trim(rem, eps)) == 0 and is_zero(rem[0], eps)
-    return poly_monic(quot, eps)
+def poly_lcm(p, q):
+    g = poly_gcd(p, q)
+    quot, rem = poly_divmod(poly_mul(p, q), g)
+    assert poly_deg(poly_trim(rem)) == 0 and is_zero(rem[0])
+    return poly_monic(quot)
 
 
 def poly_deriv(p):
@@ -428,7 +425,7 @@ def charpoly(m):
     return coeffs
 
 
-def minpoly(m, eps=None):
+def minpoly(m):
     """Minimal polynomial (monic) via Krylov chains; exact on Fractions."""
     n = len(m)
     kind = matrix_kind(m)
@@ -441,26 +438,26 @@ def minpoly(m, eps=None):
         krylov = [v]
         while True:
             w = mat_vec(m, krylov[-1])
-            sol = solve_general(transpose(krylov), w, eps)
+            sol = solve_general(transpose(krylov), w)
             if sol is not None:
                 ann = [-c for c in sol] + [one(kind)]
-                result = poly_lcm(result, poly_trim(ann, eps), eps)
+                result = poly_lcm(result, poly_trim(ann))
                 break
             krylov.append(w)
     return result
 
 
-def sturm_distinct_real_roots(p, eps=None) -> int:
+def sturm_distinct_real_roots(p) -> int:
     """Number of distinct real roots of p (exact coefficients)."""
-    p = poly_trim(p, eps)
+    p = poly_trim(p)
     if poly_deg(p) == 0:
         return 0
-    sf, _ = poly_divmod(p, poly_gcd(p, poly_deriv(p), eps), eps)
-    chain = [poly_trim(sf, eps), poly_trim(poly_deriv(sf), eps)]
-    while poly_deg(chain[-1]) > 0 or not is_zero(chain[-1][0], eps):
-        _, r = poly_divmod(chain[-2], chain[-1], eps)
-        r = poly_trim(r, eps)
-        if len(r) == 1 and is_zero(r[0], eps):
+    sf, _ = poly_divmod(p, poly_gcd(p, poly_deriv(p)))
+    chain = [poly_trim(sf), poly_trim(poly_deriv(sf))]
+    while poly_deg(chain[-1]) > 0 or not is_zero(chain[-1][0]):
+        _, r = poly_divmod(chain[-2], chain[-1])
+        r = poly_trim(r)
+        if len(r) == 1 and is_zero(r[0]):
             break
         chain.append([-c for c in r])
 
@@ -473,15 +470,15 @@ def sturm_distinct_real_roots(p, eps=None) -> int:
     for q in chain:
         lead = q[-1]
         d = len(q) - 1
-        s = 0 if is_zero(lead, eps) else (1 if lead > 0 else -1)
+        s = 0 if is_zero(lead) else (1 if lead > 0 else -1)
         at_pos.append(s)
         at_neg.append(s if d % 2 == 0 else -s)
     return sign_changes(at_neg) - sign_changes(at_pos)
 
 
-def poly_square_root(p, eps=None):
+def poly_square_root(p):
     """s with s^2 = p for monic p of even degree, else None (exact path)."""
-    p = poly_trim(p, eps)
+    p = poly_trim(p)
     d2 = poly_deg(p)
     if d2 % 2 != 0 or p[-1] != 1:
         return None

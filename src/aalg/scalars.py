@@ -4,9 +4,13 @@ Two scalar kinds exist and are never mixed inside one container:
 
 * ``exact`` -- :class:`fractions.Fraction`; used on classification paths,
   where the claims are equalities and rounding is not acceptable;
-* ``float`` -- IEEE doubles, compared against a single tolerance epsilon
-  (default ``1e-9``, overridable per call and via the ``AALG_EPSILON``
-  environment variable for one CLI call).
+* ``float`` -- IEEE doubles, compared against one tolerance: the
+  context-local :func:`current_eps`, which is ``DEFAULT_EPS`` unless a
+  ``with tolerance(eps):`` block (or ``AALG_EPSILON`` for one CLI call)
+  sets another for the current thread or task until the block exits.
+  No function takes a tolerance argument.  A value cached on an object
+  (``HermitianStructure`` results, ``LieAlgebra.coframe_differentials``)
+  keeps the tolerance in force when it was first computed.
 
 Float spectra are clustered by one rule, with the tolerance
 ``1e3 eps max(1, max |lambda|)``; :func:`aalg.lattice.eigen_clusters` is
@@ -19,6 +23,9 @@ Integers are accepted everywhere and coerced to Fractions.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
+from decimal import Decimal
 from fractions import Fraction
 
 EXACT = "exact"
@@ -26,9 +33,22 @@ FLOAT = "float"
 
 DEFAULT_EPS = 1e-9
 
+_EPS = ContextVar("aalg_eps", default=DEFAULT_EPS)
 
-def resolve_eps(eps=None) -> float:
-    return DEFAULT_EPS if eps is None else float(eps)
+
+def current_eps() -> float:
+    """The float tolerance in force in this context."""
+    return _EPS.get()
+
+
+@contextmanager
+def tolerance(eps):
+    """Compare floats against ``eps`` inside the ``with`` block."""
+    token = _EPS.set(float(eps))
+    try:
+        yield
+    finally:
+        _EPS.reset(token)
 
 
 def kind_of(x) -> str:
@@ -63,14 +83,10 @@ def one(kind: str):
     return Fraction(1) if kind == EXACT else 1.0
 
 
-def is_zero(x, eps=None) -> bool:
+def is_zero(x) -> bool:
     if isinstance(x, (Fraction, int)):
         return x == 0
-    return abs(x) <= resolve_eps(eps)
-
-
-def eq(x, y, eps=None) -> bool:
-    return is_zero(x - y, eps)
+    return abs(x) <= _EPS.get()
 
 
 def exact_sqrt(q):
@@ -104,4 +120,10 @@ def fmt(x) -> str:
         return f"{x.numerator}/{x.denominator}"
     if isinstance(x, int):
         return str(x)
-    return repr(x)
+    text = repr(x)
+    if "e" in text:
+        # the grammar has no exponent: write the same digits positionally
+        text = format(Decimal(text), "f")
+        if "." not in text:
+            text += ".0"
+    return text

@@ -1,6 +1,7 @@
 """CLI surface: exit codes, JSON schema, determinism."""
 
 import json
+import threading
 
 import pytest
 
@@ -9,6 +10,7 @@ from aalg.cli import main
 from aalg.documents import parse, to_metric
 from aalg.hermitian import HermitianStructure
 from aalg.documents import to_algebra, to_complex_structure
+from aalg.almost_abelian import extract_data, is_kahler_data
 
 
 B2_GPRIME = """algebra b2 dim 6
@@ -165,13 +167,53 @@ def test_lchk_malformed_matrix_is_input_error(tmp_path, capsys, spec):
 
 def test_aalg_epsilon_sets_the_tolerance_for_one_call(docs, capsys, monkeypatch):
     argv = ["check", docs["aff2p"], "--property", "kahler", "--json"]
-    before = scalars.DEFAULT_EPS
+    before = scalars.current_eps()
     code, rep = run_json(capsys, argv)
     assert code == 0 and rep["results"]["kahler"]["direct"] is False
     monkeypatch.setenv("AALG_EPSILON", "1e-3")
     code, rep = run_json(capsys, argv)
     assert code == 0 and rep["results"]["kahler"]["direct"] is True
-    assert scalars.DEFAULT_EPS == before
+    assert scalars.current_eps() == before == scalars.DEFAULT_EPS
+
+
+def aff2_perturbed_kahler():
+    """(direct, data) Kahler verdicts of AFF2_PERTURBED, every object
+    built under the tolerance in force."""
+    doc = parse(AFF2_PERTURBED)
+    L, J, g = to_algebra(doc), to_complex_structure(doc), to_metric(doc)
+    H = HermitianStructure(L, J, g)
+    return H.is_kahler_direct(), is_kahler_data(extract_data(L, None, J, g))
+
+
+def test_tolerance_block_decides_both_routes():
+    with scalars.tolerance(1e-3):
+        assert aff2_perturbed_kahler() == (True, True)
+    assert aff2_perturbed_kahler() == (False, False)
+
+
+def test_tolerance_block_stays_in_its_thread():
+    entered, other_done = threading.Event(), threading.Event()
+    verdicts = {}
+
+    def loose():
+        with scalars.tolerance(1e-3):
+            entered.set()
+            # decide while the other thread runs at the default tolerance
+            assert other_done.wait(60)
+            verdicts["loose"] = aff2_perturbed_kahler()
+
+    def default():
+        assert entered.wait(60)
+        verdicts["default"] = aff2_perturbed_kahler()
+        other_done.set()
+
+    threads = [threading.Thread(target=loose), threading.Thread(target=default)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(60)
+        assert not t.is_alive()
+    assert verdicts == {"loose": (True, True), "default": (False, False)}
 
 
 def test_aalg_epsilon_bad_value(capsys, monkeypatch):

@@ -114,6 +114,19 @@ def test_render_parse_identity_examples():
         assert render(parse(render(doc))) == render(doc)
 
 
+@pytest.mark.parametrize("x", [1e-7, 1e-12, -3.5e-5, 1e20])
+def test_render_parse_roundtrip_float_magnitudes(x):
+    """Floats render as positional decimals: the grammar has no exponent,
+    and repr(1e-7) is '1e-07'."""
+    rows = [[1.0 if i == j else 0.0 for j in range(4)] for i in range(4)]
+    rows[0][1] = rows[1][0] = x
+    doc = AlgebraDocument(
+        name="fl", dim=4, params={"p": x},
+        differential=((Term(1, 2, x, None),), (Term(1, 2, F(1), "p"),), (), ()),
+        g_spec=("matrix", tuple(tuple(row) for row in rows)), kind=FLOAT)
+    assert parse(render(doc)) == doc
+
+
 @st.composite
 def documents(draw):
     dim = draw(st.sampled_from([4, 6]))

@@ -4,6 +4,7 @@ import math
 import random
 
 from aalg.forms import KForm, wedge
+from aalg.scalars import tolerance
 from aalg.hermitian import ComplexStructure, HermitianStructure, Metric
 from aalg.lie import LieAlgebra
 from aalg.almost_abelian import (build_algebra, extract_data, is_lcb_data,
@@ -32,7 +33,8 @@ def test_float_closed_formulas_match_oracle():
         oracle = H.bismut_ricci_oracle()
         diff = closed - oracle
         assert all(abs(x) <= 1e-8 for x in diff.coeffs.values())
-        assert lee_form_closed(df).equals(H.lee_form(), 1e-8)
+        with tolerance(1e-8):
+            assert lee_form_closed(df).equals(H.lee_form())
 
 
 def test_float_predicates_agree_with_exact():
@@ -59,8 +61,9 @@ def test_float_wedge_properties():
                                     for _ in range(2)})
         a, b, c = rand_form(1), rand_form(2), rand_form(1)
         sign = (-1.0) ** (a.degree * b.degree)
-        assert wedge(a, b).equals(wedge(b, a).scale(sign), 1e-9)
-        assert wedge(wedge(a, b), c).equals(wedge(a, wedge(b, c)), 1e-9)
+        with tolerance(1e-9):
+            assert wedge(a, b).equals(wedge(b, a).scale(sign))
+            assert wedge(wedge(a, b), c).equals(wedge(a, wedge(b, c)))
 
 
 def test_float_wedge_tolerant_equality():
@@ -70,8 +73,10 @@ def test_float_wedge_tolerant_equality():
     wp = wedge(a, b)
     shifted = KForm(3, 4, {k: v + 1e-12 for k, v in w.coeffs.items()})
     assert w.equals(wp)
-    assert w.equals(shifted, 1e-9)
-    assert not w.equals(shifted, 1e-14)
+    with tolerance(1e-9):
+        assert w.equals(shifted)
+    with tolerance(1e-14):
+        assert not w.equals(shifted)
 
 
 def test_float_jacobi_tolerance():

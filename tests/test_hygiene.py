@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module imports is used in that module."""
+"""Source hygiene: every name a module imports is used in that module, and
+the float tolerance has one source (``scalars.current_eps``)."""
 
 import ast
 from pathlib import Path
@@ -30,3 +31,38 @@ def unused_imports(path):
 def test_no_unused_imports():
     unused = [hit for path in SOURCES for hit in unused_imports(path)]
     assert not unused, "imported but never used:\n" + "\n".join(unused)
+
+
+def tolerance_knobs(path):
+    """'file:line: ...' for each function parameter named eps in the package
+    and each assignment to DEFAULT_EPS (setattr included); scalars.py, the
+    home of the tolerance, is exempt."""
+    if path.name == "scalars.py":
+        return []
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    rel = path.relative_to(ROOT)
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+            if "src" in rel.parts and any(x is not None and x.arg == "eps" for x in params):
+                hits.append(f"{rel}:{node.lineno}: parameter eps")
+        targets = []
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        names = {t.id if isinstance(t, ast.Name) else t.attr
+                 for target in targets for t in ast.walk(target)
+                 if isinstance(t, (ast.Name, ast.Attribute))}
+        if isinstance(node, ast.Call):
+            names |= {c.value for c in node.args if isinstance(c, ast.Constant)}
+        if "DEFAULT_EPS" in names:
+            hits.append(f"{rel}:{node.lineno}: writes DEFAULT_EPS")
+    return hits
+
+
+def test_one_source_of_the_float_tolerance():
+    hits = [hit for path in SOURCES for hit in tolerance_knobs(path)]
+    assert not hits, "use scalars.tolerance instead:\n" + "\n".join(hits)
