@@ -11,18 +11,24 @@ Conventions, fixed package-wide and spelled out in the README:
   the unique sign for which D^B g = 0, D^B J = 0 and the torsion is a
   3-form under the two conventions above;
 * Bismut-Ricci  rho^B(X, Y) = -1/2 sum_i g(R^B(X, Y) f_i, J f_i) over a
-  g-orthonormal frame, evaluated basis-free as a trace against g^{-1}.
+  g-orthonormal frame, evaluated basis-free as -1/2 tr(W R(e_i, e_j)) with
+  W = g^{-1} J^t g.  The trace is expanded as
+  tr(P_i G_j) - tr(P_j G_i) - sum_t c^t_ij tr(P_t) with P_i = W G_i for the
+  Bismut tables G_i, so no curvature matrix is formed: n products and
+  O(n^2) trace sums per pair, O(n^4) in all.
 
-Integrability, connection tables and wedge powers are computed once per
-structure and cached on the instance (under the tolerance in force at
+Connection tables and wedge powers are computed once per structure and
+cached on the instance, the integrability of J once per algebra and the
+metric's inverse once per metric (each under the tolerance in force at
 that first call); instances are otherwise immutable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .scalars import EXACT, coerce, is_zero, one
+from .scalars import EXACT, coerce, is_zero, one, zero
 from . import linalg
 from .forms import (KForm, exterior_derivative, pullback, sort_indices, wedge,
                     wedge_power)
@@ -97,6 +103,12 @@ class Metric:
     def matrix(self):
         return [list(row) for row in self.g]
 
+    @cached_property
+    def inverse(self):
+        """g^{-1} as a tuple of rows (None when singular), computed once."""
+        inv = linalg.inverse(self.matrix)
+        return None if inv is None else tuple(tuple(row) for row in inv)
+
 
 class HermitianStructure:
     """A Lie algebra with a compatible (J, g); omega = g(J., .)."""
@@ -139,7 +151,7 @@ class HermitianStructure:
         return nijenhuis(self.J, self.L)
 
     def is_integrable(self) -> bool:
-        return self._memo("integrable", lambda: is_integrable(self.J, self.L))
+        return is_integrable(self.J, self.L)
 
     def _require_integrable(self):
         if not self.is_integrable():
@@ -218,8 +230,7 @@ class HermitianStructure:
         self._require_integrable()
         lc = self.levi_civita()
         n2 = self.dim
-        gm = self.g.matrix
-        ginv = linalg.inverse(gm)
+        ginv = self.g.inverse
         jm = self.J.matrix
         sigma = pullback(self.domega(), jm)  # sigma(X,Y,Z) = domega(JX,JY,JZ)
         half = coerce(1, self.L.kind) / 2
@@ -261,16 +272,21 @@ class HermitianStructure:
     def _compute_rho(self):
         gamma = self.bismut_connection()
         gm = self.g.matrix
-        jm = self.J.matrix
-        ginv = linalg.inverse(gm)
-        weight = linalg.mat_mul(ginv, linalg.mat_mul(linalg.transpose(jm), gm))
+        weight = linalg.mat_mul(self.g.inverse,
+                                linalg.mat_mul(linalg.transpose(self.J.matrix), gm))
+        # tr(W R(e_i, e_j)) = tr(P_i G_j) - tr(P_j G_i) - sum_t c^t_ij tr(P_t)
+        p = [linalg.mat_mul(weight, gi) for gi in gamma]
+        tau = [linalg.trace(pi) for pi in p]
         n2 = self.dim
         half = coerce(1, self.L.kind) / 2
         coeffs = {}
         for i in range(n2):
             for j in range(i + 1, n2):
-                r = curvature_operator(gamma, self.L, i, j)
-                val = -half * linalg.trace(linalg.mat_mul(weight, r))
+                val = linalg.trace_product(p[i], gamma[j]) - linalg.trace_product(p[j], gamma[i])
+                for t, c in enumerate(self.L.brackets.get((i, j), ())):
+                    if not is_zero(c):
+                        val -= c * tau[t]
+                val = -half * val
                 if not is_zero(val):
                     coeffs[(i, j)] = val
         return KForm(2, n2, coeffs, kind=self.L.kind)
@@ -296,31 +312,31 @@ def nijenhuis(J: ComplexStructure, L: LieAlgebra):
 
 
 def is_integrable(J: ComplexStructure, L: LieAlgebra) -> bool:
-    return all(linalg.is_zero_vector(v) for v in nijenhuis(J, L).values())
+    """N_J = 0, decided once per J and cached on L."""
+    return L.memo(("integrable", J.J), lambda: all(
+        linalg.is_zero_vector(v) for v in nijenhuis(J, L).values()))
 
 
 def levi_civita(L: LieAlgebra, g: Metric):
     """Koszul connection on left-invariant fields; Gamma[i] maps Y to D_{e_i}Y."""
-    gm = g.matrix
-    ginv = linalg.inverse(gm)
+    ginv = g.inverse
     if ginv is None:
         raise HermitianError("NOT_POSITIVE_DEFINITE", "metric is degenerate")
     n = L.dim
     kind = L.kind
     half = coerce(1, kind) / 2
-    # g(u, e_l) = u . (column l of G); on the float path G is symmetric
-    # only within eps, so the column, not the row
-    gcols = linalg.transpose(gm)
+    # low[i][j][l] = g([e_i, e_j], e_l) = [e_i, e_j] . (column l of G), one
+    # row per nonzero bracket; on the float path G is symmetric only within
+    # eps, so the column, not the row
+    gcols = linalg.transpose(g.matrix)
+    low = [[[zero(kind)] * n] * n for _ in range(n)]
+    for (i, j), vec in L.brackets.items():
+        low[i][j] = [linalg.dot(vec, col) for col in gcols]
+        low[j][i] = [-x for x in low[i][j]]
     gammas = []
     for i in range(n):
-        lower = linalg.zeros(n, n, kind)
-        for j in range(n):
-            bij = L.basis_bracket(i, j)
-            for l in range(n):
-                val = linalg.dot(bij, gcols[l])
-                val -= linalg.dot(L.basis_bracket(j, l), gcols[i])
-                val += linalg.dot(L.basis_bracket(l, i), gcols[j])
-                lower[l][j] = half * val
+        lower = [[half * (low[i][j][l] - low[j][l][i] + low[l][i][j]) for j in range(n)]
+                 for l in range(n)]
         gammas.append(linalg.mat_mul(ginv, lower))
     return gammas
 

@@ -63,7 +63,7 @@ class LieAlgebra:
                 clean[(j, i)] = [-x for x in vec]
         self.kind = k if k is not None else EXACT
         self.brackets = clean
-        self._coframe_diff = None
+        self._cache = {}
         if not _validated:
             self._check_jacobi()
 
@@ -177,18 +177,18 @@ class LieAlgebra:
         basis = linalg.column_space_basis(vecs)
         return Subspace(len(basis), tuple(tuple(v) for v in basis))
 
+    def memo(self, key, compute):
+        """compute() once per key for this algebra, then the cached value."""
+        if key not in self._cache:
+            self._cache[key] = compute()
+        return self._cache[key]
+
     def coframe_differentials(self):
         """de^k as 2-forms, cached; de^k(e_i, e_j) = -c^k_{ij}."""
-        if self._coframe_diff is None:
-            diffs = []
-            for k in range(self.dim):
-                coeffs = {}
-                for (i, j), vec in self.brackets.items():
-                    if not is_zero(vec[k]):
-                        coeffs[(i, j)] = -vec[k]
-                diffs.append(KForm(2, self.dim, coeffs, kind=self.kind))
-            self._coframe_diff = tuple(diffs)
-        return self._coframe_diff
+        return self.memo("coframe", lambda: tuple(
+            KForm(2, self.dim, {key: -vec[k] for key, vec in self.brackets.items()
+                                if not is_zero(vec[k])}, kind=self.kind)
+            for k in range(self.dim)))
 
     def change_basis(self, s):
         """Algebra in the new basis b_j = sum_i s[i][j] e_i."""
@@ -207,11 +207,6 @@ class LieAlgebra:
 
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim}, nnz={len(self.brackets)}, kind={self.kind})"
-
-
-def validate(tensor) -> LieAlgebra:
-    """Tensor-input constructor: antisymmetry plus Jacobi, with witnesses."""
-    return LieAlgebra.from_tensor(tensor)
 
 
 def find_codim1_abelian_ideal(L: LieAlgebra):

@@ -89,11 +89,24 @@ def mat_scale(s, a):
 
 
 def mat_mul(a, b):
+    """a b as sums of the rows of b, skipping zero entries of a.
+
+    Each entry adds its nonzero terms in the order of the dense sum, so
+    float results are bit-identical to it; integer entries give Fractions.
+    """
     k = len(b)
     if any(len(row) != k for row in a):
         raise LinAlgError("inner dimension mismatch")
-    bt = list(zip(*b))
-    return [[sum(ra[t] * bc[t] for t in range(k)) for bc in bt] for ra in a]
+    z = zero(matrix_kind(a))
+    width = len(b[0]) if b else 0
+    out = []
+    for ra in a:
+        row = [z] * width
+        for x, rb in zip(ra, b):
+            if x != 0:
+                row = [s + x * y for s, y in zip(row, rb)]
+        out.append(row)
+    return out
 
 
 def mat_vec(a, v):
@@ -129,6 +142,15 @@ def transpose(a):
 
 def trace(a):
     return sum(a[i][i] for i in range(len(a)))
+
+
+def trace_product(a, b):
+    """tr(a b) in O(n^2), without forming a b; equal to trace(mat_mul(a, b))."""
+    z = zero(matrix_kind(a))
+    acc = z
+    for r, ra in enumerate(a):
+        acc += sum((x * b[t][r] for t, x in enumerate(ra) if x != 0), z)
+    return acc
 
 
 def commutator(a, b):

@@ -39,6 +39,13 @@ J: f1->f2, f3->f4
 g: identity
 """
 
+# g4 with a J that pairs f2 with f3 inside the ideal: N_J != 0
+NOT_INTEGRABLE = """algebra g4bad dim 6
+d = (f16, f26, f36, f46, 0, 0)
+J: f1->f6, f2->f3, f4->f5
+g: identity
+"""
+
 NOT_ALMOST_ABELIAN = """algebra so3R dim 4
 d = (f23, -f13, f12, 0)
 J: f1->f2, f3->f4
@@ -50,7 +57,8 @@ g: identity
 def docs(tmp_path):
     paths = {}
     for name, text in (("b2p", B2_GPRIME), ("s4", S4), ("l1u", L1_UNIMODULAR),
-                       ("aff2p", AFF2_PERTURBED), ("so3", NOT_ALMOST_ABELIAN)):
+                       ("aff2p", AFF2_PERTURBED), ("so3", NOT_ALMOST_ABELIAN),
+                       ("g4bad", NOT_INTEGRABLE)):
         p = tmp_path / f"{name}.alg"
         p.write_text(text, encoding="utf-8")
         paths[name] = str(p)
@@ -134,6 +142,22 @@ def test_rho_b_mismatch_exits_2(tmp_path, capsys, monkeypatch, a):
     code, rep = run_json(capsys, ["rho-b", str(path), "--json"])
     assert code == 2
     assert rep["residual"] == 1.0
+
+
+@pytest.mark.parametrize("command", ["check", "rho-b"])
+def test_integrability_decided_once_per_document(docs, capsys, monkeypatch, command):
+    """The Nijenhuis tensor is evaluated once per document, however many
+    routes ask; a non-integrable J is still rejected with exit code 2."""
+    from aalg import hermitian
+    real = hermitian.nijenhuis
+    calls = []
+    monkeypatch.setattr(hermitian, "nijenhuis", lambda J, L: calls.append(1) or real(J, L))
+    code, _ = run_json(capsys, [command, docs["b2p"], "--json"])
+    assert code == 0 and len(calls) == 1
+    assert main([command, docs["g4bad"], "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "rejected: J is not integrable\n"
 
 
 def test_lchk_id3(capsys):

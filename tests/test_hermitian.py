@@ -7,11 +7,12 @@ import pytest
 
 from aalg import linalg
 from aalg.forms import KForm, exterior_derivative, wedge
+from aalg.scalars import coerce, is_zero
 from aalg.hermitian import (ComplexStructure, HermitianError, HermitianStructure,
                             Metric, connection_preserves_metric,
-                            connection_preserves_tensor, is_integrable,
-                            levi_civita, nijenhuis, torsion_is_totally_skew,
-                            torsion_tensor)
+                            connection_preserves_tensor, curvature_operator,
+                            is_integrable, levi_civita, nijenhuis,
+                            torsion_is_totally_skew, torsion_tensor)
 from aalg.lie import LieAlgebra
 from aalg.almost_abelian import build_algebra, standard_j1
 
@@ -227,3 +228,75 @@ def test_lee_form_defining_equation():
         n = H.n
         om = H.omega_power(n - 1)
         assert exterior_derivative(om, L) == wedge(H.lee_form(), om)
+
+
+def _transported(L, J, g, rng):
+    """The same structure in a basis b_j = sum_i s[i][j] e_i, s a product
+    of rational shears, so that g is no longer the identity."""
+    n = L.dim
+    s = linalg.idmat(n)
+    for _ in range(n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice([F(1), F(-1), F(1, 2)])
+        for r in range(n):
+            s[r][i] += c * s[r][j]
+    sinv = linalg.inverse(s)
+    jm = linalg.mat_mul(sinv, linalg.mat_mul(J.matrix, s))
+    gm = linalg.mat_mul(linalg.transpose(s), linalg.mat_mul(g.matrix, s))
+    return L.change_basis(s), ComplexStructure.from_matrix(jm), Metric.from_matrix(gm)
+
+
+def _float_structure(L, J, g):
+    return HermitianStructure(
+        LieAlgebra(L.dim, {k: [float(x) for x in v] for k, v in L.brackets.items()}),
+        ComplexStructure.from_matrix([[float(x) for x in row] for row in J.matrix]),
+        Metric.from_matrix([[float(x) for x in row] for row in g.matrix]))
+
+
+def _literal_rho(H):
+    """-1/2 tr(W R(e_i, e_j)) for every pair, W = g^-1 J^t g, with the
+    curvature matrix R formed by its definition."""
+    gamma = H.bismut_connection()
+    gm = H.g.matrix
+    weight = linalg.mat_mul(linalg.inverse(gm),
+                            linalg.mat_mul(linalg.transpose(H.J.matrix), gm))
+    half = coerce(1, H.L.kind) / 2
+    return {(i, j): -half * linalg.trace(
+                linalg.mat_mul(weight, curvature_operator(gamma, H.L, i, j)))
+            for i in range(H.dim) for j in range(i + 1, H.dim)}
+
+
+def test_rho_oracle_is_the_literal_curvature_trace():
+    """The trace-form oracle equals -1/2 tr(W R) pair by pair: exactly on
+    rational structures at dims 4, 6, 8 (half of them in a basis with a
+    non-identity metric), within the default tolerance on float copies."""
+    rng = random.Random(41)
+    for k, d in enumerate(data_stream(42, 24, dims=(2, 3, 4))):
+        L, J, g = build_algebra(d.a, list(d.v), d.A_matrix, d.J1_matrix)
+        if k % 2:
+            L, J, g = _transported(L, J, g, rng)
+        H = HermitianStructure(L, J, g)
+        rho = H.bismut_ricci_oracle()
+        literal = _literal_rho(H)
+        assert all(rho.get(key) == val for key, val in literal.items())
+        assert set(rho.coeffs) <= set(literal)
+        Hf = _float_structure(L, J, g)
+        rho_f = Hf.bismut_ricci_oracle()
+        assert all(is_zero(rho_f.get(key) - val) for key, val in _literal_rho(Hf).items())
+        assert all(is_zero(rho_f.get(key) - float(val)) for key, val in literal.items())
+
+
+def test_oracle_product_count_grows_linearly(monkeypatch):
+    """One bismut_ricci_oracle() makes O(n) matrix products: a dense
+    product per pair (O(n^2) of them) would break the ratio below."""
+    counts = {}
+    for n in (4, 6):
+        d = data_stream(43, 1, dims=(n,))[0]
+        H = HermitianStructure(*build_algebra(d.a, list(d.v), d.A_matrix, d.J1_matrix))
+        calls = []
+        real = linalg.mat_mul
+        with monkeypatch.context() as mp:
+            mp.setattr(linalg, "mat_mul", lambda a, b: calls.append(1) or real(a, b))
+            H.bismut_ricci_oracle()
+        counts[2 * n] = len(calls)
+    assert 0 < counts[12] * 8 <= counts[8] * 12, counts

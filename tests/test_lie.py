@@ -8,7 +8,7 @@ import pytest
 from aalg import linalg
 from aalg.forms import KForm, exterior_derivative
 from aalg.lie import (LieAlgebra, LieAlgebraError, Subspace,
-                      find_codim1_abelian_ideal, validate)
+                      find_codim1_abelian_ideal)
 
 
 def dense(dim, entries):
@@ -21,7 +21,7 @@ def dense(dim, entries):
 
 def test_validate_aff2_tuple():
     c = dense(4, {(0, 1, 0): -1, (1, 0, 0): 1})
-    L = validate(c)
+    L = LieAlgebra.from_tensor(c)
     assert L.dim == 4
     assert L.basis_bracket(0, 1) == [F(-1), F(0), F(0), F(0)]
 
@@ -29,7 +29,7 @@ def test_validate_aff2_tuple():
 def test_antisymmetry_violation():
     c = dense(3, {(0, 1, 2): 1, (1, 0, 2): 1})
     with pytest.raises(LieAlgebraError) as err:
-        validate(c)
+        LieAlgebra.from_tensor(c)
     assert err.value.code == "ANTISYMMETRY_VIOLATION"
 
 

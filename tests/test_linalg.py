@@ -143,3 +143,37 @@ def _greedy_column_basis(vectors):
     st.lists(st.integers(-2, 2).map(F), min_size=n, max_size=n), max_size=6)))
 def test_column_space_basis_matches_greedy(vectors):
     assert linalg.column_space_basis(vectors) == _greedy_column_basis(vectors)
+
+
+def _dense_mat_mul(a, b):
+    """Reference: the dense triple loop, every term summed in order."""
+    return [[sum(a[r][t] * b[t][c] for t in range(len(b))) for c in range(len(b[0]))]
+            for r in range(len(a))]
+
+
+def _same(x, y):
+    """Equal value and scalar type; floats bit for bit, zero signs included."""
+    return type(x) is type(y) and (repr(x) == repr(y) if isinstance(x, float) else x == y)
+
+
+def test_mat_mul_matches_dense_loop():
+    rng = random.Random(17)
+    pool = [F(0)] * 4 + [F(1), F(-1), F(1, 3), F(-5, 2)]
+    for shape in [(3, 3, 3), (2, 4, 3), (2, 4, 2), (4, 1, 2), (4, 1, 4), (1, 3, 5), (5, 5, 5)]:
+        r, k, c = shape
+        for _ in range(8):
+            a = [[rng.choice(pool) for _ in range(k)] for _ in range(r)]
+            b = [[rng.choice(pool) for _ in range(c)] for _ in range(k)]
+            a[rng.randrange(r)] = [F(0)] * k           # an all-zero row
+            cases = [(a, b), (linalg.zeros(r, k), b), (a, linalg.zeros(k, c))]
+            cases += [([[float(x) * 1.1 for x in row] for row in x],
+                       [[float(y) / 3 for y in row] for row in y]) for x, y in cases]
+            # signed float zeros on both sides
+            cases.append(([[-0.0] * k for _ in range(r)], [[-1.5] * c for _ in range(k)]))
+            for x, y in cases:
+                got, want = linalg.mat_mul(x, y), _dense_mat_mul(x, y)
+                assert len(got) == len(want)
+                assert all(len(gr) == len(wr) and all(map(_same, gr, wr))
+                           for gr, wr in zip(got, want))
+                if r == c:
+                    assert _same(linalg.trace_product(x, y), linalg.trace(linalg.mat_mul(x, y)))
