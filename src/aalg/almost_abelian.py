@@ -448,14 +448,14 @@ def skt_to_lcb(d: HermitianData) -> HermitianData:
         kind=kind)
 
 
-def skt_to_lcb_metric(L: LieAlgebra, J: ComplexStructure, g: Metric,
-                      d: HermitianData) -> Metric:
-    """The LCB metric produced by the rebasing, in ambient coordinates.
+def skt_to_lcb_metric(J: ComplexStructure, d: HermitianData,
+                      dprime: HermitianData) -> Metric:
+    """The LCB metric of the rebasing, in ambient coordinates, for the SKT
+    data ``d`` and ``dprime = skt_to_lcb(d)``.
 
     Writes v = (A - a)x + v', replaces b_1 by b_1 - X (X the ambient lift
     of x) and b_2n by J(b_1 - X), and declares the new frame orthonormal.
     """
-    dprime = skt_to_lcb(d)  # raises PRECONDITION unless d is SKT
     m = d.m
     kind = d.kind
     am = d.A_matrix

@@ -6,12 +6,11 @@ parameters and binds them to the first sample.  The entry adds
 constraints on the parameters, a unimodularity locus, and one or more
 witness recipes:
 
-* ``DataWitness`` -- adapted data (a, v, A, J1) plus an optional change of
-  basis (S, c) identifying the built algebra with the entry's own basis:
-  S ad_built S^-1 = c * ad_entry.  The Hermitian structure is transported
-  onto the entry algebra before any predicate is checked.
 * ``ExplicitWitness`` -- the J and g of the entry's manifest document,
-  on the entry basis; a witness may replace g by a metric of its own.
+  on the entry basis; a witness may replace g by a constant Gram matrix
+  of its own.
+* ``LchkWitness`` -- the LCHK admissibility and flatness claims of the
+  ad-matrix on the abelian ideal.
 
 verify_all instantiates every entry at several exact parameter samples,
 checks the witness claims through both the data-level and the direct-form
@@ -27,15 +26,13 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from importlib import resources
 
-from .scalars import EXACT
 from . import linalg
 
 from .documents import (AlgebraDocument, Term, parse_manifest, to_algebra,
                         to_complex_structure, to_ideal, to_metric)
-from .hermitian import ComplexStructure, HermitianStructure, Metric
+from .hermitian import HermitianStructure, Metric
 from .lie import LieAlgebra, Subspace, find_codim1_abelian_ideal
-from .almost_abelian import (DATA_PREDICATES, build_algebra, extract_data,
-                             standard_j1, lee_form_closed)
+from .almost_abelian import DATA_PREDICATES, extract_data, lee_form_closed
 from .lchk import construct_lchk, hyperkahler_flatness, lchk_admissible, verify_triple
 
 
@@ -49,17 +46,9 @@ F = Fraction
 
 
 @dataclass(frozen=True)
-class DataWitness:
-    label: str
-    data: object                      # params dict -> (a, v, A, J1)
-    basis_map: object = None          # params -> (S, c); None means identity
-    claims: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class ExplicitWitness:
     label: str
-    metric: object = None             # params -> Gram matrix; None = the document's g
+    metric: tuple | None = None       # Gram matrix; None = the document's g
     claims: dict = field(default_factory=dict)
 
 
@@ -132,49 +121,14 @@ def witness_structures(entry: CatalogEntry, params=None):
     params = dict(params or {})
     L = instantiate(entry, params)
     ideal = _ideal_subspace(entry, L)
+    J = to_complex_structure(entry.document)
     out = []
     for w in entry.witnesses:
         if isinstance(w, LchkWitness):
             continue
-        if isinstance(w, ExplicitWitness):
-            J = to_complex_structure(entry.document)
-            gm = to_metric(entry.document) if w.metric is None \
-                else Metric.from_matrix(w.metric(params))
-            H = HermitianStructure(L, J, gm)
-            d = extract_data(L, ideal, J, gm)
-            out.append((w.label, H, d, dict(w.claims)))
-            continue
-        a, v, A, J1 = w.data(params)
-        Lb, Jb, gb = build_algebra(a, v, A, J1)
-        if w.basis_map is None:
-            s = linalg.idmat(entry.dim - 1)
-            c = F(1)
-        else:
-            s, c = w.basis_map(params)
-        n2 = entry.dim
-        # certificate: S ad_built S^-1 = c * ad_entry on the ideal
-        db = _restrict_last(Lb)
-        de = _restrict_last(L)
-        lhs = linalg.mat_mul(s, db)
-        rhs = linalg.mat_scale(c, linalg.mat_mul(de, s))
-        if not linalg.mat_eq(lhs, rhs):
-            raise CatalogError(
-                "WITNESS_FAILURE",
-                f"{entry.name}/{w.label}: basis map does not conjugate the data")
-        phi = linalg.zeros(n2, n2, EXACT)
-        for i in range(n2 - 1):
-            for j in range(n2 - 1):
-                phi[i][j] = s[i][j]
-        phi[n2 - 1][n2 - 1] = c
-        phi_inv = linalg.inverse(phi)
-        jm = linalg.mat_mul(phi, linalg.mat_mul(Jb.matrix, phi_inv))
-        gm = linalg.mat_mul(linalg.transpose(phi_inv),
-                            linalg.mat_mul(gb.matrix, phi_inv))
-        J = ComplexStructure.from_matrix(jm)
-        gmd = Metric.from_matrix(gm)
-        H = HermitianStructure(L, J, gmd)
-        d = extract_data(L, ideal, J, gmd)
-        out.append((w.label, H, d, dict(w.claims)))
+        g = to_metric(entry.document) if w.metric is None else Metric.from_matrix(w.metric)
+        H = HermitianStructure(L, J, g)
+        out.append((w.label, H, extract_data(L, ideal, J, g), dict(w.claims)))
     return out
 
 
@@ -205,28 +159,6 @@ def check_witness(entry, label, H, d, claims):
 # entry definitions
 
 
-def _perm_basis_map(images, dim_n):
-    """S sending built frame vector t to entry basis vector images[t] (0-based)."""
-    s = linalg.zeros(dim_n, dim_n, EXACT)
-    for t, i in enumerate(images):
-        s[i][t] = F(1)
-    return s
-
-
-def _a4_j1(m):
-    """Pairs (eps_1, eps_3), (eps_2, eps_4): the A_4-compatible pairing."""
-    pairs = [(0, 2), (1, 3)]
-    return ComplexStructure.from_pairs(m, pairs).matrix
-
-
-def _rotmat(p, q, r, s):
-    return [[p, q], [r, s]]
-
-
-def _diag(*vals):
-    return linalg.block_diag([[[v]] for v in vals])
-
-
 ENTRIES = {}
 
 
@@ -243,10 +175,8 @@ _register(
     constraints=lambda pr: pr["p"] != 0, constraint_text="p != 0",
     samples=({"p": F(-1, 4)}, {"p": F(1, 2)}, {"p": F(2)}),
     unimodular_locus=lambda pr: 1 + 4 * pr["p"] == 0,
-    witnesses=(DataWitness(
+    witnesses=(ExplicitWitness(
         label="lck",
-        data=lambda pr: (F(1), [0, 0, 0, 0], _diag(pr["p"], pr["p"], pr["p"], pr["p"]),
-                         standard_j1(4)),
         claims={"lck": True, "kahler": False, "balanced": False, "lcb": True}),),
 )
 
@@ -255,12 +185,8 @@ _register(
     constraints=lambda pr: pr["p"] * pr["q"] != 0, constraint_text="pq != 0",
     samples=({"p": F(-1), "q": F(1, 4)}, {"p": F(1), "q": F(1)}, {"p": F(1), "q": F(-1, 2)}),
     unimodular_locus=lambda pr: pr["p"] + 4 * pr["q"] == 0,
-    witnesses=(DataWitness(
+    witnesses=(ExplicitWitness(
         label="lck",
-        data=lambda pr: (pr["p"], [0, 0, 0, 0],
-                         linalg.block_diag([_diag(pr["q"], pr["q"]),
-                                            _rotmat(pr["q"], F(1), F(-1), pr["q"])]),
-                         standard_j1(4)),
         claims={"lck": True, "kahler": False, "balanced": False, "lcb": True}),),
 )
 
@@ -272,26 +198,18 @@ _register(
              {"p": F(1), "q": F(1, 2), "r": F(2)},
              {"p": F(1), "q": F(1), "r": F(-1)}),
     unimodular_locus=lambda pr: pr["p"] + 4 * pr["q"] == 0,
-    witnesses=(DataWitness(
+    witnesses=(ExplicitWitness(
         label="lck",
-        data=lambda pr: (pr["p"], [0, 0, 0, 0],
-                         linalg.block_diag([_rotmat(pr["q"], F(1), F(-1), pr["q"]),
-                                            _rotmat(pr["q"], pr["r"], -pr["r"], pr["q"])]),
-                         standard_j1(4)),
         claims={"lck": True, "kahler": False, "balanced": False, "lcb": True}),),
     notes="label parameters read as (p, q, r); r is the live rotation parameter",
 )
-
-_G4_IMAGES = [4, 0, 1, 2, 3]  # built (e1, u1..u4) -> entry basis (f5, f1, f2, f3, f4)
 
 _register(
     "g4",
     samples=({},),
     unimodular_locus=None,
-    witnesses=(DataWitness(
+    witnesses=(ExplicitWitness(
         label="lck",
-        data=lambda pr: (F(0), [0, 0, 0, 0], _diag(1, 1, 1, 1), standard_j1(4)),
-        basis_map=lambda pr: (_perm_basis_map(_G4_IMAGES, 5), F(1)),
         claims={"lck": True, "kahler": False, "balanced": False, "lcb": True}),),
 )
 
@@ -300,12 +218,8 @@ _register(
     constraints=lambda pr: pr["r"] != 0, constraint_text="r != 0",
     samples=({"r": F(1)}, {"r": F(-1, 2)}, {"r": F(2)}),
     unimodular_locus=None,
-    witnesses=(DataWitness(
+    witnesses=(ExplicitWitness(
         label="lck",
-        data=lambda pr: (F(0), [0, 0, 0, 0],
-                         linalg.block_diag([_diag(1, 1), _rotmat(F(1), pr["r"], -pr["r"], F(1))]),
-                         standard_j1(4)),
-        basis_map=lambda pr: (_perm_basis_map(_G4_IMAGES, 5), F(1)),
         claims={"lck": True, "kahler": False, "balanced": False, "lcb": True}),),
 )
 
@@ -314,13 +228,8 @@ _register(
     constraints=lambda pr: pr["p"] * pr["r"] != 0, constraint_text="pr != 0",
     samples=({"p": F(1), "r": F(1)}, {"p": F(-1, 2), "r": F(2)}, {"p": F(1, 4), "r": F(-1)}),
     unimodular_locus=None,
-    witnesses=(DataWitness(
+    witnesses=(ExplicitWitness(
         label="lck",
-        data=lambda pr: (F(0), [0, 0, 0, 0],
-                         linalg.block_diag([_rotmat(pr["p"], F(1), F(-1), pr["p"]),
-                                            _rotmat(pr["p"], pr["r"], -pr["r"], pr["p"])]),
-                         standard_j1(4)),
-        basis_map=lambda pr: (_perm_basis_map(_G4_IMAGES, 5), F(1)),
         claims={"lck": True, "kahler": False, "balanced": False, "lcb": True}),),
 )
 
@@ -332,10 +241,8 @@ _register(
     constraint_text="pq != 0, p != +-q (the stated pr != 0 read as pq != 0)",
     samples=({"p": F(1), "q": F(-3, 2)}, {"p": F(1, 2), "q": F(-1)}, {"p": F(2), "q": F(1)}),
     unimodular_locus=lambda pr: 1 + 2 * pr["p"] + 2 * pr["q"] == 0,
-    witnesses=(DataWitness(
+    witnesses=(ExplicitWitness(
         label="lcb",
-        data=lambda pr: (F(1), [0, 0, 0, 0],
-                         _diag(pr["p"], pr["p"], pr["q"], pr["q"]), standard_j1(4)),
         claims={"lcb": True, "balanced": False, "lck": False}),),
 )
 
@@ -344,14 +251,8 @@ _register(
     constraints=lambda pr: pr["p"] != 0, constraint_text="p != 0",
     samples=({"p": F(-1, 4)}, {"p": F(1)}, {"p": F(1, 2)}),
     unimodular_locus=lambda pr: 1 + 4 * pr["p"] == 0,
-    witnesses=(DataWitness(
+    witnesses=(ExplicitWitness(
         label="lcb",
-        data=lambda pr: (F(1), [0, 0, 0, 0],
-                         [[pr["p"], F(1), F(0), F(0)],
-                          [F(0), pr["p"], F(0), F(0)],
-                          [F(0), F(0), pr["p"], F(1)],
-                          [F(0), F(0), F(0), pr["p"]]],
-                         _a4_j1(4)),
         claims={"lcb": True, "balanced": False, "lck": False}),),
 )
 
@@ -363,12 +264,8 @@ _register(
              {"p": F(2), "q": F(-1), "r": F(0)},
              {"p": F(1), "q": F(1, 2), "r": F(2)}),
     unimodular_locus=lambda pr: pr["p"] + 2 * pr["q"] + 2 * pr["r"] == 0,
-    witnesses=(DataWitness(
+    witnesses=(ExplicitWitness(
         label="lcb",
-        data=lambda pr: (pr["p"], [0, 0, 0, 0],
-                         linalg.block_diag([_diag(pr["q"], pr["q"]),
-                                            _rotmat(pr["r"], F(1), F(-1), pr["r"])]),
-                         standard_j1(4)),
         claims={"lcb": True, "balanced": False}),),
 )
 
@@ -381,12 +278,8 @@ _register(
              {"p": F(2), "q": F(-1), "r": F(0), "s": F(1, 2)},
              {"p": F(1), "q": F(1, 2), "r": F(2), "s": F(-1)}),
     unimodular_locus=lambda pr: pr["p"] + 2 * pr["q"] + 2 * pr["r"] == 0,
-    witnesses=(DataWitness(
+    witnesses=(ExplicitWitness(
         label="lcb",
-        data=lambda pr: (pr["p"], [0, 0, 0, 0],
-                         linalg.block_diag([_rotmat(pr["q"], F(1), F(-1), pr["q"]),
-                                            _rotmat(pr["r"], pr["s"], -pr["s"], pr["r"])]),
-                         standard_j1(4)),
         claims={"lcb": True, "balanced": False}),),
 )
 
@@ -395,14 +288,8 @@ _register(
     constraints=lambda pr: pr["p"] * pr["q"] != 0, constraint_text="pq != 0",
     samples=({"p": F(1), "q": F(-1, 4)}, {"p": F(2), "q": F(1)}, {"p": F(1), "q": F(1, 2)}),
     unimodular_locus=lambda pr: pr["p"] + 4 * pr["q"] == 0,
-    witnesses=(DataWitness(
+    witnesses=(ExplicitWitness(
         label="lcb",
-        data=lambda pr: (pr["p"], [0, 0, 0, 0],
-                         [[pr["q"], F(1), F(-1), F(0)],
-                          [F(-1), pr["q"], F(0), F(-1)],
-                          [F(0), F(0), pr["q"], F(1)],
-                          [F(0), F(0), F(-1), pr["q"]]],
-                         standard_j1(4)),
         claims={"lcb": True, "balanced": False}),),
 )
 
@@ -410,32 +297,17 @@ _register(
     "l6",
     samples=({},),
     unimodular_locus=None,
-    witnesses=(DataWitness(
+    witnesses=(ExplicitWitness(
         label="lcb",
-        data=lambda pr: (F(0), [0, 0, 0, 0], _diag(1, 1, 0, 0), standard_j1(4)),
-        basis_map=lambda pr: (_perm_basis_map(_G4_IMAGES, 5), F(1)),
         claims={"lcb": True, "balanced": False}),),
 )
-
-_L7_S = [[0, 1, 1, 0, 0],
-         [-1, 0, 0, 1, 1],
-         [1, 0, 0, 0, 0],
-         [0, 0, 1, 0, 0],
-         [1, 0, 0, -1, 0]]
 
 _register(
     "l7",
     samples=({},),
     unimodular_locus=None,
-    witnesses=(DataWitness(
+    witnesses=(ExplicitWitness(
         label="lcb",
-        data=lambda pr: (F(1), [0, 0, 1, 0],
-                         [[F(1), F(1), F(0), F(0)],
-                          [F(0), F(0), F(0), F(0)],
-                          [F(0), F(0), F(0), F(0)],
-                          [F(0), F(0), F(1), F(1)]],
-                         [[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]),
-        basis_map=lambda pr: ([[F(x) for x in row] for row in _L7_S], F(1)),
         claims={"lcb": True, "balanced": False}),),
     notes="witness realizes the nonzero-v case with a = p = 1",
 )
@@ -445,12 +317,8 @@ _register(
     constraints=lambda pr: pr["p"] != 0, constraint_text="p != 0",
     samples=({"p": F(1)}, {"p": F(-1, 2)}, {"p": F(2)}),
     unimodular_locus=None,
-    witnesses=(DataWitness(
+    witnesses=(ExplicitWitness(
         label="lcb",
-        data=lambda pr: (F(0), [0, 0, 0, 0],
-                         linalg.block_diag([_rotmat(pr["p"], F(1), F(-1), pr["p"]), _diag(0, 0)]),
-                         standard_j1(4)),
-        basis_map=lambda pr: (_perm_basis_map(_G4_IMAGES, 5), F(1)),
         claims={"lcb": True, "balanced": False}),),
 )
 
@@ -459,10 +327,8 @@ _register(
     constraints=lambda pr: pr["p"] != 0, constraint_text="p != 0",
     samples=({"p": F(-1, 2)}, {"p": F(1)}, {"p": F(2)}),
     unimodular_locus=lambda pr: 1 + 2 * pr["p"] == 0,
-    witnesses=(DataWitness(
+    witnesses=(ExplicitWitness(
         label="lcb",
-        data=lambda pr: (F(1), [0, 0, 0, 0], _diag(pr["p"], pr["p"], 0, 0),
-                         standard_j1(4)),
         claims={"lcb": True, "balanced": False}),),
 )
 
@@ -471,11 +337,8 @@ _register(
     constraints=lambda pr: pr["p"] * pr["q"] != 0, constraint_text="pq != 0",
     samples=({"p": F(1), "q": F(-1, 2)}, {"p": F(2), "q": F(-1)}, {"p": F(1), "q": F(1)}),
     unimodular_locus=lambda pr: pr["p"] + 2 * pr["q"] == 0,
-    witnesses=(DataWitness(
+    witnesses=(ExplicitWitness(
         label="lcb",
-        data=lambda pr: (pr["p"], [0, 0, 0, 0],
-                         linalg.block_diag([_rotmat(pr["q"], F(1), F(-1), pr["q"]), _diag(0, 0)]),
-                         standard_j1(4)),
         claims={"lcb": True, "balanced": False}),),
 )
 
@@ -485,24 +348,17 @@ _register(
     constraint_text="p != 0, +-1",
     samples=({"p": F(1, 2)}, {"p": F(-2)}, {"p": F(2)}),
     unimodular_locus=None,
-    witnesses=(DataWitness(
+    witnesses=(ExplicitWitness(
         label="lcb",
-        data=lambda pr: (F(0), [0, 0, 0, 0], _diag(1, 1, pr["p"], pr["p"]),
-                         standard_j1(4)),
-        basis_map=lambda pr: (_perm_basis_map(_G4_IMAGES, 5), F(1)),
         claims={"lcb": True, "balanced": False}),),
 )
-
-_L12_IMAGES = [3, 0, 1, 2, 4]  # built (e1, u1, u2, u3, u4) -> (f4, f1, f2, f3, f5)
 
 _register(
     "l12",
     samples=({},),
     unimodular_locus=None,
-    witnesses=(DataWitness(
+    witnesses=(ExplicitWitness(
         label="lcb",
-        data=lambda pr: (F(0), [0, 0, 1, 0], _diag(1, 1, 0, 0), standard_j1(4)),
-        basis_map=lambda pr: (_perm_basis_map(_L12_IMAGES, 5), F(1)),
         claims={"lcb": True, "balanced": False}),),
 )
 
@@ -512,13 +368,8 @@ _register(
     constraint_text="q != +-1, r != 0",
     samples=({"q": F(1, 2), "r": F(1)}, {"q": F(-2), "r": F(1, 2)}, {"q": F(0), "r": F(2)}),
     unimodular_locus=None,
-    witnesses=(DataWitness(
+    witnesses=(ExplicitWitness(
         label="lcb",
-        data=lambda pr: (F(0), [0, 0, 0, 0],
-                         linalg.block_diag([_diag(1, 1),
-                                            _rotmat(pr["q"], pr["r"], -pr["r"], pr["q"])]),
-                         standard_j1(4)),
-        basis_map=lambda pr: (_perm_basis_map(_G4_IMAGES, 5), F(1)),
         claims={"lcb": True, "balanced": False}),),
 )
 
@@ -526,12 +377,8 @@ _register(
     "l14",
     samples=({"p": F(0)}, {"p": F(1)}, {"p": F(-1, 2)}),
     unimodular_locus=lambda pr: pr["p"] == 0,
-    witnesses=(DataWitness(
+    witnesses=(ExplicitWitness(
         label="lcb",
-        data=lambda pr: (F(0), [0, 0, 1, 0],
-                         linalg.block_diag([_rotmat(pr["p"], F(1), F(-1), pr["p"]), _diag(0, 0)]),
-                         standard_j1(4)),
-        basis_map=lambda pr: (_perm_basis_map(_L12_IMAGES, 5), F(1)),
         claims={"lcb": True, "balanced": False}),),
 )
 
@@ -539,15 +386,8 @@ _register(
     "l15",
     samples=({},),
     unimodular_locus=None,
-    witnesses=(DataWitness(
+    witnesses=(ExplicitWitness(
         label="lcb",
-        data=lambda pr: (F(0), [0, 0, 0, 0],
-                         [[F(1), F(1), F(0), F(0)],
-                          [F(0), F(1), F(0), F(0)],
-                          [F(0), F(0), F(1), F(1)],
-                          [F(0), F(0), F(0), F(1)]],
-                         _a4_j1(4)),
-        basis_map=lambda pr: (_perm_basis_map(_G4_IMAGES, 5), F(1)),
         claims={"lcb": True, "balanced": False}),),
 )
 
@@ -560,13 +400,8 @@ _register(
              {"p": F(0), "q": F(1), "r": F(2)},
              {"p": F(1), "q": F(1, 2), "r": F(-1)}),
     unimodular_locus=None,
-    witnesses=(DataWitness(
+    witnesses=(ExplicitWitness(
         label="lcb",
-        data=lambda pr: (F(0), [0, 0, 0, 0],
-                         linalg.block_diag([_rotmat(pr["p"], F(1), F(-1), pr["p"]),
-                                            _rotmat(pr["q"], pr["r"], -pr["r"], pr["q"])]),
-                         standard_j1(4)),
-        basis_map=lambda pr: (_perm_basis_map(_G4_IMAGES, 5), F(1)),
         claims={"lcb": True, "balanced": False}),),
 )
 
@@ -575,15 +410,8 @@ _register(
     constraints=lambda pr: pr["p"] != 0, constraint_text="p != 0",
     samples=({"p": F(1)}, {"p": F(-1, 2)}, {"p": F(2)}),
     unimodular_locus=None,
-    witnesses=(DataWitness(
+    witnesses=(ExplicitWitness(
         label="lcb",
-        data=lambda pr: (F(0), [0, 0, 0, 0],
-                         [[pr["p"], F(1), F(-1), F(0)],
-                          [F(-1), pr["p"], F(0), F(-1)],
-                          [F(0), F(0), pr["p"], F(1)],
-                          [F(0), F(0), F(-1), pr["p"]]],
-                         standard_j1(4)),
-        basis_map=lambda pr: (_perm_basis_map(_G4_IMAGES, 5), F(1)),
         claims={"lcb": True, "balanced": False}),),
 )
 
@@ -619,13 +447,6 @@ _register(
 )
 
 
-def _aff2_gprime(pr):
-    return [[F(2), F(0), F(1), F(0)],
-            [F(0), F(2), F(0), F(1)],
-            [F(1), F(0), F(1), F(0)],
-            [F(0), F(1), F(0), F(1)]]
-
-
 _register(
     "aff2+2R",
     samples=({},),
@@ -633,25 +454,17 @@ _register(
     witnesses=(
         ExplicitWitness(
             label="kahler",
-                claims={"kahler": True, "balanced": True, "lck": True,
+            claims={"kahler": True, "balanced": True, "lck": True,
                     "lcb": True, "vaisman": True}),
         ExplicitWitness(
             label="lck-nonkahler",
-                metric=_aff2_gprime,
+            metric=((2, 0, 1, 0),
+                    (0, 2, 0, 1),
+                    (1, 0, 1, 0),
+                    (0, 1, 0, 1)),
             claims={"lck": True, "kahler": False, "lcb": True, "vaisman": True}),
     ),
 )
-
-
-def _b2_gprime(pr):
-    g = linalg.idmat(6)
-    g[0][0] = F(3)
-    g[5][5] = F(3)
-    g[0][1] = g[1][0] = F(1)
-    g[0][2] = g[2][0] = F(1)
-    g[3][5] = g[5][3] = F(1)
-    g[4][5] = g[5][4] = F(1)
-    return g
 
 
 _register(
@@ -661,10 +474,15 @@ _register(
     witnesses=(
         ExplicitWitness(
             label="balanced",
-                claims={"balanced": True, "kahler": False, "lcb": True}),
+            claims={"balanced": True, "kahler": False, "lcb": True}),
         ExplicitWitness(
             label="lcb-nonbalanced",
-                metric=_b2_gprime,
+            metric=((3, 1, 1, 0, 0, 0),
+                    (1, 1, 0, 0, 0, 0),
+                    (1, 0, 1, 0, 0, 0),
+                    (0, 0, 0, 1, 0, 1),
+                    (0, 0, 0, 0, 1, 1),
+                    (0, 0, 0, 1, 1, 3)),
             claims={"lcb": True, "balanced": False, "lck": False}),
     ),
 )

@@ -380,14 +380,14 @@ def cmd_skt_to_lcb(args):
     d = extract_data(L, ideal, J, g)
     if not is_skt_data(d):
         raise MathRejection("the document's metric is not SKT")
-    gp = skt_to_lcb_metric(L, J, g, d)
+    dp = skt_to_lcb(d)
+    gp = skt_to_lcb_metric(J, d, dp)
     new_doc = AlgebraDocument(
         name=doc.name + "-lcb", dim=doc.dim, params=dict(doc.params),
         differential=doc.differential, j_spec=doc.j_spec,
         g_spec=("matrix", tuple(tuple(row) for row in gp.matrix)),
         ideal=doc.ideal, kind=doc.kind)
     if args.json:
-        dp = skt_to_lcb(d)
         report = {"schema": SCHEMA, "command": "skt-to-lcb",
                   "algebra": doc.name,
                   "document": render(new_doc),

@@ -231,8 +231,7 @@ class HermitianStructure:
         lc = self.levi_civita()
         n2 = self.dim
         ginv = self.g.inverse
-        jm = self.J.matrix
-        sigma = pullback(self.domega(), jm)  # sigma(X,Y,Z) = domega(JX,JY,JZ)
+        sigma = -self.dc_omega()  # sigma(X,Y,Z) = domega(JX,JY,JZ)
         half = coerce(1, self.L.kind) / 2
         gamma = []
         for i in range(n2):

@@ -342,21 +342,6 @@ def poly_deg(p) -> int:
     return len(poly_trim(p)) - 1
 
 
-def poly_add(p, q):
-    n = max(len(p), len(q))
-    kind = kind_of(p[0]) if p else EXACT
-    out = [zero(kind)] * n
-    for i, c in enumerate(p):
-        out[i] = out[i] + c
-    for i, c in enumerate(q):
-        out[i] = out[i] + c
-    return poly_trim(out)
-
-
-def poly_scale(s, p):
-    return [s * c for c in p]
-
-
 def poly_mul(p, q):
     kind = kind_of(p[0])
     out = [zero(kind)] * (len(p) + len(q) - 1)

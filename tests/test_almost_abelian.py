@@ -254,7 +254,7 @@ def test_skt_to_lcb_metric_direct():
         if not is_skt_data(d):
             continue
         L, J, g = build_algebra(d.a, list(d.v), d.A_matrix, d.J1_matrix)
-        gp = skt_to_lcb_metric(L, J, g, d)
+        gp = skt_to_lcb_metric(J, d, skt_to_lcb(d))
         H = HermitianStructure(L, J, gp)
         assert H.is_lcb_direct()
         done += 1

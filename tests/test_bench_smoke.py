@@ -20,3 +20,22 @@ def test_first_item_reports_no_problems(workload, tmp_path, monkeypatch):
     record, problems = items[0].run()
     assert record
     assert problems == []
+
+
+def test_tracer_wraps_every_listed_function(monkeypatch):
+    """Installing the span tracer resolves every function the traced bench
+    wraps (a renamed or deleted one raises here), and uninstalling it puts
+    the originals back."""
+    monkeypatch.syspath_prepend(os.path.normpath(BENCH))
+    from spans import LAYERS, Tracer
+    from aalg import almost_abelian, catalog
+
+    originals = (almost_abelian.skt_to_lcb, catalog.witness_structures)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert almost_abelian.skt_to_lcb is not originals[0]
+        assert len(tracer.names) == sum(len(funcs) for funcs in LAYERS.values())
+    finally:
+        tracer.uninstall()
+    assert (almost_abelian.skt_to_lcb, catalog.witness_structures) == originals

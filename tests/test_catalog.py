@@ -1,5 +1,6 @@
 """Catalog entries: instantiation, constraints, witness spot checks."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -119,24 +120,18 @@ def test_verify_entry_reports_not_checked():
     assert any("no-Kahler" in s for s in rep["not_checked"])
 
 
-def test_data_witness_certificates():
-    """The stored basis maps conjugate the built data onto the entry basis."""
-    # exercised inside witness_structures; a broken map must raise
-    from aalg.catalog import DataWitness, CatalogEntry, _restrict_last
-    entry = ENTRIES["l7"]
-    bad = CatalogEntry(
-        name="l7bad", document=entry.document,
-        samples=({},),
-        unimodular_locus=None,
-        witnesses=(DataWitness(
-            label="broken",
-            data=entry.witnesses[0].data,
-            basis_map=lambda pr: (linalg.idmat(5), F(1)),
-            claims={"lcb": True}),),
-    )
-    with pytest.raises(CatalogError) as err:
-        witness_structures(bad, {})
-    assert err.value.code == "WITNESS_FAILURE"
+@pytest.mark.parametrize("name, pairs", [
+    ("l7", ((1, 2), (3, 4), (5, 6))),   # not g-orthogonal for l7's metric
+    ("g4", ((1, 6), (2, 3), (4, 5))),   # not integrable on g4
+], ids=["l7", "g4"])
+def test_wrong_document_j_fails_verification(name, pairs):
+    """The witness reads J from the document: a wrong pairing there makes
+    the entry fail verification instead of passing unchecked."""
+    entry = ENTRIES[name]
+    bad = replace(entry, document=replace(entry.document, j_spec=("pairs", pairs)))
+    rep = verify_entry(bad, bad.samples[:1])
+    assert not rep["ok"]
+    assert any("witness build failed" in f for f in rep["failures"])
 
 
 def test_lchk_entry_admissibility():

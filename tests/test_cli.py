@@ -7,7 +7,8 @@ import pytest
 
 from aalg import scalars
 from aalg.cli import main
-from aalg.documents import parse, to_metric
+from aalg.catalog import ENTRIES, LCHK_LIST, entry_document
+from aalg.documents import parse, render, to_metric
 from aalg.hermitian import HermitianStructure
 from aalg.documents import to_algebra, to_complex_structure
 from aalg.almost_abelian import extract_data, is_kahler_data
@@ -160,6 +161,26 @@ def test_integrability_decided_once_per_document(docs, capsys, monkeypatch, comm
     assert captured.err == "rejected: J is not integrable\n"
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_skt_to_lcb_split_computed_once(docs, capsys, monkeypatch, json_flag):
+    """The SKT -> LCB split runs once per document, with or without --json;
+    the metric and the reported v' come from the same split."""
+    import aalg.cli
+    from aalg import almost_abelian
+    real = almost_abelian.skt_to_lcb
+    calls = []
+
+    def counted(d):
+        calls.append(1)
+        return real(d)
+
+    monkeypatch.setattr(almost_abelian, "skt_to_lcb", counted)
+    monkeypatch.setattr(aalg.cli, "skt_to_lcb", counted)
+    assert main(["skt-to-lcb", docs["s4"]] + json_flag) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
 def test_lchk_id3(capsys):
     code, rep = run_json(capsys, ["lchk", "--matrix", "id3", "--json"])
     assert code == 0
@@ -290,3 +311,19 @@ def test_json_determinism(docs, capsys):
     code2 = main(["check", docs["b2p"], "--property", "lcb", "--json"])
     out2 = capsys.readouterr().out
     assert code1 == code2 == 0 and out1 == out2
+
+
+@pytest.mark.parametrize("name", [n for n in ENTRIES if n not in LCHK_LIST])
+def test_every_entry_document_checks(name, tmp_path, capsys):
+    """Each rendered LCK/LCB/example entry document carries its J and g:
+    ``aalg check`` accepts it, and each direct verdict is the claim of the
+    witness that uses the document's metric."""
+    entry = ENTRIES[name]
+    path = tmp_path / f"{name}.alg"
+    path.write_text(render(entry_document(entry)), encoding="utf-8")
+    code, rep = run_json(capsys, ["check", str(path), "--json"])
+    assert code == 0
+    for w in entry.witnesses:
+        if w.metric is None:
+            for prop, expected in w.claims.items():
+                assert rep["results"][prop]["direct"] == expected, (w.label, prop)
