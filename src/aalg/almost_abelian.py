@@ -81,10 +81,12 @@ class HermitianData:
                  for j in range(self.m)] for i in range(self.m)]
 
     def adjoint_A(self):
-        """g-adjoint of A on n_1: S^-1 A^t S with S the frame Gram matrix."""
-        s = self.gram_n1()
-        sinv = linalg.inverse(s)
-        return linalg.mat_mul(sinv, linalg.mat_mul(linalg.transpose(self.A_matrix), s))
+        """g-adjoint of A on n_1: S^-1 A^t S with S = diag(d_inner) the frame
+        Gram matrix, so entry (i, j) is (1/d_i) (A_ji d_j)."""
+        d = self.d_inner
+        inv = [1 / x for x in d]
+        return [[inv[i] * (self.A[j][i] * d[j]) for j in range(self.m)]
+                for i in range(self.m)]
 
     def v_norm_sq(self):
         return sum(self.d_inner[i] * self.v[i] * self.v[i] for i in range(self.m))

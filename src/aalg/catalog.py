@@ -113,19 +113,20 @@ def _ideal_subspace(entry: CatalogEntry, L: LieAlgebra) -> Subspace:
     return ideal
 
 
-def witness_structures(entry: CatalogEntry, params=None):
-    """All witness Hermitian structures on the entry's own algebra.
+def witness_structures(entry: CatalogEntry, L: LieAlgebra):
+    """All witness Hermitian structures on ``L``, the entry's algebra as
+    ``instantiate`` built it; the abelian ideal is looked up only when the
+    entry has an explicit witness.
 
     Returns a list of (label, HermitianStructure, HermitianData, claims).
     """
-    params = dict(params or {})
-    L = instantiate(entry, params)
+    explicit = [w for w in entry.witnesses if isinstance(w, ExplicitWitness)]
+    if not explicit:
+        return []
     ideal = _ideal_subspace(entry, L)
     J = to_complex_structure(entry.document)
     out = []
-    for w in entry.witnesses:
-        if isinstance(w, LchkWitness):
-            continue
+    for w in explicit:
         g = to_metric(entry.document) if w.metric is None else Metric.from_matrix(w.metric)
         H = HermitianStructure(L, J, g)
         out.append((w.label, H, extract_data(L, ideal, J, g), dict(w.claims)))
@@ -634,7 +635,7 @@ def verify_entry(entry: CatalogEntry, samples=None):
             if isinstance(w, LchkWitness):
                 failures.extend(_verify_lchk_witness(entry, L, params, w))
         try:
-            structures = witness_structures(entry, params)
+            structures = witness_structures(entry, L)
         except Exception as exc:
             failures.append(f"{entry.name}{params}: witness build failed: {exc}")
             continue

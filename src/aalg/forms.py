@@ -5,6 +5,11 @@ A k-form stores coefficients only on strictly increasing index tuples
 (0-based internally; reprs are 1-based to match the usual coframe
 notation).  Values are immutable by convention: no method mutates `self`.
 
+Pullback along a matrix m substitutes the sparse 1-forms m*e^s (row s of
+m) into each term and wedges them together, so its cost follows the
+nonzero entries of m, not the C(n, k) target index sets; evaluation is the
+pullback along the matrix whose columns are the arguments.
+
 Sign convention, fixed package-wide: ``d alpha (X, Y) = -alpha([X, Y])``
 on 1-forms, extended as an antiderivation.  With this choice a coframe
 tuple such as ``(f16, 0, ...)`` round-trips: df^1 = f^1 ^ f^6 corresponds
@@ -12,8 +17,6 @@ to [f6, f1] = f1.
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 from .scalars import EXACT, coerce, is_zero, kind_of, zero
 from .linalg import mat_vec, solve, LinAlgError
@@ -140,31 +143,12 @@ class KForm:
 
     # -- evaluation ---------------------------------------------------------
     def evaluate(self, vectors):
-        """Evaluate on a list of self.degree vectors (full alternation)."""
+        """Evaluate on a list of self.degree vectors (full alternation): the
+        top coefficient of the pullback along the matrix with them as columns."""
         if len(vectors) != self.degree:
             raise LinAlgError("wrong number of arguments")
-        if self.degree == 0:
-            return self.coeffs.get((), zero(self.kind))
-        total = zero(self.kind)
-        for key, val in self.coeffs.items():
-            total += val * _minor_det([[v[i] for v in vectors] for i in key])
-        return total
-
-
-def _minor_det(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    acc = None
-    sign = 1
-    for j in range(n):
-        sub = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = sign * rows[0][j] * _minor_det(sub)
-        acc = term if acc is None else acc + term
-        sign = -sign
-    return acc
+        m = [[v[i] for v in vectors] for i in range(self.dim)]
+        return pullback(self, m).get(tuple(range(self.degree)))
 
 
 def wedge(alpha: KForm, beta: KForm) -> KForm:
@@ -219,19 +203,23 @@ def exterior_derivative(alpha: KForm, algebra) -> KForm:
 
 
 def pullback(alpha: KForm, m) -> KForm:
-    """Pullback along the linear map with matrix m: (m*a)(x,..) = a(mx,..)."""
-    dim = alpha.dim
+    """Pullback along the linear map with matrix m: (m*a)(x,..) = a(mx,..).
+
+    m*e^s is row s of m, so val e^{s1}^..^e^{sk} pulls back to
+    val (row s1)^..^(row sk).  m may be n x k; the result has dimension k.
+    """
+    dim = len(m[0])
     kind = alpha.kind
-    if alpha.degree == 0:
-        return alpha
+    rows = {}
     out = {}
-    for target in combinations(range(dim), alpha.degree):
-        total = zero(kind)
-        for key, val in alpha.coeffs.items():
-            minor = [[m[s][t] for t in target] for s in key]
-            total += val * _minor_det(minor)
-        if not is_zero(total):
-            out[target] = total
+    for key, val in alpha.coeffs.items():
+        term = KForm(0, dim, {(): val}, kind=kind)
+        for s in key:
+            if s not in rows:
+                rows[s] = KForm(1, dim, {(t,): x for t, x in enumerate(m[s])}, kind=kind)
+            term = wedge(term, rows[s])
+        for k, v in term.coeffs.items():
+            out[k] = out.get(k, zero(kind)) + v
     return KForm(alpha.degree, dim, out, kind=kind)
 
 

@@ -9,7 +9,10 @@ Conventions, fixed package-wide and spelled out in the README:
 * d^c omega = -d omega (J., J., J.);
 * Bismut connection  g(D^B_X Y, Z) = g(D_X Y, Z) + 1/2 d omega(JX, JY, JZ),
   the unique sign for which D^B g = 0, D^B J = 0 and the torsion is a
-  3-form under the two conventions above;
+  3-form under the two conventions above.  The torsion term is read from
+  the nonzero coefficients of d omega(J., J., J.) = -d^c omega, each
+  written to its six permutations; d^c omega itself is a pullback along J,
+  which wedges the sparse 1-forms J^t e^i (see ``forms``);
 * Bismut-Ricci  rho^B(X, Y) = -1/2 sum_i g(R^B(X, Y) f_i, J f_i) over a
   g-orthonormal frame, evaluated basis-free as -1/2 tr(W R(e_i, e_j)) with
   W = g^{-1} J^t g.  The trace is expanded as
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import permutations
 
 from .scalars import EXACT, coerce, is_zero, one, zero
 from . import linalg
@@ -75,9 +79,6 @@ class ComplexStructure:
     @property
     def matrix(self):
         return [list(row) for row in self.J]
-
-    def apply(self, v):
-        return linalg.mat_vec(self.matrix, v)
 
 
 @dataclass(frozen=True)
@@ -176,12 +177,8 @@ class HermitianStructure:
         om_pow = self.omega_power(n - 1)
         target = exterior_derivative(om_pow, self.L)
         keys = [tuple(t for t in range(n2) if t != missing) for missing in range(n2)]
-        rows = []
-        for key in keys:
-            row = []
-            for i in range(n2):
-                row.append(wedge(KForm.basis(n2, i, kind=self.L.kind), om_pow).get(key))
-            rows.append(row)
+        wedges = [wedge(KForm.basis(n2, i, kind=self.L.kind), om_pow) for i in range(n2)]
+        rows = [[w.get(key) for w in wedges] for key in keys]
         rhs = [target.get(key) for key in keys]
         theta = linalg.solve(rows, rhs)
         if theta is None:
@@ -230,23 +227,16 @@ class HermitianStructure:
         self._require_integrable()
         lc = self.levi_civita()
         n2 = self.dim
-        ginv = self.g.inverse
         sigma = -self.dc_omega()  # sigma(X,Y,Z) = domega(JX,JY,JZ)
         half = coerce(1, self.L.kind) / 2
-        gamma = []
-        for i in range(n2):
-            lower = linalg.zeros(n2, n2, self.L.kind)
-            for j in range(n2):
-                for l in range(n2):
-                    key = sort_indices((i, j, l))
-                    if key is None:
-                        continue
-                    idx, sign = key
-                    val = sigma.get(idx)
-                    if not is_zero(val):
-                        lower[l][j] = sign * half * val
-            gamma.append(linalg.mat_add(lc[i], linalg.mat_mul(ginv, lower)))
-        return gamma
+        # lower[i][l][j] = 1/2 sigma(e_i, e_j, e_l): each nonzero coefficient
+        # of sigma fills its six permutations
+        lower = [linalg.zeros(n2, n2, self.L.kind) for _ in range(n2)]
+        for key, val in sigma.coeffs.items():
+            for i, j, l in permutations(key):
+                lower[i][l][j] = sort_indices((i, j, l))[1] * half * val
+        return [linalg.mat_add(lc[i], linalg.mat_mul(self.g.inverse, lower[i]))
+                for i in range(n2)]
 
     def is_vaisman(self):
         """LCK with Levi-Civita-parallel Lee form; returns (bool, note)."""

@@ -118,7 +118,7 @@ def test_criterion_5_section4_examples():
     ok = True
     notes = []
     # b2: balanced witness and non-balanced LCB witness with theta' = f5 + f6
-    ws = witness_structures(ENTRIES["b2"], {})
+    ws = witness_structures(ENTRIES["b2"], instantiate(ENTRIES["b2"], {}))
     (_, Hb, db, _), (_, Hp, dp, _) = ws
     if not (Hb.is_balanced_direct() and is_balanced_data(db)):
         ok = False; notes.append("b2 balanced witness failed")
@@ -128,7 +128,8 @@ def test_criterion_5_section4_examples():
     if Hp.is_balanced_direct() or not Hp.is_lcb_direct():
         ok = False; notes.append("b2 LCB witness flags wrong")
     # aff2 + 2R: Kahler witness and non-Kahler LCK witness on the same J
-    (_, Hk, dk, _), (_, Hl, dl, _) = witness_structures(ENTRIES["aff2+2R"], {})
+    aff = ENTRIES["aff2+2R"]
+    (_, Hk, dk, _), (_, Hl, dl, _) = witness_structures(aff, instantiate(aff, {}))
     if not Hk.is_kahler_direct():
         ok = False; notes.append("aff2 Kahler witness failed")
     theta = KForm(1, 4, {(1,): F(1), (3,): F(1)})
@@ -140,7 +141,7 @@ def test_criterion_5_section4_examples():
     for name in ("s4", "s6", "s8"):
         entry = ENTRIES[name]
         for params in entry.samples:
-            for _, H, d, _ in witness_structures(entry, params):
+            for _, H, d, _ in witness_structures(entry, instantiate(entry, params)):
                 if not (H.is_skt_direct() and H.is_lcb_direct()
                         and is_skt_data(d) and is_lcb_data(d)):
                     ok = False; notes.append(f"{name}{params} not SKT+LCB")

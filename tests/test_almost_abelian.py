@@ -20,8 +20,8 @@ from conftest import data_stream, random_data
 
 def test_g4_data_example():
     """g4 with the adapted J: a = 0, v = 0, A = Id (LCK with lambda = 1)."""
-    from aalg.catalog import ENTRIES, witness_structures
-    [(label, H, d, claims)] = witness_structures(ENTRIES["g4"], {})
+    from aalg.catalog import ENTRIES, instantiate, witness_structures
+    [(label, H, d, claims)] = witness_structures(ENTRIES["g4"], instantiate(ENTRIES["g4"], {}))
     assert d.a == 0
     assert all(x == 0 for x in d.v)
     assert [list(r) for r in d.A] == [[1 if i == j else 0 for j in range(4)]

@@ -65,7 +65,7 @@ def test_lck_witnesses_decompose_lambda_u():
     for name in LCK_LIST:
         entry = ENTRIES[name]
         for params in entry.samples:
-            for label, H, d, claims in witness_structures(entry, params):
+            for label, H, d, claims in witness_structures(entry, instantiate(entry, params)):
                 m = d.m
                 lam = linalg.trace(d.A_matrix) / m
                 u = linalg.mat_sub(d.A_matrix,
@@ -78,14 +78,15 @@ def test_lck_witnesses_decompose_lambda_u():
 def test_lcb_witnesses_not_balanced():
     for name in LCB_LIST:
         entry = ENTRIES[name]
-        for label, H, d, claims in witness_structures(entry, entry.samples[0]):
+        L = instantiate(entry, entry.samples[0])
+        for label, H, d, claims in witness_structures(entry, L):
             assert H.is_lcb_direct()
             assert not H.is_balanced_direct()
 
 
 def test_aff2_kahler_and_lck_same_j():
     """Kahler g and non-Kahler LCK g' compatible with one J."""
-    ws = witness_structures(ENTRIES["aff2+2R"], {})
+    ws = witness_structures(ENTRIES["aff2+2R"], instantiate(ENTRIES["aff2+2R"], {}))
     assert [label for label, *_ in ws] == ["kahler", "lck-nonkahler"]
     (_, Hk, dk, _), (_, Hp, dp, _) = ws
     assert linalg.mat_eq(Hk.J.matrix, Hp.J.matrix)
@@ -98,7 +99,7 @@ def test_aff2_kahler_and_lck_same_j():
 
 
 def test_b2_two_witnesses():
-    ws = witness_structures(ENTRIES["b2"], {})
+    ws = witness_structures(ENTRIES["b2"], instantiate(ENTRIES["b2"], {}))
     (_, Hb, db, _), (_, Hp, dp, _) = ws
     assert Hb.is_balanced_direct() and not Hb.is_kahler_direct()
     assert Hp.is_lcb_direct() and not Hp.is_balanced_direct() and not Hp.is_lck_direct()
@@ -109,7 +110,7 @@ def test_s2n_witnesses_skt_and_lcb():
     for name in ("s4", "s6", "s8"):
         entry = ENTRIES[name]
         for params in entry.samples:
-            for label, H, d, claims in witness_structures(entry, params):
+            for label, H, d, claims in witness_structures(entry, instantiate(entry, params)):
                 assert H.is_skt_direct() and H.is_lcb_direct()
                 assert all(x == 0 for x in d.v)
 
@@ -143,3 +144,29 @@ def test_lchk_entry_admissibility():
     L = instantiate(ENTRIES["lchk-m3-hk3"], {"p": F(2)})
     verdict = lchk_admissible(_restrict_last(L))
     assert verdict.admissible and verdict.hyperkahler
+
+
+def test_verify_entry_builds_each_sample_once(monkeypatch):
+    """verify_entry hands the algebra it built to witness_structures: one
+    to_algebra per sample, and no ideal search for an entry whose only
+    witness is an LCHK claim."""
+    from aalg import catalog
+    calls = {"to_algebra": 0, "find_codim1_abelian_ideal": 0}
+
+    def count(name):
+        original = getattr(catalog, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(catalog, name, counted)
+
+    count("to_algebra")
+    count("find_codim1_abelian_ideal")
+    g1 = ENTRIES["g1"]
+    assert verify_entry(g1, g1.samples)["ok"]
+    assert calls["to_algebra"] == len(g1.samples) + len(catalog._off_locus_samples(g1))
+    lchk = ENTRIES["lchk-m3-hk1"]
+    calls["find_codim1_abelian_ideal"] = 0
+    assert verify_entry(lchk, lchk.samples[:1])["ok"]
+    assert calls["find_codim1_abelian_ideal"] == 0

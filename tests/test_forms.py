@@ -2,20 +2,19 @@
 
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
 from aalg.forms import (KForm, exterior_derivative, flat, pullback, sharp,
                         sort_indices, wedge)
 from aalg.lie import LieAlgebra
+from aalg.scalars import EXACT, FLOAT, zero
 from aalg import linalg
 
 
 def form_strategy(dim, degree):
-    keys = []
-    idx = list(range(dim))
-    from itertools import combinations
-    all_keys = list(combinations(idx, degree))
+    all_keys = list(combinations(range(dim), degree))
     coeff = st.integers(min_value=-3, max_value=3).map(F)
     return st.dictionaries(st.sampled_from(all_keys), coeff, max_size=4).map(
         lambda d: KForm(degree, dim, d))
@@ -157,3 +156,87 @@ def test_sort_indices():
     assert sort_indices((2, 0, 1)) == ((0, 1, 2), 1)
     assert sort_indices((1, 0)) == ((0, 1), -1)
     assert sort_indices((1, 1)) is None
+
+
+EXACT_SCALARS = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+FLOAT_SCALARS = st.integers(-30, 30).map(lambda k: k / 7)
+
+
+@st.composite
+def pullback_cases(draw, scalars, kind):
+    """(alpha, m): a form of degree 0..3 on R^n and an n x n or n x k matrix."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(0, min(3, n)))
+    width = draw(st.sampled_from((n, k)))
+    coeffs = draw(st.dictionaries(st.sampled_from(list(combinations(range(n), k))),
+                                  scalars, max_size=4))
+    row = st.lists(scalars, min_size=width, max_size=width)
+    m = draw(st.lists(row, min_size=n, max_size=n))
+    return KForm(k, n, coeffs, kind=kind), m
+
+
+def minor_expansion(alpha, m):
+    """Reference pullback: each target coefficient as a sum of k x k minors."""
+    return {target: sum((val * linalg.det([[m[s][t] for t in target] for s in key])
+                         for key, val in alpha.coeffs.items()), zero(alpha.kind))
+            for target in combinations(range(len(m[0])), alpha.degree)}
+
+
+def close(x, y):
+    return abs(x - y) <= 1e-9 * max(1, abs(y))
+
+
+@settings(max_examples=80, deadline=None)
+@given(pullback_cases(EXACT_SCALARS, EXACT))
+def test_pullback_matches_minor_expansion_exactly(case):
+    alpha, m = case
+    pulled = pullback(alpha, m)
+    assert (pulled.degree, pulled.dim) == (alpha.degree, len(m[0]))
+    assert pulled.coeffs == {t: v for t, v in minor_expansion(alpha, m).items() if v != 0}
+
+
+@settings(max_examples=80, deadline=None)
+@given(pullback_cases(FLOAT_SCALARS, FLOAT))
+def test_pullback_matches_minor_expansion_in_floats(case):
+    alpha, m = case
+    pulled = pullback(alpha, m)
+    ref = minor_expansion(alpha, m)
+    assert set(pulled.coeffs) <= set(ref)
+    assert all(close(pulled.get(t), v) for t, v in ref.items())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(((EXACT_SCALARS, EXACT), (FLOAT_SCALARS, FLOAT))).flatmap(
+    lambda sk: pullback_cases(*sk)))
+def test_evaluate_matches_determinants(case):
+    alpha, m = case
+    vectors = [[row[c % len(row)] for row in m] for c in range(alpha.degree)]
+    want = sum((val * linalg.det([[v[i] for v in vectors] for i in key])
+                for key, val in alpha.coeffs.items()), zero(alpha.kind))
+    got = alpha.evaluate(vectors)
+    assert got == want if alpha.kind == EXACT else close(got, want)
+
+
+def test_pullback_cost_follows_nonzeros_not_dimension(monkeypatch):
+    """Along a signed permutation a one-term 3-form costs as many Fraction
+    multiplications at dim 8 as at dim 16 (a sweep over the C(n, 3) target
+    index sets would not)."""
+    count = [0]
+    for name in ("__mul__", "__rmul__"):
+        def counted(a, b, original=getattr(F, name)):
+            count[0] += 1
+            return original(a, b)
+        monkeypatch.setattr(F, name, counted)
+
+    def multiplications(dim):
+        perm = [[F(0)] * dim for _ in range(dim)]
+        for i in range(dim):
+            perm[i][(i + 3) % dim] = F(-1) if i % 2 else F(1)
+        alpha = KForm(3, dim, {(0, 2, 5): F(3, 2)})
+        count[0] = 0
+        pulled = pullback(alpha, perm)
+        used = count[0]
+        assert pulled == KForm.basis(dim, 3, 5, 8 % dim).scale(F(-3, 2))
+        return used
+
+    assert multiplications(8) == multiplications(16)

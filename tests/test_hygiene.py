@@ -1,7 +1,10 @@
-"""Source hygiene: every name a module imports is used in that module, and
-the float tolerance has one source (``scalars.current_eps``)."""
+"""Source hygiene: every name a module imports is used in that module,
+every definition in the package is used somewhere, and the float tolerance
+has one source (``scalars.current_eps``)."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -66,3 +69,40 @@ def tolerance_knobs(path):
 def test_one_source_of_the_float_tolerance():
     hits = [hit for path in SOURCES for hit in tolerance_knobs(path)]
     assert not hits, "use scalars.tolerance instead:\n" + "\n".join(hits)
+
+
+def named_in(tree):
+    """Counter of the names an AST reads: identifiers, attributes, and the
+    words of string constants other than docstrings (traced names, getattr)."""
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                       ast.AsyncFunctionDef))
+                  and ast.get_docstring(node, clean=False) is not None}
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docstrings):
+            names.update(re.findall(r"\w+", node.value))
+    return names
+
+
+def test_every_definition_is_used():
+    """Each function, class and method of the package is named somewhere
+    in src, tests or bench outside its own body (dunder methods exempt)."""
+    paths = sorted((ROOT / "src" / "aalg").glob("*.py"))
+    everywhere = paths + sorted((ROOT / "tests").glob("*.py")) + sorted(
+        (ROOT / "bench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in everywhere}
+    uses = sum((named_in(tree) for tree in trees.values()), Counter())
+    unused = []
+    for path in paths:
+        for node in ast.walk(trees[path]):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not node.name.startswith("__")
+                    and uses[node.name] <= named_in(node)[node.name]):
+                unused.append(f"{path.relative_to(ROOT)}:{node.lineno}: {node.name}")
+    assert not unused, "defined but never used:\n" + "\n".join(unused)
