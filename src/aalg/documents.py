@@ -231,7 +231,9 @@ def _parse_expression(sc: _Scanner, dim, param_names):
     return tuple(terms)
 
 
-def _parse_matrix(sc: _Scanner):
+def _parse_matrix(sc: _Scanner, dim, label):
+    """The dim x dim matrix of a J or g line, as a tuple of row tuples."""
+    start = sc.pos
     sc.expect("[")
     rows = []
     while True:
@@ -242,14 +244,25 @@ def _parse_matrix(sc: _Scanner):
             if not sc.take(","):
                 break
         sc.expect("]")
-        rows.append(row)
+        rows.append(tuple(row))
         if not sc.take(","):
             break
     sc.expect("]")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        sc.error("ragged matrix rows")
-    return rows
+    if len(rows) != dim or any(len(r) != dim for r in rows):
+        raise ParseError(f"{label} matrix must be {dim}x{dim}", sc.line_no, start + 1)
+    return tuple(rows)
+
+
+def _parse_pairing_index(sc: _Scanner, dim):
+    """The index of one f-term of a J pairing: an integer in 1..dim."""
+    if not sc.take("f"):
+        sc.error("expected f-index in J pairing")
+    start = sc.pos
+    idx = sc.number()
+    if not (isinstance(idx, Fraction) and idx.denominator == 1 and 1 <= idx <= dim):
+        raise ParseError(f"J index f{idx} is not an integer in 1..{dim}",
+                         sc.line_no, start + 1)
+    return int(idx)
 
 
 def _parse_vector_expr(sc: _Scanner, dim):
@@ -328,9 +341,9 @@ def parse(text) -> AlgebraDocument:
                 params[pname] = sc.number()
                 if not sc.take(","):
                     break
+        elif head in ("d", "J", "g", "ideal") and dim is None:
+            sc.error("'algebra <name> dim <n>' must come first")
         elif head == "d":
-            if dim is None:
-                sc.error("'algebra <name> dim <n>' must come first")
             sc.expect("=")
             rest = stripped[sc.pos:].strip()
             if _balanced(rest):
@@ -339,25 +352,17 @@ def parse(text) -> AlgebraDocument:
                 pending = (ln, rest)
         elif head == "J":
             sc.expect(":")
-            if dim is None:
-                sc.error("'algebra <name> dim <n>' must come first")
             sc.skip_ws()
             if sc.text[sc.pos:sc.pos + 6] == "matrix":
                 sc.pos += 6
-                j_spec = ("matrix", tuple(tuple(r) for r in _parse_matrix(sc)))
+                j_spec = ("matrix", _parse_matrix(sc, dim, head))
             else:
                 pairs = []
                 while True:
-                    sc.skip_ws()
-                    if not sc.take("f"):
-                        sc.error("expected f-index in J pairing")
-                    a = sc.number()
+                    a = _parse_pairing_index(sc, dim)
                     sc.expect("-")
                     sc.expect(">")
-                    if not sc.take("f"):
-                        sc.error("expected f-index in J pairing")
-                    b = sc.number()
-                    pairs.append((int(a), int(b)))
+                    pairs.append((a, _parse_pairing_index(sc, dim)))
                     if not sc.take(","):
                         break
                 j_spec = ("pairs", tuple(pairs))
@@ -368,7 +373,7 @@ def parse(text) -> AlgebraDocument:
                 g_spec = ("identity",)
             elif sc.text[sc.pos:sc.pos + 6] == "matrix":
                 sc.pos += 6
-                g_spec = ("matrix", tuple(tuple(r) for r in _parse_matrix(sc)))
+                g_spec = ("matrix", _parse_matrix(sc, dim, head))
             else:
                 sc.error("expected 'identity' or 'matrix [...]'")
         elif head == "ideal":

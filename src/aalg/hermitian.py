@@ -2,6 +2,10 @@
 direct metric predicates, Levi-Civita and Bismut connections, and the
 Bismut-Ricci curvature oracle.
 
+The Nijenhuis tensor is read off the algebra's ad table: since J^2 = -Id,
+Y -> N(e_i, Y) is the commutator [ad_{Je_i} - J ad_{e_i}, J], one per basis
+vector.
+
 Conventions, fixed package-wide and spelled out in the README:
 
 * fundamental form  omega(X, Y) = g(JX, Y);
@@ -282,19 +286,17 @@ class HermitianStructure:
 
 
 def nijenhuis(J: ComplexStructure, L: LieAlgebra):
-    """N(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] - [X, Y] on basis pairs."""
+    """N(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] - [X, Y] on basis pairs
+    i < j, nonzero values only: N(e_i, e_j) is column j of
+    [ad_{Je_i} - J ad_{e_i}, J] (J^2 = -Id), one commutator per e_i."""
     jm = J.matrix
     n = L.dim
-    units = linalg.idmat(n, L.kind)
     out = {}
-    cols = linalg.transpose(jm)  # cols[i] = J e_i
     for i in range(n):
+        p = linalg.mat_sub(L.ad([row[i] for row in jm]), linalg.mat_mul(jm, L.ad_basis(i)))
+        m = linalg.commutator(p, jm)
         for j in range(i + 1, n):
-            ji, jj = cols[i], cols[j]
-            term = L.bracket(ji, jj)
-            term = linalg.vec_sub(term, linalg.mat_vec(jm, L.bracket(ji, units[j])))
-            term = linalg.vec_sub(term, linalg.mat_vec(jm, L.bracket(units[i], jj)))
-            term = linalg.vec_sub(term, L.basis_bracket(i, j))
+            term = [row[j] for row in m]
             if not linalg.is_zero_vector(term):
                 out[(i, j)] = term
     return out
@@ -302,8 +304,7 @@ def nijenhuis(J: ComplexStructure, L: LieAlgebra):
 
 def is_integrable(J: ComplexStructure, L: LieAlgebra) -> bool:
     """N_J = 0, decided once per J and cached on L."""
-    return L.memo(("integrable", J.J), lambda: all(
-        linalg.is_zero_vector(v) for v in nijenhuis(J, L).values()))
+    return L.memo(("integrable", J.J), lambda: not nijenhuis(J, L))
 
 
 def levi_civita(L: LieAlgebra, g: Metric):

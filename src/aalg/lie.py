@@ -1,17 +1,23 @@
 """Validated Lie algebra values and the codimension-one abelian ideal probe.
 
 Structure constants are held sparsely: brackets[(i, j)] with i < j maps to
-the coefficient vector of [e_i, e_j].  Validation enforces antisymmetry by
-construction and checks the Jacobi identity, exactly on the rational path.
+the coefficient vector of [e_i, e_j].  They are read one way, through the
+table of ad matrices built once per algebra (entry (k, j) of ad_{e_i} is
+c^k_ij): basis brackets, ad_x and the ideal search read it, and so does
+the Nijenhuis tensor in ``hermitian``.  Validation enforces antisymmetry
+by construction and checks the Jacobi identity as d^2 = 0 on the coframe,
+exactly on the rational path.  A hyperplane is an ideal iff it contains
+[L, L], so the ideal test evaluates its covector on the brackets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .scalars import EXACT, coerce, is_zero, kind_of, zero
 from . import linalg
-from .forms import KForm
+from .forms import KForm, exterior_derivative
 
 
 class LieAlgebraError(ValueError):
@@ -72,29 +78,16 @@ class LieAlgebra:
     def from_tensor(cls, c):
         """Validate a cubic tensor c[i][j][k] = coefficient of e_k in [e_i,e_j]."""
         dim = len(c)
-        kind = None
-        for i in range(dim):
-            for j in range(dim):
-                for x in c[i][j]:
-                    if kind is None:
-                        kind = kind_of(x)
-        kind = kind or EXACT
-        for i in range(dim):
-            for j in range(dim):
-                for k in range(dim):
-                    s = coerce(c[i][j][k], kind) + coerce(c[j][i][k], kind)
-                    if not is_zero(s):
-                        raise LieAlgebraError(
-                            "ANTISYMMETRY_VIOLATION",
-                            f"c^{k}_{{{i},{j}}} + c^{k}_{{{j},{i}}} = {s}",
-                            witness=(i, j, k))
-        brackets = {}
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                vec = [coerce(x, kind) for x in c[i][j]]
-                if any(not is_zero(x) for x in vec):
-                    brackets[(i, j)] = vec
-        return cls(dim, brackets, kind=kind)
+        kind = next((kind_of(x) for plane in c for vec in plane for x in vec), EXACT)
+        for i, j, k in product(range(dim), repeat=3):
+            s = coerce(c[i][j][k], kind) + coerce(c[j][i][k], kind)
+            if not is_zero(s):
+                raise LieAlgebraError(
+                    "ANTISYMMETRY_VIOLATION",
+                    f"c^{k}_{{{i},{j}}} + c^{k}_{{{j},{i}}} = {s}",
+                    witness=(i, j, k))
+        return cls(dim, {(i, j): c[i][j] for i in range(dim) for j in range(i + 1, dim)},
+                   kind=kind)
 
     @classmethod
     def abelian(cls, dim, kind=EXACT):
@@ -105,22 +98,13 @@ class LieAlgebra:
         """R^k x|_D R: [e_last, e_j] = D e_j for the first k basis vectors."""
         k = len(D)
         kind = linalg.matrix_kind(D)
-        brackets = {}
-        for j in range(k):
-            col = [-D[t][j] for t in range(k)] + [zero(kind)]
-            if any(not is_zero(x) for x in col):
-                brackets[(j, k)] = col
+        brackets = {(j, k): [-D[t][j] for t in range(k)] + [zero(kind)] for j in range(k)}
         return cls(k + 1, brackets, kind=kind, _validated=True)
 
     # -- bracket machinery ----------------------------------------------------
     def basis_bracket(self, i, j):
-        if i == j:
-            return linalg.zero_vector(self.dim, self.kind)
-        if i < j:
-            vec = self.brackets.get((i, j))
-            return list(vec) if vec else linalg.zero_vector(self.dim, self.kind)
-        vec = self.brackets.get((j, i))
-        return [-x for x in vec] if vec else linalg.zero_vector(self.dim, self.kind)
+        """[e_i, e_j]: column j of ad_{e_i}."""
+        return [row[j] for row in self.ad_basis(i)]
 
     def bracket(self, x, y):
         """[x, y] for coefficient vectors x, y."""
@@ -135,14 +119,30 @@ class LieAlgebra:
         return out
 
     def ad(self, x):
-        """Matrix of ad_x = [x, .]."""
+        """Matrix of ad_x = [x, .] = sum_i x_i ad_{e_i}."""
         if len(x) != self.dim:
             raise LieAlgebraError("DIMENSION", "vector length does not match algebra")
-        return linalg.transpose([self.bracket(x, e)
-                                 for e in linalg.idmat(self.dim, self.kind)])
+        out = linalg.zeros(self.dim, self.dim, self.kind)
+        for i, xi in enumerate(x):
+            if xi != 0:
+                out = linalg.mat_add(out, linalg.mat_scale(xi, self.ad_basis(i)))
+        return out
 
     def ad_basis(self, i):
-        return self.ad(linalg.idmat(self.dim, self.kind)[i])
+        """ad_{e_i}, entry (k, j) = c^k_ij, read from the table of all n ad
+        matrices that is built once per algebra (nested tuples)."""
+        return self.memo("ad", self._ad_table)[i]
+
+    def _ad_table(self):
+        # absent constants stay exact zeros of the kind (float +0.0, not -0.0)
+        n = self.dim
+        table = [linalg.zeros(n, n, self.kind) for _ in range(n)]
+        for (i, j), vec in self.brackets.items():
+            for k, c in enumerate(vec):
+                if c != 0:
+                    table[i][k][j] = c
+                    table[j][k][i] = -c
+        return tuple(tuple(tuple(row) for row in m) for m in table)
 
     # -- invariants -----------------------------------------------------------
     def _check_jacobi(self):
@@ -155,19 +155,18 @@ class LieAlgebra:
                 witness=(i, j, k))
 
     def jacobi_witness(self):
-        """First basis triple violating Jacobi, or None."""
-        units = linalg.idmat(self.dim, self.kind)
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                bij = self.basis_bracket(i, j)
-                for k in range(j + 1, self.dim):
-                    res = linalg.vec_add(
-                        self.bracket(bij, units[k]),
-                        linalg.vec_add(self.bracket(self.basis_bracket(j, k), units[i]),
-                                       self.bracket(self.basis_bracket(k, i), units[j])))
-                    if not linalg.is_zero_vector(res):
-                        return (i, j, k, res)
-        return None
+        """First basis triple i < j < k violating Jacobi, with its cyclic
+        sum, or None.
+
+        Jacobi is d^2 = 0 on the coframe: d(de^t)(e_i, e_j, e_k) is the e_t
+        component of [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j].
+        """
+        dd = [exterior_derivative(de, self) for de in self.coframe_differentials()]
+        keys = [key for form in dd for key in form.coeffs]
+        if not keys:
+            return None
+        key = min(keys)
+        return key + ([form.get(key) for form in dd],)
 
     def is_unimodular(self) -> bool:
         return all(is_zero(linalg.trace(self.ad_basis(i))) for i in range(self.dim))
@@ -195,14 +194,9 @@ class LieAlgebra:
         sinv = linalg.inverse(s)
         if sinv is None:
             raise LieAlgebraError("SINGULAR", "basis change matrix is singular")
-        new = {}
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                bi = [s[t][i] for t in range(self.dim)]
-                bj = [s[t][j] for t in range(self.dim)]
-                vec = linalg.mat_vec(sinv, self.bracket(bi, bj))
-                if any(not is_zero(x) for x in vec):
-                    new[(i, j)] = vec
+        cols = linalg.transpose(s)
+        new = {(i, j): linalg.mat_vec(sinv, self.bracket(cols[i], cols[j]))
+               for i in range(self.dim) for j in range(i + 1, self.dim)}
         return LieAlgebra(self.dim, new, kind=self.kind, _validated=True)
 
     def __repr__(self):
@@ -235,23 +229,22 @@ def find_codim1_abelian_ideal(L: LieAlgebra):
         # abelian condition with the auxiliary endomorphism eliminated:
         # c^k_{ij} = xi_i c^k_{tj} - xi_j c^k_{ti} for all i < j, both != t,
         # where forced-zero components of xi simply drop out.
+        # c^k_ab is entry (k, b) of ad_{e_a}; all-zero equations are skipped
+        adt = L.ad_basis(t)
         for i in range(n):
-            if i == t:
-                continue
+            adi = L.ad_basis(i)
             for j in range(i + 1, n):
-                if j == t:
+                if t in (i, j):
                     continue
-                cij = L.basis_bracket(i, j)
-                cti = L.basis_bracket(t, i)
-                ctj = L.basis_bracket(t, j)
                 for k in range(n):
                     coeffs = [zero(kind) for _ in range(t)]
                     if i < t:
-                        coeffs[i] += ctj[k]
+                        coeffs[i] += adt[k][j]
                     if j < t:
-                        coeffs[j] -= cti[k]
-                    rows.append(coeffs)
-                    rhs.append(cij[k])
+                        coeffs[j] -= adt[k][i]
+                    if adi[k][j] != 0 or any(x != 0 for x in coeffs):
+                        rows.append(coeffs)
+                        rhs.append(adi[k][j])
         xi = linalg.idmat(n, kind)[t]
         if t > 0:
             aug = [row + [val] for row, val in zip(rows, rhs)]
@@ -285,22 +278,21 @@ def abelian_ideal_defect(L: LieAlgebra, vectors):
     "not abelian", "not a hyperplane" or "not an ideal"; None when it is.
 
     The vectors must be a basis of the hyperplane.  The hyperplane is
-    the kernel of the one covector xi vanishing on them, so it is an
-    ideal iff xi([e_i, v]) = 0 for every basis vector e_i and every v.
+    the kernel of the one covector xi vanishing on them, and it is an
+    ideal iff it contains [L, L] (the quotient by a hyperplane ideal is
+    one-dimensional, hence abelian), i.e. iff xi vanishes on every
+    nonzero bracket [e_i, e_j].
     """
     vecs = [list(v) for v in vectors]
     for a in range(len(vecs)):
         for b in range(a + 1, len(vecs)):
             if not linalg.is_zero_vector(L.bracket(vecs[a], vecs[b])):
                 return "not abelian"
-    units = linalg.idmat(L.dim, L.kind)
     # the covectors vanishing on no vectors at all are the whole dual space
-    kernel = linalg.nullspace(vecs) if vecs else units
+    kernel = linalg.nullspace(vecs) if vecs else linalg.idmat(L.dim, L.kind)
     if len(vecs) != L.dim - 1 or len(kernel) != 1:
         return "not a hyperplane"
     xi = kernel[0]
-    for e in units:
-        for v in vecs:
-            if not is_zero(linalg.dot(xi, L.bracket(e, v))):
-                return "not an ideal"
+    if any(not is_zero(linalg.dot(xi, vec)) for vec in L.brackets.values()):
+        return "not an ideal"
     return None

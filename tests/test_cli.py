@@ -210,6 +210,25 @@ def test_lchk_malformed_matrix_is_input_error(tmp_path, capsys, spec):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["check", "data"])
+@pytest.mark.parametrize("lines", [
+    "J: f0->f1, f2->f3\ng: identity",
+    "J: f1->f2, f3->f7\ng: identity",
+    "J: f1.5->f2, f3->f4\ng: identity",
+    "J: matrix [[0, -1], [1, 0]]\ng: identity",
+    "J: f1->f2, f3->f4\ng: matrix [[1, 0, 0], [0, 1, 0], [0, 0, 1]]",
+], ids=["j-index-0", "j-index-7", "j-index-1.5", "j-matrix-2x2", "g-matrix-3x3"])
+def test_j_and_g_must_fit_the_dimension(tmp_path, capsys, command, lines):
+    """Pairing indices outside 1..dim, non-integer ones and J or g matrices
+    that are not dim x dim are input errors, not a check of another J."""
+    p = tmp_path / "bad.alg"
+    p.write_text("algebra s4 dim 4\nd = (f14, f24, f34, 0)\n" + lines + "\n",
+                 encoding="utf-8")
+    assert main([command, str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_aalg_epsilon_sets_the_tolerance_for_one_call(docs, capsys, monkeypatch):
     argv = ["check", docs["aff2p"], "--property", "kahler", "--json"]
     before = scalars.current_eps()

@@ -45,6 +45,13 @@ def test_positioned_errors():
     assert "unbound parameter" in str(err.value)
 
 
+@pytest.mark.parametrize("line", ["J: f1->f2", "g: identity", "ideal: f1"])
+def test_lines_read_against_dim_need_the_header_first(line):
+    with pytest.raises(ParseError) as err:
+        parse(line + "\nalgebra x dim 2\nd = (0, 0)")
+    assert "must come first" in str(err.value) and err.value.line == 1
+
+
 def test_parameters_and_rationals():
     doc = parse("algebra t dim 4\nparams p = -1/4, q = 2\n"
                 "d = (p f12, 0, 0, q f12)")

@@ -2,11 +2,13 @@
 
 import math
 import random
+from fractions import Fraction as F
 
+from aalg import linalg
 from aalg.forms import KForm, wedge
 from aalg.scalars import tolerance
-from aalg.hermitian import ComplexStructure, HermitianStructure, Metric
-from aalg.lie import LieAlgebra
+from aalg.hermitian import ComplexStructure, HermitianStructure, Metric, is_integrable
+from aalg.lie import LieAlgebra, abelian_ideal_defect, find_codim1_abelian_ideal
 from aalg.almost_abelian import (build_algebra, extract_data, is_lcb_data,
                                  is_lck_data, is_skt_data, lee_form_closed,
                                  rho_b_closed)
@@ -95,3 +97,70 @@ def test_float_extract_normalizes():
     d = extract_data(L, None, J, g)
     assert d.is_orthonormal()
     assert abs(d.a + 1 / math.sqrt(2)) < 1e-12 or abs(d.a - 1 / math.sqrt(2)) < 1e-12
+
+
+def _float_copy(L):
+    return LieAlgebra(L.dim, {key: [float(x) for x in vec]
+                              for key, vec in L.brackets.items()})
+
+
+def test_float_structure_verdicts_agree_with_exact():
+    """Float copies of rational generator structures: the same Jacobi
+    outcome, integrability verdicts (the adapted J and random pairings)
+    and ideal-defect strings as the exact builds, at the default
+    tolerance."""
+    rng = random.Random(304)
+    for d in data_stream(304, 16, dims=(2, 3, 4)):
+        Le, Je, _ = build_algebra(d.a, list(d.v), d.A_matrix, d.J1_matrix)
+        Lf = _float_copy(Le)
+        assert Le.jacobi_witness() is None and Lf.jacobi_witness() is None
+        Jf = ComplexStructure.from_matrix([[float(x) for x in row] for row in Je.matrix])
+        assert is_integrable(Je, Le) and is_integrable(Jf, Lf)
+        for _ in range(3):
+            order = rng.sample(range(Le.dim), Le.dim)
+            pairs = list(zip(order[::2], order[1::2]))
+            assert (is_integrable(ComplexStructure.from_pairs(Le.dim, pairs), Le)
+                    == is_integrable(ComplexStructure.from_pairs(Le.dim, pairs, "float"), Lf))
+        ideal = find_codim1_abelian_ideal(Le)
+        hyperplanes = [ideal.vectors] + [
+            linalg.nullspace([[F(rng.choice((0, 0, 1, -1, 2))) for _ in range(Le.dim)]])
+            for _ in range(3)]
+        for vecs in hyperplanes:
+            fvecs = [[float(x) for x in v] for v in vecs]
+            assert abelian_ideal_defect(Lf, fvecs) == abelian_ideal_defect(Le, vecs)
+    # an abelian hyperplane that is not an ideal: [e_n, e_1] = e_1 / 3 and
+    # the kernel of e^1 + e^n / 3
+    for dim in (4, 6):
+        D = [[F(1, 3) if i == j == 0 else F(0) for j in range(dim - 1)]
+             for i in range(dim - 1)]
+        Le = LieAlgebra.semidirect(D)
+        vecs = linalg.nullspace([[F(1)] + [F(0)] * (dim - 2) + [F(1, 3)]])
+        fvecs = [[float(x) for x in v] for v in vecs]
+        assert abelian_ideal_defect(Le, vecs) == "not an ideal"
+        assert abelian_ideal_defect(_float_copy(Le), fvecs) == "not an ideal"
+
+
+def test_float_jacobi_witness_agrees_with_exact():
+    """Broken bracket tables: the float copy fails Jacobi on the same first
+    triple as the exact build, with the same cyclic sum up to rounding."""
+    rng = random.Random(305)
+    broken = 0
+    for _ in range(60):
+        dim = rng.choice([3, 4, 5, 6])
+        brackets = {}
+        for _ in range(rng.randint(1, 5)):
+            i, j = sorted(rng.sample(range(dim), 2))
+            vec = [F(0)] * dim
+            vec[rng.randrange(dim)] = rng.choice([F(1), F(-1), F(1, 3), F(2, 7)])
+            brackets[(i, j)] = vec
+        Le = LieAlgebra(dim, brackets, _validated=True)
+        floats = {key: [float(x) for x in vec] for key, vec in brackets.items()}
+        we = Le.jacobi_witness()
+        wf = LieAlgebra(dim, floats, _validated=True).jacobi_witness()
+        if we is None:
+            assert wf is None
+            continue
+        broken += 1
+        assert wf[:3] == we[:3]
+        assert all(abs(x - float(y)) <= 1e-12 for x, y in zip(wf[3], we[3]))
+    assert broken >= 10

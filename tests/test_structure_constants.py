@@ -1,0 +1,188 @@
+"""The ad table against direct bracket loops.
+
+Jacobi (d^2 = 0 on the coframe), Nijenhuis (one commutator per basis
+vector), ad_x (a combination of the table's matrices) and the ideal test
+(xi on the brackets) are compared exactly with references here that
+bracket unit vectors pair by pair and triple by triple, on random bracket
+tables, Jacobi-violating ones included, and random J.
+"""
+
+from fractions import Fraction as F
+
+from hypothesis import given, settings, strategies as st
+
+from aalg import linalg
+from aalg.catalog import _s2n_entry, entry_document
+from aalg.documents import to_algebra, to_complex_structure
+from aalg.hermitian import ComplexStructure, is_integrable, nijenhuis
+from aalg.lie import LieAlgebra, abelian_ideal_defect
+from aalg.scalars import is_zero
+
+SCALARS = st.sampled_from([F(1), F(-1), F(2), F(1, 2), F(-1, 3)])
+
+
+# -- references: the loops over unit vectors ------------------------------------
+
+def ref_basis_bracket(L, i, j):
+    if i == j:
+        return linalg.zero_vector(L.dim, L.kind)
+    if i < j:
+        vec = L.brackets.get((i, j))
+        return list(vec) if vec else linalg.zero_vector(L.dim, L.kind)
+    vec = L.brackets.get((j, i))
+    return [-x for x in vec] if vec else linalg.zero_vector(L.dim, L.kind)
+
+
+def ref_ad(L, x):
+    return linalg.transpose([L.bracket(x, e) for e in linalg.idmat(L.dim, L.kind)])
+
+
+def ref_jacobi_witness(L):
+    units = linalg.idmat(L.dim, L.kind)
+    for i in range(L.dim):
+        for j in range(i + 1, L.dim):
+            bij = ref_basis_bracket(L, i, j)
+            for k in range(j + 1, L.dim):
+                res = linalg.vec_add(
+                    L.bracket(bij, units[k]),
+                    linalg.vec_add(L.bracket(ref_basis_bracket(L, j, k), units[i]),
+                                   L.bracket(ref_basis_bracket(L, k, i), units[j])))
+                if not linalg.is_zero_vector(res):
+                    return (i, j, k, res)
+    return None
+
+
+def ref_nijenhuis(J, L):
+    jm = J.matrix
+    units = linalg.idmat(L.dim, L.kind)
+    cols = linalg.transpose(jm)
+    out = {}
+    for i in range(L.dim):
+        for j in range(i + 1, L.dim):
+            term = L.bracket(cols[i], cols[j])
+            term = linalg.vec_sub(term, linalg.mat_vec(jm, L.bracket(cols[i], units[j])))
+            term = linalg.vec_sub(term, linalg.mat_vec(jm, L.bracket(units[i], cols[j])))
+            term = linalg.vec_sub(term, ref_basis_bracket(L, i, j))
+            if not linalg.is_zero_vector(term):
+                out[(i, j)] = term
+    return out
+
+
+def ref_abelian_ideal_defect(L, vectors):
+    vecs = [list(v) for v in vectors]
+    for a in range(len(vecs)):
+        for b in range(a + 1, len(vecs)):
+            if not linalg.is_zero_vector(L.bracket(vecs[a], vecs[b])):
+                return "not abelian"
+    units = linalg.idmat(L.dim, L.kind)
+    kernel = linalg.nullspace(vecs) if vecs else units
+    if len(vecs) != L.dim - 1 or len(kernel) != 1:
+        return "not a hyperplane"
+    for e in units:
+        for v in vecs:
+            if not is_zero(linalg.dot(kernel[0], L.bracket(e, v))):
+                return "not an ideal"
+    return None
+
+
+# -- strategies ------------------------------------------------------------------
+
+@st.composite
+def random_tables(draw, dims=st.integers(2, 6)):
+    """Unvalidated bracket tables: most of them violate Jacobi."""
+    dim = draw(dims)
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    brackets = {}
+    for key in draw(st.lists(st.sampled_from(pairs), max_size=5, unique=True)):
+        vec = [F(0)] * dim
+        for k in draw(st.lists(st.integers(0, dim - 1), min_size=1, max_size=2, unique=True)):
+            vec[k] = draw(SCALARS)
+        brackets[key] = vec
+    return LieAlgebra(dim, brackets, _validated=True)
+
+
+@st.composite
+def semidirect_tables(draw, dims=st.integers(2, 6)):
+    """R^(n-1) x_D R, a Lie algebra, in a sheared basis."""
+    dim = draw(dims)
+    entry = st.sampled_from([F(0), F(0), F(1), F(-1), F(1, 2)])
+    D = [[draw(entry) for _ in range(dim - 1)] for _ in range(dim - 1)]
+    L = LieAlgebra.semidirect(D)
+    s = linalg.idmat(dim)
+    s[0][dim - 1] = draw(st.sampled_from([F(0), F(1), F(-2)]))
+    s[dim - 1][0] = draw(st.sampled_from([F(0), F(1, 2)]))
+    return L.change_basis(s) if linalg.inverse(s) is not None else L
+
+
+tables = st.one_of(random_tables(), semidirect_tables())
+EVEN = st.sampled_from([2, 4, 6])
+even_tables = st.one_of(random_tables(EVEN), semidirect_tables(EVEN))
+
+
+@st.composite
+def complex_structures(draw, dim):
+    """A random pairing J, conjugated by an integer shear half of the time."""
+    order = draw(st.permutations(range(dim)))
+    J = ComplexStructure.from_pairs(dim, list(zip(order[::2], order[1::2])))
+    s = linalg.idmat(dim)
+    if dim > 2 and draw(st.booleans()):
+        s[draw(st.integers(0, dim - 1))][draw(st.integers(0, dim - 1))] += draw(SCALARS)
+    sinv = linalg.inverse(s)
+    if sinv is None:
+        return J
+    return ComplexStructure.from_matrix(linalg.mat_mul(s, linalg.mat_mul(J.matrix, sinv)))
+
+
+# -- exact agreement -------------------------------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(tables)
+def test_jacobi_witness_matches_triple_loop(L):
+    assert L.jacobi_witness() == ref_jacobi_witness(L)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables, st.data())
+def test_ad_matches_unit_vector_brackets(L, data):
+    x = data.draw(st.lists(st.sampled_from([F(0), F(1), F(-2), F(1, 3)]),
+                           min_size=L.dim, max_size=L.dim))
+    assert L.ad(x) == ref_ad(L, x)
+    for i in range(L.dim):
+        assert [list(row) for row in L.ad_basis(i)] == ref_ad(L, linalg.idmat(L.dim)[i])
+        for j in range(L.dim):
+            assert L.basis_bracket(i, j) == ref_basis_bracket(L, i, j)
+
+
+@settings(max_examples=100, deadline=None)
+@given(even_tables, st.data())
+def test_nijenhuis_matches_pairwise_loop(L, data):
+    J = data.draw(complex_structures(L.dim))
+    assert nijenhuis(J, L) == ref_nijenhuis(J, L)
+    assert is_integrable(J, L) == (not ref_nijenhuis(J, L))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables, st.data())
+def test_ideal_defect_matches_unit_vector_loop(L, data):
+    coeff = st.sampled_from([F(0), F(0), F(1), F(-1), F(2)])
+    xi = data.draw(st.lists(coeff, min_size=L.dim, max_size=L.dim))
+    candidates = [linalg.nullspace([xi]) if any(xi) else []]
+    # arbitrary vector lists exercise "not a hyperplane" and "not abelian"
+    count = data.draw(st.integers(0, L.dim))
+    candidates.append([data.draw(st.lists(coeff, min_size=L.dim, max_size=L.dim))
+                       for _ in range(count)])
+    for vecs in candidates:
+        assert abelian_ideal_defect(L, vecs) == ref_abelian_ideal_defect(L, vecs)
+
+
+def test_s12_validation_and_integrability_bracket_nothing(monkeypatch):
+    """Validating s_12 and deciding the integrability of its J read the ad
+    table and the coframe; no vector is bracketed."""
+    calls = []
+    bracket = LieAlgebra.bracket
+    monkeypatch.setattr(LieAlgebra, "bracket",
+                        lambda self, x, y: calls.append(1) or bracket(self, x, y))
+    doc = entry_document(_s2n_entry(6), {"a": F(-2), "c": F(1, 2)})
+    L = to_algebra(doc)
+    assert is_integrable(to_complex_structure(doc), L)
+    assert calls == []
