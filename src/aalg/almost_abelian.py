@@ -26,8 +26,7 @@ from .scalars import EXACT, coerce, is_zero, one, sqrt_scalar, zero
 from . import linalg
 from .forms import KForm
 from .hermitian import ComplexStructure, Metric, is_integrable
-from .lie import (LieAlgebra, Subspace, abelian_ideal_defect,
-                  find_codim1_abelian_ideal)
+from .lie import LieAlgebra, LieAlgebraError, Subspace, abelian_ideal
 
 
 class DataError(ValueError):
@@ -178,20 +177,17 @@ def extract_data(L: LieAlgebra, ideal: Subspace | None, J: ComplexStructure,
                  g: Metric) -> HermitianData:
     """Read the (a, v, A) data off a Hermitian almost abelian algebra.
 
-    The ideal may be passed explicitly (required when it is not unique);
-    otherwise it is detected.  The frame is produced by deterministic
-    Gram-Schmidt in J-stable pairs, lowest ambient index first.
+    The ideal may be declared (required when it is not unique); otherwise
+    it is detected (``lie.abelian_ideal`` does either, once per declaration).
+    The frame is produced by deterministic Gram-Schmidt in J-stable
+    pairs, lowest ambient index first.
     """
     n2 = L.dim
     kind = L.kind
-    if ideal is None:
-        ideal = find_codim1_abelian_ideal(L)
-        if ideal is None:
-            raise DataError("IDEAL_NOT_ABELIAN", "no codimension-one abelian ideal")
-    defect = abelian_ideal_defect(L, ideal.vectors)
-    if defect is not None:
-        raise DataError("IDEAL_NOT_ABELIAN", f"declared subspace is {defect}")
-    vecs = [list(v) for v in ideal.vectors]
+    try:
+        vecs = [list(v) for v in abelian_ideal(L, ideal).vectors]
+    except LieAlgebraError as exc:
+        raise DataError(exc.code, exc.message) from None
     if not is_integrable(J, L):
         raise DataError("J_NOT_COMPATIBLE", "J is not integrable")
     gm = g.matrix
@@ -226,8 +222,8 @@ def extract_data(L: LieAlgebra, ideal: Subspace | None, J: ComplexStructure,
 
     def project_out(x):
         out = list(x)
-        for w, dw in used:
-            c = linalg.gdot(gm, out, w) / dw
+        for w, gw, dw in used:
+            c = linalg.dot(out, gw) / dw
             out = linalg.vec_sub(out, linalg.vec_scale(c, w))
         return out
 
@@ -244,8 +240,8 @@ def extract_data(L: LieAlgebra, ideal: Subspace | None, J: ComplexStructure,
             du = one(kind)
         ju = linalg.mat_vec(jm, u)
         pairs.append((u, ju, du))
-        used.append((u, du))
-        used.append((ju, du))
+        # G w is kept beside w: each projection is then one dot product
+        used += [(w, linalg.mat_vec(gm, w), du) for w in (u, ju)]
     if 2 * len(pairs) != n2 - 2:
         raise DataError("J_NOT_COMPATIBLE", "could not build a J-paired frame")
     frame = [b1] + [w for (u, ju, _) in pairs for w in (u, ju)] + [b2n]

@@ -31,7 +31,7 @@ from . import linalg
 from .documents import (AlgebraDocument, Term, parse_manifest, to_algebra,
                         to_complex_structure, to_ideal, to_metric)
 from .hermitian import HermitianStructure, Metric
-from .lie import LieAlgebra, Subspace, find_codim1_abelian_ideal
+from .lie import LieAlgebra
 from .almost_abelian import DATA_PREDICATES, extract_data, lee_form_closed
 from .lchk import construct_lchk, hyperkahler_flatness, lchk_admissible, verify_triple
 
@@ -106,24 +106,17 @@ def instantiate(entry: CatalogEntry, params=None) -> LieAlgebra:
     return to_algebra(entry_document(entry, params))
 
 
-def _ideal_subspace(entry: CatalogEntry, L: LieAlgebra) -> Subspace:
-    ideal = to_ideal(entry.document) or find_codim1_abelian_ideal(L)
-    if ideal is None:
-        raise CatalogError("WITNESS_FAILURE", f"{entry.name}: no abelian hyperplane ideal")
-    return ideal
-
-
 def witness_structures(entry: CatalogEntry, L: LieAlgebra):
     """All witness Hermitian structures on ``L``, the entry's algebra as
-    ``instantiate`` built it; the abelian ideal is looked up only when the
-    entry has an explicit witness.
+    ``instantiate`` built it; the abelian ideal is looked up (once, on L)
+    only when the entry has an explicit witness.
 
     Returns a list of (label, HermitianStructure, HermitianData, claims).
     """
     explicit = [w for w in entry.witnesses if isinstance(w, ExplicitWitness)]
     if not explicit:
         return []
-    ideal = _ideal_subspace(entry, L)
+    ideal = to_ideal(entry.document)
     J = to_complex_structure(entry.document)
     out = []
     for w in explicit:

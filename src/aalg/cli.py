@@ -22,15 +22,16 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from . import scalars
 from .scalars import EXACT, fmt
 from . import linalg
-from .documents import (AlgebraDocument, ParseError, parse, render,
+from .documents import (AlgebraDocument, ParseError, parse, parse_ideal, render,
                         to_algebra, to_complex_structure, to_ideal, to_metric)
 from .hermitian import HermitianError, HermitianStructure
-from .lie import LieAlgebraError, find_codim1_abelian_ideal
+from .lie import LieAlgebraError, abelian_ideal
 from .almost_abelian import (DATA_PREDICATES, DataError, extract_data,
                              is_lcb_data, is_skt_data, is_type_11, rho_b_closed,
                              adapted_J_matrix, skt_to_lcb, skt_to_lcb_metric)
@@ -81,30 +82,19 @@ def _load_document(path):
     return parse(_read(path))
 
 
-def _parse_ideal_flag(spec, dim):
-    """--ideal 'f2, f3, f4' override (same syntax as the document line)."""
-    doc = parse(f"algebra override dim {dim}\n"
-                + "d = (" + ", ".join(["0"] * dim) + ")\n"
-                + "ideal: " + spec + "\n")
-    return to_ideal(doc)
-
-
 def _structures(doc, ideal_flag=None):
+    """L, J, g and the declared ideal (the --ideal flag, else the
+    document's ideal line, else None); a bad or missing ideal is rejected
+    here, before any check of J."""
     L = to_algebra(doc)
     J = to_complex_structure(doc)
     g = to_metric(doc)
     if J is None or g is None:
         raise ParseError("this command needs both J and g in the document")
-    return L, J, g, _ideal(doc, L, ideal_flag)
-
-
-def _ideal(doc, L, ideal_flag=None):
-    """The --ideal flag, else the document's ideal line, else the search."""
-    ideal = (_parse_ideal_flag(ideal_flag, doc.dim) if ideal_flag
-             else to_ideal(doc)) or find_codim1_abelian_ideal(L)
-    if ideal is None:
-        raise MathRejection("the algebra has no codimension-one abelian ideal")
-    return ideal
+    declared = to_ideal(replace(doc, ideal=parse_ideal(ideal_flag, doc.dim))
+                        if ideal_flag else doc)
+    abelian_ideal(L, declared)
+    return L, J, g, declared
 
 
 def _emit(report, args):
@@ -312,14 +302,11 @@ def _parse_grid(grid):
 def cmd_lattice(args):
     doc = _load_document(args.file)
     L = to_algebra(doc)
-    ideal = _ideal(doc, L)
+    ideal = abelian_ideal(L, to_ideal(doc))
     # matrix of ad on the ideal in the ideal basis
     vecs = [list(v) for v in ideal.vectors]
-    n = L.dim
-    # transversal: last basis vector not in the ideal
-    trans = next((e for e in reversed(linalg.idmat(n)) if not ideal.contains(e)), None)
-    if trans is None:
-        raise MathRejection("could not find a transversal direction")
+    # transversal: the last basis vector outside the hyperplane
+    trans = next(e for e in reversed(linalg.idmat(L.dim)) if not ideal.contains(e))
     full = linalg.transpose(vecs + [trans])
     inv = linalg.inverse(full)
     cols = [linalg.mat_vec(inv, L.bracket(trans, v))[:-1] for v in vecs]

@@ -30,10 +30,9 @@ from .hermitian import ComplexStructure, Metric
 
 class ParseError(ValueError):
     def __init__(self, message, line=None, col=None):
-        loc = ""
-        if line is not None:
-            loc = f" at line {line}" + (f", column {col}" if col is not None else "")
-        super().__init__(f"{message}{loc}")
+        where = [f"{name} {val}" for name, val in (("line", line), ("column", col))
+                 if val is not None]
+        super().__init__(f"{message} at {', '.join(where)}" if where else message)
         self.line = line
         self.col = col
 
@@ -302,6 +301,20 @@ def _parse_vector_expr(sc: _Scanner, dim):
     return tuple(vec)
 
 
+def _parse_ideal(sc: _Scanner, dim):
+    """Comma-separated vector sums, as a tuple of coefficient vectors."""
+    vecs = [_parse_vector_expr(sc, dim)]
+    while sc.take(","):
+        vecs.append(_parse_vector_expr(sc, dim))
+    return tuple(vecs)
+
+
+def parse_ideal(spec, dim):
+    """``AlgebraDocument.ideal`` for a spec like 'f2, f3 + f4' (the syntax
+    of the ``ideal:`` line); errors give the column in ``spec``."""
+    return _parse_ideal(_Scanner(spec, None), dim)
+
+
 def parse(text) -> AlgebraDocument:
     """Parse one algebra document."""
     lines = text.splitlines()
@@ -378,12 +391,7 @@ def parse(text) -> AlgebraDocument:
                 sc.error("expected 'identity' or 'matrix [...]'")
         elif head == "ideal":
             sc.expect(":")
-            vecs = []
-            while True:
-                vecs.append(_parse_vector_expr(sc, dim))
-                if not sc.take(","):
-                    break
-            ideal = tuple(vecs)
+            ideal = _parse_ideal(sc, dim)
         else:
             raise ParseError(f"unknown directive {head!r}", ln, 1)
     if pending is not None:

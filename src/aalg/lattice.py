@@ -234,8 +234,8 @@ def _integer_deviation(coeffs):
     return dev
 
 
-def integrality_probe(b, t_values=None, rule_k_max=None, eps_int=None,
-                      with_residual=True) -> IntegralityReport:
+def integrality_probe(b, t_values=None, rule_k_max=None,
+                      eps_int=None) -> IntegralityReport:
     """Integer char/min polynomial probe over a grid or the 2 log k rule.
 
     The verdict per point is INTEGER when every coefficient of both
@@ -264,7 +264,7 @@ def integrality_probe(b, t_values=None, rule_k_max=None, eps_int=None,
             verdict = "NON_INTEGER"
         residual = None
         residual_gap = None
-        if with_residual and k is not None and linalg.poly_deg(list(minp)) == 3:
+        if k is not None and linalg.poly_deg(list(minp)) == 3:
             if linalg.matrix_kind(m) != EXACT:
                 # compensated evaluation of k^2 (k^2 + a2) + a1 from the
                 # three distinct eigenvalues; individual products are

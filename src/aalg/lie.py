@@ -8,6 +8,8 @@ the Nijenhuis tensor in ``hermitian``.  Validation enforces antisymmetry
 by construction and checks the Jacobi identity as d^2 = 0 on the coframe,
 exactly on the rational path.  A hyperplane is an ideal iff it contains
 [L, L], so the ideal test evaluates its covector on the brackets.
+:func:`abelian_ideal` validates a declared ideal or searches for one, and
+caches the answer on the algebra once per declaration.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ class LieAlgebraError(ValueError):
     def __init__(self, code, message, witness=None):
         super().__init__(f"{code}: {message}")
         self.code = code
+        self.message = message
         self.witness = witness
 
 
@@ -209,23 +212,24 @@ def find_codim1_abelian_ideal(L: LieAlgebra):
     A hyperplane containing [L, L] is automatically an ideal, so the search
     solves, for each normalized pivot position of the defining covector xi,
     the linear system expressing that the bracket factors through xi.
-    Scanning pivots from the highest index down makes span(e_1 .. e_{d-1})
-    the canonical answer for the abelian algebra.  When the solution is not
-    unique (nilpotent case) the first solution is returned flagged ambiguous.
+    Pivots are scanned from the highest index down and the first consistent
+    branch is the answer, so span(e_1 .. e_{d-1}) is the canonical answer
+    for the abelian algebra.
+
+    ``ambiguous`` is set exactly when another answer exists.  Two abelian
+    hyperplane ideals n != n' are c + R a and c + R b with c = n intersect
+    n' central, so [L, L] = [n, n'] = R [a, b] lies in c: dim L >= 2 and
+    [L, L] is central of dimension <= 1.  Conversely such an L with one
+    abelian hyperplane ideal is R^d or h3 + R^(d-3), which have a pencil.
     """
     n = L.dim
     kind = L.kind
     derived = L.derived_algebra()
-    solutions = []
-    total_freedom = 0
     for t in range(n - 1, -1, -1):
         # Branch: xi_t = 1 and xi_s = 0 for s > t; unknowns are xi_0 .. xi_{t-1}.
-        rows = []
-        rhs = []
+        # rows [coefficients of xi_0 .. xi_{t-1} | right-hand side]
         # ideal condition: xi annihilates [L, L]
-        for vec in derived.vectors:
-            rows.append([coerce(vec[s], kind) for s in range(t)])
-            rhs.append(-coerce(vec[t], kind))
+        aug = [list(vec[:t]) + [-vec[t]] for vec in derived.vectors]
         # abelian condition with the auxiliary endomorphism eliminated:
         # c^k_{ij} = xi_i c^k_{tj} - xi_j c^k_{ti} for all i < j, both != t,
         # where forced-zero components of xi simply drop out.
@@ -243,33 +247,40 @@ def find_codim1_abelian_ideal(L: LieAlgebra):
                     if j < t:
                         coeffs[j] -= adt[k][i]
                     if adi[k][j] != 0 or any(x != 0 for x in coeffs):
-                        rows.append(coeffs)
-                        rhs.append(adi[k][j])
-        xi = linalg.idmat(n, kind)[t]
-        if t > 0:
-            aug = [row + [val] for row, val in zip(rows, rhs)]
-            red, pivots = linalg.rref(aug)
-            if t in pivots:
-                continue  # inconsistent branch
-            freedom = t - len(pivots)
+                        aug.append(coeffs + [adi[k][j]])
+        red, pivots = linalg.rref(aug)
+        if t not in pivots:  # the first consistent branch is the answer
+            xi = linalg.idmat(n, kind)[t]
             for ridx, pc in enumerate(pivots):
                 xi[pc] = red[ridx][t]
-        else:
-            if any(not is_zero(v) for v in rhs):
-                continue
-            freedom = 0
-        solutions.append((t, xi, freedom))
-        total_freedom += freedom
-    if not solutions:
+            break
+    else:
         return None
-    t, xi, freedom = solutions[0]
-    ambiguous = total_freedom > 0 or len(solutions) > 1
+    ambiguous = (n >= 2 and derived.dim <= 1
+                 and all(linalg.is_zero_matrix(L.ad(w)) for w in derived.vectors))
     basis = linalg.nullspace([xi])
     ideal = Subspace(len(basis), tuple(tuple(v) for v in basis), ambiguous=ambiguous)
     # direct re-check guards against elimination bugs
     defect = abelian_ideal_defect(L, ideal.vectors)
     if defect is not None:
         raise LieAlgebraError("INTERNAL", f"ideal candidate is {defect}")
+    return ideal
+
+
+def abelian_ideal(L: LieAlgebra, declared):
+    """The codimension-one abelian ideal of L: the ``declared`` Subspace if
+    :func:`abelian_ideal_defect` passes it, the search's answer if it is
+    None; memoised on L per declaration.  Raises IDEAL_NOT_ABELIAN when
+    the declared subspace fails or the search finds nothing."""
+    def resolve():
+        if declared is None:
+            return find_codim1_abelian_ideal(L) or "no codimension-one abelian ideal"
+        defect = abelian_ideal_defect(L, declared.vectors)
+        return declared if defect is None else f"declared subspace is {defect}"
+
+    ideal = L.memo(("ideal", declared), resolve)
+    if isinstance(ideal, str):
+        raise LieAlgebraError("IDEAL_NOT_ABELIAN", ideal)
     return ideal
 
 

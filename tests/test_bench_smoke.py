@@ -39,3 +39,18 @@ def test_tracer_wraps_every_listed_function(monkeypatch):
     finally:
         tracer.uninstall()
     assert (almost_abelian.skt_to_lcb, catalog.witness_structures) == originals
+
+
+@pytest.mark.parametrize("workload", ["draws", "sweep", "float"])
+def test_recorded_digests_reproduce(workload, tmp_path, monkeypatch):
+    """Every item of every seed recorded in ``digests.json`` still gives its
+    recorded output digest: the benchmark's "outputs unchanged" gate."""
+    monkeypatch.syspath_prepend(os.path.normpath(BENCH))
+    import workloads
+    from run import digest, load_digests
+
+    recorded = load_digests()["digests"][workload]
+    assert recorded
+    for seed, want in sorted(recorded.items()):
+        items = workloads.WORKLOADS[workload](int(seed), str(tmp_path))
+        assert [digest(item.run()[0]) for item in items] == want["items"], seed

@@ -229,6 +229,31 @@ def test_j_and_g_must_fit_the_dimension(tmp_path, capsys, command, lines):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("ideal, defect", [("f1, f2, f4", "not abelian"),
+                                           ("f1, f2", "not a hyperplane")])
+def test_lattice_validates_a_declared_ideal(tmp_path, capsys, ideal, defect):
+    """A declared ideal that is not an abelian hyperplane ideal is rejected
+    as by ``aalg data``, not probed and not crashed on."""
+    p = tmp_path / "bad-ideal.alg"
+    p.write_text("algebra x dim 4\nd = (f14, f24, f34, 0)\nJ: f1->f4, f2->f3\n"
+                 f"g: identity\nideal: {ideal}\n", encoding="utf-8")
+    want = f"rejected: IDEAL_NOT_ABELIAN: declared subspace is {defect}\n"
+    assert main(["data", str(p)]) == 2
+    assert capsys.readouterr().err == want
+    assert main(["lattice", str(p), "--rule", "2logk:K=12", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == want
+
+
+def test_ideal_flag_errors_point_into_the_flag(docs, capsys):
+    """--ideal is parsed as an ideal spec: the error names its column, not
+    a line of a document the user never wrote."""
+    assert main(["data", docs["s4"], "--ideal", "f9"]) == 1
+    assert capsys.readouterr().err == "error: index 9 out of range at column 3\n"
+    code, rep = run_json(capsys, ["data", docs["s4"], "--ideal", "f1, f2, f3", "--json"])
+    assert code == 0 and rep["n"] == 2
+
+
 def test_aalg_epsilon_sets_the_tolerance_for_one_call(docs, capsys, monkeypatch):
     argv = ["check", docs["aff2p"], "--property", "kahler", "--json"]
     before = scalars.current_eps()

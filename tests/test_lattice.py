@@ -148,7 +148,7 @@ def test_probe_other_unimodular_families_none():
           [0, 0, 0, 0, 0],
           [0, 0, 0, 0, 0]]
     for b in (l2, l3, l9):
-        rep = integrality_probe(b, rule_k_max=25, with_residual=False)
+        rep = integrality_probe(b, rule_k_max=25)
         assert rep.overall == "NONE_IN_RANGE"
 
 
