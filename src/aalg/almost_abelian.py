@@ -45,7 +45,8 @@ class HermitianData:
     b^t in ambient coordinates.  ``d_outer`` is the common squared
     norm of b_1 and b_{2n}; ``d_inner`` the squared norms of the u_i
     (equal within each J-pair).  A fully orthonormal frame has all of
-    them equal to one.
+    them equal to one.  The frame is g-orthogonal, so these norms and
+    the coframe fix g: ``metric()`` rebuilds it.
     """
 
     n: int
@@ -93,6 +94,16 @@ class HermitianData:
     def is_orthonormal(self) -> bool:
         ok = self.d_outer == one(self.kind) or is_zero(self.d_outer - 1)
         return ok and all(is_zero(d - 1) for d in self.d_inner)
+
+    def metric(self) -> Metric:
+        """The metric the frame realizes: sum_t w_t (b^t)^2 over the coframe
+        rows, with w = (d_outer, d_inner, d_outer) the squared norms of the
+        g-orthogonal frame."""
+        w = (self.d_outer,) + self.d_inner + (self.d_outer,)
+        c = self.coframe
+        n2 = len(w)
+        return Metric.from_matrix([[sum(w[t] * c[t][i] * c[t][j] for t in range(n2))
+                                    for j in range(n2)] for i in range(n2)])
 
     def gauge_invariants(self):
         """Quantities independent of the unitary gauge in the adapted frame."""
@@ -418,17 +429,21 @@ def skt_to_lcb(d: HermitianData) -> HermitianData:
     """From SKT data to LCB data on the same (algebra, J).
 
     Splits v = (A - a)x + v' with v' the g-orthogonal projection onto
-    the cokernel of A - a Id, and rebases e_1' = e_1 - x.  The output
-    data (a, v', A) is LCB; when a != 0 it has v' = 0 exactly.
+    the cokernel of A - a Id, and rebases the outer pair of the frame:
+    b_1' = b_1 - X and b_2n' = J b_1' = b_2n - (J_1 x)_t u_t, where
+    X = x_t u_t.  The ideal n is abelian, so ad_{b_2n'} = ad_{b_2n} on n
+    and the new frame realizes (a, v', A); its outer pair is declared
+    unit, so ``metric()`` of the result is the LCB metric.  When a != 0,
+    v' = 0 exactly.
     """
     if not is_skt_data(d):
         raise DataError("PRECONDITION", "input data is not SKT")
     m = d.m
     kind = d.kind
+    shift = linalg.mat_scale(d.a, linalg.idmat(m, kind))
     # cokernel: null space of (A - a)^* with respect to the frame Gram matrix
-    shifted_star = linalg.mat_sub(d.adjoint_A(), linalg.mat_scale(d.a, linalg.idmat(m, kind)))
     s = d.gram_n1()
-    kernel = linalg.nullspace(shifted_star)
+    kernel = linalg.nullspace(linalg.mat_sub(d.adjoint_A(), shift))
     if kernel:
         cols = linalg.transpose(kernel)
         gram = [[linalg.gdot(s, u, w) for w in kernel] for u in kernel]
@@ -438,43 +453,21 @@ def skt_to_lcb(d: HermitianData) -> HermitianData:
         vprime = linalg.mat_vec(cols, coeffs)
     else:
         vprime = [zero(kind)] * m
-    # the frame is nominal here: the ambient realization of the new data is
-    # produced by skt_to_lcb_metric; the rebased outer pair is unit by fiat
-    return HermitianData(
-        n=d.n, a=d.a, v=tuple(vprime), A=d.A, J1=d.J1,
-        frame=d.frame, coframe=d.coframe, d_outer=one(kind), d_inner=d.d_inner,
-        kind=kind)
-
-
-def skt_to_lcb_metric(J: ComplexStructure, d: HermitianData,
-                      dprime: HermitianData) -> Metric:
-    """The LCB metric of the rebasing, in ambient coordinates, for the SKT
-    data ``d`` and ``dprime = skt_to_lcb(d)``.
-
-    Writes v = (A - a)x + v', replaces b_1 by b_1 - X (X the ambient lift
-    of x) and b_2n by J(b_1 - X), and declares the new frame orthonormal.
-    """
-    m = d.m
-    kind = d.kind
-    am = d.A_matrix
-    shifted = linalg.mat_sub(am, linalg.mat_scale(d.a, linalg.idmat(m, kind)))
-    rhs = linalg.vec_sub(d.v_vector, dprime.v_vector)
-    x = linalg.solve_general(shifted, rhs)
+    x = linalg.solve_general(linalg.mat_sub(d.A_matrix, shift),
+                             linalg.vec_sub(d.v_vector, vprime))
     if x is None:
         raise DataError("PRECONDITION", "projection split failed")
-    n2 = 2 * d.n
-    frame = [list(w) for w in d.frame]
-    lift = [zero(kind)] * n2
-    for t in range(m):
-        lift = linalg.vec_add(lift, linalg.vec_scale(x[t], frame[1 + t]))
-    b1p = linalg.vec_sub(frame[0], lift)
-    b2np = linalg.mat_vec(J.matrix, b1p)
-    new_frame = [b1p] + frame[1:-1] + [b2np]
-    p = linalg.transpose(new_frame)
-    pinv = linalg.inverse(p)
-    # squared norms assigned to the new frame: n_1 keeps its old ones, the
-    # rebased outer pair is declared unit
-    weights = [one(kind)] + list(d.d_inner) + [one(kind)]
-    gp = [[sum(weights[t] * pinv[t][i] * pinv[t][j] for t in range(n2))
-           for j in range(n2)] for i in range(n2)]
-    return Metric.from_matrix(gp)
+    jx = linalg.mat_vec(d.J1_matrix, x)
+    inner = d.frame[1:-1]
+    lift = linalg.transpose(inner)
+    frame = ((tuple(linalg.vec_sub(d.frame[0], linalg.mat_vec(lift, x))),) + inner
+             + (tuple(linalg.vec_sub(d.frame[-1], linalg.mat_vec(lift, jx))),))
+    # the frame matrix is P (I - E) with E = x e_1^t + (J_1 x) e_2n^t; E^2 = 0,
+    # so the coframe is (I + E) C: row 1+t of C gains x_t b^1 + (J_1 x)_t b^2n
+    first, last = d.coframe[0], d.coframe[-1]
+    coframe = ((first,) + tuple(
+        tuple(c + x[t] * p + jx[t] * q for c, p, q in zip(d.coframe[1 + t], first, last))
+        for t in range(m)) + (last,))
+    return HermitianData(
+        n=d.n, a=d.a, v=tuple(vprime), A=d.A, J1=d.J1, frame=frame,
+        coframe=coframe, d_outer=one(kind), d_inner=d.d_inner, kind=kind)

@@ -28,13 +28,13 @@ from fractions import Fraction
 from . import scalars
 from .scalars import EXACT, fmt
 from . import linalg
-from .documents import (AlgebraDocument, ParseError, parse, parse_ideal, render,
+from .documents import (ParseError, parse, parse_ideal, render,
                         to_algebra, to_complex_structure, to_ideal, to_metric)
 from .hermitian import HermitianError, HermitianStructure
 from .lie import LieAlgebraError, abelian_ideal
 from .almost_abelian import (DATA_PREDICATES, DataError, extract_data,
                              is_lcb_data, is_skt_data, is_type_11, rho_b_closed,
-                             adapted_J_matrix, skt_to_lcb, skt_to_lcb_metric)
+                             adapted_J_matrix, skt_to_lcb)
 from .lchk import LchkError, construct_lchk, lchk_admissible
 from .lattice import integrality_probe
 from .catalog import CatalogError, verify_all
@@ -368,12 +368,7 @@ def cmd_skt_to_lcb(args):
     if not is_skt_data(d):
         raise MathRejection("the document's metric is not SKT")
     dp = skt_to_lcb(d)
-    gp = skt_to_lcb_metric(J, d, dp)
-    new_doc = AlgebraDocument(
-        name=doc.name + "-lcb", dim=doc.dim, params=dict(doc.params),
-        differential=doc.differential, j_spec=doc.j_spec,
-        g_spec=("matrix", tuple(tuple(row) for row in gp.matrix)),
-        ideal=doc.ideal, kind=doc.kind)
+    new_doc = replace(doc, name=doc.name + "-lcb", g_spec=("matrix", dp.metric().g))
     if args.json:
         report = {"schema": SCHEMA, "command": "skt-to-lcb",
                   "algebra": doc.name,

@@ -302,10 +302,13 @@ def _parse_vector_expr(sc: _Scanner, dim):
 
 
 def _parse_ideal(sc: _Scanner, dim):
-    """Comma-separated vector sums, as a tuple of coefficient vectors."""
+    """Comma-separated vector sums, as a tuple of coefficient vectors; the
+    rest of the line must be empty."""
     vecs = [_parse_vector_expr(sc, dim)]
     while sc.take(","):
         vecs.append(_parse_vector_expr(sc, dim))
+    if not sc.at_end():
+        sc.error("trailing input after ideal")
     return tuple(vecs)
 
 

@@ -178,10 +178,13 @@ def char_min_poly(m):
     matrices through eigenvalue clustering with Jordan sizes estimated
     from rank deficiencies.
     """
-    kind = linalg.matrix_kind(m)
-    if kind == EXACT:
+    if linalg.matrix_kind(m) == EXACT:
         return linalg.charpoly(m), linalg.minpoly(m)
-    clusters = _spectral_clusters(m)
+    return _cluster_polys(_spectral_clusters(m))
+
+
+def _cluster_polys(clusters):
+    """Characteristic and minimal polynomials read off spectral clusters."""
     char = np.array([1.0 + 0j])
     minp = np.array([1.0 + 0j])
     for center, mult, size in clusters:
@@ -253,8 +256,9 @@ def integrality_probe(b, t_values=None, rule_k_max=None,
             schedule.append((float(t), None))
     found = None
     for t, k in schedule:
-        m = _matrix_exp_rule(b, k) if k is not None else matrix_exp(b, t)
-        char, minp = char_min_poly(m)
+        clusters = _spectral_clusters(
+            _matrix_exp_rule(b, k) if k is not None else matrix_exp(b, t))
+        char, minp = _cluster_polys(clusters)
         dev = max(_integer_deviation(char), _integer_deviation(minp))
         if dev <= eps_int:
             verdict = "INTEGER"
@@ -265,20 +269,18 @@ def integrality_probe(b, t_values=None, rule_k_max=None,
         residual = None
         residual_gap = None
         if k is not None and linalg.poly_deg(list(minp)) == 3:
-            if linalg.matrix_kind(m) != EXACT:
-                # compensated evaluation of k^2 (k^2 + a2) + a1 from the
-                # three distinct eigenvalues; individual products are
-                # exactly representable for the catalog matrices, so fsum
-                # recovers the tiny residual despite the k^6 cancellations
-                lams = sorted({c.real for c, _, _ in
-                               ((cc, mm, ss) for cc, mm, ss in _spectral_clusters(m))})
-                if len(lams) == 3:
-                    k2 = float(k) * float(k)
-                    terms = [k2 * k2]
-                    terms += [-(k2 * lam) for lam in lams]
-                    terms += [lams[0] * lams[1], lams[0] * lams[2], lams[1] * lams[2]]
-                    residual = math.fsum(terms)
-            if residual is None:
+            # compensated evaluation of k^2 (k^2 + a2) + a1 from the three
+            # distinct eigenvalues; individual products are exactly
+            # representable for the catalog matrices, so fsum recovers the
+            # tiny residual despite the k^6 cancellations
+            lams = sorted({c.real for c, _, _ in clusters})
+            if len(lams) == 3:
+                k2 = float(k) * float(k)
+                terms = [k2 * k2]
+                terms += [-(k2 * lam) for lam in lams]
+                terms += [lams[0] * lams[1], lams[0] * lams[2], lams[1] * lams[2]]
+                residual = math.fsum(terms)
+            else:
                 a1 = float(minp[1])
                 a2 = float(minp[2])
                 residual = k * k * (k * k + a2) + a1

@@ -110,9 +110,11 @@ def mat_mul(a, b):
 
 
 def mat_vec(a, v):
+    """a v, skipping zero entries of a as :func:`mat_mul` does."""
     if a and len(a[0]) != len(v):
         raise LinAlgError("matrix/vector dimension mismatch")
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    z = zero(matrix_kind(a))
+    return [sum((x * y for x, y in zip(row, v) if x != 0), z) for row in a]
 
 
 def vec_add(u, v):

@@ -11,6 +11,7 @@ from fractions import Fraction as F
 
 from aalg import linalg
 from aalg.almost_abelian import data_from_parts, standard_j1
+from aalg.hermitian import ComplexStructure, Metric
 
 POOL = [F(0), F(1), F(-1), F(1, 2), F(-1, 2), F(1, 4), F(-1, 4), F(2)]
 POOL_NZ = [x for x in POOL if x != 0]
@@ -126,3 +127,24 @@ def data_stream(seed, count, dims=(2, 3, 4), shapes=ALL_SHAPES):
         shape = shapes[i % len(shapes)]
         out.append(random_data(rng, n, shape))
     return out
+
+
+def random_shear(rng, n):
+    """A product of n rational shears: a change of basis s with s[i][j]
+    the i-th coordinate of the new basis vector b_j."""
+    s = linalg.idmat(n)
+    for _ in range(n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice([F(1), F(-1), F(1, 2)])
+        for r in range(n):
+            s[r][i] += c * s[r][j]
+    return s
+
+
+def transported(L, J, g, s):
+    """The same structure in the basis b_j = sum_i s[i][j] e_i, where an
+    identity g is no longer the identity."""
+    sinv = linalg.inverse(s)
+    jm = linalg.mat_mul(sinv, linalg.mat_mul(J.matrix, s))
+    gm = linalg.mat_mul(linalg.transpose(s), linalg.mat_mul(g.matrix, s))
+    return L.change_basis(s), ComplexStructure.from_matrix(jm), Metric.from_matrix(gm)

@@ -8,14 +8,17 @@ import pytest
 from aalg import linalg
 from aalg.forms import KForm, exterior_derivative
 from aalg.hermitian import ComplexStructure, HermitianStructure, Metric
-from aalg.lie import LieAlgebra, Subspace
-from aalg.almost_abelian import (DataError, build_algebra, data_from_parts,
-                                 extract_data, is_balanced_data, is_kahler_data,
-                                 is_lcb_data, is_lck_data, is_skt_data, is_type_11,
-                                 lcb_iff_type_11, lee_form_closed, rho_b_closed,
-                                 skt_to_lcb, skt_to_lcb_metric, standard_j1)
+from aalg.lie import LieAlgebra, Subspace, abelian_ideal
+from aalg.almost_abelian import (DATA_PREDICATES, DataError, build_algebra,
+                                 data_from_parts, extract_data, is_balanced_data,
+                                 is_kahler_data, is_lcb_data, is_lck_data,
+                                 is_skt_data, is_type_11, lcb_iff_type_11,
+                                 lee_form_closed, rho_b_closed, skt_to_lcb,
+                                 standard_j1)
+from aalg.catalog import ENTRIES, instantiate, witness_structures
+from aalg.documents import to_ideal
 
-from conftest import data_stream, random_data
+from conftest import data_stream, random_data, random_shear, transported
 
 
 def test_g4_data_example():
@@ -254,11 +257,78 @@ def test_skt_to_lcb_metric_direct():
         if not is_skt_data(d):
             continue
         L, J, g = build_algebra(d.a, list(d.v), d.A_matrix, d.J1_matrix)
-        gp = skt_to_lcb_metric(J, d, skt_to_lcb(d))
-        H = HermitianStructure(L, J, gp)
+        H = HermitianStructure(L, J, skt_to_lcb(d).metric())
         assert H.is_lcb_direct()
         done += 1
     assert done >= 8
+
+
+def _moved(vectors, s):
+    """Coordinates of ambient vectors in the basis given by the columns of s."""
+    sinv = linalg.inverse(s)
+    return tuple(tuple(linalg.mat_vec(sinv, list(v))) for v in vectors)
+
+
+def test_skt_to_lcb_is_realised_by_its_frame():
+    """On SKT data in scaled, non-orthonormal frames, the frame of
+    skt_to_lcb(d) realizes its (a, v', A): ad of its last vector has that
+    block form in it, and the closed Lee and Bismut-Ricci forms and every
+    data predicate agree with the direct route on (L, J, metric())."""
+    rng = random.Random(80)
+    rot = [[F(0), F(1)], [F(-1), F(0)]]
+    # a = 0 and v off the image of A: v' != 0, so the outer pair moves
+    stream = [data_from_parts(F(0), [F(2), F(-1), F(3), F(1, 2)],
+                              linalg.block_diag([rot, linalg.zeros(2, 2)]), standard_j1(4)),
+              data_from_parts(F(0), [F(1), F(2), F(-1), F(1, 2), F(3), F(0)],
+                              linalg.block_diag([rot, linalg.zeros(2, 2),
+                                                 linalg.mat_scale(2, rot)]), standard_j1(6))]
+    stream += [random_data(rng, rng.choice([2, 3]), "skt") for _ in range(40)]
+    done = projected = 0
+    for d0 in stream:
+        if not is_skt_data(d0):
+            continue
+        L, J, g = build_algebra(d0.a, list(d0.v), d0.A_matrix, d0.J1_matrix)
+        s = random_shear(rng, L.dim)
+        L, J, g = transported(L, J, g, s)
+        g = Metric.from_matrix(linalg.mat_scale(rng.choice([F(2), F(3), F(1, 2)]), g.matrix))
+        ideal = Subspace(L.dim - 1, _moved(linalg.idmat(L.dim)[:-1], s))
+        d = extract_data(L, ideal, J, g)
+        dp = skt_to_lcb(d)
+        n2, m = L.dim, dp.m
+        assert linalg.mat_eq(linalg.mat_mul(dp.coframe, linalg.transpose(dp.frame)),
+                             linalg.idmat(n2))
+        img = [linalg.mat_vec(dp.coframe, L.bracket(dp.frame[-1], w)) for w in dp.frame]
+        assert img[0] == [dp.a] + list(dp.v) + [0]
+        for t in range(m):
+            assert img[1 + t] == [0] + [dp.A[r][t] for r in range(m)] + [0]
+        H = HermitianStructure(L, J, dp.metric())
+        assert lee_form_closed(dp).equals(H.lee_form())
+        assert rho_b_closed(dp) == H.bismut_ricci_oracle()
+        for name, predicate in DATA_PREDICATES.items():
+            assert predicate(dp) == getattr(H, f"is_{name}_direct")(), name
+        assert is_lcb_data(dp)
+        done += 1
+        projected += d.a == 0 and any(x != 0 for x in dp.v)
+    assert done >= 30 and projected >= 2, (done, projected)
+
+
+def test_metric_is_read_off_the_frame():
+    """extract_data(...).metric() is g exactly, for every Hermitian catalog
+    witness at every sample, also after a rational change of basis."""
+    rng = random.Random(81)
+    checked = 0
+    for entry in ENTRIES.values():
+        for params in entry.samples:
+            L = instantiate(entry, params)
+            for _, H, d, _ in witness_structures(entry, L):
+                assert d.metric() == H.g
+                s = random_shear(rng, L.dim)
+                L2, J2, g2 = transported(L, H.J, H.g, s)
+                ideal = abelian_ideal(L, to_ideal(entry.document))
+                moved = Subspace(ideal.dim, _moved(ideal.vectors, s))
+                assert extract_data(L2, moved, J2, g2).metric() == g2
+                checked += 1
+    assert checked >= 40
 
 
 def test_balanced_vs_lcb_rank_obstruction():

@@ -252,6 +252,8 @@ def test_ideal_flag_errors_point_into_the_flag(docs, capsys):
     assert capsys.readouterr().err == "error: index 9 out of range at column 3\n"
     code, rep = run_json(capsys, ["data", docs["s4"], "--ideal", "f1, f2, f3", "--json"])
     assert code == 0 and rep["n"] == 2
+    assert main(["data", docs["s4"], "--ideal", "f1, f2 junk, f3"]) == 1
+    assert capsys.readouterr().err == "error: trailing input after ideal at column 8\n"
 
 
 def test_aalg_epsilon_sets_the_tolerance_for_one_call(docs, capsys, monkeypatch):

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aalg.documents import (AlgebraDocument, ParseError, Term, parse,
+from aalg.documents import (AlgebraDocument, ParseError, Term, parse, parse_ideal,
                             parse_manifest, render, render_manifest,
                             to_algebra, to_complex_structure, to_ideal,
                             to_metric)
@@ -89,6 +89,19 @@ def test_j_and_g_and_ideal():
     ideal = to_ideal(doc)
     assert J is not None and g is not None
     assert ideal.dim == 3
+
+
+@pytest.mark.parametrize("spec, col", [("f1, f2, f3 f4", 12), ("f1, f2 junk, f3", 8)])
+def test_ideal_rejects_trailing_input(spec, col):
+    """Text after a vector that is not a comma is an error at its column,
+    on the ideal: line and in parse_ideal alike."""
+    with pytest.raises(ParseError) as err:
+        parse("algebra x dim 4\nd = (f14, f24, f34, 0)\nideal: " + spec)
+    assert (err.value.line, err.value.col) == (3, col + len("ideal: "))
+    with pytest.raises(ParseError) as err:
+        parse_ideal(spec, 4)
+    assert (err.value.line, err.value.col) == (None, col)
+    assert "trailing input" in str(err.value)
 
 
 def test_j_matrix_spec():

@@ -16,7 +16,7 @@ from aalg.hermitian import (ComplexStructure, HermitianError, HermitianStructure
 from aalg.lie import LieAlgebra
 from aalg.almost_abelian import build_algebra, standard_j1
 
-from conftest import data_stream
+from conftest import data_stream, random_shear, transported
 
 
 def g4_algebra():
@@ -230,22 +230,6 @@ def test_lee_form_defining_equation():
         assert exterior_derivative(om, L) == wedge(H.lee_form(), om)
 
 
-def _transported(L, J, g, rng):
-    """The same structure in a basis b_j = sum_i s[i][j] e_i, s a product
-    of rational shears, so that g is no longer the identity."""
-    n = L.dim
-    s = linalg.idmat(n)
-    for _ in range(n):
-        i, j = rng.sample(range(n), 2)
-        c = rng.choice([F(1), F(-1), F(1, 2)])
-        for r in range(n):
-            s[r][i] += c * s[r][j]
-    sinv = linalg.inverse(s)
-    jm = linalg.mat_mul(sinv, linalg.mat_mul(J.matrix, s))
-    gm = linalg.mat_mul(linalg.transpose(s), linalg.mat_mul(g.matrix, s))
-    return L.change_basis(s), ComplexStructure.from_matrix(jm), Metric.from_matrix(gm)
-
-
 def _float_structure(L, J, g):
     return HermitianStructure(
         LieAlgebra(L.dim, {k: [float(x) for x in v] for k, v in L.brackets.items()}),
@@ -274,7 +258,7 @@ def test_rho_oracle_is_the_literal_curvature_trace():
     for k, d in enumerate(data_stream(42, 24, dims=(2, 3, 4))):
         L, J, g = build_algebra(d.a, list(d.v), d.A_matrix, d.J1_matrix)
         if k % 2:
-            L, J, g = _transported(L, J, g, rng)
+            L, J, g = transported(L, J, g, random_shear(rng, L.dim))
         H = HermitianStructure(L, J, g)
         rho = H.bismut_ricci_oracle()
         literal = _literal_rho(H)

@@ -5,29 +5,19 @@ from fractions import Fraction as F
 import pytest
 
 from aalg import linalg
+from aalg.catalog import ENTRIES, LCHK_LIST, _restrict_last, instantiate
 from aalg.forms import KForm
 from aalg.lchk import (K1, K2, K3, LchkError, construct_lchk,
                        hyperkahler_flatness, lchk_admissible, verify_triple)
+from aalg.linalg import block_diag
 
 
 def rot(a, b):
     return [[a, b], [-b, a]]
 
 
-def blockdiag(*blocks):
-    n = sum(len(b) for b in blocks)
-    out = linalg.zeros(n, n)
-    pos = 0
-    for blk in blocks:
-        for i in range(len(blk)):
-            for j in range(len(blk)):
-                out[pos + i][pos + j] = F(blk[i][j])
-        pos += len(blk)
-    return out
-
-
 def scalars(*vals):
-    """One-by-one blocks for blockdiag."""
+    """One-by-one blocks for block_diag."""
     return [[[v]] for v in vals]
 
 
@@ -62,7 +52,7 @@ def test_bad_dimension():
 
 def test_odd_pair_multiplicity_rejected():
     """7x7 with eigenvalues 1 +- i (mult 1 each) and 1 (mult 5): fails (iii)."""
-    d = blockdiag(*scalars(1, 1, 1, 1, 1), rot(1, 1))
+    d = block_diag([*scalars(1, 1, 1, 1, 1), rot(1, 1)])
     v = lchk_admissible(d)
     assert not v.admissible
     assert v.condition_spectrum_line and v.condition_real_multiplicity
@@ -71,21 +61,21 @@ def test_odd_pair_multiplicity_rejected():
 
 def test_low_real_multiplicity_rejected():
     """7x7 with m(1) = 1 < 3: fails (ii)."""
-    d = blockdiag(*scalars(1), rot(1, 2), rot(1, 2), rot(1, 3))
+    d = block_diag([*scalars(1), rot(1, 2), rot(1, 2), rot(1, 3)])
     v = lchk_admissible(d)
     assert not v.admissible
     assert not v.condition_real_multiplicity
 
 
 def test_mixed_real_parts_rejected():
-    d = blockdiag(*scalars(1, 1, 1), *scalars(2, 2, 2, 2))
+    d = block_diag([*scalars(1, 1, 1), *scalars(2, 2, 2, 2)])
     v = lchk_admissible(d)
     assert not v.admissible
     assert not v.condition_spectrum_line
 
 
 def test_nondiagonalizable_rejected():
-    d = blockdiag([[1, 1], [0, 1]], *scalars(1, 1, 1, 1, 1))
+    d = block_diag([[[1, 1], [0, 1]], *scalars(1, 1, 1, 1, 1)])
     for D in (d, [[float(x) for x in row] for row in d]):
         v = lchk_admissible(D)
         assert not v.admissible and not v.diagonalizable
@@ -93,8 +83,8 @@ def test_nondiagonalizable_rejected():
 
 def test_float_path_agrees():
     for d in (linalg.idmat(3),
-              blockdiag(*scalars(1, 1, 1), rot(1, F(1, 2)), rot(1, F(1, 2))),
-              blockdiag(*scalars(1, 1, 1, 1, 1), rot(1, 1))):
+              block_diag([*scalars(1, 1, 1), rot(1, F(1, 2)), rot(1, F(1, 2))]),
+              block_diag([*scalars(1, 1, 1, 1, 1), rot(1, 1)])):
         exact = lchk_admissible(d)
         fl = lchk_admissible([[float(x) for x in row] for row in d])
         assert exact.admissible == fl.admissible
@@ -118,7 +108,7 @@ def test_construct_zero_kahler():
 
 def test_construct_m2_family():
     for pval in (F(1), F(1, 2), F(2)):
-        d = blockdiag(*scalars(1, 1, 1), rot(1, pval), rot(1, pval))
+        d = block_diag([*scalars(1, 1, 1), rot(1, pval), rot(1, pval)])
         L, triple, p, dc = construct_lchk(d)
         assert triple.theta == KForm(1, 8, {(7,): F(-6)})
         rep = verify_triple(L, triple)
@@ -128,14 +118,14 @@ def test_construct_m2_family():
 
 
 def test_construct_orders_blocks():
-    d = blockdiag(*scalars(1, 1, 1), rot(1, F(1, 2)), rot(1, F(1, 2)), rot(1, 2), rot(1, 2))
+    d = block_diag([*scalars(1, 1, 1), rot(1, F(1, 2)), rot(1, F(1, 2)), rot(1, 2), rot(1, 2)])
     L, triple, p, dc = construct_lchk(d)
     # canonical form orders rotation parameters descending, zero blocks last
     assert dc[0][1] == F(2) and dc[4][5] == F(1, 2)
 
 
 def test_hyperkahler_m2_flat():
-    d = blockdiag(rot(0, 1), rot(0, 1), *scalars(0, 0, 0))
+    d = block_diag([rot(0, 1), rot(0, 1), *scalars(0, 0, 0)])
     v = lchk_admissible(d)
     assert v.admissible and v.hyperkahler
     L, triple, p, dc = construct_lchk(d)
@@ -146,7 +136,7 @@ def test_hyperkahler_m2_flat():
 
 def test_hyperkahler_m3_family_flat():
     for pval in (F(1), F(2)):
-        d = blockdiag(rot(0, 1), rot(0, 1), rot(0, pval), rot(0, pval), *scalars(0, 0, 0))
+        d = block_diag([rot(0, 1), rot(0, 1), rot(0, pval), rot(0, pval), *scalars(0, 0, 0)])
         L, triple, p, dc = construct_lchk(d)
         assert hyperkahler_flatness(triple, L)
 
@@ -159,7 +149,7 @@ def test_flatness_precondition():
 
 
 def test_not_admissible_construct_raises():
-    d = blockdiag(*scalars(1, 1, 1, 1, 1), rot(1, 1))
+    d = block_diag([*scalars(1, 1, 1, 1, 1), rot(1, 1)])
     with pytest.raises(LchkError) as err:
         construct_lchk(d)
     assert err.value.code == "NOT_ADMISSIBLE"
@@ -167,10 +157,10 @@ def test_not_admissible_construct_raises():
 
 def test_exact_irrational_rejected():
     """b^2 = 2 has no rational rotation parameter: honest exact failure."""
-    d = blockdiag(*scalars(1, 1, 1), rot(1, 1), rot(1, 1))
+    d = block_diag([*scalars(1, 1, 1), rot(1, 1), rot(1, 1)])
     # replace the rotation blocks by ones with b^2 = 2:
     # [[1, b],[-b, 1]] has charpoly (x-1)^2 + b^2; use companion-style blocks
-    m = blockdiag(*scalars(1, 1, 1), [[1, 2], [-1, 1]], [[1, 2], [-1, 1]])
+    m = block_diag([*scalars(1, 1, 1), [[1, 2], [-1, 1]], [[1, 2], [-1, 1]]])
     v = lchk_admissible(m)
     assert v.admissible  # spectrally fine: eigenvalues 1 +- i sqrt(2)
     with pytest.raises(LchkError) as err:
@@ -180,7 +170,7 @@ def test_exact_irrational_rejected():
 
 def test_hyperkahler_decomposable_bookkeeping():
     """For a = 0 the kernel of D is a central factor of dimension m_D(0)."""
-    d = blockdiag(rot(0, 1), rot(0, 1), *scalars(0, 0, 0))
+    d = block_diag([rot(0, 1), rot(0, 1), *scalars(0, 0, 0)])
     v = lchk_admissible(d)
     m0 = next(mult for b, mult in v.multiplicities if b == 0)
     kernel = linalg.nullspace(d)
@@ -194,3 +184,23 @@ def test_hyperkahler_decomposable_bookkeeping():
             e = [F(0)] * L.dim
             e[j] = F(1)
             assert linalg.is_zero_vector(L.bracket(x, e))
+
+
+# the exact table takes hhat's roots from np.roots, which moves a repeated
+# root off the real line or off its rational value, so the real-root filter
+# or the exact multiplicity count drops it
+_SHORT_TABLES = ("lchk-m3-hk3", "lchk-m3-3")
+
+
+@pytest.mark.parametrize("name, params", [
+    pytest.param(name, params, id=f"{name}-{i}",
+                 marks=[pytest.mark.xfail(strict=True, reason="repeated roots of hhat "
+                                          "drop out of the exact multiplicity table")]
+                 if name in _SHORT_TABLES else [])
+    for name in LCHK_LIST for i, params in enumerate(ENTRIES[name].samples)])
+def test_multiplicity_table_counts_every_eigenvalue(name, params):
+    """m_0 + 2 sum mult = n: each (b, mult) with b != 0 stands for the pair
+    of eigenvalues a +- ib, each of multiplicity mult."""
+    D = _restrict_last(instantiate(ENTRIES[name], params))
+    table = lchk_admissible(D).multiplicities
+    assert sum(mult if b == 0 else 2 * mult for b, mult in table) == len(D)
