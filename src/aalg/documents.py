@@ -92,10 +92,10 @@ class _Scanner:
         self.skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def take(self, ch):
+    def take(self, token):
         self.skip_ws()
-        if self.pos < len(self.text) and self.text[self.pos] == ch:
-            self.pos += 1
+        if self.text.startswith(token, self.pos):
+            self.pos += len(token)
             return True
         return False
 
@@ -368,9 +368,7 @@ def parse(text) -> AlgebraDocument:
                 pending = (ln, rest)
         elif head == "J":
             sc.expect(":")
-            sc.skip_ws()
-            if sc.text[sc.pos:sc.pos + 6] == "matrix":
-                sc.pos += 6
+            if sc.take("matrix"):
                 j_spec = ("matrix", _parse_matrix(sc, dim, head))
             else:
                 pairs = []
@@ -384,11 +382,9 @@ def parse(text) -> AlgebraDocument:
                 j_spec = ("pairs", tuple(pairs))
         elif head == "g":
             sc.expect(":")
-            sc.skip_ws()
-            if sc.text[sc.pos:sc.pos + 8] == "identity":
+            if sc.take("identity"):
                 g_spec = ("identity",)
-            elif sc.text[sc.pos:sc.pos + 6] == "matrix":
-                sc.pos += 6
+            elif sc.take("matrix"):
                 g_spec = ("matrix", _parse_matrix(sc, dim, head))
             else:
                 sc.error("expected 'identity' or 'matrix [...]'")
@@ -397,6 +393,9 @@ def parse(text) -> AlgebraDocument:
             ideal = _parse_ideal(sc, dim)
         else:
             raise ParseError(f"unknown directive {head!r}", ln, 1)
+        # a d = ( ... ) tuple may span lines; it checks its own end
+        if head != "d" and not sc.at_end():
+            sc.error(f"trailing input after {head}")
     if pending is not None:
         raise ParseError("unclosed differential tuple", pending[0])
     if name is None or dim is None:

@@ -22,9 +22,12 @@ Conventions, fixed package-wide and spelled out in the README:
   W = g^{-1} J^t g.  The trace is expanded as
   tr(P_i G_j) - tr(P_j G_i) - sum_t c^t_ij tr(P_t) with P_i = W G_i for the
   Bismut tables G_i, so no curvature matrix is formed: n products and
-  O(n^2) trace sums per pair, O(n^4) in all.
+  O(n^2) trace sums per pair, O(n^4) in all;
+* Lee form  theta(e_k) = 1/2 sum_{p,q} M_pq d omega(e_p, e_q, e_k) with
+  M = g^{-1} J^t, each coefficient of d omega entering in its six orderings;
+  balanced is theta = 0 (wedging with omega^(n-1) is injective on 1-forms).
 
-Connection tables and wedge powers are computed once per structure and
+Connection tables and the Lee form are computed once per structure and
 cached on the instance, the integrability of J once per algebra and the
 metric's inverse once per metric (each under the tolerance in force at
 that first call); instances are otherwise immutable.
@@ -38,8 +41,7 @@ from itertools import permutations
 
 from .scalars import EXACT, coerce, is_zero, one, zero
 from . import linalg
-from .forms import (KForm, exterior_derivative, pullback, sort_indices, wedge,
-                    wedge_power)
+from .forms import KForm, exterior_derivative, pullback, sort_indices, wedge
 from .lie import LieAlgebra
 
 
@@ -166,27 +168,21 @@ class HermitianStructure:
     def domega(self):
         return self._memo("domega", lambda: exterior_derivative(self.omega, self.L))
 
-    def omega_power(self, k):
-        return self._memo(("omega_pow", k), lambda: wedge_power(self.omega, k))
-
     def lee_form(self):
-        """Unique theta with d(omega^(n-1)) = theta ^ omega^(n-1)."""
+        """The unique theta with d(omega^(n-1)) = theta ^ omega^(n-1), read off
+        d omega as theta(e_k) = 1/2 sum_{p,q} M_pq d omega(e_p, e_q, e_k),
+        M = g^{-1} J^t."""
         return self._memo("lee", self._compute_lee)
 
     def _compute_lee(self):
-        n2 = self.dim
-        n = self.n
-        if n2 < 4:
+        if self.dim < 4:
             raise HermitianError("DIMENSION", "the Lee form needs dim >= 4")
-        om_pow = self.omega_power(n - 1)
-        target = exterior_derivative(om_pow, self.L)
-        keys = [tuple(t for t in range(n2) if t != missing) for missing in range(n2)]
-        wedges = [wedge(KForm.basis(n2, i, kind=self.L.kind), om_pow) for i in range(n2)]
-        rows = [[w.get(key) for w in wedges] for key in keys]
-        rhs = [target.get(key) for key in keys]
-        theta = linalg.solve(rows, rhs)
-        if theta is None:
-            raise HermitianError("SINGULAR", "omega is degenerate")
+        m = linalg.mat_mul(self.g.inverse, linalg.transpose(self.J.matrix))
+        half = coerce(1, self.L.kind) / 2
+        theta = [zero(self.L.kind)] * self.dim
+        for key, val in self.domega().coeffs.items():
+            for p, q, k in permutations(key):
+                theta[k] += sort_indices((p, q, k))[1] * half * m[p][q] * val
         return KForm.from_vector(theta)
 
     # -- direct predicates ------------------------------------------------------
@@ -195,8 +191,9 @@ class HermitianStructure:
         return self.domega().is_zero()
 
     def is_balanced_direct(self) -> bool:
+        """d(omega^(n-1)) = 0, i.e. theta = 0; always true in dim 2."""
         self._require_integrable()
-        return exterior_derivative(self.omega_power(self.n - 1), self.L).is_zero()
+        return self.n < 2 or self.lee_form().is_zero()
 
     def is_lck_direct(self) -> bool:
         self._require_integrable()
@@ -244,15 +241,14 @@ class HermitianStructure:
 
     def is_vaisman(self):
         """LCK with Levi-Civita-parallel Lee form; returns (bool, note)."""
-        self._require_integrable()
+        if not self.is_lck_direct():
+            return False, "not LCK"
         theta = self.lee_form()
         comps = [theta.get((i,)) for i in range(self.dim)]
         lc = self.levi_civita()
         parallel = all(
             is_zero(sum(lc[i][k][j] * comps[k] for k in range(self.dim)))
             for i in range(self.dim) for j in range(self.dim))
-        if not self.is_lck_direct():
-            return False, "not LCK"
         if theta.is_zero():
             return parallel, "Kahler"
         return parallel, "parallel" if parallel else "theta not parallel"

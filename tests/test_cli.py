@@ -229,6 +229,23 @@ def test_j_and_g_must_fit_the_dimension(tmp_path, capsys, command, lines):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["check", "data"])
+@pytest.mark.parametrize("lines, where", [
+    ("params p = 1, q = 2 r = 5\nd = (p f14, f24, q f34, 0)\nJ: f1->f4, f2->f3\ng: identity",
+     "params at line 2, column 21"),
+    ("d = (f14, f24, f34, 0)\nJ: f1->f4, f2->f3 junk\ng: identity", "J at line 3, column 19"),
+    ("d = (f14, f24, f34, 0)\nJ: f1->f4, f2->f3\ng: identity junk", "g at line 4, column 13"),
+], ids=["params", "J", "g"])
+def test_trailing_input_on_a_directive_is_an_input_error(tmp_path, capsys, command,
+                                                        lines, where):
+    """A document whose params, J: or g: line runs on past its last item
+    exits 1 with the column, instead of running on what was read."""
+    p = tmp_path / "trailing.alg"
+    p.write_text("algebra s4 dim 4\n" + lines + "\n", encoding="utf-8")
+    assert main([command, str(p)]) == 1
+    assert capsys.readouterr().err == f"error: trailing input after {where}\n"
+
+
 @pytest.mark.parametrize("ideal, defect", [("f1, f2, f4", "not abelian"),
                                            ("f1, f2", "not a hyperplane")])
 def test_lattice_validates_a_declared_ideal(tmp_path, capsys, ideal, defect):

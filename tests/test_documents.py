@@ -104,6 +104,26 @@ def test_ideal_rejects_trailing_input(spec, col):
     assert "trailing input" in str(err.value)
 
 
+@pytest.mark.parametrize("text, line, col, head", [
+    ("algebra x dim 4 junk\nd = (f14, f24, f34, 0)", 1, 17, "algebra"),
+    ("algebra x dim 4\nparams p = 1, q = 2 r = 5\nd = (p f14, f24, q f34, 0)", 2, 21, "params"),
+    ("algebra x dim 4\nparams p = 1 q = 2\nd = (p f14, f24, q f34, 0)", 2, 14, "params"),
+    ("algebra x dim 4\nd = (f14, f24, f34, 0)\nJ: f1->f4, f2->f3 junk", 3, 19, "J"),
+    ("algebra x dim 2\nd = (0, 0)\nJ: matrix [[0,-1],[1,0]] junk", 3, 26, "J"),
+    ("algebra x dim 4\nd = (f14, f24, f34, 0)\ng: identity junk", 3, 13, "g"),
+    ("algebra x dim 4\nd = (f14, f24, f34, 0)\ng: identityjunk", 3, 12, "g"),
+    ("algebra x dim 2\nd = (0, 0)\ng: matrix [[1,0],[0,1]] 3", 3, 25, "g"),
+], ids=["algebra", "params-space", "params-no-comma", "J-pairs", "J-matrix",
+        "g-identity", "g-identity-glued", "g-matrix"])
+def test_directive_lines_reject_trailing_input(text, line, col, head):
+    """Text after the last item of an algebra, params, J: or g: line is an
+    error at its column, not dropped."""
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.col) == (line, col)
+    assert f"trailing input after {head}" in str(err.value)
+
+
 def test_j_matrix_spec():
     doc = parse("algebra b dim 2\nd = (0,0)\nJ: matrix [[0,-1],[1,0]]")
     J = to_complex_structure(doc)
@@ -111,8 +131,10 @@ def test_j_matrix_spec():
 
 
 def test_comments_and_blank_lines():
-    doc = parse("# heading\nalgebra c dim 4  # trailing\n\nd = (0,0,0,f12)\n")
-    assert doc.name == "c"
+    doc = parse("# heading\nalgebra c dim 4  # trailing\n\nparams p = 1, q = 2 # r\n"
+                "d = (0,0,0,f12)\nJ: f1->f4, f2->f3\t\ng: identity  # flat\n")
+    assert doc.name == "c" and doc.params == {"p": F(1), "q": F(2)}
+    assert doc.g_spec == ("identity",)
 
 
 def test_multiline_differential():
