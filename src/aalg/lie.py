@@ -1,15 +1,16 @@
 """Validated Lie algebra values and the codimension-one abelian ideal probe.
 
 Structure constants are held sparsely: brackets[(i, j)] with i < j maps to
-the coefficient vector of [e_i, e_j].  They are read one way, through the
-table of ad matrices built once per algebra (entry (k, j) of ad_{e_i} is
-c^k_ij): basis brackets, ad_x and the ideal search read it, and so does
-the Nijenhuis tensor in ``hermitian``.  Validation enforces antisymmetry
-by construction and checks the Jacobi identity as d^2 = 0 on the coframe,
-exactly on the rational path.  A hyperplane is an ideal iff it contains
-[L, L], so the ideal test evaluates its covector on the brackets.
-:func:`abelian_ideal` validates a declared ideal or searches for one, and
-caches the answer on the algebra once per declaration.
+the coefficient vector of [e_i, e_j].  They are read through the table of
+ad matrices built once per algebra (entry (k, j) of ad_{e_i} is c^k_ij):
+basis brackets and the ideal search read it, and so does the Nijenhuis
+tensor in ``hermitian``; ad_x accumulates the nonzero constants directly.
+Validation enforces antisymmetry by construction and checks the Jacobi
+identity as d^2 = 0 on the coframe, exactly on the rational path.  A
+hyperplane is an ideal iff it contains [L, L], so the ideal test evaluates
+its covector on the brackets.  :func:`abelian_ideal` validates a declared
+ideal or searches for one, and caches the answer on the algebra once per
+declaration.
 """
 
 from __future__ import annotations
@@ -122,13 +123,21 @@ class LieAlgebra:
         return out
 
     def ad(self, x):
-        """Matrix of ad_x = [x, .] = sum_i x_i ad_{e_i}."""
+        """Matrix of ad_x = [x, .] = sum_i x_i ad_{e_i}, accumulating only the
+        nonzero constants: entry (k, j) adds x_i c^k_ij in increasing i, so
+        float sums are those of the dense sum and absent entries stay +0.0."""
         if len(x) != self.dim:
             raise LieAlgebraError("DIMENSION", "vector length does not match algebra")
         out = linalg.zeros(self.dim, self.dim, self.kind)
-        for i, xi in enumerate(x):
-            if xi != 0:
-                out = linalg.mat_add(out, linalg.mat_scale(xi, self.ad_basis(i)))
+        # sorted pairs: column j sees (i, j) for i < j, then (j, i') for i' > j
+        for (i, j), vec in sorted(self.brackets.items()):
+            xi, xj = x[i], x[j]
+            for k, c in enumerate(vec):
+                if c != 0:
+                    if xi != 0:
+                        out[k][j] += xi * c
+                    if xj != 0:
+                        out[k][i] -= xj * c
         return out
 
     def ad_basis(self, i):

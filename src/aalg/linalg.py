@@ -4,6 +4,13 @@ Matrices are lists of row lists, vectors are flat lists.  Every routine
 works uniformly for Fraction and float entries; decisions (pivoting, rank)
 go through the tolerance for floats and are exact for Fractions.
 
+Exact products (:func:`mat_mul`, :func:`mat_vec`, :func:`trace_product`,
+:func:`commutator`) run on integer numerators over one common denominator:
+each operand's denominators are cleared once (:func:`_numerators`), the
+sums are Python int sums, and each output entry becomes a Fraction once.
+This is Bareiss's integer-preserving idea (1968) applied to products; the
+float branch sums in the dense order instead.
+
 Also hosts the small univariate polynomial toolkit (coefficient lists,
 low degree first) needed for characteristic/minimal polynomials, Sturm
 counts and square-root extraction of monic rational polynomials.
@@ -12,6 +19,8 @@ counts and square-root extraction of monic rational polynomials.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .scalars import EXACT, FLOAT, coerce, current_eps, is_zero, kind_of, zero, one
 
@@ -88,16 +97,19 @@ def mat_scale(s, a):
     return [[s * x for x in row] for row in a]
 
 
-def mat_mul(a, b):
-    """a b as sums of the rows of b, skipping zero entries of a.
+def _numerators(m):
+    """(d, rows) with m = rows / d: d is the lcm of the denominators of the
+    exact matrix m (Fraction or int entries) and rows its integer numerators."""
+    d = lcm(*{x.denominator for row in m for x in row})
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in m]
 
-    Each entry adds its nonzero terms in the order of the dense sum, so
-    float results are bit-identical to it; integer entries give Fractions.
-    """
+
+def _row_sums(a, b, z):
+    """a b as sums of the rows of b from the zero z, skipping zero entries
+    of a: each entry adds its nonzero terms in the order of the dense sum."""
     k = len(b)
     if any(len(row) != k for row in a):
         raise LinAlgError("inner dimension mismatch")
-    z = zero(matrix_kind(a))
     width = len(b[0]) if b else 0
     out = []
     for ra in a:
@@ -109,10 +121,39 @@ def mat_mul(a, b):
     return out
 
 
+_ZERO = Fraction(0)
+
+
+def _over(rows, d):
+    """The Fraction matrix rows / d, one Fraction per nonzero entry."""
+    return [[Fraction(s, d) if s else _ZERO for s in row] for row in rows]
+
+
+def _exact(a, b) -> bool:
+    return matrix_kind(a) == EXACT == matrix_kind(b)
+
+
+def mat_mul(a, b):
+    """a b.  Exact operands multiply integer numerators over one common
+    denominator (see the module docstring); integer entries give Fractions.
+    Float results are bit-identical to the dense sum (see :func:`_row_sums`).
+    """
+    if _exact(a, b):
+        da, ia = _numerators(a)
+        db, ib = _numerators(b)
+        return _over(_row_sums(ia, ib, 0), da * db)
+    return _row_sums(a, b, zero(matrix_kind(a)))
+
+
 def mat_vec(a, v):
-    """a v, skipping zero entries of a as :func:`mat_mul` does."""
+    """a v, exact on integer numerators as :func:`mat_mul`; on floats
+    skipping zero entries of a."""
     if a and len(a[0]) != len(v):
         raise LinAlgError("matrix/vector dimension mismatch")
+    if _exact(a, [v]):
+        da, ia = _numerators(a)
+        dv, (iv,) = _numerators([v])
+        return _over([[sum(map(mul, row, iv)) for row in ia]], da * dv)[0]
     z = zero(matrix_kind(a))
     return [sum((x * y for x, y in zip(row, v) if x != 0), z) for row in a]
 
@@ -147,7 +188,13 @@ def trace(a):
 
 
 def trace_product(a, b):
-    """tr(a b) in O(n^2), without forming a b; equal to trace(mat_mul(a, b))."""
+    """tr(a b) in O(n^2), without forming a b; equal to trace(mat_mul(a, b)).
+    Exact operands give one integer sum over one denominator."""
+    if _exact(a, b):
+        da, ia = _numerators(a)
+        db, ib = _numerators(b)
+        return Fraction(sum(x * ib[t][r] for r, ra in enumerate(ia)
+                            for t, x in enumerate(ra) if x), da * db)
     z = zero(matrix_kind(a))
     acc = z
     for r, ra in enumerate(a):
@@ -156,6 +203,11 @@ def trace_product(a, b):
 
 
 def commutator(a, b):
+    """a b - b a; exact operands have their denominators cleared once."""
+    if _exact(a, b):
+        da, ia = _numerators(a)
+        db, ib = _numerators(b)
+        return _over(mat_sub(_row_sums(ia, ib, 0), _row_sums(ib, ia, 0)), da * db)
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
 

@@ -106,3 +106,42 @@ def test_every_definition_is_used():
                     and uses[node.name] <= named_in(node)[node.name]):
                 unused.append(f"{path.relative_to(ROOT)}:{node.lineno}: {node.name}")
     assert not unused, "defined but never used:\n" + "\n".join(unused)
+
+
+def environment_reads(path):
+    """'file:line: ...' for each read of os.environ or os.getenv (aliases and
+    ``from os import`` included), named by its key when that is a literal."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    rel = path.relative_to(ROOT)
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    os_names = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names if alias.name == "os"}
+    reads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            reads += [(node.lineno, f"from os import {a.name}") for a in node.names
+                      if a.name.startswith(("environ", "getenv"))]
+        if not (isinstance(node, ast.Attribute) and node.attr.startswith(("environ", "getenv"))
+                and isinstance(node.value, ast.Name) and node.value.id in os_names):
+            continue
+        func, up = node, parents[node]
+        if isinstance(up, ast.Attribute) and up.attr == "get":   # os.environ.get(key)
+            func, up = up, parents[up]
+        key = None
+        if isinstance(up, ast.Call) and up.func is func and up.args:
+            key = up.args[0]
+        elif isinstance(up, ast.Subscript) and up.value is node:  # os.environ[key]
+            key = up.slice
+        name = key.value if isinstance(key, ast.Constant) else "?"
+        reads.append((node.lineno, f"os.{node.attr} {name}"))
+    return [f"{rel}:{line}: {what}" for line, what in reads]
+
+
+def test_only_the_cli_reads_the_environment():
+    """No kernel switch slips in as an environment variable: the package's one
+    environment read is AALG_EPSILON, in cli.py."""
+    reads = [hit for path in sorted((ROOT / "src" / "aalg").glob("*.py"))
+             for hit in environment_reads(path)]
+    cli = [hit for hit in reads
+           if re.fullmatch(r"src/aalg/cli\.py:\d+: os\.environ AALG_EPSILON", hit)]
+    assert len(cli) == 1 and reads == cli, "environment reads:\n" + "\n".join(reads)

@@ -177,3 +177,88 @@ def test_mat_mul_matches_dense_loop():
                            for gr, wr in zip(got, want))
                 if r == c:
                     assert _same(linalg.trace_product(x, y), linalg.trace(linalg.mat_mul(x, y)))
+
+
+# large coprime denominators, negatives, ints and zeros: the exact kernel
+# clears every operand to integers over one denominator
+PRIMES = (2, 3, 7, 1_000_003, 998_244_353, 2**61 - 1)
+EXACT_ENTRIES = st.one_of(
+    st.just(0), st.integers(-5, 5),
+    st.builds(F, st.integers(-10**6, 10**6), st.sampled_from(PRIMES)),
+    st.builds(lambda p: F(-1, p), st.sampled_from(PRIMES)))
+
+
+def _exact_matrix(rows, cols):
+    """rows x cols matrices over EXACT_ENTRIES, some with an all-zero row."""
+    m = st.lists(st.lists(EXACT_ENTRIES, min_size=cols, max_size=cols),
+                 min_size=rows, max_size=rows)
+    if rows == 0:
+        return m
+    return st.tuples(m, st.integers(-1, rows - 1)).map(
+        lambda t: [[0] * cols if i == t[1] else row for i, row in enumerate(t[0])])
+
+
+def _dense_exact(a, b, width):
+    """Reference: the dense Fraction loop, every term summed from F(0)."""
+    return [[sum((F(a[r][t]) * F(b[t][c]) for t in range(len(b))), F(0))
+             for c in range(width)] for r in range(len(a))]
+
+
+def _all_fractions(m):
+    return all(type(x) is F for row in m for x in row)
+
+
+# shapes (r, k, c) with 1 x k, k x 1 and empty operands among them
+SHAPES = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
+
+
+def _exact_operands(shape):
+    """a (r x k), b (k x c), bt (k x r) and v (length k) for one shape."""
+    r, k, c = shape
+    return st.tuples(st.just(shape), _exact_matrix(r, k), _exact_matrix(k, c),
+                     _exact_matrix(k, r), st.lists(EXACT_ENTRIES, min_size=k, max_size=k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(SHAPES.flatmap(_exact_operands))
+def test_exact_products_match_dense_fraction_loop(case):
+    (r, k, c), a, b, bt, v = case
+    # an empty b (k = 0) has no width: the product has empty rows
+    got = linalg.mat_mul(a, b)
+    assert got == _dense_exact(a, b, c if k else 0) and _all_fractions(got)
+    tr = linalg.trace_product(a, bt)
+    ab = _dense_exact(a, bt, r if k else 0)
+    assert tr == sum((ab[i][i] for i in range(r if k else 0)), F(0)) and type(tr) is F
+    av = linalg.mat_vec(a, v)
+    assert av == [row[0] for row in _dense_exact(a, [[x] for x in v], 1)]
+    assert all(type(x) is F for x in av)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda n: st.tuples(_exact_matrix(n, n),
+                                                     _exact_matrix(n, n))))
+def test_exact_commutator_matches_dense_fraction_loop(pair):
+    a, b = pair
+    n = len(a)
+    got = linalg.commutator(a, b)
+    assert got == linalg.mat_sub(_dense_exact(a, b, n), _dense_exact(b, a, n))
+    assert _all_fractions(got)
+
+
+def test_exact_kernel_on_unit_and_empty_shapes():
+    p, q = 1_000_003, 998_244_353
+    row = [F(1, p), F(-1, q), 0, 3]                    # 1 x 4
+    col = [[F(1, q)], [F(1, p)], [F(5, 7)], [-2]]       # 4 x 1
+    assert linalg.mat_mul([row], col) == [[F(1, p * q) - F(1, p * q) - 6]]
+    outer = linalg.mat_mul(col, [row])
+    assert outer == _dense_exact(col, [row], 4) and _all_fractions(outer)
+    assert linalg.trace_product([row], col) == F(-6)
+    assert type(linalg.trace_product([row], col)) is F
+    assert linalg.mat_vec([row], [p, q, 1, 0]) == [F(0)]
+    assert linalg.mat_mul([], col) == []
+    assert linalg.mat_mul([[], []], []) == [[], []]
+    assert linalg.mat_vec([[], []], []) == [F(0), F(0)]
+    assert linalg.trace_product([], []) == F(0) and type(linalg.trace_product([], [])) is F
+    assert linalg.commutator([], []) == []
+    assert linalg.mat_mul([[0, 0]], [[1], [2]]) == [[F(0)]]
+    assert _all_fractions(linalg.mat_mul([[1, 2]], [[3], [4]]))

@@ -16,7 +16,7 @@ from aalg.catalog import _s2n_entry, entry_document
 from aalg.documents import to_algebra, to_complex_structure
 from aalg.hermitian import ComplexStructure, is_integrable, nijenhuis
 from aalg.lie import LieAlgebra, abelian_ideal_defect
-from aalg.scalars import is_zero
+from aalg.scalars import FLOAT, is_zero
 
 SCALARS = st.sampled_from([F(1), F(-1), F(2), F(1, 2), F(-1, 3)])
 
@@ -35,6 +35,15 @@ def ref_basis_bracket(L, i, j):
 
 def ref_ad(L, x):
     return linalg.transpose([L.bracket(x, e) for e in linalg.idmat(L.dim, L.kind)])
+
+
+def ref_dense_ad(L, x):
+    """sum_i x_i ad_{e_i} as dense matrix sums over the nonzero x_i, in order."""
+    out = linalg.zeros(L.dim, L.dim, L.kind)
+    for i, xi in enumerate(x):
+        if xi != 0:
+            out = linalg.mat_add(out, linalg.mat_scale(xi, L.ad_basis(i)))
+    return out
 
 
 def ref_jacobi_witness(L):
@@ -114,6 +123,22 @@ def semidirect_tables(draw, dims=st.integers(2, 6)):
     return L.change_basis(s) if linalg.inverse(s) is not None else L
 
 
+FLOATS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, -1 / 3, 2.5, 1e-3, -7.25, 1e16])
+
+
+@st.composite
+def float_tables(draw):
+    """Unvalidated float bracket tables, keys in random order and orientation,
+    so that an entry of ad_x sums up to dim - 1 terms."""
+    dim = draw(st.integers(2, 6))
+    pairs = draw(st.permutations([(i, j) for i in range(dim) for j in range(i + 1, dim)]))
+    brackets = {}
+    for i, j in pairs[:draw(st.integers(0, len(pairs)))]:
+        key = (j, i) if draw(st.booleans()) else (i, j)
+        brackets[key] = [draw(FLOATS) for _ in range(dim)]
+    return LieAlgebra(dim, brackets, kind=FLOAT, _validated=True)
+
+
 tables = st.one_of(random_tables(), semidirect_tables())
 EVEN = st.sampled_from([2, 4, 6])
 even_tables = st.one_of(random_tables(EVEN), semidirect_tables(EVEN))
@@ -151,6 +176,14 @@ def test_ad_matches_unit_vector_brackets(L, data):
         assert [list(row) for row in L.ad_basis(i)] == ref_ad(L, linalg.idmat(L.dim)[i])
         for j in range(L.dim):
             assert L.basis_bracket(i, j) == ref_basis_bracket(L, i, j)
+
+
+@settings(max_examples=150, deadline=None)
+@given(float_tables(), st.data())
+def test_float_ad_is_the_dense_sum_bit_for_bit(L, data):
+    x = data.draw(st.lists(FLOATS, min_size=L.dim, max_size=L.dim))
+    got, want = L.ad(x), ref_dense_ad(L, x)
+    assert [[repr(v) for v in row] for row in got] == [[repr(v) for v in row] for row in want]
 
 
 @settings(max_examples=100, deadline=None)
