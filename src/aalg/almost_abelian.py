@@ -351,6 +351,17 @@ DATA_PREDICATES = {
 }
 
 
+def route_verdicts(H, d, prop):
+    """(direct, data, note) verdicts of ``prop`` on the Hermitian structure
+    H and its data d.  Vaisman has no data criterion (data None) and its
+    direct verdict comes with the note of ``H.is_vaisman()``; every other
+    property has no note."""
+    if prop == "vaisman":
+        direct, note = H.is_vaisman()
+        return direct, None, note
+    return getattr(H, f"is_{prop}_direct")(), DATA_PREDICATES[prop](d), None
+
+
 # ---------------------------------------------------------------------------
 # closed formulas
 

@@ -1,20 +1,41 @@
 """Machine-readable catalog of the named algebras and their witnesses.
 
-Each entry reads its structure equations from the shipped manifest
-(``data/catalog.alg``), whose document for the entry names its
-parameters and binds them to the first sample.  The entry adds
-constraints on the parameters, a unimodularity locus, and one or more
-witness recipes:
+Every fact of an entry is written once, on the entry's chunk of the
+shipped manifest (``data/catalog.alg``), in the document grammar of
+``aalg.documents``:
 
-* ``ExplicitWitness`` -- the J and g of the entry's manifest document,
-  on the entry basis; a witness may replace g by a constant Gram matrix
-  of its own.
-* ``LchkWitness`` -- the LCHK admissibility and flatness claims of the
-  ad-matrix on the abelian ideal.
+    algebra l1 dim 6
+    params p = 1, q = -3/2
+    d = (f16, p f26, p f36, q f46, q f56, 0)
+    J: f1->f6, f2->f3, f4->f5
+    g: identity
+    samples: p = 1/2, q = -1; p = 2, q = 1
+    nonzero: p, q, p - q, p + q
+    unimodular: 1 + 2 p + 2 q
+    witness lcb: lcb, -balanced, -lck
 
-verify_all instantiates every entry at several exact parameter samples,
-checks the witness claims through both the data-level and the direct-form
-predicates, the unimodularity locus (and its failure off the locus), and
+* the document (structure equations, J, g, optional ideal) binds the
+  parameters to the first sample; ``samples:`` lists the others;
+* ``nonzero:`` lists the linear forms in the parameters that must not
+  vanish (their conjunction is the entry's constraint);
+* ``unimodular:`` is ``always``, ``never`` or the linear form whose zero
+  set is the unimodular locus -- a claim to check, not a value computed
+  from tr ad;
+* each ``witness <label>:`` line lists the claimed verdicts (``-`` for
+  false) of the document's J with its g, or with the Gram matrix after
+  ``; g: matrix``; an LCHK witness claims ``lchk`` (the ad-matrix on the
+  abelian ideal is LCHK-admissible, with the triple and flatness checks)
+  and whether it is ``hyperkahler``.
+
+``ENTRIES`` is the manifest in its order, with the generated s_2n family
+(``_s2n_entry``) before the LCHK lists.  Readings of the paper's tables:
+l1's stated ``pr != 0`` is read as ``pq != 0``; g3's label parameters are
+read as (p, q, r), r being the live rotation parameter; l7's witness
+realizes the nonzero-v case with a = p = 1.
+
+verify_all instantiates every entry at its samples, checks the witness
+claims through both the data-level and the direct-form predicates, the
+unimodular locus (and its failure at three bindings off the locus), and
 the LCHK admissibility/flatness claims.  Negative classification claims
 that need a quantifier over all metrics are reported NOT-CHECKED.
 """
@@ -22,17 +43,17 @@ that need a quantifier over all metrics are reported NOT-CHECKED.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
 
 from . import linalg
 
-from .documents import (AlgebraDocument, Term, parse_manifest, to_algebra,
-                        to_complex_structure, to_ideal, to_metric)
+from .documents import (AlgebraDocument, LinearForm, Term, Witness, parse_manifest,
+                        to_algebra, to_complex_structure, to_ideal, to_metric)
 from .hermitian import HermitianStructure, Metric
 from .lie import LieAlgebra
-from .almost_abelian import DATA_PREDICATES, extract_data, lee_form_closed
+from .almost_abelian import extract_data, lee_form_closed, route_verdicts
 from .lchk import construct_lchk, hyperkahler_flatness, lchk_admissible, verify_triple
 
 
@@ -46,28 +67,13 @@ F = Fraction
 
 
 @dataclass(frozen=True)
-class ExplicitWitness:
-    label: str
-    metric: tuple | None = None       # Gram matrix; None = the document's g
-    claims: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class LchkWitness:
-    label: str
-    hyperkahler: bool
-
-
-@dataclass(frozen=True)
 class CatalogEntry:
     name: str
     document: AlgebraDocument         # structure equations, J, g and ideal
-    constraints: object = None        # params -> bool
-    constraint_text: str = ""
-    samples: tuple = ()
-    unimodular_locus: object = None   # params -> bool; None = never, True = always
-    witnesses: tuple = ()
-    notes: str = ""
+    samples: tuple                    # parameter bindings; the first is the document's
+    nonzero: tuple                    # LinearForms that must not vanish
+    unimodular: object                # True (always), False (never) or a LinearForm
+    witnesses: tuple                  # Witness, in manifest order
 
     @property
     def dim(self):
@@ -83,9 +89,6 @@ def shipped_manifest_text() -> str:
     return resources.files("aalg").joinpath("data/catalog.alg").read_text("utf-8")
 
 
-_MANIFEST = {doc.name: doc for doc in parse_manifest(shipped_manifest_text())}
-
-
 def entry_document(entry: CatalogEntry, params=None) -> AlgebraDocument:
     """The entry's document with its parameters bound to ``params``
     (default: the first sample)."""
@@ -99,21 +102,26 @@ def instantiate(entry: CatalogEntry, params=None) -> LieAlgebra:
     for p in entry.params:
         if p not in params:
             raise CatalogError("CONSTRAINT_VIOLATION", f"parameter {p} unbound")
-    if entry.constraints is not None and not entry.constraints(params):
-        raise CatalogError(
-            "CONSTRAINT_VIOLATION",
-            f"{entry.name}: parameters {params} violate {entry.constraint_text}")
+    for form in entry.nonzero:
+        if form(params) == 0:
+            raise CatalogError(
+                "CONSTRAINT_VIOLATION",
+                f"{entry.name}: parameters {params} violate {form} != 0")
     return to_algebra(entry_document(entry, params))
+
+
+def _is_lchk(witness):
+    return "lchk" in witness.claims
 
 
 def witness_structures(entry: CatalogEntry, L: LieAlgebra):
     """All witness Hermitian structures on ``L``, the entry's algebra as
     ``instantiate`` built it; the abelian ideal is looked up (once, on L)
-    only when the entry has an explicit witness.
+    only when the entry has a witness other than an LCHK one.
 
     Returns a list of (label, HermitianStructure, HermitianData, claims).
     """
-    explicit = [w for w in entry.witnesses if isinstance(w, ExplicitWitness)]
+    explicit = [w for w in entry.witnesses if not _is_lchk(w)]
     if not explicit:
         return []
     ideal = to_ideal(entry.document)
@@ -137,349 +145,16 @@ def check_witness(entry, label, H, d, claims):
     """Check each claimed predicate through both routes; list of failures."""
     failures = []
     for prop, expected in claims.items():
-        direct = (H.is_vaisman()[0] if prop == "vaisman"
-                  else getattr(H, f"is_{prop}_direct")())
+        direct, data, _ = route_verdicts(H, d, prop)
         if direct != expected:
             failures.append(f"{entry.name}/{label}: direct {prop} = {direct}, want {expected}")
-        if prop in DATA_PREDICATES:
-            data_verdict = DATA_PREDICATES[prop](d)
-            if data_verdict != expected:
-                failures.append(
-                    f"{entry.name}/{label}: data {prop} = {data_verdict}, want {expected}")
+        if data is not None and data != expected:
+            failures.append(f"{entry.name}/{label}: data {prop} = {data}, want {expected}")
     return failures
 
 
 # ---------------------------------------------------------------------------
-# entry definitions
-
-
-ENTRIES = {}
-
-
-def _register(name, **fields):
-    """Add the entry whose equations are the manifest document ``name``."""
-    ENTRIES[name] = CatalogEntry(
-        name=name, document=_MANIFEST[name.replace("+", "_")], **fields)
-
-
-# -- six-dimensional LCK list (admits LCK, no Kahler) ------------------------
-
-_register(
-    "g1",
-    constraints=lambda pr: pr["p"] != 0, constraint_text="p != 0",
-    samples=({"p": F(-1, 4)}, {"p": F(1, 2)}, {"p": F(2)}),
-    unimodular_locus=lambda pr: 1 + 4 * pr["p"] == 0,
-    witnesses=(ExplicitWitness(
-        label="lck",
-        claims={"lck": True, "kahler": False, "balanced": False, "lcb": True}),),
-)
-
-_register(
-    "g2",
-    constraints=lambda pr: pr["p"] * pr["q"] != 0, constraint_text="pq != 0",
-    samples=({"p": F(-1), "q": F(1, 4)}, {"p": F(1), "q": F(1)}, {"p": F(1), "q": F(-1, 2)}),
-    unimodular_locus=lambda pr: pr["p"] + 4 * pr["q"] == 0,
-    witnesses=(ExplicitWitness(
-        label="lck",
-        claims={"lck": True, "kahler": False, "balanced": False, "lcb": True}),),
-)
-
-_register(
-    "g3",
-    constraints=lambda pr: pr["p"] * pr["q"] != 0 and pr["r"] != 0,
-    constraint_text="pq != 0, r != 0",
-    samples=({"p": F(-1), "q": F(1, 4), "r": F(1)},
-             {"p": F(1), "q": F(1, 2), "r": F(2)},
-             {"p": F(1), "q": F(1), "r": F(-1)}),
-    unimodular_locus=lambda pr: pr["p"] + 4 * pr["q"] == 0,
-    witnesses=(ExplicitWitness(
-        label="lck",
-        claims={"lck": True, "kahler": False, "balanced": False, "lcb": True}),),
-    notes="label parameters read as (p, q, r); r is the live rotation parameter",
-)
-
-_register(
-    "g4",
-    samples=({},),
-    unimodular_locus=None,
-    witnesses=(ExplicitWitness(
-        label="lck",
-        claims={"lck": True, "kahler": False, "balanced": False, "lcb": True}),),
-)
-
-_register(
-    "g5",
-    constraints=lambda pr: pr["r"] != 0, constraint_text="r != 0",
-    samples=({"r": F(1)}, {"r": F(-1, 2)}, {"r": F(2)}),
-    unimodular_locus=None,
-    witnesses=(ExplicitWitness(
-        label="lck",
-        claims={"lck": True, "kahler": False, "balanced": False, "lcb": True}),),
-)
-
-_register(
-    "g6",
-    constraints=lambda pr: pr["p"] * pr["r"] != 0, constraint_text="pr != 0",
-    samples=({"p": F(1), "r": F(1)}, {"p": F(-1, 2), "r": F(2)}, {"p": F(1, 4), "r": F(-1)}),
-    unimodular_locus=None,
-    witnesses=(ExplicitWitness(
-        label="lck",
-        claims={"lck": True, "kahler": False, "balanced": False, "lcb": True}),),
-)
-
-# -- six-dimensional LCB list -------------------------------------------------
-
-_register(
-    "l1",
-    constraints=lambda pr: pr["p"] * pr["q"] != 0 and pr["p"] != pr["q"] and pr["p"] != -pr["q"],
-    constraint_text="pq != 0, p != +-q (the stated pr != 0 read as pq != 0)",
-    samples=({"p": F(1), "q": F(-3, 2)}, {"p": F(1, 2), "q": F(-1)}, {"p": F(2), "q": F(1)}),
-    unimodular_locus=lambda pr: 1 + 2 * pr["p"] + 2 * pr["q"] == 0,
-    witnesses=(ExplicitWitness(
-        label="lcb",
-        claims={"lcb": True, "balanced": False, "lck": False}),),
-)
-
-_register(
-    "l2",
-    constraints=lambda pr: pr["p"] != 0, constraint_text="p != 0",
-    samples=({"p": F(-1, 4)}, {"p": F(1)}, {"p": F(1, 2)}),
-    unimodular_locus=lambda pr: 1 + 4 * pr["p"] == 0,
-    witnesses=(ExplicitWitness(
-        label="lcb",
-        claims={"lcb": True, "balanced": False, "lck": False}),),
-)
-
-_register(
-    "l3",
-    constraints=lambda pr: pr["p"] * pr["q"] != 0 and pr["q"] != pr["r"] and pr["q"] != -pr["r"],
-    constraint_text="pq != 0, q != +-r",
-    samples=({"p": F(1), "q": F(1), "r": F(-1, 2) - F(1)},
-             {"p": F(2), "q": F(-1), "r": F(0)},
-             {"p": F(1), "q": F(1, 2), "r": F(2)}),
-    unimodular_locus=lambda pr: pr["p"] + 2 * pr["q"] + 2 * pr["r"] == 0,
-    witnesses=(ExplicitWitness(
-        label="lcb",
-        claims={"lcb": True, "balanced": False}),),
-)
-
-_register(
-    "l4",
-    constraints=lambda pr: (pr["p"] * pr["q"] * pr["s"] != 0
-                            and pr["q"] != pr["r"] and pr["q"] != -pr["r"]),
-    constraint_text="pqs != 0, q != +-r",
-    samples=({"p": F(1), "q": F(1), "r": F(-3, 2), "s": F(1)},
-             {"p": F(2), "q": F(-1), "r": F(0), "s": F(1, 2)},
-             {"p": F(1), "q": F(1, 2), "r": F(2), "s": F(-1)}),
-    unimodular_locus=lambda pr: pr["p"] + 2 * pr["q"] + 2 * pr["r"] == 0,
-    witnesses=(ExplicitWitness(
-        label="lcb",
-        claims={"lcb": True, "balanced": False}),),
-)
-
-_register(
-    "l5",
-    constraints=lambda pr: pr["p"] * pr["q"] != 0, constraint_text="pq != 0",
-    samples=({"p": F(1), "q": F(-1, 4)}, {"p": F(2), "q": F(1)}, {"p": F(1), "q": F(1, 2)}),
-    unimodular_locus=lambda pr: pr["p"] + 4 * pr["q"] == 0,
-    witnesses=(ExplicitWitness(
-        label="lcb",
-        claims={"lcb": True, "balanced": False}),),
-)
-
-_register(
-    "l6",
-    samples=({},),
-    unimodular_locus=None,
-    witnesses=(ExplicitWitness(
-        label="lcb",
-        claims={"lcb": True, "balanced": False}),),
-)
-
-_register(
-    "l7",
-    samples=({},),
-    unimodular_locus=None,
-    witnesses=(ExplicitWitness(
-        label="lcb",
-        claims={"lcb": True, "balanced": False}),),
-    notes="witness realizes the nonzero-v case with a = p = 1",
-)
-
-_register(
-    "l8",
-    constraints=lambda pr: pr["p"] != 0, constraint_text="p != 0",
-    samples=({"p": F(1)}, {"p": F(-1, 2)}, {"p": F(2)}),
-    unimodular_locus=None,
-    witnesses=(ExplicitWitness(
-        label="lcb",
-        claims={"lcb": True, "balanced": False}),),
-)
-
-_register(
-    "l9",
-    constraints=lambda pr: pr["p"] != 0, constraint_text="p != 0",
-    samples=({"p": F(-1, 2)}, {"p": F(1)}, {"p": F(2)}),
-    unimodular_locus=lambda pr: 1 + 2 * pr["p"] == 0,
-    witnesses=(ExplicitWitness(
-        label="lcb",
-        claims={"lcb": True, "balanced": False}),),
-)
-
-_register(
-    "l10",
-    constraints=lambda pr: pr["p"] * pr["q"] != 0, constraint_text="pq != 0",
-    samples=({"p": F(1), "q": F(-1, 2)}, {"p": F(2), "q": F(-1)}, {"p": F(1), "q": F(1)}),
-    unimodular_locus=lambda pr: pr["p"] + 2 * pr["q"] == 0,
-    witnesses=(ExplicitWitness(
-        label="lcb",
-        claims={"lcb": True, "balanced": False}),),
-)
-
-_register(
-    "l11",
-    constraints=lambda pr: pr["p"] not in (F(0), F(1), F(-1)),
-    constraint_text="p != 0, +-1",
-    samples=({"p": F(1, 2)}, {"p": F(-2)}, {"p": F(2)}),
-    unimodular_locus=None,
-    witnesses=(ExplicitWitness(
-        label="lcb",
-        claims={"lcb": True, "balanced": False}),),
-)
-
-_register(
-    "l12",
-    samples=({},),
-    unimodular_locus=None,
-    witnesses=(ExplicitWitness(
-        label="lcb",
-        claims={"lcb": True, "balanced": False}),),
-)
-
-_register(
-    "l13",
-    constraints=lambda pr: pr["q"] not in (F(1), F(-1)) and pr["r"] != 0,
-    constraint_text="q != +-1, r != 0",
-    samples=({"q": F(1, 2), "r": F(1)}, {"q": F(-2), "r": F(1, 2)}, {"q": F(0), "r": F(2)}),
-    unimodular_locus=None,
-    witnesses=(ExplicitWitness(
-        label="lcb",
-        claims={"lcb": True, "balanced": False}),),
-)
-
-_register(
-    "l14",
-    samples=({"p": F(0)}, {"p": F(1)}, {"p": F(-1, 2)}),
-    unimodular_locus=lambda pr: pr["p"] == 0,
-    witnesses=(ExplicitWitness(
-        label="lcb",
-        claims={"lcb": True, "balanced": False}),),
-)
-
-_register(
-    "l15",
-    samples=({},),
-    unimodular_locus=None,
-    witnesses=(ExplicitWitness(
-        label="lcb",
-        claims={"lcb": True, "balanced": False}),),
-)
-
-_register(
-    "l16",
-    constraints=lambda pr: (pr["r"] != 0 and (pr["p"] != 0 or pr["q"] != 0)
-                            and pr["p"] != pr["q"] and pr["p"] != -pr["q"]),
-    constraint_text="r != 0, p^2 + q^2 != 0, p != +-q",
-    samples=({"p": F(1), "q": F(0), "r": F(1)},
-             {"p": F(0), "q": F(1), "r": F(2)},
-             {"p": F(1), "q": F(1, 2), "r": F(-1)}),
-    unimodular_locus=None,
-    witnesses=(ExplicitWitness(
-        label="lcb",
-        claims={"lcb": True, "balanced": False}),),
-)
-
-_register(
-    "l17",
-    constraints=lambda pr: pr["p"] != 0, constraint_text="p != 0",
-    samples=({"p": F(1)}, {"p": F(-1, 2)}, {"p": F(2)}),
-    unimodular_locus=None,
-    witnesses=(ExplicitWitness(
-        label="lcb",
-        claims={"lcb": True, "balanced": False}),),
-)
-
-# -- nilpotent LCB entries ----------------------------------------------------
-
-_register(
-    "n1",
-    samples=({},),
-    unimodular_locus=True,
-    witnesses=(ExplicitWitness(
-        label="lcb",
-        claims={"lcb": True, "balanced": False}),),
-)
-
-_register(
-    "n2",
-    samples=({},),
-    unimodular_locus=True,
-    witnesses=(ExplicitWitness(
-        label="lcb",
-        claims={"lcb": True, "balanced": False}),),
-)
-
-# -- four-dimensional algebras and the compatibility examples -----------------
-
-_register(
-    "h3R",
-    samples=({},),
-    unimodular_locus=True,
-    witnesses=(ExplicitWitness(
-        label="lck",
-        claims={"lck": True, "vaisman": True, "kahler": False, "lcb": True}),),
-)
-
-
-_register(
-    "aff2+2R",
-    samples=({},),
-    unimodular_locus=None,
-    witnesses=(
-        ExplicitWitness(
-            label="kahler",
-            claims={"kahler": True, "balanced": True, "lck": True,
-                    "lcb": True, "vaisman": True}),
-        ExplicitWitness(
-            label="lck-nonkahler",
-            metric=((2, 0, 1, 0),
-                    (0, 2, 0, 1),
-                    (1, 0, 1, 0),
-                    (0, 1, 0, 1)),
-            claims={"lck": True, "kahler": False, "lcb": True, "vaisman": True}),
-    ),
-)
-
-
-_register(
-    "b2",
-    samples=({},),
-    unimodular_locus=None,
-    witnesses=(
-        ExplicitWitness(
-            label="balanced",
-            claims={"balanced": True, "kahler": False, "lcb": True}),
-        ExplicitWitness(
-            label="lcb-nonbalanced",
-            metric=((3, 1, 1, 0, 0, 0),
-                    (1, 1, 0, 0, 0, 0),
-                    (1, 0, 1, 0, 0, 0),
-                    (0, 0, 0, 1, 0, 1),
-                    (0, 0, 0, 0, 1, 1),
-                    (0, 0, 0, 1, 1, 3)),
-            claims={"lcb": True, "balanced": False, "lck": False}),
-    ),
-)
+# entries: the manifest's, and the generated s_2n family
 
 
 def _s2n_document(n):
@@ -504,68 +179,31 @@ def _s2n_document(n):
 
 
 def _s2n_entry(n):
-    if n == 2:
-        samples = ({"a": F(1)}, {"a": F(-2)}, {"a": F(1, 2)})
-        constraints = lambda pr: pr["a"] != 0
-        text = "a != 0"
-    else:
-        samples = ({"a": F(1), "c": F(1)}, {"a": F(-2), "c": F(1, 2)},
-                   {"a": F(1, 2), "c": F(2)})
-        constraints = lambda pr: pr["a"] != 0 and pr["c"] != 0
-        text = "a != 0, c != 0"
+    """s_2n: SKT and LCB, not balanced, unimodular, for nonzero a and c.
+    Its samples bind (a, c) to (1, 1), (-2, 1/2) and (1/2, 2); s4 has no c."""
     document = _s2n_document(n)
+    names = tuple(document.params)
+    more = ((F(-2), F(1, 2)), (F(1, 2), F(2)))
     return CatalogEntry(
         name=document.name, document=document,
-        constraints=constraints, constraint_text=text,
-        samples=samples,
-        unimodular_locus=True,
-        witnesses=(ExplicitWitness(
-            label="skt-lcb",
-            claims={"skt": True, "lcb": True, "balanced": False}),),
-    )
+        samples=(dict(document.params),) + tuple(dict(zip(names, v)) for v in more),
+        nonzero=tuple(LinearForm(((F(1), p),)) for p in names),
+        unimodular=True,
+        witnesses=(Witness("skt-lcb", {"skt": True, "lcb": True, "balanced": False}, None),))
 
 
-for _n in (2, 3, 4):
-    ENTRIES[f"s{2 * _n}"] = _s2n_entry(_n)
-
-# -- LCHK catalog --------------------------------------------------------------
-
-
-def _lchk_entry(name, constraints=None, text="", samples=({},), hyperkahler=False):
-    _register(
-        name,
-        constraints=constraints, constraint_text=text,
-        samples=samples,
-        unimodular_locus=True if hyperkahler else None,
-        witnesses=(LchkWitness(label="lchk", hyperkahler=hyperkahler),),
-    )
+def _entries():
+    """The manifest's entries in its order, the s_2n family for 2n = 4, 6,
+    8 before the LCHK lists.  A manifest name's '_' reads '+' in the
+    entry name (aff2_2R is aff2+2R)."""
+    listed = [CatalogEntry(name=doc.name.replace("_", "+"), document=doc, **facts)
+              for doc, facts in parse_manifest(shipped_manifest_text())]
+    cut = next(i for i, e in enumerate(listed) if e.name.startswith("lchk-"))
+    family = [_s2n_entry(n) for n in (2, 3, 4)]
+    return {e.name: e for e in listed[:cut] + family + listed[cut:]}
 
 
-_lchk_entry("lchk-m1-hk", hyperkahler=True)
-_lchk_entry("lchk-m1")
-_lchk_entry("lchk-m2-hk1", hyperkahler=True)
-_lchk_entry("lchk-m2-hk2", hyperkahler=True)
-_lchk_entry("lchk-m2-1")
-_lchk_entry(
-    "lchk-m2-2",
-    constraints=lambda pr: pr["p"] != 0, text="p != 0",
-    samples=({"p": F(1)}, {"p": F(1, 2)}, {"p": F(2)}))
-_lchk_entry("lchk-m3-hk1", hyperkahler=True)
-_lchk_entry("lchk-m3-hk2", hyperkahler=True)
-_lchk_entry(
-    "lchk-m3-hk3",
-    constraints=lambda pr: pr["p"] != 0, text="p != 0",
-    samples=({"p": F(1)}, {"p": F(1, 2)}, {"p": F(2)}),
-    hyperkahler=True)
-_lchk_entry("lchk-m3-1")
-_lchk_entry(
-    "lchk-m3-2",
-    constraints=lambda pr: pr["p"] != 0, text="p != 0",
-    samples=({"p": F(1)}, {"p": F(1, 2)}, {"p": F(2)}))
-_lchk_entry(
-    "lchk-m3-3",
-    constraints=lambda pr: pr["p"] * pr["q"] != 0, text="pq != 0",
-    samples=({"p": F(1), "q": F(2)}, {"p": F(1, 2), "q": F(1)}, {"p": F(2), "q": F(1, 2)}))
+ENTRIES = _entries()
 
 
 # ---------------------------------------------------------------------------
@@ -579,19 +217,13 @@ _OFF_LOCUS_POOL = (F(1, 3), F(3, 4), F(-5, 4), F(5, 2), F(-7, 3), F(7, 5))
 
 
 def _off_locus_samples(entry, count=3):
-    """Parameter tuples off the unimodularity locus (never-unimodular
-    entries reuse their stated samples)."""
-    if not callable(entry.unimodular_locus):
-        return entry.samples[:count]
+    """Bindings off the unimodular locus of an entry whose locus is a
+    form: the first sample shifted by each pool value that keeps the
+    constraints and leaves the locus."""
     out = []
-    base = entry.samples[0]
     for delta in _OFF_LOCUS_POOL:
-        cand = {k: v + delta for k, v in base.items()}
-        try:
-            ok = entry.constraints is None or entry.constraints(cand)
-        except Exception:
-            ok = False
-        if ok and not entry.unimodular_locus(cand):
+        cand = {k: v + delta for k, v in entry.samples[0].items()}
+        if all(form(cand) != 0 for form in entry.nonzero) and entry.unimodular(cand) != 0:
             out.append(cand)
         if len(out) == count:
             break
@@ -603,6 +235,7 @@ def verify_entry(entry: CatalogEntry, samples=None):
     failures = []
     checked = []
     samples = list(samples if samples is not None else entry.samples)
+    locus = entry.unimodular
     for params in samples:
         try:
             L = instantiate(entry, params)
@@ -610,22 +243,11 @@ def verify_entry(entry: CatalogEntry, samples=None):
             failures.append(f"{entry.name}{params}: instantiate failed: {exc}")
             continue
         checked.append(params)
-        # unimodularity claim
-        uni = L.is_unimodular()
-        if entry.unimodular_locus is True:
-            if not uni:
-                failures.append(f"{entry.name}{params}: expected unimodular")
-        elif entry.unimodular_locus is None:
-            if uni:
-                failures.append(f"{entry.name}{params}: unexpectedly unimodular")
-        else:
-            want = entry.unimodular_locus(params)
-            if uni != want:
-                failures.append(
-                    f"{entry.name}{params}: unimodular = {uni}, locus says {want}")
-        # witnesses
+        want = locus if isinstance(locus, bool) else locus(params) == 0
+        if L.is_unimodular() != want:
+            failures.append(f"{entry.name}{params}: unimodular = {not want}, locus says {want}")
         for w in entry.witnesses:
-            if isinstance(w, LchkWitness):
+            if _is_lchk(w):
                 failures.extend(_verify_lchk_witness(entry, L, params, w))
         try:
             structures = witness_structures(entry, L)
@@ -637,13 +259,10 @@ def verify_entry(entry: CatalogEntry, samples=None):
             if not lee_form_closed(d).equals(H.lee_form()):
                 failures.append(f"{entry.name}/{label}{params}: closed Lee form mismatch")
     # three perturbed off-locus samples must fail unimodularity
-    if callable(entry.unimodular_locus):
+    if not isinstance(locus, bool):
         for params in _off_locus_samples(entry):
-            try:
-                if instantiate(entry, params).is_unimodular():
-                    failures.append(f"{entry.name}{params}: off-locus sample unimodular")
-            except CatalogError:
-                pass
+            if instantiate(entry, params).is_unimodular():
+                failures.append(f"{entry.name}{params}: off-locus sample unimodular")
     return {
         "entry": entry.name,
         "samples": checked,
@@ -662,7 +281,7 @@ def _not_checked_claims(entry):
     return ()
 
 
-def _verify_lchk_witness(entry, L, params, w: LchkWitness):
+def _verify_lchk_witness(entry, L, params, w):
     failures = []
     D = _restrict_last(L)
     verdict = lchk_admissible(D)

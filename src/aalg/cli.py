@@ -32,9 +32,9 @@ from .documents import (ParseError, parse, parse_ideal, render,
                         to_algebra, to_complex_structure, to_ideal, to_metric)
 from .hermitian import HermitianError, HermitianStructure
 from .lie import LieAlgebraError, abelian_ideal
-from .almost_abelian import (DATA_PREDICATES, DataError, extract_data,
-                             is_lcb_data, is_skt_data, is_type_11, rho_b_closed,
-                             adapted_J_matrix, skt_to_lcb)
+from .almost_abelian import (DataError, extract_data, is_lcb_data, is_skt_data,
+                             is_type_11, rho_b_closed, adapted_J_matrix, route_verdicts,
+                             skt_to_lcb)
 from .lchk import LchkError, construct_lchk, lchk_admissible
 from .lattice import integrality_probe
 from .catalog import CatalogError, verify_all
@@ -138,15 +138,11 @@ def cmd_check(args):
     props = [args.property] if args.property else list(PROPERTIES)
     results = {}
     for prop in props:
-        if prop == "vaisman":
-            direct, note = H.is_vaisman()
-            results[prop] = {"direct": direct, "data": None,
-                             "agreement": None, "note": note}
-        else:
-            direct = getattr(H, f"is_{prop}_direct")()
-            data_verdict = DATA_PREDICATES[prop](d)
-            results[prop] = {"direct": direct, "data": data_verdict,
-                             "agreement": direct == data_verdict}
+        direct, data, note = route_verdicts(H, d, prop)
+        results[prop] = {"direct": direct, "data": data,
+                         "agreement": None if data is None else direct == data}
+        if note is not None:
+            results[prop]["note"] = note
     report = {"schema": SCHEMA, "command": "check", "algebra": doc.name,
               "results": results}
     _emit(report, args)

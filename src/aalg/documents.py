@@ -10,11 +10,20 @@ the shipped catalog manifest.
     ideal: f1, f2, f3, f4, f5
 
 Indices are written f16 for single digits and f1,12 (comma form,
-mandatory once any index reaches 10).  Rational literals keep a document
-on the exact kernel; any decimal literal switches the whole document to
-floats.  render() produces the canonical form and parse(render(doc))
-returns an equal document; the shipped manifest is byte-stable under
-parse_manifest/render_manifest.
+mandatory once any index reaches 10).  The ``d =`` entries, the ideal
+sums and the catalog's linear forms are read by one signed-term reader;
+its terms end with an index pair, one index or no index respectively.
+Rational literals keep a document on the exact kernel; any decimal
+literal, the ideal's included, switches the whole document to floats.
+render() produces the canonical form and parse(render(doc)) returns an
+equal document.
+
+The manifest is a header line and blank-separated chunks: a document and
+its catalog lines (``samples:``, ``nonzero:``, ``unimodular:`` and
+``witness``; see ``aalg.catalog``).  Only parse_manifest reads catalog
+lines -- parse() rejects them as unknown directives -- and
+render_manifest writes them back: the shipped manifest is byte-stable
+under the pair.
 """
 
 from __future__ import annotations
@@ -65,6 +74,40 @@ class AlgebraDocument:
                 and self.differential == other.differential
                 and self.j_spec == other.j_spec and self.g_spec == other.g_spec
                 and self.ideal == other.ideal and self.kind == other.kind)
+
+
+DOCUMENT_HEADS = ("d", "J", "g", "ideal")
+# catalog lines: parse_manifest reads them, parse() rejects them
+CATALOG_HEADS = ("samples", "nonzero", "unimodular", "witness")
+# a witness claims verdicts of these properties; an LCHK witness claims
+# lchk (its D is LCHK-admissible) and whether it is hyperkahler
+CLAIMS = ("kahler", "lck", "balanced", "skt", "lcb", "vaisman", "lchk", "hyperkahler")
+
+
+@dataclass(frozen=True)
+class LinearForm:
+    """c_0 + c_1 p_1 + ... in the parameters, as (coeff, param) terms in
+    written order; param None is the constant term."""
+    terms: tuple
+
+    def __call__(self, params):
+        return sum(c if p is None else c * params[p] for c, p in self.terms)
+
+    def __str__(self):
+        return _render_terms([(c, p, None) for c, p in self.terms], 0)
+
+
+@dataclass(frozen=True)
+class Witness:
+    """A witness line: the claimed verdicts in written order, and the Gram
+    matrix of the witness's own metric (None: the document's g)."""
+    label: str
+    claims: dict
+    metric: tuple | None
+
+    @property
+    def hyperkahler(self):
+        return self.claims.get("hyperkahler")
 
 
 _NUM_RE = re.compile(r"-?\d+(\.\d+)?(/\d+)?")
@@ -119,6 +162,13 @@ class _Scanner:
         self.pos = m.end()
         return m.group(0)
 
+    def digits(self):
+        """The run of digits at the current position (no whitespace skipped)."""
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        return self.text[start:self.pos]
+
     def word(self):
         """Algebra names may carry hyphens and plus signs."""
         self.skip_ws()
@@ -138,27 +188,33 @@ def _parse_number(tok):
     return Fraction(int(tok))
 
 
-def _scan_f_indices(sc: _Scanner, dim):
-    """Parse the index part after 'f': either two digits or i,j."""
+def _listed(sc: _Scanner, sep, read):
+    """read() once, then again after each ``sep``: the items as a list."""
+    items = [read()]
+    while sc.take(sep):
+        items.append(read())
+    return items
+
+
+def _scan_f_index(sc: _Scanner, dim, arity):
+    """The index after an 'f': one index in 1..dim (arity 1), or a pair
+    i < j written as two digits or as i,j (arity 2)."""
     start = sc.pos
-    digits = ""
-    while sc.pos < len(sc.text) and sc.text[sc.pos].isdigit():
-        digits += sc.text[sc.pos]
-        sc.pos += 1
+    digits = sc.digits()
     if not digits:
-        sc.error("expected indices after f")
+        sc.error("expected an index after f")
+    if arity == 1:
+        idx = int(digits)
+        if not 1 <= idx <= dim:
+            sc.error(f"index {idx} out of range")
+        return idx
     # A comma immediately followed by a digit is tried as the f{i,j} form;
     # when that reading is out of range the comma separates tuple entries
     # instead (so the spaceless style "(f12,0,0,0)" parses as intended).
-    if (sc.pos + 1 < len(sc.text) and sc.text[sc.pos] == ","
-            and sc.text[sc.pos + 1].isdigit()):
+    if sc.text[sc.pos:sc.pos + 1] == "," and sc.text[sc.pos + 1:sc.pos + 2].isdigit():
         mark = sc.pos
         sc.pos += 1
-        second = ""
-        while sc.pos < len(sc.text) and sc.text[sc.pos].isdigit():
-            second += sc.text[sc.pos]
-            sc.pos += 1
-        i, j = int(digits), int(second)
+        i, j = int(digits), int(sc.digits())
         if 1 <= i < j <= dim:
             return i, j
         sc.pos = mark
@@ -171,142 +227,88 @@ def _scan_f_indices(sc: _Scanner, dim):
     return i, j
 
 
-def _parse_expression(sc: _Scanner, dim, param_names):
-    """Signed sum of coefficient * f terms; '0' is the zero expression."""
+def _parse_terms(sc: _Scanner, arity, dim, param_names):
+    """Signed sum of terms c * p * f-index, as (coeff, param, index)
+    triples in written order.  A term has at most one number and one
+    parameter, and ends with its f-index: a pair (arity 2, the ``d =``
+    expressions), one index (arity 1, the ideal sums) or none (arity 0,
+    the catalog's linear forms in the parameters)."""
     terms = []
-    sc.skip_ws()
-    if sc.peek() == "0":
-        save = sc.pos
-        sc.pos += 1
-        if sc.at_end() or sc.peek() in ",)":
-            return tuple(terms)
-        sc.pos = save
-    first = True
     while True:
-        sc.skip_ws()
-        sign = 1
-        if sc.take("+"):
-            sign = 1
-        elif sc.take("-"):
+        if sc.take("-"):
             sign = -1
-        elif not first:
-            break
-        coeff = None
-        param = None
-        while True:
-            sc.skip_ws()
+        elif sc.take("+") or not terms:
+            sign = 1
+        else:
+            return terms
+        coeff = param = index = None
+        while index is None:
             ch = sc.peek()
+            name = _NAME_RE.match(sc.text, sc.pos)
             if ch.isdigit():
                 if coeff is not None:
                     sc.error("two numeric factors in one term")
                 coeff = sc.number()
-                sc.take("*")
-                continue
-            if ch == "f":
-                save = sc.pos
+            elif arity and ch == "f" and sc.text[sc.pos + 1:sc.pos + 2].isdigit():
                 sc.pos += 1
-                if sc.pos < len(sc.text) and sc.text[sc.pos].isdigit():
-                    i, j = _scan_f_indices(sc, dim)
-                    break
-                sc.pos = save
-            m = _NAME_RE.match(sc.text, sc.pos) if ch else None
-            if m:
+                index = _scan_f_index(sc, dim, arity)
+                continue
+            elif name:
                 if param is not None:
                     sc.error("two parameter factors in one term")
-                param = m.group(0)
+                param = name.group(0)
                 if param not in param_names:
-                    raise ParseError(f"unbound parameter {param!r}",
-                                     sc.line_no, sc.pos + 1)
-                sc.pos = m.end()
-                sc.take("*")
-                continue
-            sc.error("expected a coefficient or f-term")
-        c = Fraction(1) if coeff is None else coeff
-        terms.append(Term(i, j, sign * c, param))
-        first = False
-        sc.skip_ws()
-        if sc.peek() not in "+-":
-            break
-    return tuple(terms)
+                    sc.error(f"unbound parameter {param!r}")
+                sc.pos = name.end()
+            elif arity or (coeff is None and param is None):
+                sc.error("expected a coefficient or f-term")
+            else:
+                break
+            sc.take("*")
+        terms.append((sign * (Fraction(1) if coeff is None else coeff), param, index))
+
+
+def _parse_expression(sc: _Scanner, dim, param_names):
+    """One entry of a ``d =`` tuple; '0' is the zero expression."""
+    if sc.peek() == "0":
+        save = sc.pos
+        sc.pos += 1
+        if sc.at_end() or sc.peek() in ",)":
+            return ()
+        sc.pos = save
+    return tuple(Term(i, j, c, p) for c, p, (i, j) in _parse_terms(sc, 2, dim, param_names))
 
 
 def _parse_matrix(sc: _Scanner, dim, label):
     """The dim x dim matrix of a J or g line, as a tuple of row tuples."""
     start = sc.pos
-    sc.expect("[")
-    rows = []
-    while True:
+
+    def row():
         sc.expect("[")
-        row = []
-        while True:
-            row.append(sc.number())
-            if not sc.take(","):
-                break
+        entries = tuple(_listed(sc, ",", sc.number))
         sc.expect("]")
-        rows.append(tuple(row))
-        if not sc.take(","):
-            break
+        return entries
+
+    sc.expect("[")
+    rows = tuple(_listed(sc, ",", row))
     sc.expect("]")
     if len(rows) != dim or any(len(r) != dim for r in rows):
         raise ParseError(f"{label} matrix must be {dim}x{dim}", sc.line_no, start + 1)
-    return tuple(rows)
-
-
-def _parse_pairing_index(sc: _Scanner, dim):
-    """The index of one f-term of a J pairing: an integer in 1..dim."""
-    if not sc.take("f"):
-        sc.error("expected f-index in J pairing")
-    start = sc.pos
-    idx = sc.number()
-    if not (isinstance(idx, Fraction) and idx.denominator == 1 and 1 <= idx <= dim):
-        raise ParseError(f"J index f{idx} is not an integer in 1..{dim}",
-                         sc.line_no, start + 1)
-    return int(idx)
+    return rows
 
 
 def _parse_vector_expr(sc: _Scanner, dim):
     """Sum like f3 + 2 f4 as a coefficient vector (for ideal lines)."""
     vec = [Fraction(0)] * dim
-    first = True
-    while True:
-        sc.skip_ws()
-        sign = 1
-        if sc.take("+"):
-            sign = 1
-        elif sc.take("-"):
-            sign = -1
-        elif not first:
-            break
-        coeff = Fraction(1)
-        if sc.peek().isdigit():
-            coeff = sc.number()
-            sc.take("*")
-        sc.skip_ws()
-        if not sc.take("f"):
-            sc.error("expected f-term in ideal")
-        digits = ""
-        while sc.pos < len(sc.text) and sc.text[sc.pos].isdigit():
-            digits += sc.text[sc.pos]
-            sc.pos += 1
-        if not digits:
-            sc.error("expected index after f")
-        idx = int(digits)
-        if not (1 <= idx <= dim):
-            sc.error(f"index {idx} out of range")
-        vec[idx - 1] += sign * coeff
-        first = False
-        sc.skip_ws()
-        if sc.peek() not in "+-":
-            break
+    for c, _, idx in _parse_terms(sc, 1, dim, ()):
+        vec[idx - 1] += c
     return tuple(vec)
 
 
 def _parse_ideal(sc: _Scanner, dim):
     """Comma-separated vector sums, as a tuple of coefficient vectors; the
     rest of the line must be empty."""
-    vecs = [_parse_vector_expr(sc, dim)]
-    while sc.take(","):
-        vecs.append(_parse_vector_expr(sc, dim))
+    vecs = _listed(sc, ",", lambda: _parse_vector_expr(sc, dim))
     if not sc.at_end():
         sc.error("trailing input after ideal")
     return tuple(vecs)
@@ -320,7 +322,13 @@ def parse_ideal(spec, dim):
 
 def parse(text) -> AlgebraDocument:
     """Parse one algebra document."""
-    lines = text.splitlines()
+    return _parse_lines(enumerate(text.splitlines(), start=1), None)
+
+
+def _parse_lines(numbered, facts):
+    """The document on the numbered lines.  With a ``facts`` dict (the
+    manifest), the catalog lines are read into it; without one they are
+    unknown directives."""
     name = None
     dim = None
     params = {}
@@ -329,7 +337,8 @@ def parse(text) -> AlgebraDocument:
     g_spec = None
     ideal = None
     pending = None  # (line_no, accumulated) for a multi-line d = ( ... )
-    for ln, raw in enumerate(lines, start=1):
+    heads = DOCUMENT_HEADS + (CATALOG_HEADS if facts is not None else ())
+    for ln, raw in numbered:
         stripped = raw.split("#", 1)[0].rstrip()
         if not stripped.strip():
             continue
@@ -351,13 +360,10 @@ def parse(text) -> AlgebraDocument:
                 sc.error("dimension must be a positive integer")
             dim = int(d)
         elif head == "params":
-            while True:
-                pname = sc.name()
-                sc.expect("=")
-                params[pname] = sc.number()
-                if not sc.take(","):
-                    break
-        elif head in ("d", "J", "g", "ideal") and dim is None:
+            params.update(_parse_bindings(sc))
+        elif head not in heads:
+            raise ParseError(f"unknown directive {head!r}", ln, 1)
+        elif dim is None:
             sc.error("'algebra <name> dim <n>' must come first")
         elif head == "d":
             sc.expect("=")
@@ -371,15 +377,7 @@ def parse(text) -> AlgebraDocument:
             if sc.take("matrix"):
                 j_spec = ("matrix", _parse_matrix(sc, dim, head))
             else:
-                pairs = []
-                while True:
-                    a = _parse_pairing_index(sc, dim)
-                    sc.expect("-")
-                    sc.expect(">")
-                    pairs.append((a, _parse_pairing_index(sc, dim)))
-                    if not sc.take(","):
-                        break
-                j_spec = ("pairs", tuple(pairs))
+                j_spec = ("pairs", tuple(_listed(sc, ",", lambda: _parse_pair(sc, dim))))
         elif head == "g":
             sc.expect(":")
             if sc.take("identity"):
@@ -392,7 +390,7 @@ def parse(text) -> AlgebraDocument:
             sc.expect(":")
             ideal = _parse_ideal(sc, dim)
         else:
-            raise ParseError(f"unknown directive {head!r}", ln, 1)
+            _parse_fact(sc, head, dim, params, facts)
         # a d = ( ... ) tuple may span lines; it checks its own end
         if head != "d" and not sc.at_end():
             sc.error(f"trailing input after {head}")
@@ -402,10 +400,77 @@ def parse(text) -> AlgebraDocument:
         raise ParseError("missing 'algebra <name> dim <n>' header")
     if differential is None:
         raise ParseError("missing differential tuple 'd = (...)'")
-    kind = _document_kind(params, differential, g_spec, j_spec)
+    kind = _document_kind(params, differential, j_spec, g_spec, ideal)
     return AlgebraDocument(name=name, dim=dim, params=params,
                            differential=differential, j_spec=j_spec,
                            g_spec=g_spec, ideal=ideal, kind=kind)
+
+
+def _parse_pair(sc: _Scanner, dim):
+    """One J pairing fa->fb as (a, b)."""
+    sc.expect("f")
+    a = _scan_f_index(sc, dim, 1)
+    for token in ("-", ">", "f"):
+        sc.expect(token)
+    return a, _scan_f_index(sc, dim, 1)
+
+
+def _parse_bindings(sc: _Scanner):
+    """name = number, ... as a dict in written order."""
+    def binding():
+        pname = sc.name()
+        sc.expect("=")
+        return pname, sc.number()
+    return dict(_listed(sc, ",", binding))
+
+
+def _parse_fact(sc: _Scanner, head, dim, params, facts):
+    """One catalog line into ``facts``; every line but ``witness`` is
+    written at most once."""
+    if head == "witness":
+        facts.setdefault(head, []).append(_parse_witness(sc, dim))
+        return
+    if head in facts:
+        sc.error(f"repeated {head} line")
+    sc.expect(":")
+    if head == "samples":
+        facts[head] = _listed(sc, ";", lambda: _parse_bindings(sc))
+        if any(list(b) != list(params) for b in facts[head]):
+            sc.error("each sample binds the parameters of the params line, in order")
+    elif head == "nonzero":
+        facts[head] = _listed(sc, ",", lambda: _parse_form(sc, params))
+    elif sc.take("always"):
+        facts[head] = True
+    elif sc.take("never"):
+        facts[head] = False
+    else:
+        facts[head] = _parse_form(sc, params)
+
+
+def _parse_witness(sc: _Scanner, dim):
+    """label: claims (a leading '-' claims false), then optionally
+    '; g: matrix [...]'."""
+    label = sc.word()
+    sc.expect(":")
+
+    def claim():
+        want = not sc.take("-")
+        name = sc.name()
+        if name not in CLAIMS:
+            sc.error(f"unknown claim {name!r}")
+        return name, want
+
+    claims = dict(_listed(sc, ",", claim))
+    metric = None
+    if sc.take(";"):
+        for token in ("g", ":", "matrix"):
+            sc.expect(token)
+        metric = _parse_matrix(sc, dim, "g")
+    return Witness(label, claims, metric)
+
+
+def _parse_form(sc: _Scanner, params):
+    return LinearForm(tuple((c, p) for c, p, _ in _parse_terms(sc, 0, 0, params)))
 
 
 def _balanced(s):
@@ -415,11 +480,7 @@ def _balanced(s):
 def _parse_differential(body, line_no, dim, params):
     sc = _Scanner(body, line_no)
     sc.expect("(")
-    exprs = []
-    while True:
-        exprs.append(_parse_expression(sc, dim, set(params)))
-        if not sc.take(","):
-            break
+    exprs = _listed(sc, ",", lambda: _parse_expression(sc, dim, set(params)))
     sc.expect(")")
     if not sc.at_end():
         sc.error("trailing input after differential tuple")
@@ -429,57 +490,51 @@ def _parse_differential(body, line_no, dim, params):
     return tuple(exprs)
 
 
-def _document_kind(params, differential, g_spec, j_spec):
-    def is_float(x):
-        return isinstance(x, float)
-
-    if any(is_float(v) for v in params.values()):
-        return FLOAT
-    for expr in differential:
-        if any(is_float(t.coeff) for t in expr):
-            return FLOAT
-    for spec in (g_spec, j_spec):
+def _document_kind(params, differential, j_spec, g_spec, ideal):
+    """Float if any value of the document is a decimal, else exact."""
+    values = [*params.values(), *(t.coeff for expr in differential for t in expr),
+              *(x for vec in ideal or () for x in vec)]
+    for spec in (j_spec, g_spec):
         if spec and spec[0] == "matrix":
-            if any(is_float(x) for row in spec[1] for x in row):
-                return FLOAT
-    return EXACT
+            values += [x for row in spec[1] for x in row]
+    return FLOAT if any(isinstance(x, float) for x in values) else EXACT
 
 
 # ---------------------------------------------------------------------------
 # rendering (canonical form)
 
-def _render_term(t: Term, lead, dim):
-    c = t.coeff
-    neg = c < 0
-    mag = -c if neg else c
-    pieces = []
-    # a unit rational coefficient is left implicit; floats always render
-    if not (isinstance(mag, Fraction) and mag == 1):
-        pieces.append(fmt(mag))
-    if t.param is not None:
-        pieces.append(t.param)
-    idx = f"f{t.i}{t.j}" if dim < 10 else f"f{t.i},{t.j}"
-    pieces.append(idx)
-    body = " ".join(pieces)
-    if lead:
-        return ("-" if neg else "") + body
-    return (" - " if neg else " + ") + body
+def _render_terms(terms, dim):
+    """The text _parse_terms reads as ``terms``: a unit rational factor
+    before a parameter or an f-index is left implicit; floats always
+    render."""
+    out = ""
+    for c, param, index in terms:
+        neg = c < 0
+        mag = -c if neg else c
+        pieces = []
+        if not (isinstance(mag, Fraction) and mag == 1 and (param or index)):
+            pieces.append(fmt(mag))
+        if param is not None:
+            pieces.append(param)
+        if isinstance(index, int):
+            pieces.append(f"f{index}")
+        elif index is not None:
+            pieces.append(f"f{index[0]}{index[1]}" if dim < 10 else f"f{index[0]},{index[1]}")
+        body = " ".join(pieces)
+        out += (("-" if neg else "") if not out else (" - " if neg else " + ")) + body
+    return out
+
+
+def _render_bindings(binding):
+    return ", ".join(f"{k} = {fmt(v)}" for k, v in binding.items())
 
 
 def render(doc: AlgebraDocument) -> str:
     lines = [f"algebra {doc.name} dim {doc.dim}"]
     if doc.params:
-        binds = ", ".join(f"{k} = {fmt(v)}" for k, v in doc.params.items())
-        lines.append(f"params {binds}")
-    exprs = []
-    for expr in doc.differential:
-        if not expr:
-            exprs.append("0")
-            continue
-        out = ""
-        for pos, t in enumerate(expr):
-            out += _render_term(t, pos == 0, doc.dim)
-        exprs.append(out)
+        lines.append(f"params {_render_bindings(doc.params)}")
+    exprs = [_render_terms([(t.coeff, t.param, (t.i, t.j)) for t in expr], doc.dim) or "0"
+             for expr in doc.differential]
     lines.append("d = (" + ", ".join(exprs) + ")")
     if doc.j_spec:
         if doc.j_spec[0] == "pairs":
@@ -492,24 +547,9 @@ def render(doc: AlgebraDocument) -> str:
         else:
             lines.append("g: matrix " + _render_matrix(doc.g_spec[1]))
     if doc.ideal:
-        parts = []
-        for vec in doc.ideal:
-            terms = []
-            for idx, c in enumerate(vec, start=1):
-                if c == 0:
-                    continue
-                if c == 1:
-                    terms.append(f"f{idx}" if not terms else f"+ f{idx}")
-                elif c == -1:
-                    terms.append(f"-f{idx}" if not terms else f"- f{idx}")
-                else:
-                    mag = -c if c < 0 else c
-                    if not terms:
-                        terms.append(("-" if c < 0 else "") + f"{fmt(mag)} f{idx}")
-                    else:
-                        terms.append(("- " if c < 0 else "+ ") + f"{fmt(mag)} f{idx}")
-            parts.append(" ".join(terms))
-        lines.append("ideal: " + ", ".join(parts))
+        lines.append("ideal: " + ", ".join(
+            _render_terms([(c, None, i) for i, c in enumerate(vec, start=1) if c != 0], doc.dim)
+            for vec in doc.ideal))
     return "\n".join(lines) + "\n"
 
 
@@ -517,29 +557,57 @@ def _render_matrix(rows):
     return "[" + ", ".join("[" + ", ".join(fmt(x) for x in row) + "]" for row in rows) + "]"
 
 
+def _render_facts(facts):
+    """The catalog lines of one manifest chunk, as parse_manifest read them."""
+    lines = []
+    if facts["samples"][1:]:
+        lines.append("samples: " + "; ".join(map(_render_bindings, facts["samples"][1:])))
+    if facts["nonzero"]:
+        lines.append("nonzero: " + ", ".join(map(str, facts["nonzero"])))
+    locus = facts["unimodular"]
+    lines.append("unimodular: " + {True: "always", False: "never"}.get(locus, str(locus)))
+    for w in facts["witnesses"]:
+        claims = ", ".join(("" if want else "-") + claim for claim, want in w.claims.items())
+        metric = "" if w.metric is None else "; g: matrix " + _render_matrix(w.metric)
+        lines.append(f"witness {w.label}: {claims}{metric}")
+    return "".join(line + "\n" for line in lines)
+
+
 MANIFEST_HEADER = "# aalg-catalog/1"
 
 
 def parse_manifest(text):
-    """Split a manifest into documents (header line + blank-separated docs)."""
+    """(document, facts) for each blank-separated chunk after the header
+    line.  ``facts`` holds the chunk's catalog lines by the fields of a
+    catalog entry: ``samples`` (the params line's binding first, then the
+    samples line's), ``nonzero``, ``unimodular`` and ``witnesses``."""
     lines = text.splitlines()
     if not lines or not lines[0].startswith(MANIFEST_HEADER):
         raise ParseError("manifest must start with the header " + MANIFEST_HEADER, 1)
-    docs = []
-    chunk = []
-    for raw in lines[1:]:
+    chunks = [[]]
+    for ln, raw in enumerate(lines[1:], start=2):
         if raw.strip():
-            chunk.append(raw)
-        elif chunk:
-            docs.append(parse("\n".join(chunk)))
-            chunk = []
-    if chunk:
-        docs.append(parse("\n".join(chunk)))
-    return docs
+            chunks[-1].append((ln, raw))
+        elif chunks[-1]:
+            chunks.append([])
+    return [_parse_chunk(chunk) for chunk in chunks if chunk]
 
 
-def render_manifest(docs) -> str:
-    return MANIFEST_HEADER + "\n\n" + "\n".join(render(d) for d in docs)
+def _parse_chunk(numbered):
+    facts = {}
+    doc = _parse_lines(numbered, facts)
+    for head in ("unimodular", "witness"):
+        if head not in facts:
+            raise ParseError(f"{doc.name} has no {head} line", numbered[0][0])
+    return doc, {"samples": (dict(doc.params), *facts.get("samples", ())),
+                 "nonzero": tuple(facts.get("nonzero", ())),
+                 "unimodular": facts["unimodular"],
+                 "witnesses": tuple(facts["witness"])}
+
+
+def render_manifest(chunks) -> str:
+    return MANIFEST_HEADER + "\n\n" + "\n".join(
+        render(doc) + _render_facts(facts) for doc, facts in chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -571,16 +639,22 @@ def to_algebra(doc: AlgebraDocument) -> LieAlgebra:
                       kind=doc.kind)
 
 
+def _on_kind(rows, kind, what):
+    """The rows with every value coerced to the document's kind.  parse()
+    gives a decimal only to a float document; a decimal spec put into an
+    exact document (``--ideal``) is an input error."""
+    if kind == EXACT and any(isinstance(x, float) for row in rows for x in row):
+        raise ParseError(f"decimal literal in the {what} of an exact document")
+    return [[coerce(x, kind) for x in row] for row in rows]
+
+
 def to_complex_structure(doc: AlgebraDocument):
     if doc.j_spec is None:
         return None
     if doc.j_spec[0] == "pairs":
         pairs = [(a - 1, b - 1) for a, b in doc.j_spec[1]]
-        return ComplexStructure.from_pairs(doc.dim, pairs,
-                                           kind=doc.kind)
-    rows = [[float(x) if doc.kind == FLOAT else Fraction(x) for x in row]
-            for row in doc.j_spec[1]]
-    return ComplexStructure.from_matrix(rows)
+        return ComplexStructure.from_pairs(doc.dim, pairs, kind=doc.kind)
+    return ComplexStructure.from_matrix(_on_kind(doc.j_spec[1], doc.kind, "J"))
 
 
 def to_metric(doc: AlgebraDocument):
@@ -588,14 +662,11 @@ def to_metric(doc: AlgebraDocument):
         return None
     if doc.g_spec[0] == "identity":
         return Metric.identity(doc.dim, doc.kind)
-    rows = [[float(x) if doc.kind == FLOAT else Fraction(x) for x in row]
-            for row in doc.g_spec[1]]
-    return Metric.from_matrix(rows)
+    return Metric.from_matrix(_on_kind(doc.g_spec[1], doc.kind, "metric"))
 
 
 def to_ideal(doc: AlgebraDocument):
     if doc.ideal is None:
         return None
-    vecs = [tuple(float(x) if doc.kind == FLOAT else Fraction(x) for x in v)
-            for v in doc.ideal]
-    return Subspace(len(vecs), tuple(vecs))
+    vecs = _on_kind(doc.ideal, doc.kind, "ideal")
+    return Subspace(len(vecs), tuple(map(tuple, vecs)))

@@ -6,7 +6,8 @@ ad matrices built once per algebra (entry (k, j) of ad_{e_i} is c^k_ij):
 basis brackets and the ideal search read it, and so does the Nijenhuis
 tensor in ``hermitian``; ad_x accumulates the nonzero constants directly.
 Validation enforces antisymmetry by construction and checks the Jacobi
-identity as d^2 = 0 on the coframe, exactly on the rational path.  A
+identity as d^2 = 0 on the coframe, exactly on the rational path and on
+floats against eps max(1, max |c|)^2, the scale of the cyclic sums.  A
 hyperplane is an ideal iff it contains [L, L], so the ideal test evaluates
 its covector on the brackets.  :func:`abelian_ideal` validates a declared
 ideal or searches for one, and caches the answer on the algebra once per
@@ -15,10 +16,11 @@ declaration.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import product
 
-from .scalars import EXACT, coerce, is_zero, kind_of, zero
+from .scalars import EXACT, coerce, current_eps, is_zero, kind_of, tolerance, zero
 from . import linalg
 from .forms import KForm, exterior_derivative
 
@@ -173,7 +175,16 @@ class LieAlgebra:
         Jacobi is d^2 = 0 on the coframe: d(de^t)(e_i, e_j, e_k) is the e_t
         component of [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j].
         """
-        dd = [exterior_derivative(de, self) for de in self.coframe_differentials()]
+        coframe = self.coframe_differentials()
+        # the cyclic sums are quadratic in the constants c; the cached
+        # coframe keeps the caller's tolerance
+        if self.kind == EXACT:
+            scaled = nullcontext()
+        else:
+            c = max((abs(x) for vec in self.brackets.values() for x in vec), default=0.0)
+            scaled = tolerance(current_eps() * max(1.0, c) ** 2)
+        with scaled:
+            dd = [exterior_derivative(de, self) for de in coframe]
         keys = [key for form in dd for key in form.coeffs]
         if not keys:
             return None

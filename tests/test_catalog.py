@@ -4,6 +4,7 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aalg import linalg
 from aalg.catalog import (CatalogError, ENTRIES, LCB_LIST, LCK_LIST, LCHK_LIST,
@@ -58,6 +59,43 @@ def test_unimodular_loci():
     assert instantiate(ENTRIES["n1"], {}).is_unimodular()
     assert instantiate(ENTRIES["s6"], {"a": F(1), "c": F(1)}).is_unimodular()
     assert not instantiate(ENTRIES["b2"], {}).is_unimodular()
+
+
+# small rationals, closed under negation, so that forms like p - q and p + q vanish
+POOL = tuple(F(x) for x in ("-2", "-3/2", "-1", "-1/2", "-1/4", "0", "1/4", "1/2", "1", "3/2", "2"))
+PARAMETRISED = tuple(name for name, entry in ENTRIES.items() if entry.params)
+
+
+@st.composite
+def bindings(draw):
+    """An entry and a binding from the pool; for an entry whose locus is a
+    form, half of the bindings are moved onto it by its last parameter."""
+    entry = ENTRIES[draw(st.sampled_from(PARAMETRISED))]
+    params = {p: draw(st.sampled_from(POOL)) for p in entry.params}
+    locus = entry.unimodular
+    if not isinstance(locus, bool) and draw(st.booleans()):
+        c, p = next((c, p) for c, p in reversed(locus.terms) if p is not None)
+        params[p] -= locus(params) / c
+    return entry, params
+
+
+@settings(max_examples=300, deadline=None)
+@given(bindings())
+def test_constraints_and_loci_on_every_binding(drawn):
+    """A binding that zeroes a nonzero form is refused, naming the first
+    such form; any other binding is unimodular exactly on the locus the
+    manifest claims."""
+    entry, params = drawn
+    zeroed = [form for form in entry.nonzero if form(params) == 0]
+    if zeroed:
+        with pytest.raises(CatalogError) as err:
+            instantiate(entry, params)
+        assert err.value.code == "CONSTRAINT_VIOLATION"
+        assert f"violate {zeroed[0]} != 0" in str(err.value)
+        return
+    locus = entry.unimodular
+    want = locus if isinstance(locus, bool) else locus(params) == 0
+    assert instantiate(entry, params).is_unimodular() == want
 
 
 def test_lck_witnesses_decompose_lambda_u():

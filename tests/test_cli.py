@@ -273,6 +273,27 @@ def test_ideal_flag_errors_point_into_the_flag(docs, capsys):
     assert capsys.readouterr().err == "error: trailing input after ideal at column 8\n"
 
 
+@pytest.mark.parametrize("command", ["check", "data", "rho-b", "skt-to-lcb"])
+def test_decimal_ideal_flag_on_an_exact_document_is_an_input_error(docs, capsys, command):
+    """A decimal in --ideal never enters an exact document as a binary
+    fraction: the command exits 1."""
+    assert main([command, docs["s4"], "--ideal", "0.1 f1 + f2, f2, f3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: decimal literal in the ideal of an exact document\n"
+
+
+@pytest.mark.parametrize("line", ["samples: a = 2", "nonzero: a", "unimodular: always",
+                                  "witness skt-lcb: skt, lcb"])
+def test_catalog_lines_are_input_errors(tmp_path, capsys, line):
+    """The manifest's catalog lines are not part of the document grammar."""
+    p = tmp_path / "s4.alg"
+    p.write_text(S4 + line + "\n", encoding="utf-8")
+    assert main(["check", str(p)]) == 1
+    head = line.split()[0].rstrip(":")
+    assert capsys.readouterr().err == f"error: unknown directive {head!r} at line 6, column 1\n"
+
+
 def test_aalg_epsilon_sets_the_tolerance_for_one_call(docs, capsys, monkeypatch):
     argv = ["check", docs["aff2p"], "--property", "kahler", "--json"]
     before = scalars.current_eps()

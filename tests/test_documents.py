@@ -200,27 +200,135 @@ def test_parse_render_roundtrip_random(doc):
 
 
 def test_manifest_roundtrip_shipped():
+    """Byte for byte, catalog lines included: every chunk has its
+    unimodular and witness lines."""
     from aalg.catalog import shipped_manifest_text
     text = shipped_manifest_text()
-    docs = parse_manifest(text)
-    assert render_manifest(docs) == text
+    chunks = parse_manifest(text)
+    assert render_manifest(chunks) == text
+    assert text.count("\nunimodular: ") == len(chunks)
+    assert all(facts["witnesses"] for _, facts in chunks)
+    assert parse_manifest(render_manifest(chunks)) == chunks
+
+
+MANIFEST = """# aalg-catalog/1
+
+algebra t dim 4
+params p = 1, q = -1/2
+d = (p f14, q f24, f34, 0)
+J: f1->f4, f2->f3
+g: identity
+samples: p = 2, q = 0; p = -1/3, q = 5
+nonzero: p, -p + 2 q - 1/2, 3
+unimodular: 1 + p + q
+witness a-b: lcb, -balanced, vaisman; g: matrix [[2, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 1]]
+witness c: skt
+
+algebra u dim 4
+d = (0, 0, 0, 0)
+unimodular: always
+witness lchk: lchk, hyperkahler
+
+algebra v dim 2
+d = (f12, 0)
+unimodular: never
+witness lchk: lchk, -hyperkahler
+"""
+
+
+def test_manifest_catalog_lines():
+    """Every form of every catalog line reads and renders back."""
+    (_, facts), (_, always), (_, never) = parse_manifest(MANIFEST)
+    assert render_manifest(parse_manifest(MANIFEST)) == MANIFEST
+    assert facts["samples"] == ({"p": F(1), "q": F(-1, 2)}, {"p": F(2), "q": F(0)},
+                                {"p": F(-1, 3), "q": F(5)})
+    assert [str(f) for f in facts["nonzero"]] == ["p", "-p + 2 q - 1/2", "3"]
+    assert [f(facts["samples"][0]) for f in facts["nonzero"]] == [1, F(-5, 2), 3]
+    assert facts["unimodular"]({"p": F(-1), "q": F(0)}) == 0
+    (w, v) = facts["witnesses"]
+    assert (w.label, w.claims) == ("a-b", {"lcb": True, "balanced": False, "vaisman": True})
+    assert w.metric[0] == (F(2), F(0), F(0), F(1)) and v.metric is None
+    assert (always["unimodular"], always["samples"], always["nonzero"]) == (True, ({},), ())
+    assert never["unimodular"] is False and not never["witnesses"][0].hyperkahler
+
+
+@pytest.mark.parametrize("line, message", [
+    ("samples: p = 2", "binds the parameters of the params line"),
+    ("samples: q = 1, p = 2", "binds the parameters of the params line"),
+    ("nonzero: p, r", "unbound parameter 'r'"),
+    ("nonzero: 2 f14", "unbound parameter 'f14'"),
+    ("nonzero: p q", "two parameter factors"),
+    ("nonzero: never", "unbound parameter 'never'"),
+    ("unimodular: always", "repeated unimodular line"),
+    ("witness w: lck, -kahlr", "unknown claim 'kahlr'"),
+    ("witness w: lck; g: identity", "expected 'matrix'"),
+    ("witness w: lck junk", "trailing input after witness"),
+], ids=["short-sample", "sample-order", "unbound", "f-term", "two-params", "locus-word",
+        "repeated", "claim", "witness-g", "trailing"])
+def test_manifest_catalog_line_errors(line, message):
+    text = ("# aalg-catalog/1\n\nalgebra t dim 4\nparams p = 1, q = 2\n"
+            "d = (p f14, q f24, f34, 0)\nunimodular: p\nwitness v: lcb\n" + line + "\n")
+    with pytest.raises(ParseError) as err:
+        parse_manifest(text)
+    assert message in str(err.value) and err.value.line == 8
+
+
+@pytest.mark.parametrize("drop", ["unimodular", "witness"])
+def test_manifest_chunk_needs_its_locus_and_a_witness(drop):
+    text = ("# aalg-catalog/1\n\nalgebra t dim 2\nd = (f12, 0)\n"
+            "unimodular: never\nwitness v: lcb\n")
+    text = "\n".join(line for line in text.split("\n") if not line.startswith(drop))
+    with pytest.raises(ParseError) as err:
+        parse_manifest(text)
+    assert f"t has no {drop} line" in str(err.value) and err.value.line == 3
+
+
+def test_decimal_in_ideal_line_makes_a_float_document():
+    """A decimal on the ideal: line switches the document to floats, as
+    anywhere else; it is not read as a binary fraction."""
+    doc = parse("algebra x dim 4\nd = (f14, f24, f34, 0)\nideal: 0.1 f1 + f2, f2, f3")
+    assert doc.kind == FLOAT
+    assert to_ideal(doc).vectors[0] == (0.1, 1.0, 0.0, 0.0)
+    assert parse(render(doc)) == doc
 
 
 def test_catalog_instantiates_from_manifest():
-    """Every sample of every entry gives the brackets of its manifest
-    document, and the generated s_2n documents match the manifest's."""
-    from aalg.catalog import ENTRIES, _s2n_entry, instantiate, shipped_manifest_text
-    manifest = {doc.name: doc for doc in parse_manifest(shipped_manifest_text())}
-    assert {name.replace("+", "_") for name in ENTRIES} == set(manifest)
-    for name, entry in ENTRIES.items():
-        doc = manifest[name.replace("+", "_")]
+    """Every sample of every manifest entry gives the brackets of its
+    manifest document; the s_2n entries are generated, not listed."""
+    from aalg.catalog import ENTRIES, instantiate, shipped_manifest_text
+    manifest = {doc.name: doc for doc, _ in parse_manifest(shipped_manifest_text())}
+    assert ({name.replace("+", "_") for name in ENTRIES}
+            == set(manifest) | {"s4", "s6", "s8"})
+    for name, doc in manifest.items():
+        entry = ENTRIES[name.replace("_", "+")]
         assert (entry.dim, entry.params) == (doc.dim, tuple(doc.params))
         assert entry.samples[0] == doc.params
         for params in entry.samples:
             want = to_algebra(replace(doc, params=dict(params)))
             assert instantiate(entry, params).brackets == want.brackets
-    for n in (2, 3, 4):
-        assert _s2n_entry(n).document == manifest[f"s{2 * n}"]
+
+
+@pytest.mark.parametrize("n, text", [
+    (2, "algebra s4 dim 4\n"
+        "params a = 1\n"
+        "d = (a f14, -1/2 a f24 + f34, -f24 - 1/2 a f34, 0)\n"
+        "J: f1->f4, f2->f3\n"
+        "g: identity\n"),
+    (3, "algebra s6 dim 6\n"
+        "params a = 1, c = 1\n"
+        "d = (a f16, -1/2 a f26 + f36, -f26 - 1/2 a f36, c f56, -c f46, 0)\n"
+        "J: f1->f6, f2->f3, f4->f5\n"
+        "g: identity\n"),
+    (4, "algebra s8 dim 8\n"
+        "params a = 1, c = 1\n"
+        "d = (a f18, -1/2 a f28 + f38, -f28 - 1/2 a f38, c f58, -c f48, c f78, -c f68, 0)\n"
+        "J: f1->f8, f2->f3, f4->f5, f6->f7\n"
+        "g: identity\n"),
+], ids=["s4", "s6", "s8"])
+def test_s2n_documents_pinned(n, text):
+    """The catalog's s4, s6 and s8 are generated; their equations are pinned."""
+    from aalg.catalog import _s2n_entry
+    assert render(_s2n_entry(n).document) == text
 
 
 def test_s2n_document_beyond_manifest():
@@ -238,6 +346,6 @@ def test_s2n_document_beyond_manifest():
 
 def test_manifest_documents_instantiate():
     from aalg.catalog import shipped_manifest_text
-    for doc in parse_manifest(shipped_manifest_text()):
+    for doc, _ in parse_manifest(shipped_manifest_text()):
         L = to_algebra(doc)
         assert L.dim == doc.dim

@@ -170,3 +170,41 @@ def test_subspace_contains():
     s = Subspace(2, ((F(1), F(0), F(0)), (F(0), F(1), F(0))))
     assert s.contains([F(2), F(-3), F(0)])
     assert not s.contains([F(0), F(0), F(1)])
+
+
+def sheared_r4_by_r():
+    """A sheared R^4 x| R with constants of order 10^3 (0-based pairs)."""
+    b01 = [F(x, 17) for x in (8100, 2100, -3350, 275, -5450)]
+    b13 = [F(x, 17) for x in (-31104, -8064, 12864, -1056, 20928)]
+    return {(0, 1): b01, (0, 2): [-x for x in b01], (0, 4): b01,
+            (1, 2): [F(-52974, 17), F(-13734, 17), F(21909, 17), F(-3597, 34), F(35643, 17)],
+            (1, 3): b13,
+            (1, 4): [F(18954, 17), F(4914, 17), F(-7839, 17), F(1287, 34), F(-12753, 17)],
+            (2, 3): [-x for x in b13],
+            (2, 4): [F(x, 17) for x in (34020, 8820, -14070, 1155, -22890)],
+            (3, 4): [-x for x in b13]}
+
+
+def as_float(brackets):
+    return {key: [float(x) for x in vec] for key, vec in brackets.items()}
+
+
+def test_float_jacobi_scales_with_the_constants():
+    """The cyclic sums are quadratic in the constants, so their float
+    rounding grows with max |c|^2: the float copy of a valid algebra with
+    constants near 3000 is accepted, as the exact algebra is."""
+    brackets = sheared_r4_by_r()
+    assert LieAlgebra(5, brackets).jacobi_witness() is None
+    assert LieAlgebra(5, as_float(brackets)).kind == "float"
+
+
+def test_float_jacobi_rejects_a_perturbed_constant():
+    """One constant moved by about 1e-3 max |c| breaks Jacobi on both
+    paths, with the same witness triple."""
+    brackets = sheared_r4_by_r()
+    brackets[(0, 1)][0] += 3
+    for table in (brackets, as_float(brackets)):
+        with pytest.raises(LieAlgebraError) as err:
+            LieAlgebra(5, table)
+        assert err.value.code == "JACOBI_VIOLATION"
+        assert err.value.witness == (0, 1, 2)
