@@ -310,14 +310,15 @@ def _verify_lchk_witness(entry, L, params, w):
 def verify_all(names=None, samples=None):
     """Verify the requested entries (all by default); deterministic order."""
     names = sorted(ENTRIES) if names is None else list(names)
+    if samples is not None and samples < 1:
+        raise CatalogError("BAD_SAMPLES", f"samples must be at least 1, not {samples}")
     results = []
     t0 = time.monotonic()
     for name in names:
         if name not in ENTRIES:
             raise CatalogError("UNKNOWN_ENTRY", f"no catalog entry named {name}")
         entry = ENTRIES[name]
-        use = entry.samples if samples is None else entry.samples[:samples] or entry.samples
-        results.append(verify_entry(entry, use))
+        results.append(verify_entry(entry, entry.samples[:samples]))
     return {
         "results": results,
         "ok": all(r["ok"] for r in results),

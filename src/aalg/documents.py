@@ -151,8 +151,13 @@ class _Scanner:
         m = _NUM_RE.match(self.text, self.pos)
         if not m:
             self.error("expected a number")
+        tok = m.group(0)
+        try:
+            value = float(tok) if "." in tok else Fraction(tok)
+        except (ValueError, ZeroDivisionError):
+            self.error(f"bad number {tok!r}")
         self.pos = m.end()
-        return _parse_number(m.group(0))
+        return value
 
     def name(self):
         self.skip_ws()
@@ -177,15 +182,6 @@ class _Scanner:
             self.error("expected a name")
         self.pos += m.end()
         return m.group(0)
-
-
-def _parse_number(tok):
-    if "." in tok:
-        return float(tok)
-    if "/" in tok:
-        num, den = tok.split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(tok))
 
 
 def _listed(sc: _Scanner, sep, read):

@@ -12,13 +12,15 @@ This is Bareiss's integer-preserving idea (1968) applied to products; the
 float branch sums in the dense order instead.
 
 Also hosts the small univariate polynomial toolkit (coefficient lists,
-low degree first) needed for characteristic/minimal polynomials, Sturm
-counts and square-root extraction of monic rational polynomials.
+low degree first) for characteristic/minimal polynomials: Yun's
+square-free decomposition, Sturm counts, and rational roots found by
+Sturm bisection, in time polynomial in the coefficients' bit size.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import lcm
 from operator import mul
 
@@ -508,95 +510,93 @@ def minpoly(m):
     return result
 
 
+def squarefree_factors(p):
+    """Yun's square-free decomposition (Yun 1976) of an exact polynomial:
+    [f_1, .., f_k], monic, square-free and pairwise coprime, with
+    p = lead(p) prod f_i^i and f_k != 1 ([] for a constant p)."""
+    if poly_deg(p) == 0:
+        return []
+    p = poly_monic([Fraction(c) for c in p])
+    a = poly_gcd(p, poly_deriv(p))
+    b, c = poly_divmod(p, a)[0], poly_divmod(poly_deriv(p), a)[0]
+    factors = []
+    while poly_deg(b) > 0:
+        d = poly_trim([x - y for x, y in zip_longest(c, poly_deriv(b), fillvalue=0)])
+        factors.append(poly_gcd(b, d))
+        b, c = poly_divmod(b, factors[-1])[0], poly_divmod(d, factors[-1])[0]
+    return factors
+
+
+def _sturm(f):
+    """(chain, B): the Sturm sequence of a square-free exact f, scaled to
+    integers, and the Cauchy bound B, with every root of f inside (-B, B)."""
+    chain = [poly_trim(f), poly_deriv(poly_trim(f))]
+    while poly_deg(chain[-1]) > 0:
+        chain.append([-c for c in poly_divmod(chain[-2], chain[-1])[1]])
+    return _numerators(chain)[1], 1 + Fraction(max(abs(c) for c in f[:-1]), abs(f[-1]))
+
+
+def _sign_changes(chain, x):
+    """Sign changes along an integer chain at x = u/v (v > 0), each member
+    q read as the integer v^deg(q) q(u/v)."""
+    u, v = x.numerator, x.denominator
+    signs = []
+    for q in chain:
+        acc, vp = q[-1], 1
+        for c in reversed(q[:-1]):
+            vp *= v
+            acc = acc * u + c * vp
+        if acc:
+            signs.append(acc > 0)
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
 def sturm_distinct_real_roots(p) -> int:
-    """Number of distinct real roots of p (exact coefficients)."""
+    """Number of distinct real roots of p (exact coefficients): the drop in
+    Sturm sign changes of its square-free part from -B to B."""
     p = poly_trim(p)
     if poly_deg(p) == 0:
         return 0
-    sf, _ = poly_divmod(p, poly_gcd(p, poly_deriv(p)))
-    chain = [poly_trim(sf), poly_trim(poly_deriv(sf))]
-    while poly_deg(chain[-1]) > 0 or not is_zero(chain[-1][0]):
-        _, r = poly_divmod(chain[-2], chain[-1])
-        r = poly_trim(r)
-        if len(r) == 1 and is_zero(r[0]):
-            break
-        chain.append([-c for c in r])
-
-    def sign_changes(signs):
-        signs = [s for s in signs if s != 0]
-        return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
-
-    at_pos = []
-    at_neg = []
-    for q in chain:
-        lead = q[-1]
-        d = len(q) - 1
-        s = 0 if is_zero(lead) else (1 if lead > 0 else -1)
-        at_pos.append(s)
-        at_neg.append(s if d % 2 == 0 else -s)
-    return sign_changes(at_neg) - sign_changes(at_pos)
-
-
-def poly_square_root(p):
-    """s with s^2 = p for monic p of even degree, else None (exact path)."""
-    p = poly_trim(p)
-    d2 = poly_deg(p)
-    if d2 % 2 != 0 or p[-1] != 1:
-        return None
-    d = d2 // 2
-    kind = kind_of(p[0])
-    s = [zero(kind)] * (d + 1)
-    s[d] = one(kind)
-    for k in range(d - 1, -1, -1):
-        acc = p[k + d]
-        for i in range(k + 1, d):
-            j = k + d - i
-            if k < j <= d:
-                acc -= s[i] * s[j]
-        s[k] = acc / 2
-    return s if poly_mul(s, s) == p else None
+    chain, bound = _sturm(poly_divmod(p, poly_gcd(p, poly_deriv(p)))[0])
+    return _sign_changes(chain, -bound) - _sign_changes(chain, bound)
 
 
 def rational_roots(p):
     """Rational roots of an exact polynomial with multiplicities.
 
-    Returns (roots: dict Fraction -> int, remaining polynomial).
+    Returns (roots: dict Fraction -> int, remaining polynomial), p being the
+    remaining polynomial times prod (x - r)^mult.  The roots of multiplicity
+    i are those of the i-th square-free factor f: read off when f is linear,
+    else isolated by Sturm bisection until an interval (lo, hi] holding one
+    root is narrower than 1/l^2, l the lcm of f's denominators.  A rational
+    root u/v has v | l, and two fractions with denominators at most l lie
+    1/l^2 apart or more, so the root is rational only if it is the one such
+    fraction nearest the midpoint.  The cost is polynomial in the bit size
+    of p: about log2(B l^2) bisections per root, B the Cauchy bound.
     """
     p = poly_trim(p)
-    kind = kind_of(p[0])
-    if kind != EXACT:
+    if kind_of(p[0]) != EXACT:
         raise LinAlgError("rational_roots requires exact coefficients")
     roots = {}
-    # root at zero
-    while len(p) > 1 and p[0] == 0:
-        roots[Fraction(0)] = roots.get(Fraction(0), 0) + 1
-        p = p[1:]
-    if poly_deg(p) == 0:
-        return roots, p
-    from math import lcm
-
-    den = lcm(*[Fraction(c).denominator for c in p])
-    ip = [int(Fraction(c) * den) for c in p]
-    a0, ad = abs(ip[0]), abs(ip[-1])
-
-    def divisors(n):
-        n = abs(n)
-        out = set()
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out.add(d)
-                out.add(n // d)
-            d += 1
-        return sorted(out)
-
-    candidates = set()
-    for num in divisors(a0):
-        for dd in divisors(ad):
-            candidates.add(Fraction(num, dd))
-            candidates.add(Fraction(-num, dd))
-    for r in sorted(candidates):
-        while poly_deg(p) > 0 and poly_eval(p, r) == 0:
-            p, rem = poly_divmod(p, [-r, Fraction(1)])
-            roots[r] = roots.get(r, 0) + 1
-    return roots, poly_trim(p)
+    for mult, f in enumerate(squarefree_factors(p), 1):
+        if poly_deg(f) == 1:
+            roots[-f[0]] = mult
+        elif poly_deg(f) > 1:
+            chain, bound = _sturm(f)
+            lead = _numerators([f])[0]
+            # (lo, sign changes at lo, hi, at hi): each endpoint evaluated once
+            stack = [(-bound, _sign_changes(chain, -bound), bound, _sign_changes(chain, bound))]
+            while stack:
+                lo, v_lo, hi, v_hi = stack.pop()
+                mid = (lo + hi) / 2
+                if v_lo - v_hi == 1 and (hi - lo) * lead * lead < 1:
+                    r = mid.limit_denominator(lead)
+                    if poly_eval(f, r) == 0:
+                        roots[r] = mult
+                elif v_lo > v_hi:
+                    v_mid = _sign_changes(chain, mid)
+                    stack += [(lo, v_lo, mid, v_mid), (mid, v_mid, hi, v_hi)]
+    for r, mult in roots.items():
+        for _ in range(mult):
+            p = poly_divmod(p, [-r, Fraction(1)])[0]
+    return roots, p

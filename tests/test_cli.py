@@ -373,6 +373,61 @@ def test_catalog_verify_entry(capsys):
     assert rep["entries"][0]["entry"] == "l14"
 
 
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_catalog_verify_rejects_fewer_than_one_sample(capsys, samples):
+    """--samples 0 used to verify every sample and -1 all but the last."""
+    assert main(["catalog", "verify", "--entry", "l14", "--samples", samples]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: BAD_SAMPLES: samples must be at least 1, not {samples}\n"
+
+
+@pytest.mark.parametrize("line", ["params p = 1/0\nd = (p f14, f24, f34, 0)",
+                                  "d = (1/0 f14, f24, f34, 0)",
+                                  "d = (1.5/2 f14, f24, f34, 0)",
+                                  "d = (f14, f24, f34, 0)\nJ: f1->f4, f2->f3\n"
+                                  "g: matrix [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], "
+                                  "[0, 0, 0, 1/0]]"],
+                         ids=["params", "d-zero-denominator", "d-decimal-fraction", "g"])
+def test_bad_number_literal_is_an_input_error(tmp_path, capsys, line):
+    p = tmp_path / "bad-number.alg"
+    p.write_text("algebra s4 dim 4\n" + line + "\n", encoding="utf-8")
+    assert main(["check", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad number") and "Traceback" not in err
+
+
+def _lchk_matrix(block):
+    """diag(block, 0, 0, 0) for a 4x4 block, as an inline --matrix."""
+    rows = [[0] * 7 for _ in range(7)]
+    for i in range(4):
+        rows[i][:4] = block[i]
+    return json.dumps(rows)
+
+
+def test_lchk_witness_with_a_large_rotation_parameter(capsys):
+    """diag(C(10^9), 0, 0, 0): the rational roots of hhat = (y + 10^18)^2
+    are found in time polynomial in its bit size, where trial division
+    would try divisors up to 10^18."""
+    b = 10 ** 9
+    c = [[0, b, 0, 0], [-b, 0, 0, 0], [0, 0, 0, -b], [0, 0, b, 0]]
+    code, rep = run_json(capsys, ["lchk", "--matrix", _lchk_matrix(c), "--witness", "--json"])
+    assert code == 0 and rep["admissible"]
+    assert rep["witness"]["canonical_form"][0][1] == str(b)
+
+
+def test_lchk_witness_with_an_irrational_rotation_parameter(capsys):
+    """Two companion blocks of y^2 + 10^18 + 1: b^2 = 10^18 + 1 is rational,
+    b is not."""
+    n = 10 ** 18 + 1
+    block = [[0, 1, 0, 0], [-n, 0, 0, 0], [0, 0, 0, 1], [0, 0, -n, 0]]
+    code, rep = run_json(capsys, ["lchk", "--matrix", _lchk_matrix(block),
+                                  "--witness", "--json"])
+    assert code == 0 and rep["admissible"]
+    assert rep["witness"] == {"error": "EXACT_IRRATIONAL: rotation parameter "
+                                       "sqrt(-beta) is irrational"}
+
+
 def test_catalog_unknown_entry(capsys):
     assert main(["catalog", "verify", "--entry", "nope", "--json"]) == 1
 

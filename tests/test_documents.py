@@ -61,6 +61,24 @@ def test_parameters_and_rationals():
     assert L.basis_bracket(0, 1) == [F(1, 4), F(0), F(0), F(-2)]
 
 
+@pytest.mark.parametrize("text, literal, line, col", [
+    ("algebra x dim 2\nparams p = 1/0\nd = (p f12, 0)", "1/0", 2, 12),
+    ("algebra x dim 2\nparams p = 1.5/2\nd = (p f12, 0)", "1.5/2", 2, 12),
+    ("algebra x dim 2\nd = (f12, 0)\nJ: f1->f2\ng: matrix [[1, 0], [0, 1/0]]", "1/0", 4, 24),
+    # columns inside a d tuple are not checked: they count from its "("
+    ("algebra x dim 2\nd = (1/0 f12, 0)", "1/0", 2, None),
+    ("algebra x dim 2\nd = (1.5/2 f12, 0)", "1.5/2", 2, None),
+], ids=["params-zero-denominator", "params-decimal-fraction", "g-matrix",
+        "d-zero-denominator", "d-decimal-fraction"])
+def test_bad_number_literal_is_a_positioned_parse_error(text, literal, line, col):
+    """A literal the number pattern matches but no number reads (a zero
+    denominator, a decimal over an integer) is a ParseError at its start."""
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value).startswith(f"bad number {literal!r} at line {line}, column ")
+    assert col is None or err.value.col == col
+
+
 def test_decimal_forces_float_kernel():
     doc = parse("algebra t dim 4\nd = (0.25 f12, 0, 0, 0)")
     assert doc.kind == FLOAT

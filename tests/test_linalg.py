@@ -1,15 +1,18 @@
 """Exact linear algebra and the univariate polynomial toolkit."""
 
 import random
+import time
 from fractions import Fraction as F
+from itertools import combinations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from aalg import linalg
-from aalg.linalg import (charpoly, det, inverse, minpoly, nullspace, poly_deriv,
-                         poly_divmod, poly_eval_matrix, poly_gcd, poly_mul,
-                         poly_square_root, rank, rational_roots, solve,
-                         solve_general, sturm_distinct_real_roots)
+from aalg.linalg import (charpoly, det, inverse, minpoly, nullspace, poly_deg,
+                         poly_deriv, poly_divmod, poly_eval, poly_eval_matrix,
+                         poly_gcd, poly_monic, poly_mul, rank, rational_roots, solve,
+                         solve_general, squarefree_factors, sturm_distinct_real_roots)
 
 
 def test_solve_exact():
@@ -92,13 +95,6 @@ def test_sturm_counts():
     assert sturm_distinct_real_roots(poly_mul([F(1), F(0), F(1)], [F(-5), F(1)])) == 1
 
 
-def test_poly_square_root():
-    s = [F(2), F(-3), F(1)]  # x^2 - 3x + 2
-    p = poly_mul(s, s)
-    assert poly_square_root(p) == s
-    assert poly_square_root([F(1), F(1), F(1)]) is None  # x^2 + x + 1 not a square
-
-
 def test_rational_roots():
     # (x - 1/2)^2 (x + 3) x
     p = poly_mul(poly_mul(poly_mul([F(-1, 2), F(1)], [F(-1, 2), F(1)]),
@@ -110,6 +106,84 @@ def test_rational_roots():
     roots, rem = rational_roots([F(-2), F(0), F(1)])
     assert roots == {}
     assert rem == [F(-2), F(0), F(1)]
+
+
+def _product(polys):
+    out = [F(1)]
+    for p in polys:
+        out = poly_mul(out, p)
+    return out
+
+
+# numerators and denominators up to 10^9, so that trial division of the
+# constant term would be out of reach
+_RATIONALS = st.one_of(st.integers(-4, 4).map(F),
+                       st.builds(F, st.integers(-10 ** 9, 10 ** 9), st.integers(1, 10 ** 9)))
+
+
+@st.composite
+def planted_roots(draw):
+    """(p, roots, rest) with p = rest * prod (x - r)^k over roots, and rest
+    a nonzero constant times powers of x^2 + b (b > 0) and maybe x^3 - 2,
+    so that rest has no rational root."""
+    roots = {}
+    for r, k in draw(st.lists(st.tuples(_RATIONALS, st.integers(1, 3)), max_size=3)):
+        roots[r] = roots.get(r, 0) + k
+    rest = [draw(_RATIONALS.filter(bool))]
+    for b, k in draw(st.lists(st.tuples(_RATIONALS.filter(lambda b: b > 0),
+                                        st.integers(1, 2)), max_size=2)):
+        rest = poly_mul(rest, _product([[b, F(0), F(1)]] * k))
+    if draw(st.booleans()):
+        rest = poly_mul(rest, [F(-2), F(0), F(0), F(1)])
+    p = _product([rest] + [[-r, F(1)] for r, k in roots.items() for _ in range(k)])
+    return p, roots, rest
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted_roots())
+def test_squarefree_factors_decompose(case):
+    p, roots, _ = case
+    factors = squarefree_factors(p)
+    assert not factors or poly_deg(factors[-1]) > 0
+    for f in factors:
+        assert f[-1] == 1 and poly_deg(poly_gcd(f, poly_deriv(f))) == 0
+    for f, g in combinations(factors, 2):
+        assert poly_deg(poly_gcd(f, g)) == 0
+    assert _product(f for i, f in enumerate(factors, 1) for _ in range(i)) == poly_monic(p)
+    for r, k in roots.items():
+        assert poly_eval(factors[k - 1], r) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted_roots())
+def test_rational_roots_are_the_planted_ones(case):
+    p, roots, rest = case
+    assert rational_roots(p) == (roots, rest)
+
+
+def test_rational_roots_match_sympy():
+    """Oracle: sympy's roots over QQ, on random integer polynomials times
+    random integer linear factors."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(14)
+    for _ in range(150):
+        p = [F(rng.randint(-9, 9)) for _ in range(rng.randint(1, 5))]
+        p[-1] = p[-1] or F(1)
+        for _ in range(rng.randint(0, 3)):
+            p = poly_mul(p, [F(rng.randint(-30, 30)), F(rng.randint(1, 12))])
+        oracle = sympy.Poly([int(c) for c in reversed(p)], x, domain="QQ").ground_roots()
+        assert rational_roots(p)[0] == {F(int(r.p), int(r.q)): k for r, k in oracle.items()}
+
+
+def test_rational_roots_cost_is_bounded():
+    """Trial division would walk about 10^9 divisors of 10^18 for each."""
+    start = time.perf_counter()
+    assert rational_roots([F(-10 ** 18), F(0), F(1)]) == ({F(-10 ** 9): 1, F(10 ** 9): 1},
+                                                         [F(1)])
+    irreducible = [F(10 ** 18 + 1), F(0), F(1)]
+    assert rational_roots(irreducible) == ({}, irreducible)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_positive_definite():
