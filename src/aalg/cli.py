@@ -26,7 +26,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from . import scalars
-from .scalars import EXACT, fmt
+from .scalars import fmt
 from . import linalg
 from .documents import (ParseError, parse, parse_ideal, render,
                         to_algebra, to_complex_structure, to_ideal, to_metric)
@@ -199,7 +199,7 @@ def cmd_rho_b(args):
         "is_lcb_data": is_lcb_data(d),
     }
     _emit(report, args)
-    if not (closed == oracle if d.kind == EXACT else closed.equals(oracle)):
+    if not closed.equals(oracle):
         raise MathRejection("closed rho^B disagrees with the curvature oracle")
     return EXIT_OK
 

@@ -32,7 +32,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .scalars import EXACT, FLOAT, coerce, fmt
+from .scalars import EXACT, FLOAT, coerce, fmt, zero
 from .lie import LieAlgebra, Subspace
 from .hermitian import ComplexStructure, Metric
 
@@ -119,9 +119,17 @@ class _Scanner:
         self.text = text
         self.pos = 0
         self.line_no = line_no
+        # (offset in text, line number) of each physical line: a multi-line
+        # d = ( ... ) tuple appends its continuation lines
+        self.starts = [(0, line_no)]
 
     def error(self, message):
-        raise ParseError(message, self.line_no, self.pos + 1)
+        self.error_at(self.pos, message)
+
+    def error_at(self, pos, message):
+        """ParseError at the line and column of text position ``pos``."""
+        offset, line = max(start for start in self.starts if start[0] <= pos)
+        raise ParseError(message, line, pos - offset + 1)
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos] in " \t":
@@ -218,8 +226,7 @@ def _scan_f_index(sc: _Scanner, dim, arity):
         sc.error("two-digit index pair required (use f{i,j} for indices >= 10)")
     i, j = int(digits[0]), int(digits[1])
     if not (1 <= i < j <= dim):
-        raise ParseError(f"index pair ({i},{j}) out of range for dim {dim}",
-                         sc.line_no, start)
+        sc.error_at(start - 1, f"index pair ({i},{j}) out of range for dim {dim}")
     return i, j
 
 
@@ -289,7 +296,7 @@ def _parse_matrix(sc: _Scanner, dim, label):
     rows = tuple(_listed(sc, ",", row))
     sc.expect("]")
     if len(rows) != dim or any(len(r) != dim for r in rows):
-        raise ParseError(f"{label} matrix must be {dim}x{dim}", sc.line_no, start + 1)
+        sc.error_at(start, f"{label} matrix must be {dim}x{dim}")
     return rows
 
 
@@ -332,16 +339,17 @@ def _parse_lines(numbered, facts):
     j_spec = None
     g_spec = None
     ideal = None
-    pending = None  # (line_no, accumulated) for a multi-line d = ( ... )
+    pending = None  # the scanner of a multi-line d = ( ... ), until it closes
     heads = DOCUMENT_HEADS + (CATALOG_HEADS if facts is not None else ())
     for ln, raw in numbered:
         stripped = raw.split("#", 1)[0].rstrip()
         if not stripped.strip():
             continue
         if pending is not None:
-            pending = (pending[0], pending[1] + " " + stripped.strip())
-            if _balanced(pending[1]):
-                differential = _parse_differential(pending[1], pending[0], dim, params)
+            pending.starts.append((len(pending.text) + 1, ln))
+            pending.text += " " + stripped
+            if _balanced(pending.text):
+                differential = _parse_differential(pending, dim, params)
                 pending = None
             continue
         sc = _Scanner(stripped, ln)
@@ -363,11 +371,10 @@ def _parse_lines(numbered, facts):
             sc.error("'algebra <name> dim <n>' must come first")
         elif head == "d":
             sc.expect("=")
-            rest = stripped[sc.pos:].strip()
-            if _balanced(rest):
-                differential = _parse_differential(rest, ln, dim, params)
+            if _balanced(sc.text):
+                differential = _parse_differential(sc, dim, params)
             else:
-                pending = (ln, rest)
+                pending = sc
         elif head == "J":
             sc.expect(":")
             if sc.take("matrix"):
@@ -391,7 +398,7 @@ def _parse_lines(numbered, facts):
         if head != "d" and not sc.at_end():
             sc.error(f"trailing input after {head}")
     if pending is not None:
-        raise ParseError("unclosed differential tuple", pending[0])
+        raise ParseError("unclosed differential tuple", pending.line_no)
     if name is None or dim is None:
         raise ParseError("missing 'algebra <name> dim <n>' header")
     if differential is None:
@@ -473,8 +480,7 @@ def _balanced(s):
     return s.count("(") > 0 and s.count("(") == s.count(")")
 
 
-def _parse_differential(body, line_no, dim, params):
-    sc = _Scanner(body, line_no)
+def _parse_differential(sc: _Scanner, dim, params):
     sc.expect("(")
     exprs = _listed(sc, ",", lambda: _parse_expression(sc, dim, set(params)))
     sc.expect(")")
@@ -482,7 +488,7 @@ def _parse_differential(body, line_no, dim, params):
         sc.error("trailing input after differential tuple")
     if len(exprs) != dim:
         raise ParseError(f"differential tuple has {len(exprs)} entries, expected {dim}",
-                         line_no)
+                         sc.line_no)
     return tuple(exprs)
 
 
@@ -627,8 +633,7 @@ def to_algebra(doc: AlgebraDocument) -> LieAlgebra:
         for t in expr:
             val = _term_value(t, doc.params, doc.kind)
             key = (t.i - 1, t.j - 1)
-            vec = brackets.setdefault(key, [Fraction(0) if doc.kind == EXACT else 0.0]
-                                      * doc.dim)
+            vec = brackets.setdefault(key, [zero(doc.kind)] * doc.dim)
             vec[k] -= val
     brackets = {k: v for k, v in brackets.items() if any(x != 0 for x in v)}
     return LieAlgebra(doc.dim, brackets,

@@ -18,7 +18,7 @@ to [f6, f1] = f1.
 
 from __future__ import annotations
 
-from .scalars import EXACT, coerce, is_zero, kind_of, zero
+from .scalars import EXACT, coerce, is_zero, kind_of, one, zero
 from .linalg import mat_vec, solve, LinAlgError
 
 
@@ -172,7 +172,7 @@ def wedge(alpha: KForm, beta: KForm) -> KForm:
 
 
 def wedge_power(alpha: KForm, k: int) -> KForm:
-    acc = KForm(0, alpha.dim, {(): 1 if alpha.kind == EXACT else 1.0}, kind=alpha.kind)
+    acc = KForm(0, alpha.dim, {(): one(alpha.kind)}, kind=alpha.kind)
     for _ in range(k):
         acc = wedge(acc, alpha)
     return acc

@@ -4,8 +4,9 @@ Bismut-Ricci curvature oracle.
 
 The Nijenhuis tensor is read off the algebra's ad table: since J^2 = -Id,
 Y -> N(e_i, Y) is the commutator [ad_{Je_i} - J ad_{e_i}, J], one per basis
-vector.  On the exact path the commutators are formed and zero-tested on
-integer numerators; only nonzero columns become Fractions.
+vector.  One code forms and zero-tests the commutators for both scalar
+kinds: for exact J and L on integer numerators, so that only nonzero
+columns become Fractions; for floats on the entries, within the tolerance.
 
 Conventions, fixed package-wide and spelled out in the README:
 
@@ -23,10 +24,10 @@ Conventions, fixed package-wide and spelled out in the README:
   W = g^{-1} J^t g.  The trace is expanded as
   tr(P_i G_j) - tr(P_j G_i) - sum_t c^t_ij tr(P_t) with P_i = W G_i for the
   Bismut tables G_i, so no curvature matrix is formed: n products and
-  O(n^2) trace sums per pair, O(n^4) in all.  On the exact path the trace
-  sums are integer sums: the denominators of the P_i, of the G_i and of
-  the structure constants are each cleared once, and only the coefficients
-  of rho^B become Fractions;
+  O(n^2) trace sums per pair, O(n^4) in all.  The trace sums are one code
+  for both scalar kinds: exact P_i, G_i and structure constants each have
+  their denominators cleared once, so the sums are integer sums and only
+  the coefficients of rho^B become Fractions; floats are summed as they are;
 * Lee form  theta(e_k) = 1/2 sum_{p,q} M_pq d omega(e_p, e_q, e_k) with
   M = g^{-1} J^t, each coefficient of d omega entering in its six orderings;
   balanced is theta = 0 (wedging with omega^(n-1) is injective on 1-forms).
@@ -40,7 +41,6 @@ that first call); instances are otherwise immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
 from operator import mul
@@ -271,77 +271,43 @@ class HermitianStructure:
         weight = linalg.mat_mul(self.g.inverse, self._jtg)
         # tr(W R(e_i, e_j)) = tr(P_i G_j) - tr(P_j G_i) - sum_t c^t_ij tr(P_t)
         p = [linalg.mat_mul(weight, gi) for gi in gamma]
-        n2 = self.dim
-        if self.L.kind == EXACT:
-            return KForm(2, n2, _rho_numerators(p, gamma, self.L.brackets), kind=EXACT)
-        tau = [linalg.trace(pi) for pi in p]
-        half = coerce(1, self.L.kind) / 2
-        coeffs = {}
-        for i in range(n2):
-            for j in range(i + 1, n2):
-                val = linalg.trace_product(p[i], gamma[j]) - linalg.trace_product(p[j], gamma[i])
-                for t, c in enumerate(self.L.brackets.get((i, j), ())):
-                    if not is_zero(c):
-                        val -= c * tau[t]
-                val = -half * val
-                if not is_zero(val):
-                    coeffs[(i, j)] = val
-        return KForm(2, n2, coeffs, kind=self.L.kind)
+        return KForm(2, self.dim, _rho_coefficients(p, gamma, self.L.brackets),
+                     kind=self.L.kind)
 
 
-def _rho_numerators(p, gamma, brackets):
+def _rho_coefficients(p, gamma, brackets):
     """The nonzero rho^B coefficients -1/2 tr(W R(e_i, e_j)), i < j, from
-    exact P_i, G_i and structure constants, each family over one common
-    denominator: every trace is an integer dot product of flattened
-    numerators, and each coefficient becomes one Fraction."""
+    P_i, G_i and the structure constants.  Exact families are each cleared
+    over one common denominator, so every trace is an integer dot product
+    of flattened numerators and each coefficient becomes one Fraction; on
+    floats the same sums run on the entries themselves."""
     n2 = len(p)
-    dp, pn = linalg._numerators([row for pi in p for row in pi])
-    dg, gn = linalg._numerators([row for gi in gamma for row in gi])
-    dc, rows = linalg._numerators(list(brackets.values()))
+    (dp, pn), (dg, gn), (dc, rows) = linalg._numerators(
+        [row for pi in p for row in pi], [row for gi in gamma for row in gi],
+        list(brackets.values()))
     consts = dict(zip(brackets, rows))
     # tr(P_i G_j) = <P_i, G_j^t> entrywise
     flat_p = [[x for row in pn[i * n2:(i + 1) * n2] for x in row] for i in range(n2)]
     flat_gt = [[x for col in zip(*gn[j * n2:(j + 1) * n2]) for x in col] for j in range(n2)]
     tau = [sum(fp[::n2 + 1]) for fp in flat_p]
-    den = 2 * dp * dg * dc
-    coeffs = {}
-    for i in range(n2):
-        for j in range(i + 1, n2):
-            num = dc * (sum(map(mul, flat_p[j], flat_gt[i])) - sum(map(mul, flat_p[i], flat_gt[j])))
-            if (i, j) in consts:
-                num += dg * sum(map(mul, consts[(i, j)], tau))
-            if num:
-                coeffs[(i, j)] = Fraction(num, den)
-    return coeffs
+    keys = [(i, j) for i in range(n2) for j in range(i + 1, n2)]
+    nums = [dc * (sum(map(mul, flat_p[j], flat_gt[i])) - sum(map(mul, flat_p[i], flat_gt[j])))
+            + dg * sum(map(mul, consts.get((i, j), ()), tau)) for i, j in keys]
+    (vals,) = linalg._over([nums], 2 * dp * dg * dc)
+    return {key: val for key, val in zip(keys, vals) if not is_zero(val)}
 
 
 def nijenhuis(J: ComplexStructure, L: LieAlgebra):
     """N(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] - [X, Y] on basis pairs
     i < j, nonzero values only: N(e_i, e_j) is column j of
-    [ad_{Je_i} - J ad_{e_i}, J] (J^2 = -Id), one commutator per e_i."""
-    jm = J.matrix
+    [ad_{Je_i} - J ad_{e_i}, J] (J^2 = -Id), one commutator per e_i.  With
+    exact J and L, J and the ad table are each over one denominator, so the
+    commutator is an integer matrix over dj^2 da, tested for zero columns
+    before any Fraction is built; on floats the columns are tested within
+    the tolerance."""
     n = L.dim
-    if L.kind == EXACT == linalg.matrix_kind(jm):
-        return _nijenhuis_numerators(jm, L)
-    out = {}
-    for i in range(n):
-        p = linalg.mat_sub(L.ad([row[i] for row in jm]), linalg.mat_mul(jm, L.ad_basis(i)))
-        m = linalg.commutator(p, jm)
-        for j in range(i + 1, n):
-            term = [row[j] for row in m]
-            if not linalg.is_zero_vector(term):
-                out[(i, j)] = term
-    return out
-
-
-def _nijenhuis_numerators(jm, L: LieAlgebra):
-    """:func:`nijenhuis` for exact J and L on integer numerators: with J and
-    the ad table each over one denominator, [ad_{Je_i} - J ad_{e_i}, J] is an
-    integer matrix over dj^2 da, tested for zero columns before any Fraction
-    is built."""
-    n = L.dim
-    dj, jn = linalg._numerators(jm)
-    da, an = linalg._numerators([row for i in range(n) for row in L.ad_basis(i)])
+    (dj, jn), (da, an) = linalg._numerators(
+        J.matrix, [row for i in range(n) for row in L.ad_basis(i)])
     ads = [an[i * n:(i + 1) * n] for i in range(n)]
     # row i of J^t [ad_{e_1}; ...; ad_{e_n}] (flattened) is ad_{Je_i}
     ad_j = linalg._row_sums(linalg.transpose(jn), [[x for row in a for x in row] for a in ads], 0)
@@ -352,8 +318,9 @@ def _nijenhuis_numerators(jm, L: LieAlgebra):
                            linalg._row_sums(jn, ads[i], 0))
         m = linalg.mat_sub(linalg._row_sums(p, jn, 0), linalg._row_sums(jn, p, 0))
         for j in range(i + 1, n):
-            if any(row[j] for row in m):
-                out[(i, j)] = [Fraction(row[j], den) for row in m]
+            column = [row[j] for row in m]
+            if not linalg.is_zero_vector(column):
+                out[(i, j)] = linalg._over([column], den)[0]
     return out
 
 

@@ -65,21 +65,25 @@ class HypercomplexTriple:
     theta: KForm
 
 
-def _is_exact(m) -> bool:
-    return linalg.matrix_kind(m) == EXACT
-
-
 def lchk_admissible(D) -> LchkVerdict:
     """Spectral admissibility of D for the LCHK construction."""
+    return _admissible(D)[0]
+
+
+def _admissible(D):
+    """(verdict, D as a matrix, spectrum): the spectrum is the
+    :func:`_shifted_charpoly` of an exact D, computed once for both the
+    verdict and :func:`canonical_form`, and None for a float D."""
     D = linalg.as_matrix(D)
     n = len(D)
     if any(len(row) != n for row in D):
         raise LchkError("BAD_DIMENSION", "D must be square")
     if n % 4 != 3:
         raise LchkError("BAD_DIMENSION", "D must be (4m-1) x (4m-1)")
-    if _is_exact(D):
-        return _admissible_exact(D)
-    return _admissible_float(D)
+    if linalg.matrix_kind(D) == EXACT:
+        spectrum = _shifted_charpoly(D)
+        return _admissible_exact(D, spectrum), D, spectrum
+    return _admissible_float(D), D, None
 
 
 def _shifted_charpoly(D):
@@ -100,11 +104,11 @@ def _shifted_charpoly(D):
     return a, shifted, m0, h, h[::2]
 
 
-def _admissible_exact(D) -> LchkVerdict:
+def _admissible_exact(D, spectrum) -> LchkVerdict:
     mp = linalg.minpoly(D)
     g = linalg.poly_gcd(mp, linalg.poly_deriv(mp))
     diagonalizable = linalg.poly_deg(g) == 0
-    a, _, m0, h, hhat = _shifted_charpoly(D)
+    a, _, m0, h, hhat = spectrum
     # (i): the nonzero spectrum of D - a is purely imaginary <=> h is even
     # and hhat has only real roots, all negative (its coefficients positive)
     cond_i = all(h[i] == 0 for i in range(1, len(h), 2))
@@ -189,16 +193,15 @@ def canonical_form(D):
     the list of rotation parameters b_i (zero blocks last).  Exact path
     requires the rotation parameters to be rational.
     """
-    D = linalg.as_matrix(D)
-    verdict = lchk_admissible(D)
+    verdict, D, spectrum = _admissible(D)
     if not verdict.admissible:
         raise LchkError("NOT_ADMISSIBLE", "D fails the spectral conditions")
-    if not _is_exact(D):
+    if spectrum is None:
         raise LchkError("FLOAT_UNSUPPORTED",
                         "canonical witness construction runs on the exact path")
     n = len(D)
     kind = EXACT
-    a, shifted, _, _, hhat = _shifted_charpoly(D)
+    a, shifted, _, _, hhat = spectrum
     bs = []  # (b, nu) with nu the number of C-blocks for this b
     # hhat(-b^2) = 0 with multiplicity 2 nu: even, as hhat is a square
     roots, rem = linalg.rational_roots(hhat)

@@ -4,12 +4,14 @@ Matrices are lists of row lists, vectors are flat lists.  Every routine
 works uniformly for Fraction and float entries; decisions (pivoting, rank)
 go through the tolerance for floats and are exact for Fractions.
 
-Exact products (:func:`mat_mul`, :func:`mat_vec`, :func:`trace_product`,
-:func:`commutator`) run on integer numerators over one common denominator:
-each operand's denominators are cleared once (:func:`_numerators`), the
-sums are Python int sums, and each output entry becomes a Fraction once.
-This is Bareiss's integer-preserving idea (1968) applied to products; the
-float branch sums in the dense order instead.
+The products (:func:`mat_mul`, :func:`mat_vec`, :func:`commutator`) have
+one body for both kinds, and the kind is decided in two helpers only.
+:func:`_numerators` clears the denominators of exact operands once, so
+the sums are Python int sums over one common denominator (Bareiss's
+integer-preserving idea, 1968, applied to products); when any operand is
+a float matrix it passes every operand through unchanged, and the same
+sums run on floats.  :func:`_over` then builds one Fraction per nonzero
+entry, or returns floats.
 
 Also hosts the small univariate polynomial toolkit (coefficient lists,
 low degree first) for characteristic/minimal polynomials: Yun's
@@ -99,11 +101,20 @@ def mat_scale(s, a):
     return [[s * x for x in row] for row in a]
 
 
-def _numerators(m):
-    """(d, rows) with m = rows / d: d is the lcm of the denominators of the
-    exact matrix m (Fraction or int entries) and rows its integer numerators."""
-    d = lcm(*{x.denominator for row in m for x in row})
-    return d, [[x.numerator * (d // x.denominator) for x in row] for row in m]
+def _numerators(*ms):
+    """Each matrix m of ms as (d, rows) with m = rows / d.  When every m is
+    exact (Fraction or int entries, the kind read off its first entry),
+    d is the lcm of m's denominators and rows its integer numerators.  When
+    any m is a float matrix no operand is cleared, not even an exact one:
+    each m passes through unchanged with d = 1.0, so the integer sums run
+    on floats and :func:`_over` returns floats."""
+    if any(matrix_kind(m) == FLOAT for m in ms):
+        return [(1.0, m) for m in ms]
+    out = []
+    for m in ms:
+        d = lcm(*{x.denominator for row in m for x in row})
+        out.append((d, [[x.numerator * (d // x.denominator) for x in row] for row in m]))
+    return out
 
 
 def _row_sums(a, b, z):
@@ -127,37 +138,31 @@ _ZERO = Fraction(0)
 
 
 def _over(rows, d):
-    """The Fraction matrix rows / d, one Fraction per nonzero entry."""
+    """rows / d for a product of :func:`_numerators`' operands: one Fraction
+    per nonzero entry over an integer d (every operand exact); floats over
+    a float d, the division by 1.0 or 2.0 being exact (an empty sum, int 0,
+    becomes +0.0)."""
+    if isinstance(d, float):
+        return [[s / d for s in row] for row in rows]
     return [[Fraction(s, d) if s else _ZERO for s in row] for row in rows]
 
 
-def _exact(a, b) -> bool:
-    return matrix_kind(a) == EXACT == matrix_kind(b)
-
-
 def mat_mul(a, b):
-    """a b.  Exact operands multiply integer numerators over one common
-    denominator (see the module docstring); integer entries give Fractions.
-    Float results are bit-identical to the dense sum (see :func:`_row_sums`).
+    """a b on integer numerators over one common denominator when both
+    operands are exact (integer entries give Fractions), else on floats;
+    either way each entry adds its nonzero terms in the dense order, so a
+    float result is bit-identical to the dense sum (see :func:`_row_sums`).
     """
-    if _exact(a, b):
-        da, ia = _numerators(a)
-        db, ib = _numerators(b)
-        return _over(_row_sums(ia, ib, 0), da * db)
-    return _row_sums(a, b, zero(matrix_kind(a)))
+    (da, ia), (db, ib) = _numerators(a, b)
+    return _over(_row_sums(ia, ib, 0), da * db)
 
 
 def mat_vec(a, v):
-    """a v, exact on integer numerators as :func:`mat_mul`; on floats
-    skipping zero entries of a."""
+    """a v, on integer numerators or on floats as :func:`mat_mul`."""
     if a and len(a[0]) != len(v):
         raise LinAlgError("matrix/vector dimension mismatch")
-    if _exact(a, [v]):
-        da, ia = _numerators(a)
-        dv, (iv,) = _numerators([v])
-        return _over([[sum(map(mul, row, iv)) for row in ia]], da * dv)[0]
-    z = zero(matrix_kind(a))
-    return [sum((x * y for x, y in zip(row, v) if x != 0), z) for row in a]
+    (da, ia), (dv, (iv,)) = _numerators(a, [v])
+    return _over([[sum(map(mul, row, iv)) for row in ia]], da * dv)[0]
 
 
 def vec_add(u, v):
@@ -189,28 +194,10 @@ def trace(a):
     return sum(a[i][i] for i in range(len(a)))
 
 
-def trace_product(a, b):
-    """tr(a b) in O(n^2), without forming a b; equal to trace(mat_mul(a, b)).
-    Exact operands give one integer sum over one denominator."""
-    if _exact(a, b):
-        da, ia = _numerators(a)
-        db, ib = _numerators(b)
-        return Fraction(sum(x * ib[t][r] for r, ra in enumerate(ia)
-                            for t, x in enumerate(ra) if x), da * db)
-    z = zero(matrix_kind(a))
-    acc = z
-    for r, ra in enumerate(a):
-        acc += sum((x * b[t][r] for t, x in enumerate(ra) if x != 0), z)
-    return acc
-
-
 def commutator(a, b):
-    """a b - b a; exact operands have their denominators cleared once."""
-    if _exact(a, b):
-        da, ia = _numerators(a)
-        db, ib = _numerators(b)
-        return _over(mat_sub(_row_sums(ia, ib, 0), _row_sums(ib, ia, 0)), da * db)
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
+    """a b - b a, the operands cleared once as in :func:`mat_mul`."""
+    (da, ia), (db, ib) = _numerators(a, b)
+    return _over(mat_sub(_row_sums(ia, ib, 0), _row_sums(ib, ia, 0)), da * db)
 
 
 def mat_eq(a, b) -> bool:
@@ -376,10 +363,7 @@ def is_positive_definite(g) -> bool:
     n = len(g)
     for k in range(1, n + 1):
         minor = det([row[:k] for row in g[:k]])
-        if isinstance(minor, Fraction):
-            if minor <= 0:
-                return False
-        elif minor <= current_eps():
+        if minor < 0 or is_zero(minor):
             return False
     return True
 
@@ -414,12 +398,13 @@ def poly_divmod(p, q):
     if q == [q[0]] and is_zero(q[0]):
         raise ZeroDivisionError("polynomial division by zero")
     kind = kind_of(q[-1])
-    rem = list(poly_trim(p))
+    # integer coefficients are exact: the quotient and remainder are Fractions
+    lead = coerce(q[-1], kind)
+    rem = as_vector(poly_trim(p))
     dq = len(q) - 1
     if len(rem) - 1 < dq:
         return [zero(kind)], rem
     quot = [zero(kind)] * (len(rem) - dq)
-    lead = q[-1]
     for k in range(len(rem) - dq - 1, -1, -1):
         c = rem[k + dq] / lead
         quot[k] = c
@@ -431,7 +416,7 @@ def poly_divmod(p, q):
 
 def poly_monic(p):
     p = poly_trim(p)
-    lead = p[-1]
+    lead = coerce(p[-1], kind_of(p[-1]))
     return [c / lead for c in p]
 
 
@@ -482,7 +467,7 @@ def charpoly(m):
     mk = idmat(n, kind)
     for k in range(1, n + 1):
         am = mat_mul(m, mk)
-        ck = -trace(am) / k if kind == FLOAT else Fraction(-trace(am), k)
+        ck = -trace(am) / k
         coeffs[n - k] = ck
         mk = mat_add(am, mat_scale(ck, idmat(n, kind)))
     return coeffs
@@ -533,7 +518,7 @@ def _sturm(f):
     chain = [poly_trim(f), poly_deriv(poly_trim(f))]
     while poly_deg(chain[-1]) > 0:
         chain.append([-c for c in poly_divmod(chain[-2], chain[-1])[1]])
-    return _numerators(chain)[1], 1 + Fraction(max(abs(c) for c in f[:-1]), abs(f[-1]))
+    return _numerators(chain)[0][1], 1 + Fraction(max(abs(c) for c in f[:-1]), abs(f[-1]))
 
 
 def _sign_changes(chain, x):
@@ -583,7 +568,7 @@ def rational_roots(p):
             roots[-f[0]] = mult
         elif poly_deg(f) > 1:
             chain, bound = _sturm(f)
-            lead = _numerators([f])[0]
+            lead = lcm(*(c.denominator for c in f))
             # (lo, sign changes at lo, hi, at hi): each endpoint evaluated once
             stack = [(-bound, _sign_changes(chain, -bound), bound, _sign_changes(chain, bound))]
             while stack:

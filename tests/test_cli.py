@@ -246,6 +246,16 @@ def test_trailing_input_on_a_directive_is_an_input_error(tmp_path, capsys, comma
     assert capsys.readouterr().err == f"error: trailing input after {where}\n"
 
 
+def test_check_points_into_a_multi_line_d_tuple(tmp_path, capsys):
+    """aalg check names the physical line and column of a bad token inside
+    a d = ( ... ) tuple written over several lines."""
+    p = tmp_path / "tuple.alg"
+    p.write_text("algebra s4 dim 4\nd = (f14,\n     f24, z f34,\n     0)\n"
+                 "J: f1->f4, f2->f3\ng: identity\n", encoding="utf-8")
+    assert main(["check", str(p)]) == 1
+    assert capsys.readouterr().err == "error: unbound parameter 'z' at line 3, column 11\n"
+
+
 @pytest.mark.parametrize("ideal, defect", [("f1, f2, f4", "not abelian"),
                                            ("f1, f2", "not a hyperplane")])
 def test_lattice_validates_a_declared_ideal(tmp_path, capsys, ideal, defect):

@@ -65,9 +65,8 @@ def test_parameters_and_rationals():
     ("algebra x dim 2\nparams p = 1/0\nd = (p f12, 0)", "1/0", 2, 12),
     ("algebra x dim 2\nparams p = 1.5/2\nd = (p f12, 0)", "1.5/2", 2, 12),
     ("algebra x dim 2\nd = (f12, 0)\nJ: f1->f2\ng: matrix [[1, 0], [0, 1/0]]", "1/0", 4, 24),
-    # columns inside a d tuple are not checked: they count from its "("
-    ("algebra x dim 2\nd = (1/0 f12, 0)", "1/0", 2, None),
-    ("algebra x dim 2\nd = (1.5/2 f12, 0)", "1.5/2", 2, None),
+    ("algebra x dim 2\nd = (1/0 f12, 0)", "1/0", 2, 6),
+    ("algebra x dim 2\nd = (1.5/2 f12, 0)", "1.5/2", 2, 6),
 ], ids=["params-zero-denominator", "params-decimal-fraction", "g-matrix",
         "d-zero-denominator", "d-decimal-fraction"])
 def test_bad_number_literal_is_a_positioned_parse_error(text, literal, line, col):
@@ -75,8 +74,22 @@ def test_bad_number_literal_is_a_positioned_parse_error(text, literal, line, col
     denominator, a decimal over an integer) is a ParseError at its start."""
     with pytest.raises(ParseError) as err:
         parse(text)
-    assert str(err.value).startswith(f"bad number {literal!r} at line {line}, column ")
-    assert col is None or err.value.col == col
+    assert str(err.value) == f"bad number {literal!r} at line {line}, column {col}"
+
+
+@pytest.mark.parametrize("body, message, line, col", [
+    ("d = (z f12, 0)", "unbound parameter 'z'", 2, 6),
+    ("d = (1/0 f12, 0)", "bad number '1/0'", 2, 6),
+    ("d = (f12,\n  z f12)", "unbound parameter 'z'", 3, 3),
+    ("d = (f12,\n\n  # a comment\n    0) junk", "trailing input after differential tuple", 5, 8),
+    ("d = (\n f12,\n f13)", "index pair (1,3) out of range for dim 2", 4, 2),
+], ids=["unbound", "bad-number", "second-line", "after-blank-lines", "index-pair"])
+def test_errors_inside_a_d_tuple_give_the_physical_position(body, message, line, col):
+    """An error inside a d = ( ... ) tuple, one line or several, points at
+    the line and column of the offending token in the text as written."""
+    with pytest.raises(ParseError) as err:
+        parse("algebra x dim 2\n" + body)
+    assert str(err.value) == f"{message} at line {line}, column {col}"
 
 
 def test_decimal_forces_float_kernel():

@@ -4,10 +4,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aalg import linalg
 from aalg.forms import KForm, exterior_derivative, wedge, wedge_power
-from aalg.scalars import EXACT, coerce, is_zero
+from aalg.scalars import EXACT, FLOAT, coerce, is_zero
 from aalg.hermitian import (ComplexStructure, HermitianError, HermitianStructure,
                             Metric, connection_preserves_metric,
                             connection_preserves_tensor, curvature_operator,
@@ -16,7 +17,7 @@ from aalg.hermitian import (ComplexStructure, HermitianError, HermitianStructure
 from aalg.lie import LieAlgebra
 from aalg.almost_abelian import build_algebra, standard_j1
 
-from conftest import data_stream, random_shear, transported
+from conftest import ALL_SHAPES, data_stream, random_data, random_shear, transported
 
 
 def g4_algebra():
@@ -290,6 +291,39 @@ def test_rho_oracle_is_the_literal_curvature_trace():
         rho_f = Hf.bismut_ricci_oracle()
         assert all(is_zero(rho_f.get(key) - val) for key, val in _literal_rho(Hf).items())
         assert all(is_zero(rho_f.get(key) - float(val)) for key, val in literal.items())
+
+
+def _random_pairing(rng, dim):
+    """J from a random perfect matching of the basis, random orientations."""
+    order = rng.sample(range(dim), dim)
+    pairs = [(order[t], order[t + 1]) if rng.random() < 0.5 else (order[t + 1], order[t])
+             for t in range(0, dim, 2)]
+    return ComplexStructure.from_pairs(dim, pairs)
+
+
+@settings(max_examples=24, deadline=None)
+@given(st.integers(0, 2**32), st.integers(2, 5), st.sampled_from(ALL_SHAPES), st.booleans())
+def test_float_kernels_agree_with_exact(seed, n, shape, sheared):
+    """The one rho^B and Nijenhuis code on a float copy of a rational
+    structure (dims 4-10, half in a sheared basis): every rho^B coefficient
+    within 1e-12 max(1, |exact|) of the exact one, and the Nijenhuis tensor
+    nonzero on the same pairs, for the adapted J and for random pairings,
+    non-integrable ones included."""
+    rng = random.Random(seed)
+    d = random_data(rng, n, shape)
+    L, J, g = build_algebra(d.a, list(d.v), d.A_matrix, d.J1_matrix)
+    if sheared:
+        L, J, g = transported(L, J, g, random_shear(rng, L.dim))
+    H, Hf = HermitianStructure(L, J, g), _float_structure(L, J, g)
+    rho, rho_f = H.bismut_ricci_oracle(), Hf.bismut_ricci_oracle()
+    assert rho_f.kind == FLOAT
+    for key in set(rho.coeffs) | set(rho_f.coeffs):
+        exact = rho.get(key)
+        assert abs(rho_f.get(key) - float(exact)) <= 1e-12 * max(1, abs(float(exact))), key
+    pairings = [_random_pairing(rng, L.dim) for _ in range(3)]
+    for Jp in [J] + pairings:
+        Jf = ComplexStructure.from_matrix([[float(x) for x in row] for row in Jp.matrix])
+        assert set(nijenhuis(Jf, Hf.L)) == set(nijenhuis(Jp, L))
 
 
 def test_oracle_product_count_grows_linearly(monkeypatch):

@@ -145,3 +145,67 @@ def test_only_the_cli_reads_the_environment():
     cli = [hit for hit in reads
            if re.fullmatch(r"src/aalg/cli\.py:\d+: os\.environ AALG_EPSILON", hit)]
     assert len(cli) == 1 and reads == cli, "environment reads:\n" + "\n".join(reads)
+
+
+# the places that may ask which scalar kind they hold: the kind decision of
+# the products, the algorithms that differ per kind, the scalar kernel
+# itself, and the document and CLI readers and writers
+KIND_BRANCHES = {
+    ("linalg", "_numerators"): "a product decides its kind: clear every operand or none",
+    ("linalg", "_over"): "a product builds Fractions or floats",
+    ("linalg", "_pivot_row"): "first nonzero pivot vs largest pivot",
+    ("linalg", "rational_roots"): "exact coefficients only",
+    ("lchk", "_admissible"): "exact and float LCHK verdicts",
+    ("lie", "jacobi_witness"): "float Jacobi tolerance",
+    ("lattice", "char_min_poly"): "Faddeev-LeVerrier vs eigenvalue clusters",
+    ("scalars", "kind_of"): "scalar kernel",
+    ("scalars", "coerce"): "scalar kernel",
+    ("scalars", "zero"): "scalar kernel",
+    ("scalars", "one"): "scalar kernel",
+    ("scalars", "is_zero"): "scalar kernel",
+    ("scalars", "sqrt_scalar"): "scalar kernel",
+    ("scalars", "fmt"): "scalar kernel",
+    ("documents", "_document_kind"): "document kind inference",
+    ("documents", "_on_kind"): "no decimal in an exact document",
+    ("documents", "_parse_lines"): "the dimension is an integer literal",
+    ("documents", "_render_terms"): "a unit rational factor stays implicit",
+    ("cli", "_scalar_json"): "JSON writer",
+    ("cli", "_matrix_entry"): "JSON matrix reader",
+}
+
+
+def kind_branches(path):
+    """(module, enclosing function) of each comparison with EXACT or FLOAT
+    and each isinstance(., Fraction or float) in one source file."""
+    def named(node):
+        return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+    hits = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Compare) and {"EXACT", "FLOAT"} & {
+                named(x) for x in (node.left, *node.comparators)}:
+            hits.add((path.stem, where))
+        if isinstance(node, ast.Call) and named(node.func) == "isinstance" and len(node.args) == 2:
+            kinds = node.args[1]
+            kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+            if {"Fraction", "float"} & {named(x) for x in kinds}:
+                hits.add((path.stem, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return hits
+
+
+def test_kind_branches_are_listed():
+    """A formula has one body for both scalar kinds: a new branch on the
+    kind (an `if x.kind == EXACT:` beside a float loop) fails here until it
+    is listed above with its reason."""
+    found = set().union(*(kind_branches(path)
+                          for path in sorted((ROOT / "src" / "aalg").glob("*.py"))))
+    assert found == set(KIND_BRANCHES), (
+        f"unlisted: {sorted(found - set(KIND_BRANCHES))}, "
+        f"gone: {sorted(set(KIND_BRANCHES) - found)}")

@@ -124,6 +124,19 @@ def test_construct_orders_blocks():
     assert dc[0][1] == F(2) and dc[4][5] == F(1, 2)
 
 
+def test_canonical_form_computes_the_spectrum_once(monkeypatch):
+    """One canonical_form(D) makes one characteristic polynomial: the
+    admissibility verdict and the witness share the shifted spectrum."""
+    from aalg.lchk import canonical_form
+    d = block_diag([*scalars(1, 1, 1), rot(1, F(1, 2)), rot(1, F(1, 2))])
+    calls = []
+    real = linalg.charpoly
+    monkeypatch.setattr(linalg, "charpoly", lambda m: calls.append(1) or real(m))
+    p, dc, a, blocks = canonical_form(d)
+    assert len(calls) == 1
+    assert a == 1 and blocks == [F(1, 2)]
+
+
 def test_hyperkahler_m2_flat():
     d = block_diag([rot(0, 1), rot(0, 1), *scalars(0, 0, 0)])
     v = lchk_admissible(d)

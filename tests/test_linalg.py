@@ -85,6 +85,22 @@ def test_poly_gcd_and_derivative():
     assert poly_deriv([F(1), F(2), F(3)]) == [F(2), F(6)]
 
 
+def test_integer_polynomials_stay_exact():
+    """Integer coefficients are exact: quotients, remainders, gcds and monic
+    forms come back as Fractions, never as floats from true division."""
+    results = {
+        "gcd": poly_gcd([-1, 0, 1], [-1, 1]),
+        "quot": poly_divmod([-1, 0, 1], [-1, 2])[0],
+        "rem": poly_divmod([-1, 0, 1], [-1, 2])[1],
+        "monic": poly_monic([2, 4]),
+        "untouched rem": poly_divmod([5, 0, 1], [0, 1])[1],
+        "short": poly_divmod([3], [0, 1])[1],
+    }
+    assert results == {"gcd": [-1, 1], "quot": [F(1, 4), F(1, 2)], "rem": [F(-3, 4)],
+                       "monic": [F(1, 2), 1], "untouched rem": [5], "short": [3]}
+    assert all(type(c) is F for poly in results.values() for c in poly), results
+
+
 def test_sturm_counts():
     # (x-1)(x-2)(x-3): three distinct real roots
     p = poly_mul(poly_mul([F(-1), F(1)], [F(-2), F(1)]), [F(-3), F(1)])
@@ -249,8 +265,6 @@ def test_mat_mul_matches_dense_loop():
                 assert len(got) == len(want)
                 assert all(len(gr) == len(wr) and all(map(_same, gr, wr))
                            for gr, wr in zip(got, want))
-                if r == c:
-                    assert _same(linalg.trace_product(x, y), linalg.trace(linalg.mat_mul(x, y)))
 
 
 # large coprime denominators, negatives, ints and zeros: the exact kernel
@@ -287,22 +301,19 @@ SHAPES = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
 
 
 def _exact_operands(shape):
-    """a (r x k), b (k x c), bt (k x r) and v (length k) for one shape."""
+    """a (r x k), b (k x c) and v (length k) for one shape."""
     r, k, c = shape
     return st.tuples(st.just(shape), _exact_matrix(r, k), _exact_matrix(k, c),
-                     _exact_matrix(k, r), st.lists(EXACT_ENTRIES, min_size=k, max_size=k))
+                     st.lists(EXACT_ENTRIES, min_size=k, max_size=k))
 
 
 @settings(max_examples=150, deadline=None)
 @given(SHAPES.flatmap(_exact_operands))
 def test_exact_products_match_dense_fraction_loop(case):
-    (r, k, c), a, b, bt, v = case
+    (_, k, c), a, b, v = case
     # an empty b (k = 0) has no width: the product has empty rows
     got = linalg.mat_mul(a, b)
     assert got == _dense_exact(a, b, c if k else 0) and _all_fractions(got)
-    tr = linalg.trace_product(a, bt)
-    ab = _dense_exact(a, bt, r if k else 0)
-    assert tr == sum((ab[i][i] for i in range(r if k else 0)), F(0)) and type(tr) is F
     av = linalg.mat_vec(a, v)
     assert av == [row[0] for row in _dense_exact(a, [[x] for x in v], 1)]
     assert all(type(x) is F for x in av)
@@ -326,13 +337,42 @@ def test_exact_kernel_on_unit_and_empty_shapes():
     assert linalg.mat_mul([row], col) == [[F(1, p * q) - F(1, p * q) - 6]]
     outer = linalg.mat_mul(col, [row])
     assert outer == _dense_exact(col, [row], 4) and _all_fractions(outer)
-    assert linalg.trace_product([row], col) == F(-6)
-    assert type(linalg.trace_product([row], col)) is F
     assert linalg.mat_vec([row], [p, q, 1, 0]) == [F(0)]
     assert linalg.mat_mul([], col) == []
     assert linalg.mat_mul([[], []], []) == [[], []]
     assert linalg.mat_vec([[], []], []) == [F(0), F(0)]
-    assert linalg.trace_product([], []) == F(0) and type(linalg.trace_product([], [])) is F
     assert linalg.commutator([], []) == []
     assert linalg.mat_mul([[0, 0]], [[1], [2]]) == [[F(0)]]
     assert _all_fractions(linalg.mat_mul([[1, 2]], [[3], [4]]))
+
+
+def _dense_float(a, b):
+    """Reference: the dense triple loop on float(x), every term summed from
+    0.0 in order."""
+    return [[sum((float(a[r][t]) * float(b[t][c]) for t in range(len(b))), 0.0)
+             for c in range(len(b[0]))] for r in range(len(a))]
+
+
+def _all_floats(m):
+    return all(type(x) is float for row in m for x in row)
+
+
+def test_a_float_operand_makes_a_float_product():
+    """One exact and one float operand, in either order: no operand is
+    cleared alone, and mat_mul, mat_vec and commutator return only floats,
+    equal to the dense float loop."""
+    exact = [[F(0), F(0)], [F(1), F(2)]]
+    thirds = [[F(1, 3), F(0)], [F(1), F(2)]]
+    floats = [[1.5, 0.0], [0.0, 2.0]]
+    for a, b in [(exact, floats), (floats, exact), (thirds, floats), (floats, thirds)]:
+        got = linalg.mat_mul(a, b)
+        assert got == _dense_float(a, b) and _all_floats(got)
+        comm = linalg.commutator(a, b)
+        assert comm == linalg.mat_sub(_dense_float(a, b), _dense_float(b, a))
+        assert _all_floats(comm)
+    for a, v in [(exact, [1.5, 2.0]), (thirds, [1.5, 2.0]), (floats, [F(1, 3), F(2)]),
+                 (floats, [F(0), F(0)])]:
+        got = linalg.mat_vec(a, v)
+        assert got == [row[0] for row in _dense_float(a, [[x] for x in v])]
+        assert all(type(x) is float for x in got)
+    assert linalg.mat_vec(thirds, [1.5, 2.0]) == [0.5, 5.5]
