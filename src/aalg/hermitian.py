@@ -16,18 +16,18 @@ Conventions, fixed package-wide and spelled out in the README:
 * Bismut connection  g(D^B_X Y, Z) = g(D_X Y, Z) + 1/2 d omega(JX, JY, JZ),
   the unique sign for which D^B g = 0, D^B J = 0 and the torsion is a
   3-form under the two conventions above.  The torsion term is read from
-  the nonzero coefficients of d omega(J., J., J.) = -d^c omega, each
+  the nonzero coefficients of sigma = d omega(J., J., J.) = -d^c omega, each
   written to its six permutations; d^c omega itself is a pullback along J,
   which wedges the sparse 1-forms J^t e^i (see ``forms``);
 * Bismut-Ricci  rho^B(X, Y) = -1/2 sum_i g(R^B(X, Y) f_i, J f_i) over a
   g-orthonormal frame, evaluated basis-free as -1/2 tr(W R(e_i, e_j)) with
-  W = g^{-1} J^t g.  The trace is expanded as
-  tr(P_i G_j) - tr(P_j G_i) - sum_t c^t_ij tr(P_t) with P_i = W G_i for the
-  Bismut tables G_i, so no curvature matrix is formed: n products and
-  O(n^2) trace sums per pair, O(n^4) in all.  The trace sums are one code
-  for both scalar kinds: exact P_i, G_i and structure constants each have
-  their denominators cleared once, so the sums are integer sums and only
-  the coefficients of rho^B become Fractions; floats are summed as they are;
+  W = g^{-1} J^t g, expanded as tr(P_i G_j) - tr(P_j G_i) - sum_t c^t_ij
+  tr(P_t), P_i = W G_i, for the Bismut tables G_i: O(n^4) in all, with no
+  curvature matrix.  Its one input is the lowered table T_i[l][j] / d =
+  g(D^B_{e_i} e_j, e_l), integers over one denominator (Koszul plus 1/2
+  sigma), so G_i = g^{-1} T_i / d and P_i = g^{-1} J^t T_i / d are integer
+  products, the traces integer sums, and only rho^B's coefficients become
+  Fractions (floats pass with d = 2.0); no connection matrix is built;
 * Lee form  theta(e_k) = 1/2 sum_{p,q} M_pq d omega(e_p, e_q, e_k) with
   M = g^{-1} J^t, each coefficient of d omega entering in its six orderings;
   balanced is theta = 0 (wedging with omega^(n-1) is injective on 1-forms).
@@ -131,15 +131,16 @@ class HermitianStructure:
             raise HermitianError("DIMENSION", "J or g dimension does not match the algebra")
         if L.dim % 2 != 0:
             raise HermitianError("DIMENSION", "Hermitian structures need even dimension")
+        if linalg.matrix_kind(J.J) != L.kind or linalg.matrix_kind(g.g) != L.kind:
+            raise HermitianError("KIND_MISMATCH", f"J and g must be {L.kind}, as the algebra is")
         jm, gm = J.matrix, g.matrix
-        # J^t g is the matrix of omega; W = g^{-1} J^t g weights rho^B
+        # J^t g is the matrix of omega
         om = linalg.mat_mul(linalg.transpose(jm), gm)
         if not linalg.mat_eq(linalg.mat_mul(om, jm), gm):
             raise HermitianError("NOT_COMPATIBLE", "g(J., J.) != g")
         self.L = L
         self.J = J
         self.g = g
-        self._jtg = om
         coeffs = {}
         for i in range(L.dim):
             for j in range(i + 1, L.dim):
@@ -160,6 +161,11 @@ class HermitianStructure:
         if key not in self._cache:
             self._cache[key] = compute()
         return self._cache[key]
+
+    @cached_property
+    def _ginv_jt(self):
+        """g^{-1} J^t, for the Lee form and the rho^B oracle."""
+        return linalg.mat_mul(self.g.inverse, linalg.transpose(self.J.matrix))
 
     # -- integrability --------------------------------------------------------
     def nijenhuis(self):
@@ -185,7 +191,7 @@ class HermitianStructure:
     def _compute_lee(self):
         if self.dim < 4:
             raise HermitianError("DIMENSION", "the Lee form needs dim >= 4")
-        m = linalg.mat_mul(self.g.inverse, linalg.transpose(self.J.matrix))
+        m = self._ginv_jt
         half = coerce(1, self.L.kind) / 2
         theta = [zero(self.L.kind)] * self.dim
         for key, val in self.domega().coeffs.items():
@@ -232,20 +238,13 @@ class HermitianStructure:
     def bismut_connection(self):
         return self._memo("bismut", self._compute_bismut)
 
-    def _compute_bismut(self):
+    def _bismut_lowered(self):
+        """:func:`_lowered` with sigma(X, Y, Z) = d omega(JX, JY, JZ)."""
         self._require_integrable()
-        lc = self.levi_civita()
-        n2 = self.dim
-        sigma = -self.dc_omega()  # sigma(X,Y,Z) = domega(JX,JY,JZ)
-        half = coerce(1, self.L.kind) / 2
-        # lower[i][l][j] = 1/2 sigma(e_i, e_j, e_l): each nonzero coefficient
-        # of sigma fills its six permutations
-        lower = [linalg.zeros(n2, n2, self.L.kind) for _ in range(n2)]
-        for key, val in sigma.coeffs.items():
-            for i, j, l in permutations(key):
-                lower[i][l][j] = sort_indices((i, j, l))[1] * half * val
-        return [linalg.mat_add(lc[i], linalg.mat_mul(self.g.inverse, lower[i]))
-                for i in range(n2)]
+        return self._memo("lowered", lambda: _lowered(self.L, self.g, (-self.dc_omega()).coeffs))
+
+    def _compute_bismut(self):
+        return _raised(self.g, *self._bismut_lowered()[:2])
 
     def is_vaisman(self):
         """LCK with Levi-Civita-parallel Lee form; returns (bool, note)."""
@@ -267,32 +266,29 @@ class HermitianStructure:
         return self._memo("rho", self._compute_rho)
 
     def _compute_rho(self):
-        gamma = self.bismut_connection()
-        weight = linalg.mat_mul(self.g.inverse, self._jtg)
-        # tr(W R(e_i, e_j)) = tr(P_i G_j) - tr(P_j G_i) - sum_t c^t_ij tr(P_t)
-        p = [linalg.mat_mul(weight, gi) for gi in gamma]
-        return KForm(2, self.dim, _rho_coefficients(p, gamma, self.L.brackets),
-                     kind=self.L.kind)
+        d, t, consts = self._bismut_lowered()
+        (dm, mn), (di, gi) = linalg._numerators(self._ginv_jt, self.g.inverse)
+        # G_i = g^{-1} T_i / d and P_i = W G_i = g^{-1} J^t T_i / d
+        p = (dm * d, [linalg._row_sums(mn, ti, 0) for ti in t])
+        gamma = (di * d, [linalg._row_sums(gi, ti, 0) for ti in t])
+        return KForm(2, self.dim, _rho_coefficients(p, gamma, consts), kind=self.L.kind)
 
 
-def _rho_coefficients(p, gamma, brackets):
+def _rho_coefficients(p, gamma, consts):
     """The nonzero rho^B coefficients -1/2 tr(W R(e_i, e_j)), i < j, from
-    P_i, G_i and the structure constants.  Exact families are each cleared
-    over one common denominator, so every trace is an integer dot product
-    of flattened numerators and each coefficient becomes one Fraction; on
-    floats the same sums run on the entries themselves."""
-    n2 = len(p)
-    (dp, pn), (dg, gn), (dc, rows) = linalg._numerators(
-        [row for pi in p for row in pi], [row for gi in gamma for row in gi],
-        list(brackets.values()))
-    consts = dict(zip(brackets, rows))
+    (d, numerators) pairs: the tables P_i and G_i, products with the one
+    lowered table of :func:`_lowered`, and the structure constants by
+    bracket.  Each trace is an integer dot product and each coefficient one
+    Fraction; on floats (float d) the same sums run on the entries."""
+    (dp, pn), (dg, gn), (dc, cn) = p, gamma, consts
+    n2 = len(pn)
     # tr(P_i G_j) = <P_i, G_j^t> entrywise
-    flat_p = [[x for row in pn[i * n2:(i + 1) * n2] for x in row] for i in range(n2)]
-    flat_gt = [[x for col in zip(*gn[j * n2:(j + 1) * n2]) for x in col] for j in range(n2)]
+    flat_p = [[x for row in pi for x in row] for pi in pn]
+    flat_gt = [[x for col in zip(*gi) for x in col] for gi in gn]
     tau = [sum(fp[::n2 + 1]) for fp in flat_p]
     keys = [(i, j) for i in range(n2) for j in range(i + 1, n2)]
     nums = [dc * (sum(map(mul, flat_p[j], flat_gt[i])) - sum(map(mul, flat_p[i], flat_gt[j])))
-            + dg * sum(map(mul, consts.get((i, j), ()), tau)) for i, j in keys]
+            + dg * sum(map(mul, cn.get((i, j), ()), tau)) for i, j in keys]
     (vals,) = linalg._over([nums], 2 * dp * dg * dc)
     return {key: val for key, val in zip(keys, vals) if not is_zero(val)}
 
@@ -331,26 +327,38 @@ def is_integrable(J: ComplexStructure, L: LieAlgebra) -> bool:
 
 def levi_civita(L: LieAlgebra, g: Metric):
     """Koszul connection on left-invariant fields; Gamma[i] maps Y to D_{e_i}Y."""
-    ginv = g.inverse
-    if ginv is None:
-        raise HermitianError("NOT_POSITIVE_DEFINITE", "metric is degenerate")
+    return _raised(g, *_lowered(L, g, {})[:2])
+
+
+def _lowered(L: LieAlgebra, g: Metric, sigma):
+    """(d, T, (dc, consts)) with T[i][l][j] / d = 1/2 (g([e_i, e_j], e_l) -
+    g([e_j, e_l], e_i) + g([e_l, e_i], e_j) + sigma(e_i, e_j, e_l)): Koszul's
+    g(D_{e_i} e_j, e_l) plus 1/2 the 3-form whose nonzero coefficients are
+    sigma, on the numerators of g, sigma and the constants (consts, over dc)."""
     n = L.dim
-    kind = L.kind
-    half = coerce(1, kind) / 2
-    # low[i][j][l] = g([e_i, e_j], e_l) = [e_i, e_j] . (column l of G), one
-    # row per nonzero bracket; on the float path G is symmetric only within
-    # eps, so the column, not the row
-    gcols = linalg.transpose(g.matrix)
-    low = [[[zero(kind)] * n] * n for _ in range(n)]
-    for (i, j), vec in L.brackets.items():
-        low[i][j] = [linalg.dot(vec, col) for col in gcols]
-        low[j][i] = [-x for x in low[i][j]]
-    gammas = []
-    for i in range(n):
-        lower = [[half * (low[i][j][l] - low[j][l][i] + low[l][i][j]) for j in range(n)]
-                 for l in range(n)]
-        gammas.append(linalg.mat_mul(ginv, lower))
-    return gammas
+    (dg, gn), (dc, cn), (ds, (sn,)) = linalg._numerators(
+        g.matrix, list(L.brackets.values()), [list(sigma.values())])
+    t = [[[0] * n for _ in range(n)] for _ in range(n)]
+    # row of [e_i, e_j] times G: g([e_i, e_j], e_m) over dc dg, by the column
+    # of G (on the float path G is symmetric only within eps); each nonzero
+    # one is a Koszul term of T_p[m][q], T_m[p][q] and T_q[p][m], for
+    # [e_p, e_q] = [e_i, e_j] and then [e_j, e_i] = -[e_i, e_j]
+    for (i, j), row in zip(L.brackets, linalg._row_sums(cn, gn, 0)):
+        for m, x in enumerate(row):
+            if x:
+                for p, q, y in ((i, j, ds * x), (j, i, -ds * x)):
+                    for a, b, c in ((p, m, q), (m, p, q), (q, p, m)):
+                        t[a][b][c] += y
+    for key, x in zip(sigma, sn):
+        for i, j, l in permutations(key):
+            t[i][l][j] += sort_indices((i, j, l))[1] * dc * dg * x
+    return 2 * dc * dg * ds, t, (dc, dict(zip(L.brackets, cn)))
+
+
+def _raised(g: Metric, d, t):
+    """Gamma_i = g^{-1} T_i / d for the integer tables T of :func:`_lowered`."""
+    ((di, gi),) = linalg._numerators(g.inverse)
+    return [linalg._over(linalg._row_sums(gi, ti, 0), di * d) for ti in t]
 
 
 def torsion_tensor(gamma, L: LieAlgebra):

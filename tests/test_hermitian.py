@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aalg import linalg
-from aalg.forms import KForm, exterior_derivative, wedge, wedge_power
+from aalg.forms import KForm, exterior_derivative, pullback, sort_indices, wedge, wedge_power
 from aalg.scalars import EXACT, FLOAT, coerce, is_zero
 from aalg.hermitian import (ComplexStructure, HermitianError, HermitianStructure,
                             Metric, connection_preserves_metric,
@@ -136,24 +136,90 @@ def test_non_integrable_rejected():
     assert err.value.code == "NON_INTEGRABLE"
 
 
-def test_levi_civita_properties():
-    rng = random.Random(21)
-    for d in data_stream(77, 6, dims=(2, 3)):
+def _stream(seed, count, dims):
+    """Structures from data_stream, every second one moved by a shear, so
+    that g is not the identity."""
+    rng = random.Random(seed)
+    for k, d in enumerate(data_stream(seed, count, dims=dims)):
         L, J, g = build_algebra(d.a, list(d.v), d.A_matrix, d.J1_matrix)
+        yield transported(L, J, g, random_shear(rng, L.dim)) if k % 2 else (L, J, g)
+
+
+def test_levi_civita_properties():
+    """Metric and torsion-free, also in sheared bases."""
+    for L, J, g in _stream(77, 8, dims=(2, 3)):
         gamma = levi_civita(L, g)
         assert connection_preserves_metric(gamma, g)
         assert all(linalg.is_zero_vector(v) for v in torsion_tensor(gamma, L).values())
 
 
 def test_bismut_invariants():
-    """D^B g = 0, D^B J = 0, totally skew torsion on random structures."""
-    for d in data_stream(78, 8, dims=(2, 3)):
-        L, J, g = build_algebra(d.a, list(d.v), d.A_matrix, d.J1_matrix)
+    """D^B g = 0, D^B J = 0, totally skew torsion on random structures,
+    half of them in a sheared basis."""
+    for L, J, g in _stream(78, 8, dims=(2, 3)):
         H = HermitianStructure(L, J, g)
         gamma = H.bismut_connection()
         assert connection_preserves_metric(gamma, g)
         assert connection_preserves_tensor(gamma, J.matrix)
         assert torsion_is_totally_skew(gamma, L, g)
+
+
+def _reference_connections(H):
+    """(Gamma^LC, Gamma^B) by the entrywise formula: Koszul's
+    g(D_{e_i} e_j, e_l) = 1/2 (g([e_i, e_j], e_l) - g([e_j, e_l], e_i)
+    + g([e_l, e_i], e_j)) raised by g^-1, and
+    Gamma^B_i = Gamma^LC_i + g^-1 (1/2 sigma(e_i, ., e_l))_i with
+    sigma = d omega(J., J., J.)."""
+    L, n = H.L, H.dim
+    half = coerce(1, L.kind) / 2
+    gm = H.g.matrix
+    ginv = linalg.inverse(gm)
+    low = [[[linalg.dot(L.basis_bracket(i, j), [row[l] for row in gm]) for l in range(n)]
+            for j in range(n)] for i in range(n)]
+    sigma = pullback(H.domega(), H.J.matrix)
+
+    def sig(i, j, l):
+        key = sort_indices((i, j, l))
+        return coerce(0, L.kind) if key is None else key[1] * sigma.get(key[0])
+
+    lc = [linalg.mat_mul(ginv, [[half * (low[i][j][l] - low[j][l][i] + low[l][i][j])
+                                 for j in range(n)] for l in range(n)]) for i in range(n)]
+    bismut = [linalg.mat_add(lc[i], linalg.mat_mul(
+        ginv, [[half * sig(i, j, l) for j in range(n)] for l in range(n)])) for i in range(n)]
+    return lc, bismut
+
+
+def test_fused_tables_match_the_entrywise_formula():
+    """levi_civita and bismut_connection, raised from the one integer
+    lowered table, equal the entrywise formula exactly on rational
+    structures at dims 4, 6, 8 (every second one sheared), and within
+    1e-12 max(1, |entry|) of it on float copies."""
+    for L, J, g in _stream(79, 12, dims=(2, 3, 4)):
+        for H in (HermitianStructure(L, J, g), _float_structure(L, J, g)):
+            lc, bismut = _reference_connections(H)
+            for got, want in ((levi_civita(H.L, H.g), lc), (H.levi_civita(), lc),
+                              (H.bismut_connection(), bismut)):
+                if H.L.kind == EXACT:
+                    assert got == want
+                else:
+                    assert all(abs(x - y) <= 1e-12 * max(1, abs(y))
+                               for gi, wi in zip(got, want)
+                               for rg, rw in zip(gi, wi) for x, y in zip(rg, rw))
+
+
+def test_mixed_scalar_kinds_are_a_hermitian_error():
+    """J and g must have the algebra's kind: a float J or g on an exact
+    algebra, or exact ones on a float algebra, is KIND_MISMATCH."""
+    L = LieAlgebra(4, {(0, 1): [F(-1), F(0), F(0), F(0)]})
+    Lf = LieAlgebra(4, {(0, 1): [-1.0, 0.0, 0.0, 0.0]})
+    J = ComplexStructure.from_pairs(4, [(0, 1), (2, 3)])
+    Jf = ComplexStructure.from_pairs(4, [(0, 1), (2, 3)], kind=FLOAT)
+    g, gf = Metric.identity(4), Metric.from_matrix(linalg.idmat(4, FLOAT))
+    for args in ((L, Jf, g), (L, J, gf), (L, Jf, gf), (Lf, J, gf), (Lf, Jf, g)):
+        with pytest.raises(HermitianError) as err:
+            HermitianStructure(*args)
+        assert err.value.code == "KIND_MISMATCH"
+    assert HermitianStructure(Lf, Jf, gf).is_kahler_direct()
 
 
 def test_bismut_ricci_dim4_value():
@@ -274,13 +340,16 @@ def _literal_rho(H):
 
 
 def test_rho_oracle_is_the_literal_curvature_trace():
-    """The trace-form oracle equals -1/2 tr(W R) pair by pair: exactly on
-    rational structures at dims 4, 6, 8 (half of them in a basis with a
-    non-identity metric), within the default tolerance on float copies."""
+    """The trace-form oracle equals -1/2 tr(W R) pair by pair, with R from
+    bismut_connection(): exactly on rational structures at dims 4, 6, 8
+    (half of them in a basis with a non-identity metric) and on one dense
+    sheared structure at dim 12, within the default tolerance on float
+    copies."""
     rng = random.Random(41)
-    for k, d in enumerate(data_stream(42, 24, dims=(2, 3, 4))):
+    stream = data_stream(42, 24, dims=(2, 3, 4)) + [random_data(random.Random(43), 6, "generic")]
+    for k, d in enumerate(stream):
         L, J, g = build_algebra(d.a, list(d.v), d.A_matrix, d.J1_matrix)
-        if k % 2:
+        if k % 2 or L.dim == 12:
             L, J, g = transported(L, J, g, random_shear(rng, L.dim))
         H = HermitianStructure(L, J, g)
         rho = H.bismut_ricci_oracle()
@@ -327,16 +396,17 @@ def test_float_kernels_agree_with_exact(seed, n, shape, sheared):
 
 
 def test_oracle_product_count_grows_linearly(monkeypatch):
-    """One bismut_ricci_oracle() makes O(n) matrix products: a dense
+    """One bismut_ricci_oracle() makes O(n) matrix products (each product,
+    mat_mul or on numerators, is one linalg._row_sums call): a dense
     product per pair (O(n^2) of them) would break the ratio below."""
     counts = {}
     for n in (4, 6):
         d = data_stream(43, 1, dims=(n,))[0]
         H = HermitianStructure(*build_algebra(d.a, list(d.v), d.A_matrix, d.J1_matrix))
         calls = []
-        real = linalg.mat_mul
+        real = linalg._row_sums
         with monkeypatch.context() as mp:
-            mp.setattr(linalg, "mat_mul", lambda a, b: calls.append(1) or real(a, b))
+            mp.setattr(linalg, "_row_sums", lambda a, b, z: calls.append(1) or real(a, b, z))
             H.bismut_ricci_oracle()
         counts[2 * n] = len(calls)
     assert 0 < counts[12] * 8 <= counts[8] * 12, counts
