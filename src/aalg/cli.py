@@ -188,8 +188,9 @@ def cmd_rho_b(args):
     d = extract_data(L, ideal, J, g)
     closed = rho_b_closed(d)
     oracle = H.bismut_ricci_oracle()
-    diff = closed - oracle
-    residual = max((abs(float(v)) for v in diff.coeffs.values()), default=0.0)
+    # per key, not via closed - oracle: a KForm drops sub-tolerance differences
+    residual = max((abs(float(closed.get(k) - oracle.get(k)))
+                    for k in set(closed.coeffs) | set(oracle.coeffs)), default=0.0)
     report = {
         "schema": SCHEMA, "command": "rho-b", "algebra": doc.name,
         "closed_form": _form_json(closed),

@@ -1,17 +1,18 @@
 """Validated Lie algebra values and the codimension-one abelian ideal probe.
 
 Structure constants are held sparsely: brackets[(i, j)] with i < j maps to
-the coefficient vector of [e_i, e_j].  They are read through the table of
-ad matrices built once per algebra (entry (k, j) of ad_{e_i} is c^k_ij):
-basis brackets and the ideal search read it, and so does the Nijenhuis
-tensor in ``hermitian``; ad_x accumulates the nonzero constants directly.
-Validation enforces antisymmetry by construction and checks the Jacobi
-identity as d^2 = 0 on the coframe, exactly on the rational path and on
-floats against eps max(1, max |c|)^2, the scale of the cyclic sums.  A
-hyperplane is an ideal iff it contains [L, L], so the ideal test evaluates
-its covector on the brackets.  :func:`abelian_ideal` validates a declared
-ideal or searches for one, and caches the answer on the algebra once per
-declaration.
+the coefficient vector of [e_i, e_j].  Basis brackets read them through the
+table of ad matrices built once per algebra (entry (k, j) of ad_{e_i} is
+c^k_ij), and so does the Nijenhuis tensor in ``hermitian``; ad_x
+accumulates the nonzero constants directly.  Validation enforces
+antisymmetry by construction and checks the Jacobi identity as d^2 = 0 on
+the coframe, exactly on the rational path and on floats against
+eps max(1, max |c|)^2, the scale of the cyclic sums.  A hyperplane is an
+ideal iff it contains [L, L], so the ideal test evaluates its covector on
+the brackets; the ideal search solves one linear system in the covector,
+built from the brackets and the coframe differentials.
+:func:`abelian_ideal` validates a declared ideal or searches for one, and
+caches the answer on the algebra once per declaration.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from itertools import product
 
 from .scalars import EXACT, coerce, current_eps, is_zero, kind_of, tolerance, zero
 from . import linalg
-from .forms import KForm, exterior_derivative
+from .forms import KForm, exterior_derivative, sort_indices
 
 
 class LieAlgebraError(ValueError):
@@ -229,57 +230,33 @@ class LieAlgebra:
 def find_codim1_abelian_ideal(L: LieAlgebra):
     """Hyperplane n with [n, n] = 0 and [L, n] in n, or None.
 
-    A hyperplane containing [L, L] is automatically an ideal, so the search
-    solves, for each normalized pivot position of the defining covector xi,
-    the linear system expressing that the bracket factors through xi.
-    Pivots are scanned from the highest index down and the first consistent
-    branch is the answer, so span(e_1 .. e_{d-1}) is the canonical answer
-    for the abelian algebra.
-
-    ``ambiguous`` is set exactly when another answer exists.  Two abelian
-    hyperplane ideals n != n' are c + R a and c + R b with c = n intersect
-    n' central, so [L, L] = [n, n'] = R [a, b] lies in c: dim L >= 2 and
-    [L, L] is central of dimension <= 1.  Conversely such an L with one
-    abelian hyperplane ideal is R^d or h3 + R^(d-3), which have a pencil.
+    ``ker xi`` is an abelian ideal iff xi kills every bracket and
+    xi ^ de^k = 0 for every k, and both conditions are linear in xi, so the
+    answers and 0 form the null space V of one homogeneous system.  When
+    xi_t != 0, the components of xi ^ de^k on the triples through t imply
+    all the others, and a nonzero xi that kills [L, L] is nonzero at a free
+    column of the brackets' rref, so only the triples that meet a free
+    column are kept.  The answer is ker V[-1], the basis vector of the
+    largest free column (span(e_1 .. e_{d-1}) for the abelian algebra), and
+    it is ``ambiguous`` exactly when dim V > 1.
     """
     n = L.dim
-    kind = L.kind
-    derived = L.derived_algebra()
-    for t in range(n - 1, -1, -1):
-        # Branch: xi_t = 1 and xi_s = 0 for s > t; unknowns are xi_0 .. xi_{t-1}.
-        # rows [coefficients of xi_0 .. xi_{t-1} | right-hand side]
-        # ideal condition: xi annihilates [L, L]
-        aug = [list(vec[:t]) + [-vec[t]] for vec in derived.vectors]
-        # abelian condition with the auxiliary endomorphism eliminated:
-        # c^k_{ij} = xi_i c^k_{tj} - xi_j c^k_{ti} for all i < j, both != t,
-        # where forced-zero components of xi simply drop out.
-        # c^k_ab is entry (k, b) of ad_{e_a}; all-zero equations are skipped
-        adt = L.ad_basis(t)
-        for i in range(n):
-            adi = L.ad_basis(i)
-            for j in range(i + 1, n):
-                if t in (i, j):
-                    continue
-                for k in range(n):
-                    coeffs = [zero(kind) for _ in range(t)]
-                    if i < t:
-                        coeffs[i] += adt[k][j]
-                    if j < t:
-                        coeffs[j] -= adt[k][i]
-                    if adi[k][j] != 0 or any(x != 0 for x in coeffs):
-                        aug.append(coeffs + [adi[k][j]])
-        red, pivots = linalg.rref(aug)
-        if t not in pivots:  # the first consistent branch is the answer
-            xi = linalg.idmat(n, kind)[t]
-            for ridx, pc in enumerate(pivots):
-                xi[pc] = red[ridx][t]
-            break
-    else:
+    brackets = list(L.brackets.values())
+    free = set(range(n)).difference(linalg.rref(brackets)[1])
+    wedge = {}
+    for k, de in enumerate(L.coframe_differentials()):
+        for (a, b), c in de.coeffs.items():
+            for l in range(n):
+                if l not in (a, b) and free.intersection((l, a, b)):
+                    key, sign = sort_indices((l, a, b))
+                    row = wedge.setdefault((k, key), linalg.zero_vector(n, L.kind))
+                    row[l] += sign * c
+    system = [wedge[key] for key in sorted(wedge)] + brackets
+    V = linalg.nullspace(system) if system else linalg.idmat(n, L.kind)
+    if not V:
         return None
-    ambiguous = (n >= 2 and derived.dim <= 1
-                 and all(linalg.is_zero_matrix(L.ad(w)) for w in derived.vectors))
-    basis = linalg.nullspace([xi])
-    ideal = Subspace(len(basis), tuple(tuple(v) for v in basis), ambiguous=ambiguous)
+    basis = linalg.nullspace([V[-1]])
+    ideal = Subspace(len(basis), tuple(tuple(v) for v in basis), ambiguous=len(V) > 1)
     # direct re-check guards against elimination bugs
     defect = abelian_ideal_defect(L, ideal.vectors)
     if defect is not None:

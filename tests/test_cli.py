@@ -145,6 +145,16 @@ def test_rho_b_mismatch_exits_2(tmp_path, capsys, monkeypatch, a):
     assert rep["residual"] == 1.0
 
 
+def test_rho_b_float_residual_shows_rounding(tmp_path, capsys):
+    """On floats the residual is the largest rounding difference between
+    the closed form and the oracle, which the tolerance forgives."""
+    path = tmp_path / "s4.alg"
+    path.write_text(S4.replace("a = 1", "a = 0.3"), encoding="utf-8")
+    code, rep = run_json(capsys, ["rho-b", str(path), "--json"])
+    assert code == 0
+    assert 0.0 < rep["residual"] <= 1e-9
+
+
 @pytest.mark.parametrize("command", ["check", "rho-b"])
 def test_integrability_decided_once_per_document(docs, capsys, monkeypatch, command):
     """The Nijenhuis tensor is evaluated once per document, however many
