@@ -1,17 +1,30 @@
 """Dense linear algebra over the dual scalar kernel.
 
 Matrices are lists of row lists, vectors are flat lists.  Every routine
-works uniformly for Fraction and float entries; decisions (pivoting, rank)
-go through the tolerance for floats and are exact for Fractions.
+works for exact (Fraction or int) and float entries, and exact results are
+Fractions; decisions (pivoting, rank) go through the tolerance for floats
+and are exact otherwise.
 
-The products (:func:`mat_mul`, :func:`mat_vec`, :func:`commutator`) have
-one body for both kinds, and the kind is decided in two helpers only.
-:func:`_numerators` clears the denominators of exact operands once, so
-the sums are Python int sums over one common denominator (Bareiss's
-integer-preserving idea, 1968, applied to products); when any operand is
-a float matrix it passes every operand through unchanged, and the same
-sums run on floats.  :func:`_over` then builds one Fraction per nonzero
-entry, or returns floats.
+Exact operands are cleared to Python ints once, and one Fraction is built
+per nonzero output entry (Bareiss 1968, "Sylvester's identity and
+multistep integer-preserving Gaussian elimination"):
+
+* The products (:func:`mat_mul`, :func:`mat_vec`, :func:`commutator`) have
+  one body for both kinds, and the kind is decided in two helpers only.
+  :func:`_numerators` clears exact operands to integer numerators over one
+  common denominator; when any operand is a float matrix it passes every
+  operand through unchanged, and the same sums run on floats.
+  :func:`_over` then builds Fractions, or returns floats.
+* Elimination (:func:`rref` and all built on it, :func:`det`,
+  :func:`is_positive_definite`) clears each row to integers and runs
+  Bareiss's fraction-free Gauss-Jordan: each update divides exactly by
+  the previous pivot, so every entry is a minor of the cleared matrix, of
+  at most k (b + log2(k) / 2) bits for a k x k minor of b-bit entries
+  (Hadamard's bound).  :func:`charpoly` runs Faddeev-LeVerrier on the
+  integer numerators, each division by k exact.
+
+Float matrices keep the float loops (Gauss-Jordan with partial pivoting,
+Faddeev-LeVerrier), bit for bit.
 
 Also hosts the small univariate polynomial toolkit (coefficient lists,
 low degree first) for characteristic/minimal polynomials: Yun's
@@ -23,7 +36,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import lcm
+from math import gcd, lcm, prod
 from operator import mul
 
 from .scalars import EXACT, FLOAT, coerce, current_eps, is_zero, kind_of, zero, one
@@ -61,12 +74,15 @@ def as_vector(v, kind=None):
     return [coerce(x, kind) for x in v]
 
 
+# the scalars are immutable, so one zero (and one one) fills every entry
+
 def idmat(n, kind=EXACT):
-    return [[one(kind) if i == j else zero(kind) for j in range(n)] for i in range(n)]
+    z, u = zero(kind), one(kind)
+    return [[u if i == j else z for j in range(n)] for i in range(n)]
 
 
 def zeros(n, m, kind=EXACT):
-    return [[zero(kind) for _ in range(m)] for _ in range(n)]
+    return [[zero(kind)] * m for _ in range(n)]
 
 
 def block_diag(blocks, kind=EXACT):
@@ -83,7 +99,7 @@ def block_diag(blocks, kind=EXACT):
 
 
 def zero_vector(n, kind=EXACT):
-    return [zero(kind) for _ in range(n)]
+    return [zero(kind)] * n
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +128,11 @@ def _numerators(*ms):
         return [(1.0, m) for m in ms]
     out = []
     for m in ms:
-        d = lcm(*{x.denominator for row in m for x in row})
-        out.append((d, [[x.numerator * (d // x.denominator) for x in row] for row in m]))
+        # one as_integer_ratio call per entry: Fraction's numerator and
+        # denominator are properties, each a Python-level call
+        ratios = [[x.as_integer_ratio() for x in row] for row in m]
+        d = lcm(*{q for row in ratios for _, q in row})
+        out.append((d, [[p * (d // q) for p, q in row] for row in ratios]))
     return out
 
 
@@ -223,13 +242,14 @@ def is_zero_vector(v) -> bool:
 def _pivot_row(column_values):
     """Index of the usable pivot row, or None.
 
-    Exact path takes the first nonzero entry, float path the largest one.
+    Exact path (int or Fraction entries) takes the first nonzero entry,
+    float path the largest one.
     """
     best = None
     best_mag = None
     eps = current_eps()
     for r, x in column_values:
-        if isinstance(x, Fraction):
+        if isinstance(x, (Fraction, int)):
             if x != 0:
                 return r
         else:
@@ -239,8 +259,83 @@ def _pivot_row(column_values):
     return best
 
 
+def _cleared_rows(a):
+    """(d, row) for each row of an exact matrix a: row is the integer
+    vector d * a-row, d the lcm of the row's denominators."""
+    return [(d, row) for d, (row,) in _numerators(*([row] for row in a))]
+
+
+def _lines(a):
+    """The distinct lines spanned by the nonzero rows of an exact a, in
+    order of first appearance, each as its primitive integer vector (the
+    cleared row over the gcd of its entries) with a positive leading entry.
+    They span a's row space, and repeated or proportional rows (common in
+    the ideal search's system) are eliminated once."""
+    lines = {}
+    for _, row in _cleared_rows(a):
+        if any(row):
+            g = gcd(*row)
+            if next(x for x in row if x) < 0:
+                g = -g
+            lines[tuple([x // g for x in row])] = None
+    return list(map(list, lines))
+
+
+def _bareiss(m):
+    """Fraction-free Gauss-Jordan on the integer rows m, in place (Bareiss
+    1968): (pivot_columns, pivots, swaps), m ending as pivots[-1] times its
+    reduced row echelon form.  Each step replaces every other row by
+    (pivot * row - row[c] * pivot_row) / previous pivot, a row with
+    row[c] = 0 by pivot * row / previous pivot; the division is exact, and
+    every entry stays a minor of m.  Rows are swapped only where row r is
+    zero in the pivot column.  On a square m, until the first swap
+    the k-th pivot is the leading principal minor of order k, and det m is
+    (-1)^swaps times the last pivot when every column has one, else 0."""
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    columns, pivots = [], []
+    swaps = 0
+    prev = 1
+    for c in range(ncols):
+        r = len(columns)
+        if r >= nrows:
+            break
+        p = _pivot_row((i, m[i][c]) for i in range(r, nrows))
+        if p is None:
+            continue
+        if p != r:
+            m[r], m[p] = m[p], m[r]
+            swaps += 1
+        prow = m[r]
+        pv = prow[c]
+        for i, row in enumerate(m):
+            if i == r:
+                continue
+            f = row[c]
+            if f:
+                m[i] = [(pv * x - f * y) // prev for x, y in zip(row, prow)]
+            elif pv != prev:
+                m[i] = [pv * x // prev for x in row]
+        columns.append(c)
+        pivots.append(pv)
+        prev = pv
+    return columns, pivots, swaps
+
+
 def rref(a):
-    """Reduced row echelon form.  Returns (R, pivot_columns)."""
+    """Reduced row echelon form.  Returns (R, pivot_columns).
+
+    An exact a runs :func:`_bareiss` on its :func:`_lines` and builds each
+    nonzero entry of R once, as a Fraction over the last pivot, zero rows
+    filling R to a's height; the RREF of a row space is unique, so R is the
+    one Gauss-Jordan gives.
+    """
+    if matrix_kind(a) == EXACT:
+        m = _lines(a)
+        columns, pivots, _ = _bareiss(m)
+        d = pivots[-1] if pivots else 1
+        zero_rows = [[_ZERO] * len(a[0]) for _ in range(len(a) - len(m))]
+        return [[Fraction(x, d) if x else _ZERO for x in row] for row in m] + zero_rows, columns
     m = [list(row) for row in a]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
@@ -326,9 +421,17 @@ def inverse(a):
 
 
 def det(a):
-    """Determinant by fraction-free-ish Gaussian elimination with pivoting."""
+    """Determinant.  An exact a is one :func:`_bareiss` pass over its
+    cleared rows, divided by the product of the rows' denominators; a
+    float a is Gaussian elimination with partial pivoting."""
     n = len(a)
     kind = matrix_kind(a)
+    if kind == EXACT:
+        cleared = _cleared_rows(a)
+        _, pivots, swaps = _bareiss([row for _, row in cleared])
+        if len(pivots) < n:
+            return _ZERO
+        return Fraction((-1) ** swaps * pivots[-1] if n else 1, prod(d for d, _ in cleared))
     m = [list(row) for row in a]
     sign = one(kind)
     acc = one(kind)
@@ -359,8 +462,16 @@ def column_space_basis(vectors):
 
 
 def is_positive_definite(g) -> bool:
-    """Sylvester criterion on leading principal minors."""
+    """Sylvester's criterion: every leading principal minor is positive.
+
+    On an exact g the minors are the pivots of one :func:`_bareiss` pass
+    (a swap means a zero minor; the rows' positive denominators keep their
+    signs); on a float g each minor is a :func:`det`.
+    """
     n = len(g)
+    if matrix_kind(g) == EXACT:
+        _, pivots, swaps = _bareiss([row for _, row in _cleared_rows(g)])
+        return not swaps and len(pivots) == n and all(p > 0 for p in pivots)
     for k in range(1, n + 1):
         minor = det([row[:k] for row in g[:k]])
         if minor < 0 or is_zero(minor):
@@ -459,9 +570,24 @@ def poly_eval_matrix(p, m):
 
 
 def charpoly(m):
-    """Characteristic polynomial det(xI - M) via Faddeev-LeVerrier."""
+    """Characteristic polynomial det(xI - M) via Faddeev-LeVerrier.
+
+    An exact M = N/d runs on the integer N: each c_k = -tr(N M_(k-1))/k
+    divides exactly, and the coefficient of x^(n-k) is c_k / d^k.
+    """
     n = len(m)
     kind = matrix_kind(m)
+    if kind == EXACT:
+        ((d, num),) = _numerators(m)
+        coeffs = [Fraction(1)]
+        mk = [[int(i == j) for j in range(n)] for i in range(n)]
+        for k in range(1, n + 1):
+            mk = _row_sums(num, mk, 0)
+            ck = -trace(mk) // k
+            coeffs.append(Fraction(ck, d ** k) if ck else _ZERO)
+            for i in range(n):
+                mk[i][i] += ck
+        return coeffs[::-1]
     coeffs = [zero(kind)] * (n + 1)
     coeffs[n] = one(kind)
     mk = idmat(n, kind)

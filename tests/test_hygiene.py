@@ -154,6 +154,10 @@ KIND_BRANCHES = {
     ("linalg", "_numerators"): "a product decides its kind: clear every operand or none",
     ("linalg", "_over"): "a product builds Fractions or floats",
     ("linalg", "_pivot_row"): "first nonzero pivot vs largest pivot",
+    ("linalg", "rref"): "fraction-free Gauss-Jordan on integer rows vs float Gauss-Jordan",
+    ("linalg", "det"): "one Bareiss pass on integer rows vs float elimination",
+    ("linalg", "is_positive_definite"): "Bareiss pivots vs float leading-minor determinants",
+    ("linalg", "charpoly"): "Faddeev-LeVerrier on integer numerators vs on floats",
     ("linalg", "rational_roots"): "exact coefficients only",
     ("lchk", "_admissible"): "exact and float LCHK verdicts",
     ("lie", "jacobi_witness"): "float Jacobi tolerance",

@@ -11,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 from aalg import linalg
 from aalg.linalg import (charpoly, det, inverse, minpoly, nullspace, poly_deg,
                          poly_deriv, poly_divmod, poly_eval, poly_eval_matrix,
-                         poly_gcd, poly_monic, poly_mul, rank, rational_roots, solve,
+                         poly_gcd, poly_monic, poly_mul, rank, rational_roots, rref, solve,
                          solve_general, squarefree_factors, sturm_distinct_real_roots)
+from aalg.scalars import DEFAULT_EPS
 
 
 def test_solve_exact():
@@ -376,3 +377,209 @@ def test_a_float_operand_makes_a_float_product():
         assert got == [row[0] for row in _dense_float(a, [[x] for x in v])]
         assert all(type(x) is float for x in got)
     assert linalg.mat_vec(thirds, [1.5, 2.0]) == [0.5, 5.5]
+
+
+def test_integer_matrices_stay_exact():
+    """Integer entries are exact: elimination returns Fractions, never the
+    floats of true division (the twin of test_integer_polynomials_stay_exact)."""
+    results = {
+        "rref": rref([[2, 1], [1, 1]])[0],
+        "inverse": inverse([[1, 2], [3, 4]]),
+        "det": [[det([[1, 2], [3, 4]])]],
+        "nullspace": nullspace([[1, 2]]),
+        "solve": [solve([[2, 0], [0, 4]], [1, 1])],
+        "charpoly": [charpoly([[1, 2], [3, 4]])],
+    }
+    assert results == {"rref": [[1, 0], [0, 1]], "inverse": [[-2, 1], [F(3, 2), F(-1, 2)]],
+                       "det": [[-2]], "nullspace": [[-2, 1]], "solve": [[F(1, 2), F(1, 4)]],
+                       "charpoly": [[-2, -5, 1]]}
+    assert all(_all_fractions(m) for m in results.values()), results
+    assert linalg.is_positive_definite([[2, 1], [1, 2]])
+    assert not linalg.is_positive_definite([[0, 1], [1, 0]])
+
+
+# -- reference loops: Fraction Gauss-Jordan, Faddeev-LeVerrier with dense
+# products, Gaussian elimination for det and Sylvester on leading minors.
+# On floats they pivot on the largest entry above the tolerance.
+
+def _ref_pivot(col):
+    """First nonzero (exact) or largest above eps (float) of (row, x) pairs."""
+    best = None
+    for r, x in col:
+        if isinstance(x, float):
+            if abs(x) > DEFAULT_EPS and (best is None or abs(x) > abs(best[1])):
+                best = (r, x)
+        elif x != 0:
+            return r
+    return best and best[0]
+
+
+def _ref_rref(a):
+    m = [[x if isinstance(x, float) else F(x) for x in row] for row in a]
+    pivots = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        if r == len(m):
+            break
+        p = _ref_pivot((i, m[i][c]) for i in range(r, len(m)))
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(len(m)):
+            f = m[i][c]
+            if i != r and (abs(f) > DEFAULT_EPS if isinstance(f, float) else f != 0):
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
+def _ref_det(a):
+    m = [[x if isinstance(x, float) else F(x) for x in row] for row in a]
+    unit = 1.0 if m and isinstance(m[0][0], float) else F(1)
+    sign, acc = unit, unit
+    for c in range(len(m)):
+        p = _ref_pivot((i, m[i][c]) for i in range(c, len(m)))
+        if p is None:
+            return unit * 0
+        if p != c:
+            m[c], m[p] = m[p], m[c]
+            sign = -sign
+        pv = m[c][c]
+        acc *= pv
+        for i in range(c + 1, len(m)):
+            f = m[i][c] / pv
+            m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return sign * acc
+
+
+def _ref_charpoly(a):
+    n = len(a)
+    unit = 1.0 if a and isinstance(a[0][0], float) else F(1)
+    m = [[x * unit for x in row] for row in a]
+    ident = [[unit if i == j else unit * 0 for j in range(n)] for i in range(n)]
+    coeffs = [unit * 0] * n + [unit]
+    mk = ident
+    for k in range(1, n + 1):
+        am = _dense_mat_mul(m, mk)
+        ck = -sum(am[i][i] for i in range(n)) / k
+        coeffs[n - k] = ck
+        mk = [[x + ck * y for x, y in zip(ra, ri)] for ra, ri in zip(am, ident)]
+    return coeffs
+
+
+def _ref_nullspace(a):
+    r, pivots = _ref_rref(a)
+    out = []
+    for f in (c for c in range(len(a[0])) if c not in pivots):
+        v = [F(0)] * len(a[0])
+        v[f] = F(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -r[i][f]
+        out.append(v)
+    return out
+
+
+def _ref_solve_general(a, b):
+    ncols = len(a[0]) if a else 0
+    r, pivots = _ref_rref([list(row) + [x] for row, x in zip(a, b)])
+    if ncols in pivots:
+        return None
+    x = [F(0)] * ncols
+    for i, pc in enumerate(pivots):
+        x[pc] = r[i][ncols]
+    return x
+
+
+def _ref_positive_definite(g):
+    return all(_ref_det([row[:k] for row in g[:k]]) > 0 for k in range(1, len(g) + 1))
+
+
+# denominators up to 2^61 - 1, ints and zeros
+ELIM_ENTRIES = st.one_of(
+    st.just(0), st.integers(-3, 3), st.integers(-10**12, 10**12),
+    st.builds(F, st.integers(-10**6, 10**6), st.sampled_from(PRIMES)),
+    st.builds(F, st.integers(-9, 9), st.integers(1, 2**61 - 1)))
+
+
+@st.composite
+def elimination_inputs(draw):
+    """An exact r x c matrix with, at random, a zero row, a zero column, a
+    repeated row and a row that is a combination of two others."""
+    r, c = draw(st.sampled_from([(0, 0), (1, 1), (1, 4), (4, 1), (2, 3), (3, 3), (4, 4),
+                                 (5, 3), (3, 6), (6, 6)]))
+    a = draw(st.lists(st.lists(ELIM_ENTRIES, min_size=c, max_size=c), min_size=r, max_size=r))
+    if r and draw(st.booleans()):
+        a[draw(st.integers(0, r - 1))] = [0] * c
+    if c and draw(st.booleans()):
+        j = draw(st.integers(0, c - 1))
+        a = [row[:j] + [0] + row[j + 1:] for row in a]
+    if r > 1 and draw(st.booleans()):
+        a[draw(st.integers(1, r - 1))] = list(a[0])
+    if r > 2 and draw(st.booleans()):
+        s, t = draw(ELIM_ENTRIES), draw(ELIM_ENTRIES)
+        a[-1] = [s * x + t * y for x, y in zip(a[0], a[1])]
+    b = draw(st.lists(ELIM_ENTRIES, min_size=r, max_size=r))
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(elimination_inputs())
+def test_exact_elimination_matches_fraction_loops(case):
+    a, b = case
+    got = rref(a)
+    assert got == _ref_rref(a) and _all_fractions(got[0])
+    assert rank(a) == (len(got[1]) if a else 0)
+    if a:
+        ns = nullspace(a)
+        assert ns == _ref_nullspace(a) and _all_fractions(ns)
+        x = solve_general(a, b)
+        assert x == _ref_solve_general(a, b) and (x is None or _all_fractions([x]))
+    if len(a) == len(a[0] if a else []):
+        n = len(a)
+        d = det(a)
+        assert d == _ref_det(a) and type(d) is F
+        inv = inverse(a)
+        want = None if d == 0 else [row[n:] for row in _ref_rref(
+            [list(row) + [F(int(i == j)) for j in range(n)] for i, row in enumerate(a)])[0]]
+        assert inv == want and (inv is None or _all_fractions(inv))
+        x = solve(a, b)
+        assert x == (None if d == 0 else _ref_solve_general(a, b))
+        assert x is None or _all_fractions([x])
+        cp = charpoly(a)
+        assert cp == _ref_charpoly(a) and _all_fractions([cp])
+        gram = linalg.mat_mul(a, linalg.transpose(a))
+        sym = linalg.mat_add(a, linalg.transpose(a))
+        for g in (gram, sym, linalg.mat_add(gram, linalg.idmat(n))):
+            assert linalg.is_positive_definite(g) == _ref_positive_definite(g)
+
+
+def _same_matrix(got, want):
+    return len(got) == len(want) and all(
+        len(gr) == len(wr) and all(map(_same, gr, wr)) for gr, wr in zip(got, want))
+
+
+FLOAT_CASES = [[[1e-13, 1.0], [1.0, 1.0]], [[1e-13, 1.0, 1.0], [1.0, 1.0, 2.0]],
+               [[0.0, 0.0], [0.0, -0.0]], [[1.0, 2.0], [2.0, 4.0]]]
+
+
+def test_float_elimination_matches_float_loops():
+    """Float rref, det and charpoly equal the float reference loops bit for
+    bit, zero signs included, on the float_pivoting systems and on random
+    matrices with zeros, repeated rows and tiny pivots."""
+    rng = random.Random(18)
+    cases = list(FLOAT_CASES)
+    for _ in range(200):
+        r, c = rng.choice([(1, 1), (1, 4), (4, 1), (2, 2), (3, 3), (3, 5), (5, 3), (5, 5)])
+        a = [[rng.choice([0.0, -0.0, 1.0, -2.5, 1e-12, rng.uniform(-3, 3)]) for _ in range(c)]
+             for _ in range(r)]
+        if r > 1 and rng.random() < 0.3:
+            a[-1] = list(a[0])
+        cases.append(a)
+    for a in cases:
+        got, want = rref(a), _ref_rref(a)
+        assert got[1] == want[1] and _same_matrix(got[0], want[0]), a
+        if len(a) == len(a[0]):
+            assert _same(det(a), _ref_det(a)), a
+            assert _same_matrix([charpoly(a)], [_ref_charpoly(a)]), a
