@@ -21,6 +21,7 @@ orthonormal and matches the adapted-basis block form
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .scalars import EXACT, coerce, is_zero, one, sqrt_scalar, zero
 from . import linalg
@@ -80,13 +81,15 @@ class HermitianData:
         return [[self.d_inner[i] if i == j else zero(self.kind)
                  for j in range(self.m)] for i in range(self.m)]
 
+    @cached_property
     def adjoint_A(self):
-        """g-adjoint of A on n_1: S^-1 A^t S with S = diag(d_inner) the frame
-        Gram matrix, so entry (i, j) is (1/d_i) (A_ji d_j)."""
+        """g-adjoint of A on n_1, computed once: S^-1 A^t S with S =
+        diag(d_inner) the frame Gram matrix, so entry (i, j) is
+        (1/d_i) (A_ji d_j).  A tuple of rows, as A is."""
         d = self.d_inner
         inv = [1 / x for x in d]
-        return [[inv[i] * (self.A[j][i] * d[j]) for j in range(self.m)]
-                for i in range(self.m)]
+        return tuple(tuple(inv[i] * (self.A[j][i] * d[j]) for j in range(self.m))
+                     for i in range(self.m))
 
     def v_norm_sq(self):
         return sum(self.d_inner[i] * self.v[i] * self.v[i] for i in range(self.m))
@@ -299,19 +302,20 @@ def extract_data(L: LieAlgebra, ideal: Subspace | None, J: ComplexStructure,
 def is_kahler_data(d: HermitianData) -> bool:
     if not linalg.is_zero_vector(d.v_vector):
         return False
-    astar = d.adjoint_A()
+    astar = d.adjoint_A
     return linalg.mat_eq(astar, linalg.mat_scale(-1, d.A_matrix))
 
 
 def is_lck_data(d: HermitianData) -> bool:
     m = d.m
-    if d.n == 2 and linalg.is_zero_matrix(d.A_matrix):
+    # n = 1: d omega is a 3-form on R^2; n = 2: A = 0 gives theta ^ omega = d omega
+    if d.n <= 2 and linalg.is_zero_matrix(d.A_matrix):
         return True
     if not linalg.is_zero_vector(d.v_vector):
         return False
     lam = linalg.trace(d.A_matrix) / m
-    u = linalg.mat_sub(d.A_matrix, linalg.mat_scale(lam, linalg.idmat(m, d.kind)))
-    ustar = linalg.mat_sub(d.adjoint_A(), linalg.mat_scale(lam, linalg.idmat(m, d.kind)))
+    u = linalg.mat_shift(d.A_matrix, -lam)
+    ustar = linalg.mat_shift(d.adjoint_A, -lam)
     return linalg.mat_eq(ustar, linalg.mat_scale(-1, u))
 
 
@@ -328,18 +332,17 @@ def is_skt_data(d: HermitianData) -> bool:
     frame scale exactly.
     """
     am = d.A_matrix
-    astar = d.adjoint_A()
+    astar = d.adjoint_A
     if not linalg.is_zero_matrix(linalg.commutator(am, astar)):
         return False
     m = d.m
     half = coerce(1, d.kind) / 2
     s = linalg.mat_scale(half, linalg.mat_add(am, astar))
-    shift = linalg.mat_add(s, linalg.mat_scale(d.a * half, linalg.idmat(m, d.kind)))
-    return linalg.is_zero_matrix(linalg.mat_mul(s, shift))
+    return linalg.is_zero_matrix(linalg.mat_mul(s, linalg.mat_shift(s, d.a * half)))
 
 
 def is_lcb_data(d: HermitianData) -> bool:
-    return linalg.is_zero_vector(linalg.mat_vec(d.adjoint_A(), d.v_vector))
+    return linalg.is_zero_vector(linalg.mat_vec(d.adjoint_A, d.v_vector))
 
 
 DATA_PREDICATES = {
@@ -402,7 +405,7 @@ def rho_b_closed(d: HermitianData) -> KForm:
               + d.v_norm_sq() / d.d_outer)
     from .forms import wedge
     out = wedge(b_first, b_last).scale(coeff)
-    atv = linalg.mat_vec(d.adjoint_A(), d.v_vector)
+    atv = linalg.mat_vec(d.adjoint_A, d.v_vector)
     lowered = _covector(d, atv, zero(d.kind))
     return out - wedge(KForm.from_vector(lowered), b_last)
 
@@ -451,10 +454,9 @@ def skt_to_lcb(d: HermitianData) -> HermitianData:
         raise DataError("PRECONDITION", "input data is not SKT")
     m = d.m
     kind = d.kind
-    shift = linalg.mat_scale(d.a, linalg.idmat(m, kind))
     # cokernel: null space of (A - a)^* with respect to the frame Gram matrix
     s = d.gram_n1()
-    kernel = linalg.nullspace(linalg.mat_sub(d.adjoint_A(), shift))
+    kernel = linalg.nullspace(linalg.mat_shift(d.adjoint_A, -d.a))
     if kernel:
         cols = linalg.transpose(kernel)
         gram = [[linalg.gdot(s, u, w) for w in kernel] for u in kernel]
@@ -464,7 +466,7 @@ def skt_to_lcb(d: HermitianData) -> HermitianData:
         vprime = linalg.mat_vec(cols, coeffs)
     else:
         vprime = [zero(kind)] * m
-    x = linalg.solve_general(linalg.mat_sub(d.A_matrix, shift),
+    x = linalg.solve_general(linalg.mat_shift(d.A_matrix, -d.a),
                              linalg.vec_sub(d.v_vector, vprime))
     if x is None:
         raise DataError("PRECONDITION", "projection split failed")
@@ -475,10 +477,10 @@ def skt_to_lcb(d: HermitianData) -> HermitianData:
              + (tuple(linalg.vec_sub(d.frame[-1], linalg.mat_vec(lift, jx))),))
     # the frame matrix is P (I - E) with E = x e_1^t + (J_1 x) e_2n^t; E^2 = 0,
     # so the coframe is (I + E) C: row 1+t of C gains x_t b^1 + (J_1 x)_t b^2n
-    first, last = d.coframe[0], d.coframe[-1]
-    coframe = ((first,) + tuple(
-        tuple(c + x[t] * p + jx[t] * q for c, p, q in zip(d.coframe[1 + t], first, last))
-        for t in range(m)) + (last,))
+    e = linalg.idmat(m + 2, kind)
+    for t in range(m):
+        e[1 + t][0], e[1 + t][-1] = x[t], jx[t]
+    coframe = tuple(map(tuple, linalg.mat_mul(e, d.coframe)))
     return HermitianData(
         n=d.n, a=d.a, v=tuple(vprime), A=d.A, J1=d.J1, frame=frame,
         coframe=coframe, d_outer=one(kind), d_inner=d.d_inner, kind=kind)

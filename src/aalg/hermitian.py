@@ -17,8 +17,9 @@ Conventions, fixed package-wide and spelled out in the README:
   the unique sign for which D^B g = 0, D^B J = 0 and the torsion is a
   3-form under the two conventions above.  The torsion term is read from
   the nonzero coefficients of sigma = d omega(J., J., J.) = -d^c omega, each
-  written to its six permutations; d^c omega itself is a pullback along J,
-  which wedges the sparse 1-forms J^t e^i (see ``forms``);
+  written to its six permutations; d^c omega itself is the pullback of
+  d omega along J, three one-index contractions of its antisymmetric tensor
+  with the sparse integer rows of J (see ``forms``);
 * Bismut-Ricci  rho^B(X, Y) = -1/2 sum_i g(R^B(X, Y) f_i, J f_i) over a
   g-orthonormal frame, evaluated basis-free as -1/2 tr(W R(e_i, e_j)) with
   W = g^{-1} J^t g, expanded as tr(P_i G_j) - tr(P_j G_i) - sum_t c^t_ij
@@ -29,13 +30,16 @@ Conventions, fixed package-wide and spelled out in the README:
   products, the traces integer sums, and only rho^B's coefficients become
   Fractions (floats pass with d = 2.0); no connection matrix is built;
 * Lee form  theta(e_k) = 1/2 sum_{p,q} M_pq d omega(e_p, e_q, e_k) with
-  M = g^{-1} J^t, each coefficient of d omega entering in its six orderings;
-  balanced is theta = 0 (wedging with omega^(n-1) is injective on 1-forms).
+  M = g^{-1} J^t, each coefficient of d omega entering in its six orderings,
+  summed on the integer numerators of M and d omega; balanced is theta = 0
+  (wedging with omega^(n-1) is injective on 1-forms).  In dimension 2,
+  d omega is a 3-form, so theta = 0 and every predicate on it holds.
 
-Connection tables and the Lee form are computed once per structure and
-cached on the instance, the integrability of J once per algebra and the
-metric's inverse once per metric (each under the tolerance in force at
-that first call); instances are otherwise immutable.
+Connection tables, the integrability of J, d omega, the Lee form and
+d theta are computed once per structure and cached on the instance (the
+integrability of each J also once per algebra), the metric's inverse once
+per metric (each under the tolerance in force at that first call);
+instances are otherwise immutable.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from functools import cached_property
 from itertools import permutations
 from operator import mul
 
-from .scalars import EXACT, coerce, is_zero, one, zero
+from .scalars import EXACT, is_zero, one
 from . import linalg
 from .forms import KForm, exterior_derivative, pullback, sort_indices, wedge
 from .lie import LieAlgebra
@@ -66,10 +70,7 @@ class ComplexStructure:
     @classmethod
     def from_matrix(cls, j):
         j = linalg.as_matrix(j)
-        n = len(j)
-        kind = linalg.matrix_kind(j)
-        if not linalg.mat_eq(linalg.mat_mul(j, j),
-                             linalg.mat_scale(coerce(-1, kind), linalg.idmat(n, kind))):
+        if not linalg.is_zero_matrix(linalg.mat_shift(linalg.mat_mul(j, j), 1)):
             raise HermitianError("NOT_COMPLEX", "J^2 != -Id")
         return cls(tuple(tuple(row) for row in j))
 
@@ -172,7 +173,7 @@ class HermitianStructure:
         return nijenhuis(self.J, self.L)
 
     def is_integrable(self) -> bool:
-        return is_integrable(self.J, self.L)
+        return self._memo("integrable", lambda: is_integrable(self.J, self.L))
 
     def _require_integrable(self):
         if not self.is_integrable():
@@ -191,13 +192,16 @@ class HermitianStructure:
     def _compute_lee(self):
         if self.dim < 4:
             raise HermitianError("DIMENSION", "the Lee form needs dim >= 4")
-        m = self._ginv_jt
-        half = coerce(1, self.L.kind) / 2
-        theta = [zero(self.L.kind)] * self.dim
-        for key, val in self.domega().coeffs.items():
+        domega = self.domega().coeffs
+        (dm, mn), (dw, (wn,)) = linalg._numerators(self._ginv_jt, [list(domega.values())])
+        theta = [0] * self.dim
+        for key, w in zip(domega, wn):
             for p, q, k in permutations(key):
-                theta[k] += sort_indices((p, q, k))[1] * half * m[p][q] * val
-        return KForm.from_vector(theta)
+                theta[k] += sort_indices((p, q, k))[1] * mn[p][q] * w
+        return KForm.from_vector(linalg._over([theta], 2 * dm * dw)[0])
+
+    def dtheta(self):
+        return self._memo("dtheta", lambda: exterior_derivative(self.lee_form(), self.L))
 
     # -- direct predicates ------------------------------------------------------
     def is_kahler_direct(self) -> bool:
@@ -210,17 +214,20 @@ class HermitianStructure:
         return self.n < 2 or self.lee_form().is_zero()
 
     def is_lck_direct(self) -> bool:
+        """d theta = 0 and (n - 1) d omega = theta ^ omega; always true in dim 2."""
         self._require_integrable()
-        theta = self.lee_form()
-        if not exterior_derivative(theta, self.L).is_zero():
+        if self.n < 2:
+            return True
+        if not self.dtheta().is_zero():
             return False
         lhs = self.domega().scale(self.n - 1)
-        rhs = wedge(theta, self.omega)
+        rhs = wedge(self.lee_form(), self.omega)
         return lhs.equals(rhs)
 
     def is_lcb_direct(self) -> bool:
+        """d theta = 0; always true in dim 2."""
         self._require_integrable()
-        return exterior_derivative(self.lee_form(), self.L).is_zero()
+        return self.n < 2 or self.dtheta().is_zero()
 
     def dc_omega(self):
         """d^c omega = -d omega (J., J., J.)."""
@@ -250,6 +257,8 @@ class HermitianStructure:
         """LCK with Levi-Civita-parallel Lee form; returns (bool, note)."""
         if not self.is_lck_direct():
             return False, "not LCK"
+        if self.n < 2:
+            return True, "Kahler"
         theta = self.lee_form()
         comps = [theta.get((i,)) for i in range(self.dim)]
         lc = self.levi_civita()

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .scalars import EXACT, coerce, exact_sqrt, zero
+from .scalars import EXACT, exact_sqrt, zero
 from . import linalg
 from .forms import KForm
 from .hermitian import (ComplexStructure, HermitianStructure, Metric,
@@ -95,7 +95,7 @@ def _shifted_charpoly(D):
     """
     n = len(D)
     a = Fraction(linalg.trace(D), n)
-    shifted = linalg.mat_sub(D, linalg.mat_scale(a, linalg.idmat(n)))
+    shifted = linalg.mat_shift(D, -a)
     chi = linalg.charpoly(shifted)
     m0 = 0
     while chi[m0] == 0:
@@ -218,8 +218,7 @@ def canonical_form(D):
     columns = []
     blocks = []
     for b, nu in bs:
-        w_mat = linalg.mat_add(linalg.mat_mul(shifted, shifted),
-                               linalg.mat_scale(b * b, linalg.idmat(n)))
+        w_mat = linalg.mat_shift(linalg.mat_mul(shifted, shifted), b * b)
         w_basis = linalg.nullspace(w_mat)
         assert len(w_basis) == 4 * nu, "eigenspace dimension mismatch"
         used = []
@@ -286,13 +285,10 @@ def construct_lchk(D):
 def verify_triple(L: LieAlgebra, triple: HypercomplexTriple):
     """Check every invariant of a hypercomplex LCK triple; returns a report."""
     i1, i2, i3 = triple.I1.matrix, triple.I2.matrix, triple.I3.matrix
-    n = L.dim
-    kind = L.kind
     report = {}
     report["quaternion_i1i2_eq_i3"] = linalg.mat_eq(linalg.mat_mul(i1, i2), i3)
     prod = linalg.mat_mul(linalg.mat_mul(i1, i2), i3)
-    report["quaternion_product"] = linalg.mat_eq(
-        prod, linalg.mat_scale(coerce(-1, kind), linalg.idmat(n, kind)))
+    report["quaternion_product"] = linalg.is_zero_matrix(linalg.mat_shift(prod, 1))
     lee_forms = []
     for tag, J in (("I1", triple.I1), ("I2", triple.I2), ("I3", triple.I3)):
         report[f"integrable_{tag}"] = is_integrable(J, L)

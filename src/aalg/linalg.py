@@ -117,6 +117,11 @@ def mat_scale(s, a):
     return [[s * x for x in row] for row in a]
 
 
+def mat_shift(a, c):
+    """a + c Id, one addition per diagonal entry."""
+    return [[x + c if i == j else x for j, x in enumerate(row)] for i, row in enumerate(a)]
+
+
 def _numerators(*ms):
     """Each matrix m of ms as (d, rows) with m = rows / d.  When every m is
     exact (Fraction or int entries, the kind read off its first entry),
@@ -223,7 +228,7 @@ def mat_eq(a, b) -> bool:
     if len(a) != len(b):
         return False
     return all(
-        len(ra) == len(rb) and all(is_zero(x - y) for x, y in zip(ra, rb))
+        len(ra) == len(rb) and all(x == y or is_zero(x - y) for x, y in zip(ra, rb))
         for ra, rb in zip(a, b)
     )
 

@@ -69,7 +69,9 @@ def coerce(x, kind: str):
     Floats never silently enter the exact path.
     """
     if kind == EXACT:
-        if isinstance(x, bool) or not isinstance(x, (Fraction, int)):
+        if isinstance(x, Fraction):
+            return x    # immutable: no copy
+        if isinstance(x, bool) or not isinstance(x, int):
             raise TypeError(f"cannot put {x!r} on the exact path")
         return Fraction(x)
     if kind == FLOAT:

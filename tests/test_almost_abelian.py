@@ -116,6 +116,23 @@ def test_lcb_degenerate_witness():
     assert linalg.rank(aug + [list(d.v)]) == linalg.rank(aug) + 1
 
 
+def test_dimension_2_data_satisfies_every_predicate():
+    """n = 1: n_1 = 0, so A and v are empty, and d omega, a 3-form, vanishes."""
+    for a in (0, 1, F(-3, 2)):
+        d = data_from_parts(a, [], [], [])
+        assert all(pred(d) for pred in DATA_PREDICATES.values())
+
+
+def test_adjoint_is_computed_once_per_data():
+    """A* is cached on the instance; field equality and hashing ignore it."""
+    d = random_data(random.Random(8), 3, "skt")
+    twin = data_from_parts(d.a, d.v, d.A, d.J1)
+    first = d.adjoint_A
+    assert d.adjoint_A is first
+    assert d == twin and hash(d) == hash(twin)
+    assert twin.adjoint_A == first
+
+
 def test_lcb_trivial_v_zero():
     for d in data_stream(41, 10, dims=(2, 3), shapes=("v0", "kahler", "balanced")):
         assert is_lcb_data(d)
@@ -126,7 +143,7 @@ def test_lcb_false_on_image_vectors():
     found = 0
     for _ in range(20):
         d = random_data(rng, 3, "lcb_false")
-        atv = linalg.mat_vec(d.adjoint_A(), d.v_vector)
+        atv = linalg.mat_vec(d.adjoint_A, d.v_vector)
         if linalg.is_zero_vector(atv):
             continue
         found += 1

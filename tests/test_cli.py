@@ -94,6 +94,21 @@ def test_check_all_properties(docs, capsys):
     assert res["vaisman"]["agreement"] is None
 
 
+def test_check_in_dimension_2(tmp_path, capsys):
+    """aff(R) with its only Hermitian structure: d omega = 0, theta = 0, and
+    the two routes agree on every predicate."""
+    path = tmp_path / "aff.alg"
+    path.write_text("algebra aff dim 2\nd = (f12, 0)\nJ: f1->f2\ng: identity\n",
+                    encoding="utf-8")
+    code, rep = run_json(capsys, ["check", str(path), "--json"])
+    assert code == 0
+    for prop in ("kahler", "lck", "balanced", "skt", "lcb"):
+        assert rep["results"][prop] == {"direct": True, "data": True, "agreement": True}
+    for prop in ("lck", "lcb"):
+        code, rep = run_json(capsys, ["check", str(path), "--property", prop, "--json"])
+        assert code == 0 and rep["results"][prop]["agreement"] is True
+
+
 def test_check_rejects_non_almost_abelian(docs, capsys):
     code = main(["check", docs["so3"], "--property", "lcb"])
     assert code == 2

@@ -1,16 +1,21 @@
 """Exterior calculus kernel: wedge, differential, musical isomorphisms."""
 
 import random
+import sys
 from fractions import Fraction as F
 from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
+from aalg.almost_abelian import build_algebra
 from aalg.forms import (KForm, exterior_derivative, flat, pullback, sharp,
                         sort_indices, wedge)
+from aalg.hermitian import HermitianStructure
 from aalg.lie import LieAlgebra
 from aalg.scalars import EXACT, FLOAT, zero
 from aalg import linalg
+
+from conftest import random_data, random_shear, transported
 
 
 def form_strategy(dim, degree):
@@ -217,26 +222,152 @@ def test_evaluate_matches_determinants(case):
     assert got == want if alpha.kind == EXACT else close(got, want)
 
 
-def test_pullback_cost_follows_nonzeros_not_dimension(monkeypatch):
-    """Along a signed permutation a one-term 3-form costs as many Fraction
-    multiplications at dim 8 as at dim 16 (a sweep over the C(n, 3) target
-    index sets would not)."""
+def test_pullback_cost_follows_nonzeros_not_dimension():
+    """Along a signed permutation a one-term 3-form runs as many lines of
+    pullback's own body at dim 8 as at dim 16 (a sweep over the C(n, 3)
+    target index sets would not)."""
     count = [0]
-    for name in ("__mul__", "__rmul__"):
-        def counted(a, b, original=getattr(F, name)):
-            count[0] += 1
-            return original(a, b)
-        monkeypatch.setattr(F, name, counted)
 
-    def multiplications(dim):
+    def local(frame, event, arg):
+        count[0] += event == "line"
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code is pullback.__code__ else None
+
+    def lines(dim):
         perm = [[F(0)] * dim for _ in range(dim)]
         for i in range(dim):
             perm[i][(i + 3) % dim] = F(-1) if i % 2 else F(1)
         alpha = KForm(3, dim, {(0, 2, 5): F(3, 2)})
         count[0] = 0
-        pulled = pullback(alpha, perm)
-        used = count[0]
+        previous = sys.gettrace()
+        sys.settrace(calls)
+        try:
+            pulled = pullback(alpha, perm)
+        finally:
+            sys.settrace(previous)
         assert pulled == KForm.basis(dim, 3, 5, 8 % dim).scale(F(-3, 2))
-        return used
+        return count[0]
 
-    assert multiplications(8) == multiplications(16)
+    assert 0 < lines(8) == lines(16)
+
+
+# -- the integer kernels against the Fraction loops they replaced -------------
+
+def fraction_loop_d(alpha, algebra):
+    """d alpha with one multiply-add per (term, position, coframe coefficient)."""
+    dim, kind = alpha.dim, alpha.kind
+    if alpha.degree == 0 or alpha.degree >= dim:
+        return KForm.zero_form(alpha.degree + 1, dim, kind)
+    dcoframe = algebra.coframe_differentials()
+    acc = {}
+    for key, val in alpha.coeffs.items():
+        for pos, idx in enumerate(key):
+            rest = key[:pos] + key[pos + 1:]
+            sgn_pos = -1 if pos % 2 else 1
+            for (p, q), w in dcoframe[idx].coeffs.items():
+                srt = sort_indices((p, q) + rest)
+                if srt is None:
+                    continue
+                merged, sgn = srt
+                acc[merged] = acc.get(merged, zero(kind)) + sgn_pos * sgn * val * w
+    return KForm(alpha.degree + 1, dim, acc, kind=kind)
+
+
+def fraction_loop_pullback(alpha, m):
+    """m* alpha by substituting the 1-forms m*e^s (rows of m) into each term
+    and wedging them together."""
+    dim, kind = len(m[0]), alpha.kind
+    out = {}
+    for key, val in alpha.coeffs.items():
+        term = KForm(0, dim, {(): val}, kind=kind)
+        for s in key:
+            term = wedge(term, KForm(1, dim, {(t,): x for t, x in enumerate(m[s])}, kind=kind))
+        for k, v in term.coeffs.items():
+            out[k] = out.get(k, zero(kind)) + v
+    return KForm(alpha.degree, dim, out, kind=kind)
+
+
+WIDE_EXACT = st.builds(F, st.integers(-9, 9), st.sampled_from((1, 2, 3, 4, 6, 7)))
+
+
+def entries(draw, count, dense):
+    """count exact scalars, about one in four nonzero unless dense."""
+    pick = WIDE_EXACT if dense else st.one_of(st.just(F(0)), st.just(F(0)),
+                                              st.just(F(0)), WIDE_EXACT)
+    return draw(st.lists(pick, min_size=count, max_size=count))
+
+
+@st.composite
+def kernel_cases(draw):
+    """(alpha, algebra, m, shear): an exact form of degree 1..3 on R^n
+    (n <= 8), sparse or dense; the algebra R^(n-1) x|_D R for a sparse or
+    dense D, in its own basis or moved by random_shear; an n x n or n x k
+    matrix m, sparse or dense."""
+    n = draw(st.integers(2, 8))
+    degree = draw(st.integers(1, min(3, n)))
+    keys = list(combinations(range(n), degree))
+    chosen = keys if draw(st.booleans()) else draw(
+        st.lists(st.sampled_from(keys), min_size=1, max_size=4, unique=True))
+    alpha = KForm(degree, n, dict(zip(chosen, entries(draw, len(chosen), draw(st.booleans())))))
+    dense_d = draw(st.booleans())
+    D = [entries(draw, n - 1, dense_d) for _ in range(n - 1)]
+    L = LieAlgebra.semidirect(D)
+    shear = draw(st.booleans())
+    if shear:
+        L = L.change_basis(random_shear(draw(st.randoms(use_true_random=False)), n))
+    width = draw(st.sampled_from((n, draw(st.integers(1, n)))))
+    dense_m = draw(st.booleans())
+    m = [entries(draw, width, dense_m) for _ in range(n)]
+    return alpha, L, m
+
+
+def floated(alpha, L, m):
+    return (KForm(alpha.degree, alpha.dim, {k: float(v) for k, v in alpha.coeffs.items()},
+                  kind=FLOAT),
+            LieAlgebra(L.dim, {k: [float(x) for x in v] for k, v in L.brackets.items()}),
+            [[float(x) for x in row] for row in m])
+
+
+def within(got, want, scale):
+    keys = set(got.coeffs) | set(want.coeffs)
+    return (got.degree, got.dim) == (want.degree, want.dim) and all(
+        abs(got.get(k) - want.get(k)) <= 1e-12 * scale for k in keys)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_cases())
+def test_integer_kernels_match_the_fraction_loops(case):
+    alpha, L, m = case
+    d = exterior_derivative(alpha, L)
+    assert d == fraction_loop_d(alpha, L)
+    assert all(type(v) is F for v in d.coeffs.values())
+    pulled = pullback(alpha, m)
+    assert pulled == fraction_loop_pullback(alpha, m)
+    assert all(type(v) is F for v in pulled.coeffs.values())
+    # floats: d is the same sum in the same order; the pullback sums the same
+    # terms in another order, within 1e-12 of the largest possible term sum
+    fa, fl, fm = floated(alpha, L, m)
+    assert exterior_derivative(fa, fl) == fraction_loop_d(fa, fl)
+    bound = max(1.0, sum(abs(v) for v in fa.coeffs.values())
+                * max(sum(abs(x) for x in row) for row in fm) ** alpha.degree)
+    assert within(pullback(fa, fm), fraction_loop_pullback(fa, fm), bound)
+
+
+def test_pullback_of_d_omega_along_a_sheared_j_matches_the_fraction_loop():
+    """d omega and d^c omega of random structures moved by random_shear,
+    where J and the coframe differentials are dense."""
+    rng = random.Random(19)
+    for shape in ("generic", "skt", "lcb"):
+        d = random_data(rng, 3, shape)
+        L, J, g = transported(*build_algebra(d.a, list(d.v), d.A_matrix, d.J1_matrix),
+                              random_shear(rng, 6))
+        H = HermitianStructure(L, J, g)
+        assert H.domega() == fraction_loop_d(H.omega, L)
+        assert pullback(H.domega(), J.matrix) == fraction_loop_pullback(H.domega(), J.matrix)
+        fa, fl, fj = floated(H.domega(), L, J.matrix)
+        bound = max(1.0, sum(abs(v) for v in fa.coeffs.values())
+                    * max(sum(abs(x) for x in row) for row in fj) ** 3)
+        assert within(pullback(fa, fj), fraction_loop_pullback(fa, fj), bound)
+        assert exterior_derivative(H.omega, L) == fraction_loop_d(H.omega, L)

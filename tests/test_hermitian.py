@@ -319,6 +319,33 @@ def test_dim_2_is_balanced_and_has_no_lee_form():
     assert err.value.code == "DIMENSION"
 
 
+def test_dim_2_is_lck_and_lcb():
+    """On aff(R), d omega is a 3-form on R^2, so theta = 0: every predicate on
+    the Lee form holds, and Vaisman reduces to Kahler."""
+    H = HermitianStructure(LieAlgebra(2, {(0, 1): [F(-1), F(0)]}),
+                           ComplexStructure.from_pairs(2, [(0, 1)]), Metric.identity(2))
+    assert H.is_kahler_direct() and H.is_lck_direct() and H.is_lcb_direct()
+    assert H.is_vaisman() == (True, "Kahler")
+
+
+def test_five_predicates_take_three_differentials(monkeypatch):
+    """d omega, d theta and d(d^c omega) are each computed once per structure,
+    and J's integrability is read from the algebra once."""
+    from aalg import hermitian
+    d = random_data(random.Random(4), 3, "lcb")
+    H = HermitianStructure(*build_algebra(d.a, list(d.v), d.A_matrix, d.J1_matrix))
+    real_d, real_memo = hermitian.exterior_derivative, LieAlgebra.memo
+    seen, asked = [], []
+    monkeypatch.setattr(hermitian, "exterior_derivative",
+                        lambda alpha, L: seen.append(alpha.degree) or real_d(alpha, L))
+    monkeypatch.setattr(LieAlgebra, "memo",
+                        lambda self, key, f: asked.append(key[0]) or real_memo(self, key, f))
+    for name in ("kahler", "lck", "balanced", "skt", "lcb"):
+        getattr(H, f"is_{name}_direct")()
+    assert sorted(seen) == [1, 2, 3]
+    assert asked.count("integrable") == 1
+
+
 def _float_structure(L, J, g):
     return HermitianStructure(
         LieAlgebra(L.dim, {k: [float(x) for x in v] for k, v in L.brackets.items()}),

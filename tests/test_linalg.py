@@ -13,7 +13,7 @@ from aalg.linalg import (charpoly, det, inverse, minpoly, nullspace, poly_deg,
                          poly_deriv, poly_divmod, poly_eval, poly_eval_matrix,
                          poly_gcd, poly_monic, poly_mul, rank, rational_roots, rref, solve,
                          solve_general, squarefree_factors, sturm_distinct_real_roots)
-from aalg.scalars import DEFAULT_EPS
+from aalg.scalars import DEFAULT_EPS, EXACT, coerce
 
 
 def test_solve_exact():
@@ -377,6 +377,24 @@ def test_a_float_operand_makes_a_float_product():
         assert got == [row[0] for row in _dense_float(a, [[x] for x in v])]
         assert all(type(x) is float for x in got)
     assert linalg.mat_vec(thirds, [1.5, 2.0]) == [0.5, 5.5]
+
+
+def test_coerce_keeps_fractions_and_still_guards_the_exact_path():
+    x = F(3, 7)
+    assert coerce(x, EXACT) is x
+    assert type(coerce(3, EXACT)) is F and coerce(3, EXACT) == 3
+    for bad in (0.5, True):
+        with pytest.raises(TypeError):
+            coerce(bad, EXACT)
+
+
+def test_mat_shift_and_mat_eq():
+    a = [[F(1), F(2)], [F(3), F(4)]]
+    assert linalg.mat_shift(a, F(-1, 2)) == [[F(1, 2), F(2)], [F(3), F(7, 2)]]
+    assert linalg.mat_eq(linalg.mat_shift(a, 0), a)
+    assert not linalg.mat_eq(a, linalg.mat_shift(a, F(1, 10**30)))
+    assert linalg.mat_eq([[1.0, 0.0]], [[1.0 + 1e-12, -1e-12]])
+    assert not linalg.mat_eq([[float("nan")]], [[float("nan")]])
 
 
 def test_integer_matrices_stay_exact():
