@@ -12,8 +12,13 @@ An adapted frame is (b_1, u_1, .., u_{2n-2}, b_{2n}) with:
 On the exact path frames are normalized only when the squared norms are
 perfect rational squares; all predicates and the closed Lee/Bismut-Ricci
 formulas below carry the exact scale corrections, so verdicts are exact
-for any rational input.  Data produced by :func:`build_algebra` is always
-orthonormal and matches the adapted-basis block form
+for any rational input.  The frame is g-orthogonal, so no inverse is
+taken: coframe row t is (G w_t)^t / |w_t|^2, from the products G w that
+the Gram-Schmidt keeps, and the matrices of ad_{b_2n} and J in the frame
+are the products C ad_{b_2n} F and C J F of the coframe C and the frame
+F, formed on integer numerators with one Fraction per entry read.
+Data produced by :func:`build_algebra` is always orthonormal and matches
+the adapted-basis block form
 
     B = [[a, 0], [v, A]],   A commuting with J_1.
 """
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 
 from .scalars import EXACT, coerce, is_zero, one, sqrt_scalar, zero
 from . import linalg
@@ -46,8 +52,9 @@ class HermitianData:
     b^t in ambient coordinates.  ``d_outer`` is the common squared
     norm of b_1 and b_{2n}; ``d_inner`` the squared norms of the u_i
     (equal within each J-pair).  A fully orthonormal frame has all of
-    them equal to one.  The frame is g-orthogonal, so these norms and
-    the coframe fix g: ``metric()`` rebuilds it.
+    them equal to one.  The frame is g-orthogonal, so the coframe is
+    read off it, row t being (G w_t)^t / |w_t|^2, and these norms and
+    the coframe fix g: ``metric()`` rebuilds it as one product.
     """
 
     n: int
@@ -101,12 +108,13 @@ class HermitianData:
     def metric(self) -> Metric:
         """The metric the frame realizes: sum_t w_t (b^t)^2 over the coframe
         rows, with w = (d_outer, d_inner, d_outer) the squared norms of the
-        g-orthogonal frame."""
-        w = (self.d_outer,) + self.d_inner + (self.d_outer,)
-        c = self.coframe
-        n2 = len(w)
-        return Metric.from_matrix([[sum(w[t] * c[t][i] * c[t][j] for t in range(n2))
-                                    for j in range(n2)] for i in range(n2)])
+        g-orthogonal frame; that is C^t (W C), one product on the integer
+        numerators of C and w."""
+        (dw, (wn,)), (dc, cn) = linalg._numerators(
+            [[self.d_outer, *self.d_inner, self.d_outer]], self.coframe)
+        wc = [[s * x for x in row] for s, row in zip(wn, cn)]
+        return Metric.from_matrix(
+            linalg._over(linalg._row_sums(linalg.transpose(cn), wc, 0), dw * dc * dc))
 
     def gauge_invariants(self):
         """Quantities independent of the unitary gauge in the adapted frame."""
@@ -194,7 +202,12 @@ def extract_data(L: LieAlgebra, ideal: Subspace | None, J: ComplexStructure,
     The ideal may be declared (required when it is not unique); otherwise
     it is detected (``lie.abelian_ideal`` does either, once per declaration).
     The frame is produced by deterministic Gram-Schmidt in J-stable
-    pairs, lowest ambient index first.
+    pairs, lowest ambient index first.  G, J and G J are cleared to
+    integers once, so each frame vector's three images are one product;
+    the frame is g-orthogonal, so the coframe is read off the images G w,
+    and the matrices of ad_{b_2n} and J in the frame are the products
+    C ad_{b_2n} F and C J F of the coframe C and the frame F.  That needs
+    g(J., J.) = g, and a g without it is rejected as J_NOT_COMPATIBLE.
     """
     n2 = L.dim
     kind = L.kind
@@ -204,10 +217,25 @@ def extract_data(L: LieAlgebra, ideal: Subspace | None, J: ComplexStructure,
         raise DataError(exc.code, exc.message) from None
     if not is_integrable(J, L):
         raise DataError("J_NOT_COMPATIBLE", "J is not integrable")
-    gm = g.matrix
-    jm = J.matrix
-    # b_2n spans the g-orthogonal complement of n
-    perp = linalg.nullspace([linalg.mat_vec(gm, v) for v in vecs])
+    (dg, gn), (dj, jn), (_, vn) = linalg._numerators(g.matrix, J.matrix, vecs)
+    # J^t G is antisymmetric iff g(J., J.) = g, and then the frame below is
+    # g-orthogonal
+    jtg = linalg._row_sums(linalg.transpose(jn), gn, 0)
+    if not all(is_zero(jtg[i][j] + jtg[j][i]) for i in range(n2) for j in range(i + 1)):
+        raise DataError("J_NOT_COMPATIBLE", "g(J., J.) != g")
+    # G, J and G J = (J^t G)^t stacked over the denominator dg dj
+    ops = ([[x * dj for x in row] for row in gn] + [[x * dg for x in row] for row in jn]
+           + linalg.transpose(jtg))
+
+    def images(x):
+        """G x, J x and G J x, from one product."""
+        ((dx, (xn,)),) = linalg._numerators([x])
+        y = linalg._over([[sum(map(mul, row, xn)) for row in ops]], dg * dj * dx)[0]
+        return y[:n2], y[n2:2 * n2], y[2 * n2:]
+
+    # b_2n spans the g-orthogonal complement of n: the kernel of the rows
+    # v^t G (G is symmetric, and scaling a row leaves the kernel alone)
+    perp = linalg.nullspace(linalg._row_sums(vn, gn, 0))
     if len(perp) != 1:
         raise DataError("IDEAL_NOT_ABELIAN", "orthogonal complement is not a line")
     b2n = perp[0]
@@ -216,29 +244,28 @@ def extract_data(L: LieAlgebra, ideal: Subspace | None, J: ComplexStructure,
             if x < 0:
                 b2n = [-t for t in b2n]
             break
-    b1 = [-x for x in linalg.mat_vec(jm, b2n)]
-    d_outer = linalg.gdot(gm, b2n, b2n)
+    gb2n, jb2n, gjb2n = images(b2n)
+    b1, gb1 = [-x for x in jb2n], [-x for x in gjb2n]
+    d_outer = linalg.dot(b2n, gb2n)
     scale = sqrt_scalar(d_outer)
     if scale is not None and not is_zero(scale - 1):
-        b2n = [x / scale for x in b2n]
-        b1 = [x / scale for x in b1]
+        b2n, gb2n, b1, gb1 = ([x / scale for x in w] for w in (b2n, gb2n, b1, gb1))
         d_outer = one(kind)
-    # n_1 = n intersect J n: solve xi(x) = 0 and xi(Jx) = 0 for the
-    # defining covector xi of n
-    xi = linalg.mat_vec(gm, perp[0])
-    xiJ = linalg.mat_vec(linalg.transpose(jm), xi)
-    n1_basis = linalg.nullspace([xi, xiJ])
+    # n_1 = n intersect J n is the g-orthogonal complement of b_1 and b_2n
+    n1_basis = linalg.nullspace([gb2n, gb1])
     if len(n1_basis) != n2 - 2:
         raise DataError("J_NOT_COMPATIBLE", "n intersect Jn has wrong dimension")
-    # deterministic J-paired Gram-Schmidt inside n_1
-    pairs = []
+    # deterministic J-paired Gram-Schmidt inside n_1; (w, G w, |w|^2) per
+    # frame vector, so each projection is one sparse dot product
     used = []
 
     def project_out(x):
         out = list(x)
         for w, gw, dw in used:
-            c = linalg.dot(out, gw) / dw
-            out = linalg.vec_sub(out, linalg.vec_scale(c, w))
+            c = sum(s * t for s, t in zip(out, gw) if s)
+            if c:
+                c = c / dw
+                out = [s - c * t if t else s for s, t in zip(out, w)]
         return out
 
     for cand in n1_basis:
@@ -247,40 +274,40 @@ def extract_data(L: LieAlgebra, ideal: Subspace | None, J: ComplexStructure,
         u = project_out(cand)
         if linalg.is_zero_vector(u):
             continue
-        du = linalg.gdot(gm, u, u)
+        gu, ju, gju = images(u)
+        du = linalg.dot(u, gu)
         s = sqrt_scalar(du)
         if s is not None and not is_zero(s - 1):
-            u = [x / s for x in u]
+            u, gu, ju, gju = ([x / s for x in w] for w in (u, gu, ju, gju))
             du = one(kind)
-        ju = linalg.mat_vec(jm, u)
-        pairs.append((u, ju, du))
-        # G w is kept beside w: each projection is then one dot product
-        used += [(w, linalg.mat_vec(gm, w), du) for w in (u, ju)]
-    if 2 * len(pairs) != n2 - 2:
+        used += [(u, gu, du), (ju, gju, du)]
+    if len(used) != n2 - 2:
         raise DataError("J_NOT_COMPATIBLE", "could not build a J-paired frame")
-    frame = [b1] + [w for (u, ju, _) in pairs for w in (u, ju)] + [b2n]
-    d_inner = [d for (_, _, d) in pairs for _ in (0, 1)]
-    m = n2 - 2
-    # expansion of ad_{b2n} in the frame
-    full = linalg.transpose(frame)
-    full_inv = linalg.inverse(full)
-    img = [linalg.mat_vec(full_inv, L.bracket(b2n, w)) for w in frame[:-1]]
-    a = img[0][0]
-    v = [img[0][1 + t] for t in range(m)]
-    if not is_zero(img[0][n2 - 1]):
+    frame = [b1] + [w for w, _, _ in used] + [b2n]
+    d_inner = [d for _, _, d in used]
+    # coframe row t is (G w_t)^t / |w_t|^2
+    coframe = [gw if d == 1 else [x / d for x in gw] for gw, d in
+               [(gb1, d_outer)] + [(gw, d) for _, gw, d in used] + [(gb2n, d_outer)]]
+    # C ad_{b_2n} F and C J F on integer numerators: column s holds
+    # [b_2n, w_s] and J w_s in the frame
+    (dc, cn), (da, an), (df, fn) = linalg._numerators(
+        coframe, L.ad(b2n), linalg.transpose(frame))
+    img = linalg._row_sums(cn, linalg._row_sums(an, fn, 0), 0)
+    jimg = linalg._row_sums(cn, linalg._row_sums(jn, fn, 0), 0)
+    inner = range(1, n2 - 1)
+    if not is_zero(img[-1][0]):
         raise DataError("IDEAL_NOT_ABELIAN", "[e_2n, e_1] leaves the ideal")
-    A = [[img[1 + s][1 + t] for s in range(m)] for t in range(m)]
-    for s in range(m):
-        if not (is_zero(img[1 + s][0]) and is_zero(img[1 + s][n2 - 1])):
-            raise DataError("J_NOT_COMPATIBLE", "ad does not preserve the block form")
-    j1 = linalg.zeros(m, m, kind)
-    jcols = [linalg.mat_vec(full_inv, linalg.mat_vec(jm, frame[1 + s])) for s in range(m)]
-    for s in range(m):
-        if not (is_zero(jcols[s][0]) and is_zero(jcols[s][n2 - 1])):
-            raise DataError("J_NOT_COMPATIBLE", "J does not preserve n_1")
-        for t in range(m):
-            j1[t][s] = jcols[s][1 + t]
-    if not linalg.mat_eq(linalg.mat_mul(A, j1), linalg.mat_mul(j1, A)):
+    if not all(is_zero(img[0][s]) and is_zero(img[-1][s]) for s in inner):
+        raise DataError("J_NOT_COMPATIBLE", "ad does not preserve the block form")
+    if not all(is_zero(jimg[0][s]) and is_zero(jimg[-1][s]) for s in inner):
+        raise DataError("J_NOT_COMPATIBLE", "J does not preserve n_1")
+    # rows and columns b_1 .. b_{2n-1}: a and v in column 0, then A
+    block = linalg._over([row[:-1] for row in img[:-1]], dc * da * df)
+    a = block[0][0]
+    v = [row[0] for row in block[1:]]
+    A = [row[1:] for row in block[1:]]
+    j1 = linalg._over([row[1:-1] for row in jimg[1:-1]], dc * dj * df)
+    if not linalg.is_zero_matrix(linalg.commutator(A, j1)):
         raise DataError("J_NOT_COMPATIBLE", "A does not commute with J1")
     return HermitianData(
         n=n2 // 2,
@@ -289,7 +316,7 @@ def extract_data(L: LieAlgebra, ideal: Subspace | None, J: ComplexStructure,
         A=tuple(tuple(row) for row in A),
         J1=tuple(tuple(row) for row in j1),
         frame=tuple(tuple(w) for w in frame),
-        coframe=tuple(tuple(row) for row in full_inv),
+        coframe=tuple(tuple(row) for row in coframe),
         d_outer=d_outer,
         d_inner=tuple(d_inner),
         kind=kind,

@@ -18,6 +18,7 @@ The tolerance for float documents can be set with ``AALG_EPSILON``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -378,7 +379,13 @@ def cmd_skt_to_lcb(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built at the first call and shared after it:
+    ``parse_args`` never mutates it, and each parse returns a fresh
+    namespace.  The subcommand is dispatched by name through
+    :data:`COMMANDS`, so the shared parser holds no function: whatever
+    COMMANDS holds at the call runs."""
     ap = argparse.ArgumentParser(
         prog="aalg",
         description="special Hermitian structures on almost abelian Lie algebras")
@@ -389,26 +396,22 @@ def build_parser():
     p.add_argument("--ideal", help="declare the abelian ideal, e.g. 'f2, f3, f4'")
     p.add_argument("--property", choices=PROPERTIES)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("data", help="extracted (a, v, A) and gauge invariants")
     p.add_argument("file")
     p.add_argument("--ideal", help="declare the abelian ideal, e.g. 'f2, f3, f4'")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_data)
 
     p = sub.add_parser("rho-b", help="Bismut-Ricci closed form, oracle and type")
     p.add_argument("file")
     p.add_argument("--ideal", help="declare the abelian ideal, e.g. 'f2, f3, f4'")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_rho_b)
 
     p = sub.add_parser("lchk", help="LCHK admissibility verdict")
     p.add_argument("--matrix", required=True,
                    help="file, inline JSON rows, idN or zeroN")
     p.add_argument("--witness", action="store_true")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_lchk)
 
     p = sub.add_parser("lattice", help="integer polynomial lattice obstruction probe")
     p.add_argument("file")
@@ -417,35 +420,36 @@ def build_parser():
     group.add_argument("--grid", help="'a:b:n'")
     p.add_argument("--eps-int", type=float, default=None)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_lattice)
 
     p = sub.add_parser("catalog", help="catalog verification harness")
     p.add_argument("action", choices=["verify"])
     p.add_argument("--entry")
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_catalog)
 
     p = sub.add_parser("skt-to-lcb", help="transformed LCB metric document")
     p.add_argument("file")
     p.add_argument("--ideal", help="declare the abelian ideal, e.g. 'f2, f3, f4'")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_skt_to_lcb)
     return ap
+
+
+COMMANDS = {"check": cmd_check, "data": cmd_data, "rho-b": cmd_rho_b, "lchk": cmd_lchk,
+            "lattice": cmd_lattice, "catalog": cmd_catalog, "skt-to-lcb": cmd_skt_to_lcb}
 
 
 def main(argv=None):
     env_eps = os.environ.get("AALG_EPSILON")
     try:
-        eps = float(env_eps) if env_eps else scalars.current_eps()
+        # AALG_EPSILON holds for this call only: in-process callers keep theirs
+        scope = scalars.tolerance(float(env_eps) if env_eps else scalars.current_eps())
     except ValueError:
         print(f"error: bad AALG_EPSILON {env_eps!r}", file=sys.stderr)
         return EXIT_INPUT
     args = build_parser().parse_args(argv)
-    # AALG_EPSILON holds for this call only: in-process callers keep theirs
-    with scalars.tolerance(eps):
+    with scope:
         try:
-            return args.func(args)
+            return COMMANDS[args.command](args)
         except (ParseError, CatalogError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT

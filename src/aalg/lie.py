@@ -201,10 +201,13 @@ class LieAlgebra:
         return Subspace(len(basis), tuple(tuple(v) for v in basis))
 
     def memo(self, key, compute):
-        """compute() once per key for this algebra, then the cached value."""
-        if key not in self._cache:
-            self._cache[key] = compute()
-        return self._cache[key]
+        """compute() once per key for this algebra, then the cached value
+        (one lookup on a hit: a key such as a J matrix hashes every entry)."""
+        try:
+            return self._cache[key]
+        except KeyError:
+            value = self._cache[key] = compute()
+            return value
 
     def coframe_differentials(self):
         """de^k as 2-forms, cached; de^k(e_i, e_j) = -c^k_{ij}."""
@@ -290,17 +293,29 @@ def abelian_ideal_defect(L: LieAlgebra, vectors):
     ideal iff it contains [L, L] (the quotient by a hyperplane ideal is
     one-dimensional, hence abelian), i.e. iff xi vanishes on every
     nonzero bracket [e_i, e_j].
+
+    Each test is read off its definition, independently of the ideal
+    search's system in xi, on the integer numerators of the vectors and
+    the brackets: with V the vectors as rows and row i of T the flattened
+    ad_{e_i}^t (its block j is [e_i, e_j]), row a of V T is ad_{v_a}^t
+    flattened, and row b of V ad_{v_a}^t is [v_a, v_b].
     """
+    n = L.dim
     vecs = [list(v) for v in vectors]
-    for a in range(len(vecs)):
-        for b in range(a + 1, len(vecs)):
-            if not linalg.is_zero_vector(L.bracket(vecs[a], vecs[b])):
-                return "not abelian"
+    (_, vn), (_, cn) = linalg._numerators(vecs, list(L.brackets.values()))
+    table = [[0] * (n * n) for _ in range(n)]
+    for (i, j), c in zip(L.brackets, cn):
+        table[i][j * n:(j + 1) * n] = c
+        table[j][i * n:(i + 1) * n] = [-x for x in c]
+    for a, flat in enumerate(linalg._row_sums(vn, table, 0)):
+        adt = [flat[j * n:(j + 1) * n] for j in range(n)]
+        if not linalg.is_zero_matrix(linalg._row_sums(vn[a + 1:], adt, 0)):
+            return "not abelian"
     # the covectors vanishing on no vectors at all are the whole dual space
     kernel = linalg.nullspace(vecs) if vecs else linalg.idmat(L.dim, L.kind)
     if len(vecs) != L.dim - 1 or len(kernel) != 1:
         return "not a hyperplane"
-    xi = kernel[0]
-    if any(not is_zero(linalg.dot(xi, vec)) for vec in L.brackets.values()):
+    # the rows of cn are the brackets up to one positive scale
+    if not linalg.is_zero_vector(linalg.mat_vec(cn, kernel[0])):
         return "not an ideal"
     return None

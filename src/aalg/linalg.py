@@ -197,10 +197,6 @@ def vec_sub(u, v):
     return [x - y for x, y in zip(u, v)]
 
 
-def vec_scale(s, u):
-    return [s * x for x in u]
-
-
 def dot(u, v):
     return sum(x * y for x, y in zip(u, v))
 

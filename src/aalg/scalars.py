@@ -43,10 +43,19 @@ def current_eps() -> float:
     return _EPS.get()
 
 
-@contextmanager
 def tolerance(eps):
-    """Compare floats against ``eps`` inside the ``with`` block."""
-    token = _EPS.set(float(eps))
+    """Compare floats against ``eps`` inside the ``with`` block.  ``eps``
+    must be finite and non-negative (0 compares exactly); anything else
+    raises ValueError here, before any block is entered."""
+    eps = float(eps)
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ValueError(f"tolerance must be finite and non-negative, not {eps!r}")
+    return _scope(eps)
+
+
+@contextmanager
+def _scope(eps):
+    token = _EPS.set(eps)
     try:
         yield
     finally:

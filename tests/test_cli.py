@@ -1,12 +1,13 @@
 """CLI surface: exit codes, JSON schema, determinism."""
 
 import json
+import sys
 import threading
 
 import pytest
 
 from aalg import scalars
-from aalg.cli import main
+from aalg.cli import build_parser, main
 from aalg.catalog import ENTRIES, LCHK_LIST, entry_document
 from aalg.documents import parse, render, to_metric
 from aalg.hermitian import HermitianStructure
@@ -380,10 +381,84 @@ def test_tolerance_block_stays_in_its_thread():
     assert verdicts == {"loose": (True, True), "default": (False, False)}
 
 
-def test_aalg_epsilon_bad_value(capsys, monkeypatch):
-    monkeypatch.setenv("AALG_EPSILON", "tiny")
+@pytest.mark.parametrize("value", ["tiny", "nan", "-1", "inf", "-inf"])
+def test_aalg_epsilon_bad_value(capsys, monkeypatch, value):
+    """A tolerance that is not a finite non-negative number is an input
+    error, before any command runs."""
+    monkeypatch.setenv("AALG_EPSILON", value)
     assert main(["lchk", "--matrix", "id3"]) == 1
-    assert capsys.readouterr().err.startswith("error: bad AALG_EPSILON")
+    assert capsys.readouterr().err.startswith(f"error: bad AALG_EPSILON {value!r}")
+
+
+@pytest.mark.parametrize("value", [float("nan"), -1.0, float("inf"), "-1e-9"])
+def test_tolerance_must_be_finite_and_non_negative(value):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        scalars.tolerance(value)
+    assert scalars.current_eps() == scalars.DEFAULT_EPS
+
+
+def test_zero_tolerance_compares_exactly(docs, capsys, monkeypatch):
+    monkeypatch.setenv("AALG_EPSILON", "0")
+    code, rep = run_json(capsys, ["check", docs["aff2p"], "--property", "kahler", "--json"])
+    assert code == 0 and rep["results"]["kahler"]["direct"] is False
+    with scalars.tolerance(0):
+        assert scalars.current_eps() == 0.0
+
+
+def test_the_parser_is_built_once(docs, capsys):
+    """Commands alternating in one process, an argv error among them, give
+    the reports of their first call on a freshly built parser, and every
+    call shares that parser."""
+    argvs = [["check", docs["b2p"], "--property", "lcb", "--json"],
+             ["data", docs["s4"], "--ideal", "f1, f2, f3", "--json"],
+             ["lchk", "--matrix", "zero3", "--witness", "--json"],
+             ["catalog", "verify", "--entry", "g1", "--samples", "1", "--json"]]
+
+    def report(argv):
+        code, rep = run_json(capsys, argv)
+        rep.pop("elapsed_s", None)
+        return code, rep
+
+    build_parser.cache_clear()
+    first = [report(argv) for argv in argvs]
+    parser = build_parser()
+    for _ in range(2):
+        for argv, want in zip(argvs, first):
+            with pytest.raises(SystemExit) as exc:
+                main(["check", docs["s4"], "--property", "hermitian"])
+            assert exc.value.code == 2
+            capsys.readouterr()
+            assert report(argv) == want
+    assert [code for code, _ in first] == [0, 0, 0, 0]
+    assert build_parser() is build_parser() is parser
+
+
+def test_the_shared_parser_parses_in_threads():
+    """Eight threads parsing through the one parser with a short switch
+    interval get the namespaces a lone parse gets."""
+    argvs = [["check", "a.alg", "--property", "lcb", "--json"], ["data", "b.alg", "--ideal", "f1"],
+             ["lchk", "--matrix", "id3", "--witness"], ["catalog", "verify", "--samples", "2"]]
+    want = [vars(build_parser().parse_args(argv)) for argv in argvs]
+    bad = []
+
+    def work(k):
+        for _ in range(200):
+            got = vars(build_parser().parse_args(argvs[k % 4]))
+            if got != want[k % 4]:
+                bad.append(got)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert bad == []
 
 
 def test_lattice_rule(docs, capsys):

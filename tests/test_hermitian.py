@@ -348,7 +348,9 @@ def test_five_predicates_take_three_differentials(monkeypatch):
 
 def _float_structure(L, J, g):
     return HermitianStructure(
-        LieAlgebra(L.dim, {k: [float(x) for x in v] for k, v in L.brackets.items()}),
+        # an abelian L has no constant to read the kind from
+        LieAlgebra(L.dim, {k: [float(x) for x in v] for k, v in L.brackets.items()},
+                   kind=FLOAT),
         ComplexStructure.from_matrix([[float(x) for x in row] for row in J.matrix]),
         Metric.from_matrix([[float(x) for x in row] for row in g.matrix]))
 

@@ -103,7 +103,8 @@ def semidirect_algebras(draw):
         w = [draw(ENTRY) for _ in range(k)]
         uu = linalg.dot(u, u)
         if uu:
-            w = linalg.vec_sub(w, linalg.vec_scale(linalg.dot(w, u) / uu, u))
+            c = linalg.dot(w, u) / uu
+            w = linalg.vec_sub(w, [c * x for x in u])
         D = [[ui * wj for wj in w] for ui in u]
         assert linalg.is_zero_matrix(linalg.mat_mul(D, D))
     L = LieAlgebra.semidirect(D)
