@@ -381,8 +381,14 @@ def test_tolerance_block_stays_in_its_thread():
     assert verdicts == {"loose": (True, True), "default": (False, False)}
 
 
+def test_aalg_epsilon_bad_value(capsys, monkeypatch):
+    monkeypatch.setenv("AALG_EPSILON", "tiny")
+    assert main(["lchk", "--matrix", "id3"]) == 1
+    assert capsys.readouterr().err.startswith("error: bad AALG_EPSILON")
+
+
 @pytest.mark.parametrize("value", ["tiny", "nan", "-1", "inf", "-inf"])
-def test_aalg_epsilon_bad_value(capsys, monkeypatch, value):
+def test_aalg_epsilon_not_finite_non_negative(capsys, monkeypatch, value):
     """A tolerance that is not a finite non-negative number is an input
     error, before any command runs."""
     monkeypatch.setenv("AALG_EPSILON", value)
