@@ -289,9 +289,12 @@ def extract_data(L: LieAlgebra, ideal: Subspace | None, J: ComplexStructure,
     coframe = [gw if d == 1 else [x / d for x in gw] for gw, d in
                [(gb1, d_outer)] + [(gw, d) for _, gw, d in used] + [(gb2n, d_outer)]]
     # C ad_{b_2n} F and C J F on integer numerators: column s holds
-    # [b_2n, w_s] and J w_s in the frame
-    (dc, cn), (da, an), (df, fn) = linalg._numerators(
-        coframe, L.ad(b2n), linalg.transpose(frame))
+    # [b_2n, w_s] and J w_s in the frame; ad_{b_2n}^t is b_2n, the last
+    # column of F, times the algebra's table
+    (dc, cn), (df, fn) = linalg._numerators(coframe, linalg.transpose(frame))
+    da, _, table = L.constants
+    (adt,) = linalg._row_sums([[row[-1] for row in fn]], table, 0)
+    an = [adt[k::n2] for k in range(n2)]
     img = linalg._row_sums(cn, linalg._row_sums(an, fn, 0), 0)
     jimg = linalg._row_sums(cn, linalg._row_sums(jn, fn, 0), 0)
     inner = range(1, n2 - 1)
@@ -302,7 +305,7 @@ def extract_data(L: LieAlgebra, ideal: Subspace | None, J: ComplexStructure,
     if not all(is_zero(jimg[0][s]) and is_zero(jimg[-1][s]) for s in inner):
         raise DataError("J_NOT_COMPATIBLE", "J does not preserve n_1")
     # rows and columns b_1 .. b_{2n-1}: a and v in column 0, then A
-    block = linalg._over([row[:-1] for row in img[:-1]], dc * da * df)
+    block = linalg._over([row[:-1] for row in img[:-1]], dc * da * df * df)
     a = block[0][0]
     v = [row[0] for row in block[1:]]
     A = [row[1:] for row in block[1:]]

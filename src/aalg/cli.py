@@ -37,7 +37,7 @@ from .almost_abelian import (DataError, extract_data, is_lcb_data, is_skt_data,
                              is_type_11, rho_b_closed, adapted_J_matrix, route_verdicts,
                              skt_to_lcb)
 from .lchk import LchkError, construct_lchk, lchk_admissible
-from .lattice import integrality_probe
+from .lattice import LatticeError, integrality_probe
 from .catalog import CatalogError, verify_all
 
 SCHEMA = "aalg-report/1"
@@ -211,13 +211,17 @@ def _parse_inline_matrix(spec):
     if os.path.exists(spec):
         spec = _read(spec).strip()
     try:
-        if spec.startswith("id"):
-            return linalg.idmat(int(spec[2:]))
-        if spec.startswith("zero"):
-            return linalg.zeros(int(spec[4:]), int(spec[4:]))
+        for head in ("id", "zero"):
+            if spec.startswith(head):
+                n = int(spec[len(head):])
+                if n < 1:
+                    raise ValueError("the size must be at least 1")
+                return linalg.idmat(n) if head == "id" else linalg.zeros(n, n)
         rows = json.loads(spec)
         if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
             raise ValueError("expected a list of rows")
+        if not rows or not rows[0] or any(len(row) != len(rows[0]) for row in rows):
+            raise ValueError("expected nonempty rows of one length")
         return [[_matrix_entry(x) for x in row] for row in rows]
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"cannot parse matrix {spec!r}: {exc}")
@@ -288,10 +292,10 @@ def _parse_grid(grid):
     try:
         a, b, n = grid.split(":")
         a, b, n = float(a), float(b), int(n)
-        if n < 1:
+        if n < 1 or not (math.isfinite(a) and math.isfinite(b)):
             raise ValueError
     except ValueError:
-        raise ParseError(f"cannot parse grid {grid!r}; expected 'a:b:n'")
+        raise ParseError(f"cannot parse grid {grid!r}; expected 'a:b:n', a and b finite, n >= 1")
     if n == 1:
         return [a]
     return [a + (b - a) * i / (n - 1) for i in range(n)]
@@ -450,7 +454,7 @@ def main(argv=None):
     with scope:
         try:
             return COMMANDS[args.command](args)
-        except (ParseError, CatalogError) as exc:
+        except (ParseError, CatalogError, LatticeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT
         except (MathRejection, HermitianError, LieAlgebraError, DataError,

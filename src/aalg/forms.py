@@ -12,8 +12,9 @@ not the C(n, k) target index sets: O(n^4) for a dense 3-form along a dense
 m, where wedging the substituted rows term by term costs O(n^6).
 Evaluation is the pullback along the matrix whose columns are the
 arguments.  The differential and the pullback sum on integer numerators
-cleared once (``linalg._numerators``) and build one Fraction per output
-coefficient; float forms run the same sums over d = 1.0.
+cleared once (``linalg._numerators``; d reads the algebra's
+``coframe_terms``) and build one Fraction per output coefficient; float
+forms run the same sums over d = 1.0.
 
 Sign convention, fixed package-wide: ``d alpha (X, Y) = -alpha([X, Y])``
 on 1-forms, extended as an antiderivation.  With this choice a coframe
@@ -189,17 +190,16 @@ def exterior_derivative(alpha: KForm, algebra) -> KForm:
     """Chevalley-Eilenberg differential of a left-invariant form: each term
     a e^K gives sum over positions p of (-1)^p a de^{K_p} ^ e^{K minus K_p},
     summed on the integer numerators of alpha and of the coframe
-    differentials (floats pass with d = 1.0), one Fraction per coefficient."""
+    differentials (``coframe_terms``, cleared once per algebra; floats pass
+    with d = 1.0), one Fraction per coefficient."""
     if alpha.dim != algebra.dim:
         raise LinAlgError("form dimension does not match the algebra")
     dim = alpha.dim
     kind = alpha.kind
     if alpha.degree == 0 or alpha.degree >= dim:
         return KForm.zero_form(alpha.degree + 1, dim, kind)
-    dcoframe = algebra.coframe_differentials()
-    (da, (an,)), (dc, cn) = _numerators([list(alpha.coeffs.values())],
-                                        [list(w.coeffs.values()) for w in dcoframe])
-    terms = [list(zip(w.coeffs, row)) for w, row in zip(dcoframe, cn)]
+    dc, terms = algebra.coframe_terms
+    ((da, (an,)),) = _numerators([list(alpha.coeffs.values())])
     # (p, q) + rest meets every de^k that has a term e^{pq}: sort it once
     merges = {}
     acc = {}

@@ -2,7 +2,8 @@
 direct metric predicates, Levi-Civita and Bismut connections, and the
 Bismut-Ricci curvature oracle.
 
-The Nijenhuis tensor is read off the algebra's ad table: since J^2 = -Id,
+The Nijenhuis tensor is read off the algebra's integer table of ad^t
+(``LieAlgebra.constants``, so a second J clears only J): since J^2 = -Id,
 Y -> N(e_i, Y) is the commutator [ad_{Je_i} - J ad_{e_i}, J], one per basis
 vector.  One code forms and zero-tests the commutators for both scalar
 kinds: for exact J and L on integer numerators, so that only nonzero
@@ -27,8 +28,9 @@ Conventions, fixed package-wide and spelled out in the README:
   curvature matrix.  Its one input is the lowered table T_i[l][j] / d =
   g(D^B_{e_i} e_j, e_l), integers over one denominator (Koszul plus 1/2
   sigma), so G_i = g^{-1} T_i / d and P_i = g^{-1} J^t T_i / d are integer
-  products, the traces integer sums, and only rho^B's coefficients become
-  Fractions (floats pass with d = 2.0); no connection matrix is built;
+  products with the integer views of g^{-1} and g^{-1} J^t, the traces
+  integer sums, and only rho^B's coefficients become Fractions (floats
+  pass with d = 2.0); no connection matrix is built;
 * Lee form  theta(e_k) = 1/2 sum_{p,q} M_pq d omega(e_p, e_q, e_k) with
   M = g^{-1} J^t, each coefficient of d omega entering in its six orderings,
   summed on the integer numerators of M and d omega; balanced is theta = 0
@@ -37,9 +39,9 @@ Conventions, fixed package-wide and spelled out in the README:
 
 Connection tables, the integrability of J, d omega, the Lee form and
 d theta are computed once per structure and cached on the instance (the
-integrability of each J also once per algebra), the metric's inverse once
-per metric (each under the tolerance in force at that first call);
-instances are otherwise immutable.
+integrability of each J also once per algebra), the integer view (d, rows)
+of the metric's inverse once per metric (each under the tolerance in
+force at that first call); instances are otherwise immutable.
 """
 
 from __future__ import annotations
@@ -119,9 +121,10 @@ class Metric:
 
     @cached_property
     def inverse(self):
-        """g^{-1} as a tuple of rows (None when singular), computed once."""
+        """g^{-1} as integer numerators over one denominator, (d, rows)
+        (floats over d = 1.0; None when singular), computed once."""
         inv = linalg.inverse(self.matrix)
-        return None if inv is None else tuple(tuple(row) for row in inv)
+        return None if inv is None else linalg._numerators(inv)[0]
 
 
 class HermitianStructure:
@@ -165,8 +168,10 @@ class HermitianStructure:
 
     @cached_property
     def _ginv_jt(self):
-        """g^{-1} J^t, for the Lee form and the rho^B oracle."""
-        return linalg.mat_mul(self.g.inverse, linalg.transpose(self.J.matrix))
+        """g^{-1} J^t as (d, integer rows), for the Lee form and the rho^B oracle."""
+        di, gi = self.g.inverse
+        ((dj, jn),) = linalg._numerators(self.J.matrix)
+        return di * dj, linalg._row_sums(gi, linalg.transpose(jn), 0)
 
     # -- integrability --------------------------------------------------------
     def nijenhuis(self):
@@ -193,7 +198,8 @@ class HermitianStructure:
         if self.dim < 4:
             raise HermitianError("DIMENSION", "the Lee form needs dim >= 4")
         domega = self.domega().coeffs
-        (dm, mn), (dw, (wn,)) = linalg._numerators(self._ginv_jt, [list(domega.values())])
+        dm, mn = self._ginv_jt
+        ((dw, (wn,)),) = linalg._numerators([list(domega.values())])
         theta = [0] * self.dim
         for key, w in zip(domega, wn):
             for p, q, k in permutations(key):
@@ -251,7 +257,7 @@ class HermitianStructure:
         return self._memo("lowered", lambda: _lowered(self.L, self.g, (-self.dc_omega()).coeffs))
 
     def _compute_bismut(self):
-        return _raised(self.g, *self._bismut_lowered()[:2])
+        return _raised(self.g, *self._bismut_lowered())
 
     def is_vaisman(self):
         """LCK with Levi-Civita-parallel Lee form; returns (bool, note)."""
@@ -275,21 +281,21 @@ class HermitianStructure:
         return self._memo("rho", self._compute_rho)
 
     def _compute_rho(self):
-        d, t, consts = self._bismut_lowered()
-        (dm, mn), (di, gi) = linalg._numerators(self._ginv_jt, self.g.inverse)
+        d, t = self._bismut_lowered()
+        (dm, mn), (di, gi) = self._ginv_jt, self.g.inverse
         # G_i = g^{-1} T_i / d and P_i = W G_i = g^{-1} J^t T_i / d
         p = (dm * d, [linalg._row_sums(mn, ti, 0) for ti in t])
         gamma = (di * d, [linalg._row_sums(gi, ti, 0) for ti in t])
-        return KForm(2, self.dim, _rho_coefficients(p, gamma, consts), kind=self.L.kind)
+        return KForm(2, self.dim, _rho_coefficients(p, gamma, self.L.constants), kind=self.L.kind)
 
 
-def _rho_coefficients(p, gamma, consts):
+def _rho_coefficients(p, gamma, constants):
     """The nonzero rho^B coefficients -1/2 tr(W R(e_i, e_j)), i < j, from
-    (d, numerators) pairs: the tables P_i and G_i, products with the one
-    lowered table of :func:`_lowered`, and the structure constants by
-    bracket.  Each trace is an integer dot product and each coefficient one
-    Fraction; on floats (float d) the same sums run on the entries."""
-    (dp, pn), (dg, gn), (dc, cn) = p, gamma, consts
+    (d, numerators) pairs, the tables P_i and G_i (products with the one
+    lowered table of :func:`_lowered`), and the algebra's cleared
+    constants.  Each trace is an integer dot product and each coefficient
+    one Fraction; on floats (float d) the same sums run on the entries."""
+    (dp, pn), (dg, gn), (dc, _, table) = p, gamma, constants
     n2 = len(pn)
     # tr(P_i G_j) = <P_i, G_j^t> entrywise
     flat_p = [[x for row in pi for x in row] for pi in pn]
@@ -297,7 +303,7 @@ def _rho_coefficients(p, gamma, consts):
     tau = [sum(fp[::n2 + 1]) for fp in flat_p]
     keys = [(i, j) for i in range(n2) for j in range(i + 1, n2)]
     nums = [dc * (sum(map(mul, flat_p[j], flat_gt[i])) - sum(map(mul, flat_p[i], flat_gt[j])))
-            + dg * sum(map(mul, cn.get((i, j), ()), tau)) for i, j in keys]
+            + dg * sum(map(mul, table[i][j * n2:(j + 1) * n2], tau)) for i, j in keys]
     (vals,) = linalg._over([nums], 2 * dp * dg * dc)
     return {key: val for key, val in zip(keys, vals) if not is_zero(val)}
 
@@ -305,27 +311,25 @@ def _rho_coefficients(p, gamma, consts):
 def nijenhuis(J: ComplexStructure, L: LieAlgebra):
     """N(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] - [X, Y] on basis pairs
     i < j, nonzero values only: N(e_i, e_j) is column j of
-    [ad_{Je_i} - J ad_{e_i}, J] (J^2 = -Id), one commutator per e_i.  With
-    exact J and L, J and the ad table are each over one denominator, so the
-    commutator is an integer matrix over dj^2 da, tested for zero columns
-    before any Fraction is built; on floats the columns are tested within
-    the tolerance."""
+    [ad_{Je_i} - J ad_{e_i}, J] (J^2 = -Id), one commutator per e_i, formed
+    transposed on the algebra's table of ad^t (``LieAlgebra.constants``).
+    With exact J and L it is an integer matrix over dj^2 dc, tested for
+    zero rows before any Fraction is built; on floats within the tolerance."""
     n = L.dim
-    (dj, jn), (da, an) = linalg._numerators(
-        J.matrix, [row for i in range(n) for row in L.ad_basis(i)])
-    ads = [an[i * n:(i + 1) * n] for i in range(n)]
-    # row i of J^t [ad_{e_1}; ...; ad_{e_n}] (flattened) is ad_{Je_i}
-    ad_j = linalg._row_sums(linalg.transpose(jn), [[x for row in a for x in row] for a in ads], 0)
-    den = dj * dj * da
+    dc, _, table = L.constants
+    ((dj, jn),) = linalg._numerators(J.matrix)
+    jt = linalg.transpose(jn)
+    # row i of J^t T is ad_{Je_i}^t flattened
+    ad_j = linalg._row_sums(jt, table, 0)
     out = {}
     for i in range(n):
-        p = linalg.mat_sub([ad_j[i][r * n:(r + 1) * n] for r in range(n)],
-                           linalg._row_sums(jn, ads[i], 0))
-        m = linalg.mat_sub(linalg._row_sums(p, jn, 0), linalg._row_sums(jn, p, 0))
+        adt_j, adt = ([flat[r * n:(r + 1) * n] for r in range(n)] for flat in (ad_j[i], table[i]))
+        # P^t = ad_{Je_i}^t - ad_{e_i}^t J^t; row j of J^t P^t - P^t J^t is N(e_i, e_j)
+        pt = linalg.mat_sub(adt_j, linalg._row_sums(adt, jt, 0))
+        mt = linalg.mat_sub(linalg._row_sums(jt, pt, 0), linalg._row_sums(pt, jt, 0))
         for j in range(i + 1, n):
-            column = [row[j] for row in m]
-            if not linalg.is_zero_vector(column):
-                out[(i, j)] = linalg._over([column], den)[0]
+            if not linalg.is_zero_vector(mt[j]):
+                out[(i, j)] = linalg._over([mt[j]], dj * dj * dc)[0]
     return out
 
 
@@ -336,17 +340,18 @@ def is_integrable(J: ComplexStructure, L: LieAlgebra) -> bool:
 
 def levi_civita(L: LieAlgebra, g: Metric):
     """Koszul connection on left-invariant fields; Gamma[i] maps Y to D_{e_i}Y."""
-    return _raised(g, *_lowered(L, g, {})[:2])
+    return _raised(g, *_lowered(L, g, {}))
 
 
 def _lowered(L: LieAlgebra, g: Metric, sigma):
-    """(d, T, (dc, consts)) with T[i][l][j] / d = 1/2 (g([e_i, e_j], e_l) -
+    """(d, T) with T[i][l][j] / d = 1/2 (g([e_i, e_j], e_l) -
     g([e_j, e_l], e_i) + g([e_l, e_i], e_j) + sigma(e_i, e_j, e_l)): Koszul's
     g(D_{e_i} e_j, e_l) plus 1/2 the 3-form whose nonzero coefficients are
-    sigma, on the numerators of g, sigma and the constants (consts, over dc)."""
+    sigma, on the numerators of g and sigma and the algebra's cleared
+    constants."""
     n = L.dim
-    (dg, gn), (dc, cn), (ds, (sn,)) = linalg._numerators(
-        g.matrix, list(L.brackets.values()), [list(sigma.values())])
+    dc, cn, _ = L.constants
+    (dg, gn), (ds, (sn,)) = linalg._numerators(g.matrix, [list(sigma.values())])
     t = [[[0] * n for _ in range(n)] for _ in range(n)]
     # row of [e_i, e_j] times G: g([e_i, e_j], e_m) over dc dg, by the column
     # of G (on the float path G is symmetric only within eps); each nonzero
@@ -361,12 +366,12 @@ def _lowered(L: LieAlgebra, g: Metric, sigma):
     for key, x in zip(sigma, sn):
         for i, j, l in permutations(key):
             t[i][l][j] += sort_indices((i, j, l))[1] * dc * dg * x
-    return 2 * dc * dg * ds, t, (dc, dict(zip(L.brackets, cn)))
+    return 2 * dc * dg * ds, t
 
 
 def _raised(g: Metric, d, t):
     """Gamma_i = g^{-1} T_i / d for the integer tables T of :func:`_lowered`."""
-    ((di, gi),) = linalg._numerators(g.inverse)
+    di, gi = g.inverse
     return [linalg._over(linalg._row_sums(gi, ti, 0), di * d) for ti in t]
 
 

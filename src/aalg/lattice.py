@@ -26,6 +26,10 @@ from . import linalg
 DEFAULT_EPS_INT = 1e-6
 
 
+class LatticeError(ValueError):
+    """A probe that cannot run in double precision, or a bad eps_int."""
+
+
 @dataclass(frozen=True)
 class PointReport:
     t: float
@@ -243,9 +247,13 @@ def integrality_probe(b, t_values=None, rule_k_max=None,
 
     The verdict per point is INTEGER when every coefficient of both
     polynomials is within eps_int of an integer, WARN within 10 eps_int,
-    NON_INTEGER otherwise.  ``found`` is the first INTEGER point.
+    NON_INTEGER otherwise.  ``found`` is the first INTEGER point.  Raises
+    LatticeError when eps_int is not finite and non-negative, or when
+    exp(t b) or its polynomials are not finite in double precision.
     """
     eps_int = DEFAULT_EPS_INT if eps_int is None else float(eps_int)
+    if not (math.isfinite(eps_int) and eps_int >= 0):
+        raise LatticeError(f"eps_int must be finite and non-negative, not {eps_int!r}")
     points = []
     schedule = []
     if rule_k_max is not None:
@@ -256,9 +264,16 @@ def integrality_probe(b, t_values=None, rule_k_max=None,
             schedule.append((float(t), None))
     found = None
     for t, k in schedule:
-        clusters = _spectral_clusters(
-            _matrix_exp_rule(b, k) if k is not None else matrix_exp(b, t))
-        char, minp = _cluster_polys(clusters)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                clusters = _spectral_clusters(
+                    _matrix_exp_rule(b, k) if k is not None else matrix_exp(b, t))
+                char, minp = _cluster_polys(clusters)
+        except (OverflowError, np.linalg.LinAlgError):
+            char = minp = [math.inf]
+        if not all(map(math.isfinite, char + minp)):
+            raise LatticeError(f"exp(tB) at t = {t!r} or its polynomials are not finite "
+                               "in double precision")
         dev = max(_integer_deviation(char), _integer_deviation(minp))
         if dev <= eps_int:
             verdict = "INTEGER"

@@ -1,10 +1,12 @@
 """Validated Lie algebra values and the codimension-one abelian ideal probe.
 
 Structure constants are held sparsely: brackets[(i, j)] with i < j maps to
-the coefficient vector of [e_i, e_j].  Basis brackets read them through the
-table of ad matrices built once per algebra (entry (k, j) of ad_{e_i} is
-c^k_ij), and so does the Nijenhuis tensor in ``hermitian``; ad_x
-accumulates the nonzero constants directly.  Validation enforces
+the coefficient vector of [e_i, e_j], and are cleared to integers once per
+algebra (:attr:`LieAlgebra.constants`): the bracket numerators over one
+denominator and the table whose row i is ad_{e_i}^t flattened.  ad_x,
+ad_{e_i}, [e_i, e_j], the ideal test below, Nijenhuis and Koszul in
+``hermitian`` and, through :attr:`LieAlgebra.coframe_terms`, d in ``forms``
+all read that one view.  Validation enforces
 antisymmetry by construction and checks the Jacobi identity as d^2 = 0 on
 the coframe, exactly on the rational path and on floats against
 eps max(1, max |c|)^2, the scale of the cyclic sums.  A hyperplane is an
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from .scalars import EXACT, coerce, current_eps, is_zero, kind_of, tolerance, zero
@@ -109,9 +112,25 @@ class LieAlgebra:
         return cls(k + 1, brackets, kind=kind, _validated=True)
 
     # -- bracket machinery ----------------------------------------------------
+    @cached_property
+    def constants(self):
+        """The structure constants cleared once, (dc, rows, table): rows the
+        bracket numerators over dc in ``brackets`` order, row i of the table
+        ad_{e_i}^t flattened (block j is [e_i, e_j]; absent constants are 0,
+        never -0.0).  The 1 x 1 zero gives an algebra without brackets its kind."""
+        n = self.dim
+        (dc, rows), _ = linalg._numerators(list(self.brackets.values()), [[zero(self.kind)]])
+        table = [[0] * (n * n) for _ in range(n)]
+        for (i, j), c in zip(self.brackets, rows):
+            table[i][j * n:(j + 1) * n] = [x if x else 0 for x in c]
+            table[j][i * n:(i + 1) * n] = [-x if x else 0 for x in c]
+        return dc, rows, table
+
     def basis_bracket(self, i, j):
-        """[e_i, e_j]: column j of ad_{e_i}."""
-        return [row[j] for row in self.ad_basis(i)]
+        """[e_i, e_j]: block j of row i of the table."""
+        n = self.dim
+        dc, _, table = self.constants
+        return linalg._over([table[i][j * n:(j + 1) * n]], dc)[0]
 
     def bracket(self, x, y):
         """[x, y] for coefficient vectors x, y."""
@@ -126,38 +145,22 @@ class LieAlgebra:
         return out
 
     def ad(self, x):
-        """Matrix of ad_x = [x, .] = sum_i x_i ad_{e_i}, accumulating only the
-        nonzero constants: entry (k, j) adds x_i c^k_ij in increasing i, so
-        float sums are those of the dense sum and absent entries stay +0.0."""
+        """Matrix of ad_x = [x, .]: x times the table is ad_x^t flattened,
+        each entry the nonzero x_i c^k_ij added in increasing i (float sums
+        are those of the dense sum, and an entry with no term is +0.0)."""
         if len(x) != self.dim:
             raise LieAlgebraError("DIMENSION", "vector length does not match algebra")
-        out = linalg.zeros(self.dim, self.dim, self.kind)
-        # sorted pairs: column j sees (i, j) for i < j, then (j, i') for i' > j
-        for (i, j), vec in sorted(self.brackets.items()):
-            xi, xj = x[i], x[j]
-            for k, c in enumerate(vec):
-                if c != 0:
-                    if xi != 0:
-                        out[k][j] += xi * c
-                    if xj != 0:
-                        out[k][i] -= xj * c
-        return out
+        n = self.dim
+        ((dx, xn),) = linalg._numerators([x])
+        dc, _, table = self.constants
+        (flat,) = linalg._row_sums(xn, table, 0)
+        return linalg._over([flat[k::n] for k in range(n)], dx * dc)
 
     def ad_basis(self, i):
-        """ad_{e_i}, entry (k, j) = c^k_ij, read from the table of all n ad
-        matrices that is built once per algebra (nested tuples)."""
-        return self.memo("ad", self._ad_table)[i]
-
-    def _ad_table(self):
-        # absent constants stay exact zeros of the kind (float +0.0, not -0.0)
+        """ad_{e_i}, entry (k, j) = c^k_ij: row i of the table over dc."""
         n = self.dim
-        table = [linalg.zeros(n, n, self.kind) for _ in range(n)]
-        for (i, j), vec in self.brackets.items():
-            for k, c in enumerate(vec):
-                if c != 0:
-                    table[i][k][j] = c
-                    table[j][k][i] = -c
-        return tuple(tuple(tuple(row) for row in m) for m in table)
+        dc, _, table = self.constants
+        return linalg._over([table[i][k::n] for k in range(n)], dc)
 
     # -- invariants -----------------------------------------------------------
     def _check_jacobi(self):
@@ -215,6 +218,14 @@ class LieAlgebra:
             KForm(2, self.dim, {key: -vec[k] for key, vec in self.brackets.items()
                                 if not is_zero(vec[k])}, kind=self.kind)
             for k in range(self.dim)))
+
+    @cached_property
+    def coframe_terms(self):
+        """(dc, terms): terms[k] the (key, numerator) pairs of de^k over dc,
+        in its order, read off :attr:`constants` on the cached coframe."""
+        dc, rows, _ = self.constants
+        return dc, [[(key, -row[k]) for key, row in zip(self.brackets, rows) if key in de.coeffs]
+                    for k, de in enumerate(self.coframe_differentials())]
 
     def change_basis(self, s):
         """Algebra in the new basis b_j = sum_i s[i][j] e_i."""
@@ -296,17 +307,14 @@ def abelian_ideal_defect(L: LieAlgebra, vectors):
 
     Each test is read off its definition, independently of the ideal
     search's system in xi, on the integer numerators of the vectors and
-    the brackets: with V the vectors as rows and row i of T the flattened
-    ad_{e_i}^t (its block j is [e_i, e_j]), row a of V T is ad_{v_a}^t
-    flattened, and row b of V ad_{v_a}^t is [v_a, v_b].
+    of :attr:`LieAlgebra.constants`: with V the vectors as rows and T the
+    table (row i is ad_{e_i}^t flattened, its block j [e_i, e_j]), row a
+    of V T is ad_{v_a}^t flattened, and row b of V ad_{v_a}^t is [v_a, v_b].
     """
     n = L.dim
     vecs = [list(v) for v in vectors]
-    (_, vn), (_, cn) = linalg._numerators(vecs, list(L.brackets.values()))
-    table = [[0] * (n * n) for _ in range(n)]
-    for (i, j), c in zip(L.brackets, cn):
-        table[i][j * n:(j + 1) * n] = c
-        table[j][i * n:(i + 1) * n] = [-x for x in c]
+    ((_, vn),) = linalg._numerators(vecs)
+    _, cn, table = L.constants
     for a, flat in enumerate(linalg._row_sums(vn, table, 0)):
         adt = [flat[j * n:(j + 1) * n] for j in range(n)]
         if not linalg.is_zero_matrix(linalg._row_sums(vn[a + 1:], adt, 0)):

@@ -294,7 +294,8 @@ def test_s12_extraction_makes_a_few_products(monkeypatch):
     reference run, extraction takes no inverse and no bracket, and clears
     operands to integers 11 times: once for G, J and the ideal, once per
     product with G, J and G J (b_2n and the five pairs), twice for the two
-    null spaces, once for C, ad_{b_2n} and F, and once for [A, J_1].  The
+    null spaces, once for C and F (ad_{b_2n} is b_2n times the algebra's
+    cleared table), and once for [A, J_1].  The
     reference clears them 71 times: each image is a bracket and a
     matrix-vector product."""
     doc = entry_document(_s2n_entry(6), {"a": F(-2), "c": F(1, 2)})

@@ -228,7 +228,9 @@ def test_lchk_inline_rejected(capsys):
 
 
 @pytest.mark.parametrize("spec", ['[["x",0,0],[0,0,0],[0,0,0]]', "idq", "5",
-                                  "[[1e400,0,0],[0,1,0],[0,0,1]]", "DIRECTORY"])
+                                  "[[1e400,0,0],[0,1,0],[0,0,1]]", "DIRECTORY",
+                                  "[[1,2],[3]]", "[]", "[[]]", "id0", "id-1", "zero0",
+                                  "idzero3"])
 def test_lchk_malformed_matrix_is_input_error(tmp_path, capsys, spec):
     spec = str(tmp_path) if spec == "DIRECTORY" else spec
     assert main(["lchk", "--matrix", spec]) == 1
@@ -479,6 +481,33 @@ def test_lattice_grid(docs, capsys):
     code, rep = run_json(capsys, ["lattice", docs["l1u"], "--grid", "0.5:2:4", "--json"])
     assert code == 0
     assert [pt["t"] for pt in rep["points"]] == [0.5, 1.0, 1.5, 2.0]
+
+
+@pytest.mark.parametrize("args", [["--grid", "nan:1:3"], ["--grid", "0:inf:3"],
+                                  ["--grid=-inf:0:2"], ["--rule", "2logk:K=3", "--eps-int", "nan"],
+                                  ["--grid", "0:1:3", "--eps-int", "inf"],
+                                  ["--grid", "0:1:3", "--eps-int", "-1"]])
+def test_lattice_rejects_non_finite_grid_and_eps_int(docs, capsys, args):
+    assert main(["lattice", docs["l1u"], *args, "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("name", ["g1", "g2", "l17"])
+def test_lattice_overflow_names_t(tmp_path, capsys, name):
+    """exp(800 B) overflows double precision on these entries (by the
+    closed form, in the Taylor squarings and in the eigenvalues): an input
+    error naming t, not a traceback; t = 700 still runs on g1."""
+    path = tmp_path / f"{name}.alg"
+    path.write_text(render(entry_document(ENTRIES[name])), encoding="utf-8")
+    assert main(["lattice", str(path), "--grid", "0:800:2", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: exp(tB) at t = 800.0 ")
+    assert len(captured.err.splitlines()) == 1
+    if name == "g1":
+        assert main(["lattice", str(path), "--grid", "0:700:2", "--json"]) == 0
 
 
 def test_catalog_verify_entry(capsys):

@@ -5,18 +5,29 @@ vector), ad_x (a combination of the table's matrices) and the ideal test
 (xi on the brackets) are compared exactly with references here that
 bracket unit vectors pair by pair and triple by triple, on random bracket
 tables, Jacobi-violating ones included, and random J.
+
+The last section keeps the loops that the algebra's one integer table
+(``LieAlgebra.constants``) replaced: the ad_x accumulation, the table of
+ad matrices and the Nijenhuis commutators on the whole cleared ad table.
+Exact results must be equal and float results equal in repr, signed
+zeros included.
 """
 
+import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from aalg import linalg
+from aalg.almost_abelian import build_algebra
 from aalg.catalog import _s2n_entry, entry_document
 from aalg.documents import to_algebra, to_complex_structure
 from aalg.hermitian import ComplexStructure, is_integrable, nijenhuis
 from aalg.lie import LieAlgebra, abelian_ideal_defect
 from aalg.scalars import FLOAT, is_zero
+
+from conftest import ALL_SHAPES, random_data, random_shear, transported
 
 SCALARS = st.sampled_from([F(1), F(-1), F(2), F(1, 2), F(-1, 3)])
 
@@ -219,3 +230,126 @@ def test_s12_validation_and_integrability_bracket_nothing(monkeypatch):
     L = to_algebra(doc)
     assert is_integrable(to_complex_structure(doc), L)
     assert calls == []
+
+
+# -- the integer table against the loops it replaced -------------------------------
+
+def loop_ad(L, x):
+    """ad_x accumulating the nonzero constants: entry (k, j) adds x_i c^k_ij
+    in increasing i from the kind's zero."""
+    out = linalg.zeros(L.dim, L.dim, L.kind)
+    for (i, j), vec in sorted(L.brackets.items()):
+        xi, xj = x[i], x[j]
+        for k, c in enumerate(vec):
+            if c != 0:
+                if xi != 0:
+                    out[k][j] += xi * c
+                if xj != 0:
+                    out[k][i] -= xj * c
+    return out
+
+
+def loop_ad_table(L):
+    """The n ad matrices, each constant written twice into zeros of the kind."""
+    n = L.dim
+    table = [linalg.zeros(n, n, L.kind) for _ in range(n)]
+    for (i, j), vec in L.brackets.items():
+        for k, c in enumerate(vec):
+            if c != 0:
+                table[i][k][j] = c
+                table[j][k][i] = -c
+    return table
+
+
+def cleared_table_nijenhuis(J, L):
+    """Nijenhuis on J and the whole ad table cleared together, as [ad_{Je_i}
+    - J ad_{e_i}, J] column by column."""
+    n = L.dim
+    (dj, jn), (da, an) = linalg._numerators(
+        J.matrix, [row for m in loop_ad_table(L) for row in m])
+    ads = [an[i * n:(i + 1) * n] for i in range(n)]
+    ad_j = linalg._row_sums(linalg.transpose(jn), [[x for row in a for x in row] for a in ads], 0)
+    out = {}
+    for i in range(n):
+        p = linalg.mat_sub([ad_j[i][r * n:(r + 1) * n] for r in range(n)],
+                           linalg._row_sums(jn, ads[i], 0))
+        m = linalg.mat_sub(linalg._row_sums(p, jn, 0), linalg._row_sums(jn, p, 0))
+        for j in range(i + 1, n):
+            column = [row[j] for row in m]
+            if not linalg.is_zero_vector(column):
+                out[(i, j)] = linalg._over([column], dj * dj * da)[0]
+    return out
+
+
+def reprs(value):
+    """Nested lists and dicts of scalars as their reprs (-0.0 != 0.0)."""
+    if isinstance(value, dict):
+        return {key: reprs(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [reprs(v) for v in value]
+    return repr(value)
+
+
+def assert_as_the_loops(L, x, J=None):
+    assert reprs(L.ad(x)) == reprs(loop_ad(L, x))
+    assert reprs([L.ad_basis(i) for i in range(L.dim)]) == reprs(loop_ad_table(L))
+    if J is not None:
+        assert reprs(nijenhuis(J, L)) == reprs(cleared_table_nijenhuis(J, L))
+
+
+def floats(m):
+    return [[float(x) for x in row] for row in m]
+
+
+def sheared(seed):
+    """A random structure of a random shape moved by a random shear, and
+    its float copy: (L, J, x) for each."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 5)
+    d = random_data(rng, n, rng.choice(ALL_SHAPES))
+    L, J, _ = transported(*build_algebra(d.a, list(d.v), d.A_matrix, d.J1_matrix),
+                          random_shear(rng, 2 * n))
+    x = [rng.choice([F(0), F(1), F(-1, 3), F(5, 2)]) for _ in range(2 * n)]
+    fl = LieAlgebra(L.dim, {k: [float(c) for c in v] for k, v in L.brackets.items()},
+                    kind=FLOAT, _validated=True)
+    return (L, J, x), (fl, ComplexStructure(tuple(map(tuple, floats(J.matrix)))),
+                       [float(c) for c in x])
+
+
+@settings(max_examples=100, deadline=None)
+@given(even_tables, st.data())
+def test_table_reads_as_the_loops_on_random_tables(L, data):
+    x = data.draw(st.lists(SCALARS | st.just(F(0)), min_size=L.dim, max_size=L.dim))
+    assert_as_the_loops(L, x, data.draw(complex_structures(L.dim)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(float_tables(), st.data())
+def test_float_table_reads_as_the_loops_signed_zeros_included(L, data):
+    x = data.draw(st.lists(FLOATS, min_size=L.dim, max_size=L.dim))
+    J = None
+    if L.dim % 2 == 0:
+        order = data.draw(st.permutations(range(L.dim)))
+        J = ComplexStructure.from_pairs(L.dim, list(zip(order[::2], order[1::2])), kind=FLOAT)
+    assert_as_the_loops(L, x, J)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_table_reads_as_the_loops_on_sheared_structures(seed):
+    for L, J, x in sheared(seed):
+        assert_as_the_loops(L, x, J)
+
+
+def test_a_second_j_clears_no_bracket_table(monkeypatch):
+    """The table is cleared once per algebra: deciding the integrability of
+    another J on the same algebra clears J and nothing else."""
+    (L, J, _), _ = sheared(3)
+    assert is_integrable(J, L)
+    order = list(range(L.dim))
+    random.Random(3).shuffle(order)
+    other = ComplexStructure.from_pairs(L.dim, list(zip(order[::2], order[1::2])))
+    cleared = []
+    real = linalg._numerators
+    monkeypatch.setattr(linalg, "_numerators", lambda *ms: cleared.append(ms) or real(*ms))
+    is_integrable(other, L)
+    assert cleared == [(other.matrix,)]
