@@ -265,10 +265,10 @@ def verify_entry(entry: CatalogEntry, samples=None):
                 failures.append(f"{entry.name}{params}: off-locus sample unimodular")
     return {
         "entry": entry.name,
+        "ok": not failures,
         "samples": checked,
         "failures": failures,
         "not_checked": _not_checked_claims(entry),
-        "ok": not failures,
     }
 
 

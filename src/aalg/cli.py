@@ -23,7 +23,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 from . import scalars
@@ -48,27 +48,20 @@ EXIT_MATH = 2
 
 
 class MathRejection(Exception):
-    def __init__(self, message):
-        super().__init__(message)
+    """A mathematical rejection: the command exits 2."""
 
 
-def _scalar_json(x):
-    if isinstance(x, Fraction):
-        return fmt(x)
-    if isinstance(x, float):
-        return x
-    if isinstance(x, (list, tuple)):
-        return [_scalar_json(v) for v in x]
-    return x
-
-
-def _matrix_json(m):
-    return [[_scalar_json(x) for x in row] for row in m]
+# Caps on the arguments that set how much a command allocates, so that a
+# short argument cannot exhaust memory.  Whole commands on a 2-vCPU host:
+# --rule 2logk:K=10000 probes the 5x5 matrix of g1 in 1.6-2.5 s and the
+# 11x11 one of s_12 in 3-5 s (--grid a:b:10000 alike); lchk --matrix id127
+# --witness takes 1.7-2.3 s.
+MAX_PROBE_POINTS = 10_000
+MAX_MATRIX_SIZE = 127
 
 
 def _form_json(form):
-    return {"+".join(str(i + 1) for i in key): _scalar_json(val)
-            for key, val in form.terms()}
+    return {"+".join(str(i + 1) for i in key): val for key, val in form.terms()}
 
 
 def _read(path):
@@ -79,28 +72,33 @@ def _read(path):
         raise ParseError(f"cannot read {path}: {exc}")
 
 
-def _load_document(path):
-    return parse(_read(path))
-
-
-def _structures(doc, ideal_flag=None):
-    """L, J, g and the declared ideal (the --ideal flag, else the
-    document's ideal line, else None); a bad or missing ideal is rejected
-    here, before any check of J."""
+def _structures(args):
+    """The document of ``args.file`` with its L, J, g and declared ideal
+    (the --ideal flag, else the document's ideal line, else None); a bad
+    or missing ideal is rejected here, before any check of J."""
+    doc = parse(_read(args.file))
     L = to_algebra(doc)
     J = to_complex_structure(doc)
     g = to_metric(doc)
     if J is None or g is None:
         raise ParseError("this command needs both J and g in the document")
-    declared = to_ideal(replace(doc, ideal=parse_ideal(ideal_flag, doc.dim))
-                        if ideal_flag else doc)
+    declared = to_ideal(replace(doc, ideal=parse_ideal(args.ideal, doc.dim))
+                        if args.ideal else doc)
     abelian_ideal(L, declared)
-    return L, J, g, declared
+    return doc, L, J, g, declared
+
+
+def _integrable(L, J, g):
+    H = HermitianStructure(L, J, g)
+    if not H.is_integrable():
+        raise MathRejection("J is not integrable")
+    return H
 
 
 def _emit(report, args):
+    """Write the report: a Fraction as its ``p/q`` text, in both modes."""
     if args.json:
-        print(json.dumps(report, sort_keys=True, indent=2, default=_scalar_json))
+        print(json.dumps(report, sort_keys=True, indent=2, default=fmt))
     else:
         _print_human(report)
 
@@ -110,14 +108,14 @@ def _print_human(report, indent=0):
     if isinstance(report, dict):
         for key in report:
             val = report[key]
-            if isinstance(val, (dict, list)):
+            if isinstance(val, (dict, list, tuple)):
                 print(f"{pad}{key}:")
                 _print_human(val, indent + 1)
             else:
                 print(f"{pad}{key}: {val}")
-    elif isinstance(report, list):
+    elif isinstance(report, (list, tuple)):
         for val in report:
-            if isinstance(val, (dict, list)):
+            if isinstance(val, (dict, list, tuple)):
                 _print_human(val, indent)
                 print()
             else:
@@ -130,11 +128,8 @@ PROPERTIES = ("kahler", "lck", "balanced", "skt", "lcb", "vaisman")
 
 
 def cmd_check(args):
-    doc = _load_document(args.file)
-    L, J, g, ideal = _structures(doc, ideal_flag=args.ideal)
-    H = HermitianStructure(L, J, g)
-    if not H.is_integrable():
-        raise MathRejection("J is not integrable")
+    doc, L, J, g, ideal = _structures(args)
+    H = _integrable(L, J, g)
     d = extract_data(L, ideal, J, g)
     props = [args.property] if args.property else list(PROPERTIES)
     results = {}
@@ -155,37 +150,22 @@ def cmd_check(args):
 
 
 def cmd_data(args):
-    doc = _load_document(args.file)
-    L, J, g, ideal = _structures(doc, ideal_flag=args.ideal)
+    doc, L, J, g, ideal = _structures(args)
     d = extract_data(L, ideal, J, g)
-    inv = d.gauge_invariants()
     report = {
         "schema": SCHEMA, "command": "data", "algebra": doc.name,
-        "n": d.n,
-        "a": _scalar_json(d.a),
-        "v": _scalar_json(list(d.v)),
-        "A": _matrix_json(d.A_matrix),
-        "J1": _matrix_json(d.J1_matrix),
+        "n": d.n, "a": d.a, "v": d.v, "A": d.A, "J1": d.J1,
         "frame_orthonormal": d.is_orthonormal(),
-        "frame_outer_norm_sq": _scalar_json(d.d_outer),
-        "gauge_invariants": {
-            "a": _scalar_json(inv["a"]),
-            "trace_A": _scalar_json(inv["trace_A"]),
-            "v_norm_sq": _scalar_json(inv["v_norm_sq"]),
-            "charpoly_A": _scalar_json(list(inv["charpoly_A"])),
-            "rank_A": inv["rank_A"],
-        },
+        "frame_outer_norm_sq": d.d_outer,
+        "gauge_invariants": d.gauge_invariants(),
     }
     _emit(report, args)
     return EXIT_OK
 
 
 def cmd_rho_b(args):
-    doc = _load_document(args.file)
-    L, J, g, ideal = _structures(doc, ideal_flag=args.ideal)
-    H = HermitianStructure(L, J, g)
-    if not H.is_integrable():
-        raise MathRejection("J is not integrable")
+    doc, L, J, g, ideal = _structures(args)
+    H = _integrable(L, J, g)
     d = extract_data(L, ideal, J, g)
     closed = rho_b_closed(d)
     oracle = H.bismut_ricci_oracle()
@@ -214,8 +194,8 @@ def _parse_inline_matrix(spec):
         for head in ("id", "zero"):
             if spec.startswith(head):
                 n = int(spec[len(head):])
-                if n < 1:
-                    raise ValueError("the size must be at least 1")
+                if not 1 <= n <= MAX_MATRIX_SIZE:
+                    raise ValueError(f"the size must be from 1 to {MAX_MATRIX_SIZE}")
                 return linalg.idmat(n) if head == "id" else linalg.zeros(n, n)
         rows = json.loads(spec)
         if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
@@ -243,28 +223,14 @@ def cmd_lchk(args):
         verdict = lchk_admissible(D)
     except LchkError as exc:
         raise MathRejection(str(exc))
-    report = {
-        "schema": SCHEMA, "command": "lchk",
-        "admissible": verdict.admissible,
-        "a": _scalar_json(verdict.a),
-        "hyperkahler": verdict.hyperkahler,
-        "diagonalizable": verdict.diagonalizable,
-        "condition_spectrum_line": verdict.condition_spectrum_line,
-        "condition_real_multiplicity": verdict.condition_real_multiplicity,
-        "condition_even_pairs": verdict.condition_even_pairs,
-        "multiplicities": [[_scalar_json(b), m] for b, m in verdict.multiplicities],
-    }
+    report = {"schema": SCHEMA, "command": "lchk", **asdict(verdict)}
     if verdict.admissible and args.witness:
         try:
             L, triple, P, dc = construct_lchk(D)
-            theta = triple.theta
             report["witness"] = {
-                "canonical_form": _matrix_json(dc),
-                "basis_change": _matrix_json(P),
-                "lee_form": _form_json(theta),
-                "I1": _matrix_json(triple.I1.matrix),
-                "I2": _matrix_json(triple.I2.matrix),
-                "I3": _matrix_json(triple.I3.matrix),
+                "canonical_form": dc, "basis_change": P,
+                "lee_form": _form_json(triple.theta),
+                "I1": triple.I1.matrix, "I2": triple.I2.matrix, "I3": triple.I3.matrix,
             }
         except LchkError as exc:
             report["witness"] = {"error": str(exc)}
@@ -283,9 +249,12 @@ def _parse_rule(rule):
         key, val = tail.split("=", 1)
         if key != "K":
             raise ValueError
-        return int(val)
+        k_max = int(val)
     except ValueError:
         raise ParseError(f"cannot parse rule {rule!r}; expected '2logk:K=50'")
+    if k_max > MAX_PROBE_POINTS:
+        raise ParseError(f"rule {rule!r}: K must be at most {MAX_PROBE_POINTS}")
+    return k_max
 
 
 def _parse_grid(grid):
@@ -296,13 +265,15 @@ def _parse_grid(grid):
             raise ValueError
     except ValueError:
         raise ParseError(f"cannot parse grid {grid!r}; expected 'a:b:n', a and b finite, n >= 1")
+    if n > MAX_PROBE_POINTS:
+        raise ParseError(f"grid {grid!r}: n must be at most {MAX_PROBE_POINTS}")
     if n == 1:
         return [a]
     return [a + (b - a) * i / (n - 1) for i in range(n)]
 
 
 def cmd_lattice(args):
-    doc = _load_document(args.file)
+    doc = parse(_read(args.file))
     L = to_algebra(doc)
     ideal = abelian_ideal(L, to_ideal(doc))
     # matrix of ad on the ideal in the ideal basis
@@ -328,7 +299,7 @@ def cmd_lattice(args):
         "points": [{
             "t": pt.t, "k": pt.k, "verdict": pt.verdict,
             "max_deviation": pt.max_deviation,
-            "char": list(pt.char_coeffs), "min": list(pt.min_coeffs),
+            "char": pt.char_coeffs, "min": pt.min_coeffs,
             "residual": pt.residual,
             "residual_vs_inv_k": pt.residual_vs_inv_k,
         } for pt in rep.points],
@@ -338,8 +309,6 @@ def cmd_lattice(args):
 
 
 def cmd_catalog(args):
-    if args.action != "verify":
-        raise ParseError(f"unknown catalog action {args.action!r}")
     names = [args.entry] if args.entry else None
     try:
         rep = verify_all(names, samples=args.samples)
@@ -349,13 +318,7 @@ def cmd_catalog(args):
         "schema": SCHEMA, "command": "catalog-verify",
         "ok": rep["ok"],
         "elapsed_s": round(rep["elapsed_s"], 3),
-        "entries": [{
-            "entry": r["entry"],
-            "ok": r["ok"],
-            "samples": [{k: _scalar_json(v) for k, v in s.items()} for s in r["samples"]],
-            "failures": r["failures"],
-            "not_checked": list(r["not_checked"]),
-        } for r in rep["results"]],
+        "entries": rep["results"],
     }
     _emit(report, args)
     if not rep["ok"]:
@@ -364,22 +327,17 @@ def cmd_catalog(args):
 
 
 def cmd_skt_to_lcb(args):
-    doc = _load_document(args.file)
-    L, J, g, ideal = _structures(doc, ideal_flag=args.ideal)
+    doc, L, J, g, ideal = _structures(args)
     d = extract_data(L, ideal, J, g)
     if not is_skt_data(d):
         raise MathRejection("the document's metric is not SKT")
     dp = skt_to_lcb(d)
     new_doc = replace(doc, name=doc.name + "-lcb", g_spec=("matrix", dp.metric().g))
-    if args.json:
-        report = {"schema": SCHEMA, "command": "skt-to-lcb",
-                  "algebra": doc.name,
-                  "document": render(new_doc),
-                  "new_v": _scalar_json(list(dp.v)),
-                  "is_lcb": is_lcb_data(dp)}
-        print(json.dumps(report, sort_keys=True, indent=2, default=_scalar_json))
-    else:
+    if not args.json:
         sys.stdout.write(render(new_doc))
+        return EXIT_OK
+    _emit({"schema": SCHEMA, "command": "skt-to-lcb", "algebra": doc.name,
+           "document": render(new_doc), "new_v": dp.v, "is_lcb": is_lcb_data(dp)}, args)
     return EXIT_OK
 
 
@@ -394,47 +352,38 @@ def build_parser():
         prog="aalg",
         description="special Hermitian structures on almost abelian Lie algebras")
     sub = ap.add_subparsers(dest="command", required=True)
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--json", action="store_true")
+    structure = argparse.ArgumentParser(add_help=False, parents=[report])
+    structure.add_argument("file")
+    structure.add_argument("--ideal", help="declare the abelian ideal, e.g. 'f2, f3, f4'")
 
-    p = sub.add_parser("check", help="predicate verdicts (direct and data criteria)")
-    p.add_argument("file")
-    p.add_argument("--ideal", help="declare the abelian ideal, e.g. 'f2, f3, f4'")
+    p = sub.add_parser("check", parents=[structure],
+                       help="predicate verdicts (direct and data criteria)")
     p.add_argument("--property", choices=PROPERTIES)
-    p.add_argument("--json", action="store_true")
+    sub.add_parser("data", parents=[structure], help="extracted (a, v, A) and gauge invariants")
+    sub.add_parser("rho-b", parents=[structure],
+                   help="Bismut-Ricci closed form, oracle and type")
 
-    p = sub.add_parser("data", help="extracted (a, v, A) and gauge invariants")
-    p.add_argument("file")
-    p.add_argument("--ideal", help="declare the abelian ideal, e.g. 'f2, f3, f4'")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("rho-b", help="Bismut-Ricci closed form, oracle and type")
-    p.add_argument("file")
-    p.add_argument("--ideal", help="declare the abelian ideal, e.g. 'f2, f3, f4'")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("lchk", help="LCHK admissibility verdict")
+    p = sub.add_parser("lchk", parents=[report], help="LCHK admissibility verdict")
     p.add_argument("--matrix", required=True,
-                   help="file, inline JSON rows, idN or zeroN")
+                   help=f"file, inline JSON rows, idN or zeroN with N <= {MAX_MATRIX_SIZE}")
     p.add_argument("--witness", action="store_true")
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("lattice", help="integer polynomial lattice obstruction probe")
+    p = sub.add_parser("lattice", parents=[report],
+                       help="integer polynomial lattice obstruction probe")
     p.add_argument("file")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--rule", help="'2logk:K=50'")
-    group.add_argument("--grid", help="'a:b:n'")
+    group.add_argument("--rule", help=f"'2logk:K=50', K <= {MAX_PROBE_POINTS}")
+    group.add_argument("--grid", help=f"'a:b:n', n <= {MAX_PROBE_POINTS}")
     p.add_argument("--eps-int", type=float, default=None)
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("catalog", help="catalog verification harness")
+    p = sub.add_parser("catalog", parents=[report], help="catalog verification harness")
     p.add_argument("action", choices=["verify"])
     p.add_argument("--entry")
     p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("skt-to-lcb", help="transformed LCB metric document")
-    p.add_argument("file")
-    p.add_argument("--ideal", help="declare the abelian ideal, e.g. 'f2, f3, f4'")
-    p.add_argument("--json", action="store_true")
+    sub.add_parser("skt-to-lcb", parents=[structure], help="transformed LCB metric document")
     return ap
 
 

@@ -45,15 +45,15 @@ K3 = ((0, 0, 0, -1), (0, 0, -1, 0), (0, 1, 0, 0), (1, 0, 0, 0))
 
 @dataclass(frozen=True)
 class LchkVerdict:
+    """The verdict; ``aalg lchk`` reports its fields in this order."""
     admissible: bool
     a: object = None
-    multiplicities: tuple = ()          # ((b, mult) for b >= 0; b = 0 is the real eigenvalue)
+    hyperkahler: bool = False
     diagonalizable: bool = False
     condition_spectrum_line: bool = False   # (i)
     condition_real_multiplicity: bool = False  # (ii)
     condition_even_pairs: bool = False  # (iii)
-    hyperkahler: bool = False
-    notes: str = ""
+    multiplicities: tuple = ()          # ((b, mult) for b >= 0; b = 0 is the real eigenvalue)
 
 
 @dataclass(frozen=True)
@@ -142,7 +142,6 @@ def _admissible_exact(D, spectrum) -> LchkVerdict:
         condition_real_multiplicity=cond_ii,
         condition_even_pairs=cond_iii,
         hyperkahler=admissible and a == 0,
-        notes="" if diagonalizable else "minimal polynomial is not squarefree",
     )
 
 

@@ -1,8 +1,11 @@
 """CLI surface: exit codes, JSON schema, determinism."""
 
 import json
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -611,3 +614,65 @@ def test_every_entry_document_checks(name, tmp_path, capsys):
         if w.metric is None:
             for prop, expected in w.claims.items():
                 assert rep["results"][prop]["direct"] == expected, (w.label, prop)
+
+
+@pytest.mark.parametrize("args", [["--rule", "2logk:K=10001"], ["--rule", f"2logk:K={10 ** 20}"],
+                                  ["--grid", "0:1:10001"], ["--grid", f"0:1:{10 ** 20}"]],
+                         ids=["rule", "huge-rule", "grid", "huge-grid"])
+def test_lattice_caps_the_number_of_points(docs, capsys, args):
+    """K and n above MAX_PROBE_POINTS are input errors, before any point is
+    built."""
+    assert main(["lattice", docs["l1u"], *args, "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(" must be at most 10000\n")
+
+
+@pytest.mark.parametrize("flag, at_cap, over", [("--rule", "2logk:K=12", "2logk:K=13"),
+                                                ("--grid", "0:1:12", "0:1:13")])
+def test_lattice_cap_is_inclusive(docs, capsys, monkeypatch, flag, at_cap, over):
+    import aalg.cli
+    monkeypatch.setattr(aalg.cli, "MAX_PROBE_POINTS", 12)
+    assert main(["lattice", docs["l1u"], flag, at_cap, "--json"]) == 0
+    assert main(["lattice", docs["l1u"], flag, over, "--json"]) == 1
+    assert capsys.readouterr().err.endswith(" must be at most 12\n")
+
+
+@pytest.mark.parametrize("spec", ["id128", "zero128", f"id{10 ** 20}", f"zero{10 ** 20}"])
+def test_lchk_caps_the_shorthand_size(capsys, spec):
+    """idN and zeroN with N above MAX_MATRIX_SIZE are input errors, before
+    the matrix is built (128 is not 4m - 1, which the parent rejected only
+    after building it)."""
+    assert main(["lchk", "--matrix", spec, "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot parse matrix {spec!r}: the size must be from 1 to 127\n"
+
+
+def test_lchk_shorthand_cap_is_inclusive(capsys, monkeypatch):
+    import aalg.cli
+    monkeypatch.setattr(aalg.cli, "MAX_MATRIX_SIZE", 7)
+    assert main(["lchk", "--matrix", "id7"]) == 0
+    assert main(["lchk", "--matrix", "id8"]) == 1
+    assert capsys.readouterr().err.endswith("the size must be from 1 to 7\n")
+
+
+@pytest.mark.parametrize("argv, epsilon, code", [
+    (["lchk", "--matrix", "zero3", "--witness", "--json"], None, 0),
+    (["lchk", "--matrix", "idq"], None, 1),
+    (["lchk", "--matrix", "[[1, 0, 0], [0, 1, 0], [0, 0, 2]]"], None, 2),
+    (["lchk", "--matrix", "id3"], "nan", 1)])
+def test_the_module_runs_as_a_process(capsys, monkeypatch, argv, epsilon, code):
+    """``python -m aalg.cli`` exits with main's code and writes its output."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items() if k != "AALG_EPSILON"}
+    env["PYTHONPATH"] = src
+    monkeypatch.delenv("AALG_EPSILON", raising=False)
+    if epsilon is not None:
+        env["AALG_EPSILON"] = epsilon
+        monkeypatch.setenv("AALG_EPSILON", epsilon)
+    proc = subprocess.run([sys.executable, "-m", "aalg.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert main(argv) == proc.returncode == code
+    captured = capsys.readouterr()
+    assert (proc.stdout, proc.stderr) == (captured.out, captured.err)

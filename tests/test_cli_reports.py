@@ -18,7 +18,6 @@ import hashlib
 import io
 import json
 import re
-import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path

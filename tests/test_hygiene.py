@@ -149,7 +149,7 @@ def test_only_the_cli_reads_the_environment():
 
 # the places that may ask which scalar kind they hold: the kind decision of
 # the products, the algorithms that differ per kind, the scalar kernel
-# itself, and the document and CLI readers and writers
+# itself, the document reader and writer, and the CLI's matrix reader
 KIND_BRANCHES = {
     ("linalg", "_numerators"): "a product decides its kind: clear every operand or none",
     ("linalg", "_over"): "a product builds Fractions or floats",
@@ -173,7 +173,6 @@ KIND_BRANCHES = {
     ("documents", "_on_kind"): "no decimal in an exact document",
     ("documents", "_parse_lines"): "the dimension is an integer literal",
     ("documents", "_render_terms"): "a unit rational factor stays implicit",
-    ("cli", "_scalar_json"): "JSON writer",
     ("cli", "_matrix_entry"): "JSON matrix reader",
 }
 
