@@ -96,7 +96,8 @@ def _integrable(L, J, g):
 
 
 def _emit(report, args):
-    """Write the report: a Fraction as its ``p/q`` text, in both modes."""
+    """Write the report.  A Fraction is written as ``fmt`` writes it in
+    JSON and as ``str`` writes it in human mode: the same ``p/q`` text."""
     if args.json:
         print(json.dumps(report, sort_keys=True, indent=2, default=fmt))
     else:
