@@ -88,13 +88,6 @@ def _structures(args):
     return doc, L, J, g, declared
 
 
-def _integrable(L, J, g):
-    H = HermitianStructure(L, J, g)
-    if not H.is_integrable():
-        raise MathRejection("J is not integrable")
-    return H
-
-
 def _emit(report, args):
     """Write the report.  A Fraction is written as ``fmt`` writes it in
     JSON and as ``str`` writes it in human mode: the same ``p/q`` text."""
@@ -130,8 +123,8 @@ PROPERTIES = ("kahler", "lck", "balanced", "skt", "lcb", "vaisman")
 
 def cmd_check(args):
     doc, L, J, g, ideal = _structures(args)
-    H = _integrable(L, J, g)
     d = extract_data(L, ideal, J, g)
+    H = HermitianStructure(L, J, g)
     props = [args.property] if args.property else list(PROPERTIES)
     results = {}
     for prop in props:
@@ -166,8 +159,8 @@ def cmd_data(args):
 
 def cmd_rho_b(args):
     doc, L, J, g, ideal = _structures(args)
-    H = _integrable(L, J, g)
     d = extract_data(L, ideal, J, g)
+    H = HermitianStructure(L, J, g)
     closed = rho_b_closed(d)
     oracle = H.bismut_ricci_oracle()
     # per key, not via closed - oracle: a KForm drops sub-tolerance differences
@@ -220,10 +213,7 @@ def _matrix_entry(x):
 
 def cmd_lchk(args):
     D = _parse_inline_matrix(args.matrix)
-    try:
-        verdict = lchk_admissible(D)
-    except LchkError as exc:
-        raise MathRejection(str(exc))
+    verdict = lchk_admissible(D)
     report = {"schema": SCHEMA, "command": "lchk", **asdict(verdict)}
     if verdict.admissible and args.witness:
         try:
@@ -253,8 +243,9 @@ def _parse_rule(rule):
         k_max = int(val)
     except ValueError:
         raise ParseError(f"cannot parse rule {rule!r}; expected '2logk:K=50'")
-    if k_max > MAX_PROBE_POINTS:
-        raise ParseError(f"rule {rule!r}: K must be at most {MAX_PROBE_POINTS}")
+    if not 2 <= k_max <= MAX_PROBE_POINTS:
+        bound = "at least 2" if k_max < 2 else f"at most {MAX_PROBE_POINTS}"
+        raise ParseError(f"rule {rule!r}: K must be {bound}")
     return k_max
 
 
@@ -311,10 +302,7 @@ def cmd_lattice(args):
 
 def cmd_catalog(args):
     names = [args.entry] if args.entry else None
-    try:
-        rep = verify_all(names, samples=args.samples)
-    except CatalogError as exc:
-        raise ParseError(str(exc))
+    rep = verify_all(names, samples=args.samples)
     report = {
         "schema": SCHEMA, "command": "catalog-verify",
         "ok": rep["ok"],
@@ -375,7 +363,7 @@ def build_parser():
                        help="integer polynomial lattice obstruction probe")
     p.add_argument("file")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--rule", help=f"'2logk:K=50', K <= {MAX_PROBE_POINTS}")
+    group.add_argument("--rule", help=f"'2logk:K=50', 2 <= K <= {MAX_PROBE_POINTS}")
     group.add_argument("--grid", help=f"'a:b:n', n <= {MAX_PROBE_POINTS}")
     p.add_argument("--eps-int", type=float, default=None)
 

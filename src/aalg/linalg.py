@@ -6,8 +6,7 @@ Fractions; decisions (pivoting, rank) go through the tolerance for floats
 and are exact otherwise.
 
 Exact operands are cleared to Python ints once, and one Fraction is built
-per nonzero output entry (Bareiss 1968, "Sylvester's identity and
-multistep integer-preserving Gaussian elimination"):
+per nonzero output entry:
 
 * The products (:func:`mat_mul`, :func:`mat_vec`, :func:`commutator`) have
   one body for both kinds, and the kind is decided in two helpers only.
@@ -16,15 +15,19 @@ multistep integer-preserving Gaussian elimination"):
   operand through unchanged, and the same sums run on floats.
   :func:`_over` then builds Fractions, or returns floats.
 * Elimination (:func:`rref` and all built on it, :func:`det`,
-  :func:`is_positive_definite`) clears each row to integers and runs
-  Bareiss's fraction-free Gauss-Jordan: each update divides exactly by
-  the previous pivot, so every entry is a minor of the cleared matrix, of
-  at most k (b + log2(k) / 2) bits for a k x k minor of b-bit entries
-  (Hadamard's bound).  :func:`charpoly` runs Faddeev-LeVerrier on the
-  integer numerators, each division by k exact.
+  :func:`is_positive_definite`) clears each row to integers and reduces
+  the rows one at a time against an integer basis of the rows before them
+  (:func:`_reduce`, Bareiss's fraction-free form applied by rows; Bareiss
+  1968, "Sylvester's identity and multistep integer-preserving Gaussian
+  elimination").  Each division is exact, so every entry is a minor of
+  the cleared matrix, of at most k (b + log2(k) / 2) bits for a k x k
+  minor of b-bit entries (Hadamard's bound), and a row that depends on
+  the basis costs one reduction.  :func:`charpoly` runs Faddeev-LeVerrier
+  on the integer numerators, each division by k exact.
 
 Float matrices keep the float loops (Gauss-Jordan with partial pivoting,
-Faddeev-LeVerrier), bit for bit.
+Faddeev-LeVerrier), bit for bit; float Sylvester's criterion compares the
+pivots of one elimination without row exchanges with the tolerance.
 
 Also hosts the small univariate polynomial toolkit (coefficient lists,
 low degree first) for characteristic/minimal polynomials: Yun's
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd, lcm, prod
+from math import lcm, prod
 from operator import mul
 
 from .scalars import EXACT, FLOAT, coerce, current_eps, is_zero, kind_of, zero, one
@@ -266,77 +269,56 @@ def _cleared_rows(a):
     return [(d, row) for d, (row,) in _numerators(*([row] for row in a))]
 
 
-def _lines(a):
-    """The distinct lines spanned by the nonzero rows of an exact a, in
-    order of first appearance, each as its primitive integer vector (the
-    cleared row over the gcd of its entries) with a positive leading entry.
-    They span a's row space, and repeated or proportional rows (common in
-    the ideal search's system) are eliminated once."""
-    lines = {}
-    for _, row in _cleared_rows(a):
-        if any(row):
-            g = gcd(*row)
-            if next(x for x in row if x) < 0:
-                g = -g
-            lines[tuple([x // g for x in row])] = None
-    return list(map(list, lines))
-
-
-def _bareiss(m):
-    """Fraction-free Gauss-Jordan on the integer rows m, in place (Bareiss
-    1968): (pivot_columns, pivots, swaps), m ending as pivots[-1] times its
-    reduced row echelon form.  Each step replaces every other row by
-    (pivot * row - row[c] * pivot_row) / previous pivot, a row with
-    row[c] = 0 by pivot * row / previous pivot; the division is exact, and
-    every entry stays a minor of m.  Rows are swapped only where row r is
-    zero in the pivot column.  On a square m, until the first swap
-    the k-th pivot is the leading principal minor of order k, and det m is
-    (-1)^swaps times the last pivot when every column has one, else 0."""
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    columns, pivots = [], []
-    swaps = 0
-    prev = 1
-    for c in range(ncols):
-        r = len(columns)
-        if r >= nrows:
-            break
-        p = _pivot_row((i, m[i][c]) for i in range(r, nrows))
-        if p is None:
+def _reduce(cleared):
+    """Fraction-free elimination of the integer rows of
+    :func:`_cleared_rows`, one row at a time (Bareiss 1968, by rows):
+    (basis, d, steps), basis / d the RREF of the rows.  basis maps each
+    pivot column c to a row b with b[c] = d and zeros in the other pivot
+    columns.  A row x reduces to r = d x - sum of x[c] b; a nonzero r
+    pivots at its first nonzero column c, each b becomes
+    (r[c] b - b[c] r) / d, an exact division, and d becomes r[c]: the minor
+    of the pivoting rows on the pivot columns in pivoting order.  steps
+    holds per row None (a zero r, or every column already pivots) or
+    (c, r[c])."""
+    basis, d, steps = {}, 1, []
+    for _, x in cleared:
+        if len(basis) == len(x):
+            steps.append(None)
             continue
-        if p != r:
-            m[r], m[p] = m[p], m[r]
-            swaps += 1
-        prow = m[r]
-        pv = prow[c]
-        for i, row in enumerate(m):
-            if i == r:
-                continue
-            f = row[c]
+        r = [d * v for v in x]
+        for c, b in basis.items():
+            f = x[c]
             if f:
-                m[i] = [(pv * x - f * y) // prev for x, y in zip(row, prow)]
-            elif pv != prev:
-                m[i] = [pv * x // prev for x in row]
-        columns.append(c)
-        pivots.append(pv)
-        prev = pv
-    return columns, pivots, swaps
+                r = [u - f * w for u, w in zip(r, b)]
+        c = next((j for j, v in enumerate(r) if v), None)
+        if c is None:
+            steps.append(None)
+            continue
+        p = r[c]
+        for k, b in basis.items():
+            f = b[c]
+            if f:
+                basis[k] = [(p * u - f * w) // d for u, w in zip(b, r)]
+            elif p != d:
+                basis[k] = [p * u // d for u in b]
+        basis[c] = r
+        steps.append((c, p))
+        d = p
+    return basis, d, steps
 
 
 def rref(a):
     """Reduced row echelon form.  Returns (R, pivot_columns).
 
-    An exact a runs :func:`_bareiss` on its :func:`_lines` and builds each
-    nonzero entry of R once, as a Fraction over the last pivot, zero rows
-    filling R to a's height; the RREF of a row space is unique, so R is the
-    one Gauss-Jordan gives.
+    An exact R is the :func:`_reduce` basis of a's cleared rows over d in
+    pivot-column order, zero rows filling it to a's height: the RREF of a
+    row space is unique, so it is the one Gauss-Jordan gives.
     """
     if matrix_kind(a) == EXACT:
-        m = _lines(a)
-        columns, pivots, _ = _bareiss(m)
-        d = pivots[-1] if pivots else 1
-        zero_rows = [[_ZERO] * len(a[0]) for _ in range(len(a) - len(m))]
-        return [[Fraction(x, d) if x else _ZERO for x in row] for row in m] + zero_rows, columns
+        basis, d, _ = _reduce(_cleared_rows(a))
+        columns = sorted(basis)
+        rows = [[Fraction(x, d) if x else _ZERO for x in basis[c]] for c in columns]
+        return rows + [[_ZERO] * len(a[0]) for _ in range(len(a) - len(rows))], columns
     m = [list(row) for row in a]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
@@ -362,8 +344,6 @@ def rref(a):
 
 
 def rank(a) -> int:
-    if not a:
-        return 0
     return len(rref(a)[1])
 
 
@@ -422,17 +402,20 @@ def inverse(a):
 
 
 def det(a):
-    """Determinant.  An exact a is one :func:`_bareiss` pass over its
-    cleared rows, divided by the product of the rows' denominators; a
-    float a is Gaussian elimination with partial pivoting."""
+    """Determinant.  An exact a is one :func:`_reduce` pass over its
+    cleared rows: when every row pivots, det a is the sign of the
+    permutation of the pivot columns times d, over the product of the
+    rows' denominators, else 0.  A float a is Gaussian elimination with
+    partial pivoting."""
     n = len(a)
     kind = matrix_kind(a)
     if kind == EXACT:
         cleared = _cleared_rows(a)
-        _, pivots, swaps = _bareiss([row for _, row in cleared])
-        if len(pivots) < n:
+        _, d, steps = _reduce(cleared)
+        if None in steps:
             return _ZERO
-        return Fraction((-1) ** swaps * pivots[-1] if n else 1, prod(d for d, _ in cleared))
+        inversions = sum(s[0] > t[0] for i, s in enumerate(steps) for t in steps[i + 1:])
+        return Fraction((-1) ** inversions * d, prod(q for q, _ in cleared))
     m = [list(row) for row in a]
     sign = one(kind)
     acc = one(kind)
@@ -465,18 +448,22 @@ def column_space_basis(vectors):
 def is_positive_definite(g) -> bool:
     """Sylvester's criterion: every leading principal minor is positive.
 
-    On an exact g the minors are the pivots of one :func:`_bareiss` pass
-    (a swap means a zero minor; the rows' positive denominators keep their
-    signs); on a float g each minor is a :func:`det`.
+    On an exact g these minors, times the rows' positive denominators, are
+    the pivots of one :func:`_reduce` pass when row k pivots in column k
+    for every k (a zero minor moves a pivot).  A float g is eliminated
+    without row exchanges, and each pivot, a ratio of consecutive minors
+    of the size of g's entries, must exceed the tolerance.
     """
     n = len(g)
     if matrix_kind(g) == EXACT:
-        _, pivots, swaps = _bareiss([row for _, row in _cleared_rows(g)])
-        return not swaps and len(pivots) == n and all(p > 0 for p in pivots)
-    for k in range(1, n + 1):
-        minor = det([row[:k] for row in g[:k]])
-        if minor < 0 or is_zero(minor):
+        _, _, steps = _reduce(_cleared_rows(g))
+        return all(s is not None and s[0] == k and s[1] > 0 for k, s in enumerate(steps))
+    m = [list(row) for row in g]
+    for k in range(n):
+        pv = m[k][k]
+        if pv < 0 or is_zero(pv):
             return False
+        m[k + 1:] = [[x - row[k] / pv * y for x, y in zip(row, m[k])] for row in m[k + 1:]]
     return True
 
 

@@ -187,7 +187,7 @@ def test_integrability_decided_once_per_document(docs, capsys, monkeypatch, comm
     assert main([command, docs["g4bad"], "--json"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "rejected: J is not integrable\n"
+    assert captured.err == "rejected: J_NOT_COMPATIBLE: J is not integrable\n"
 
 
 @pytest.mark.parametrize("json_flag", [[], ["--json"]])
@@ -636,6 +636,30 @@ def test_lattice_cap_is_inclusive(docs, capsys, monkeypatch, flag, at_cap, over)
     assert main(["lattice", docs["l1u"], flag, at_cap, "--json"]) == 0
     assert main(["lattice", docs["l1u"], flag, over, "--json"]) == 1
     assert capsys.readouterr().err.endswith(" must be at most 12\n")
+
+
+@pytest.mark.parametrize("k", ["1", "0", "-5"])
+def test_lattice_rule_needs_two_points(docs, capsys, k):
+    """The 2 log k rule probes k = 2..K, so a K below 2 is an input error
+    instead of an empty NONE_IN_RANGE report."""
+    assert main(["lattice", docs["l1u"], "--rule", f"2logk:K={k}", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: rule '2logk:K={k}': K must be at least 2\n"
+    assert main(["lattice", docs["l1u"], "--rule", "2logk:K=2", "--json"]) == 0
+
+
+@pytest.mark.parametrize("scale", ["0.001", "1/1000", "1000"])
+def test_small_metric_is_positive_definite(tmp_path, capsys, scale):
+    """A float metric 0.001 Id passes Sylvester's criterion as its exact
+    twin does: the test does not depend on the scale of g."""
+    rows = [[scale if i == j else "0" for j in range(4)] for i in range(4)]
+    path = tmp_path / "small.alg"
+    path.write_text("algebra small dim 4\nd = (f14, f24, f34, 0)\nJ: f1->f2, f3->f4\n"
+                    f"g: matrix [{', '.join('[' + ', '.join(r) + ']' for r in rows)}]\n",
+                    encoding="utf-8")
+    code, rep = run_json(capsys, ["data", str(path), "--json"])
+    assert code == 0 and rep["command"] == "data"
 
 
 @pytest.mark.parametrize("spec", ["id128", "zero128", f"id{10 ** 20}", f"zero{10 ** 20}"])

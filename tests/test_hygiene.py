@@ -154,9 +154,9 @@ KIND_BRANCHES = {
     ("linalg", "_numerators"): "a product decides its kind: clear every operand or none",
     ("linalg", "_over"): "a product builds Fractions or floats",
     ("linalg", "_pivot_row"): "first nonzero pivot vs largest pivot",
-    ("linalg", "rref"): "fraction-free Gauss-Jordan on integer rows vs float Gauss-Jordan",
-    ("linalg", "det"): "one Bareiss pass on integer rows vs float elimination",
-    ("linalg", "is_positive_definite"): "Bareiss pivots vs float leading-minor determinants",
+    ("linalg", "rref"): "row-by-row reduction of integer rows vs float Gauss-Jordan",
+    ("linalg", "det"): "one row-by-row reduction vs float elimination",
+    ("linalg", "is_positive_definite"): "reduction pivots vs float pivots without row exchanges",
     ("linalg", "charpoly"): "Faddeev-LeVerrier on integer numerators vs on floats",
     ("linalg", "rational_roots"): "exact coefficients only",
     ("lchk", "_admissible"): "exact and float LCHK verdicts",

@@ -206,6 +206,21 @@ def test_rational_roots_cost_is_bounded():
 def test_positive_definite():
     assert linalg.is_positive_definite([[F(2), F(1)], [F(1), F(2)]])
     assert not linalg.is_positive_definite([[F(1), F(2)], [F(2), F(1)]])
+    assert not linalg.is_positive_definite([[1.0, 1.0], [1.0, 1.0 + 1e-12]])
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e-6, 1.0, 1e6])
+def test_float_positive_definite_does_not_depend_on_scale(scale):
+    """Each float pivot is a ratio of consecutive leading minors, of the
+    size of g's entries, so c g passes or fails with g for any c > 0 whose
+    pivots stay above the tolerance."""
+    for g, want in (([[2.0, 1.0, 0.0, 0.0], [1.0, 2.0, 0.0, 0.0],
+                      [0.0, 0.0, 1.0, 0.5], [0.0, 0.0, 0.5, 1.0]], True),
+                    ([[1.0, 2.0], [2.0, 1.0]], False), ([[1.0, 0.0], [0.0, -1.0]], False),
+                    ([[1.0, 1.0], [1.0, 1.0]], False),
+                    ([[float(i == j) for j in range(4)] for i in range(4)], True)):
+        scaled = [[scale * x for x in row] for row in g]
+        assert linalg.is_positive_definite(scaled) is want, (scale, g)
 
 
 def test_float_pivoting():
@@ -524,10 +539,22 @@ ELIM_ENTRIES = st.one_of(
 @st.composite
 def elimination_inputs(draw):
     """An exact r x c matrix with, at random, a zero row, a zero column, a
-    repeated row and a row that is a combination of two others."""
+    repeated row and a row that is a combination of two others.  The rows
+    of the 8 x 8, 40 x 5 and 60 x 8 shapes are a few drawn rows (at most
+    c + 1, and at most r) and multiples and combinations of them, in a
+    drawn order."""
     r, c = draw(st.sampled_from([(0, 0), (1, 1), (1, 4), (4, 1), (2, 3), (3, 3), (4, 4),
-                                 (5, 3), (3, 6), (6, 6)]))
-    a = draw(st.lists(st.lists(ELIM_ENTRIES, min_size=c, max_size=c), min_size=r, max_size=r))
+                                 (5, 3), (3, 6), (6, 6), (8, 8), (40, 5), (60, 8)]))
+    if r < 8:
+        a = draw(st.lists(st.lists(ELIM_ENTRIES, min_size=c, max_size=c), min_size=r, max_size=r))
+    else:
+        few = draw(st.lists(st.lists(ELIM_ENTRIES, min_size=c, max_size=c),
+                            min_size=1, max_size=min(c + 1, r)))
+        factors = st.sampled_from([0, 1, -1, 2, F(-1, 3), F(5, 7)])
+        a = few + [[sum(k * x for k, x in zip(ks, col)) for col in zip(*few)]
+                   for ks in draw(st.lists(st.lists(factors, min_size=len(few), max_size=len(few)),
+                                           min_size=r - len(few), max_size=r - len(few)))]
+        a = [a[i] for i in draw(st.permutations(range(r)))]
     if r and draw(st.booleans()):
         a[draw(st.integers(0, r - 1))] = [0] * c
     if c and draw(st.booleans()):
