@@ -38,7 +38,7 @@ from .almost_abelian import (DataError, extract_data, is_lcb_data, is_skt_data,
                              skt_to_lcb)
 from .lchk import LchkError, construct_lchk, lchk_admissible
 from .lattice import LatticeError, integrality_probe
-from .catalog import CatalogError, verify_all
+from .catalog import CatalogError, _restrict_last, verify_all
 
 SCHEMA = "aalg-report/1"
 
@@ -268,14 +268,11 @@ def cmd_lattice(args):
     doc = parse(_read(args.file))
     L = to_algebra(doc)
     ideal = abelian_ideal(L, to_ideal(doc))
-    # matrix of ad on the ideal in the ideal basis
-    vecs = [list(v) for v in ideal.vectors]
-    # transversal: the last basis vector outside the hyperplane
-    trans = next(e for e in reversed(linalg.idmat(L.dim)) if not ideal.contains(e))
-    full = linalg.transpose(vecs + [trans])
-    inv = linalg.inverse(full)
-    cols = [linalg.mat_vec(inv, L.bracket(trans, v))[:-1] for v in vecs]
-    B = [[float(cols[j][i]) for j in range(len(vecs))] for i in range(len(vecs))]
+    # B: ad of the transversal, the last basis vector outside the hyperplane,
+    # on the ideal in the ideal basis
+    trans = next(e for e in reversed(linalg.idmat(L.dim, L.kind)) if not ideal.contains(e))
+    frame = linalg.transpose([list(v) for v in ideal.vectors] + [trans])
+    B = [[float(x) for x in row] for row in _restrict_last(L.change_basis(frame))]
     eps_int = args.eps_int
     if args.rule:
         k_max = _parse_rule(args.rule)

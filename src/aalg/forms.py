@@ -27,7 +27,7 @@ from __future__ import annotations
 from itertools import compress, permutations
 
 from .scalars import EXACT, coerce, is_zero, kind_of, one, zero
-from .linalg import _numerators, _over, mat_vec, solve, LinAlgError
+from .linalg import _numerators, _over, LinAlgError
 
 
 def sort_indices(indices):
@@ -256,19 +256,3 @@ def _form_over(degree, dim, sums, d, kind):
     numerators (or floats over a float d)."""
     (vals,) = _over([list(sums.values())], d)
     return KForm(degree, dim, dict(zip(sums, vals)), kind=kind)
-
-
-def flat(vector, metric) -> KForm:
-    """Musical isomorphism X -> g(X, .)."""
-    return KForm.from_vector(mat_vec(metric, vector))
-
-
-def sharp(alpha: KForm, metric):
-    """Inverse musical isomorphism on 1-forms."""
-    if alpha.degree != 1:
-        raise LinAlgError("sharp expects a 1-form")
-    comps = [alpha.get((i,)) for i in range(alpha.dim)]
-    x = solve(metric, comps)
-    if x is None:
-        raise LinAlgError("degenerate metric")
-    return x

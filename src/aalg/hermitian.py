@@ -177,11 +177,9 @@ class HermitianStructure:
     def nijenhuis(self):
         return nijenhuis(self.J, self.L)
 
-    def is_integrable(self) -> bool:
-        return self._memo("integrable", lambda: is_integrable(self.J, self.L))
-
     def _require_integrable(self):
-        if not self.is_integrable():
+        # one read of the algebra's memo per structure: its key hashes J
+        if not self._memo("integrable", lambda: is_integrable(self.J, self.L)):
             raise HermitianError("NON_INTEGRABLE", "J has nonvanishing Nijenhuis tensor")
 
     # -- Lee form -------------------------------------------------------------
@@ -373,57 +371,6 @@ def _raised(g: Metric, d, t):
     """Gamma_i = g^{-1} T_i / d for the integer tables T of :func:`_lowered`."""
     di, gi = g.inverse
     return [linalg._over(linalg._row_sums(gi, ti, 0), di * d) for ti in t]
-
-
-def torsion_tensor(gamma, L: LieAlgebra):
-    """T(e_i, e_j) = D_i e_j - D_j e_i - [e_i, e_j]."""
-    n = L.dim
-    out = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            col_ij = [gamma[i][k][j] for k in range(n)]
-            col_ji = [gamma[j][k][i] for k in range(n)]
-            vec = linalg.vec_sub(linalg.vec_sub(col_ij, col_ji), L.basis_bracket(i, j))
-            out[(i, j)] = vec
-    return out
-
-
-def torsion_is_totally_skew(gamma, L: LieAlgebra, g: Metric) -> bool:
-    """g(T(X, Y), Z) alternating in all three arguments.
-
-    Antisymmetry in (X, Y) is structural, so it suffices that the lowered
-    tensor kills repeated indices and is antisymmetric in the last two slots.
-    """
-    n = L.dim
-    gm = g.matrix
-    tor = torsion_tensor(gamma, L)
-    lowered = {key: linalg.mat_vec(gm, vec) for key, vec in tor.items()}
-    for (i, j), gv in lowered.items():
-        if not (is_zero(gv[i]) and is_zero(gv[j])):
-            return False
-        for l in range(n):
-            if l in (i, j):
-                continue
-            pair = (i, l) if i < l else (l, i)
-            sgn = 1 if i < l else -1
-            if not is_zero(gv[l] + sgn * lowered[pair][j]):
-                return False
-    return True
-
-
-def connection_preserves_metric(gamma, g: Metric) -> bool:
-    """D g = 0: with constant g this is Gamma_i^t G + G Gamma_i = 0."""
-    gm = g.matrix
-    for gi in gamma:
-        m = linalg.mat_mul(gm, gi)
-        if not linalg.mat_eq(m, linalg.mat_scale(-1, linalg.transpose(m))):
-            return False
-    return True
-
-
-def connection_preserves_tensor(gamma, t) -> bool:
-    """D t = 0 for an endomorphism t: [Gamma_i, t] = 0 for all i."""
-    return all(linalg.is_zero_matrix(linalg.commutator(gi, t)) for gi in gamma)
 
 
 def curvature_operator(gamma, L: LieAlgebra, i, j):

@@ -4,15 +4,16 @@ Structure constants are held sparsely: brackets[(i, j)] with i < j maps to
 the coefficient vector of [e_i, e_j], and are cleared to integers once per
 algebra (:attr:`LieAlgebra.constants`): the bracket numerators over one
 denominator and the table whose row i is ad_{e_i}^t flattened.  ad_x,
-ad_{e_i}, [e_i, e_j], the ideal test below, Nijenhuis and Koszul in
-``hermitian`` and, through :attr:`LieAlgebra.coframe_terms`, d in ``forms``
-all read that one view.  Validation enforces
+ad_{e_i}, [x, y] = ad_x y, the change of basis, the ideal test and the
+ideal search below, Nijenhuis and Koszul in ``hermitian`` and, through
+:attr:`LieAlgebra.coframe_terms`, d in ``forms`` all read that one view.
+Validation enforces
 antisymmetry by construction and checks the Jacobi identity as d^2 = 0 on
 the coframe, exactly on the rational path and on floats against
 eps max(1, max |c|)^2, the scale of the cyclic sums.  A hyperplane is an
 ideal iff it contains [L, L], so the ideal test evaluates its covector on
 the brackets; the ideal search solves one linear system in the covector,
-built from the brackets and the coframe differentials.
+on the integer rows of the bracket numerators and the coframe terms.
 :func:`abelian_ideal` validates a declared ideal or searches for one, and
 caches the answer on the algebra once per declaration.
 """
@@ -22,7 +23,6 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 from .scalars import EXACT, coerce, current_eps, is_zero, kind_of, tolerance, zero
 from . import linalg
@@ -85,21 +85,6 @@ class LieAlgebra:
 
     # -- construction -------------------------------------------------------
     @classmethod
-    def from_tensor(cls, c):
-        """Validate a cubic tensor c[i][j][k] = coefficient of e_k in [e_i,e_j]."""
-        dim = len(c)
-        kind = next((kind_of(x) for plane in c for vec in plane for x in vec), EXACT)
-        for i, j, k in product(range(dim), repeat=3):
-            s = coerce(c[i][j][k], kind) + coerce(c[j][i][k], kind)
-            if not is_zero(s):
-                raise LieAlgebraError(
-                    "ANTISYMMETRY_VIOLATION",
-                    f"c^{k}_{{{i},{j}}} + c^{k}_{{{j},{i}}} = {s}",
-                    witness=(i, j, k))
-        return cls(dim, {(i, j): c[i][j] for i in range(dim) for j in range(i + 1, dim)},
-                   kind=kind)
-
-    @classmethod
     def abelian(cls, dim, kind=EXACT):
         return cls(dim, {}, kind=kind, _validated=True)
 
@@ -133,16 +118,8 @@ class LieAlgebra:
         return linalg._over([table[i][j * n:(j + 1) * n]], dc)[0]
 
     def bracket(self, x, y):
-        """[x, y] for coefficient vectors x, y."""
-        out = linalg.zero_vector(self.dim, self.kind)
-        for (i, j), vec in self.brackets.items():
-            c = x[i] * y[j] - x[j] * y[i]
-            if c == 0:
-                continue
-            for t, v in enumerate(vec):
-                if v != 0:
-                    out[t] += c * v
-        return out
+        """[x, y] for coefficient vectors x, y: ad_x y, read off the table."""
+        return linalg.mat_vec(self.ad(x), y)
 
     def ad(self, x):
         """Matrix of ad_x = [x, .]: x times the table is ad_x^t flattened,
@@ -185,7 +162,7 @@ class LieAlgebra:
         if self.kind == EXACT:
             scaled = nullcontext()
         else:
-            c = max((abs(x) for vec in self.brackets.values() for x in vec), default=0.0)
+            c = max((abs(x) for row in self.constants[1] for x in row), default=0.0)
             scaled = tolerance(current_eps() * max(1.0, c) ** 2)
         with scaled:
             dd = [exterior_derivative(de, self) for de in coframe]
@@ -228,13 +205,15 @@ class LieAlgebra:
                     for k, de in enumerate(self.coframe_differentials())]
 
     def change_basis(self, s):
-        """Algebra in the new basis b_j = sum_i s[i][j] e_i."""
+        """Algebra in the new basis b_j = sum_i s[i][j] e_i: column j of
+        s^-1 ad_{b_i} s is [b_i, b_j] in the new basis, one ad per b_i."""
         sinv = linalg.inverse(s)
         if sinv is None:
             raise LieAlgebraError("SINGULAR", "basis change matrix is singular")
-        cols = linalg.transpose(s)
-        new = {(i, j): linalg.mat_vec(sinv, self.bracket(cols[i], cols[j]))
-               for i in range(self.dim) for j in range(i + 1, self.dim)}
+        new = {}
+        for i, b in enumerate(linalg.transpose(s)):
+            m = linalg.mat_mul(sinv, linalg.mat_mul(self.ad(b), [row[i + 1:] for row in s]))
+            new.update(((i, j), c) for j, c in enumerate(linalg.transpose(m), i + 1))
         return LieAlgebra(self.dim, new, kind=self.kind, _validated=True)
 
     def __repr__(self):
@@ -253,19 +232,26 @@ def find_codim1_abelian_ideal(L: LieAlgebra):
     column are kept.  The answer is ker V[-1], the basis vector of the
     largest free column (span(e_1 .. e_{d-1}) for the abelian algebra), and
     it is ``ambiguous`` exactly when dim V > 1.
+
+    The system's rows are dc times those conditions, read off
+    :attr:`LieAlgebra.constants` and :attr:`LieAlgebra.coframe_terms`:
+    Python ints on the exact path, the constants' own floats on the float
+    path.
     """
     n = L.dim
-    brackets = list(L.brackets.values())
-    free = set(range(n)).difference(linalg.rref(brackets)[1])
+    dc, rows, _ = L.constants
+    free = set(range(n)).difference(linalg.rref(rows)[1])
+    # int 0, or 0.0 on floats: the first entry decides the system's kind
+    zero = 0 * dc
     wedge = {}
-    for k, de in enumerate(L.coframe_differentials()):
-        for (a, b), c in de.coeffs.items():
+    for k, terms in enumerate(L.coframe_terms[1]):
+        for (a, b), c in terms:
             for l in range(n):
                 if l not in (a, b) and free.intersection((l, a, b)):
                     key, sign = sort_indices((l, a, b))
-                    row = wedge.setdefault((k, key), linalg.zero_vector(n, L.kind))
+                    row = wedge.setdefault((k, key), [zero] * n)
                     row[l] += sign * c
-    system = [wedge[key] for key in sorted(wedge)] + brackets
+    system = [wedge[key] for key in sorted(wedge)] + rows
     V = linalg.nullspace(system) if system else linalg.idmat(n, L.kind)
     if not V:
         return None

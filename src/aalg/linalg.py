@@ -14,7 +14,7 @@ per nonzero output entry:
   common denominator; when any operand is a float matrix it passes every
   operand through unchanged, and the same sums run on floats.
   :func:`_over` then builds Fractions, or returns floats.
-* Elimination (:func:`rref` and all built on it, :func:`det`,
+* Elimination (:func:`rref` and all built on it,
   :func:`is_positive_definite`) clears each row to integers and reduces
   the rows one at a time against an integer basis of the rows before them
   (:func:`_reduce`, Bareiss's fraction-free form applied by rows; Bareiss
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import lcm, prod
+from math import lcm
 from operator import mul
 
 from .scalars import EXACT, FLOAT, coerce, current_eps, is_zero, kind_of, zero, one
@@ -192,10 +192,6 @@ def mat_vec(a, v):
     return _over([[sum(map(mul, row, iv)) for row in ia]], da * dv)[0]
 
 
-def vec_add(u, v):
-    return [x + y for x, y in zip(u, v)]
-
-
 def vec_sub(u, v):
     return [x - y for x, y in zip(u, v)]
 
@@ -242,26 +238,6 @@ def is_zero_vector(v) -> bool:
 
 # ---------------------------------------------------------------------------
 # elimination
-
-def _pivot_row(column_values):
-    """Index of the usable pivot row, or None.
-
-    Exact path (int or Fraction entries) takes the first nonzero entry,
-    float path the largest one.
-    """
-    best = None
-    best_mag = None
-    eps = current_eps()
-    for r, x in column_values:
-        if isinstance(x, (Fraction, int)):
-            if x != 0:
-                return r
-        else:
-            mag = abs(x)
-            if mag > eps and (best_mag is None or mag > best_mag):
-                best, best_mag = r, mag
-    return best
-
 
 def _cleared_rows(a):
     """(d, row) for each row of an exact matrix a: row is the integer
@@ -322,14 +298,15 @@ def rref(a):
     m = [list(row) for row in a]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
+    eps = current_eps()
     pivots = []
     r = 0
     for c in range(ncols):
         if r >= nrows:
             break
-        cand = [(i, m[i][c]) for i in range(r, nrows)]
-        p = _pivot_row(cand)
-        if p is None:
+        # the largest entry of the column, if it exceeds the tolerance
+        p = max(range(r, nrows), key=lambda i: abs(m[i][c]))
+        if abs(m[p][c]) <= eps:
             continue
         m[r], m[p] = m[p], m[r]
         pv = m[r][c]
@@ -399,40 +376,6 @@ def inverse(a):
     if pivots != list(range(n)):
         return None
     return [row[n:] for row in r]
-
-
-def det(a):
-    """Determinant.  An exact a is one :func:`_reduce` pass over its
-    cleared rows: when every row pivots, det a is the sign of the
-    permutation of the pivot columns times d, over the product of the
-    rows' denominators, else 0.  A float a is Gaussian elimination with
-    partial pivoting."""
-    n = len(a)
-    kind = matrix_kind(a)
-    if kind == EXACT:
-        cleared = _cleared_rows(a)
-        _, d, steps = _reduce(cleared)
-        if None in steps:
-            return _ZERO
-        inversions = sum(s[0] > t[0] for i, s in enumerate(steps) for t in steps[i + 1:])
-        return Fraction((-1) ** inversions * d, prod(q for q, _ in cleared))
-    m = [list(row) for row in a]
-    sign = one(kind)
-    acc = one(kind)
-    for c in range(n):
-        cand = [(i, m[i][c]) for i in range(c, n)]
-        p = _pivot_row(cand)
-        if p is None:
-            return zero(kind)
-        if p != c:
-            m[c], m[p] = m[p], m[c]
-            sign = -sign
-        pv = m[c][c]
-        acc *= pv
-        for i in range(c + 1, n):
-            f = m[i][c] / pv
-            m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return sign * acc
 
 
 def column_space_basis(vectors):
@@ -545,15 +488,6 @@ def poly_eval(p, x):
     acc = p[-1]
     for c in reversed(p[:-1]):
         acc = acc * x + c
-    return acc
-
-
-def poly_eval_matrix(p, m):
-    n = len(m)
-    kind = matrix_kind(m)
-    acc = mat_scale(coerce(p[-1], kind), idmat(n, kind))
-    for c in reversed(p[:-1]):
-        acc = mat_add(mat_mul(acc, m), mat_scale(coerce(c, kind), idmat(n, kind)))
     return acc
 
 

@@ -10,10 +10,8 @@ from aalg import linalg
 from aalg.forms import KForm, exterior_derivative, pullback, sort_indices, wedge, wedge_power
 from aalg.scalars import EXACT, FLOAT, coerce, is_zero
 from aalg.hermitian import (ComplexStructure, HermitianError, HermitianStructure,
-                            Metric, connection_preserves_metric,
-                            connection_preserves_tensor, curvature_operator,
-                            is_integrable, levi_civita, nijenhuis,
-                            torsion_is_totally_skew, torsion_tensor)
+                            Metric, curvature_operator, is_integrable, levi_civita,
+                            nijenhuis)
 from aalg.lie import LieAlgebra
 from aalg.almost_abelian import build_algebra, standard_j1
 
@@ -143,6 +141,59 @@ def _stream(seed, count, dims):
     for k, d in enumerate(data_stream(seed, count, dims=dims)):
         L, J, g = build_algebra(d.a, list(d.v), d.A_matrix, d.J1_matrix)
         yield transported(L, J, g, random_shear(rng, L.dim)) if k % 2 else (L, J, g)
+
+
+# -- references: torsion and parallel tensors, entry by entry ----------------------
+
+def torsion_tensor(gamma, L: LieAlgebra):
+    """T(e_i, e_j) = D_i e_j - D_j e_i - [e_i, e_j]."""
+    n = L.dim
+    out = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            col_ij = [gamma[i][k][j] for k in range(n)]
+            col_ji = [gamma[j][k][i] for k in range(n)]
+            vec = linalg.vec_sub(linalg.vec_sub(col_ij, col_ji), L.basis_bracket(i, j))
+            out[(i, j)] = vec
+    return out
+
+
+def torsion_is_totally_skew(gamma, L: LieAlgebra, g: Metric) -> bool:
+    """g(T(X, Y), Z) alternating in all three arguments.
+
+    Antisymmetry in (X, Y) is structural, so it suffices that the lowered
+    tensor kills repeated indices and is antisymmetric in the last two slots.
+    """
+    n = L.dim
+    gm = g.matrix
+    tor = torsion_tensor(gamma, L)
+    lowered = {key: linalg.mat_vec(gm, vec) for key, vec in tor.items()}
+    for (i, j), gv in lowered.items():
+        if not (is_zero(gv[i]) and is_zero(gv[j])):
+            return False
+        for l in range(n):
+            if l in (i, j):
+                continue
+            pair = (i, l) if i < l else (l, i)
+            sgn = 1 if i < l else -1
+            if not is_zero(gv[l] + sgn * lowered[pair][j]):
+                return False
+    return True
+
+
+def connection_preserves_metric(gamma, g: Metric) -> bool:
+    """D g = 0: with constant g this is Gamma_i^t G + G Gamma_i = 0."""
+    gm = g.matrix
+    for gi in gamma:
+        m = linalg.mat_mul(gm, gi)
+        if not linalg.mat_eq(m, linalg.mat_scale(-1, linalg.transpose(m))):
+            return False
+    return True
+
+
+def connection_preserves_tensor(gamma, t) -> bool:
+    """D t = 0 for an endomorphism t: [Gamma_i, t] = 0 for all i."""
+    return all(linalg.is_zero_matrix(linalg.commutator(gi, t)) for gi in gamma)
 
 
 def test_levi_civita_properties():

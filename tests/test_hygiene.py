@@ -153,9 +153,7 @@ def test_only_the_cli_reads_the_environment():
 KIND_BRANCHES = {
     ("linalg", "_numerators"): "a product decides its kind: clear every operand or none",
     ("linalg", "_over"): "a product builds Fractions or floats",
-    ("linalg", "_pivot_row"): "first nonzero pivot vs largest pivot",
     ("linalg", "rref"): "row-by-row reduction of integer rows vs float Gauss-Jordan",
-    ("linalg", "det"): "one row-by-row reduction vs float elimination",
     ("linalg", "is_positive_definite"): "reduction pivots vs float pivots without row exchanges",
     ("linalg", "charpoly"): "Faddeev-LeVerrier on integer numerators vs on floats",
     ("linalg", "rational_roots"): "exact coefficients only",
@@ -212,3 +210,45 @@ def test_kind_branches_are_listed():
     assert found == set(KIND_BRANCHES), (
         f"unlisted: {sorted(found - set(KIND_BRANCHES))}, "
         f"gone: {sorted(set(KIND_BRANCHES) - found)}")
+
+
+# the places that may read LieAlgebra.brackets, the dict of bracket vectors:
+# the integer view every computation reads, the coframe, the ideal basis of
+# [L, L], the repr, and the keys of the Koszul table
+BRACKETS_READERS = {
+    ("lie", "constants"): "clears the brackets once into the integer table",
+    ("lie", "coframe_differentials"): "de^k as 2-forms",
+    ("lie", "coframe_terms"): "the keys of de^k beside the integer rows",
+    ("lie", "derived_algebra"): "a basis of [L, L]",
+    ("lie", "__repr__"): "the number of nonzero brackets",
+    ("hermitian", "_lowered"): "the keys only, beside the integer rows",
+}
+
+
+def brackets_readers(path):
+    """(module, enclosing function) of each read of an attribute named
+    brackets in one source file."""
+    hits = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (isinstance(node, ast.Attribute) and node.attr == "brackets"
+                and isinstance(node.ctx, ast.Load)):
+            hits.add((path.stem, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return hits
+
+
+def test_structure_constants_have_one_reader():
+    """Computations on the structure constants read the algebra's integer
+    view (LieAlgebra.constants); a new read of the brackets dict fails here
+    until it is listed above with its reason."""
+    found = set().union(*(brackets_readers(path)
+                          for path in sorted((ROOT / "src" / "aalg").glob("*.py"))))
+    assert found == set(BRACKETS_READERS), (
+        f"unlisted: {sorted(found - set(BRACKETS_READERS))}, "
+        f"gone: {sorted(set(BRACKETS_READERS) - found)}")

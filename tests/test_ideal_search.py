@@ -10,17 +10,22 @@ optionally in a sheared basis), and a float copy must return the exact
 answer within 1e-12 relative; both return None on so(3) + R^k and h5.
 """
 
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from aalg import linalg
+from aalg.almost_abelian import build_algebra
 from aalg.catalog import _s2n_entry, entry_document
 from aalg.documents import to_algebra
+from aalg.forms import sort_indices
 from aalg.lie import (LieAlgebra, LieAlgebraError, Subspace, abelian_ideal,
                       abelian_ideal_defect, find_codim1_abelian_ideal)
 from aalg.scalars import coerce, is_zero, zero
+
+from conftest import ALL_SHAPES, random_data, random_shear, transported
 
 
 # -- reference: every pivot branch solved ------------------------------------------
@@ -77,6 +82,31 @@ def ref_find_codim1_abelian_ideal(L):
     if defect is not None:
         raise LieAlgebraError("INTERNAL", f"ideal candidate is {defect}")
     return ideal
+
+
+# -- reference: the same system with Fraction rows ---------------------------------
+
+def ref_fraction_row_search(L):
+    """The search with its xi ^ de^k rows built as vectors of the algebra's
+    scalars from the coframe's 2-forms, and the bracket vectors themselves
+    as the other rows."""
+    n = L.dim
+    brackets = list(L.brackets.values())
+    free = set(range(n)).difference(linalg.rref(brackets)[1])
+    wedge = {}
+    for k, de in enumerate(L.coframe_differentials()):
+        for (a, b), c in de.coeffs.items():
+            for l in range(n):
+                if l not in (a, b) and free.intersection((l, a, b)):
+                    key, sign = sort_indices((l, a, b))
+                    row = wedge.setdefault((k, key), linalg.zero_vector(n, L.kind))
+                    row[l] += sign * c
+    system = [wedge[key] for key in sorted(wedge)] + brackets
+    V = linalg.nullspace(system) if system else linalg.idmat(n, L.kind)
+    if not V:
+        return None
+    basis = linalg.nullspace([V[-1]])
+    return Subspace(len(basis), tuple(tuple(v) for v in basis), ambiguous=len(V) > 1)
 
 
 def float_copy(L):
@@ -140,12 +170,18 @@ def assert_close_answer(got, want, rel=0.0):
                            for x, y in zip(u, v))
 
 
+def as_reprs(ideal):
+    return None if ideal is None else (ideal.ambiguous, repr(ideal.vectors))
+
+
 @settings(max_examples=150, deadline=None)
 @given(semidirect_algebras())
 def test_search_matches_every_branch_reference(L):
     want = ref_find_codim1_abelian_ideal(L)
     assert_close_answer(find_codim1_abelian_ideal(L), want)
     assert_close_answer(find_codim1_abelian_ideal(float_copy(L)), want, rel=1e-12)
+    for M in (L, float_copy(L)):
+        assert as_reprs(find_codim1_abelian_ideal(M)) == as_reprs(ref_fraction_row_search(M))
 
 
 def test_ill_conditioned_float_copy_finds_the_exact_ideal():
@@ -162,6 +198,42 @@ def test_ill_conditioned_float_copy_finds_the_exact_ideal():
     want = find_codim1_abelian_ideal(L)
     assert want is not None and want == ref_find_codim1_abelian_ideal(L)
     assert_close_answer(find_codim1_abelian_ideal(float_copy(L)), want, rel=1e-12)
+
+
+def sheared_algebra(seed):
+    """The algebra of a random structure of a random shape, dim 4 to 10,
+    moved by a random shear."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 5)
+    d = random_data(rng, n, rng.choice(ALL_SHAPES))
+    L, _, _ = transported(*build_algebra(d.a, list(d.v), d.A_matrix, d.J1_matrix),
+                          random_shear(rng, 2 * n))
+    return L
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_search_matches_the_fraction_row_reference_on_sheared_algebras(seed):
+    """The integer rows are dc times the Fraction rows, so the exact answer
+    is the same; the float rows are the same floats, so the float answer is
+    the same in repr."""
+    L = sheared_algebra(seed)
+    for M in (L, float_copy(L)):
+        got = find_codim1_abelian_ideal(M)
+        assert got is not None and as_reprs(got) == as_reprs(ref_fraction_row_search(M))
+
+
+def test_search_system_holds_ints_on_exact_algebras(monkeypatch):
+    """The system whose null space the search takes: Python ints on an exact
+    algebra (no Fraction built and cleared again), floats on its float copy."""
+    systems = []
+    nullspace = linalg.nullspace
+    monkeypatch.setattr(linalg, "nullspace", lambda a: systems.append(a) or nullspace(a))
+    s12 = to_algebra(entry_document(_s2n_entry(6), {"a": F(-2), "c": F(1, 2)}))
+    for L in (s12, sheared_algebra(3), sheared_algebra(7), so3_plus(1)):
+        for M, kind in ((L, int), (float_copy(L), float)):
+            systems.clear()
+            find_codim1_abelian_ideal(M)
+            assert systems[0] and all(type(x) is kind for row in systems[0] for x in row)
 
 
 @pytest.mark.parametrize("L", [so3_plus(k) for k in range(4)] + [H5])

@@ -44,8 +44,26 @@ def ref_basis_bracket(L, i, j):
     return [-x for x in vec] if vec else linalg.zero_vector(L.dim, L.kind)
 
 
+def loop_bracket(L, x, y):
+    """[x, y] as the sum of (x_i y_j - x_j y_i) [e_i, e_j] over the brackets
+    dict, in its order, from the kind's zero."""
+    out = linalg.zero_vector(L.dim, L.kind)
+    for (i, j), vec in L.brackets.items():
+        c = x[i] * y[j] - x[j] * y[i]
+        if c == 0:
+            continue
+        for t, v in enumerate(vec):
+            if v != 0:
+                out[t] += c * v
+    return out
+
+
+def vec_add(u, v):
+    return [x + y for x, y in zip(u, v)]
+
+
 def ref_ad(L, x):
-    return linalg.transpose([L.bracket(x, e) for e in linalg.idmat(L.dim, L.kind)])
+    return linalg.transpose([loop_bracket(L, x, e) for e in linalg.idmat(L.dim, L.kind)])
 
 
 def ref_dense_ad(L, x):
@@ -63,10 +81,10 @@ def ref_jacobi_witness(L):
         for j in range(i + 1, L.dim):
             bij = ref_basis_bracket(L, i, j)
             for k in range(j + 1, L.dim):
-                res = linalg.vec_add(
-                    L.bracket(bij, units[k]),
-                    linalg.vec_add(L.bracket(ref_basis_bracket(L, j, k), units[i]),
-                                   L.bracket(ref_basis_bracket(L, k, i), units[j])))
+                res = vec_add(
+                    loop_bracket(L, bij, units[k]),
+                    vec_add(loop_bracket(L, ref_basis_bracket(L, j, k), units[i]),
+                            loop_bracket(L, ref_basis_bracket(L, k, i), units[j])))
                 if not linalg.is_zero_vector(res):
                     return (i, j, k, res)
     return None
@@ -79,9 +97,9 @@ def ref_nijenhuis(J, L):
     out = {}
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
-            term = L.bracket(cols[i], cols[j])
-            term = linalg.vec_sub(term, linalg.mat_vec(jm, L.bracket(cols[i], units[j])))
-            term = linalg.vec_sub(term, linalg.mat_vec(jm, L.bracket(units[i], cols[j])))
+            term = loop_bracket(L, cols[i], cols[j])
+            term = linalg.vec_sub(term, linalg.mat_vec(jm, loop_bracket(L, cols[i], units[j])))
+            term = linalg.vec_sub(term, linalg.mat_vec(jm, loop_bracket(L, units[i], cols[j])))
             term = linalg.vec_sub(term, ref_basis_bracket(L, i, j))
             if not linalg.is_zero_vector(term):
                 out[(i, j)] = term
@@ -92,7 +110,7 @@ def ref_abelian_ideal_defect(L, vectors):
     vecs = [list(v) for v in vectors]
     for a in range(len(vecs)):
         for b in range(a + 1, len(vecs)):
-            if not linalg.is_zero_vector(L.bracket(vecs[a], vecs[b])):
+            if not linalg.is_zero_vector(loop_bracket(L, vecs[a], vecs[b])):
                 return "not abelian"
     units = linalg.idmat(L.dim, L.kind)
     kernel = linalg.nullspace(vecs) if vecs else units
@@ -100,7 +118,7 @@ def ref_abelian_ideal_defect(L, vectors):
         return "not a hyperplane"
     for e in units:
         for v in vecs:
-            if not is_zero(linalg.dot(kernel[0], L.bracket(e, v))):
+            if not is_zero(linalg.dot(kernel[0], loop_bracket(L, e, v))):
                 return "not an ideal"
     return None
 
@@ -137,8 +155,13 @@ def semidirect_tables(draw, dims=st.integers(2, 6)):
 FLOATS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, -1 / 3, 2.5, 1e-3, -7.25, 1e16])
 
 
+# sums and products of these are exact in any order, so float results
+# computed in different orders still agree in repr, zero signs included
+DYADIC = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 0.25, 3.0])
+
+
 @st.composite
-def float_tables(draw):
+def float_tables(draw, values=FLOATS):
     """Unvalidated float bracket tables, keys in random order and orientation,
     so that an entry of ad_x sums up to dim - 1 terms."""
     dim = draw(st.integers(2, 6))
@@ -146,7 +169,7 @@ def float_tables(draw):
     brackets = {}
     for i, j in pairs[:draw(st.integers(0, len(pairs)))]:
         key = (j, i) if draw(st.booleans()) else (i, j)
-        brackets[key] = [draw(FLOATS) for _ in range(dim)]
+        brackets[key] = [draw(values) for _ in range(dim)]
     return LieAlgebra(dim, brackets, kind=FLOAT, _validated=True)
 
 
@@ -338,6 +361,29 @@ def test_float_table_reads_as_the_loops_signed_zeros_included(L, data):
 def test_table_reads_as_the_loops_on_sheared_structures(seed):
     for L, J, x in sheared(seed):
         assert_as_the_loops(L, x, J)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(tables, float_tables(DYADIC)), st.data())
+def test_bracket_reads_as_the_dict_loop(L, data):
+    """[x, y] as ad_x y on the table equals the loop over the brackets dict
+    in repr, on exact tables (most of them Jacobi-violating) and on dyadic
+    float tables with -0.0 constants."""
+    values = DYADIC if L.kind == FLOAT else SCALARS | st.just(F(0))
+    x, y = (data.draw(st.lists(values, min_size=L.dim, max_size=L.dim)) for _ in "xy")
+    assert reprs(L.bracket(x, y)) == reprs(loop_bracket(L, x, y))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_bracket_reads_as_the_dict_loop_on_sheared_structures(seed):
+    """Exactly equal in repr; the float copy, whose sums run in another
+    order, within 1e-12 of the largest term."""
+    (L, _, x), (fl, _, xf) = sheared(seed)
+    y, yf = x[::-1], xf[::-1]
+    assert reprs(L.bracket(x, y)) == reprs(loop_bracket(L, x, y))
+    scale = max(abs(c) for row in fl.constants[1] for c in row) * max(map(abs, xf)) ** 2
+    got, want = fl.bracket(xf, yf), loop_bracket(fl, xf, yf)
+    assert all(type(a) is float and abs(a - b) <= 1e-12 * scale for a, b in zip(got, want))
 
 
 def test_a_second_j_clears_no_bracket_table(monkeypatch):
