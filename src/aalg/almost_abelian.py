@@ -32,7 +32,7 @@ from operator import mul
 from .scalars import EXACT, coerce, is_zero, one, sqrt_scalar, zero
 from . import linalg
 from .forms import KForm
-from .hermitian import ComplexStructure, Metric, is_integrable
+from .hermitian import ComplexStructure, HermitianStructure, Metric
 from .lie import LieAlgebra, LieAlgebraError, Subspace, abelian_ideal
 
 
@@ -195,34 +195,30 @@ def data_from_parts(a, v, A, J1, kind=None):
     )
 
 
-def extract_data(L: LieAlgebra, ideal: Subspace | None, J: ComplexStructure,
-                 g: Metric) -> HermitianData:
-    """Read the (a, v, A) data off a Hermitian almost abelian algebra.
+def extract_data(H: HermitianStructure, ideal: Subspace | None) -> HermitianData:
+    """Read the (a, v, A) data off the Hermitian almost abelian algebra H.
 
     The ideal may be declared (required when it is not unique); otherwise
     it is detected (``lie.abelian_ideal`` does either, once per declaration).
     The frame is produced by deterministic Gram-Schmidt in J-stable
-    pairs, lowest ambient index first.  G, J and G J are cleared to
-    integers once, so each frame vector's three images are one product;
-    the frame is g-orthogonal, so the coframe is read off the images G w,
-    and the matrices of ad_{b_2n} and J in the frame are the products
-    C ad_{b_2n} F and C J F of the coframe C and the frame F.  That needs
-    g(J., J.) = g, and a g without it is rejected as J_NOT_COMPATIBLE.
+    pairs, lowest ambient index first.  G, J and G J are read from the
+    integer views the structure cleared once (``H.cleared``, where
+    g(J., J.) = g was checked), so each frame vector's three images are
+    one product; the frame is g-orthogonal, so the coframe is read off
+    the images G w, and the matrices of ad_{b_2n} and J in the frame are
+    the products C ad_{b_2n} F and C J F of the coframe C and the frame F.
     """
+    L = H.L
     n2 = L.dim
     kind = L.kind
     try:
         vecs = [list(v) for v in abelian_ideal(L, ideal).vectors]
     except LieAlgebraError as exc:
         raise DataError(exc.code, exc.message) from None
-    if not is_integrable(J, L):
+    if not H.integrable:
         raise DataError("J_NOT_COMPATIBLE", "J is not integrable")
-    (dg, gn), (dj, jn), (_, vn) = linalg._numerators(g.matrix, J.matrix, vecs)
-    # J^t G is antisymmetric iff g(J., J.) = g, and then the frame below is
-    # g-orthogonal
-    jtg = linalg._row_sums(linalg.transpose(jn), gn, 0)
-    if not all(is_zero(jtg[i][j] + jtg[j][i]) for i in range(n2) for j in range(i + 1)):
-        raise DataError("J_NOT_COMPATIBLE", "g(J., J.) != g")
+    (dg, gn), (dj, jn), jtg = H.cleared
+    ((_, vn),) = linalg._numerators(vecs)
     # G, J and G J = (J^t G)^t stacked over the denominator dg dj
     ops = ([[x * dj for x in row] for row in gn] + [[x * dg for x in row] for row in jn]
            + linalg.transpose(jtg))

@@ -130,7 +130,7 @@ def witness_structures(entry: CatalogEntry, L: LieAlgebra):
     for w in explicit:
         g = to_metric(entry.document) if w.metric is None else Metric.from_matrix(w.metric)
         H = HermitianStructure(L, J, g)
-        out.append((w.label, H, extract_data(L, ideal, J, g), dict(w.claims)))
+        out.append((w.label, H, extract_data(H, ideal), dict(w.claims)))
     return out
 
 

@@ -73,9 +73,10 @@ def _read(path):
 
 
 def _structures(args):
-    """The document of ``args.file`` with its L, J, g and declared ideal
-    (the --ideal flag, else the document's ideal line, else None); a bad
-    or missing ideal is rejected here, before any check of J."""
+    """The document of ``args.file``, the Hermitian structure of its L, J
+    and g, and its declared ideal (the --ideal flag, else the document's
+    ideal line, else None); a bad or missing ideal is rejected here,
+    before J and g are checked."""
     doc = parse(_read(args.file))
     L = to_algebra(doc)
     J = to_complex_structure(doc)
@@ -85,7 +86,7 @@ def _structures(args):
     declared = to_ideal(replace(doc, ideal=parse_ideal(args.ideal, doc.dim))
                         if args.ideal else doc)
     abelian_ideal(L, declared)
-    return doc, L, J, g, declared
+    return doc, HermitianStructure(L, J, g), declared
 
 
 def _emit(report, args):
@@ -122,9 +123,8 @@ PROPERTIES = ("kahler", "lck", "balanced", "skt", "lcb", "vaisman")
 
 
 def cmd_check(args):
-    doc, L, J, g, ideal = _structures(args)
-    d = extract_data(L, ideal, J, g)
-    H = HermitianStructure(L, J, g)
+    doc, H, ideal = _structures(args)
+    d = extract_data(H, ideal)
     props = [args.property] if args.property else list(PROPERTIES)
     results = {}
     for prop in props:
@@ -144,8 +144,8 @@ def cmd_check(args):
 
 
 def cmd_data(args):
-    doc, L, J, g, ideal = _structures(args)
-    d = extract_data(L, ideal, J, g)
+    doc, H, ideal = _structures(args)
+    d = extract_data(H, ideal)
     report = {
         "schema": SCHEMA, "command": "data", "algebra": doc.name,
         "n": d.n, "a": d.a, "v": d.v, "A": d.A, "J1": d.J1,
@@ -158,9 +158,8 @@ def cmd_data(args):
 
 
 def cmd_rho_b(args):
-    doc, L, J, g, ideal = _structures(args)
-    d = extract_data(L, ideal, J, g)
-    H = HermitianStructure(L, J, g)
+    doc, H, ideal = _structures(args)
+    d = extract_data(H, ideal)
     closed = rho_b_closed(d)
     oracle = H.bismut_ricci_oracle()
     # per key, not via closed - oracle: a KForm drops sub-tolerance differences
@@ -313,8 +312,8 @@ def cmd_catalog(args):
 
 
 def cmd_skt_to_lcb(args):
-    doc, L, J, g, ideal = _structures(args)
-    d = extract_data(L, ideal, J, g)
+    doc, H, ideal = _structures(args)
+    d = extract_data(H, ideal)
     if not is_skt_data(d):
         raise MathRejection("the document's metric is not SKT")
     dp = skt_to_lcb(d)

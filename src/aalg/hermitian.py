@@ -37,9 +37,10 @@ Conventions, fixed package-wide and spelled out in the README:
   (wedging with omega^(n-1) is injective on 1-forms).  In dimension 2,
   d omega is a 3-form, so theta = 0 and every predicate on it holds.
 
-Connection tables, the integrability of J, d omega, the Lee form and
-d theta are computed once per structure and cached on the instance (the
-integrability of each J also once per algebra), the integer view (d, rows)
+A structure checks and clears its (J, g) once, in the constructor, and
+rejects a g with g(J., J.) != g as J_NOT_COMPATIBLE.  Connection tables,
+the integrability of J, d omega, the Lee form and d theta are computed
+once per structure and cached on the instance, the integer view (d, rows)
 of the metric's inverse once per metric (each under the tolerance in
 force at that first call); instances are otherwise immutable.
 """
@@ -128,7 +129,13 @@ class Metric:
 
 
 class HermitianStructure:
-    """A Lie algebra with a compatible (J, g); omega = g(J., .)."""
+    """A Lie algebra with a compatible (J, g); omega = g(J., .).
+
+    The one place a (J, g) pair is checked and cleared: g and J are cleared
+    to integers once, and g(J., J.) = g is decided as the antisymmetry of
+    the integer product J^t G, the matrix of omega.  ``cleared`` keeps
+    ((dg, G), (dj, J), J^t G), the product over dg dj, for extraction and
+    g^{-1} J^t."""
 
     def __init__(self, L: LieAlgebra, J: ComplexStructure, g: Metric):
         if len(J.J) != L.dim or len(g.g) != L.dim:
@@ -137,20 +144,19 @@ class HermitianStructure:
             raise HermitianError("DIMENSION", "Hermitian structures need even dimension")
         if linalg.matrix_kind(J.J) != L.kind or linalg.matrix_kind(g.g) != L.kind:
             raise HermitianError("KIND_MISMATCH", f"J and g must be {L.kind}, as the algebra is")
-        jm, gm = J.matrix, g.matrix
-        # J^t g is the matrix of omega
-        om = linalg.mat_mul(linalg.transpose(jm), gm)
-        if not linalg.mat_eq(linalg.mat_mul(om, jm), gm):
-            raise HermitianError("NOT_COMPATIBLE", "g(J., J.) != g")
+        n = L.dim
+        (dg, gn), (dj, jn) = linalg._numerators(g.matrix, J.matrix)
+        jtg = linalg._row_sums(linalg.transpose(jn), gn, 0)
+        if not all(is_zero(jtg[i][j] + jtg[j][i]) for i in range(n) for j in range(i + 1)):
+            raise HermitianError("J_NOT_COMPATIBLE", "g(J., J.) != g")
         self.L = L
         self.J = J
         self.g = g
-        coeffs = {}
-        for i in range(L.dim):
-            for j in range(i + 1, L.dim):
-                if not is_zero(om[i][j]):
-                    coeffs[(i, j)] = om[i][j]
-        self.omega = KForm(2, L.dim, coeffs, kind=L.kind)
+        self.cleared = (dg, gn), (dj, jn), jtg
+        om = linalg._over(jtg, dg * dj)
+        coeffs = {(i, j): om[i][j] for i in range(n) for j in range(i + 1, n)
+                  if not is_zero(om[i][j])}
+        self.omega = KForm(2, n, coeffs, kind=L.kind)
         self._cache = {}
 
     @property
@@ -170,16 +176,17 @@ class HermitianStructure:
     def _ginv_jt(self):
         """g^{-1} J^t as (d, integer rows), for the Lee form and the rho^B oracle."""
         di, gi = self.g.inverse
-        ((dj, jn),) = linalg._numerators(self.J.matrix)
+        _, (dj, jn), _ = self.cleared
         return di * dj, linalg._row_sums(gi, linalg.transpose(jn), 0)
 
     # -- integrability --------------------------------------------------------
-    def nijenhuis(self):
-        return nijenhuis(self.J, self.L)
+    @cached_property
+    def integrable(self) -> bool:
+        """N_J = 0, decided once per structure."""
+        return not nijenhuis(self.J, self.L)
 
     def _require_integrable(self):
-        # one read of the algebra's memo per structure: its key hashes J
-        if not self._memo("integrable", lambda: is_integrable(self.J, self.L)):
+        if not self.integrable:
             raise HermitianError("NON_INTEGRABLE", "J has nonvanishing Nijenhuis tensor")
 
     # -- Lee form -------------------------------------------------------------
@@ -329,11 +336,6 @@ def nijenhuis(J: ComplexStructure, L: LieAlgebra):
             if not linalg.is_zero_vector(mt[j]):
                 out[(i, j)] = linalg._over([mt[j]], dj * dj * dc)[0]
     return out
-
-
-def is_integrable(J: ComplexStructure, L: LieAlgebra) -> bool:
-    """N_J = 0, decided once per J and cached on L."""
-    return L.memo(("integrable", J.J), lambda: not nijenhuis(J, L))
 
 
 def levi_civita(L: LieAlgebra, g: Metric):

@@ -125,11 +125,12 @@ def _eigenvalues(m):
 def eigen_clusters(eigs):
     """Group float eigenvalues that lie within tol of a cluster's center.
 
-    tol = 1e3 eps max(1, max |lambda|); each cluster is (center, members)
-    with the mean of its members as center.  Returns (tol, clusters).
-    This is the one rule for float spectra, shared with the LCHK verdict.
+    tol = 1e3 eps max(1, max |lambda|), 1e3 eps for an empty spectrum; each
+    cluster is (center, members) with the mean of its members as center.
+    Returns (tol, clusters).  This is the one rule for float spectra,
+    shared with the LCHK verdict.
     """
-    tol = 1e3 * current_eps() * max(1.0, float(max(abs(e) for e in eigs)))
+    tol = 1e3 * current_eps() * max(1.0, float(max((abs(e) for e in eigs), default=0.0)))
     clusters = []
     for v in eigs:
         for idx, (center, members) in enumerate(clusters):
@@ -144,7 +145,10 @@ def eigen_clusters(eigs):
 
 def nullity(arr, tol):
     """Number of singular values of arr at most tol, or at most 1e-9 of
-    the largest one when that bound is larger."""
+    the largest one when that bound is larger.  Raises LatticeError when
+    arr is not finite (an overflow upstream)."""
+    if not np.isfinite(arr).all():
+        raise LatticeError("a float matrix is not finite in double precision")
     sv = np.linalg.svd(arr, compute_uv=False)
     return int(np.sum(sv <= max(tol, sv.max() * 1e-9 if sv.size else 0)))
 
@@ -269,7 +273,7 @@ def integrality_probe(b, t_values=None, rule_k_max=None,
                 clusters = _spectral_clusters(
                     _matrix_exp_rule(b, k) if k is not None else matrix_exp(b, t))
                 char, minp = _cluster_polys(clusters)
-        except (OverflowError, np.linalg.LinAlgError):
+        except (OverflowError, np.linalg.LinAlgError, LatticeError):
             char = minp = [math.inf]
         if not all(map(math.isfinite, char + minp)):
             raise LatticeError(f"exp(tB) at t = {t!r} or its polynomials are not finite "

@@ -26,8 +26,8 @@ import numpy as np
 from .scalars import EXACT, exact_sqrt, zero
 from . import linalg
 from .forms import KForm
-from .hermitian import (ComplexStructure, HermitianStructure, Metric,
-                        is_integrable, levi_civita, riemann_is_flat)
+from .hermitian import (ComplexStructure, HermitianStructure, Metric, levi_civita,
+                        riemann_is_flat)
 from .lie import LieAlgebra
 from .lattice import eigen_clusters, nullity
 
@@ -159,11 +159,13 @@ def _root_multiplicity_exact(poly, beta_float):
 def _admissible_float(D) -> LchkVerdict:
     n = len(D)
     arr = np.array([[float(x) for x in row] for row in D])
-    tol, clusters = eigen_clusters(np.linalg.eigvals(arr))
-    # diagonalizability: geometric multiplicity equals cluster size
-    diagonalizable = all(nullity(arr - center * np.eye(n), tol) == len(members)
-                         for center, members in clusters)
-    a = float(np.trace(arr)) / n
+    # an overflow leaves an infinite entry for nullity to reject
+    with np.errstate(over="ignore", invalid="ignore"):
+        tol, clusters = eigen_clusters(np.linalg.eigvals(arr))
+        # diagonalizability: geometric multiplicity equals cluster size
+        diagonalizable = all(nullity(arr - center * np.eye(n), tol) == len(members)
+                             for center, members in clusters)
+        a = float(np.trace(arr)) / n
     cond_i = all(abs(c.real - a) <= tol for c, _ in clusters)
     m0 = sum(len(m) for c, m in clusters if abs(c.imag) <= tol)
     cond_ii = m0 >= 3
@@ -220,28 +222,20 @@ def canonical_form(D):
         w_mat = linalg.mat_shift(linalg.mat_mul(shifted, shifted), b * b)
         w_basis = linalg.nullspace(w_mat)
         assert len(w_basis) == 4 * nu, "eigenspace dimension mismatch"
-        used = []
-
-        def independent(v):
-            if not used:
-                return not linalg.is_zero_vector(v)
-            return linalg.rank(linalg.transpose(used + [v])) > len(used)
-
-        def jhat_apply(v):
-            return [x / b for x in linalg.mat_vec(shifted, v)]
-
-        remaining = list(w_basis)
-        for _ in range(nu):
-            quad = []
-            u = next(v for v in remaining if independent(v))
-            ju = jhat_apply(u)
-            quad.extend([u, [-x for x in ju]])
-            used.extend([u, ju])
-            w = next(v for v in remaining if independent(v))
-            jw = jhat_apply(w)
-            quad.extend([w, jw])
-            used.extend([w, jw])
-            columns.extend(quad)
+        # one pass: keep each u independent of the earlier pairs (u', Jhat u'),
+        # Jhat = (D - a) / b, until they span the eigenspace; the span only
+        # grows, so a vector passed over stays dependent.  Consecutive picks
+        # (u, w) make the quad (u, -Jhat u, w, Jhat w)
+        span, picks = [], []
+        for u in w_basis:
+            if len(span) == len(w_basis):
+                break
+            if linalg.rank(span + [u]) > len(span):
+                ju = [x / b for x in linalg.mat_vec(shifted, u)]
+                span += [u, ju]
+                picks.append((u, ju))
+        for (u, ju), (w, jw) in zip(picks[::2], picks[1::2]):
+            columns += [u, [-x for x in ju], w, jw]
             blocks.append(b)
     kernel = linalg.nullspace(shifted)
     assert len(kernel) == (n - len(columns))
@@ -290,8 +284,8 @@ def verify_triple(L: LieAlgebra, triple: HypercomplexTriple):
     report["quaternion_product"] = linalg.is_zero_matrix(linalg.mat_shift(prod, 1))
     lee_forms = []
     for tag, J in (("I1", triple.I1), ("I2", triple.I2), ("I3", triple.I3)):
-        report[f"integrable_{tag}"] = is_integrable(J, L)
         H = HermitianStructure(L, J, triple.g)
+        report[f"integrable_{tag}"] = H.integrable
         lee_forms.append(H.lee_form())
         report[f"lck_{tag}"] = H.is_lck_direct()
     report["lee_forms_equal"] = (lee_forms[0].equals(lee_forms[1])

@@ -353,9 +353,10 @@ def solve(a, b):
 
 
 def solve_general(a, b):
-    """A particular solution of a x = b (not necessarily square), or None."""
+    """A particular solution of a x = b (not necessarily square), or None;
+    the empty system has the empty solution."""
     if not a:
-        return None
+        return []
     ncols = len(a[0])
     aug = [list(row) + [bv] for row, bv in zip(a, b)]
     r, pivots = rref(aug)

@@ -9,11 +9,11 @@ Two scalar kinds exist and are never mixed inside one container:
   ``with tolerance(eps):`` block (or ``AALG_EPSILON`` for one CLI call)
   sets another for the current thread or task until the block exits.
   No function takes a tolerance argument.  A value cached on an object
-  (``HermitianStructure`` results, the integer view ``Metric.inverse``,
-  and on a ``LieAlgebra`` its coframe differentials and their integer
-  terms, the integrability of each J and its abelian ideal, searched for
-  or validated once per declaration) keeps the tolerance in force when it
-  was first computed.
+  (``HermitianStructure`` results, the integrability of its J included,
+  the integer view ``Metric.inverse``, and on a ``LieAlgebra`` its
+  coframe differentials and their integer terms and its abelian ideal,
+  searched for or validated once per declaration) keeps the tolerance in
+  force when it was first computed.
 
 Float spectra are clustered by one rule, with the tolerance
 ``1e3 eps max(1, max |lambda|)``; :func:`aalg.lattice.eigen_clusters` is

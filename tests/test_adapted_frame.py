@@ -22,7 +22,8 @@ from aalg import linalg
 from aalg.almost_abelian import DataError, HermitianData, build_algebra, extract_data
 from aalg.catalog import ENTRIES, _s2n_entry, entry_document, instantiate
 from aalg.documents import to_complex_structure, to_ideal, to_metric
-from aalg.hermitian import ComplexStructure, Metric, is_integrable
+from aalg.hermitian import (ComplexStructure, HermitianError, HermitianStructure, Metric,
+                            nijenhuis)
 from aalg.lie import (LieAlgebra, LieAlgebraError, Subspace, abelian_ideal,
                       abelian_ideal_defect)
 from aalg.scalars import FLOAT, is_zero, one, sqrt_scalar
@@ -62,7 +63,7 @@ def ref_extract_data(L, ideal, J, g):
         vecs = [list(v) for v in abelian_ideal(L, ideal).vectors]
     except LieAlgebraError as exc:
         raise DataError(exc.code, exc.message) from None
-    if not is_integrable(J, L):
+    if nijenhuis(J, L):
         raise DataError("J_NOT_COMPATIBLE", "J is not integrable")
     gm = g.matrix
     jm = J.matrix
@@ -148,6 +149,10 @@ def ref_extract_data(L, ideal, J, g):
 FIELDS = ("n", "a", "v", "A", "J1", "frame", "coframe", "d_outer", "d_inner", "kind")
 
 
+def extract(L, ideal, J, g):
+    return extract_data(HermitianStructure(L, J, g), ideal)
+
+
 def outcome(extract, L, ideal, J, g):
     try:
         return extract(L, ideal, J, g)
@@ -163,7 +168,7 @@ def assert_same(L, ideal, J, g):
     """Exact: every field equal, repr included, coframe . frame = Id and
     the same metric; a float copy within 1e-12 of each field's scale;
     a rejection raises the same code."""
-    got, want = outcome(extract_data, L, ideal, J, g), outcome(ref_extract_data, L, ideal, J, g)
+    got, want = outcome(extract, L, ideal, J, g), outcome(ref_extract_data, L, ideal, J, g)
     if isinstance(want, str):
         assert got == want
         return
@@ -176,7 +181,7 @@ def assert_same(L, ideal, J, g):
     fl = [float_copy(L), float_ideal(ideal),
           ComplexStructure.from_matrix([[float(x) for x in row] for row in J.matrix]),
           Metric.from_matrix([[float(x) for x in row] for row in g.matrix])]
-    got_f, want_f = extract_data(*fl), ref_extract_data(*fl)
+    got_f, want_f = extract(*fl), ref_extract_data(*fl)
     for name in FIELDS[1:-1]:
         xs, ys = flat(getattr(got_f, name)), flat(getattr(want_f, name))
         scale = max([1.0] + [abs(y) for y in ys])
@@ -274,34 +279,39 @@ def test_rejections_carry_the_same_code(seed, n):
     assert_same(L, None, Jp, g)
     e = linalg.idmat(2 * n)
     bad = Subspace(2 * n - 1, tuple(tuple(e[i]) for i in range(1, 2 * n)))
-    assert outcome(extract_data, L, bad, J, g) == outcome(ref_extract_data, L, bad, J, g)
+    assert outcome(extract, L, bad, J, g) == outcome(ref_extract_data, L, bad, J, g)
 
 
 def test_an_incompatible_metric_is_rejected():
     """The coframe is read off a g-orthogonal frame, so g must be
-    J-invariant: a metric that is not is J_NOT_COMPATIBLE."""
+    J-invariant: the structure rejects a metric that is not as
+    J_NOT_COMPATIBLE, before any extraction."""
     d = random_data(random.Random(5), 3, "generic")
     L, J, _ = build_algebra(d.a, list(d.v), d.A_matrix, d.J1_matrix)
     g = Metric.from_matrix([[F(2) if i == j == 0 else F(int(i == j)) for j in range(6)]
                             for i in range(6)])
-    with pytest.raises(DataError) as err:
-        extract_data(L, None, J, g)
+    with pytest.raises(HermitianError) as err:
+        HermitianStructure(L, J, g)
     assert err.value.code == "J_NOT_COMPATIBLE"
+    assert str(err.value) == "J_NOT_COMPATIBLE: g(J., J.) != g"
 
 
 def test_s12_extraction_makes_a_few_products(monkeypatch):
-    """On s_12, with the ideal and the integrability of J cached by the
-    reference run, extraction takes no inverse and no bracket, and clears
-    operands to integers 11 times: once for G, J and the ideal, once per
-    product with G, J and G J (b_2n and the five pairs), twice for the two
-    null spaces, once for C and F (ad_{b_2n} is b_2n times the algebra's
-    cleared table), and once for [A, J_1].  The
+    """On s_12, with the ideal cached by the reference run and the
+    structure (its cleared G, J and J^t G, and the integrability of J)
+    built before, extraction takes no inverse and no bracket, reads
+    neither g nor J, and clears operands to integers 11 times: once for
+    the ideal, once per product with G, J and G J (b_2n and the five
+    pairs), twice for the two null spaces, once for C and F (ad_{b_2n} is
+    b_2n times the algebra's cleared table), and once for [A, J_1].  The
     reference clears them 71 times: each image is a bracket and a
     matrix-vector product."""
     doc = entry_document(_s2n_entry(6), {"a": F(-2), "c": F(1, 2)})
     L = instantiate(_s2n_entry(6), {"a": F(-2), "c": F(1, 2)})
     J, g = to_complex_structure(doc), to_metric(doc)
     want = ref_extract_data(L, None, J, g)
+    H = HermitianStructure(L, J, g)
+    assert H.integrable
     calls = {"inverse": 0, "bracket": 0, "_numerators": 0}
 
     def count(owner, name):
@@ -315,5 +325,9 @@ def test_s12_extraction_makes_a_few_products(monkeypatch):
     count(linalg, "inverse")
     count(linalg, "_numerators")
     count(LieAlgebra, "bracket")
-    assert extract_data(L, None, J, g) == want
-    assert calls == {"inverse": 0, "bracket": 0, "_numerators": 11}
+    read = []
+    for cls in (Metric, ComplexStructure):
+        monkeypatch.setattr(cls, "matrix", property(
+            lambda self, real=cls.matrix.fget: read.append(self) or real(self)))
+    assert extract_data(H, None) == want
+    assert calls == {"inverse": 0, "bracket": 0, "_numerators": 11} and read == []

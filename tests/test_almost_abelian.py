@@ -35,7 +35,7 @@ def test_g4_data_example():
 def test_abelian_data_zero():
     L = LieAlgebra.abelian(6)
     J = ComplexStructure.from_pairs(6, [(0, 5), (1, 2), (3, 4)])
-    d = extract_data(L, None, J, Metric.identity(6))
+    d = extract_data(HermitianStructure(L, J, Metric.identity(6)), None)
     assert d.a == 0 and all(x == 0 for x in d.v)
     assert linalg.is_zero_matrix(d.A_matrix)
 
@@ -47,21 +47,19 @@ def test_h3r_data_shape():
     ideal = Subspace(3, (tuple([F(0), F(1), F(0), F(0)]),
                          tuple([F(0), F(0), F(1), F(0)]),
                          tuple([F(0), F(0), F(0), F(1)])))
-    d = extract_data(L, ideal, J, Metric.identity(4))
+    H = HermitianStructure(L, J, Metric.identity(4))
+    d = extract_data(H, ideal)
     assert d.n == 2
     assert linalg.is_zero_matrix(d.A_matrix)
     assert any(x != 0 for x in d.v)
     assert is_lck_data(d)
-    theta = lee_form_closed(d)
-    L2, J2, g2 = L, J, Metric.identity(4)
-    H = HermitianStructure(L2, J2, g2)
-    assert theta.equals(H.lee_form())
+    assert lee_form_closed(d).equals(H.lee_form())
 
 
 def test_build_extract_round_trip():
     for d in data_stream(17, 24, dims=(2, 3, 4)):
         L, J, g = build_algebra(d.a, list(d.v), d.A_matrix, d.J1_matrix)
-        d2 = extract_data(L, None, J, g)
+        d2 = extract_data(HermitianStructure(L, J, g), None)
         assert d2.a == d.a
         assert d2.is_orthonormal()
         # gauge invariants agree
@@ -96,7 +94,7 @@ def test_extract_requires_abelian_ideal():
     for L, vecs in ((so3, e[:3]), (aff2, e[1:]), (aff2, [e[0], e[2], e[2]])):
         bad = Subspace(3, tuple(tuple(v) for v in vecs))
         with pytest.raises(DataError) as exc:
-            extract_data(L, bad, J, Metric.identity(4))
+            extract_data(HermitianStructure(L, J, Metric.identity(4)), bad)
         assert exc.value.code == "IDEAL_NOT_ABELIAN"
 
 
@@ -309,7 +307,7 @@ def test_skt_to_lcb_is_realised_by_its_frame():
         L, J, g = transported(L, J, g, s)
         g = Metric.from_matrix(linalg.mat_scale(rng.choice([F(2), F(3), F(1, 2)]), g.matrix))
         ideal = Subspace(L.dim - 1, _moved(linalg.idmat(L.dim)[:-1], s))
-        d = extract_data(L, ideal, J, g)
+        d = extract_data(HermitianStructure(L, J, g), ideal)
         dp = skt_to_lcb(d)
         n2, m = L.dim, dp.m
         assert linalg.mat_eq(linalg.mat_mul(dp.coframe, linalg.transpose(dp.frame)),
@@ -330,7 +328,7 @@ def test_skt_to_lcb_is_realised_by_its_frame():
 
 
 def test_metric_is_read_off_the_frame():
-    """extract_data(...).metric() is g exactly, for every Hermitian catalog
+    """extract_data(H, ideal).metric() is g exactly, for every Hermitian catalog
     witness at every sample, also after a rational change of basis."""
     rng = random.Random(81)
     checked = 0
@@ -343,7 +341,7 @@ def test_metric_is_read_off_the_frame():
                 L2, J2, g2 = transported(L, H.J, H.g, s)
                 ideal = abelian_ideal(L, to_ideal(entry.document))
                 moved = Subspace(ideal.dim, _moved(ideal.vectors, s))
-                assert extract_data(L2, moved, J2, g2).metric() == g2
+                assert extract_data(HermitianStructure(L2, J2, g2), moved).metric() == g2
                 checked += 1
     assert checked >= 40
 
@@ -382,9 +380,9 @@ def test_extract_data_scaled_frame():
                             [F(0), F(2), F(0), F(0)],
                             [F(0), F(0), F(3), F(0)],
                             [F(0), F(0), F(0), F(3)]])
-    d = extract_data(L, None, J, g)
-    assert not d.is_orthonormal()
     H = HermitianStructure(L, J, g)
+    d = extract_data(H, None)
+    assert not d.is_orthonormal()
     assert lee_form_closed(d).equals(H.lee_form())
     assert rho_b_closed(d) == H.bismut_ricci_oracle()
     assert is_kahler_data(d) == H.is_kahler_direct()

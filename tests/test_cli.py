@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from aalg import scalars
 from aalg.cli import build_parser, main
 from aalg.catalog import ENTRIES, LCHK_LIST, entry_document
 from aalg.documents import parse, render, to_metric
-from aalg.hermitian import HermitianStructure
+from aalg.hermitian import HermitianError, HermitianStructure
 from aalg.documents import to_algebra, to_complex_structure
 from aalg.almost_abelian import extract_data, is_kahler_data
 
@@ -51,6 +52,26 @@ J: f1->f6, f2->f3, f4->f5
 g: identity
 """
 
+# J is orthogonal for the identity, not for g: g(J., J.) != g
+INCOMPATIBLE_G = """algebra h4inc dim 4
+d = (f14, f24, f34, 0)
+J: f1->f4, f2->f3
+g: matrix [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+"""
+
+# aff(R) and R^2: SKT in dimension 2, where n_1 = 0 and v, A are empty
+AFF = """algebra aff dim 2
+d = (f12, 0)
+J: f1->f2
+g: identity
+"""
+
+R2 = """algebra R2 dim 2
+d = (0, 0)
+J: f1->f2
+g: identity
+"""
+
 NOT_ALMOST_ABELIAN = """algebra so3R dim 4
 d = (f23, -f13, f12, 0)
 J: f1->f2, f3->f4
@@ -63,7 +84,8 @@ def docs(tmp_path):
     paths = {}
     for name, text in (("b2p", B2_GPRIME), ("s4", S4), ("l1u", L1_UNIMODULAR),
                        ("aff2p", AFF2_PERTURBED), ("so3", NOT_ALMOST_ABELIAN),
-                       ("g4bad", NOT_INTEGRABLE)):
+                       ("g4bad", NOT_INTEGRABLE), ("incompatible", INCOMPATIBLE_G),
+                       ("aff", AFF), ("r2", R2)):
         p = tmp_path / f"{name}.alg"
         p.write_text(text, encoding="utf-8")
         paths[name] = str(p)
@@ -188,6 +210,27 @@ def test_integrability_decided_once_per_document(docs, capsys, monkeypatch, comm
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "rejected: J_NOT_COMPATIBLE: J is not integrable\n"
+
+
+@pytest.mark.parametrize("command", ["check", "data", "rho-b", "skt-to-lcb"])
+def test_an_incompatible_metric_is_rejected_by_every_structure_command(docs, capsys, command):
+    """g(J., J.) != g is one rejection, raised where the structure is
+    built, with one code for the library and the CLI."""
+    assert main([command, docs["incompatible"], "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "rejected: J_NOT_COMPATIBLE: g(J., J.) != g\n"
+    doc = parse(INCOMPATIBLE_G)
+    with pytest.raises(HermitianError) as err:
+        HermitianStructure(to_algebra(doc), to_complex_structure(doc), to_metric(doc))
+    assert err.value.code == "J_NOT_COMPATIBLE"
+
+
+@pytest.mark.parametrize("name", ["aff", "r2"])
+def test_skt_to_lcb_in_dimension_two(docs, capsys, name):
+    """In dimension 2 the split v = (A - a) x + v' is the empty system."""
+    code, rep = run_json(capsys, ["skt-to-lcb", docs[name], "--json"])
+    assert code == 0 and rep["is_lcb"] is True and rep["new_v"] == []
 
 
 @pytest.mark.parametrize("json_flag", [[], ["--json"]])
@@ -352,7 +395,7 @@ def aff2_perturbed_kahler():
     doc = parse(AFF2_PERTURBED)
     L, J, g = to_algebra(doc), to_complex_structure(doc), to_metric(doc)
     H = HermitianStructure(L, J, g)
-    return H.is_kahler_direct(), is_kahler_data(extract_data(L, None, J, g))
+    return H.is_kahler_direct(), is_kahler_data(extract_data(H, None))
 
 
 def test_tolerance_block_decides_both_routes():
@@ -495,6 +538,27 @@ def test_lattice_rejects_non_finite_grid_and_eps_int(docs, capsys, args):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error:")
     assert "Traceback" not in captured.err
+
+
+def test_lattice_on_a_one_dimensional_algebra(tmp_path, capsys):
+    """The abelian ideal is 0, so B is 0 x 0 and both polynomials are 1."""
+    path = tmp_path / "a1.alg"
+    path.write_text("algebra a1 dim 1\nd = (0)\n", encoding="utf-8")
+    code, rep = run_json(capsys, ["lattice", str(path), "--rule", "2logk:K=3", "--json"])
+    assert code == 0 and rep["overall"] == "FOUND"
+    assert [(p["verdict"], p["char"], p["min"]) for p in rep["points"]] == [
+        ("INTEGER", [1.0], [1.0])] * 2
+
+
+def test_lchk_float_overflow_is_an_input_error(capsys):
+    """The eigenvalue cluster of 1e308 has an infinite mean: one error line,
+    no numpy warning and no traceback."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["lchk", "--matrix", "[[1e308,0,0],[0,1e308,0],[0,0,-1e308]]"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a float matrix is not finite in double precision\n"
 
 
 @pytest.mark.parametrize("name", ["g1", "g2", "l17"])

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 from aalg import linalg
 from aalg.forms import KForm, wedge
 from aalg.scalars import tolerance
-from aalg.hermitian import ComplexStructure, HermitianStructure, Metric, is_integrable
+from aalg.hermitian import ComplexStructure, HermitianStructure, Metric, nijenhuis
 from aalg.lie import LieAlgebra, abelian_ideal_defect, find_codim1_abelian_ideal
 from aalg.almost_abelian import (build_algebra, extract_data, is_lcb_data,
                                  is_lck_data, is_skt_data, lee_form_closed,
@@ -30,7 +30,7 @@ def test_float_closed_formulas_match_oracle():
         a, v, A, j1 = to_float_data(d)
         L, J, g = build_algebra(a, v, A, j1)
         H = HermitianStructure(L, J, g)
-        df = extract_data(L, None, J, g)
+        df = extract_data(H, None)
         closed = rho_b_closed(df)
         oracle = H.bismut_ricci_oracle()
         diff = closed - oracle
@@ -43,9 +43,9 @@ def test_float_predicates_agree_with_exact():
     for d in data_stream(302, 24, dims=(2, 3)):
         a, v, A, j1 = to_float_data(d)
         Lf, Jf, gf = build_algebra(a, v, A, j1)
-        df = extract_data(Lf, None, Jf, gf)
+        df = extract_data(HermitianStructure(Lf, Jf, gf), None)
         Le, Je, ge = build_algebra(d.a, list(d.v), d.A_matrix, d.J1_matrix)
-        de = extract_data(Le, None, Je, ge)
+        de = extract_data(HermitianStructure(Le, Je, ge), None)
         assert is_lcb_data(df) == is_lcb_data(de)
         assert is_lck_data(df) == is_lck_data(de)
         assert is_skt_data(df) == is_skt_data(de)
@@ -94,7 +94,7 @@ def test_float_extract_normalizes():
     J = ComplexStructure.from_pairs(4, [(0, 1), (2, 3)], kind="float")
     g = Metric.from_matrix([[2.0, 0, 0, 0], [0, 2.0, 0, 0],
                             [0, 0, 3.0, 0], [0, 0, 0, 3.0]])
-    d = extract_data(L, None, J, g)
+    d = extract_data(HermitianStructure(L, J, g), None)
     assert d.is_orthonormal()
     assert abs(d.a + 1 / math.sqrt(2)) < 1e-12 or abs(d.a - 1 / math.sqrt(2)) < 1e-12
 
@@ -115,12 +115,12 @@ def test_float_structure_verdicts_agree_with_exact():
         Lf = _float_copy(Le)
         assert Le.jacobi_witness() is None and Lf.jacobi_witness() is None
         Jf = ComplexStructure.from_matrix([[float(x) for x in row] for row in Je.matrix])
-        assert is_integrable(Je, Le) and is_integrable(Jf, Lf)
+        assert not nijenhuis(Je, Le) and not nijenhuis(Jf, Lf)
         for _ in range(3):
             order = rng.sample(range(Le.dim), Le.dim)
             pairs = list(zip(order[::2], order[1::2]))
-            assert (is_integrable(ComplexStructure.from_pairs(Le.dim, pairs), Le)
-                    == is_integrable(ComplexStructure.from_pairs(Le.dim, pairs, "float"), Lf))
+            assert (not nijenhuis(ComplexStructure.from_pairs(Le.dim, pairs), Le)
+                    == (not nijenhuis(ComplexStructure.from_pairs(Le.dim, pairs, "float"), Lf)))
         ideal = find_codim1_abelian_ideal(Le)
         hyperplanes = [ideal.vectors] + [
             linalg.nullspace([[F(rng.choice((0, 0, 1, -1, 2))) for _ in range(Le.dim)]])

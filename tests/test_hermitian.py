@@ -10,8 +10,7 @@ from aalg import linalg
 from aalg.forms import KForm, exterior_derivative, pullback, sort_indices, wedge, wedge_power
 from aalg.scalars import EXACT, FLOAT, coerce, is_zero
 from aalg.hermitian import (ComplexStructure, HermitianError, HermitianStructure,
-                            Metric, curvature_operator, is_integrable, levi_civita,
-                            nijenhuis)
+                            Metric, curvature_operator, levi_civita, nijenhuis)
 from aalg.lie import LieAlgebra
 from aalg.almost_abelian import build_algebra, standard_j1
 
@@ -42,13 +41,13 @@ def test_abelian_any_j_integrable():
     L = LieAlgebra.abelian(4)
     for pairs in ([(0, 1), (2, 3)], [(0, 2), (1, 3)], [(0, 3), (1, 2)]):
         J = ComplexStructure.from_pairs(4, pairs)
-        assert is_integrable(J, L)
+        assert not nijenhuis(J, L)
 
 
 def test_g4_adapted_j_integrable():
     L = g4_algebra()
     J = ComplexStructure.from_pairs(6, [(0, 1), (2, 3), (4, 5)])
-    assert is_integrable(J, L)
+    assert not nijenhuis(J, L)
 
 
 def test_g4_incompatible_j_not_integrable():
@@ -56,7 +55,6 @@ def test_g4_incompatible_j_not_integrable():
     # pairs (f4, f5) straddle the eigenvalue split diag(1,1,1,1,0): the
     # restriction diag(1, 0) cannot commute with a rotation
     J = ComplexStructure.from_pairs(6, [(0, 5), (1, 2), (3, 4)])
-    assert not is_integrable(J, L)
     assert any(not linalg.is_zero_vector(v) for v in nijenhuis(J, L).values())
 
 
@@ -381,20 +379,20 @@ def test_dim_2_is_lck_and_lcb():
 
 def test_five_predicates_take_three_differentials(monkeypatch):
     """d omega, d theta and d(d^c omega) are each computed once per structure,
-    and J's integrability is read from the algebra once."""
+    and the Nijenhuis tensor of J is evaluated once."""
     from aalg import hermitian
     d = random_data(random.Random(4), 3, "lcb")
     H = HermitianStructure(*build_algebra(d.a, list(d.v), d.A_matrix, d.J1_matrix))
-    real_d, real_memo = hermitian.exterior_derivative, LieAlgebra.memo
-    seen, asked = [], []
+    real_d, real_n = hermitian.exterior_derivative, hermitian.nijenhuis
+    seen, evaluated = [], []
     monkeypatch.setattr(hermitian, "exterior_derivative",
                         lambda alpha, L: seen.append(alpha.degree) or real_d(alpha, L))
-    monkeypatch.setattr(LieAlgebra, "memo",
-                        lambda self, key, f: asked.append(key[0]) or real_memo(self, key, f))
+    monkeypatch.setattr(hermitian, "nijenhuis",
+                        lambda J, L: evaluated.append(J) or real_n(J, L))
     for name in ("kahler", "lck", "balanced", "skt", "lcb"):
         getattr(H, f"is_{name}_direct")()
     assert sorted(seen) == [1, 2, 3]
-    assert asked.count("integrable") == 1
+    assert evaluated == [H.J]
 
 
 def _float_structure(L, J, g):

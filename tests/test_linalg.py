@@ -47,6 +47,7 @@ def test_solve_general_least_structure():
     a = [[F(1), F(0)], [F(0), F(0)]]
     assert solve_general(a, [F(3), F(0)]) == [F(3), F(0)]
     assert solve_general(a, [F(0), F(1)]) is None
+    assert solve_general([], []) == []
 
 
 def poly_eval_matrix(p, m):
