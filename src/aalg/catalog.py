@@ -28,10 +28,11 @@ shipped manifest (``data/catalog.alg``), in the document grammar of
   and whether it is ``hyperkahler``.
 
 ``ENTRIES`` is the manifest in its order, with the generated s_2n family
-(``_s2n_entry``) before the LCHK lists.  Readings of the paper's tables:
-l1's stated ``pr != 0`` is read as ``pq != 0``; g3's label parameters are
-read as (p, q, r), r being the live rotation parameter; l7's witness
-realizes the nonzero-v case with a = p = 1.
+(``_s2n_entry``) before the LCHK lists.  The manifest is parsed on the
+first read of ``ENTRIES`` or ``LCHK_LIST``, not at import.  Readings of
+the paper's tables: l1's stated ``pr != 0`` is read as ``pq != 0``; g3's
+label parameters are read as (p, q, r), r being the live rotation
+parameter; l7's witness realizes the nonzero-v case with a = p = 1.
 
 verify_all instantiates every entry at its samples, checks the witness
 claims through both the data-level and the direct-form predicates, the
@@ -42,10 +43,10 @@ that need a quantifier over all metrics are reported NOT-CHECKED.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from importlib import resources
 
 from . import linalg
 
@@ -86,6 +87,7 @@ class CatalogEntry:
 
 def shipped_manifest_text() -> str:
     """Contents of the manifest file shipped with the package."""
+    from importlib import resources
     return resources.files("aalg").joinpath("data/catalog.alg").read_text("utf-8")
 
 
@@ -192,6 +194,7 @@ def _s2n_entry(n):
         witnesses=(Witness("skt-lcb", {"skt": True, "lcb": True, "balanced": False}, None),))
 
 
+@functools.cache
 def _entries():
     """The manifest's entries in its order, the s_2n family for 2n = 4, 6,
     8 before the LCHK lists.  A manifest name's '_' reads '+' in the
@@ -203,7 +206,17 @@ def _entries():
     return {e.name: e for e in listed[:cut] + family + listed[cut:]}
 
 
-ENTRIES = _entries()
+def __getattr__(name):
+    """``ENTRIES`` and ``LCHK_LIST``, built on first read and then kept as
+    module attributes."""
+    if name == "ENTRIES":
+        value = _entries()
+    elif name == "LCHK_LIST":
+        value = tuple(n for n in _entries() if n.startswith("lchk-"))
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +224,6 @@ ENTRIES = _entries()
 
 LCK_LIST = ("g1", "g2", "g3", "g4", "g5", "g6")
 LCB_LIST = tuple(f"l{i}" for i in range(1, 18)) + ("n1", "n2")
-LCHK_LIST = tuple(name for name in ENTRIES if name.startswith("lchk-"))
 
 _OFF_LOCUS_POOL = (F(1, 3), F(3, 4), F(-5, 4), F(5, 2), F(-7, 3), F(7, 5))
 
@@ -309,15 +321,16 @@ def _verify_lchk_witness(entry, L, params, w):
 
 def verify_all(names=None, samples=None):
     """Verify the requested entries (all by default); deterministic order."""
-    names = sorted(ENTRIES) if names is None else list(names)
+    entries = _entries()
+    names = sorted(entries) if names is None else list(names)
     if samples is not None and samples < 1:
         raise CatalogError("BAD_SAMPLES", f"samples must be at least 1, not {samples}")
     results = []
     t0 = time.monotonic()
     for name in names:
-        if name not in ENTRIES:
+        if name not in entries:
             raise CatalogError("UNKNOWN_ENTRY", f"no catalog entry named {name}")
-        entry = ENTRIES[name]
+        entry = entries[name]
         results.append(verify_entry(entry, entry.samples[:samples]))
     return {
         "results": results,

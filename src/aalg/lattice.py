@@ -9,15 +9,14 @@ rule t0 = 2 log k (k = 2..K) and never claims existence.
 
 Matrix exponentials use closed forms for diagonal and rotation-block
 matrices and scaling-and-squaring otherwise; spectral quantities of the
-float path go through numpy.
+float path go through numpy, which each function that needs it imports
+on first use, so importing this module does not load numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .scalars import EXACT, current_eps
 from . import linalg
@@ -97,6 +96,7 @@ def matrix_exp(b, t=1.0):
     blocks = _rotation_blocks(b)
     if blocks is not None:
         return _block_exp(blocks, n, t, lambda x: math.exp(t * x))
+    import numpy as np
     arr = np.array(b) * t
     norm = float(np.max(np.sum(np.abs(arr), axis=1))) if n else 0.0
     squarings = max(0, int(math.ceil(math.log2(norm))) + 1) if norm > 1 else 0
@@ -119,6 +119,7 @@ def _eigenvalues(m):
     """Eigenvalues; exact diagonal fast path avoids numpy noise."""
     if _is_diagonal(m):
         return [complex(m[i][i]) for i in range(len(m))]
+    import numpy as np
     return list(np.linalg.eigvals(np.array(_as_float_matrix(m))))
 
 
@@ -147,6 +148,7 @@ def nullity(arr, tol):
     """Number of singular values of arr at most tol, or at most 1e-9 of
     the largest one when that bound is larger.  Raises LatticeError when
     arr is not finite (an overflow upstream)."""
+    import numpy as np
     if not np.isfinite(arr).all():
         raise LatticeError("a float matrix is not finite in double precision")
     sv = np.linalg.svd(arr, compute_uv=False)
@@ -155,6 +157,7 @@ def nullity(arr, tol):
 
 def _spectral_clusters(m):
     """(center, multiplicity, jordan_size) triples for a float matrix."""
+    import numpy as np
     arr = np.array(_as_float_matrix(m))
     n = len(m)
     tol, clusters = eigen_clusters(_eigenvalues(m))
@@ -193,6 +196,7 @@ def char_min_poly(m):
 
 def _cluster_polys(clusters):
     """Characteristic and minimal polynomials read off spectral clusters."""
+    import numpy as np
     char = np.array([1.0 + 0j])
     minp = np.array([1.0 + 0j])
     for center, mult, size in clusters:
@@ -255,6 +259,7 @@ def integrality_probe(b, t_values=None, rule_k_max=None,
     LatticeError when eps_int is not finite and non-negative, or when
     exp(t b) or its polynomials are not finite in double precision.
     """
+    import numpy as np
     eps_int = DEFAULT_EPS_INT if eps_int is None else float(eps_int)
     if not (math.isfinite(eps_int) and eps_int >= 0):
         raise LatticeError(f"eps_int must be finite and non-negative, not {eps_int!r}")

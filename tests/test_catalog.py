@@ -21,6 +21,21 @@ def test_registry_contents():
         assert extra in ENTRIES
 
 
+def test_lazy_catalog_attributes():
+    """ENTRIES and LCHK_LIST are built once, from one parse of the manifest,
+    and keep the manifest's order; other names are still missing."""
+    import aalg.catalog
+    assert aalg.catalog.ENTRIES is ENTRIES is aalg.catalog._entries()
+    assert aalg.catalog.LCHK_LIST is LCHK_LIST
+    assert aalg.catalog._entries.cache_info().misses == 1
+    assert LCHK_LIST == ("lchk-m1-hk", "lchk-m1",
+                         "lchk-m2-hk1", "lchk-m2-hk2", "lchk-m2-1", "lchk-m2-2",
+                         "lchk-m3-hk1", "lchk-m3-hk2", "lchk-m3-hk3",
+                         "lchk-m3-1", "lchk-m3-2", "lchk-m3-3")
+    with pytest.raises(AttributeError, match="has no attribute 'MISSING'"):
+        aalg.catalog.MISSING
+
+
 def test_instantiate_g1_constants():
     L = instantiate(ENTRIES["g1"], {"p": F(2)})
     ad = L.ad_basis(5)

@@ -749,9 +749,17 @@ def test_lchk_shorthand_cap_is_inclusive(capsys, monkeypatch):
     (["lchk", "--matrix", "zero3", "--witness", "--json"], None, 0),
     (["lchk", "--matrix", "idq"], None, 1),
     (["lchk", "--matrix", "[[1, 0, 0], [0, 1, 0], [0, 0, 2]]"], None, 2),
-    (["lchk", "--matrix", "id3"], "nan", 1)])
-def test_the_module_runs_as_a_process(capsys, monkeypatch, argv, epsilon, code):
-    """``python -m aalg.cli`` exits with main's code and writes its output."""
+    (["lchk", "--matrix", "id3"], "nan", 1),
+    (["lattice", "DOC", "--rule", "2logk:K=3"], None, 0),
+    (["lchk", "--matrix", "[[0.5, 0, 0], [0, 0.5, 0], [0, 0, 1.5]]"], None, 2)])
+def test_the_module_runs_as_a_process(tmp_path, capsys, monkeypatch, argv, epsilon, code):
+    """``python -m aalg.cli`` exits with main's code and writes its output.
+    The lattice probe and the float lchk verdict run in a process that has
+    not loaded numpy before; DOC is l17, whose B is not in rotation-block
+    form, so the probe takes the scaling-and-squaring exponential."""
+    doc = tmp_path / "l17.alg"
+    doc.write_text(render(entry_document(ENTRIES["l17"])), encoding="utf-8")
+    argv = [str(doc) if arg == "DOC" else arg for arg in argv]
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {k: v for k, v in os.environ.items() if k != "AALG_EPSILON"}
     env["PYTHONPATH"] = src
@@ -764,3 +772,41 @@ def test_the_module_runs_as_a_process(capsys, monkeypatch, argv, epsilon, code):
     assert main(argv) == proc.returncode == code
     captured = capsys.readouterr()
     assert (proc.stdout, proc.stderr) == (captured.out, captured.err)
+
+
+# run in a fresh interpreter: the exact commands, then what they loaded
+EXACT_COMMANDS_SCRIPT = """
+import contextlib, io, json, sys
+from aalg import catalog
+from aalg.cli import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules,
+                  "parsed": catalog._entries.cache_info().currsize,
+                  "attributes": sorted({"ENTRIES", "LCHK_LIST"} & set(vars(catalog)))}))
+"""
+
+
+@pytest.mark.parametrize("commands", [
+    [],
+    [["check", "G1"], ["data", "G1"], ["rho-b", "G1"], ["check", "S4", "--json"],
+     ["data", "S4"], ["rho-b", "S4", "--json"], ["skt-to-lcb", "S4"],
+     ["skt-to-lcb", "S4", "--json"]]], ids=["import", "exact-commands"])
+def test_exact_commands_load_neither_numpy_nor_the_manifest(tmp_path, commands):
+    """Importing ``aalg.cli`` and ``aalg.catalog`` loads neither numpy nor
+    the parsed manifest, and the exact check, data, rho-b and skt-to-lcb
+    (on s4, an SKT document; g1's metric is not SKT) load neither."""
+    paths = {}
+    for name in ("g1", "s4"):
+        paths[name.upper()] = tmp_path / f"{name}.alg"
+        paths[name.upper()].write_text(render(entry_document(ENTRIES[name])), encoding="utf-8")
+    argvs = [[str(paths.get(arg, arg)) for arg in argv] for argv in commands]
+    env = {k: v for k, v in os.environ.items() if k != "AALG_EPSILON"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", EXACT_COMMANDS_SCRIPT, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0] * len(argvs), "numpy": False,
+                                       "parsed": 0, "attributes": []}
