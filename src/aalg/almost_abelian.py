@@ -449,22 +449,6 @@ def is_type_11(rho: KForm, J) -> bool:
     return pullback(rho, jm).equals(rho)
 
 
-def lcb_iff_type_11(d: HermitianData):
-    """Consistency report for: LCB <=> rho^B of type (1,1)."""
-    rho = rho_b_closed(d)
-    jm = adapted_J_matrix(d)
-    t11 = is_type_11(rho, jm)
-    lcb = is_lcb_data(d)
-    units = linalg.idmat(2 * d.n, d.kind)
-    n1_vanish = all(is_zero(rho.evaluate([list(x), e])) for x in d.frame[1:-1] for e in units)
-    return {
-        "is_lcb": lcb,
-        "rho_type_11": t11,
-        "rho_vanishes_on_n1": n1_vanish,
-        "equivalent": lcb == t11 == n1_vanish,
-    }
-
-
 def skt_to_lcb(d: HermitianData) -> HermitianData:
     """From SKT data to LCB data on the same (algebra, J).
 

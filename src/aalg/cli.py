@@ -74,9 +74,9 @@ def _read(path):
 
 def _structures(args):
     """The document of ``args.file``, the Hermitian structure of its L, J
-    and g, and its declared ideal (the --ideal flag, else the document's
-    ideal line, else None); a bad or missing ideal is rejected here,
-    before J and g are checked."""
+    and g, and its data extracted on the declared ideal (the --ideal flag,
+    else the document's ideal line, else None); a bad or missing ideal is
+    rejected here, before J and g are checked."""
     doc = parse(_read(args.file))
     L = to_algebra(doc)
     J = to_complex_structure(doc)
@@ -86,7 +86,8 @@ def _structures(args):
     declared = to_ideal(replace(doc, ideal=parse_ideal(args.ideal, doc.dim))
                         if args.ideal else doc)
     abelian_ideal(L, declared)
-    return doc, HermitianStructure(L, J, g), declared
+    H = HermitianStructure(L, J, g)
+    return doc, H, extract_data(H, declared)
 
 
 def _emit(report, args):
@@ -123,8 +124,7 @@ PROPERTIES = ("kahler", "lck", "balanced", "skt", "lcb", "vaisman")
 
 
 def cmd_check(args):
-    doc, H, ideal = _structures(args)
-    d = extract_data(H, ideal)
+    doc, H, d = _structures(args)
     props = [args.property] if args.property else list(PROPERTIES)
     results = {}
     for prop in props:
@@ -144,8 +144,7 @@ def cmd_check(args):
 
 
 def cmd_data(args):
-    doc, H, ideal = _structures(args)
-    d = extract_data(H, ideal)
+    doc, _, d = _structures(args)
     report = {
         "schema": SCHEMA, "command": "data", "algebra": doc.name,
         "n": d.n, "a": d.a, "v": d.v, "A": d.A, "J1": d.J1,
@@ -158,8 +157,7 @@ def cmd_data(args):
 
 
 def cmd_rho_b(args):
-    doc, H, ideal = _structures(args)
-    d = extract_data(H, ideal)
+    doc, H, d = _structures(args)
     closed = rho_b_closed(d)
     oracle = H.bismut_ricci_oracle()
     # per key, not via closed - oracle: a KForm drops sub-tolerance differences
@@ -312,8 +310,7 @@ def cmd_catalog(args):
 
 
 def cmd_skt_to_lcb(args):
-    doc, H, ideal = _structures(args)
-    d = extract_data(H, ideal)
+    doc, _, d = _structures(args)
     if not is_skt_data(d):
         raise MathRejection("the document's metric is not SKT")
     dp = skt_to_lcb(d)

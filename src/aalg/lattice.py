@@ -185,7 +185,8 @@ def _spectral_clusters(m):
 def char_min_poly(m):
     """Characteristic and minimal polynomials (monic, low degree first).
 
-    Exact matrices go through Faddeev-LeVerrier and Krylov chains; float
+    Exact matrices go through Faddeev-LeVerrier and the first linear
+    dependency among the powers of m (:func:`linalg.minpoly`); float
     matrices through eigenvalue clustering with Jordan sizes estimated
     from rank deficiencies.
     """

@@ -7,13 +7,13 @@ spectrally: D must be complex-diagonalizable with
   (ii)  the real eigenvalue a of multiplicity at least 3,
   (iii) every nonreal eigenvalue of even multiplicity.
 
-On the exact path every condition is decided through the characteristic
-and minimal polynomials (squarefree test of the minimal polynomial,
-evenness, the square-free decomposition of hhat read with Sturm counts),
-never through numeric eigenvalues; the reported multiplicity table alone
-still reads float roots.  The witness is built on the canonical block form
-diag(C_1, .., C_{m-1}, a, a, a) with quaternion matrices K_1, K_2, K_3
-repeated along the diagonal.
+On the exact path every condition is decided through the one
+characteristic polynomial chi of D - a (diagonalizability as f(D - a) = 0
+for the square-free part f of chi, evenness, the square-free decomposition
+of hhat read with Sturm counts), never through numeric eigenvalues; the
+reported multiplicity table alone still reads float roots.  The witness is
+built on the canonical block form diag(C_1, .., C_{m-1}, a, a, a) with
+quaternion matrices K_1, K_2, K_3 repeated along the diagonal.
 """
 
 from __future__ import annotations
@@ -103,10 +103,15 @@ def _shifted_charpoly(D):
 
 
 def _admissible_exact(D, spectrum) -> LchkVerdict:
-    mp = linalg.minpoly(D)
-    g = linalg.poly_gcd(mp, linalg.poly_deriv(mp))
-    diagonalizable = linalg.poly_deg(g) == 0
-    a, _, m0, h, hhat = spectrum
+    a, shifted, m0, h, hhat = spectrum
+    # D is diagonalizable <=> its minimal polynomial is square-free <=> the
+    # square-free part f of chi = x^m0 h kills D - a; f is monic of degree
+    # >= 1, and f(D - a) is evaluated by Horner's rule
+    f = linalg.squarefree_part([Fraction(0)] * m0 + h)
+    acc = linalg.mat_shift(shifted, f[-2])
+    for c in reversed(f[:-2]):
+        acc = linalg.mat_shift(linalg.mat_mul(acc, shifted), c)
+    diagonalizable = linalg.is_zero_matrix(acc)
     # (i): the nonzero spectrum of D - a is purely imaginary <=> h is even
     # and hhat has only real roots, all negative (its coefficients positive)
     cond_i = all(h[i] == 0 for i in range(1, len(h), 2))

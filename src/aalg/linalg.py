@@ -29,10 +29,12 @@ Float matrices keep the float loops (Gauss-Jordan with partial pivoting,
 Faddeev-LeVerrier), bit for bit; float Sylvester's criterion compares the
 pivots of one elimination without row exchanges with the tolerance.
 
-Also hosts the small univariate polynomial toolkit (coefficient lists,
-low degree first) for characteristic/minimal polynomials: Yun's
-square-free decomposition, Sturm counts, and rational roots found by
-Sturm bisection, in time polynomial in the coefficients' bit size.
+:func:`minpoly` is the first linear dependency among the powers of M,
+read off one :func:`nullspace`.  Also hosts the small univariate
+polynomial toolkit (coefficient lists, low degree first): Yun's
+square-free decomposition and the square-free part, Sturm counts, and
+rational roots found by Sturm bisection, in time polynomial in the
+coefficients' bit size.
 """
 
 from __future__ import annotations
@@ -425,17 +427,6 @@ def poly_deg(p) -> int:
     return len(poly_trim(p)) - 1
 
 
-def poly_mul(p, q):
-    kind = kind_of(p[0])
-    out = [zero(kind)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return poly_trim(out)
-
-
 def poly_divmod(p, q):
     q = poly_trim(q)
     if q == [q[0]] and is_zero(q[0]):
@@ -470,13 +461,6 @@ def poly_gcd(p, q):
         _, r = poly_divmod(a, b)
         a, b = b, r
     return poly_monic(a)
-
-
-def poly_lcm(p, q):
-    g = poly_gcd(p, q)
-    quot, rem = poly_divmod(poly_mul(p, q), g)
-    assert poly_deg(poly_trim(rem)) == 0 and is_zero(rem[0])
-    return poly_monic(quot)
 
 
 def poly_deriv(p):
@@ -523,25 +507,23 @@ def charpoly(m):
 
 
 def minpoly(m):
-    """Minimal polynomial (monic) via Krylov chains; exact on Fractions."""
+    """Minimal polynomial (monic, low degree first): the first linear
+    dependency among I, M, .., M^n (Cayley-Hamilton bounds the degree by
+    n), read off one :func:`nullspace` of the matrix whose column k is M^k
+    flattened.  Columns 0..d-1 pivot and column d is the first free one,
+    d the degree, so the first kernel vector holds the coefficients."""
     n = len(m)
     kind = matrix_kind(m)
-    result = [one(kind)]
-    for start in range(n):
-        if poly_deg(result) == n:
-            break
-        v = zero_vector(n, kind)
-        v[start] = one(kind)
-        krylov = [v]
-        while True:
-            w = mat_vec(m, krylov[-1])
-            sol = solve_general(transpose(krylov), w)
-            if sol is not None:
-                ann = [-c for c in sol] + [one(kind)]
-                result = poly_lcm(result, poly_trim(ann))
-                break
-            krylov.append(w)
-    return result
+    powers = [idmat(n, kind)]
+    for _ in range(n):
+        powers.append(mat_mul(powers[-1], m))
+    kernel = nullspace(transpose([[x for row in p for x in row] for p in powers]))
+    return poly_trim(kernel[0]) if kernel else [one(kind)]
+
+
+def squarefree_part(p):
+    """p / gcd(p, p'): each root of p once, with p's leading coefficient."""
+    return poly_divmod(p, poly_gcd(p, poly_deriv(p)))[0]
 
 
 def squarefree_factors(p):
@@ -591,7 +573,7 @@ def sturm_distinct_real_roots(p) -> int:
     p = poly_trim(p)
     if poly_deg(p) == 0:
         return 0
-    chain, bound = _sturm(poly_divmod(p, poly_gcd(p, poly_deriv(p)))[0])
+    chain, bound = _sturm(squarefree_part(p))
     return _sign_changes(chain, -bound) - _sign_changes(chain, bound)
 
 

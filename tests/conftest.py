@@ -141,6 +141,17 @@ def random_shear(rng, n):
     return s
 
 
+def dense_conjugate(b, rng):
+    """P B P^-1 for a random invertible rational P: a dense matrix similar
+    to B."""
+    n = len(b)
+    while True:
+        p = [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+        p_inv = linalg.inverse(p)
+        if p_inv is not None:
+            return linalg.mat_mul(linalg.mat_mul(p, b), p_inv)
+
+
 def transported(L, J, g, s):
     """The same structure in the basis b_j = sum_i s[i][j] e_i, where an
     identity g is no longer the identity."""

@@ -9,14 +9,15 @@ from aalg import linalg
 from aalg.forms import KForm, exterior_derivative
 from aalg.hermitian import ComplexStructure, HermitianStructure, Metric
 from aalg.lie import LieAlgebra, Subspace, abelian_ideal
-from aalg.almost_abelian import (DATA_PREDICATES, DataError, build_algebra,
-                                 data_from_parts, extract_data, is_balanced_data,
-                                 is_kahler_data, is_lcb_data, is_lck_data,
-                                 is_skt_data, is_type_11, lcb_iff_type_11,
+from aalg.almost_abelian import (DATA_PREDICATES, DataError, adapted_J_matrix,
+                                 build_algebra, data_from_parts, extract_data,
+                                 is_balanced_data, is_kahler_data, is_lcb_data,
+                                 is_lck_data, is_skt_data, is_type_11,
                                  lee_form_closed, rho_b_closed, skt_to_lcb,
                                  standard_j1)
 from aalg.catalog import ENTRIES, instantiate, witness_structures
 from aalg.documents import to_ideal
+from aalg.scalars import is_zero
 
 from conftest import data_stream, random_data, random_shear, transported
 
@@ -198,9 +199,17 @@ def test_rho_closed_equals_oracle():
 
 
 def test_type_11_equivalence():
+    """LCB <=> rho^B of type (1,1) <=> rho^B vanishes on n_1."""
     for d in data_stream(53, 24, dims=(2, 3, 4)):
-        rep = lcb_iff_type_11(d)
-        assert rep["equivalent"], rep
+        rho = rho_b_closed(d)
+        units = linalg.idmat(2 * d.n, d.kind)
+        rep = {
+            "is_lcb": is_lcb_data(d),
+            "rho_type_11": is_type_11(rho, adapted_J_matrix(d)),
+            "rho_vanishes_on_n1": all(is_zero(rho.evaluate([list(x), e]))
+                                      for x in d.frame[1:-1] for e in units),
+        }
+        assert len(set(rep.values())) == 1, (rep, d)
 
 
 def test_type_11_j_invariant_plane():

@@ -1,5 +1,6 @@
 """LCHK admissibility, canonical form, witnesses, flatness."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +11,8 @@ from aalg.forms import KForm
 from aalg.lchk import (K1, K2, K3, LchkError, construct_lchk,
                        hyperkahler_flatness, lchk_admissible, verify_triple)
 from aalg.linalg import block_diag
+
+from conftest import dense_conjugate
 
 
 def rot(a, b):
@@ -81,6 +84,45 @@ def test_nondiagonalizable_rejected():
         assert not v.admissible and not v.diagonalizable
 
 
+def companion(p):
+    """Companion matrix of the monic p (coefficients low degree first)."""
+    n = len(p) - 1
+    return [[F(int(i == j + 1)) if j < n - 1 else -F(p[i]) for j in range(n)]
+            for i in range(n)]
+
+
+# (block form, diagonalizable counterpart), each padded to 7 x 7
+_DIAGONALIZABILITY_CASES = {
+    # conditions (i)-(iii) hold and only diagonalizability fails
+    "(x^2+1)^2 + 0_3": (block_diag([companion([1, 0, 2, 0, 1]), *scalars(0, 0, 0)]),
+                        block_diag([rot(0, 1), rot(0, 1), *scalars(0, 0, 0)])),
+    "(x^2-2)^2": (block_diag([companion([4, 0, -4, 0, 1]), *scalars(1, 1, 1)]),
+                  block_diag([companion([-2, 0, 1]), companion([-2, 0, 1]),
+                              *scalars(1, 1, 1)])),
+    "jordan 2x2": (block_diag([[[3, 1], [0, 3]], *scalars(3, 3, 3, 1, 1)]),
+                   block_diag([*scalars(3, 3, 3, 3, 3, 1, 1)])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DIAGONALIZABILITY_CASES))
+def test_diagonalizability_matches_sympy(case):
+    """Oracle: sympy's is_diagonalizable (over C) on dense rational
+    conjugates of block forms, each with a diagonalizable counterpart."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(case)
+    verdicts = []
+    for expected, block_form in zip((False, True), _DIAGONALIZABILITY_CASES[case]):
+        D = dense_conjugate(block_form, rng)
+        oracle = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                               for row in D]).is_diagonalizable()
+        verdicts.append(lchk_admissible(D))
+        assert verdicts[-1].diagonalizable == oracle == expected
+    if case == "(x^2+1)^2 + 0_3":
+        assert all(v.condition_spectrum_line and v.condition_real_multiplicity
+                   and v.condition_even_pairs for v in verdicts)
+        assert [v.admissible for v in verdicts] == [False, True]
+
+
 def test_float_path_agrees():
     for d in (linalg.idmat(3),
               block_diag([*scalars(1, 1, 1), rot(1, F(1, 2)), rot(1, F(1, 2))]),
@@ -135,6 +177,23 @@ def test_canonical_form_computes_the_spectrum_once(monkeypatch):
     p, dc, a, blocks = canonical_form(d)
     assert len(calls) == 1
     assert a == 1 and blocks == [F(1, 2)]
+
+
+def test_exact_lchk_reads_no_minimal_polynomial(monkeypatch):
+    """The exact verdict and canonical form take diagonalizability from
+    the characteristic polynomial: minpoly is never called."""
+    from aalg.lchk import canonical_form
+
+    def no_minpoly(m):
+        raise AssertionError("minpoly called")
+
+    monkeypatch.setattr(linalg, "minpoly", no_minpoly)
+    for name in LCHK_LIST:
+        for params in ENTRIES[name].samples:
+            D = _restrict_last(instantiate(ENTRIES[name], params))
+            assert lchk_admissible(D).admissible, name
+            p, dc, a, blocks = canonical_form(D)
+            assert linalg.mat_eq(linalg.mat_mul(D, p), linalg.mat_mul(p, dc)), name
 
 
 def test_hyperkahler_m2_flat():

@@ -10,10 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from aalg import linalg
 from aalg.linalg import (charpoly, inverse, minpoly, nullspace, poly_deg,
-                         poly_deriv, poly_divmod, poly_eval,
-                         poly_gcd, poly_monic, poly_mul, rank, rational_roots, rref, solve,
-                         solve_general, squarefree_factors, sturm_distinct_real_roots)
+                         poly_deriv, poly_divmod, poly_eval, poly_gcd, poly_monic,
+                         rank, rational_roots, rref, solve, solve_general,
+                         squarefree_factors, squarefree_part, sturm_distinct_real_roots)
 from aalg.scalars import DEFAULT_EPS, EXACT, coerce
+
+from conftest import dense_conjugate
 
 
 def test_solve_exact():
@@ -86,6 +88,66 @@ def test_minpoly_divides_charpoly():
 def test_minpoly_projector():
     proj = [[F(1), F(0)], [F(0), F(0)]]
     assert minpoly(proj) == [F(0), F(-1), F(1)]  # x^2 - x
+
+
+def poly_mul(p, q):
+    out = [F(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return linalg.poly_trim(out)
+
+
+def krylov_minpoly(m):
+    """Reference minimal polynomial: the lcm of the annihilators of the
+    Krylov chains e_i, M e_i, M^2 e_i, .. of the unit vectors."""
+    n = len(m)
+    result = [F(1)]
+    for start in range(n):
+        krylov = [[F(int(i == start)) for i in range(n)]]
+        while True:
+            w = linalg.mat_vec(m, krylov[-1])
+            sol = solve_general(linalg.transpose(krylov), w)
+            if sol is not None:
+                ann = [-c for c in sol] + [F(1)]
+                quot, rem = poly_divmod(poly_mul(result, ann), poly_gcd(result, ann))
+                assert rem == [0]
+                result = poly_monic(quot)
+                break
+            krylov.append(w)
+    return result
+
+
+def test_minpoly_matches_the_krylov_reference():
+    rng = random.Random(28)
+    jordan = [[F(2), F(1)], [F(0), F(2)]]
+    shapes = [
+        [],                                                      # 0 x 0
+        [[F(5, 3)]],                                             # 1 x 1
+        linalg.idmat(4),
+        [[F(int(j == i + 1)) for j in range(4)] for i in range(4)],  # nilpotent
+        [[F(1), F(1)], [F(0), F(0)]],                            # projector
+        linalg.block_diag([jordan, jordan, [[F(2)]]]),           # derogatory
+        linalg.block_diag([jordan, [[F(-1)]], [[F(-1)]]]),
+    ]
+    shapes += [dense_conjugate(b, rng) for b in shapes[2:]]
+    for _ in range(12):
+        n = rng.randint(1, 5)
+        shapes.append([[F(rng.choice([0, 0, 1, -2]), rng.randint(1, 4)) for _ in range(n)]
+                       for _ in range(n)])
+    for m in shapes:
+        mp = minpoly(m)
+        assert mp == krylov_minpoly(m), m
+        assert all(type(c) is F for c in mp)
+        assert linalg.is_zero_matrix(poly_eval_matrix(mp, m))
+
+
+def test_squarefree_part():
+    # (x - 1)^2 (x + 2)^3 x -> (x - 1)(x + 2) x, with the leading coefficient
+    p = _product([[F(3)], [F(-1), F(1)], [F(-1), F(1)], [F(2), F(1)], [F(2), F(1)],
+                  [F(2), F(1)], [F(0), F(1)]])
+    assert squarefree_part(p) == _product([[F(3)], [F(-1), F(1)], [F(2), F(1)], [F(0), F(1)]])
+    assert squarefree_part([F(7)]) == [F(7)]
 
 
 def test_poly_gcd_and_derivative():
