@@ -55,7 +55,7 @@ from .documents import (AlgebraDocument, LinearForm, Term, Witness, parse_manife
 from .hermitian import HermitianStructure, Metric
 from .lie import LieAlgebra
 from .almost_abelian import extract_data, lee_form_closed, route_verdicts
-from .lchk import construct_lchk, hyperkahler_flatness, lchk_admissible, verify_triple
+from .lchk import LchkError, construct_lchk, hyperkahler_flatness, verify_triple
 
 
 class CatalogError(ValueError):
@@ -296,7 +296,7 @@ def _not_checked_claims(entry):
 def _verify_lchk_witness(entry, L, params, w):
     failures = []
     D = _restrict_last(L)
-    verdict = lchk_admissible(D)
+    verdict, witness = construct_lchk(D)
     if not verdict.admissible:
         failures.append(f"{entry.name}{params}: expected admissible, got {verdict}")
         return failures
@@ -304,7 +304,9 @@ def _verify_lchk_witness(entry, L, params, w):
         failures.append(
             f"{entry.name}{params}: hyperkahler flag {verdict.hyperkahler}, "
             f"want {w.hyperkahler}")
-    Lc, triple, P, dc = construct_lchk(D)
+    if isinstance(witness, LchkError):
+        return failures + [f"{entry.name}{params}: no witness: {witness}"]
+    Lc, triple, P, dc = witness
     report = verify_triple(Lc, triple)
     if not report["ok"]:
         bad = [k for k, v in report.items() if not v]

@@ -193,8 +193,12 @@ def _parse_inline_matrix(spec):
             raise ValueError("expected a list of rows")
         if not rows or not rows[0] or any(len(row) != len(rows[0]) for row in rows):
             raise ValueError("expected nonempty rows of one length")
-        return [[_matrix_entry(x) for x in row] for row in rows]
-    except (ValueError, ZeroDivisionError) as exc:
+        entries = [[_matrix_entry(x) for x in row] for row in rows]
+        # as in a document, one decimal literal makes the whole matrix float
+        if any(isinstance(x, float) for row in entries for x in row):
+            return linalg.as_matrix(entries, scalars.FLOAT)
+        return entries
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ParseError(f"cannot parse matrix {spec!r}: {exc}")
 
 
@@ -210,18 +214,17 @@ def _matrix_entry(x):
 
 def cmd_lchk(args):
     D = _parse_inline_matrix(args.matrix)
-    verdict = lchk_admissible(D)
+    verdict, witness = construct_lchk(D) if args.witness else (lchk_admissible(D), None)
     report = {"schema": SCHEMA, "command": "lchk", **asdict(verdict)}
-    if verdict.admissible and args.witness:
-        try:
-            L, triple, P, dc = construct_lchk(D)
-            report["witness"] = {
-                "canonical_form": dc, "basis_change": P,
-                "lee_form": _form_json(triple.theta),
-                "I1": triple.I1.matrix, "I2": triple.I2.matrix, "I3": triple.I3.matrix,
-            }
-        except LchkError as exc:
-            report["witness"] = {"error": str(exc)}
+    if isinstance(witness, LchkError) and verdict.admissible:
+        report["witness"] = {"error": str(witness)}
+    elif witness and verdict.admissible:
+        L, triple, P, dc = witness
+        report["witness"] = {
+            "canonical_form": dc, "basis_change": P,
+            "lee_form": _form_json(triple.theta),
+            "I1": triple.I1.matrix, "I2": triple.I2.matrix, "I3": triple.I3.matrix,
+        }
     _emit(report, args)
     if not verdict.admissible:
         raise MathRejection("D is not LCHK-admissible")

@@ -669,5 +669,4 @@ def to_metric(doc: AlgebraDocument):
 def to_ideal(doc: AlgebraDocument):
     if doc.ideal is None:
         return None
-    vecs = _on_kind(doc.ideal, doc.kind, "ideal")
-    return Subspace(len(vecs), tuple(map(tuple, vecs)))
+    return Subspace(tuple(map(tuple, _on_kind(doc.ideal, doc.kind, "ideal"))))

@@ -13,7 +13,9 @@ for the square-free part f of chi, evenness, the square-free decomposition
 of hhat read with Sturm counts), never through numeric eigenvalues; the
 reported multiplicity table alone still reads float roots.  The witness is
 built on the canonical block form diag(C_1, .., C_{m-1}, a, a, a) with
-quaternion matrices K_1, K_2, K_3 repeated along the diagonal.
+quaternion matrices K_1, K_2, K_3 repeated along the diagonal.  Each
+entry point decides D once; construct_lchk returns that verdict with its
+witness.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import EXACT, exact_sqrt, zero
+from .scalars import EXACT, exact_sqrt
 from . import linalg
 from .forms import KForm
 from .hermitian import (ComplexStructure, HermitianStructure, Metric, levi_civita,
@@ -71,7 +73,7 @@ def lchk_admissible(D) -> LchkVerdict:
 def _admissible(D):
     """(verdict, D as a matrix, spectrum): the spectrum is the
     :func:`_shifted_charpoly` of an exact D, computed once for both the
-    verdict and :func:`canonical_form`, and None for a float D."""
+    verdict and the canonical form, and None for a float D."""
     D = linalg.as_matrix(D)
     n = len(D)
     if any(len(row) != n for row in D):
@@ -80,8 +82,16 @@ def _admissible(D):
         raise LchkError("BAD_DIMENSION", "D must be (4m-1) x (4m-1)")
     if linalg.matrix_kind(D) == EXACT:
         spectrum = _shifted_charpoly(D)
-        return _admissible_exact(D, spectrum), D, spectrum
-    return _admissible_float(D), D, None
+        facts = _admissible_exact(D, spectrum)
+    else:
+        spectrum, facts = None, _admissible_float(D)
+    diagonalizable, cond_i, cond_ii, cond_iii, a, a_is_zero, mult_table = facts
+    # admissible is the conjunction, a is reported only under (i), and
+    # hyperkahler is admissible with a = 0
+    admissible = diagonalizable and cond_i and cond_ii and cond_iii
+    verdict = LchkVerdict(admissible, a if cond_i else None, admissible and a_is_zero,
+                          diagonalizable, cond_i, cond_ii, cond_iii, tuple(mult_table))
+    return verdict, D, spectrum
 
 
 def _shifted_charpoly(D):
@@ -102,7 +112,7 @@ def _shifted_charpoly(D):
     return a, shifted, m0, h, h[::2]
 
 
-def _admissible_exact(D, spectrum) -> LchkVerdict:
+def _admissible_exact(D, spectrum):
     a, shifted, m0, h, hhat = spectrum
     # D is diagonalizable <=> its minimal polynomial is square-free <=> the
     # square-free part f of chi = x^m0 h kills D - a; f is monic of degree
@@ -136,17 +146,7 @@ def _admissible_exact(D, spectrum) -> LchkVerdict:
                 mult = _root_multiplicity_exact(hhat, beta)
                 if mult:
                     mult_table.append((float(np.sqrt(-beta)), mult))
-    admissible = diagonalizable and cond_i and cond_ii and cond_iii
-    return LchkVerdict(
-        admissible=admissible,
-        a=a if cond_i else None,
-        multiplicities=tuple(mult_table),
-        diagonalizable=diagonalizable,
-        condition_spectrum_line=cond_i,
-        condition_real_multiplicity=cond_ii,
-        condition_even_pairs=cond_iii,
-        hyperkahler=admissible and a == 0,
-    )
+    return diagonalizable, cond_i, cond_ii, cond_iii, a, a == 0, mult_table
 
 
 def _root_multiplicity_exact(poly, beta_float):
@@ -160,7 +160,7 @@ def _root_multiplicity_exact(poly, beta_float):
     return count
 
 
-def _admissible_float(D) -> LchkVerdict:
+def _admissible_float(D):
     import numpy as np
     n = len(D)
     arr = np.array([[float(x) for x in row] for row in D])
@@ -179,17 +179,7 @@ def _admissible_float(D) -> LchkVerdict:
     for c, m in sorted(clusters, key=lambda t: -abs(t[0].imag)):
         if c.imag > tol:
             mult_table.append((abs(c.imag), len(m)))
-    admissible = diagonalizable and cond_i and cond_ii and cond_iii
-    return LchkVerdict(
-        admissible=admissible,
-        a=a if cond_i else None,
-        multiplicities=tuple(mult_table),
-        diagonalizable=diagonalizable,
-        condition_spectrum_line=cond_i,
-        condition_real_multiplicity=cond_ii,
-        condition_even_pairs=cond_iii,
-        hyperkahler=admissible and abs(a) <= tol,
-    )
+    return diagonalizable, cond_i, cond_ii, cond_iii, a, abs(a) <= tol, mult_table
 
 
 def canonical_form(D):
@@ -199,14 +189,15 @@ def canonical_form(D):
     the list of rotation parameters b_i (zero blocks last).  Exact path
     requires the rotation parameters to be rational.
     """
-    verdict, D, spectrum = _admissible(D)
+    return _canonical_form(*_admissible(D))
+
+
+def _canonical_form(verdict, D, spectrum):
     if not verdict.admissible:
         raise LchkError("NOT_ADMISSIBLE", "D fails the spectral conditions")
     if spectrum is None:
         raise LchkError("FLOAT_UNSUPPORTED",
                         "canonical witness construction runs on the exact path")
-    n = len(D)
-    kind = EXACT
     a, shifted, _, _, hhat = spectrum
     bs = []  # (b, nu) with nu the number of C-blocks for this b
     # hhat(-b^2) = 0 with multiplicity 2 nu: even, as hhat is a square
@@ -243,41 +234,44 @@ def canonical_form(D):
             columns += [u, [-x for x in ju], w, jw]
             blocks.append(b)
     kernel = linalg.nullspace(shifted)
-    assert len(kernel) == (n - len(columns))
+    assert len(kernel) == len(D) - len(columns)
     h_zero = (len(kernel) - 3) // 4
     for t in range(h_zero):
         columns.extend(kernel[4 * t: 4 * t + 4])
-        blocks.append(zero(kind))
+        blocks.append(Fraction(0))
     columns.extend(kernel[4 * h_zero:])
     p = linalg.transpose(columns)
     dc = linalg.block_diag(
         [[[a, b, 0, 0], [-b, a, 0, 0], [0, 0, a, -b], [0, 0, b, a]] for b in blocks]
-        + [[[a]]] * 3, kind)
+        + [[[a]]] * 3)
     assert linalg.mat_eq(linalg.mat_mul(D, p), linalg.mat_mul(p, dc)), \
         "canonical form certificate failed"
     return p, dc, a, blocks
 
 
 def construct_lchk(D):
-    """Build the canonical-form algebra and its hypercomplex witness.
+    """Decide D once and build its hypercomplex witness.
 
-    Returns (L, triple, P, D_canonical) where L is the almost abelian
-    algebra R^{4m-1} x|_{D_canonical} R, the triple carries (I1, I2, I3, g)
-    with I_i = diag(K_i, .., K_i) and g the standard metric, and P
-    certifies that the input D is conjugate to D_canonical.
+    Returns (verdict, witness): the verdict of :func:`lchk_admissible`, and
+    (L, triple, P, D_canonical) where L is the almost abelian algebra
+    R^{4m-1} x|_{D_canonical} R, the triple carries (I1, I2, I3, g) with
+    I_i = diag(K_i, .., K_i) and g the standard metric, and P certifies that
+    D is conjugate to D_canonical.  Without a witness (NOT_ADMISSIBLE,
+    FLOAT_UNSUPPORTED, EXACT_IRRATIONAL) the second entry is the LchkError.
     """
-    p, dc, a, blocks = canonical_form(D)
+    verdict, D, spectrum = _admissible(D)
+    try:
+        p, dc, a, _ = _canonical_form(verdict, D, spectrum)
+    except LchkError as exc:
+        return verdict, exc
     n2 = len(dc) + 1
-    kind = EXACT
     m = n2 // 4
     L = LieAlgebra.semidirect(dc)
-    structs = [ComplexStructure.from_matrix(linalg.block_diag([K] * m, kind))
+    structs = [ComplexStructure.from_matrix(linalg.block_diag([K] * m))
                for K in (K1, K2, K3)]
-    g = Metric.identity(n2, kind)
-    theta_coeff = -(4 * m - 2) * a
-    theta = KForm(1, n2, {(n2 - 1,): theta_coeff}, kind=kind)
-    triple = HypercomplexTriple(structs[0], structs[1], structs[2], g, theta)
-    return L, triple, p, dc
+    theta = KForm(1, n2, {(n2 - 1,): -(4 * m - 2) * a}, kind=EXACT)
+    triple = HypercomplexTriple(*structs, Metric.identity(n2), theta)
+    return verdict, (L, triple, p, dc)
 
 
 def verify_triple(L: LieAlgebra, triple: HypercomplexTriple):

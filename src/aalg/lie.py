@@ -41,9 +41,12 @@ class LieAlgebraError(ValueError):
 class Subspace:
     """Span of a list of vectors (kept linearly independent)."""
 
-    dim: int
     vectors: tuple
     ambiguous: bool = False
+
+    @property
+    def dim(self) -> int:
+        return len(self.vectors)
 
     def contains(self, v) -> bool:
         if not self.vectors:
@@ -177,8 +180,7 @@ class LieAlgebra:
 
     def derived_algebra(self) -> Subspace:
         vecs = [list(v) for _, v in sorted(self.brackets.items())]
-        basis = linalg.column_space_basis(vecs)
-        return Subspace(len(basis), tuple(tuple(v) for v in basis))
+        return Subspace(tuple(tuple(v) for v in linalg.column_space_basis(vecs)))
 
     def memo(self, key, compute):
         """compute() once per key for this algebra, then the cached value
@@ -256,7 +258,7 @@ def find_codim1_abelian_ideal(L: LieAlgebra):
     if not V:
         return None
     basis = linalg.nullspace([V[-1]])
-    ideal = Subspace(len(basis), tuple(tuple(v) for v in basis), ambiguous=len(V) > 1)
+    ideal = Subspace(tuple(tuple(v) for v in basis), ambiguous=len(V) > 1)
     # direct re-check guards against elimination bugs
     defect = abelian_ideal_defect(L, ideal.vectors)
     if defect is not None:

@@ -183,11 +183,11 @@ def test_criterion_7_lchk_suite():
         for params in entry.samples:
             L = instantiate(entry, params)
             D = _restrict_last(L)
-            verdict = lchk_admissible(D)
+            verdict, witness = construct_lchk(D)
             if not verdict.admissible or verdict.hyperkahler != hk_expected:
                 ok = False; notes.append(f"{name}{params} verdict {verdict}")
                 continue
-            Lc, triple, P, dc = construct_lchk(D)
+            Lc, triple, P, dc = witness
             rep = verify_triple(Lc, triple)
             if not rep["ok"]:
                 ok = False

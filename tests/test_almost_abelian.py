@@ -45,9 +45,9 @@ def test_h3r_data_shape():
     """h3 + R: n = 2 case with A = 0 and v != 0."""
     L = LieAlgebra(4, {(0, 1): [F(0), F(0), F(0), F(-1)]})
     J = ComplexStructure.from_pairs(4, [(1, 0), (2, 3)])
-    ideal = Subspace(3, (tuple([F(0), F(1), F(0), F(0)]),
-                         tuple([F(0), F(0), F(1), F(0)]),
-                         tuple([F(0), F(0), F(0), F(1)])))
+    ideal = Subspace((tuple([F(0), F(1), F(0), F(0)]),
+                      tuple([F(0), F(0), F(1), F(0)]),
+                      tuple([F(0), F(0), F(0), F(1)])))
     H = HermitianStructure(L, J, Metric.identity(4))
     d = extract_data(H, ideal)
     assert d.n == 2
@@ -93,7 +93,7 @@ def test_extract_requires_abelian_ideal():
     e = linalg.idmat(4)
     J = ComplexStructure.from_pairs(4, [(0, 1), (2, 3)])
     for L, vecs in ((so3, e[:3]), (aff2, e[1:]), (aff2, [e[0], e[2], e[2]])):
-        bad = Subspace(3, tuple(tuple(v) for v in vecs))
+        bad = Subspace(tuple(tuple(v) for v in vecs))
         with pytest.raises(DataError) as exc:
             extract_data(HermitianStructure(L, J, Metric.identity(4)), bad)
         assert exc.value.code == "IDEAL_NOT_ABELIAN"
@@ -315,7 +315,7 @@ def test_skt_to_lcb_is_realised_by_its_frame():
         s = random_shear(rng, L.dim)
         L, J, g = transported(L, J, g, s)
         g = Metric.from_matrix(linalg.mat_scale(rng.choice([F(2), F(3), F(1, 2)]), g.matrix))
-        ideal = Subspace(L.dim - 1, _moved(linalg.idmat(L.dim)[:-1], s))
+        ideal = Subspace(_moved(linalg.idmat(L.dim)[:-1], s))
         d = extract_data(HermitianStructure(L, J, g), ideal)
         dp = skt_to_lcb(d)
         n2, m = L.dim, dp.m
@@ -349,7 +349,7 @@ def test_metric_is_read_off_the_frame():
                 s = random_shear(rng, L.dim)
                 L2, J2, g2 = transported(L, H.J, H.g, s)
                 ideal = abelian_ideal(L, to_ideal(entry.document))
-                moved = Subspace(ideal.dim, _moved(ideal.vectors, s))
+                moved = Subspace(_moved(ideal.vectors, s))
                 assert extract_data(HermitianStructure(L2, J2, g2), moved).metric() == g2
                 checked += 1
     assert checked >= 40

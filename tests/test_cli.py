@@ -273,6 +273,23 @@ def test_lchk_inline_rejected(capsys):
     assert code == 2
 
 
+def test_lchk_any_decimal_entry_makes_the_matrix_float(capsys):
+    """As in a document, one decimal literal anywhere makes the whole
+    --matrix float: a decimal last entry reads as a decimal first entry does."""
+    reports = []
+    for spec in ("[[1,0,0],[0,1,0],[0,0,1.5]]", "[[1.0,0,0],[0,1,0],[0,0,1.5]]",
+                 '[["1/2",0,0],[0,1,0],[0,0,1.5]]', "[[0.5,0,0],[0,1,0],[0,0,1.5]]"):
+        code, rep = run_json(capsys, ["lchk", "--matrix", spec, "--json"])
+        assert code == 2 and not rep["admissible"]
+        reports.append(rep)
+    assert reports[0] == reports[1] and reports[2] == reports[3]
+    # an integer too large for a float is an input error, not a traceback
+    huge = "[[0.5,0,0],[0,1,0],[0,0,1" + "0" * 400 + "]]"
+    assert main(["lchk", "--matrix", huge]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("spec", ['[["x",0,0],[0,0,0],[0,0,0]]', "idq", "5",
                                   "[[1e400,0,0],[0,1,0],[0,0,1]]", "DIRECTORY",
                                   "[[1,2],[3]]", "[]", "[[]]", "id0", "id-1", "zero0",

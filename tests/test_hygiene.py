@@ -133,6 +133,7 @@ NO_LIBRARY_CALLER = {
     ("hermitian", "HermitianStructure.is_skt_direct"): "reached by getattr in route_verdicts",
     ("hermitian", "HermitianStructure.bismut_connection"): "public API used only by tests",
     ("lattice", "char_min_poly"): "traced by bench/spans.py",
+    ("lchk", "canonical_form"): "called by bench/workloads.py, traced by bench/spans.py",
     ("lie", "LieAlgebra.abelian"): "public API used only by tests",
     ("lie", "LieAlgebra.bracket"): "public API used only by tests",
     ("lie", "LieAlgebra.derived_algebra"): "traced by bench/spans.py",
@@ -232,6 +233,7 @@ KIND_BRANCHES = {
     ("documents", "_parse_lines"): "the dimension is an integer literal",
     ("documents", "_render_terms"): "a unit rational factor stays implicit",
     ("cli", "_matrix_entry"): "JSON matrix reader",
+    ("cli", "_parse_inline_matrix"): "one decimal entry makes the whole matrix float",
 }
 
 

@@ -77,7 +77,7 @@ def ref_find_codim1_abelian_ideal(L):
     t, xi, freedom = solutions[0]
     ambiguous = total_freedom > 0 or len(solutions) > 1
     basis = linalg.nullspace([xi])
-    ideal = Subspace(len(basis), tuple(tuple(v) for v in basis), ambiguous=ambiguous)
+    ideal = Subspace(tuple(tuple(v) for v in basis), ambiguous=ambiguous)
     defect = abelian_ideal_defect(L, ideal.vectors)
     if defect is not None:
         raise LieAlgebraError("INTERNAL", f"ideal candidate is {defect}")
@@ -106,7 +106,7 @@ def ref_fraction_row_search(L):
     if not V:
         return None
     basis = linalg.nullspace([V[-1]])
-    return Subspace(len(basis), tuple(tuple(v) for v in basis), ambiguous=len(V) > 1)
+    return Subspace(tuple(tuple(v) for v in basis), ambiguous=len(V) > 1)
 
 
 def float_copy(L):
@@ -281,11 +281,11 @@ def test_abelian_ideal_searches_or_validates_once(monkeypatch):
     assert abelian_ideal(L, None) is found
     assert calls == {"find_codim1_abelian_ideal": 1, "abelian_ideal_defect": 1}
     e = linalg.idmat(3)
-    declared = Subspace(2, (tuple(e[0]), tuple(e[1])))
+    declared = Subspace((tuple(e[0]), tuple(e[1])))
     assert abelian_ideal(L, declared) is declared
-    assert abelian_ideal(L, Subspace(2, (tuple(e[0]), tuple(e[1])))) is declared
+    assert abelian_ideal(L, Subspace((tuple(e[0]), tuple(e[1])))) is declared
     assert calls["abelian_ideal_defect"] == 2
-    bad = Subspace(2, (tuple(e[0]), tuple(e[2])))
+    bad = Subspace((tuple(e[0]), tuple(e[2])))
     for _ in range(2):
         with pytest.raises(LieAlgebraError) as err:
             abelian_ideal(L, bad)

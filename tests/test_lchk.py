@@ -1,5 +1,6 @@
 """LCHK admissibility, canonical form, witnesses, flatness."""
 
+import json
 import random
 from fractions import Fraction as F
 
@@ -134,14 +135,14 @@ def test_float_path_agrees():
 
 
 def test_construct_m1_theta():
-    L, triple, p, dc = construct_lchk(linalg.idmat(3))
+    _, (L, triple, p, dc) = construct_lchk(linalg.idmat(3))
     assert triple.theta == KForm(1, 4, {(3,): F(-2)})
     rep = verify_triple(L, triple)
     assert rep["ok"], rep
 
 
 def test_construct_zero_kahler():
-    L, triple, p, dc = construct_lchk(linalg.zeros(3, 3))
+    _, (L, triple, p, dc) = construct_lchk(linalg.zeros(3, 3))
     assert triple.theta.is_zero()
     rep = verify_triple(L, triple)
     assert rep["ok"], rep
@@ -151,7 +152,7 @@ def test_construct_zero_kahler():
 def test_construct_m2_family():
     for pval in (F(1), F(1, 2), F(2)):
         d = block_diag([*scalars(1, 1, 1), rot(1, pval), rot(1, pval)])
-        L, triple, p, dc = construct_lchk(d)
+        _, (L, triple, p, dc) = construct_lchk(d)
         assert triple.theta == KForm(1, 8, {(7,): F(-6)})
         rep = verify_triple(L, triple)
         assert rep["ok"], rep
@@ -161,7 +162,7 @@ def test_construct_m2_family():
 
 def test_construct_orders_blocks():
     d = block_diag([*scalars(1, 1, 1), rot(1, F(1, 2)), rot(1, F(1, 2)), rot(1, 2), rot(1, 2)])
-    L, triple, p, dc = construct_lchk(d)
+    _, (L, triple, p, dc) = construct_lchk(d)
     # canonical form orders rotation parameters descending, zero blocks last
     assert dc[0][1] == F(2) and dc[4][5] == F(1, 2)
 
@@ -177,6 +178,55 @@ def test_canonical_form_computes_the_spectrum_once(monkeypatch):
     p, dc, a, blocks = canonical_form(d)
     assert len(calls) == 1
     assert a == 1 and blocks == [F(1, 2)]
+
+
+def test_one_characteristic_polynomial_per_witness(monkeypatch, capsys):
+    """construct_lchk, ``aalg lchk --witness`` and the catalog's LCHK check
+    each decide D once, so each witness costs one characteristic polynomial."""
+    from aalg.cli import main
+    d = block_diag([*scalars(1, 1, 1), rot(1, F(1, 2)), rot(1, F(1, 2))])
+    spec = json.dumps([[str(x) for x in row] for row in d])
+    runs = {
+        "construct_lchk": lambda: construct_lchk(d)[0].admissible,
+        "lchk --witness": lambda: main(["lchk", "--matrix", spec, "--witness", "--json"]) == 0,
+        "catalog verify": lambda: main(["catalog", "verify", "--entry", "lchk-m3-hk1",
+                                        "--samples", "1", "--json"]) == 0,
+    }
+    calls = []
+    real = linalg.charpoly
+    monkeypatch.setattr(linalg, "charpoly", lambda m: calls.append(1) or real(m))
+    counts = {}
+    for name, run in runs.items():
+        calls.clear()
+        assert run(), name
+        counts[name] = len(calls)
+    capsys.readouterr()
+    assert counts == dict.fromkeys(runs, 1)
+
+
+# every LCHK catalog sample, and the inadmissible, non-diagonalizable,
+# irrational-rotation and float inputs of the tests above
+_AGREEMENT_INPUTS = {
+    **{f"{name}-{i}": _restrict_last(instantiate(ENTRIES[name], params))
+       for name in LCHK_LIST for i, params in enumerate(ENTRIES[name].samples)},
+    "odd pairs": block_diag([*scalars(1, 1, 1, 1, 1), rot(1, 1)]),
+    "low real multiplicity": block_diag([*scalars(1), rot(1, 2), rot(1, 2), rot(1, 3)]),
+    "mixed real parts": block_diag([*scalars(1, 1, 1), *scalars(2, 2, 2, 2)]),
+    "not diagonalizable": block_diag([[[1, 1], [0, 1]], *scalars(1, 1, 1, 1, 1)]),
+    "irrational rotation": block_diag([*scalars(1, 1, 1), [[1, 2], [-1, 1]], [[1, 2], [-1, 1]]]),
+    "id3": linalg.idmat(3),
+    "m2 family": block_diag([*scalars(1, 1, 1), rot(1, F(1, 2)), rot(1, F(1, 2))]),
+}
+_AGREEMENT_INPUTS.update({f"{case}-float": [[float(x) for x in row] for row in D]
+                          for case, D in list(_AGREEMENT_INPUTS.items())})
+
+
+@pytest.mark.parametrize("case", sorted(_AGREEMENT_INPUTS))
+def test_construct_lchk_returns_the_admissibility_verdict(case):
+    """The verdict construct_lchk decides is lchk_admissible's, field for
+    field, with or without a witness."""
+    D = _AGREEMENT_INPUTS[case]
+    assert construct_lchk(D)[0] == lchk_admissible(D)
 
 
 def test_exact_lchk_reads_no_minimal_polynomial(monkeypatch):
@@ -198,9 +248,8 @@ def test_exact_lchk_reads_no_minimal_polynomial(monkeypatch):
 
 def test_hyperkahler_m2_flat():
     d = block_diag([rot(0, 1), rot(0, 1), *scalars(0, 0, 0)])
-    v = lchk_admissible(d)
+    v, (L, triple, p, dc) = construct_lchk(d)
     assert v.admissible and v.hyperkahler
-    L, triple, p, dc = construct_lchk(d)
     assert hyperkahler_flatness(triple, L)
     rep = verify_triple(L, triple)
     assert rep["ok"], rep
@@ -209,22 +258,28 @@ def test_hyperkahler_m2_flat():
 def test_hyperkahler_m3_family_flat():
     for pval in (F(1), F(2)):
         d = block_diag([rot(0, 1), rot(0, 1), rot(0, pval), rot(0, pval), *scalars(0, 0, 0)])
-        L, triple, p, dc = construct_lchk(d)
+        _, (L, triple, p, dc) = construct_lchk(d)
         assert hyperkahler_flatness(triple, L)
 
 
 def test_flatness_precondition():
-    L, triple, p, dc = construct_lchk(linalg.idmat(3))
+    _, (L, triple, p, dc) = construct_lchk(linalg.idmat(3))
     with pytest.raises(LchkError) as err:
         hyperkahler_flatness(triple, L)
     assert err.value.code == "PRECONDITION"
 
 
 def test_not_admissible_construct_raises():
+    """canonical_form raises on an inadmissible D; construct_lchk returns
+    the verdict with that error in place of a witness."""
+    from aalg.lchk import canonical_form
     d = block_diag([*scalars(1, 1, 1, 1, 1), rot(1, 1)])
     with pytest.raises(LchkError) as err:
-        construct_lchk(d)
+        canonical_form(d)
     assert err.value.code == "NOT_ADMISSIBLE"
+    verdict, witness = construct_lchk(d)
+    assert not verdict.admissible
+    assert isinstance(witness, LchkError) and witness.code == "NOT_ADMISSIBLE"
 
 
 def test_exact_irrational_rejected():
@@ -233,11 +288,9 @@ def test_exact_irrational_rejected():
     # replace the rotation blocks by ones with b^2 = 2:
     # [[1, b],[-b, 1]] has charpoly (x-1)^2 + b^2; use companion-style blocks
     m = block_diag([*scalars(1, 1, 1), [[1, 2], [-1, 1]], [[1, 2], [-1, 1]]])
-    v = lchk_admissible(m)
-    assert v.admissible  # spectrally fine: eigenvalues 1 +- i sqrt(2)
-    with pytest.raises(LchkError) as err:
-        construct_lchk(m)
-    assert err.value.code == "EXACT_IRRATIONAL"
+    verdict, witness = construct_lchk(m)
+    assert verdict.admissible  # spectrally fine: eigenvalues 1 +- i sqrt(2)
+    assert isinstance(witness, LchkError) and witness.code == "EXACT_IRRATIONAL"
 
 
 def test_hyperkahler_decomposable_bookkeeping():
@@ -248,7 +301,7 @@ def test_hyperkahler_decomposable_bookkeeping():
     kernel = linalg.nullspace(d)
     assert len(kernel) == m0
     # kernel vectors are central in the constructed algebra
-    L, triple, p, dc = construct_lchk(d)
+    _, (L, triple, p, dc) = construct_lchk(d)
     kc = linalg.nullspace(dc)
     for vec in kc:
         x = list(vec) + [F(0)]

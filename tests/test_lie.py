@@ -152,7 +152,8 @@ def test_jacobi_iff_d_squared_zero():
 
 
 def test_subspace_contains():
-    s = Subspace(2, ((F(1), F(0), F(0)), (F(0), F(1), F(0))))
+    s = Subspace(((F(1), F(0), F(0)), (F(0), F(1), F(0))))
+    assert s.dim == 2
     assert s.contains([F(2), F(-3), F(0)])
     assert not s.contains([F(0), F(0), F(1)])
 
