@@ -14,9 +14,10 @@ perfect rational squares; all predicates and the closed Lee/Bismut-Ricci
 formulas below carry the exact scale corrections, so verdicts are exact
 for any rational input.  The frame is g-orthogonal, so no inverse is
 taken: coframe row t is (G w_t)^t / |w_t|^2, from the products G w that
-the Gram-Schmidt keeps, and the matrices of ad_{b_2n} and J in the frame
-are the products C ad_{b_2n} F and C J F of the coframe C and the frame
-F, formed on integer numerators with one Fraction per entry read.
+the Gram-Schmidt keeps, and the matrix of ad_{b_2n} in the frame is the
+product C ad_{b_2n} F of the coframe C and the frame F, formed on integer
+numerators with one Fraction per entry read.  The frame pairs (u, Ju), so
+J_1, the matrix of J on n_1, is the standard pairing by construction.
 Data produced by :func:`build_algebra` is always orthonormal and matches
 the adapted-basis block form
 
@@ -49,7 +50,8 @@ class HermitianData:
     ``frame`` lists 2n vectors in the ambient coordinates, ordered
     (b_1, u_1, .., u_{2n-2}, b_{2n}); ``coframe`` is the inverse of the
     matrix with the frame as columns, so its rows are the dual covectors
-    b^t in ambient coordinates.  ``d_outer`` is the common squared
+    b^t in ambient coordinates.  ``J1`` is the matrix of J on n_1 in the
+    frame.  ``d_outer`` is the common squared
     norm of b_1 and b_{2n}; ``d_inner`` the squared norms of the u_i
     (equal within each J-pair).  A fully orthonormal frame has all of
     them equal to one.  The frame is g-orthogonal, so the coframe is
@@ -83,10 +85,6 @@ class HermitianData:
     @property
     def v_vector(self):
         return list(self.v)
-
-    def gram_n1(self):
-        return [[self.d_inner[i] if i == j else zero(self.kind)
-                 for j in range(self.m)] for i in range(self.m)]
 
     @cached_property
     def adjoint_A(self):
@@ -129,9 +127,9 @@ class HermitianData:
 
 
 def standard_j1(m, kind=EXACT):
-    """Consecutive-pair complex structure on R^m (m even)."""
-    pairs = [(2 * t, 2 * t + 1) for t in range(m // 2)]
-    return ComplexStructure.from_pairs(m, pairs, kind=kind).matrix
+    """Consecutive-pair complex structure on R^m (m even): J e_{2t} =
+    e_{2t+1}, as in the pairs (u, J u) of an adapted frame."""
+    return linalg.block_diag([[[0, -1], [1, 0]]] * (m // 2), kind)
 
 
 def build_algebra(a, v, A, J1):
@@ -175,11 +173,10 @@ def _adapted_j(J1, kind):
     return jm
 
 
-def data_from_parts(a, v, A, J1, kind=None):
+def data_from_parts(a, v, A, J1):
     """HermitianData on the standard orthonormal frame (no ambient algebra)."""
     m = len(A)
-    if kind is None:
-        kind = linalg.matrix_kind(A) if m else EXACT
+    kind = linalg.matrix_kind(A) if m else EXACT
     frame = tuple(tuple(e) for e in linalg.idmat(m + 2, kind))
     return HermitianData(
         n=(m + 2) // 2,
@@ -198,15 +195,15 @@ def data_from_parts(a, v, A, J1, kind=None):
 def extract_data(H: HermitianStructure, ideal: Subspace | None) -> HermitianData:
     """Read the (a, v, A) data off the Hermitian almost abelian algebra H.
 
-    The ideal may be declared (required when it is not unique); otherwise
-    it is detected (``lie.abelian_ideal`` does either, once per declaration).
-    The frame is produced by deterministic Gram-Schmidt in J-stable
-    pairs, lowest ambient index first.  G, J and G J are read from the
-    integer views the structure cleared once (``H.cleared``, where
-    g(J., J.) = g was checked), so each frame vector's three images are
-    one product; the frame is g-orthogonal, so the coframe is read off
-    the images G w, and the matrices of ad_{b_2n} and J in the frame are
-    the products C ad_{b_2n} F and C J F of the coframe C and the frame F.
+    The ideal is ``ideal`` when declared (an ``ideal:`` line or
+    ``--ideal``), else the search's: with several codimension-one abelian
+    ideals it takes ker of the basis vector of the largest free column
+    (``lie.abelian_ideal`` does either, once per declaration).  The frame
+    is deterministic Gram-Schmidt in (u, Ju) pairs, lowest ambient index
+    first, so J_1 is the standard pairing.  G, J and G J come from the
+    structure's cleared integer views (``H.cleared``; g(J., J.) = g there
+    keeps n_1 J-stable), so a pair's images are one product; the coframe
+    is read off the images G w, and a, v and A off C ad_{b_2n} F.
     """
     L = H.L
     n2 = L.dim
@@ -229,6 +226,16 @@ def extract_data(H: HermitianStructure, ideal: Subspace | None) -> HermitianData
         y = linalg._over([[sum(map(mul, row, xn)) for row in ops]], dg * dj * dx)[0]
         return y[:n2], y[n2:2 * n2], y[2 * n2:]
 
+    def pair(x):
+        """(x, G x, J x, G J x, |x|^2), scaled to unit length when |x|^2 is
+        a rational square."""
+        gx, jx, gjx = images(x)
+        dx = linalg.dot(x, gx)
+        s = sqrt_scalar(dx)
+        if s is None or is_zero(s - 1):
+            return x, gx, jx, gjx, dx
+        return (*([y / s for y in w] for w in (x, gx, jx, gjx)), one(kind))
+
     # b_2n spans the g-orthogonal complement of n: the kernel of the rows
     # v^t G (G is symmetric, and scaling a row leaves the kernel alone)
     perp = linalg.nullspace(linalg._row_sums(vn, gn, 0))
@@ -240,13 +247,8 @@ def extract_data(H: HermitianStructure, ideal: Subspace | None) -> HermitianData
             if x < 0:
                 b2n = [-t for t in b2n]
             break
-    gb2n, jb2n, gjb2n = images(b2n)
+    b2n, gb2n, jb2n, gjb2n, d_outer = pair(b2n)
     b1, gb1 = [-x for x in jb2n], [-x for x in gjb2n]
-    d_outer = linalg.dot(b2n, gb2n)
-    scale = sqrt_scalar(d_outer)
-    if scale is not None and not is_zero(scale - 1):
-        b2n, gb2n, b1, gb1 = ([x / scale for x in w] for w in (b2n, gb2n, b1, gb1))
-        d_outer = one(kind)
     # n_1 = n intersect J n is the g-orthogonal complement of b_1 and b_2n
     n1_basis = linalg.nullspace([gb2n, gb1])
     if len(n1_basis) != n2 - 2:
@@ -270,12 +272,7 @@ def extract_data(H: HermitianStructure, ideal: Subspace | None) -> HermitianData
         u = project_out(cand)
         if linalg.is_zero_vector(u):
             continue
-        gu, ju, gju = images(u)
-        du = linalg.dot(u, gu)
-        s = sqrt_scalar(du)
-        if s is not None and not is_zero(s - 1):
-            u, gu, ju, gju = ([x / s for x in w] for w in (u, gu, ju, gju))
-            du = one(kind)
+        u, gu, ju, gju, du = pair(u)
         used += [(u, gu, du), (ju, gju, du)]
     if len(used) != n2 - 2:
         raise DataError("J_NOT_COMPATIBLE", "could not build a J-paired frame")
@@ -284,28 +281,26 @@ def extract_data(H: HermitianStructure, ideal: Subspace | None) -> HermitianData
     # coframe row t is (G w_t)^t / |w_t|^2
     coframe = [gw if d == 1 else [x / d for x in gw] for gw, d in
                [(gb1, d_outer)] + [(gw, d) for _, gw, d in used] + [(gb2n, d_outer)]]
-    # C ad_{b_2n} F and C J F on integer numerators: column s holds
-    # [b_2n, w_s] and J w_s in the frame; ad_{b_2n}^t is b_2n, the last
-    # column of F, times the algebra's table
+    # C ad_{b_2n} F on integer numerators: column s holds [b_2n, w_s] in
+    # the frame; ad_{b_2n}^t is b_2n, the last column of F, times the
+    # algebra's table
     (dc, cn), (df, fn) = linalg._numerators(coframe, linalg.transpose(frame))
     da, _, table = L.constants
     (adt,) = linalg._row_sums([[row[-1] for row in fn]], table, 0)
     an = [adt[k::n2] for k in range(n2)]
     img = linalg._row_sums(cn, linalg._row_sums(an, fn, 0), 0)
-    jimg = linalg._row_sums(cn, linalg._row_sums(jn, fn, 0), 0)
     inner = range(1, n2 - 1)
     if not is_zero(img[-1][0]):
         raise DataError("IDEAL_NOT_ABELIAN", "[e_2n, e_1] leaves the ideal")
     if not all(is_zero(img[0][s]) and is_zero(img[-1][s]) for s in inner):
         raise DataError("J_NOT_COMPATIBLE", "ad does not preserve the block form")
-    if not all(is_zero(jimg[0][s]) and is_zero(jimg[-1][s]) for s in inner):
-        raise DataError("J_NOT_COMPATIBLE", "J does not preserve n_1")
     # rows and columns b_1 .. b_{2n-1}: a and v in column 0, then A
     block = linalg._over([row[:-1] for row in img[:-1]], dc * da * df * df)
     a = block[0][0]
     v = [row[0] for row in block[1:]]
     A = [row[1:] for row in block[1:]]
-    j1 = linalg._over([row[1:-1] for row in jimg[1:-1]], dc * dj * df)
+    # the frame pairs (u, J u) on n_1, so J_1 is the standard pairing
+    j1 = standard_j1(n2 - 2, kind)
     if not linalg.is_zero_matrix(linalg.commutator(A, j1)):
         raise DataError("J_NOT_COMPATIBLE", "A does not commute with J1")
     return HermitianData(
@@ -452,8 +447,10 @@ def is_type_11(rho: KForm, J) -> bool:
 def skt_to_lcb(d: HermitianData) -> HermitianData:
     """From SKT data to LCB data on the same (algebra, J).
 
-    Splits v = (A - a)x + v' with v' the g-orthogonal projection onto
-    the cokernel of A - a Id, and rebases the outer pair of the frame:
+    Splits v = (A - a)x + v' by one solve of [[A - a, I], [0, (A - a)^*]]
+    (x, v') = (v, 0): im(A - a) and ker(A - a)^* are g-orthogonal
+    complements, so v' is the unique projection of v onto the cokernel,
+    and x is zero on the free columns of A - a.  It rebases the outer pair:
     b_1' = b_1 - X and b_2n' = J b_1' = b_2n - (J_1 x)_t u_t, where
     X = x_t u_t.  The ideal n is abelian, so ad_{b_2n'} = ad_{b_2n} on n
     and the new frame realizes (a, v', A); its outer pair is declared
@@ -464,22 +461,14 @@ def skt_to_lcb(d: HermitianData) -> HermitianData:
         raise DataError("PRECONDITION", "input data is not SKT")
     m = d.m
     kind = d.kind
-    # cokernel: null space of (A - a)^* with respect to the frame Gram matrix
-    s = d.gram_n1()
-    kernel = linalg.nullspace(linalg.mat_shift(d.adjoint_A, -d.a))
-    if kernel:
-        cols = linalg.transpose(kernel)
-        gram = [[linalg.gdot(s, u, w) for w in kernel] for u in kernel]
-        gram_inv = linalg.inverse(gram)
-        coeffs = linalg.mat_vec(gram_inv,
-                                [linalg.gdot(s, u, d.v_vector) for u in kernel])
-        vprime = linalg.mat_vec(cols, coeffs)
-    else:
-        vprime = [zero(kind)] * m
-    x = linalg.solve_general(linalg.mat_shift(d.A_matrix, -d.a),
-                             linalg.vec_sub(d.v_vector, vprime))
-    if x is None:
+    z = [zero(kind)] * m
+    system = ([row + e for row, e in zip(linalg.mat_shift(d.A_matrix, -d.a),
+                                         linalg.idmat(m, kind))]
+              + [z + row for row in linalg.mat_shift(d.adjoint_A, -d.a)])
+    split = linalg.solve_general(system, d.v_vector + z)
+    if split is None:
         raise DataError("PRECONDITION", "projection split failed")
+    x, vprime = split[:m], split[m:]
     jx = linalg.mat_vec(d.J1_matrix, x)
     inner = d.frame[1:-1]
     lift = linalg.transpose(inner)

@@ -228,16 +228,16 @@ LCB_LIST = tuple(f"l{i}" for i in range(1, 18)) + ("n1", "n2")
 _OFF_LOCUS_POOL = (F(1, 3), F(3, 4), F(-5, 4), F(5, 2), F(-7, 3), F(7, 5))
 
 
-def _off_locus_samples(entry, count=3):
-    """Bindings off the unimodular locus of an entry whose locus is a
-    form: the first sample shifted by each pool value that keeps the
-    constraints and leaves the locus."""
+def _off_locus_samples(entry):
+    """Up to three bindings off the unimodular locus of an entry whose
+    locus is a form: the first sample shifted by each pool value that
+    keeps the constraints and leaves the locus."""
     out = []
     for delta in _OFF_LOCUS_POOL:
         cand = {k: v + delta for k, v in entry.samples[0].items()}
         if all(form(cand) != 0 for form in entry.nonzero) and entry.unimodular(cand) != 0:
             out.append(cand)
-        if len(out) == count:
+        if len(out) == 3:
             break
     return tuple(out)
 

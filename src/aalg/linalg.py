@@ -202,11 +202,6 @@ def dot(u, v):
     return sum(x * y for x, y in zip(u, v))
 
 
-def gdot(g, u, v):
-    """Inner product u^t G v."""
-    return dot(u, mat_vec(g, v))
-
-
 def transpose(a):
     return [list(row) for row in zip(*a)] if a else []
 

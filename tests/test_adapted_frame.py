@@ -9,7 +9,10 @@ sample, on s_4 .. s_16 and on random data of every shape moved by a random
 shear (searched and declared ideals), the exact results must be equal in
 every field, repr included, with coframe . frame = Id; float copies must
 agree within 1e-12 of each field's scale; rejections must carry the same
-DataError code.  The last test pins the products extraction makes.
+DataError code.  Then the products extraction makes are pinned, and the
+facts the construction fixes are checked on the same kinds of input: J_1
+is the standard pairing, exact and float, and skt_to_lcb's one solve
+splits v as the Gram projection did.
 """
 
 import random
@@ -19,14 +22,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aalg import linalg
-from aalg.almost_abelian import DataError, HermitianData, build_algebra, extract_data
+from aalg.almost_abelian import (DataError, HermitianData, adapted_J_matrix, build_algebra,
+                                 extract_data, is_skt_data, skt_to_lcb, standard_j1)
 from aalg.catalog import ENTRIES, _s2n_entry, entry_document, instantiate
 from aalg.documents import to_complex_structure, to_ideal, to_metric
 from aalg.hermitian import (ComplexStructure, HermitianError, HermitianStructure, Metric,
                             nijenhuis)
 from aalg.lie import (LieAlgebra, LieAlgebraError, Subspace, abelian_ideal,
                       abelian_ideal_defect)
-from aalg.scalars import FLOAT, is_zero, one, sqrt_scalar
+from aalg.scalars import FLOAT, is_zero, one, sqrt_scalar, zero
 
 from conftest import ALL_SHAPES, random_data, random_shear, transported
 
@@ -46,6 +50,11 @@ def ref_abelian_ideal_defect(L, vectors):
     if any(not is_zero(linalg.dot(xi, vec)) for vec in L.brackets.values()):
         return "not an ideal"
     return None
+
+
+def gdot(g, u, v):
+    """Inner product u^t G v."""
+    return linalg.dot(u, linalg.mat_vec(g, v))
 
 
 def ref_metric(d):
@@ -77,7 +86,7 @@ def ref_extract_data(L, ideal, J, g):
                 b2n = [-t for t in b2n]
             break
     b1 = [-x for x in linalg.mat_vec(jm, b2n)]
-    d_outer = linalg.gdot(gm, b2n, b2n)
+    d_outer = gdot(gm, b2n, b2n)
     scale = sqrt_scalar(d_outer)
     if scale is not None and not is_zero(scale - 1):
         b2n = [x / scale for x in b2n]
@@ -104,7 +113,7 @@ def ref_extract_data(L, ideal, J, g):
         u = project_out(cand)
         if linalg.is_zero_vector(u):
             continue
-        du = linalg.gdot(gm, u, u)
+        du = gdot(gm, u, u)
         s = sqrt_scalar(du)
         if s is not None and not is_zero(s - 1):
             u = [x / s for x in u]
@@ -331,3 +340,96 @@ def test_s12_extraction_makes_a_few_products(monkeypatch):
             lambda self, real=cls.matrix.fget: read.append(self) or real(self)))
     assert extract_data(H, None) == want
     assert calls == {"inverse": 0, "bracket": 0, "_numerators": 11} and read == []
+
+
+# -- facts read off the construction: J_1 and the SKT split -------------------------
+
+def ref_vprime(d):
+    """The g-orthogonal projection of v onto ker (A - a)^*, through the Gram
+    matrix of a kernel basis: the reference for skt_to_lcb's one solve."""
+    s = [[d.d_inner[i] if i == j else zero(d.kind) for j in range(d.m)] for i in range(d.m)]
+    kernel = linalg.nullspace(linalg.mat_shift(d.adjoint_A, -d.a))
+    if not kernel:
+        return [zero(d.kind)] * d.m
+    gram = [[gdot(s, u, w) for w in kernel] for u in kernel]
+    coeffs = linalg.mat_vec(linalg.inverse(gram), [gdot(s, u, d.v_vector) for u in kernel])
+    return linalg.mat_vec(linalg.transpose(kernel), coeffs)
+
+
+def construction_cases():
+    """(label, L, ideal, J, g) of every catalog sample with a J (each of its
+    metrics) and of sheared random data of every shape at dims 4 .. 12,
+    with searched and declared ideals."""
+    out = []
+    for name, sample in CATALOG:
+        entry = ENTRIES[name]
+        L = instantiate(entry, entry.samples[sample])
+        metrics = [to_metric(entry.document)] + [Metric.from_matrix(w.metric)
+                                                 for w in entry.witnesses if w.metric]
+        out += [(f"{name}/{sample}", L, to_ideal(entry.document),
+                 to_complex_structure(entry.document), g) for g in metrics if g is not None]
+    for n in range(2, 7):
+        for k, shape in enumerate(ALL_SHAPES):
+            rng = random.Random(100 * n + k)
+            d = random_data(rng, n, shape)
+            s = random_shear(rng, 2 * n)
+            L, J, g = transported(*build_algebra(d.a, list(d.v), d.A_matrix, d.J1_matrix), s)
+            out += [(f"dim{2 * n}-{shape}", L, ideal, J, g)
+                    for ideal in (None, declared_ideal(s))]
+    return out
+
+
+def float_case(L, ideal, J, g):
+    return (float_copy(L), float_ideal(ideal),
+            ComplexStructure.from_matrix([[float(x) for x in row] for row in J.matrix]),
+            Metric.from_matrix([[float(x) for x in row] for row in g.matrix]))
+
+
+@pytest.fixture(scope="module")
+def extracted():
+    """(label, exact data, float data, J) of every construction case."""
+    return [(label, extract(L, ideal, J, g), extract(*float_case(L, ideal, J, g)), J)
+            for label, L, ideal, J, g in construction_cases()]
+
+
+def test_j1_is_the_standard_pairing(extracted):
+    """The frame is built in (u, Ju) pairs, so J_1 is standard_j1 entry for
+    entry, on exact and float inputs alike; on the exact ones C J F, the
+    matrix of J in the frame, says the same."""
+    for label, d, df, J in extracted:
+        assert repr(d.J1_matrix) == repr(standard_j1(d.m)), label
+        assert repr(df.J1_matrix) == repr(standard_j1(df.m, FLOAT)), label
+        cjf = linalg.mat_mul(d.coframe, linalg.mat_mul(J.matrix, linalg.transpose(d.frame)))
+        assert [row[1:-1] for row in cjf[1:-1]] == standard_j1(d.m), label
+        assert adapted_J_matrix(d) == J.matrix, label
+
+
+def split(d, out):
+    """(x, v') of skt_to_lcb: x_t is the coefficient of u_t in b_1 - b_1'."""
+    shift = linalg.vec_sub(d.frame[0], out.frame[0])
+    return [linalg.dot(d.coframe[1 + t], shift) for t in range(d.m)], list(out.v)
+
+
+def test_skt_split_is_the_projection(extracted):
+    """On every SKT case skt_to_lcb splits v = (A - a)x + v' with
+    (A - a)^* v' = 0: v' is the Gram projection and x the particular
+    solution of (A - a)x = v - v' with its free coordinates at 0, exactly;
+    float copies agree with the float Gram projection within 1e-12."""
+    skt = [(label, d, df) for label, d, df, _ in extracted if is_skt_data(d)]
+    assert len(skt) >= 20
+    for label, d, df in skt:
+        x, vprime = split(d, skt_to_lcb(d))
+        assert repr(vprime) == repr(ref_vprime(d)), label
+        shifted = linalg.mat_shift(d.A_matrix, -d.a)
+        assert linalg.is_zero_vector(linalg.mat_vec(linalg.mat_shift(d.adjoint_A, -d.a),
+                                                    vprime)), label
+        assert linalg.mat_vec(shifted, x) == linalg.vec_sub(d.v_vector, vprime), label
+        assert x == linalg.solve_general(shifted, linalg.vec_sub(d.v_vector, vprime)), label
+        assert is_skt_data(df), label
+        xf, vf = split(df, skt_to_lcb(df))
+        scale = max([1.0] + [abs(y) for y in df.v])
+        assert all(abs(p - q) <= 1e-12 * scale
+                   for p, q in zip(vf, ref_vprime(df), strict=True)), label
+        residual = linalg.vec_sub(linalg.mat_vec(linalg.mat_shift(df.A_matrix, -df.a), xf),
+                                  linalg.vec_sub(df.v_vector, vf))
+        assert all(abs(r) <= 1e-12 * scale for r in residual), label

@@ -121,10 +121,10 @@ def test_every_definition_is_used():
 # tests call.  Deleting one of the traced or imported names is a benchmark
 # revision (ROADMAP item 7).
 NO_LIBRARY_CALLER = {
-    ("almost_abelian", "standard_j1"): "imported by bench/gen.py",
     ("almost_abelian", "build_algebra"): "called by bench/workloads.py, traced by bench/spans.py",
     ("almost_abelian", "data_from_parts"): "imported by bench/gen.py, called by bench/workloads.py",
     ("documents", "render_manifest"): "public API used only by tests: the manifest round trip",
+    ("forms", "KForm.basis"): "public API used only by tests",
     ("forms", "KForm.evaluate"): "public API used only by tests",
     ("forms", "wedge_power"): "traced by bench/spans.py",
     ("hermitian", "HermitianStructure.is_kahler_direct"): "reached by getattr in route_verdicts",
@@ -142,28 +142,39 @@ NO_LIBRARY_CALLER = {
 
 
 def definitions(tree, prefix=""):
-    """(qualified name, node) of each function, class and method of a
-    module, nested ones included (dunder names exempt)."""
+    """(qualified name, node, is_method) of each function, class and method
+    of a module, nested ones included (dunder names exempt)."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             if not node.name.startswith("__"):
-                yield prefix + node.name, node
+                yield prefix + node.name, node, isinstance(tree, ast.ClassDef)
             yield from definitions(node, f"{prefix}{node.name}.")
         else:
             yield from definitions(node, prefix)
 
 
+def attributes_in(tree):
+    """Counter of the attribute names an AST reads."""
+    return Counter(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+
+
 def test_every_definition_has_a_library_caller():
-    """Each definition of the package is read by identifier somewhere in
-    src/aalg outside its own body (a string naming it does not count), or
-    is listed above with its reason; a listed name that gains a caller
-    leaves the list."""
+    """Each definition of the package is read somewhere in src/aalg outside
+    its own body (a string naming it does not count), or is listed above
+    with its reason; a listed name that gains a caller leaves the list.  A
+    function or class counts as read by any identifier of its name, a
+    method only by an attribute of its name (a local variable that shares
+    it is no caller)."""
     paths = sorted((ROOT / "src" / "aalg").glob("*.py"))
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
-    uses = sum((identifiers_in(tree) for tree in trees.values()), Counter())
-    found = {(path.stem, qualname) for path in paths
-             for qualname, node in definitions(trees[path])
-             if uses[node.name] <= identifiers_in(node)[node.name]}
+    names = sum((identifiers_in(tree) for tree in trees.values()), Counter())
+    attributes = sum((attributes_in(tree) for tree in trees.values()), Counter())
+    found = set()
+    for path in paths:
+        for qualname, node, is_method in definitions(trees[path]):
+            uses, reads = (attributes, attributes_in) if is_method else (names, identifiers_in)
+            if uses[node.name] <= reads(node)[node.name]:
+                found.add((path.stem, qualname))
     assert found == set(NO_LIBRARY_CALLER), (
         f"unlisted: {sorted(found - set(NO_LIBRARY_CALLER))}, "
         f"gone: {sorted(set(NO_LIBRARY_CALLER) - found)}")
