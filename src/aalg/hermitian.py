@@ -2,12 +2,15 @@
 direct metric predicates, Levi-Civita and Bismut connections, and the
 Bismut-Ricci curvature oracle.
 
-The Nijenhuis tensor is read off the algebra's integer table of ad^t
-(``LieAlgebra.constants``, so a second J clears only J): since J^2 = -Id,
-Y -> N(e_i, Y) is the commutator [ad_{Je_i} - J ad_{e_i}, J], one per basis
-vector.  One code forms and zero-tests the commutators for both scalar
+The Nijenhuis tensor is read off the nonzero blocks [e_a, e_b] of the
+algebra's integer table of ad^t (``LieAlgebra.constants``, so a second J
+clears only J) and the nonzero entries of J, pair by pair: N(e_i, e_j) is
+formed only when some bracket reaches the pair, which on an almost
+abelian table (n - 1 nonzero brackets) and a signed-permutation J is
+O(n) pairs.  One code forms and zero-tests the pairs for both scalar
 kinds: for exact J and L on integer numerators, so that only nonzero
-columns become Fractions; for floats on the entries, within the tolerance.
+pairs become Fractions; for floats on the entries, within the tolerance
+scaled to N's terms, eps max(1, max |c|) max(1, max |J|)^2.
 
 Conventions, fixed package-wide and spelled out in the README:
 
@@ -49,10 +52,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
+from itertools import compress, permutations
 from operator import mul
 
-from .scalars import EXACT, is_zero, one
+from .scalars import EXACT, current_eps, is_zero, one, tolerance
 from . import linalg
 from .forms import KForm, exterior_derivative, pullback, sort_indices, wedge
 from .lie import LieAlgebra
@@ -315,26 +318,66 @@ def _rho_coefficients(p, gamma, constants):
 
 def nijenhuis(J: ComplexStructure, L: LieAlgebra):
     """N(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] - [X, Y] on basis pairs
-    i < j, nonzero values only: N(e_i, e_j) is column j of
-    [ad_{Je_i} - J ad_{e_i}, J] (J^2 = -Id), one commutator per e_i, formed
-    transposed on the algebra's table of ad^t (``LieAlgebra.constants``).
-    With exact J and L it is an integer matrix over dj^2 dc, tested for
-    zero rows before any Fraction is built; on floats within the tolerance."""
+    i < j, nonzero values only, pair by pair from the nonzero brackets.
+
+    With K_i[b] = [Je_i, e_b], summed over the nonzero J_ai in increasing a
+    from the nonzero blocks [e_a, e_b] of the algebra's table
+    (``LieAlgebra.constants``), [e_i, Je_j] = -K_j[i] and
+
+        N(e_i, e_j) = sum_b J_bj K_i[b] - [e_i, e_j] - J (K_i[j] - K_j[i]),
+
+    summed in that order: over the nonzero J_bj in increasing b, then J
+    over the nonzero entries of K_i[j] - K_j[i] in increasing order.  A
+    pair is formed only when some term can be nonzero: K_i meets the
+    support of Je_j, or K_i[j], K_j[i] or [e_i, e_j] is there.  With exact
+    J and L each vector is integer over dj^2 dc, tested for zero before any
+    Fraction is built; on floats the entries are compared within
+    eps max(1, max |c|) max(1, max |J|)^2, the scale of N's terms."""
     n = L.dim
-    dc, _, table = L.constants
+    dc, rows, table = L.constants
     ((dj, jn),) = linalg._numerators(J.matrix)
-    jt = linalg.transpose(jn)
-    # row i of J^t T is ad_{Je_i}^t flattened
-    ad_j = linalg._row_sums(jt, table, 0)
+    eps = current_eps()
+    if L.kind != EXACT:
+        eps *= (max(1.0, max((abs(x) for row in rows for x in row), default=0.0))
+                * max(1.0, max((abs(x) for row in jn for x in row), default=0.0)) ** 2)
+    zeros = [0] * n
+    # blocks[a][b] = [e_a, e_b] over dc, for the b of the nonzero entries of row a
+    cells = range(n * n)
+    blocks = [{b: flat[b * n:(b + 1) * n] for b in {p // n for p in compress(cells, flat)}}
+              for flat in table]
+    # cols[i]: the nonzero (a, J_ai) of Je_i; support[b]: the j with J_bj != 0
+    cols = [[(a, x) for a, x in enumerate(col) if x] for col in zip(*jn)]
+    support = [[j for j, x in enumerate(row) if x] for row in jn]
+    # K[i][b] = [Je_i, e_b] over dj dc
+    K = []
+    for col in cols:
+        k = {}
+        for a, x in col:
+            for b, block in blocks[a].items():
+                k[b] = [s + x * y for s, y in zip(k.get(b, zeros), block)]
+        K.append(k)
+    reached = [set(k).union(blocks[i], *(support[b] for b in k)) for i, k in enumerate(K)]
+    for j, k in enumerate(K):
+        for i in k:
+            reached[i].add(j)
+    dd = dj * dj
     out = {}
-    for i in range(n):
-        adt_j, adt = ([flat[r * n:(r + 1) * n] for r in range(n)] for flat in (ad_j[i], table[i]))
-        # P^t = ad_{Je_i}^t - ad_{e_i}^t J^t; row j of J^t P^t - P^t J^t is N(e_i, e_j)
-        pt = linalg.mat_sub(adt_j, linalg._row_sums(adt, jt, 0))
-        mt = linalg.mat_sub(linalg._row_sums(jt, pt, 0), linalg._row_sums(pt, jt, 0))
-        for j in range(i + 1, n):
-            if not linalg.is_zero_vector(mt[j]):
-                out[(i, j)] = linalg._over([mt[j]], dj * dj * dc)[0]
+    with tolerance(eps):
+        for i, ki in enumerate(K):
+            for j in sorted(j for j in reached[i] if j > i):
+                v = zeros
+                for b, x in cols[j]:
+                    if b in ki:
+                        v = [s + x * y for s, y in zip(v, ki[b])]
+                w = [s - t for s, t in zip(ki.get(j, zeros), K[j].get(i, zeros))]
+                v = [s - dd * c for s, c in zip(v, blocks[i].get(j, zeros))]
+                # v is a fresh list now: J w is subtracted in place
+                for t, y in enumerate(w):
+                    if y:
+                        for r, x in cols[t]:
+                            v[r] -= x * y
+                if not linalg.is_zero_vector(v):
+                    out[(i, j)] = linalg._over([v], dd * dc)[0]
     return out
 
 

@@ -3,17 +3,18 @@
 Structure constants are held sparsely: brackets[(i, j)] with i < j maps to
 the coefficient vector of [e_i, e_j], and are cleared to integers once per
 algebra (:attr:`LieAlgebra.constants`): the bracket numerators over one
-denominator and the table whose row i is ad_{e_i}^t flattened.  ad_x,
-ad_{e_i}, [x, y] = ad_x y, the change of basis, the ideal test and the
-ideal search below, Nijenhuis and Koszul in ``hermitian`` and, through
+denominator and the table whose row i is ad_{e_i}^t flattened, its block
+j [e_i, e_j].  ad_x, ad_{e_i}, [x, y] = ad_x y, the change of basis, the
+ideal test and the ideal search below, Nijenhuis in ``hermitian`` (pair by
+pair from the table's nonzero blocks), Koszul there and, through
 :attr:`LieAlgebra.coframe_terms`, d in ``forms`` all read that one view.
-Validation enforces
-antisymmetry by construction and checks the Jacobi identity as d^2 = 0 on
-the coframe, exactly on the rational path and on floats against
-eps max(1, max |c|)^2, the scale of the cyclic sums.  A hyperplane is an
-ideal iff it contains [L, L], so the ideal test evaluates its covector on
-the brackets; the ideal search solves one linear system in the covector,
-on the integer rows of the bracket numerators and the coframe terms.
+Validation enforces antisymmetry by construction and checks the Jacobi
+identity as d^2 = 0 on the coframe, exactly on the rational path and on
+floats against eps max(1, max |c|)^2, the scale of the cyclic sums.  A
+hyperplane is an ideal iff it contains [L, L], so the ideal test evaluates
+its covector on the brackets; the ideal search solves one linear system
+in the covector, on the integer rows of the bracket numerators and the
+coframe terms.
 :func:`abelian_ideal` validates a declared ideal or searches for one, and
 caches the answer on the algebra once per declaration.
 """

@@ -6,14 +6,14 @@ from fractions import Fraction as F
 
 from aalg import linalg
 from aalg.forms import KForm, wedge
-from aalg.scalars import tolerance
+from aalg.scalars import FLOAT, tolerance
 from aalg.hermitian import ComplexStructure, HermitianStructure, Metric, nijenhuis
 from aalg.lie import LieAlgebra, abelian_ideal_defect, find_codim1_abelian_ideal
 from aalg.almost_abelian import (build_algebra, extract_data, is_lcb_data,
                                  is_lck_data, is_skt_data, lee_form_closed,
                                  rho_b_closed)
 
-from conftest import data_stream
+from conftest import ALL_SHAPES, data_stream, random_data, random_shear, transported
 
 
 def to_float_data(d):
@@ -102,6 +102,37 @@ def test_float_extract_normalizes():
 def _float_copy(L):
     return LieAlgebra(L.dim, {key: [float(x) for x in vec]
                               for key, vec in L.brackets.items()})
+
+
+def test_float_integrability_is_relative_to_the_constants():
+    """Float copies of 200 sheared structures whose (a, v, A) are scaled by
+    10^6/3 .. 10^9/3: the float integrability verdict is the exact one, on
+    the adapted J and on a random pairing.  N's terms are products of one
+    constant and two entries of J, so float N of an integrable J is
+    rounding of that size (2.8e-9 at max |c| ~ 4.6e6 and max |J| = 2),
+    beyond the absolute tolerance but within eps max(1, max |c|)
+    max(1, max |J|)^2."""
+    rng = random.Random(31)
+    verdicts = []
+    for _ in range(200):
+        n = rng.randint(2, 5)
+        d = random_data(rng, n, rng.choice(ALL_SHAPES))
+        s = F(10 ** rng.randint(6, 9), 3)
+        Le, Je, _ = transported(*build_algebra(
+            s * d.a, [s * x for x in d.v], [[s * x for x in row] for row in d.A_matrix],
+            d.J1_matrix), random_shear(rng, 2 * n))
+        Lf = LieAlgebra(Le.dim, {key: [float(x) for x in vec] for key, vec in Le.brackets.items()},
+                        kind=FLOAT, _validated=True)
+        order = rng.sample(range(Le.dim), Le.dim)
+        pairs = list(zip(order[::2], order[1::2]))
+        for Jx, Jy in ((Je, ComplexStructure(tuple(tuple(map(float, row)) for row in Je.J))),
+                       (ComplexStructure.from_pairs(Le.dim, pairs),
+                        ComplexStructure.from_pairs(Le.dim, pairs, FLOAT))):
+            exact = not nijenhuis(Jx, Le)
+            assert (not nijenhuis(Jy, Lf)) == exact
+            verdicts.append(exact)
+    # every adapted J is integrable, and most pairings are not
+    assert all(verdicts[::2]) and verdicts[1::2].count(False) > 150
 
 
 def test_float_structure_verdicts_agree_with_exact():

@@ -231,6 +231,7 @@ KIND_BRANCHES = {
     ("linalg", "rational_roots"): "exact coefficients only",
     ("lchk", "_admissible"): "exact and float LCHK verdicts",
     ("lie", "jacobi_witness"): "float Jacobi tolerance",
+    ("hermitian", "nijenhuis"): "float Nijenhuis tolerance",
     ("lattice", "char_min_poly"): "Faddeev-LeVerrier vs eigenvalue clusters",
     ("scalars", "kind_of"): "scalar kernel",
     ("scalars", "coerce"): "scalar kernel",

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aalg import linalg
 from aalg.forms import KForm, exterior_derivative
@@ -122,6 +123,39 @@ def test_ideal_nilpotent_flagged():
     n1 = LieAlgebra(6, {(0, 1): [F(0)] * 5 + [F(-1)]})
     ideal = find_codim1_abelian_ideal(n1)
     assert ideal is not None and ideal.ambiguous
+
+
+@st.composite
+def semidirect_sheared(draw):
+    """(D, R^k x|_D R in a basis moved by k + 1 integer shears), k = 1 .. 5:
+    D is a random matrix, or u w^t half of the time, which is rank one
+    with D^2 = 0 whenever w . u = 0."""
+    k = draw(st.integers(1, 5))
+    entry = st.sampled_from([F(0), F(0), F(0), F(1), F(-1), F(2)])
+    if draw(st.booleans()):
+        D = [[draw(entry) for _ in range(k)] for _ in range(k)]
+    else:
+        u, w = ([draw(entry) for _ in range(k)] for _ in "uw")
+        D = [[x * y for y in w] for x in u]
+    s = linalg.idmat(k + 1)
+    for _ in range(draw(st.integers(0, k + 1))):
+        i, j = draw(st.permutations(range(k + 1)))[:2]
+        c = draw(st.sampled_from([F(1), F(-1), F(2)]))
+        for row in s:
+            row[i] += c * row[j]
+    return D, LieAlgebra.semidirect(D).change_basis(s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(semidirect_sheared())
+def test_ideal_ambiguous_exactly_for_abelian_and_heisenberg(case):
+    """The search finds more than one codimension-one abelian ideal exactly
+    when D^2 = 0 and rank D <= 1: g abelian or h_3 + R^(k - 2)."""
+    D, L = case
+    ideal = find_codim1_abelian_ideal(L)
+    assert ideal is not None
+    assert ideal.ambiguous == (linalg.is_zero_matrix(linalg.mat_mul(D, D))
+                               and linalg.rank(D) <= 1)
 
 
 def test_jacobi_iff_d_squared_zero():

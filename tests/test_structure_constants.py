@@ -1,14 +1,15 @@
 """The ad table against direct bracket loops.
 
-Jacobi (d^2 = 0 on the coframe), Nijenhuis (one commutator per basis
-vector), ad_x (a combination of the table's matrices) and the ideal test
+Jacobi (d^2 = 0 on the coframe), Nijenhuis (pair by pair from the nonzero
+brackets), ad_x (a combination of the table's matrices) and the ideal test
 (xi on the brackets) are compared exactly with references here that
 bracket unit vectors pair by pair and triple by triple, on random bracket
 tables, Jacobi-violating ones included, and random J.
 
 The last section keeps the loops that the algebra's one integer table
-(``LieAlgebra.constants``) replaced: the ad_x accumulation, the table of
-ad matrices and the Nijenhuis commutators on the whole cleared ad table.
+(``LieAlgebra.constants``) replaced, the ad_x accumulation and the table of
+ad matrices, and a Nijenhuis loop over every pair that sums in the
+library's order.
 Exact results must be equal and float results equal in repr, signed
 zeros included.
 """
@@ -25,7 +26,7 @@ from aalg.catalog import _s2n_entry, entry_document
 from aalg.documents import to_algebra, to_complex_structure
 from aalg.hermitian import ComplexStructure, nijenhuis
 from aalg.lie import LieAlgebra, abelian_ideal_defect
-from aalg.scalars import FLOAT, is_zero
+from aalg.scalars import FLOAT, current_eps, is_zero
 
 from conftest import ALL_SHAPES, random_data, random_shear, transported
 
@@ -180,12 +181,21 @@ even_tables = st.one_of(random_tables(EVEN), semidirect_tables(EVEN))
 
 @st.composite
 def complex_structures(draw, dim):
-    """A random pairing J, conjugated by an integer shear half of the time."""
+    """A random pairing J, half of the time conjugated by a product of dim
+    integer shears (dense columns), a quarter of the time by one shear entry."""
     order = draw(st.permutations(range(dim)))
     J = ComplexStructure.from_pairs(dim, list(zip(order[::2], order[1::2])))
     s = linalg.idmat(dim)
-    if dim > 2 and draw(st.booleans()):
+    mode = draw(st.sampled_from(["pairing", "entry", "dense", "dense"]))
+    if mode == "entry" and dim > 2:
         s[draw(st.integers(0, dim - 1))][draw(st.integers(0, dim - 1))] += draw(SCALARS)
+    elif mode == "dense":
+        # column i += c column j: unimodular, so s^-1 is integer too
+        for _ in range(dim):
+            i, j = draw(st.permutations(range(dim)))[:2]
+            c = draw(st.sampled_from([1, -1, 2, -2]))
+            for row in s:
+                row[i] += c * row[j]
     sinv = linalg.inverse(s)
     if sinv is None:
         return J
@@ -225,6 +235,24 @@ def test_float_ad_is_the_dense_sum_bit_for_bit(L, data):
 def test_nijenhuis_matches_pairwise_loop(L, data):
     J = data.draw(complex_structures(L.dim))
     assert nijenhuis(J, L) == ref_nijenhuis(J, L)
+
+
+@pytest.mark.parametrize("n", [6, 8])
+@pytest.mark.parametrize("shape", ["generic", "skt", "lcb_false"])
+def test_nijenhuis_matches_pairwise_loop_on_sheared_structures(n, shape):
+    """Exactly the loop's N on sheared dim-12 and dim-16 structures, for the
+    adapted J (integrable: no pair) and for random pairings of the sheared
+    basis, which are not integrable."""
+    rng = random.Random(100 * n + len(shape))
+    d = random_data(rng, n, shape)
+    L, J, _ = transported(*build_algebra(d.a, list(d.v), d.A_matrix, d.J1_matrix),
+                          random_shear(rng, 2 * n))
+    assert nijenhuis(J, L) == ref_nijenhuis(J, L) == {}
+    for _ in range(2):
+        order = rng.sample(range(2 * n), 2 * n)
+        other = ComplexStructure.from_pairs(2 * n, list(zip(order[::2], order[1::2])))
+        want = ref_nijenhuis(other, L)
+        assert want and nijenhuis(other, L) == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -283,23 +311,48 @@ def loop_ad_table(L):
     return table
 
 
-def cleared_table_nijenhuis(J, L):
-    """Nijenhuis on J and the whole ad table cleared together, as [ad_{Je_i}
-    - J ad_{e_i}, J] column by column."""
+def pairwise_table_nijenhuis(J, L):
+    """Nijenhuis pair by pair on the ad matrices of :func:`loop_ad_table`, in
+    the library's order of summation: K_i[b] = [Je_i, e_b] over the nonzero
+    J_ai and nonzero [e_a, e_b] in increasing a; N(e_i, e_j) = sum_b J_bj
+    K_i[b] over the nonzero J_bj in increasing b, minus [e_i, e_j], minus
+    J (K_i[j] - K_j[i]) column by column; floats compared within
+    eps max(1, max |c|) max(1, max |J|)^2."""
     n = L.dim
-    (dj, jn), (da, an) = linalg._numerators(
-        J.matrix, [row for m in loop_ad_table(L) for row in m])
-    ads = [an[i * n:(i + 1) * n] for i in range(n)]
-    ad_j = linalg._row_sums(linalg.transpose(jn), [[x for row in a for x in row] for a in ads], 0)
+    ad = loop_ad_table(L)
+    jm = J.matrix
+    zeros = linalg.zero_vector(n, L.kind)
+
+    def block(a, b):
+        vec = [ad[a][k][b] for k in range(n)]
+        return vec if any(x != 0 for x in vec) else None
+
+    def k_vec(i, b):
+        acc = None
+        for a in range(n):
+            if jm[a][i] != 0 and block(a, b) is not None:
+                acc = [s + jm[a][i] * y for s, y in zip(acc or zeros, block(a, b))]
+        return acc
+
+    c = max([abs(x) for vec in L.brackets.values() for x in vec] + [0])
+    m = max(abs(x) for row in jm for x in row)
+    eps = current_eps() * max(1, c) * max(1, m) ** 2
     out = {}
     for i in range(n):
-        p = linalg.mat_sub([ad_j[i][r * n:(r + 1) * n] for r in range(n)],
-                           linalg._row_sums(jn, ads[i], 0))
-        m = linalg.mat_sub(linalg._row_sums(p, jn, 0), linalg._row_sums(jn, p, 0))
         for j in range(i + 1, n):
-            column = [row[j] for row in m]
-            if not linalg.is_zero_vector(column):
-                out[(i, j)] = linalg._over([column], dj * dj * da)[0]
+            v = zeros
+            for b in range(n):
+                if jm[b][j] != 0 and k_vec(i, b) is not None:
+                    v = [s + jm[b][j] * y for s, y in zip(v, k_vec(i, b))]
+            v = [s - y for s, y in zip(v, block(i, j) or zeros)]
+            w = [s - t for s, t in zip(k_vec(i, j) or zeros, k_vec(j, i) or zeros)]
+            for t in range(n):
+                if w[t] != 0:
+                    for r in range(n):
+                        if jm[r][t] != 0:
+                            v[r] -= jm[r][t] * w[t]
+            if any(abs(x) > eps for x in v) if L.kind == FLOAT else any(v):
+                out[(i, j)] = v
     return out
 
 
@@ -316,7 +369,7 @@ def assert_as_the_loops(L, x, J=None):
     assert reprs(L.ad(x)) == reprs(loop_ad(L, x))
     assert reprs([L.ad_basis(i) for i in range(L.dim)]) == reprs(loop_ad_table(L))
     if J is not None:
-        assert reprs(nijenhuis(J, L)) == reprs(cleared_table_nijenhuis(J, L))
+        assert reprs(nijenhuis(J, L)) == reprs(pairwise_table_nijenhuis(J, L))
 
 
 def floats(m):
