@@ -34,7 +34,7 @@ from .scalars import EXACT, coerce, is_zero, one, sqrt_scalar, zero
 from . import linalg
 from .forms import KForm
 from .hermitian import ComplexStructure, HermitianStructure, Metric
-from .lie import LieAlgebra, LieAlgebraError, Subspace, abelian_ideal
+from .lie import LieAlgebra, LieAlgebraError, abelian_ideal
 
 
 class DataError(ValueError):
@@ -192,7 +192,7 @@ def data_from_parts(a, v, A, J1):
     )
 
 
-def extract_data(H: HermitianStructure, ideal: Subspace | None) -> HermitianData:
+def extract_data(H: HermitianStructure, ideal: tuple | None) -> HermitianData:
     """Read the (a, v, A) data off the Hermitian almost abelian algebra H.
 
     The ideal is ``ideal`` when declared (an ``ideal:`` line or
@@ -209,7 +209,7 @@ def extract_data(H: HermitianStructure, ideal: Subspace | None) -> HermitianData
     n2 = L.dim
     kind = L.kind
     try:
-        vecs = [list(v) for v in abelian_ideal(L, ideal).vectors]
+        vecs = [list(v) for v in abelian_ideal(L, ideal)]
     except LieAlgebraError as exc:
         raise DataError(exc.code, exc.message) from None
     if not H.integrable:
@@ -432,7 +432,7 @@ def rho_b_closed(d: HermitianData) -> KForm:
 
 
 def adapted_J_matrix(d: HermitianData):
-    """Ambient J reconstructed from the frame (for type checks)."""
+    """Ambient J rebuilt from the frame and J_1: the structure's own J."""
     full = linalg.transpose(d.frame)
     return linalg.mat_mul(full, linalg.mat_mul(_adapted_j(d.J1, d.kind), d.coframe))
 

@@ -34,8 +34,7 @@ from .documents import (ParseError, parse, parse_ideal, render,
 from .hermitian import HermitianError, HermitianStructure
 from .lie import LieAlgebraError, abelian_ideal
 from .almost_abelian import (DataError, extract_data, is_lcb_data, is_skt_data,
-                             is_type_11, rho_b_closed, adapted_J_matrix, route_verdicts,
-                             skt_to_lcb)
+                             is_type_11, rho_b_closed, route_verdicts, skt_to_lcb)
 from .lchk import LchkError, construct_lchk, lchk_admissible
 from .lattice import LatticeError, integrality_probe
 from .catalog import CatalogError, _restrict_last, verify_all
@@ -168,7 +167,7 @@ def cmd_rho_b(args):
         "closed_form": _form_json(closed),
         "curvature_oracle": _form_json(oracle),
         "residual": residual,
-        "type_1_1": is_type_11(closed, adapted_J_matrix(d)),
+        "type_1_1": is_type_11(closed, H.J),
         "is_lcb_data": is_lcb_data(d),
     }
     _emit(report, args)
@@ -193,6 +192,8 @@ def _parse_inline_matrix(spec):
             raise ValueError("expected a list of rows")
         if not rows or not rows[0] or any(len(row) != len(rows[0]) for row in rows):
             raise ValueError("expected nonempty rows of one length")
+        if len(rows) != len(rows[0]):
+            raise ValueError("expected a square matrix")
         entries = [[_matrix_entry(x) for x in row] for row in rows]
         # as in a document, one decimal literal makes the whole matrix float
         if any(isinstance(x, float) for row in entries for x in row):
@@ -264,14 +265,21 @@ def _parse_grid(grid):
     return [a + (b - a) * i / (n - 1) for i in range(n)]
 
 
+def _lattice_frame(L, ideal):
+    """The ideal's basis, then the transversal e_t: t is the last index with
+    xi_t != 0 for the ideal's covector xi (any covector in dimension one)."""
+    vecs = [list(v) for v in ideal]
+    unit = linalg.idmat(L.dim, L.kind)
+    xi = (linalg.nullspace(vecs) if vecs else unit)[0]
+    t = max(i for i, x in enumerate(xi) if not scalars.is_zero(x))
+    return linalg.transpose(vecs + [unit[t]])
+
+
 def cmd_lattice(args):
     doc = parse(_read(args.file))
     L = to_algebra(doc)
-    ideal = abelian_ideal(L, to_ideal(doc))
-    # B: ad of the transversal, the last basis vector outside the hyperplane,
-    # on the ideal in the ideal basis
-    trans = next(e for e in reversed(linalg.idmat(L.dim, L.kind)) if not ideal.contains(e))
-    frame = linalg.transpose([list(v) for v in ideal.vectors] + [trans])
+    # B: ad of the transversal on the ideal, in the ideal basis
+    frame = _lattice_frame(L, abelian_ideal(L, to_ideal(doc)))
     B = [[float(x) for x in row] for row in _restrict_last(L.change_basis(frame))]
     eps_int = args.eps_int
     if args.rule:

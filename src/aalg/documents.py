@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .scalars import EXACT, FLOAT, coerce, fmt, zero
-from .lie import LieAlgebra, Subspace
+from .lie import LieAlgebra
 from .hermitian import ComplexStructure, Metric
 
 
@@ -669,4 +669,4 @@ def to_metric(doc: AlgebraDocument):
 def to_ideal(doc: AlgebraDocument):
     if doc.ideal is None:
         return None
-    return Subspace(tuple(map(tuple, _on_kind(doc.ideal, doc.kind, "ideal"))))
+    return tuple(map(tuple, _on_kind(doc.ideal, doc.kind, "ideal")))

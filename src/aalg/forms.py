@@ -149,15 +149,6 @@ class KForm:
             parts.append(f"{val}*{label}")
         return " + ".join(parts)
 
-    # -- evaluation ---------------------------------------------------------
-    def evaluate(self, vectors):
-        """Evaluate on a list of self.degree vectors (full alternation): the
-        top coefficient of the pullback along the matrix with them as columns."""
-        if len(vectors) != self.degree:
-            raise LinAlgError("wrong number of arguments")
-        m = [[v[i] for v in vectors] for i in range(self.dim)]
-        return pullback(self, m).get(tuple(range(self.degree)))
-
 
 def wedge(alpha: KForm, beta: KForm) -> KForm:
     """Wedge product; bilinear and graded-anticommutative."""

@@ -4,9 +4,9 @@ Structure constants are held sparsely: brackets[(i, j)] with i < j maps to
 the coefficient vector of [e_i, e_j], and are cleared to integers once per
 algebra (:attr:`LieAlgebra.constants`): the bracket numerators over one
 denominator and the table whose row i is ad_{e_i}^t flattened, its block
-j [e_i, e_j].  ad_x, ad_{e_i}, [x, y] = ad_x y, the change of basis, the
-ideal test and the ideal search below, Nijenhuis in ``hermitian`` (pair by
-pair from the table's nonzero blocks), Koszul there and, through
+j [e_i, e_j].  ad_x (so [x, y] = ad_x y), ad_{e_i}, the change of basis,
+the ideal test and the ideal search below, Nijenhuis in ``hermitian``
+(pair by pair from the table's nonzero blocks), Koszul there and, through
 :attr:`LieAlgebra.coframe_terms`, d in ``forms`` all read that one view.
 Validation enforces antisymmetry by construction and checks the Jacobi
 identity as d^2 = 0 on the coframe, exactly on the rational path and on
@@ -15,6 +15,7 @@ hyperplane is an ideal iff it contains [L, L], so the ideal test evaluates
 its covector on the brackets; the ideal search solves one linear system
 in the covector, on the integer rows of the bracket numerators and the
 coframe terms.
+An ideal is a tuple of basis vectors (coefficient tuples);
 :func:`abelian_ideal` validates a declared ideal or searches for one, and
 caches the answer on the algebra once per declaration.
 """
@@ -22,7 +23,6 @@ caches the answer on the algebra once per declaration.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass
 from functools import cached_property
 
 from .scalars import EXACT, coerce, current_eps, is_zero, kind_of, tolerance, zero
@@ -36,24 +36,6 @@ class LieAlgebraError(ValueError):
         self.code = code
         self.message = message
         self.witness = witness
-
-
-@dataclass(frozen=True)
-class Subspace:
-    """Span of a list of vectors (kept linearly independent)."""
-
-    vectors: tuple
-    ambiguous: bool = False
-
-    @property
-    def dim(self) -> int:
-        return len(self.vectors)
-
-    def contains(self, v) -> bool:
-        if not self.vectors:
-            return linalg.is_zero_vector(v)
-        m = linalg.transpose(list(self.vectors))
-        return linalg.solve_general(m, list(v)) is not None
 
 
 class LieAlgebra:
@@ -89,10 +71,6 @@ class LieAlgebra:
 
     # -- construction -------------------------------------------------------
     @classmethod
-    def abelian(cls, dim, kind=EXACT):
-        return cls(dim, {}, kind=kind, _validated=True)
-
-    @classmethod
     def semidirect(cls, D):
         """R^k x|_D R: [e_last, e_j] = D e_j for the first k basis vectors."""
         k = len(D)
@@ -120,10 +98,6 @@ class LieAlgebra:
         n = self.dim
         dc, _, table = self.constants
         return linalg._over([table[i][j * n:(j + 1) * n]], dc)[0]
-
-    def bracket(self, x, y):
-        """[x, y] for coefficient vectors x, y: ad_x y, read off the table."""
-        return linalg.mat_vec(self.ad(x), y)
 
     def ad(self, x):
         """Matrix of ad_x = [x, .]: x times the table is ad_x^t flattened,
@@ -179,9 +153,9 @@ class LieAlgebra:
     def is_unimodular(self) -> bool:
         return all(is_zero(linalg.trace(self.ad_basis(i))) for i in range(self.dim))
 
-    def derived_algebra(self) -> Subspace:
+    def derived_algebra(self):
         vecs = [list(v) for _, v in sorted(self.brackets.items())]
-        return Subspace(tuple(tuple(v) for v in linalg.column_space_basis(vecs)))
+        return tuple(map(tuple, linalg.column_space_basis(vecs)))
 
     def memo(self, key, compute):
         """compute() once per key for this algebra, then the cached value
@@ -233,8 +207,8 @@ def find_codim1_abelian_ideal(L: LieAlgebra):
     all the others, and a nonzero xi that kills [L, L] is nonzero at a free
     column of the brackets' rref, so only the triples that meet a free
     column are kept.  The answer is ker V[-1], the basis vector of the
-    largest free column (span(e_1 .. e_{d-1}) for the abelian algebra), and
-    it is ``ambiguous`` exactly when dim V > 1.
+    largest free column (span(e_1 .. e_{d-1}) for the abelian algebra), as
+    a tuple of basis vectors.
 
     The system's rows are dc times those conditions, read off
     :attr:`LieAlgebra.constants` and :attr:`LieAlgebra.coframe_terms`:
@@ -258,25 +232,26 @@ def find_codim1_abelian_ideal(L: LieAlgebra):
     V = linalg.nullspace(system) if system else linalg.idmat(n, L.kind)
     if not V:
         return None
-    basis = linalg.nullspace([V[-1]])
-    ideal = Subspace(tuple(tuple(v) for v in basis), ambiguous=len(V) > 1)
+    ideal = tuple(map(tuple, linalg.nullspace([V[-1]])))
     # direct re-check guards against elimination bugs
-    defect = abelian_ideal_defect(L, ideal.vectors)
+    defect = abelian_ideal_defect(L, ideal)
     if defect is not None:
         raise LieAlgebraError("INTERNAL", f"ideal candidate is {defect}")
     return ideal
 
 
 def abelian_ideal(L: LieAlgebra, declared):
-    """The codimension-one abelian ideal of L: the ``declared`` Subspace if
-    :func:`abelian_ideal_defect` passes it, the search's answer if it is
-    None; memoised on L per declaration.  Raises IDEAL_NOT_ABELIAN when
-    the declared subspace fails or the search finds nothing."""
+    """The codimension-one abelian ideal of L as a tuple of basis vectors:
+    ``declared`` if :func:`abelian_ideal_defect` passes it, the search's
+    answer if it is None; memoised on L per declaration.  Raises
+    IDEAL_NOT_ABELIAN when the declared basis fails or the search finds
+    nothing."""
     def resolve():
-        if declared is None:
-            return find_codim1_abelian_ideal(L) or "no codimension-one abelian ideal"
-        defect = abelian_ideal_defect(L, declared.vectors)
-        return declared if defect is None else f"declared subspace is {defect}"
+        if declared is not None:
+            defect = abelian_ideal_defect(L, declared)
+            return declared if defect is None else f"declared subspace is {defect}"
+        found = find_codim1_abelian_ideal(L)
+        return "no codimension-one abelian ideal" if found is None else found
 
     ideal = L.memo(("ideal", declared), resolve)
     if isinstance(ideal, str):

@@ -2,21 +2,26 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import threading
 import warnings
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from aalg import scalars
-from aalg.cli import build_parser, main
-from aalg.catalog import ENTRIES, LCHK_LIST, entry_document
-from aalg.documents import parse, render, to_metric
+from aalg import linalg, scalars
+from aalg.cli import _lattice_frame, build_parser, main
+from aalg.catalog import ENTRIES, LCHK_LIST, entry_document, instantiate
+from aalg.documents import parse, render, to_ideal, to_metric
 from aalg.hermitian import HermitianError, HermitianStructure
 from aalg.documents import to_algebra, to_complex_structure
 from aalg.almost_abelian import extract_data, is_kahler_data
+from aalg.lie import LieAlgebra, abelian_ideal
+
+from conftest import random_shear
 
 
 B2_GPRIME = """algebra b2 dim 6
@@ -293,7 +298,7 @@ def test_lchk_any_decimal_entry_makes_the_matrix_float(capsys):
 @pytest.mark.parametrize("spec", ['[["x",0,0],[0,0,0],[0,0,0]]', "idq", "5",
                                   "[[1e400,0,0],[0,1,0],[0,0,1]]", "DIRECTORY",
                                   "[[1,2],[3]]", "[]", "[[]]", "id0", "id-1", "zero0",
-                                  "idzero3"])
+                                  "idzero3", "[[1,2,3]]", "[[1,0],[0,1],[0,0]]"])
 def test_lchk_malformed_matrix_is_input_error(tmp_path, capsys, spec):
     spec = str(tmp_path) if spec == "DIRECTORY" else spec
     assert main(["lchk", "--matrix", spec]) == 1
@@ -565,6 +570,59 @@ def test_lattice_on_a_one_dimensional_algebra(tmp_path, capsys):
     assert code == 0 and rep["overall"] == "FOUND"
     assert [(p["verdict"], p["char"], p["min"]) for p in rep["points"]] == [
         ("INTEGER", [1.0], [1.0])] * 2
+
+
+def contains_rule_frame(L, ideal):
+    """The lattice frame as the span test built it, one solve per candidate:
+    the ideal's basis, then the last basis vector outside its span."""
+    vecs = [list(v) for v in ideal]
+    for e in reversed(linalg.idmat(L.dim, L.kind)):
+        if (linalg.solve_general(linalg.transpose(vecs), e) is None if vecs
+                else not linalg.is_zero_vector(e)):
+            return linalg.transpose(vecs + [e])
+
+
+def float_case(L, ideal):
+    brackets = {key: [float(x) for x in vec] for key, vec in L.brackets.items()}
+    return (LieAlgebra(L.dim, brackets, kind=scalars.FLOAT),
+            None if ideal is None else tuple(tuple(map(float, v)) for v in ideal))
+
+
+def test_lattice_transversal_matches_the_span_test_on_the_catalog():
+    """The covector rule picks the transversal the span test picked, on
+    every catalog entry, exact and as a float copy, and in dimensions one
+    and two."""
+    cases = [(LieAlgebra(1, {}), None), (LieAlgebra.semidirect([[F(1)]]), None)]
+    for entry in ENTRIES.values():
+        L = instantiate(entry, entry.samples[0])
+        cases += [(L, to_ideal(entry.document)), float_case(L, to_ideal(entry.document))]
+    for L, declared in cases:
+        ideal = abelian_ideal(L, declared)
+        assert _lattice_frame(L, ideal) == contains_rule_frame(L, ideal), L
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_lattice_transversal_matches_the_span_test_on_sheared_algebras(seed):
+    """The same on R^k x|_D R in a basis where the ideal's covector xi is
+    row k of the change of basis s, zero after a random index t, with the
+    ideal declared in a mixed basis: the transversal is e_t, exact and as
+    floats."""
+    rng = random.Random(seed)
+    k = rng.randint(2, 5)
+    t = rng.randrange(k + 1)
+    D = [[F(rng.choice((0, 0, 1, -1, 2, -3))) for _ in range(k)] for _ in range(k)]
+    unit = linalg.idmat(k + 1)
+    s = linalg.idmat(k + 1)
+    s[t] = unit[k]
+    s[k] = [F(rng.choice((0, 1, -2))) for _ in range(t)] + [F(1, 2)] + [F(0)] * (k - t)
+    s = linalg.mat_mul(linalg.block_diag([random_shear(rng, k), [[F(1)]]]), s)
+    L = LieAlgebra.semidirect(D).change_basis(s)
+    moved = linalg.transpose(linalg.inverse(s))[:k]
+    declared = tuple(map(tuple, linalg.mat_mul(random_shear(rng, k), moved)))
+    for M, ideal in ((L, declared), float_case(L, declared)):
+        frame = _lattice_frame(M, abelian_ideal(M, ideal))
+        assert frame == contains_rule_frame(M, abelian_ideal(M, ideal))
+        assert [row[-1] for row in frame] == unit[t]
 
 
 def test_lchk_float_overflow_is_an_input_error(capsys):

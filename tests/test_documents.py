@@ -119,7 +119,7 @@ def test_j_and_g_and_ideal():
     g = to_metric(doc)
     ideal = to_ideal(doc)
     assert J is not None and g is not None
-    assert ideal.dim == 3
+    assert len(ideal) == 3
 
 
 @pytest.mark.parametrize("spec, col", [("f1, f2, f3 f4", 12), ("f1, f2 junk, f3", 8)])
@@ -319,7 +319,7 @@ def test_decimal_in_ideal_line_makes_a_float_document():
     anywhere else; it is not read as a binary fraction."""
     doc = parse("algebra x dim 4\nd = (f14, f24, f34, 0)\nideal: 0.1 f1 + f2, f2, f3")
     assert doc.kind == FLOAT
-    assert to_ideal(doc).vectors[0] == (0.1, 1.0, 0.0, 0.0)
+    assert to_ideal(doc)[0] == (0.1, 1.0, 0.0, 0.0)
     assert parse(render(doc)) == doc
 
 

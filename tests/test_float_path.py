@@ -153,7 +153,7 @@ def test_float_structure_verdicts_agree_with_exact():
             assert (not nijenhuis(ComplexStructure.from_pairs(Le.dim, pairs), Le)
                     == (not nijenhuis(ComplexStructure.from_pairs(Le.dim, pairs, "float"), Lf)))
         ideal = find_codim1_abelian_ideal(Le)
-        hyperplanes = [ideal.vectors] + [
+        hyperplanes = [ideal] + [
             linalg.nullspace([[F(rng.choice((0, 0, 1, -1, 2))) for _ in range(Le.dim)]])
             for _ in range(3)]
         for vecs in hyperplanes:

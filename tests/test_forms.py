@@ -200,7 +200,9 @@ def test_evaluate_matches_determinants(case):
     vectors = [[row[c % len(row)] for row in m] for c in range(alpha.degree)]
     want = sum((val * ref_det([[v[i] for v in vectors] for i in key])
                 for key, val in alpha.coeffs.items()), zero(alpha.kind))
-    got = alpha.evaluate(vectors)
+    # alpha on the vectors: the top coefficient of its pullback along them
+    columns = [[v[i] for v in vectors] for i in range(alpha.dim)]
+    got = pullback(alpha, columns).get(tuple(range(alpha.degree)))
     assert got == want if alpha.kind == EXACT else close(got, want)
 
 

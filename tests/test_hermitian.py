@@ -38,7 +38,7 @@ def test_metric_validation():
 
 
 def test_abelian_any_j_integrable():
-    L = LieAlgebra.abelian(4)
+    L = LieAlgebra(4, {})
     for pairs in ([(0, 1), (2, 3)], [(0, 2), (1, 3)], [(0, 3), (1, 2)]):
         J = ComplexStructure.from_pairs(4, pairs)
         assert not nijenhuis(J, L)
@@ -59,7 +59,7 @@ def test_g4_incompatible_j_not_integrable():
 
 
 def test_lee_form_flat_torus():
-    L = LieAlgebra.abelian(4)
+    L = LieAlgebra(4, {})
     J = ComplexStructure.from_pairs(4, [(0, 1), (2, 3)])
     H = HermitianStructure(L, J, Metric.identity(4))
     assert H.lee_form().is_zero()
@@ -279,14 +279,14 @@ def test_bismut_ricci_dim4_value():
 
 
 def test_bismut_ricci_abelian_flat():
-    L = LieAlgebra.abelian(6)
+    L = LieAlgebra(6, {})
     J = ComplexStructure.from_pairs(6, [(0, 1), (2, 3), (4, 5)])
     H = HermitianStructure(L, J, Metric.identity(6))
     assert H.bismut_ricci_oracle().is_zero()
 
 
 def test_vaisman_kahler_note():
-    L = LieAlgebra.abelian(4)
+    L = LieAlgebra(4, {})
     J = ComplexStructure.from_pairs(4, [(0, 1), (2, 3)])
     H = HermitianStructure(L, J, Metric.identity(4))
     verdict, note = H.is_vaisman()

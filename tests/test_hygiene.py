@@ -1,10 +1,10 @@
 """Source hygiene: every name a module imports is used in that module,
-every definition in the package is used somewhere, and the float tolerance
-has one source (``scalars.current_eps``)."""
+every definition in the package is reached from a command (or listed with
+its reason), and the float tolerance has one source
+(``scalars.current_eps``)."""
 
 import ast
 import re
-from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -71,113 +71,156 @@ def test_one_source_of_the_float_tolerance():
     assert not hits, "use scalars.tolerance instead:\n" + "\n".join(hits)
 
 
-def identifiers_in(tree):
-    """Counter of the identifiers and attribute names an AST reads."""
-    names = Counter()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names[node.id] += 1
-        elif isinstance(node, ast.Attribute):
-            names[node.attr] += 1
-    return names
+DEFINITION = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def named_in(tree):
-    """Counter of the names an AST reads: identifiers, attributes, and the
-    words of string constants other than docstrings (traced names, getattr)."""
-    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
-                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
-                                       ast.AsyncFunctionDef))
-                  and ast.get_docstring(node, clean=False) is not None}
-    names = identifiers_in(tree)
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
-                and id(node) not in docstrings):
-            names.update(re.findall(r"\w+", node.value))
-    return names
+def scope_reads(scope):
+    """(names, attributes) a scope reads when it runs: a module's or a
+    class's statements, or a function's defaults and body.  The body of a
+    definition inside it is a scope of its own (its decorators and defaults
+    are read here), and annotations are skipped: they call nothing."""
+    names, attributes = set(), set()
+
+    def visit(node):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            attributes.add(node.attr)
+        for field, value in ast.iter_fields(node):
+            if field in ("annotation", "returns") or (
+                    field == "body" and node is not scope and isinstance(node, DEFINITION)):
+                continue
+            for child in value if isinstance(value, list) else [value]:
+                if isinstance(child, ast.AST):
+                    visit(child)
+
+    visit(scope)
+    return names, attributes
 
 
-def test_every_definition_is_used():
-    """Each function, class and method of the package is named somewhere
-    in src, tests or bench outside its own body (dunder methods exempt)."""
-    paths = sorted((ROOT / "src" / "aalg").glob("*.py"))
-    everywhere = paths + sorted((ROOT / "tests").glob("*.py")) + sorted(
-        (ROOT / "bench").glob("*.py"))
-    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in everywhere}
-    uses = sum((named_in(tree) for tree in trees.values()), Counter())
-    unused = []
-    for path in paths:
-        for node in ast.walk(trees[path]):
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and not node.name.startswith("__")
-                    and uses[node.name] <= named_in(node)[node.name]):
-                unused.append(f"{path.relative_to(ROOT)}:{node.lineno}: {node.name}")
-    assert not unused, "defined but never used:\n" + "\n".join(unused)
+class CallGraph:
+    """The package's definitions, keyed (module, qualified name), with what
+    each one's scope reads.  A name read reaches the module-level functions
+    and classes and the nested functions of that name; an attribute read
+    reaches the methods and the module-level definitions of that name."""
+
+    def __init__(self, paths):
+        self.reads = {}
+        self.by_name, self.by_attribute = {}, {}
+        self.module_names, self.module_attributes = set(), set()
+        for path in paths:
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            names, attributes = scope_reads(tree)
+            self.module_names |= names
+            self.module_attributes |= attributes
+            self._index(tree, path.stem, "", "module")
+
+    def _index(self, node, module, prefix, where):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, DEFINITION):
+                self._index(child, module, prefix, where)
+                continue
+            key = (module, prefix + child.name)
+            self.reads[key] = scope_reads(child)
+            if where != "class":
+                self.by_name.setdefault(child.name, []).append(key)
+            if where != "function":
+                self.by_attribute.setdefault(child.name, []).append(key)
+            self._index(child, module, f"{key[1]}.",
+                        "class" if isinstance(child, ast.ClassDef) else "function")
+
+    def walk(self, keys=(), names=(), attributes=()):
+        """The definitions reached from ``keys`` and from reads of ``names``
+        and ``attributes``, through what each reached scope reads."""
+        todo = [*keys, *self._targets(names, attributes)]
+        reached = set()
+        while todo:
+            key = todo.pop()
+            if key not in reached:
+                reached.add(key)
+                todo += self._targets(*self.reads[key])
+        return reached
+
+    def _targets(self, names, attributes):
+        return ([key for name in names for key in self.by_name.get(name, ())]
+                + [key for attr in attributes for key in self.by_attribute.get(attr, ())])
 
 
-# the definitions with no caller inside the package, each kept for a reason
-# outside it: traced by bench/spans.py (whose --trace pass fails on a missing
-# name), called from bench/, reached by getattr, or public API that only the
-# tests call.  Deleting one of the traced or imported names is a benchmark
-# revision (ROADMAP item 7).
-NO_LIBRARY_CALLER = {
-    ("almost_abelian", "build_algebra"): "called by bench/workloads.py, traced by bench/spans.py",
-    ("almost_abelian", "data_from_parts"): "imported by bench/gen.py, called by bench/workloads.py",
-    ("documents", "render_manifest"): "public API used only by tests: the manifest round trip",
-    ("forms", "KForm.basis"): "public API used only by tests",
-    ("forms", "KForm.evaluate"): "public API used only by tests",
-    ("forms", "wedge_power"): "traced by bench/spans.py",
-    ("hermitian", "HermitianStructure.is_kahler_direct"): "reached by getattr in route_verdicts",
-    ("hermitian", "HermitianStructure.is_balanced_direct"): "reached by getattr in route_verdicts",
-    ("hermitian", "HermitianStructure.is_lcb_direct"): "reached by getattr in route_verdicts",
-    ("hermitian", "HermitianStructure.is_skt_direct"): "reached by getattr in route_verdicts",
-    ("hermitian", "HermitianStructure.bismut_connection"): "public API used only by tests",
-    ("lattice", "char_min_poly"): "traced by bench/spans.py",
-    ("lchk", "canonical_form"): "called by bench/workloads.py, traced by bench/spans.py",
-    ("lie", "LieAlgebra.abelian"): "public API used only by tests",
-    ("lie", "LieAlgebra.bracket"): "public API used only by tests",
-    ("lie", "LieAlgebra.derived_algebra"): "traced by bench/spans.py",
-    ("linalg", "solve"): "traced by bench/spans.py",
+# route_verdicts calls getattr(H, f"is_{prop}_direct") for each key of
+# almost_abelian.DATA_PREDICATES
+GETATTR_ROOTS = {("hermitian", f"HermitianStructure.is_{prop}_direct")
+                 for prop in ("kahler", "lck", "balanced", "skt", "lcb")}
+
+# what bench/*.py reaches (its identifiers, its attributes and the functions
+# bench/spans.py traces by name) and no command does; deleting one of them
+# is a benchmark revision
+BENCH_ONLY = {
+    ("almost_abelian", "build_algebra"),
+    ("almost_abelian", "_adapted_j"),
+    ("almost_abelian", "adapted_J_matrix"),
+    ("almost_abelian", "data_from_parts"),
+    ("forms", "wedge_power"),
+    ("hermitian", "HermitianStructure._compute_bismut"),
+    ("lattice", "char_min_poly"),
+    ("lchk", "canonical_form"),
+    ("lie", "LieAlgebra.derived_algebra"),
+    ("linalg", "column_space_basis"),
+    ("linalg", "minpoly"),
+    ("linalg", "solve"),
+}
+
+# the public API no command reaches, each with its reason; what these
+# reach counts as reached
+DECLARED_API = {
+    ("forms", "KForm.basis"): "the k-form e^I by its indices, for tests and callers",
+    ("hermitian", "HermitianStructure.bismut_connection"):
+        "the Bismut connection itself; commands read only its Ricci form",
+    ("documents", "render_manifest"):
+        "the reference for the manifest round trip parse_manifest reads",
 }
 
 
-def definitions(tree, prefix=""):
-    """(qualified name, node, is_method) of each function, class and method
-    of a module, nested ones included (dunder names exempt)."""
-    for node in ast.iter_child_nodes(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            if not node.name.startswith("__"):
-                yield prefix + node.name, node, isinstance(tree, ast.ClassDef)
-            yield from definitions(node, f"{prefix}{node.name}.")
-        else:
-            yield from definitions(node, prefix)
+def bench_seeds():
+    """(keys, names, attributes) bench/*.py reads: the spans.LAYERS entries
+    and every identifier and attribute of its files."""
+    names, attributes = set(), set()
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        attributes |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        if path.name == "spans.py":
+            layers = next(ast.literal_eval(node.value) for node in tree.body
+                          if isinstance(node, ast.Assign) and node.targets[0].id == "LAYERS")
+    keys = {(layer, qual) for layer, quals in layers.items() for qual in quals}
+    return keys, names, attributes
 
 
-def attributes_in(tree):
-    """Counter of the attribute names an AST reads."""
-    return Counter(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+def show(keys):
+    return sorted(".".join(key) for key in keys)
 
 
-def test_every_definition_has_a_library_caller():
-    """Each definition of the package is read somewhere in src/aalg outside
-    its own body (a string naming it does not count), or is listed above
-    with its reason; a listed name that gains a caller leaves the list.  A
-    function or class counts as read by any identifier of its name, a
-    method only by an attribute of its name (a local variable that shares
-    it is no caller)."""
-    paths = sorted((ROOT / "src" / "aalg").glob("*.py"))
-    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
-    names = sum((identifiers_in(tree) for tree in trees.values()), Counter())
-    attributes = sum((attributes_in(tree) for tree in trees.values()), Counter())
-    found = set()
-    for path in paths:
-        for qualname, node, is_method in definitions(trees[path]):
-            uses, reads = (attributes, attributes_in) if is_method else (names, identifiers_in)
-            if uses[node.name] <= reads(node)[node.name]:
-                found.add((path.stem, qualname))
-    assert found == set(NO_LIBRARY_CALLER), (
-        f"unlisted: {sorted(found - set(NO_LIBRARY_CALLER))}, "
-        f"gone: {sorted(set(NO_LIBRARY_CALLER) - found)}")
+def test_every_definition_is_reached():
+    """Each function, class and method of the package is reached from a
+    command -- the cmd_* handlers, cli.main, catalog.verify_all, module
+    statements and decorators (the COMMANDS and DATA_PREDICATES tables),
+    dunder methods and GETATTR_ROOTS -- or is listed above: in BENCH_ONLY,
+    which must equal what bench/ reaches beyond the commands, or in
+    DECLARED_API (at most three names, each unreached and not bench's)."""
+    graph = CallGraph(sorted((ROOT / "src" / "aalg").glob("*.py")))
+    roots = {key for key in graph.reads
+             if key in {("cli", "main"), ("catalog", "verify_all")} | GETATTR_ROOTS
+             or (key[0] == "cli" and key[1].startswith("cmd_"))
+             or re.fullmatch(r"__\w+__", key[1].rsplit(".", 1)[-1])}
+    commands = graph.walk(roots, graph.module_names, graph.module_attributes)
+    bench = graph.walk(*bench_seeds()) - commands
+    unreached = set(graph.reads) - commands
+    unlisted = unreached - bench - graph.walk(DECLARED_API)
+    assert not unlisted, f"no command reaches: {show(unlisted)}"
+    assert bench == BENCH_ONLY, (
+        f"bench-only, unlisted: {show(bench - BENCH_ONLY)}, gone: {show(BENCH_ONLY - bench)}")
+    assert len(DECLARED_API) <= 3
+    needless = set(DECLARED_API) - (unreached - bench)
+    assert not needless, f"DECLARED_API, reached anyway: {show(needless)}"
 
 
 def environment_reads(path):

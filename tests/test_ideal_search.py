@@ -1,13 +1,13 @@
 """The codimension-one abelian ideal: the search against its multi-branch
 reference, and ``lie.abelian_ideal`` as the one cached owner.
 
-The reference solves every pivot branch of xi and flags the answer
-ambiguous when a branch has free parameters or a second branch is
-consistent; the search solves one homogeneous system for xi and reads
-ambiguity off the dimension of its null space.  Both must return the same
-vectors and flag on R^k x|_D R (random D, rank-one D with D^2 = 0, D = 0,
-optionally in a sheared basis), and a float copy must return the exact
-answer within 1e-12 relative; both return None on so(3) + R^k and h5.
+The reference solves every pivot branch of xi, and L has more than one
+codimension-one abelian ideal when a branch has free parameters or a
+second branch is consistent; the search solves one homogeneous system for
+xi.  Both must return the same basis vectors on R^k x|_D R (random D,
+rank-one D with D^2 = 0, D = 0, optionally in a sheared basis), and a
+float copy must return the exact answer within 1e-12 relative; both
+return None on so(3) + R^k and h5.
 """
 
 import random
@@ -21,7 +21,7 @@ from aalg.almost_abelian import build_algebra
 from aalg.catalog import _s2n_entry, entry_document
 from aalg.documents import to_algebra
 from aalg.forms import sort_indices
-from aalg.lie import (LieAlgebra, LieAlgebraError, Subspace, abelian_ideal,
+from aalg.lie import (LieAlgebra, LieAlgebraError, abelian_ideal,
                       abelian_ideal_defect, find_codim1_abelian_ideal)
 from aalg.scalars import coerce, is_zero, zero
 
@@ -30,16 +30,17 @@ from conftest import ALL_SHAPES, random_data, random_shear, transported
 
 # -- reference: every pivot branch solved ------------------------------------------
 
-def ref_find_codim1_abelian_ideal(L):
+def ref_branches(L):
+    """(t, xi, freedom) of each consistent pivot branch t of xi, the last t
+    first: xi_t = 1 and xi_s = 0 for s > t, with ``freedom`` parameters."""
     n = L.dim
     kind = L.kind
     derived = L.derived_algebra()
     solutions = []
-    total_freedom = 0
     for t in range(n - 1, -1, -1):
         rows = []
         rhs = []
-        for vec in derived.vectors:
+        for vec in derived:
             rows.append([coerce(vec[s], kind) for s in range(t)])
             rhs.append(-coerce(vec[t], kind))
         adt = L.ad_basis(t)
@@ -71,14 +72,23 @@ def ref_find_codim1_abelian_ideal(L):
                 continue
             freedom = 0
         solutions.append((t, xi, freedom))
-        total_freedom += freedom
-    if not solutions:
+    return solutions
+
+
+def ref_ambiguous(L):
+    """L has more than one codimension-one abelian ideal: a branch with free
+    parameters, or a second branch."""
+    branches = ref_branches(L)
+    return len(branches) > 1 or any(freedom for _, _, freedom in branches)
+
+
+def ref_find_codim1_abelian_ideal(L):
+    """ker xi of the first branch, or None."""
+    branches = ref_branches(L)
+    if not branches:
         return None
-    t, xi, freedom = solutions[0]
-    ambiguous = total_freedom > 0 or len(solutions) > 1
-    basis = linalg.nullspace([xi])
-    ideal = Subspace(tuple(tuple(v) for v in basis), ambiguous=ambiguous)
-    defect = abelian_ideal_defect(L, ideal.vectors)
+    ideal = tuple(map(tuple, linalg.nullspace([branches[0][1]])))
+    defect = abelian_ideal_defect(L, ideal)
     if defect is not None:
         raise LieAlgebraError("INTERNAL", f"ideal candidate is {defect}")
     return ideal
@@ -105,8 +115,7 @@ def ref_fraction_row_search(L):
     V = linalg.nullspace(system) if system else linalg.idmat(n, L.kind)
     if not V:
         return None
-    basis = linalg.nullspace([V[-1]])
-    return Subspace(tuple(tuple(v) for v in basis), ambiguous=len(V) > 1)
+    return tuple(map(tuple, linalg.nullspace([V[-1]])))
 
 
 def float_copy(L):
@@ -157,21 +166,16 @@ H5 = LieAlgebra(5, {(0, 1): [F(0)] * 4 + [F(1)], (2, 3): [F(0)] * 4 + [F(1)]})
 # -- the search against the reference ------------------------------------------------
 
 def assert_close_answer(got, want, rel=0.0):
-    """Same None result and flag; entries equal, or within rel max(1, |x|)."""
+    """Same None result; entries equal, or within rel max(1, |x|)."""
     assert (got is None) == (want is None)
     if want is not None:
-        assert got.ambiguous == want.ambiguous
-        assert len(got.vectors) == len(want.vectors)
-        for u, v in zip(got.vectors, want.vectors):
+        assert len(got) == len(want)
+        for u, v in zip(got, want):
             if rel == 0.0:
                 assert u == v
             else:
                 assert all(abs(x - float(y)) <= rel * max(1.0, abs(float(y)))
                            for x, y in zip(u, v))
-
-
-def as_reprs(ideal):
-    return None if ideal is None else (ideal.ambiguous, repr(ideal.vectors))
 
 
 @settings(max_examples=150, deadline=None)
@@ -181,7 +185,7 @@ def test_search_matches_every_branch_reference(L):
     assert_close_answer(find_codim1_abelian_ideal(L), want)
     assert_close_answer(find_codim1_abelian_ideal(float_copy(L)), want, rel=1e-12)
     for M in (L, float_copy(L)):
-        assert as_reprs(find_codim1_abelian_ideal(M)) == as_reprs(ref_fraction_row_search(M))
+        assert repr(find_codim1_abelian_ideal(M)) == repr(ref_fraction_row_search(M))
 
 
 def test_ill_conditioned_float_copy_finds_the_exact_ideal():
@@ -219,7 +223,7 @@ def test_search_matches_the_fraction_row_reference_on_sheared_algebras(seed):
     L = sheared_algebra(seed)
     for M in (L, float_copy(L)):
         got = find_codim1_abelian_ideal(M)
-        assert got is not None and as_reprs(got) == as_reprs(ref_fraction_row_search(M))
+        assert got is not None and repr(got) == repr(ref_fraction_row_search(M))
 
 
 def test_search_system_holds_ints_on_exact_algebras(monkeypatch):
@@ -281,11 +285,11 @@ def test_abelian_ideal_searches_or_validates_once(monkeypatch):
     assert abelian_ideal(L, None) is found
     assert calls == {"find_codim1_abelian_ideal": 1, "abelian_ideal_defect": 1}
     e = linalg.idmat(3)
-    declared = Subspace((tuple(e[0]), tuple(e[1])))
+    declared = (tuple(e[0]), tuple(e[1]))
     assert abelian_ideal(L, declared) is declared
-    assert abelian_ideal(L, Subspace((tuple(e[0]), tuple(e[1])))) is declared
+    assert abelian_ideal(L, (tuple(e[0]), tuple(e[1]))) is declared
     assert calls["abelian_ideal_defect"] == 2
-    bad = Subspace((tuple(e[0]), tuple(e[2])))
+    bad = (tuple(e[0]), tuple(e[2]))
     for _ in range(2):
         with pytest.raises(LieAlgebraError) as err:
             abelian_ideal(L, bad)
