@@ -251,7 +251,7 @@ def verify_entry(entry: CatalogEntry, samples=None):
     for params in samples:
         try:
             L = instantiate(entry, params)
-        except Exception as exc:
+        except ValueError as exc:
             failures.append(f"{entry.name}{params}: instantiate failed: {exc}")
             continue
         checked.append(params)
@@ -263,7 +263,7 @@ def verify_entry(entry: CatalogEntry, samples=None):
                 failures.extend(_verify_lchk_witness(entry, L, params, w))
         try:
             structures = witness_structures(entry, L)
-        except Exception as exc:
+        except ValueError as exc:
             failures.append(f"{entry.name}{params}: witness build failed: {exc}")
             continue
         for label, H, d, claims in structures:

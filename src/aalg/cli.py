@@ -280,7 +280,7 @@ def cmd_lattice(args):
     L = to_algebra(doc)
     # B: ad of the transversal on the ideal, in the ideal basis
     frame = _lattice_frame(L, abelian_ideal(L, to_ideal(doc)))
-    B = [[float(x) for x in row] for row in _restrict_last(L.change_basis(frame))]
+    B = _restrict_last(L.change_basis(frame))
     eps_int = args.eps_int
     if args.rule:
         k_max = _parse_rule(args.rule)
@@ -396,7 +396,7 @@ def main(argv=None):
     with scope:
         try:
             return COMMANDS[args.command](args)
-        except (ParseError, CatalogError, LatticeError) as exc:
+        except (ParseError, CatalogError, LatticeError, scalars.PrecisionError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT
         except (MathRejection, HermitianError, LieAlgebraError, DataError,

@@ -162,6 +162,8 @@ class _Scanner:
         tok = m.group(0)
         try:
             value = float(tok) if "." in tok else Fraction(tok)
+            if "." in tok and abs(value) == float("inf"):    # beyond double precision
+                raise ValueError
         except (ValueError, ZeroDivisionError):
             self.error(f"bad number {tok!r}")
         self.pos = m.end()

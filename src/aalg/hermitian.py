@@ -10,7 +10,7 @@ abelian table (n - 1 nonzero brackets) and a signed-permutation J is
 O(n) pairs.  One code forms and zero-tests the pairs for both scalar
 kinds: for exact J and L on integer numerators, so that only nonzero
 pairs become Fractions; for floats on the entries, within the tolerance
-scaled to N's terms, eps max(1, max |c|) max(1, max |J|)^2.
+scaled to N's terms, ``scalars.scaled_eps`` over (c, J, J).
 
 Conventions, fixed package-wide and spelled out in the README:
 
@@ -55,7 +55,7 @@ from functools import cached_property
 from itertools import compress, permutations
 from operator import mul
 
-from .scalars import EXACT, current_eps, is_zero, one, tolerance
+from .scalars import EXACT, is_zero, one, scaled_eps, tolerance
 from . import linalg
 from .forms import KForm, exterior_derivative, pullback, sort_indices, wedge
 from .lie import LieAlgebra
@@ -332,14 +332,10 @@ def nijenhuis(J: ComplexStructure, L: LieAlgebra):
     support of Je_j, or K_i[j], K_j[i] or [e_i, e_j] is there.  With exact
     J and L each vector is integer over dj^2 dc, tested for zero before any
     Fraction is built; on floats the entries are compared within
-    eps max(1, max |c|) max(1, max |J|)^2, the scale of N's terms."""
+    scaled_eps(c, J, J), the scale of N's terms."""
     n = L.dim
     dc, rows, table = L.constants
     ((dj, jn),) = linalg._numerators(J.matrix)
-    eps = current_eps()
-    if L.kind != EXACT:
-        eps *= (max(1.0, max((abs(x) for row in rows for x in row), default=0.0))
-                * max(1.0, max((abs(x) for row in jn for x in row), default=0.0)) ** 2)
     zeros = [0] * n
     # blocks[a][b] = [e_a, e_b] over dc, for the b of the nonzero entries of row a
     cells = range(n * n)
@@ -362,7 +358,7 @@ def nijenhuis(J: ComplexStructure, L: LieAlgebra):
             reached[i].add(j)
     dd = dj * dj
     out = {}
-    with tolerance(eps):
+    with tolerance(scaled_eps(rows, jn, jn)):
         for i, ki in enumerate(K):
             for j in sorted(j for j in reached[i] if j > i):
                 v = zeros

@@ -10,7 +10,10 @@ rule t0 = 2 log k (k = 2..K) and never claims existence.
 Matrix exponentials use closed forms for diagonal and rotation-block
 matrices and scaling-and-squaring otherwise; spectral quantities of the
 float path go through numpy, which each function that needs it imports
-on first use, so importing this module does not load numpy.
+on first use, so importing this module does not load numpy.  Its float
+zero-tests (the block form, the clusters, the rank floor eps sigma_max of
+:func:`nullity`, a nonzero found t) read the ``scalars`` tolerance, and
+it is the one place that decides the Jordan data of float matrices.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .scalars import EXACT, current_eps
+from .scalars import EXACT, FLOAT, PrecisionError, current_eps, is_zero, scaled_eps
 from . import linalg
 
 
@@ -59,28 +62,20 @@ def _is_diagonal(b):
 
 
 def _rotation_blocks(b):
-    """Decomposition into 1x1 and 2x2 [[al, be], [-be, al]] diagonal blocks."""
-    eps = 1e-14
+    """b as 1x1 blocks [[lam]] and 2x2 blocks [[al, be], [-be, al]] with be
+    nonzero down the diagonal, or None when b is not their block-diagonal
+    sum (within the tolerance)."""
     n = len(b)
     blocks = []
     i = 0
     while i < n:
-        row_tail = all(abs(b[i][j]) <= eps for j in range(n) if j != i and abs(j - i) != 1)
-        if (i + 1 < n and abs(b[i][i] - b[i + 1][i + 1]) <= eps
-                and abs(b[i][i + 1] + b[i + 1][i]) <= eps
-                and abs(b[i][i + 1]) > eps
-                and all(abs(b[i][j]) <= eps for j in range(n) if j not in (i, i + 1))
-                and all(abs(b[i + 1][j]) <= eps for j in range(n) if j not in (i, i + 1))
-                and all(abs(b[j][i]) <= eps and abs(b[j][i + 1]) <= eps
-                        for j in range(n) if j not in (i, i + 1))):
-            blocks.append(("rot", i, b[i][i], b[i][i + 1]))
-            i += 2
-        elif row_tail and all(abs(b[j][i]) <= eps for j in range(n) if j != i):
-            blocks.append(("diag", i, b[i][i]))
-            i += 1
+        if i + 1 < n and not is_zero(b[i][i + 1]):
+            al, be = b[i][i], b[i][i + 1]
+            blocks.append([[al, be], [-be, al]])
         else:
-            return None
-    return blocks
+            blocks.append([[b[i][i]]])
+        i += len(blocks[-1])
+    return blocks if linalg.mat_eq(b, linalg.block_diag(blocks, FLOAT)) else None
 
 
 def matrix_exp(b, t=1.0):
@@ -95,7 +90,7 @@ def matrix_exp(b, t=1.0):
     t = float(t)
     blocks = _rotation_blocks(b)
     if blocks is not None:
-        return _block_exp(blocks, n, t, lambda x: math.exp(t * x))
+        return _block_exp(blocks, t, lambda x: math.exp(t * x))
     import numpy as np
     arr = np.array(b) * t
     norm = float(np.max(np.sum(np.abs(arr), axis=1))) if n else 0.0
@@ -115,23 +110,15 @@ def matrix_exp(b, t=1.0):
     return [[float(x) for x in row] for row in acc]
 
 
-def _eigenvalues(m):
-    """Eigenvalues; exact diagonal fast path avoids numpy noise."""
-    if _is_diagonal(m):
-        return [complex(m[i][i]) for i in range(len(m))]
-    import numpy as np
-    return list(np.linalg.eigvals(np.array(_as_float_matrix(m))))
-
-
 def eigen_clusters(eigs):
     """Group float eigenvalues that lie within tol of a cluster's center.
 
-    tol = 1e3 eps max(1, max |lambda|), 1e3 eps for an empty spectrum; each
-    cluster is (center, members) with the mean of its members as center.
-    Returns (tol, clusters).  This is the one rule for float spectra,
-    shared with the LCHK verdict.
+    tol = 1e3 scaled_eps(eigs) = 1e3 eps max(1, max |lambda|); each cluster
+    is (center, members) with the mean of its members as center.  Returns
+    (tol, clusters).  This is the one rule for float spectra, shared with
+    the LCHK verdict.
     """
-    tol = 1e3 * current_eps() * max(1.0, float(max((abs(e) for e in eigs), default=0.0)))
+    tol = 1e3 * scaled_eps([eigs])
     clusters = []
     for v in eigs:
         for idx, (center, members) in enumerate(clusters):
@@ -145,41 +132,42 @@ def eigen_clusters(eigs):
 
 
 def nullity(arr, tol):
-    """Number of singular values of arr at most tol, or at most 1e-9 of
+    """Number of singular values of arr at most tol, or at most eps times
     the largest one when that bound is larger.  Raises LatticeError when
     arr is not finite (an overflow upstream)."""
     import numpy as np
     if not np.isfinite(arr).all():
         raise LatticeError("a float matrix is not finite in double precision")
     sv = np.linalg.svd(arr, compute_uv=False)
-    return int(np.sum(sv <= max(tol, sv.max() * 1e-9 if sv.size else 0)))
+    return int(np.sum(sv <= max(tol, sv.max() * current_eps() if sv.size else 0)))
 
 
 def _spectral_clusters(m):
-    """(center, multiplicity, jordan_size) triples for a float matrix."""
+    """(tol, trace, clusters): the tolerance of :func:`eigen_clusters`, the
+    trace as numpy sums it, and per cluster (center, multiplicity,
+    jordan_size, blocks), blocks the nullity of m - center and jordan_size
+    the powers of m - center over which that kernel grows.  An overflow
+    leaves an infinite entry for :func:`nullity` to reject."""
     import numpy as np
-    arr = np.array(_as_float_matrix(m))
     n = len(m)
-    tol, clusters = eigen_clusters(_eigenvalues(m))
+    arr = np.array(_as_float_matrix(m)).reshape(n, n)
     out = []
-    for center, members in clusters:
-        mult = len(members)
-        size = 1
-        if mult > 1:
-            shifted = arr - center * np.eye(n)
-            power = np.eye(n)
-            prev_nullity = 0
-            for j in range(1, mult + 1):
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a diagonal m keeps its entries as eigenvalues, free of numpy noise
+        tol, clusters = eigen_clusters([complex(x) for x in arr.diagonal()] if _is_diagonal(m)
+                                       else list(np.linalg.eigvals(arr)))
+        for center, members in clusters:
+            mult = len(members)
+            shifted = power = arr - center * np.eye(n)
+            kernels = [nullity(shifted, tol)]
+            while 0 < kernels[-1] < mult:
                 power = power @ shifted
-                kernel_dim = nullity(power, tol)
-                if kernel_dim == prev_nullity:
+                kernels.append(nullity(power, tol))
+                if kernels[-1] == kernels[-2]:
+                    kernels.pop()
                     break
-                size = j
-                prev_nullity = kernel_dim
-                if kernel_dim >= mult:
-                    break
-        out.append((center, mult, size))
-    return out
+            out.append((center, mult, len(kernels), kernels[0]))
+        return tol, float(np.trace(arr)), out
 
 
 def char_min_poly(m):
@@ -192,7 +180,7 @@ def char_min_poly(m):
     """
     if linalg.matrix_kind(m) == EXACT:
         return linalg.charpoly(m), linalg.minpoly(m)
-    return _cluster_polys(_spectral_clusters(m))
+    return _cluster_polys(_spectral_clusters(m)[2])
 
 
 def _cluster_polys(clusters):
@@ -200,7 +188,7 @@ def _cluster_polys(clusters):
     import numpy as np
     char = np.array([1.0 + 0j])
     minp = np.array([1.0 + 0j])
-    for center, mult, size in clusters:
+    for center, mult, size, _ in clusters:
         for _ in range(mult):
             char = np.convolve(char, np.array([1.0, -center]))
         for _ in range(size):
@@ -210,44 +198,31 @@ def _cluster_polys(clusters):
     return char_low, min_low
 
 
-def _matrix_exp_rule(b, k):
-    """exp(2 log k * b) with entries computed as powers k^(2 lam).
+def _matrix_exp_rule(b, blocks, k):
+    """exp(2 log k * b) for a float b with rotation blocks ``blocks`` (or
+    None), with entries computed as powers k^(2 lam).
 
     Avoids the exp(log) round trip for the 2 log k rule, which matters for
     the residual identity checked to 1e-9.
     """
-    b = _as_float_matrix(b)
-    blocks = _rotation_blocks(b)
     if blocks is None:
         return matrix_exp(b, 2.0 * math.log(k))
-    return _block_exp(blocks, len(b), 2.0 * math.log(k), lambda x: math.pow(k, 2.0 * x))
+    return _block_exp(blocks, 2.0 * math.log(k), lambda x: math.pow(k, 2.0 * x))
 
 
-def _block_exp(blocks, n, t, growth):
+def _block_exp(blocks, t, growth):
     """exp(t b) for b in the rotation-block form ``blocks``; growth(x) is
     exp(t x), which the 2 log k rule evaluates as a power of k."""
-    out = [[0.0] * n for _ in range(n)]
+    out = []
     for blk in blocks:
-        if blk[0] == "diag":
-            _, i, lam = blk
-            out[i][i] = growth(lam)
+        e = growth(blk[0][0])
+        if len(blk) == 1:
+            out.append([[e]])
         else:
-            _, i, al, be = blk
-            e = growth(al)
+            be = blk[0][1]
             c, s = math.cos(t * be), math.sin(t * be)
-            out[i][i] = e * c
-            out[i][i + 1] = e * s
-            out[i + 1][i] = -e * s
-            out[i + 1][i + 1] = e * c
-    return out
-
-
-def _integer_deviation(coeffs):
-    dev = 0.0
-    for c in coeffs:
-        c = float(c)
-        dev = max(dev, abs(c - round(c)))
-    return dev
+            out.append([[e * c, e * s], [-e * s, e * c]])
+    return linalg.block_diag(out, FLOAT)
 
 
 def integrality_probe(b, t_values=None, rule_k_max=None,
@@ -257,7 +232,7 @@ def integrality_probe(b, t_values=None, rule_k_max=None,
     The verdict per point is INTEGER when every coefficient of both
     polynomials is within eps_int of an integer, WARN within 10 eps_int,
     NON_INTEGER otherwise.  ``found`` is the first INTEGER point.  Raises
-    LatticeError when eps_int is not finite and non-negative, or when
+    LatticeError when eps_int is not finite and non-negative, or when b,
     exp(t b) or its polynomials are not finite in double precision.
     """
     import numpy as np
@@ -273,18 +248,23 @@ def integrality_probe(b, t_values=None, rule_k_max=None,
         for t in t_values:
             schedule.append((float(t), None))
     found = None
+    try:
+        b = _as_float_matrix(b)
+    except OverflowError:
+        raise LatticeError("B is not finite in double precision")
+    blocks = _rotation_blocks(b)
     for t, k in schedule:
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                clusters = _spectral_clusters(
-                    _matrix_exp_rule(b, k) if k is not None else matrix_exp(b, t))
+                _, _, clusters = _spectral_clusters(
+                    _matrix_exp_rule(b, blocks, k) if k is not None else matrix_exp(b, t))
                 char, minp = _cluster_polys(clusters)
-        except (OverflowError, np.linalg.LinAlgError, LatticeError):
+        except (OverflowError, np.linalg.LinAlgError, LatticeError, PrecisionError):
             char = minp = [math.inf]
         if not all(map(math.isfinite, char + minp)):
             raise LatticeError(f"exp(tB) at t = {t!r} or its polynomials are not finite "
                                "in double precision")
-        dev = max(_integer_deviation(char), _integer_deviation(minp))
+        dev = max(abs(c - round(c)) for c in char + minp)
         if dev <= eps_int:
             verdict = "INTEGER"
         elif dev <= 10 * eps_int:
@@ -298,7 +278,7 @@ def integrality_probe(b, t_values=None, rule_k_max=None,
             # distinct eigenvalues; individual products are exactly
             # representable for the catalog matrices, so fsum recovers the
             # tiny residual despite the k^6 cancellations
-            lams = sorted({c.real for c, _, _ in clusters})
+            lams = sorted({c.real for c, _, _, _ in clusters})
             if len(lams) == 3:
                 k2 = float(k) * float(k)
                 terms = [k2 * k2]
@@ -319,7 +299,7 @@ def integrality_probe(b, t_values=None, rule_k_max=None,
             residual=residual,
             residual_vs_inv_k=residual_gap,
         ))
-        if verdict == "INTEGER" and found is None and abs(t) > 1e-12:
+        if verdict == "INTEGER" and found is None and not is_zero(t):
             found = t
     overall = "FOUND" if found is not None else "NONE_IN_RANGE"
     return IntegralityReport(points=tuple(points), found=found,

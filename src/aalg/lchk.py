@@ -11,7 +11,9 @@ On the exact path every condition is decided through the one
 characteristic polynomial chi of D - a (diagonalizability as f(D - a) = 0
 for the square-free part f of chi, evenness, the square-free decomposition
 of hhat read with Sturm counts), never through numeric eigenvalues; the
-reported multiplicity table alone still reads float roots.  The witness is
+reported multiplicity table alone still reads float roots.  A float D is
+read off the Jordan data of its eigenvalue clusters, decided in
+``lattice`` under the ambient tolerance.  The witness is
 built on the canonical block form diag(C_1, .., C_{m-1}, a, a, a) with
 quaternion matrices K_1, K_2, K_3 repeated along the diagonal.  Each
 entry point decides D once; construct_lchk returns that verdict with its
@@ -29,7 +31,7 @@ from .forms import KForm
 from .hermitian import (ComplexStructure, HermitianStructure, Metric, levi_civita,
                         riemann_is_flat)
 from .lie import LieAlgebra
-from .lattice import eigen_clusters, nullity
+from .lattice import _spectral_clusters
 
 
 class LchkError(ValueError):
@@ -161,24 +163,18 @@ def _root_multiplicity_exact(poly, beta_float):
 
 
 def _admissible_float(D):
-    import numpy as np
-    n = len(D)
-    arr = np.array([[float(x) for x in row] for row in D])
-    # an overflow leaves an infinite entry for nullity to reject
-    with np.errstate(over="ignore", invalid="ignore"):
-        tol, clusters = eigen_clusters(np.linalg.eigvals(arr))
-        # diagonalizability: geometric multiplicity equals cluster size
-        diagonalizable = all(nullity(arr - center * np.eye(n), tol) == len(members)
-                             for center, members in clusters)
-        a = float(np.trace(arr)) / n
-    cond_i = all(abs(c.real - a) <= tol for c, _ in clusters)
-    m0 = sum(len(m) for c, m in clusters if abs(c.imag) <= tol)
+    # diagonalizability: each cluster has as many Jordan blocks as members
+    tol, trace, clusters = _spectral_clusters(D)
+    diagonalizable = all(blocks == mult for _, mult, _, blocks in clusters)
+    a = trace / len(D)
+    cond_i = all(abs(c.real - a) <= tol for c, *_ in clusters)
+    m0 = sum(mult for c, mult, *_ in clusters if abs(c.imag) <= tol)
     cond_ii = m0 >= 3
-    cond_iii = all(len(m) % 2 == 0 for c, m in clusters if c.imag > tol)
+    cond_iii = all(mult % 2 == 0 for c, mult, *_ in clusters if c.imag > tol)
     mult_table = [(0.0, m0)] if m0 else []
-    for c, m in sorted(clusters, key=lambda t: -abs(t[0].imag)):
+    for c, mult, *_ in sorted(clusters, key=lambda t: -abs(t[0].imag)):
         if c.imag > tol:
-            mult_table.append((abs(c.imag), len(m)))
+            mult_table.append((abs(c.imag), mult))
     return diagonalizable, cond_i, cond_ii, cond_iii, a, abs(a) <= tol, mult_table
 
 

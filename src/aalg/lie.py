@@ -10,7 +10,8 @@ the ideal test and the ideal search below, Nijenhuis in ``hermitian``
 :attr:`LieAlgebra.coframe_terms`, d in ``forms`` all read that one view.
 Validation enforces antisymmetry by construction and checks the Jacobi
 identity as d^2 = 0 on the coframe, exactly on the rational path and on
-floats against eps max(1, max |c|)^2, the scale of the cyclic sums.  A
+floats against ``scalars.scaled_eps`` over (c, c), the scale of the cyclic
+sums.  A
 hyperplane is an ideal iff it contains [L, L], so the ideal test evaluates
 its covector on the brackets; the ideal search solves one linear system
 in the covector, on the integer rows of the bracket numerators and the
@@ -22,10 +23,9 @@ caches the answer on the algebra once per declaration.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from functools import cached_property
 
-from .scalars import EXACT, coerce, current_eps, is_zero, kind_of, tolerance, zero
+from .scalars import EXACT, coerce, is_zero, kind_of, scaled_eps, tolerance, zero
 from . import linalg
 from .forms import KForm, exterior_derivative, sort_indices
 
@@ -137,12 +137,8 @@ class LieAlgebra:
         coframe = self.coframe_differentials()
         # the cyclic sums are quadratic in the constants c; the cached
         # coframe keeps the caller's tolerance
-        if self.kind == EXACT:
-            scaled = nullcontext()
-        else:
-            c = max((abs(x) for row in self.constants[1] for x in row), default=0.0)
-            scaled = tolerance(current_eps() * max(1.0, c) ** 2)
-        with scaled:
+        c = self.constants[1]
+        with tolerance(scaled_eps(c, c)):
             dd = [exterior_derivative(de, self) for de in coframe]
         keys = [key for form in dd for key in form.coeffs]
         if not keys:

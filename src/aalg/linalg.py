@@ -44,7 +44,7 @@ from itertools import zip_longest
 from math import lcm
 from operator import mul
 
-from .scalars import EXACT, FLOAT, coerce, current_eps, is_zero, kind_of, zero, one
+from .scalars import EXACT, FLOAT, coerce, is_zero, kind_of, zero, one
 
 
 class LinAlgError(ValueError):
@@ -295,7 +295,6 @@ def rref(a):
     m = [list(row) for row in a]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
-    eps = current_eps()
     pivots = []
     r = 0
     for c in range(ncols):
@@ -303,7 +302,7 @@ def rref(a):
             break
         # the largest entry of the column, if it exceeds the tolerance
         p = max(range(r, nrows), key=lambda i: abs(m[i][c]))
-        if abs(m[p][c]) <= eps:
+        if is_zero(m[p][c]):
             continue
         m[r], m[p] = m[p], m[r]
         pv = m[r][c]

@@ -15,10 +15,12 @@ Two scalar kinds exist and are never mixed inside one container:
   searched for or validated once per declaration) keeps the tolerance in
   force when it was first computed.
 
-Float spectra are clustered by one rule, with the tolerance
-``1e3 eps max(1, max |lambda|)``; :func:`aalg.lattice.eigen_clusters` is
-the only place it lives, and the LCHK verdict and the lattice probe both
-call it.
+The one float policy: :func:`is_zero` compares with the absolute eps; a
+sum of products is zero-tested within :func:`scaled_eps` of its factors
+(Jacobi over (c, c), Nijenhuis over (c, J, J)), which raises
+:class:`PrecisionError` when that is not finite; float spectra cluster
+within ``1e3 scaled_eps(spectrum)`` (:func:`aalg.lattice.eigen_clusters`),
+and the Jordan data of the clusters is decided only in ``lattice``.
 
 Integers are accepted everywhere and coerced to Fractions.
 """
@@ -30,6 +32,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from decimal import Decimal
 from fractions import Fraction
+from itertools import chain
 
 EXACT = "exact"
 FLOAT = "float"
@@ -37,6 +40,10 @@ FLOAT = "float"
 DEFAULT_EPS = 1e-9
 
 _EPS = ContextVar("aalg_eps", default=DEFAULT_EPS)
+
+
+class PrecisionError(ValueError):
+    """A float quantity that is not finite in double precision."""
 
 
 def current_eps() -> float:
@@ -101,6 +108,22 @@ def is_zero(x) -> bool:
     if isinstance(x, (Fraction, int)):
         return x == 0
     return abs(x) <= _EPS.get()
+
+
+def scaled_eps(*groups):
+    """eps times max(1, max |x|) over each group (rows of entries): the
+    tolerance of a float sum of products with one factor from each group.
+    Exact entries return eps, which exact zero-tests never read; raises
+    PrecisionError when the scaled tolerance is not finite."""
+    eps = _EPS.get()
+    if isinstance(next(chain.from_iterable(chain.from_iterable(groups)), 0.0), (Fraction, int)):
+        return eps
+    eps *= math.prod(max(1.0, float(max(map(abs, chain.from_iterable(rows)), default=0.0)))
+                     for rows in groups)
+    if not math.isfinite(eps):
+        raise PrecisionError("the tolerance scaled to the float entries is not finite "
+                             "in double precision")
+    return eps
 
 
 def exact_sqrt(q):

@@ -223,3 +223,24 @@ def test_verify_entry_builds_each_sample_once(monkeypatch):
     calls["find_codim1_abelian_ideal"] = 0
     assert verify_entry(lchk, lchk.samples[:1])["ok"]
     assert calls["find_codim1_abelian_ideal"] == 0
+
+
+def test_verify_entry_reports_package_errors_and_raises_programming_errors(monkeypatch):
+    """A ValueError the package raises (here a DataError from extract_data)
+    becomes a failure line; a TypeError is a bug and propagates."""
+    from aalg import catalog
+    from aalg.almost_abelian import DataError
+
+    def raising(exc):
+        def extract_data(H, ideal):
+            raise exc
+        return extract_data
+
+    g1 = ENTRIES["g1"]
+    monkeypatch.setattr(catalog, "extract_data", raising(DataError("J_NOT_COMPATIBLE", "x")))
+    rep = verify_entry(g1, g1.samples[:1])
+    assert not rep["ok"]
+    assert any("witness build failed: J_NOT_COMPATIBLE" in f for f in rep["failures"])
+    monkeypatch.setattr(catalog, "extract_data", raising(TypeError("a bug")))
+    with pytest.raises(TypeError, match="a bug"):
+        verify_entry(g1, g1.samples[:1])

@@ -885,3 +885,38 @@ def test_exact_commands_load_neither_numpy_nor_the_manifest(tmp_path, commands):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"codes": [0] * len(argvs), "numpy": False,
                                        "parsed": 0, "attributes": []}
+
+
+@pytest.mark.parametrize("command", ["check", "data", "lattice"])
+@pytest.mark.parametrize("zeros", [200, 400])
+def test_huge_decimal_literal_is_an_input_error(tmp_path, capsys, command, zeros):
+    """1 followed by 200 zeros parses, but the Jacobi tolerance scaled to its
+    square is not finite; with 400 zeros the literal itself is beyond double
+    precision.  Either way: exit 1 and one error line, no traceback."""
+    literal = "1" + "0" * zeros + ".0"
+    path = tmp_path / "huge.alg"
+    path.write_text(f"algebra huge dim 4\nd = ({literal} f14, 0, 0, 0)\n"
+                    "J: f1->f4, f2->f3\ng: identity\n", encoding="utf-8")
+    argv = [command, str(path)] + (["--rule", "2logk:K=3"] if command == "lattice" else [])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if zeros == 400:
+        assert captured.err == f"error: bad number {literal!r} at line 2, column 6\n"
+    else:
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.err.endswith("double precision\n")
+
+
+def test_lattice_rejects_an_exact_coefficient_beyond_double_precision(tmp_path, capsys):
+    """An exact coefficient of 401 digits stays exact for data, but the float
+    probe cannot take B: exit 1 and one error line, no traceback."""
+    path = tmp_path / "huge.alg"
+    path.write_text(f"algebra huge dim 4\nd = (1{'0' * 400} f14, 0, 0, 0)\n"
+                    "J: f1->f4, f2->f3\ng: identity\n", encoding="utf-8")
+    assert main(["data", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["lattice", str(path), "--rule", "2logk:K=3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: B is not finite in double precision\n"

@@ -1,7 +1,8 @@
 """Source hygiene: every name a module imports is used in that module,
 every definition in the package is reached from a command (or listed with
 its reason), and the float tolerance has one source
-(``scalars.current_eps``)."""
+(``scalars.current_eps``, scaled only by ``scalars.scaled_eps``) and no
+hidden literal beside it."""
 
 import ast
 import re
@@ -69,6 +70,51 @@ def tolerance_knobs(path):
 def test_one_source_of_the_float_tolerance():
     hits = [hit for path in SOURCES for hit in tolerance_knobs(path)]
     assert not hits, "use scalars.tolerance instead:\n" + "\n".join(hits)
+
+
+# the float literals below 1e-3 in the package outside scalars.py, keyed
+# (module, enclosing function or assigned module-level name, value), each
+# with its reason: a float decision reads current_eps() or scalars.scaled_eps
+SMALL_LITERALS = {
+    ("lattice", "DEFAULT_EPS_INT", 1e-06): "the default of --eps-int, the probe's "
+        "integrality threshold on polynomial coefficients, not a zero-test",
+    ("lchk", "_admissible_exact", 1e-07): "the real-root filter of the float multiplicity "
+        "table, frozen with the seed-2 sweep digest until the table reads the exact "
+        "spectrum (ROADMAP item 1)",
+}
+
+
+def small_literals(path):
+    """(module, where, value) of each float literal 0 < x < 1e-3 in one
+    source file; where is the enclosing function, or the name a
+    module-level assignment binds."""
+    hits = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        elif isinstance(node, ast.Assign) and where == "<module>":
+            where = ",".join(t.id for t in node.targets if isinstance(t, ast.Name))
+        if (isinstance(node, ast.Constant) and isinstance(node.value, float)
+                and 0 < node.value < 1e-3):
+            hits.add((path.stem, where, node.value))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return hits
+
+
+def test_no_hidden_tolerance_literals():
+    """A float decision compares against the one tolerance: a small float
+    literal outside scalars.py fails here until it is listed above with
+    its reason."""
+    found = set().union(*(small_literals(path)
+                          for path in sorted((ROOT / "src" / "aalg").glob("*.py"))
+                          if path.name != "scalars.py"))
+    assert found == set(SMALL_LITERALS), (
+        f"unlisted: {sorted(found - set(SMALL_LITERALS))}, "
+        f"gone: {sorted(set(SMALL_LITERALS) - found)}")
 
 
 DEFINITION = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -273,14 +319,13 @@ KIND_BRANCHES = {
     ("linalg", "charpoly"): "Faddeev-LeVerrier on integer numerators vs on floats",
     ("linalg", "rational_roots"): "exact coefficients only",
     ("lchk", "_admissible"): "exact and float LCHK verdicts",
-    ("lie", "jacobi_witness"): "float Jacobi tolerance",
-    ("hermitian", "nijenhuis"): "float Nijenhuis tolerance",
     ("lattice", "char_min_poly"): "Faddeev-LeVerrier vs eigenvalue clusters",
     ("scalars", "kind_of"): "scalar kernel",
     ("scalars", "coerce"): "scalar kernel",
     ("scalars", "zero"): "scalar kernel",
     ("scalars", "one"): "scalar kernel",
     ("scalars", "is_zero"): "scalar kernel",
+    ("scalars", "scaled_eps"): "scalar kernel: exact entries keep eps unscaled",
     ("scalars", "sqrt_scalar"): "scalar kernel",
     ("scalars", "fmt"): "scalar kernel",
     ("documents", "_document_kind"): "document kind inference",

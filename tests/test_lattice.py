@@ -173,3 +173,124 @@ def test_probe_warn_band():
     b = [[math.log(2.0) + 2e-7, 0.0], [0.0, 0.0]]
     rep = integrality_probe(b, t_values=[1.0], eps_int=1e-7)
     assert rep.points[0].verdict == "WARN"
+
+
+# -- the block form through the ambient tolerance ------------------------------
+
+def old_rotation_blocks(b):
+    """The index-condition reader the block form replaced, with its fixed
+    1e-14 tolerance: the reference at the default eps."""
+    eps = 1e-14
+    n = len(b)
+    blocks = []
+    i = 0
+    while i < n:
+        row_tail = all(abs(b[i][j]) <= eps for j in range(n) if j != i and abs(j - i) != 1)
+        if (i + 1 < n and abs(b[i][i] - b[i + 1][i + 1]) <= eps
+                and abs(b[i][i + 1] + b[i + 1][i]) <= eps
+                and abs(b[i][i + 1]) > eps
+                and all(abs(b[i][j]) <= eps for j in range(n) if j not in (i, i + 1))
+                and all(abs(b[i + 1][j]) <= eps for j in range(n) if j not in (i, i + 1))
+                and all(abs(b[j][i]) <= eps and abs(b[j][i + 1]) <= eps
+                        for j in range(n) if j not in (i, i + 1))):
+            blocks.append(("rot", i, b[i][i], b[i][i + 1]))
+            i += 2
+        elif row_tail and all(abs(b[j][i]) <= eps for j in range(n) if j != i):
+            blocks.append(("diag", i, b[i][i]))
+            i += 1
+        else:
+            return None
+    return blocks
+
+
+def old_block_exp(blocks, n, t, growth):
+    """The hand-assembled exp(t b) the block form replaced."""
+    out = [[0.0] * n for _ in range(n)]
+    for blk in blocks:
+        if blk[0] == "diag":
+            _, i, lam = blk
+            out[i][i] = growth(lam)
+        else:
+            _, i, al, be = blk
+            e = growth(al)
+            c, s = math.cos(t * be), math.sin(t * be)
+            out[i][i] = e * c
+            out[i][i + 1] = e * s
+            out[i + 1][i] = -e * s
+            out[i + 1][i + 1] = e * c
+    return out
+
+
+def random_block_form(rng):
+    """A float matrix in rotation-block form: 1x1 blocks and 2x2 blocks
+    [[al, be], [-be, al]] with be != 0, in random order."""
+    blocks = []
+    for _ in range(rng.randint(1, 5)):
+        if rng.random() < 0.5:
+            blocks.append([[rng.uniform(-3, 3)]])
+        else:
+            al, be = rng.uniform(-3, 3), rng.choice([-1, 1]) * rng.uniform(0.1, 3)
+            blocks.append([[al, be], [-be, al]])
+    return linalg.block_diag(blocks, "float")
+
+
+def block_form_cases(rng):
+    """Block forms; near-block forms with one entry moved by 1e-15 (block
+    form within both tolerances) or by 1e-6 to 1 (within neither); and
+    permuted block forms P B P^t."""
+    for _ in range(200):
+        b = random_block_form(rng)
+        n = len(b)
+        yield b
+        for delta in (1e-15, 1e-6, 1e-3, 1.0):
+            near = [row[:] for row in b]
+            i, j = rng.randrange(n), rng.randrange(n)
+            near[i][j] += delta
+            yield near
+        perm = rng.sample(range(n), n)
+        yield [[b[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+
+
+def bits(m):
+    return [[x.hex() for x in row] for row in m]
+
+
+def test_block_form_matches_the_index_conditions():
+    """At the default eps the block form accepts what the index conditions
+    accepted, and exp(t b) and the 2 log k rule's power form are equal bit
+    for bit."""
+    from aalg.lattice import _block_exp, _rotation_blocks
+    accepted = rejected = 0
+    for b in block_form_cases(random.Random(33)):
+        old, new = old_rotation_blocks(b), _rotation_blocks(b)
+        assert (old is None) == (new is None), b
+        if new is None:
+            rejected += 1
+            continue
+        accepted += 1
+        n = len(b)
+        for t in (0.0, 0.7, -2.5, 2 * math.log(3)):
+            growth = lambda x: math.exp(t * x)
+            assert bits(_block_exp(new, t, growth)) == bits(old_block_exp(old, n, t, growth))
+            assert bits(matrix_exp(b, t)) == bits(old_block_exp(old, n, t, growth))
+        t = 2 * math.log(5)
+        power = lambda x: math.pow(5, 2.0 * x)
+        assert bits(_block_exp(new, t, power)) == bits(old_block_exp(old, n, t, power))
+    assert accepted > 200 and rejected > 200
+
+
+def test_block_form_follows_the_tolerance():
+    """An off-block entry of 1e-12 is block form within the default eps and
+    not under tolerance(0); nullity's floor moves with tolerance(1e-6)."""
+    from aalg.lattice import _rotation_blocks, nullity
+    from aalg.scalars import tolerance
+    b = linalg.block_diag([[[1.0, 2.0], [-2.0, 1.0]], [[3.0]]], "float")
+    b[0][2] = 1e-12
+    assert _rotation_blocks(b) is not None
+    assert old_rotation_blocks(b) is None
+    with tolerance(0):
+        assert _rotation_blocks(b) is None
+    arr = np.diag([1.0, 1e-7])
+    assert nullity(arr, 0.0) == 0
+    with tolerance(1e-6):
+        assert nullity(arr, 0.0) == 1

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from aalg import linalg
+from aalg.scalars import current_eps
 from aalg.catalog import ENTRIES, LCHK_LIST, _restrict_last, instantiate
 from aalg.forms import KForm
 from aalg.lchk import (K1, K2, K3, LchkError, construct_lchk,
@@ -352,3 +353,76 @@ def test_multiplicity_table_lists_the_rotation_pair(b):
 def test_multiplicity_table_takes_huge_entries():
     b = 10 ** 200
     assert _counts_every_eigenvalue(block_diag([rot(0, b), rot(0, -b), *scalars(0, 0, 0)]))
+
+
+# -- the float verdict agrees with the exact one on rational inputs -----------
+
+_VERDICT_FIELDS = ("admissible", "hyperkahler", "diagonalizable", "condition_spectrum_line",
+                   "condition_real_multiplicity", "condition_even_pairs")
+
+
+def integer_shear(rng, n):
+    """A product of n integer shears: unimodular, so its inverse is integer."""
+    s = linalg.idmat(n)
+    for _ in range(n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice([F(1), F(-1)])
+        for r in range(n):
+            s[r][i] += c * s[r][j]
+    return s
+
+
+def _float_verdict_agrees(D):
+    """The float copy of an exact D has its verdict, and a within eps."""
+    exact = lchk_admissible(D)
+    fl = lchk_admissible([[float(x) for x in row] for row in D])
+    assert [getattr(fl, f) for f in _VERDICT_FIELDS] == \
+        [getattr(exact, f) for f in _VERDICT_FIELDS]
+    assert (fl.a is None) == (exact.a is None)
+    if exact.a is not None:
+        assert abs(fl.a - float(exact.a)) <= current_eps()
+    return exact
+
+
+# non-admissible D: a Jordan block at a (alone, and beside a rotation
+# pair), the spectrum off the line a + iR, an odd pair multiplicity and a
+# low real multiplicity
+_NOT_ADMISSIBLE = {
+    "jordan at a": block_diag([[[2, 1], [0, 2]], *scalars(2, 2, 2, 2, 2)]),
+    "jordan at a + rotation": block_diag([[[F(1, 2), 1], [0, F(1, 2)]], rot(F(1, 2), 3),
+                                          *scalars(F(1, 2), F(1, 2), F(1, 2))]),
+    "off the line": block_diag([*scalars(1, 1, 1), rot(2, 1), rot(2, 1)]),
+    "odd pair multiplicity": block_diag([*scalars(1, 1, 1, 1, 1), rot(1, 1)]),
+    "low real multiplicity": block_diag([*scalars(1), rot(1, 2), rot(1, 2), rot(1, 3)]),
+}
+
+
+def _conjugate(D, rng):
+    """P D P^-1 for a product P of integer shears."""
+    P = integer_shear(rng, len(D))
+    return linalg.mat_mul(linalg.mat_mul(P, D), linalg.inverse(P))
+
+
+def test_float_verdict_agrees_on_every_lchk_sample():
+    """Each LCHK catalog sample and an integer conjugate of it."""
+    rng = random.Random(9)
+    verdicts = []
+    for name in LCHK_LIST:
+        for params in ENTRIES[name].samples:
+            D = _restrict_last(instantiate(ENTRIES[name], params))
+            verdicts += [_float_verdict_agrees(D), _float_verdict_agrees(_conjugate(D, rng))]
+    assert all(v.admissible for v in verdicts)
+    assert any(v.hyperkahler for v in verdicts)
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(case, marks=[pytest.mark.xfail(
+        strict=True, reason="off the line, the float conditions (ii) and (iii) count every "
+        "real eigenvalue and every nonreal pair; the exact ones count the eigenvalue a "
+        "and decide (iii) only under (i)")] if case == "off the line" else [])
+    for case in _NOT_ADMISSIBLE])
+def test_float_verdict_agrees_on_non_admissible_matrices(case):
+    """The block form and an integer conjugate of it."""
+    D = _NOT_ADMISSIBLE[case]
+    for M in (D, _conjugate(D, random.Random(case))):
+        assert not _float_verdict_agrees(M).admissible
