@@ -168,13 +168,14 @@ def _admissible_float(D):
     diagonalizable = all(blocks == mult for _, mult, _, blocks in clusters)
     a = trace / len(D)
     cond_i = all(abs(c.real - a) <= tol for c, *_ in clusters)
-    m0 = sum(mult for c, mult, *_ in clusters if abs(c.imag) <= tol)
+    # (ii) counts the eigenvalue a; (iii) and the pairs are read under (i),
+    # as on the exact path
+    m0 = sum(mult for c, mult, *_ in clusters if abs(c.real - a) <= tol and abs(c.imag) <= tol)
     cond_ii = m0 >= 3
-    cond_iii = all(mult % 2 == 0 for c, mult, *_ in clusters if c.imag > tol)
+    pairs = [(c, mult) for c, mult, *_ in clusters if c.imag > tol] if cond_i else []
+    cond_iii = cond_i and all(mult % 2 == 0 for _, mult in pairs)
     mult_table = [(0.0, m0)] if m0 else []
-    for c, mult, *_ in sorted(clusters, key=lambda t: -abs(t[0].imag)):
-        if c.imag > tol:
-            mult_table.append((abs(c.imag), mult))
+    mult_table += [(abs(c.imag), mult) for c, mult in sorted(pairs, key=lambda t: -abs(t[0].imag))]
     return diagonalizable, cond_i, cond_ii, cond_iii, a, abs(a) <= tol, mult_table
 
 

@@ -13,9 +13,11 @@ identity as d^2 = 0 on the coframe, exactly on the rational path and on
 floats against ``scalars.scaled_eps`` over (c, c), the scale of the cyclic
 sums.  A
 hyperplane is an ideal iff it contains [L, L], so the ideal test evaluates
-its covector on the brackets; the ideal search solves one linear system
-in the covector, on the integer rows of the bracket numerators and the
-coframe terms.
+its covector on the brackets.  The ideal search eliminates the integer
+bracket rows once; on exact algebras it then solves the coframe
+conditions in the dim ann [L, L] coordinates of the covector over their
+null space (one on every s_2n), while floats keep one pivoted system in
+all n coordinates, the bracket rows last.
 An ideal is a tuple of basis vectors (coefficient tuples);
 :func:`abelian_ideal` validates a declared ideal or searches for one, and
 caches the answer on the algebra once per declaration.
@@ -198,13 +200,28 @@ def find_codim1_abelian_ideal(L: LieAlgebra):
 
     ``ker xi`` is an abelian ideal iff xi kills every bracket and
     xi ^ de^k = 0 for every k, and both conditions are linear in xi, so the
-    answers and 0 form the null space V of one homogeneous system.  When
+    answers and 0 form the null space of one homogeneous system.  When
     xi_t != 0, the components of xi ^ de^k on the triples through t imply
     all the others, and a nonzero xi that kills [L, L] is nonzero at a free
     column of the brackets' rref, so only the triples that meet a free
-    column are kept.  The answer is ker V[-1], the basis vector of the
-    largest free column (span(e_1 .. e_{d-1}) for the abelian algebra), as
-    a tuple of basis vectors.
+    column are kept.  The answer is ker V[-1], as a tuple of basis vectors,
+    with V the null-space basis (free variables in column order): V
+    depends only on the solution space, and V[-1] is the solution with the
+    largest last nonzero column, zero at the other free columns
+    (span(e_1 .. e_{d-1}) for the abelian algebra).
+
+    On exact algebras the brackets are eliminated first.  Their rref gives
+    the null space nu_1 .. nu_r of the bracket rows, r = dim ann [L, L]
+    (one on every s_2n), with nu_j d at the j-th free column f_j and zero
+    at the other free columns and after f_j.  Writing xi = sum_j y_j nu_j
+    turns the xi ^ de^k rows into rows in the r unknowns y, built on the
+    coordinates where some nu_j is nonzero; y -> xi takes their null-space
+    basis W to d V, so V[-1] is read off W[-1].  That is one bracket
+    elimination plus one in r columns, none when no row survives (as on
+    s_2n).  Floats keep one system in the n coordinates of xi, over the
+    unit covectors with the bracket rows last: pivoting over all of it
+    finds the ideal on ill-conditioned float copies, where a two-stage
+    float solve does not.
 
     The system's rows are dc times those conditions, read off
     :attr:`LieAlgebra.constants` and :attr:`LieAlgebra.coframe_terms`:
@@ -213,22 +230,46 @@ def find_codim1_abelian_ideal(L: LieAlgebra):
     """
     n = L.dim
     dc, rows, _ = L.constants
-    free = set(range(n)).difference(linalg.rref(rows)[1])
+    red, pivots = linalg.rref(rows)
+    free = set(range(n)).difference(pivots)
+    free_columns = sorted(free)
+    # coords[l]: the nonzero (j, x) with xi_l = sum_j x y_j
+    if L.kind == EXACT:
+        # nu_j is d times the null-space vector of free column j
+        ((d, red),) = linalg._numerators(red[:len(pivots)])
+        coords = [[] for _ in range(n)]
+        for j, f in enumerate(free_columns):
+            coords[f].append((j, d))
+            for p, row in zip(pivots, red):
+                if row[f]:
+                    coords[p].append((j, -row[f]))
+        width, tail = len(free), []
+    else:
+        coords = [[(l, 1)] for l in range(n)]
+        width, tail = n, rows
+    # the triples that meet a free column: any l when a or b is free, else
+    # a free l; l increases over the columns where some nu_j is nonzero
+    # (every column on floats)
+    support = [l for l in range(n) if coords[l]]
     # int 0, or 0.0 on floats: the first entry decides the system's kind
     zero = 0 * dc
     wedge = {}
     for k, terms in enumerate(L.coframe_terms[1]):
         for (a, b), c in terms:
-            for l in range(n):
-                if l not in (a, b) and free.intersection((l, a, b)):
+            for l in support if a in free or b in free else free_columns:
+                if l not in (a, b):
                     key, sign = sort_indices((l, a, b))
-                    row = wedge.setdefault((k, key), [zero] * n)
-                    row[l] += sign * c
-    system = [wedge[key] for key in sorted(wedge)] + rows
-    V = linalg.nullspace(system) if system else linalg.idmat(n, L.kind)
+                    row = wedge.setdefault((k, key), [zero] * width)
+                    for j, x in coords[l]:
+                        row[j] += sign * c * x
+    system = [wedge[key] for key in sorted(wedge)] + tail
+    V = linalg.nullspace(system) if system else linalg.idmat(width, L.kind)
     if not V:
         return None
-    ideal = tuple(map(tuple, linalg.nullspace([V[-1]])))
+    xi = V[-1]
+    if L.kind == EXACT:
+        xi = [sum(x * xi[j] for j, x in coords[l]) for l in range(n)]
+    ideal = tuple(map(tuple, linalg.nullspace([xi])))
     # direct re-check guards against elimination bugs
     defect = abelian_ideal_defect(L, ideal)
     if defect is not None:

@@ -319,6 +319,8 @@ KIND_BRANCHES = {
     ("linalg", "charpoly"): "Faddeev-LeVerrier on integer numerators vs on floats",
     ("linalg", "rational_roots"): "exact coefficients only",
     ("lchk", "_admissible"): "exact and float LCHK verdicts",
+    ("lie", "find_codim1_abelian_ideal"):
+        "exact: xi in ann [L, L]; float: one pivoted system over the unit covectors",
     ("lattice", "char_min_poly"): "Faddeev-LeVerrier vs eigenvalue clusters",
     ("scalars", "kind_of"): "scalar kernel",
     ("scalars", "coerce"): "scalar kernel",

@@ -4,7 +4,7 @@ reference, and ``lie.abelian_ideal`` as the one cached owner.
 The reference solves every pivot branch of xi, and L has more than one
 codimension-one abelian ideal when a branch has free parameters or a
 second branch is consistent; the search solves one homogeneous system for
-xi.  Both must return the same basis vectors on R^k x|_D R (random D,
+xi, on exact algebras in its coordinates over ann [L, L].  Both must return the same basis vectors on R^k x|_D R (random D,
 rank-one D with D^2 = 0, D = 0, optionally in a sheared basis), and a
 float copy must return the exact answer within 1e-12 relative; both
 return None on so(3) + R^k and h5.
@@ -215,6 +215,16 @@ def sheared_algebra(seed):
     return L
 
 
+def dense_algebra(dim, shape):
+    """The algebra of a random structure of one shape in dimension dim,
+    moved by a random shear: a dense basis, seeded by dim and shape."""
+    rng = random.Random(100 * dim + len(shape))
+    d = random_data(rng, dim // 2, shape)
+    L, _, _ = transported(*build_algebra(d.a, list(d.v), d.A_matrix, d.J1_matrix),
+                          random_shear(rng, dim))
+    return L
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_search_matches_the_fraction_row_reference_on_sheared_algebras(seed):
     """The integer rows are dc times the Fraction rows, so the exact answer
@@ -227,17 +237,32 @@ def test_search_matches_the_fraction_row_reference_on_sheared_algebras(seed):
 
 
 def test_search_system_holds_ints_on_exact_algebras(monkeypatch):
-    """The system whose null space the search takes: Python ints on an exact
-    algebra (no Fraction built and cleared again), floats on its float copy."""
+    """The system whose null space the search takes: on an exact algebra,
+    Python ints (no Fraction built and cleared again) in the r = dim
+    ann [L, L] coordinates of xi over the brackets' null space; on its
+    float copy, floats in the n coordinates of xi with the bracket rows
+    last.  On s_12 the one free column carries all of ann [L, L] and no
+    exact row survives, so only the float copy solves a system."""
     systems = []
     nullspace = linalg.nullspace
     monkeypatch.setattr(linalg, "nullspace", lambda a: systems.append(a) or nullspace(a))
     s12 = to_algebra(entry_document(_s2n_entry(6), {"a": F(-2), "c": F(1, 2)}))
-    for L in (s12, sheared_algebra(3), sheared_algebra(7), so3_plus(1)):
-        for M, kind in ((L, int), (float_copy(L), float)):
-            systems.clear()
-            find_codim1_abelian_ideal(M)
-            assert systems[0] and all(type(x) is kind for row in systems[0] for x in row)
+    for L in (s12, sheared_algebra(3), sheared_algebra(7), so3_plus(1), dense_algebra(16, "skt")):
+        r = L.dim - linalg.rank(list(L.brackets.values()))
+        systems.clear()
+        find_codim1_abelian_ideal(L)
+        if L is s12:
+            assert [len(a) for a in systems] == [1, L.dim - 1]
+        else:
+            assert systems[0] and all(len(row) == r and all(type(x) is int for x in row)
+                                      for row in systems[0])
+        M = float_copy(L)
+        systems.clear()
+        find_codim1_abelian_ideal(M)
+        rows = M.constants[1]
+        assert systems[0][-len(rows):] == rows
+        assert all(len(row) == M.dim and all(type(x) is float for x in row)
+                   for row in systems[0])
 
 
 @pytest.mark.parametrize("L", [so3_plus(k) for k in range(4)] + [H5])
@@ -247,12 +272,13 @@ def test_no_abelian_hyperplane_ideal(L):
         assert ref_find_codim1_abelian_ideal(M) is None
 
 
-def test_s12_search_runs_four_eliminations(monkeypatch):
+def test_s12_search_runs_three_eliminations(monkeypatch):
     """On s_12, in its own basis and with the transversal moved first, the
-    search runs four eliminations: the brackets' rref, the null space of
-    the system, the ideal's basis and the re-check.  The multi-branch
-    reference takes fourteen on s_12; stopping at the first consistent
-    branch took fifteen with the transversal first."""
+    search runs three eliminations: the brackets' rref, the ideal's basis
+    and the re-check.  ann [L, L] is the line over the one free column, so
+    no xi ^ de^k row survives and V[-1] is read off without an elimination.
+    The multi-branch reference takes fourteen on s_12; stopping at the
+    first consistent branch took fifteen with the transversal first."""
     L = to_algebra(entry_document(_s2n_entry(6), {"a": F(-2), "c": F(1, 2)}))
     n = L.dim
     shift = [[F(int(i == (j - 1) % n)) for j in range(n)] for i in range(n)]
@@ -262,10 +288,21 @@ def test_s12_search_runs_four_eliminations(monkeypatch):
     for M in (L.change_basis(shift), L):
         calls.clear()
         got = find_codim1_abelian_ideal(M)
-        assert len(calls) == 4
+        assert len(calls) == 3
     calls.clear()
     assert ref_find_codim1_abelian_ideal(L) == got
     assert len(calls) == 14
+
+
+@pytest.mark.parametrize("shape", ["skt", "lcb"])
+def test_search_matches_the_fraction_row_reference_on_dense_algebras(shape):
+    """Sheared dim-16 skt and lcb algebras, whose brackets leave three free
+    columns: the exact search solves in three unknowns over ann [L, L] and
+    must give the answer of the one system in all sixteen."""
+    L = dense_algebra(16, shape)
+    assert L.dim - linalg.rank(list(L.brackets.values())) == 3
+    got = find_codim1_abelian_ideal(L)
+    assert got is not None and got == ref_fraction_row_search(L)
 
 
 # -- one owner, cached per declaration --------------------------------------------

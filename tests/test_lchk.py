@@ -415,12 +415,7 @@ def test_float_verdict_agrees_on_every_lchk_sample():
     assert any(v.hyperkahler for v in verdicts)
 
 
-@pytest.mark.parametrize("case", [
-    pytest.param(case, marks=[pytest.mark.xfail(
-        strict=True, reason="off the line, the float conditions (ii) and (iii) count every "
-        "real eigenvalue and every nonreal pair; the exact ones count the eigenvalue a "
-        "and decide (iii) only under (i)")] if case == "off the line" else [])
-    for case in _NOT_ADMISSIBLE])
+@pytest.mark.parametrize("case", _NOT_ADMISSIBLE)
 def test_float_verdict_agrees_on_non_admissible_matrices(case):
     """The block form and an integer conjugate of it."""
     D = _NOT_ADMISSIBLE[case]
