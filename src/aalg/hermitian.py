@@ -1,6 +1,6 @@
 """Hermitian structures on Lie algebras: integrability, Lee form, the
-direct metric predicates, Levi-Civita and Bismut connections, and the
-Bismut-Ricci curvature oracle.
+direct metric predicates, Levi-Civita and Bismut connections, the
+Bismut-Ricci curvature oracle and Levi-Civita flatness.
 
 The Nijenhuis tensor is read off the nonzero blocks [e_a, e_b] of the
 algebra's integer table of ad^t (``LieAlgebra.constants``, so a second J
@@ -34,6 +34,13 @@ Conventions, fixed package-wide and spelled out in the README:
   products with the integer views of g^{-1} and g^{-1} J^t, the traces
   integer sums, and only rho^B's coefficients become Fractions (floats
   pass with d = 2.0); no connection matrix is built;
+* Levi-Civita flatness (``riemann_is_flat``, the check of a hyperkahler
+  witness) reads the same integer tables: Gamma_i = G_i / D with
+  G_i = g^{-1} T_i, and R(e_i, e_j) = 0 is dc (G_i G_j - G_j G_i) -
+  D sum_t c^t_ij G_t = 0, two integer products per pair i < j, summed over
+  the nonzero entries and rows only and zero-tested row by row up to the
+  first nonzero row (floats within scaled_eps(c, G, G)); no connection or
+  curvature matrix is built;
 * Lee form  theta(e_k) = 1/2 sum_{p,q} M_pq d omega(e_p, e_q, e_k) with
   M = g^{-1} J^t, each coefficient of d omega entering in its six orderings,
   summed on the integer numerators of M and d omega; balanced is theta = 0
@@ -408,24 +415,61 @@ def _lowered(L: LieAlgebra, g: Metric, sigma):
     return 2 * dc * dg * ds, t
 
 
+def _gamma_numerators(g: Metric, d, t):
+    """(D, G) with Gamma_i = G_i / D: G_i = g^{-1} T_i on the integer view of
+    g^{-1} and the integer tables T of :func:`_lowered` (floats over a
+    float D); a zero T_i is its own G_i."""
+    di, gi = g.inverse
+    return di * d, [linalg._row_sums(gi, ti, 0) if any(map(any, ti)) else ti for ti in t]
+
+
 def _raised(g: Metric, d, t):
     """Gamma_i = g^{-1} T_i / d for the integer tables T of :func:`_lowered`."""
-    di, gi = g.inverse
-    return [linalg._over(linalg._row_sums(gi, ti, 0), di * d) for ti in t]
+    dd, gamma = _gamma_numerators(g, d, t)
+    return [linalg._over(gn, dd) for gn in gamma]
 
 
-def curvature_operator(gamma, L: LieAlgebra, i, j):
-    """R(e_i, e_j) = [Gamma_i, Gamma_j] - Gamma_{[e_i, e_j]}."""
-    r = linalg.commutator(gamma[i], gamma[j])
-    bij = L.basis_bracket(i, j)
-    for t, c in enumerate(bij):
-        if not is_zero(c):
-            r = linalg.mat_sub(r, linalg.mat_scale(c, gamma[t]))
-    return r
+def riemann_is_flat(L: LieAlgebra, g: Metric) -> bool:
+    """R = 0 for the Levi-Civita connection of g, decided on the integer
+    tables Gamma_i = G_i / D of :func:`_gamma_numerators`: with the
+    algebra's constants c^t_ij over dc, R(e_i, e_j) = [Gamma_i, Gamma_j] -
+    sum_t c^t_ij Gamma_t vanishes exactly when
 
+        dc (G_i G_j - G_j G_i) - D sum_t c^t_ij G_t = 0,
 
-def riemann_is_flat(gamma, L: LieAlgebra) -> bool:
+    tested row by row, pair by pair i < j, up to the first nonzero row: two
+    integer products per pair and no Fraction.  Row k is summed from the
+    nonzero entries of row k of G_i and G_j over the nonzero rows they
+    meet, so rows and pairs that no nonzero entry reaches cost nothing.
+    Exact rows are zero-tested on Python ints; float rows (dc = 1.0,
+    D = 2.0) within scaled_eps(c, G, G), the scale of the terms."""
     n = L.dim
-    return all(
-        linalg.is_zero_matrix(curvature_operator(gamma, L, i, j))
-        for i in range(n) for j in range(i + 1, n))
+    dd, gamma = _gamma_numerators(g, *_lowered(L, g, {}))
+    dc, rows, table = L.constants
+    # nz[i][k]: the (l, dc G_i[k][l]) of the nonzero entries of row k of G_i
+    nz = [[[(l, dc * x) for l, x in enumerate(row) if x] for row in gi] for gi in gamma]
+    nonzero = [any(r) for r in nz]
+    zeros = [0] * n
+    flat = [row for gi in gamma for row in gi]
+    with tolerance(scaled_eps(rows, flat, flat)):
+        for i in range(n):
+            for j in range(i + 1, n):
+                terms = [(t, dd * c) for t, c in enumerate(table[i][j * n:(j + 1) * n])
+                         if c and nonzero[t]]
+                if not (terms or nonzero[i] and nonzero[j]):
+                    continue
+                gi, gj, ni, nj = gamma[i], gamma[j], nz[i], nz[j]
+                for k in range(n):
+                    v = zeros
+                    for l, x in ni[k]:
+                        if nj[l]:
+                            v = [s + x * y for s, y in zip(v, gj[l])]
+                    for l, x in nj[k]:
+                        if ni[l]:
+                            v = [s - x * y for s, y in zip(v, gi[l])]
+                    for t, c in terms:
+                        if nz[t][k]:
+                            v = [s - c * y for s, y in zip(v, gamma[t][k])]
+                    if v is not zeros and any(v) and not linalg.is_zero_vector(v):
+                        return False
+    return True

@@ -28,8 +28,7 @@ from fractions import Fraction
 from .scalars import EXACT, exact_sqrt
 from . import linalg
 from .forms import KForm
-from .hermitian import (ComplexStructure, HermitianStructure, Metric, levi_civita,
-                        riemann_is_flat)
+from .hermitian import ComplexStructure, HermitianStructure, Metric, riemann_is_flat
 from .lie import LieAlgebra
 from .lattice import _spectral_clusters
 
@@ -297,5 +296,4 @@ def hyperkahler_flatness(triple: HypercomplexTriple, L: LieAlgebra) -> bool:
     """Left-invariant hyperkahler metrics are flat: assert zero curvature."""
     if not triple.theta.is_zero():
         raise LchkError("PRECONDITION", "triple is not hyperkahler (theta != 0)")
-    gamma = levi_civita(L, triple.g)
-    return riemann_is_flat(gamma, L)
+    return riemann_is_flat(L, triple.g)

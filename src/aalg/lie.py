@@ -95,12 +95,6 @@ class LieAlgebra:
             table[j][i * n:(i + 1) * n] = [-x if x else 0 for x in c]
         return dc, rows, table
 
-    def basis_bracket(self, i, j):
-        """[e_i, e_j]: block j of row i of the table."""
-        n = self.dim
-        dc, _, table = self.constants
-        return linalg._over([table[i][j * n:(j + 1) * n]], dc)[0]
-
     def ad(self, x):
         """Matrix of ad_x = [x, .]: x times the table is ad_x^t flattened,
         each entry the nonzero x_i c^k_ij added in increasing i (float sums

@@ -15,15 +15,16 @@ per nonzero output entry:
   operand through unchanged, and the same sums run on floats.
   :func:`_over` then builds Fractions, or returns floats.
 * Elimination (:func:`rref` and all built on it,
-  :func:`is_positive_definite`) clears each row to integers and reduces
-  the rows one at a time against an integer basis of the rows before them
-  (:func:`_reduce`, Bareiss's fraction-free form applied by rows; Bareiss
-  1968, "Sylvester's identity and multistep integer-preserving Gaussian
-  elimination").  Each division is exact, so every entry is a minor of
-  the cleared matrix, of at most k (b + log2(k) / 2) bits for a k x k
-  minor of b-bit entries (Hadamard's bound), and a row that depends on
-  the basis costs one reduction.  :func:`charpoly` runs Faddeev-LeVerrier
-  on the integer numerators, each division by k exact.
+  :func:`is_positive_definite`) clears each row to integers (a row of
+  Python ints is taken as it is) and reduces the rows one at a time
+  against an integer basis of the rows before them (:func:`_reduce`,
+  Bareiss's fraction-free form applied by rows; Bareiss 1968, "Sylvester's
+  identity and multistep integer-preserving Gaussian elimination").  Each
+  division is exact, so every entry is a minor of the cleared matrix, of
+  at most k (b + log2(k) / 2) bits for a k x k minor of b-bit entries
+  (Hadamard's bound), and a row that depends on the basis costs one
+  reduction.  :func:`charpoly` runs Faddeev-LeVerrier on the integer
+  numerators, each division by k exact.
 
 Float matrices keep the float loops (Gauss-Jordan with partial pivoting,
 Faddeev-LeVerrier), bit for bit; float Sylvester's criterion compares the
@@ -238,8 +239,17 @@ def is_zero_vector(v) -> bool:
 
 def _cleared_rows(a):
     """(d, row) for each row of an exact matrix a: row is the integer
-    vector d * a-row, d the lcm of the row's denominators."""
-    return [(d, row) for d, (row,) in _numerators(*([row] for row in a))]
+    vector d * a-row, d the lcm of the row's denominators.  A row of Python
+    ints is its own numerators over d = 1, passed on as it is (the rows are
+    only read)."""
+    out = []
+    for row in a:
+        if set(map(type, row)) == {int}:
+            out.append((1, row))
+        else:
+            ((d, (num,)),) = _numerators([row])
+            out.append((d, num))
+    return out
 
 
 def _reduce(cleared):

@@ -17,10 +17,11 @@ Two scalar kinds exist and are never mixed inside one container:
 
 The one float policy: :func:`is_zero` compares with the absolute eps; a
 sum of products is zero-tested within :func:`scaled_eps` of its factors
-(Jacobi over (c, c), Nijenhuis over (c, J, J)), which raises
-:class:`PrecisionError` when that is not finite; float spectra cluster
-within ``1e3 scaled_eps(spectrum)`` (:func:`aalg.lattice.eigen_clusters`),
-and the Jordan data of the clusters is decided only in ``lattice``.
+(Jacobi over (c, c), Nijenhuis over (c, J, J), Levi-Civita flatness over
+(c, G, G)), which raises :class:`PrecisionError` when that is not finite;
+float spectra cluster within ``1e3 scaled_eps(spectrum)``
+(:func:`aalg.lattice.eigen_clusters`), and the Jordan data of the
+clusters is decided only in ``lattice``.
 
 Integers are accepted everywhere and coerced to Fractions.
 """
@@ -70,7 +71,16 @@ def _scope(eps):
         _EPS.reset(token)
 
 
+# the scalar types themselves, told apart by identity first: Fraction is
+# registered with the numbers ABCs, so isinstance(x, Fraction) on an int or
+# a float runs ABCMeta.__instancecheck__ in Python
+_KINDS = {Fraction: EXACT, int: EXACT, float: FLOAT}
+
+
 def kind_of(x) -> str:
+    kind = _KINDS.get(type(x))
+    if kind is not None:
+        return kind
     if isinstance(x, bool):
         raise TypeError("booleans are not scalars")
     if isinstance(x, (Fraction, int)):
@@ -105,7 +115,8 @@ def one(kind: str):
 
 
 def is_zero(x) -> bool:
-    if isinstance(x, (Fraction, int)):
+    t = type(x)
+    if t is not float and (t is Fraction or t is int or isinstance(x, (Fraction, int))):
         return x == 0
     return abs(x) <= _EPS.get()
 

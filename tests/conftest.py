@@ -152,6 +152,11 @@ def dense_conjugate(b, rng):
             return linalg.mat_mul(linalg.mat_mul(p, b), p_inv)
 
 
+def bracket(L, i, j):
+    """[e_i, e_j]: column j of ad_{e_i}."""
+    return [row[j] for row in L.ad_basis(i)]
+
+
 def transported(L, J, g, s):
     """The same structure in the basis b_j = sum_i s[i][j] e_i, where an
     identity g is no longer the identity."""

@@ -12,12 +12,14 @@ from aalg.documents import (AlgebraDocument, ParseError, Term, parse, parse_idea
                             to_metric)
 from aalg.scalars import EXACT, FLOAT
 
+from conftest import bracket
+
 
 def test_parse_h3r():
     doc = parse("algebra h3R dim 4\nd = (0,0,0,f12)")
     assert doc.name == "h3R" and doc.dim == 4
     L = to_algebra(doc)
-    assert L.basis_bracket(0, 1) == [F(0), F(0), F(0), F(-1)]
+    assert bracket(L, 0, 1) == [F(0), F(0), F(0), F(-1)]
 
 
 def test_parse_g4():
@@ -58,7 +60,7 @@ def test_parameters_and_rationals():
     assert doc.params == {"p": F(-1, 4), "q": F(2)}
     assert doc.kind == EXACT
     L = to_algebra(doc)
-    assert L.basis_bracket(0, 1) == [F(1, 4), F(0), F(0), F(-2)]
+    assert bracket(L, 0, 1) == [F(1, 4), F(0), F(0), F(-2)]
 
 
 @pytest.mark.parametrize("text, literal, line, col", [
@@ -96,7 +98,7 @@ def test_decimal_forces_float_kernel():
     doc = parse("algebra t dim 4\nd = (0.25 f12, 0, 0, 0)")
     assert doc.kind == FLOAT
     L = to_algebra(doc)
-    assert isinstance(L.basis_bracket(0, 1)[0], float)
+    assert isinstance(bracket(L, 0, 1)[0], float)
 
 
 def test_comma_form_required_for_big_indices():

@@ -10,11 +10,14 @@ from aalg import linalg
 from aalg.forms import KForm, exterior_derivative, pullback, sort_indices, wedge, wedge_power
 from aalg.scalars import EXACT, FLOAT, coerce, is_zero
 from aalg.hermitian import (ComplexStructure, HermitianError, HermitianStructure,
-                            Metric, curvature_operator, levi_civita, nijenhuis)
+                            Metric, levi_civita, nijenhuis, riemann_is_flat)
 from aalg.lie import LieAlgebra
 from aalg.almost_abelian import build_algebra, standard_j1
+from aalg.catalog import ENTRIES, LCHK_LIST, _restrict_last, instantiate
+from aalg.lchk import LchkError, construct_lchk
 
-from conftest import ALL_SHAPES, data_stream, random_data, random_shear, transported
+from conftest import (ALL_SHAPES, bracket, data_stream, random_data, random_shear,
+                      transported)
 
 
 def g4_algebra():
@@ -151,7 +154,7 @@ def torsion_tensor(gamma, L: LieAlgebra):
         for j in range(i + 1, n):
             col_ij = [gamma[i][k][j] for k in range(n)]
             col_ji = [gamma[j][k][i] for k in range(n)]
-            vec = linalg.vec_sub(linalg.vec_sub(col_ij, col_ji), L.basis_bracket(i, j))
+            vec = linalg.vec_sub(linalg.vec_sub(col_ij, col_ji), bracket(L, i, j))
             out[(i, j)] = vec
     return out
 
@@ -223,7 +226,7 @@ def _reference_connections(H):
     half = coerce(1, L.kind) / 2
     gm = H.g.matrix
     ginv = linalg.inverse(gm)
-    low = [[[linalg.dot(L.basis_bracket(i, j), [row[l] for row in gm]) for l in range(n)]
+    low = [[[linalg.dot(bracket(L, i, j), [row[l] for row in gm]) for l in range(n)]
             for j in range(n)] for i in range(n)]
     sigma = pullback(H.domega(), H.J.matrix)
 
@@ -402,6 +405,100 @@ def _float_structure(L, J, g):
                    kind=FLOAT),
         ComplexStructure.from_matrix([[float(x) for x in row] for row in J.matrix]),
         Metric.from_matrix([[float(x) for x in row] for row in g.matrix]))
+
+
+def curvature_operator(gamma, L: LieAlgebra, i, j):
+    """R(e_i, e_j) = [Gamma_i, Gamma_j] - Gamma_{[e_i, e_j]}, by its definition
+    on the connection matrices."""
+    r = linalg.commutator(gamma[i], gamma[j])
+    for t, c in enumerate(bracket(L, i, j)):
+        if not is_zero(c):
+            r = linalg.mat_sub(r, linalg.mat_scale(c, gamma[t]))
+    return r
+
+
+def _literal_flat(L, g):
+    """Every curvature matrix R(e_i, e_j), i < j, of the Levi-Civita
+    connection is zero."""
+    gamma = levi_civita(L, g)
+    return all(linalg.is_zero_matrix(curvature_operator(gamma, L, i, j))
+               for i in range(L.dim) for j in range(i + 1, L.dim))
+
+
+def _float_pair(L, g):
+    return (LieAlgebra(L.dim, {k: [float(x) for x in v] for k, v in L.brackets.items()},
+                       kind=FLOAT),
+            Metric.from_matrix([[float(x) for x in row] for row in g.matrix]))
+
+
+def _sheared(L, g, s):
+    """(L, g) in the basis b_j = sum_i s[i][j] e_i."""
+    return L.change_basis(s), Metric.from_matrix(
+        linalg.mat_mul(linalg.transpose(s), linalg.mat_mul(g.matrix, s)))
+
+
+def _flatness_cases():
+    """(family, label) -> (L, g): the hyperkahler witness of every LCHK
+    catalog sample that has one, data_stream structures at dims 4, 6, 8 in
+    their adapted basis and in a sheared one, and the real hyperbolic
+    algebras R x|_I R^k, k = 2..5."""
+    cases = {}
+    for name in LCHK_LIST:
+        for i, params in enumerate(ENTRIES[name].samples):
+            verdict, witness = construct_lchk(_restrict_last(instantiate(ENTRIES[name], params)))
+            if verdict.hyperkahler and not isinstance(witness, LchkError):
+                Lc, triple, _, _ = witness
+                cases["hyperkahler", f"{name} {i}"] = Lc, triple.g
+    rng = random.Random(83)
+    for k, d in enumerate(data_stream(82, 96, dims=(2, 3, 4))):
+        L, J, g = build_algebra(d.a, list(d.v), d.A_matrix, d.J1_matrix)
+        cases["stream", k] = L, g
+        cases["stream", f"{k} sheared"] = _sheared(L, g, random_shear(rng, L.dim))
+    for k in range(2, 6):
+        cases["hyperbolic", k] = LieAlgebra.semidirect(linalg.idmat(k)), Metric.identity(k + 1)
+    return cases
+
+
+def test_riemann_is_flat_is_the_literal_curvature_test():
+    """riemann_is_flat, on the integer Levi-Civita tables, equals the
+    all-pairs test of the literal curvature matrices: True on every
+    hyperkahler catalog witness, False on the real hyperbolic algebras,
+    both on data_stream structures; and float copies of every case get the
+    exact verdict."""
+    verdicts = {}
+    for (family, label), (L, g) in _flatness_cases().items():
+        flat = riemann_is_flat(L, g)
+        assert flat == _literal_flat(L, g), (family, label)
+        assert riemann_is_flat(*_float_pair(L, g)) == flat, (family, label)
+        verdicts.setdefault(family, set()).add(flat)
+    assert verdicts == {"hyperkahler": {True}, "stream": {True, False},
+                        "hyperbolic": {False}}, verdicts
+
+
+def test_flatness_clears_once_and_builds_no_fraction(monkeypatch):
+    """An exact riemann_is_flat runs on integers: it clears its operands in
+    one linalg._numerators call (the lowered table's), whatever n, and
+    builds no Fraction matrix (no linalg._over call).  Measured on flat
+    algebras R x|_A R^(2m - 1), A skew, in a sheared basis, so that every
+    pair is tested; the metric's inverse and the algebra's constants,
+    cleared once per object, are in place first."""
+    rng = random.Random(84)
+    counts = {}
+    for m in (2, 4, 6):
+        rotation = linalg.block_diag([[[F(0), F(-t)], [F(t), F(0)]] for t in range(1, m)]
+                                     + [[[F(0)]]])
+        L, g = _sheared(LieAlgebra.semidirect(rotation), Metric.identity(2 * m),
+                        random_shear(rng, 2 * m))
+        g.inverse, L.constants    # cleared once per object, before the count
+        calls = {"_numerators": 0, "_over": 0}
+        with monkeypatch.context() as mp:
+            for name in calls:
+                real = getattr(linalg, name)
+                mp.setattr(linalg, name, lambda *a, _real=real, _name=name:
+                           calls.__setitem__(_name, calls[_name] + 1) or _real(*a))
+            assert riemann_is_flat(L, g)
+        counts[2 * m] = calls
+    assert counts == {n: {"_numerators": 1, "_over": 0} for n in (4, 8, 12)}, counts
 
 
 def _literal_rho(H):

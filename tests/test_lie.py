@@ -10,6 +10,7 @@ from aalg import linalg
 from aalg.forms import KForm, exterior_derivative
 from aalg.lie import LieAlgebra, LieAlgebraError, find_codim1_abelian_ideal
 
+from conftest import bracket
 from test_ideal_search import ref_ambiguous
 
 
@@ -17,7 +18,7 @@ def test_validate_aff2_tuple():
     # [e1, e2] = -e1, the other brackets zero
     L = LieAlgebra(4, {(0, 1): [F(-1), F(0), F(0), F(0)]})
     assert L.dim == 4
-    assert L.basis_bracket(0, 1) == [F(-1), F(0), F(0), F(0)]
+    assert bracket(L, 0, 1) == [F(-1), F(0), F(0), F(0)]
 
 
 def test_jacobi_violation_witness():

@@ -5,6 +5,7 @@ import time
 from fractions import Fraction as F
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,7 +14,7 @@ from aalg.linalg import (charpoly, inverse, minpoly, nullspace, poly_deg,
                          poly_deriv, poly_divmod, poly_eval, poly_gcd, poly_monic,
                          rank, rational_roots, rref, solve, solve_general,
                          squarefree_factors, squarefree_part, sturm_distinct_real_roots)
-from aalg.scalars import DEFAULT_EPS, EXACT, coerce
+from aalg.scalars import DEFAULT_EPS, EXACT, FLOAT, coerce, is_zero, kind_of, tolerance
 
 from conftest import dense_conjugate
 
@@ -473,6 +474,36 @@ def test_coerce_keeps_fractions_and_still_guards_the_exact_path():
     for bad in (0.5, True):
         with pytest.raises(TypeError):
             coerce(bad, EXACT)
+
+
+def test_scalar_kind_and_zero_test_per_type():
+    """kind_of and is_zero on each scalar type, the subclasses that fall
+    past the type test included: bool is no scalar to kind_of and an int to
+    is_zero, np.float64 is a float, complex is compared with the tolerance;
+    ints and Fractions are zero-tested exactly under any tolerance."""
+    kinds = [(3, EXACT), (F(1, 3), EXACT), (1.5, FLOAT), (np.float64(1.5), FLOAT)]
+    assert [kind_of(x) for x, _ in kinds] == [kind for _, kind in kinds]
+    for bad in (True, 1j, np.int64(3), "1"):
+        with pytest.raises(TypeError):
+            kind_of(bad)
+    zeros = [(0, True), (3, False), (F(0), True), (F(1, 3), False), (0.0, True), (-0.0, True),
+             (1e-12, True), (1.5, False), (np.float64(1e-12), True), (np.float64(1.5), False),
+             (False, True), (True, False), (1e-12j, True), (1j, False)]
+    assert [is_zero(x) for x, _ in zeros] == [want for _, want in zeros]
+    with tolerance(5):
+        assert [is_zero(x) for x in (3, F(7, 2), 3.0, np.float64(3.0), True)] == [
+            False, False, True, True, False]
+
+
+def test_integer_rows_are_their_own_numerators():
+    """Elimination clears a row of Python ints by passing it on over d = 1;
+    other exact rows are cleared to integers over their lcm, and the rref
+    of an integer system equals that of its Fraction copy."""
+    ints, thirds = [2, -4, 0], [F(1, 3), 1, F(-2, 3)]
+    (d0, r0), (d1, r1) = linalg._cleared_rows([ints, thirds])
+    assert (d0, d1, r1) == (1, 3, [1, 3, -2]) and r0 is ints
+    a = [[2, -4, 0, 6], [1, 0, 3, 3], [3, -4, 3, 9], [0, 8, 6, 0]]
+    assert rref(a) == rref([[F(x) for x in row] for row in a])
 
 
 def test_mat_shift_and_mat_eq():
