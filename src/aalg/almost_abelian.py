@@ -22,6 +22,16 @@ Data produced by :func:`build_algebra` is always orthonormal and matches
 the adapted-basis block form
 
     B = [[a, 0], [v, A]],   A commuting with J_1.
+
+Every reader decides on one integer view, cleared once per data
+(``HermitianData.cleared``: a, v, A, J_1, the frame norms, the coframe and
+the numerators of A* = W^-1 A^t W, W = diag(d_inner)).  Kahler is v = 0,
+A* + A = 0; LCK v = 0, m (A* + A) = 2 tr(A) Id; balanced v = 0, tr A = 0;
+SKT [A, A*] = 0, S(S + a/2) = 0 for S = (A + A*)/2; LCB A* v = 0; closed
+rho^B = u ^ b^{2n}, u = c b^1 - (A* v)^flat.  Only returned values become
+Fractions; floats run the same bodies over 1.0, dividing where the
+Fraction bodies did, so their bits are unchanged; the LCK and SKT
+residuals, m and 4 times the former ones, compare within m eps and 4 eps.
 """
 
 from __future__ import annotations
@@ -30,9 +40,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 
-from .scalars import EXACT, coerce, is_zero, one, sqrt_scalar, zero
+from .scalars import EXACT, coerce, is_zero, one, scaled_eps, sqrt_scalar, tolerance, zero
 from . import linalg
-from .forms import KForm
+from .forms import KForm, _form_over, pullback
 from .hermitian import ComplexStructure, HermitianStructure, Metric
 from .lie import LieAlgebra, LieAlgebraError, abelian_ideal
 
@@ -82,22 +92,25 @@ class HermitianData:
     def J1_matrix(self):
         return [list(row) for row in self.J1]
 
-    @property
-    def v_vector(self):
-        return list(self.v)
-
     @cached_property
-    def adjoint_A(self):
-        """g-adjoint of A on n_1, computed once: S^-1 A^t S with S =
-        diag(d_inner) the frame Gram matrix, so entry (i, j) is
-        (1/d_i) (A_ji d_j).  A tuple of rows, as A is."""
-        d = self.d_inner
-        inv = [1 / x for x in d]
-        return tuple(tuple(inv[i] * (self.A[j][i] * d[j]) for j in range(self.m))
-                     for i in range(self.m))
+    def cleared(self):
+        """((dd, a, v, A, J1), (dw, d_outer, d_inner), (k, A*, A* + A), (dc,
+        coframe)), numerators over the first entry of each tuple (over k dd
+        in the third); floats pass over 1.0, A*_ij = (1/w_i)(A_ji w_j)."""
+        m = self.m
+        (dd, (head, *rows)), (dw, ((on, *wn),)), (di, (inv,)), coframe = linalg._numerators(
+            [[self.a, *self.v], *self.A, *self.J1], [[self.d_outer, *self.d_inner]],
+            [[1 / x for x in self.d_inner]], self.coframe)
+        star = [[s * (rows[j][i] * wn[j]) for j in range(m)] for i, s in enumerate(inv)]
+        sym = linalg.mat_add(star, linalg.mat_scale(di * dw, rows[:m]))
+        return ((dd, head[0], head[1:], rows[:m], rows[m:]), (dw, on, wn),
+                (di * dw, star, sym), coframe)
 
     def v_norm_sq(self):
-        return sum(self.d_inner[i] * self.v[i] * self.v[i] for i in range(self.m))
+        """|v|^2 = v^t W v, one Fraction (the empty sum 0 when n_1 = 0)."""
+        (dd, _, v, _, _), (dw, _, w), _, _ = self.cleared
+        sq = sum(s * x * x for s, x in zip(w, v))
+        return linalg._over([[sq]], dw * dd * dd)[0][0] if v else sq
 
     def is_orthonormal(self) -> bool:
         ok = self.d_outer == one(self.kind) or is_zero(self.d_outer - 1)
@@ -106,11 +119,10 @@ class HermitianData:
     def metric(self) -> Metric:
         """The metric the frame realizes: sum_t w_t (b^t)^2 over the coframe
         rows, with w = (d_outer, d_inner, d_outer) the squared norms of the
-        g-orthogonal frame; that is C^t (W C), one product on the integer
+        g-orthogonal frame; that is C^t (W C), one product on the cleared
         numerators of C and w."""
-        (dw, (wn,)), (dc, cn) = linalg._numerators(
-            [[self.d_outer, *self.d_inner, self.d_outer]], self.coframe)
-        wc = [[s * x for x in row] for s, row in zip(wn, cn)]
+        _, (dw, on, wn), _, (dc, cn) = self.cleared
+        wc = [[s * x for x in row] for s, row in zip([on, *wn, on], cn)]
         return Metric.from_matrix(
             linalg._over(linalg._row_sums(linalg.transpose(cn), wc, 0), dw * dc * dc))
 
@@ -147,7 +159,7 @@ def build_algebra(a, v, A, J1):
     J1 = linalg.as_matrix(J1, kind)
     if len(v) != m or len(J1) != m:
         raise DataError("DIMENSION", "v, A, J1 must share the n_1 dimension")
-    if not linalg.mat_eq(linalg.mat_mul(A, J1), linalg.mat_mul(J1, A)):
+    if not linalg.commutes(A, J1):
         raise DataError("COMMUTATION", "A does not commute with J1")
     # D = [[a, 0], [v, A]] with the first row's zeros as -0.0, so that the
     # e_1 entries of [eps_s, e_2n] = -D eps_s are +0.0: float bracket
@@ -301,7 +313,7 @@ def extract_data(H: HermitianStructure, ideal: tuple | None) -> HermitianData:
     A = [row[1:] for row in block[1:]]
     # the frame pairs (u, J u) on n_1, so J_1 is the standard pairing
     j1 = standard_j1(n2 - 2, kind)
-    if not linalg.is_zero_matrix(linalg.commutator(A, j1)):
+    if not linalg.commutes(A, j1):
         raise DataError("J_NOT_COMPATIBLE", "A does not commute with J1")
     return HermitianData(
         n=n2 // 2,
@@ -321,49 +333,51 @@ def extract_data(H: HermitianStructure, ideal: tuple | None) -> HermitianData:
 # predicates (pure linear algebra on the data)
 
 def is_kahler_data(d: HermitianData) -> bool:
-    if not linalg.is_zero_vector(d.v_vector):
-        return False
-    astar = d.adjoint_A
-    return linalg.mat_eq(astar, linalg.mat_scale(-1, d.A_matrix))
+    """v = 0 and A* + A = 0."""
+    (_, _, v, _, _), _, (_, _, sym), _ = d.cleared
+    return linalg.is_zero_vector(v) and linalg.is_zero_matrix(sym)
 
 
 def is_lck_data(d: HermitianData) -> bool:
-    m = d.m
+    """v = 0 and A = (tr A / m) Id + U with U* = -U: m (A* + A) = 2 tr(A) Id."""
+    (_, _, v, A, _), _, (k, _, sym), _ = d.cleared
     # n = 1: d omega is a 3-form on R^2; n = 2: A = 0 gives theta ^ omega = d omega
-    if d.n <= 2 and linalg.is_zero_matrix(d.A_matrix):
+    if d.n <= 2 and linalg.is_zero_matrix(A):
         return True
-    if not linalg.is_zero_vector(d.v_vector):
+    if not linalg.is_zero_vector(v):
         return False
-    lam = linalg.trace(d.A_matrix) / m
-    u = linalg.mat_shift(d.A_matrix, -lam)
-    ustar = linalg.mat_shift(d.adjoint_A, -lam)
-    return linalg.mat_eq(ustar, linalg.mat_scale(-1, u))
+    # m times (A* - tr A / m) + (A - tr A / m): floats compare within m eps
+    with tolerance(scaled_eps([[k * d.m]])):
+        return linalg.is_zero_matrix(
+            linalg.mat_shift(linalg.mat_scale(d.m, sym), -2 * k * linalg.trace(A)))
 
 
 def is_balanced_data(d: HermitianData) -> bool:
-    return linalg.is_zero_vector(d.v_vector) and is_zero(linalg.trace(d.A_matrix))
+    (_, _, v, A, _), _, _, _ = d.cleared
+    return linalg.is_zero_vector(v) and is_zero(linalg.trace(A))
 
 
 def is_skt_data(d: HermitianData) -> bool:
     """[A, A*] = 0 and the eigenvalues of A have real part -a/2 or 0.
 
     For a g-normal A the real parts are the eigenvalues of the symmetric
-    part S, so the spectral condition is the identity S(S + a/2) = 0.
-    The ratio a/2 uses the unit-frame normalization, which cancels the
-    frame scale exactly.
+    part S, so the spectral condition is the identity S(S + a/2) = 0,
+    decided on T = 2 k dd S as T(T + k a) = 0.  The ratio a/2 uses the
+    unit-frame normalization, which cancels the frame scale exactly.
     """
-    am = d.A_matrix
-    astar = d.adjoint_A
-    if not linalg.is_zero_matrix(linalg.commutator(am, astar)):
+    (_, a, _, A, _), _, (k, star, sym), _ = d.cleared
+    if not linalg.is_zero_matrix(linalg.mat_sub(linalg._row_sums(A, star, 0),
+                                                linalg._row_sums(star, A, 0))):
         return False
-    m = d.m
-    half = coerce(1, d.kind) / 2
-    s = linalg.mat_scale(half, linalg.mat_add(am, astar))
-    return linalg.is_zero_matrix(linalg.mat_mul(s, linalg.mat_shift(s, d.a * half)))
+    # on floats T(T + a) is 4 S(S + a/2), bit for bit: compared within 4 eps
+    with tolerance(scaled_eps([[2 * k]], [[2 * k]])):
+        return linalg.is_zero_matrix(linalg._row_sums(sym, linalg.mat_shift(sym, k * a), 0))
 
 
 def is_lcb_data(d: HermitianData) -> bool:
-    return linalg.is_zero_vector(linalg.mat_vec(d.adjoint_A, d.v_vector))
+    """A* v = 0."""
+    (_, _, v, _, _), _, (_, star, _), _ = d.cleared
+    return all(is_zero(sum(map(mul, row, v))) for row in star)
 
 
 DATA_PREDICATES = {
@@ -396,18 +410,33 @@ def lee_form_closed(d: HermitianData) -> KForm:
     theta = (1/d) (J1 v)^flat - (tr A) b^{2n}, where d is the squared norm
     of the outer frame pair and flats are taken with the honest metric.
     """
-    jv = linalg.mat_vec(d.J1_matrix, d.v_vector)
-    return KForm.from_vector(_covector(d, jv, -linalg.trace(d.A_matrix)))
+    (dd, _, v, A, j1), _, _, _ = d.cleared
+    ((last,),) = linalg._over([[-linalg.trace(A)]], dd)
+    dy, y = _lowered(d, [sum(map(mul, row, v)) for row in j1], dd * dd, last)
+    return _form_over(1, len(y), {(k,): c for k, c in enumerate(y)}, dy, d.kind)
 
 
-def _covector(d: HermitianData, x, last):
-    """(1/d_outer) x^flat + last b^{2n} in ambient coordinates, x in n_1.
+def _lowered(d: HermitianData, x, dx, last):
+    """(d, numerators) of (1/d_outer) x^flat + last b^{2n} in ambient
+    coordinates, for x in n_1 with numerators x over dx: x^flat has the
+    coefficient d_inner[t] x_t on b^{1+t}, divided by d_outer through
+    ``_over`` and cleared again, so floats divide before the coframe sum."""
+    _, (_, on, w), _, (dc, cn) = d.cleared
+    flat = linalg._over([[s * t for s, t in zip(w, x)]], dx * on)[0]
+    ((dq, (comps,)),) = linalg._numerators([[zero(d.kind), *flat, last]])
+    return dc * dq, [sum(map(mul, col, comps)) for col in zip(*cn)]
 
-    In the coframe, x^flat has the coefficient d_inner[t] x_t on b^{1+t}.
-    """
-    comps = ([zero(d.kind)] + [d.d_inner[t] * x[t] / d.d_outer for t in range(d.m)]
-             + [last])
-    return linalg.mat_vec(linalg.transpose(d.coframe), comps)
+
+def _wedge(x, y):
+    """x ^ y for 1-forms given by their nonzero coefficients {index: c},
+    summed in the order of ``forms.wedge``, zero coefficients dropped."""
+    out = {}
+    for p, s in x.items():
+        for q, t in y.items():
+            if p != q:
+                key = (p, q) if p < q else (q, p)
+                out[key] = out.get(key, 0) + (s * t if p < q else -s * t)
+    return {key: c for key, c in out.items() if not is_zero(c)}
 
 
 def rho_b_closed(d: HermitianData) -> KForm:
@@ -417,18 +446,20 @@ def rho_b_closed(d: HermitianData) -> KForm:
 
     in unit-frame terms, with the exact scale corrections for a merely
     orthogonal frame (the first coefficient picks up 1/d on |v|^2, the
-    second a global 1/d).
+    second a global 1/d).  Both terms are summed on the cleared coframe,
+    zero terms dropped where ``KForm`` drops them.
     """
-    b_first = KForm.from_vector(d.coframe[0])
-    b_last = KForm.from_vector(d.coframe[-1])
-    half = coerce(1, d.kind) / 2
-    coeff = -(d.a * d.a - half * d.a * linalg.trace(d.A_matrix)
-              + d.v_norm_sq() / d.d_outer)
-    from .forms import wedge
-    out = wedge(b_first, b_last).scale(coeff)
-    atv = linalg.mat_vec(d.adjoint_A, d.v_vector)
-    lowered = _covector(d, atv, zero(d.kind))
-    return out - wedge(KForm.from_vector(lowered), b_last)
+    (dd, _, v, A, _), _, (k, star, _), (dc, cn) = d.cleared
+    ((tr,),) = linalg._over([[linalg.trace(A)]], dd)
+    coeff = -(d.a * d.a - one(d.kind) / 2 * d.a * tr + d.v_norm_sq() / d.d_outer)
+    ((dk, ((kn,),)),) = linalg._numerators([[coeff]])
+    dy, y = _lowered(d, [sum(map(mul, row, v)) for row in star], k * dd * dd, zero(d.kind))
+    first, last, flat = ({i: x for i, x in enumerate(row) if not is_zero(x)}
+                         for row in (cn[0], cn[-1], y))
+    rho = {key: kn * c * dy for key, c in _wedge(first, last).items() if not is_zero(kn * c)}
+    for key, c in _wedge(flat, last).items():
+        rho[key] = rho.get(key, 0) - c * dk * dc
+    return _form_over(2, len(y), rho, dk * dc * dc * dy, d.kind)
 
 
 def adapted_J_matrix(d: HermitianData):
@@ -439,7 +470,6 @@ def adapted_J_matrix(d: HermitianData):
 
 def is_type_11(rho: KForm, J) -> bool:
     """rho(J., J.) = rho."""
-    from .forms import pullback
     jm = J.matrix if isinstance(J, ComplexStructure) else J
     return pullback(rho, jm).equals(rho)
 
@@ -460,12 +490,12 @@ def skt_to_lcb(d: HermitianData) -> HermitianData:
     if not is_skt_data(d):
         raise DataError("PRECONDITION", "input data is not SKT")
     m = d.m
-    kind = d.kind
-    z = [zero(kind)] * m
-    system = ([row + e for row, e in zip(linalg.mat_shift(d.A_matrix, -d.a),
-                                         linalg.idmat(m, kind))]
-              + [z + row for row in linalg.mat_shift(d.adjoint_A, -d.a)])
-    split = linalg.solve_general(system, d.v_vector + z)
+    (dd, a, v, A, _), _, (k, star, _), _ = d.cleared
+    # the top rows times dd, the bottom ones times k dd: integer rows
+    system = ([[*row, *(dd if s == t else 0 for s in range(m))]
+               for t, row in enumerate(linalg.mat_shift(A, -a))]
+              + [[0] * m + row for row in linalg.mat_shift(star, -k * a)])
+    split = linalg.solve_general(system, v + [0] * m)
     if split is None:
         raise DataError("PRECONDITION", "projection split failed")
     x, vprime = split[:m], split[m:]
@@ -476,10 +506,10 @@ def skt_to_lcb(d: HermitianData) -> HermitianData:
              + (tuple(linalg.vec_sub(d.frame[-1], linalg.mat_vec(lift, jx))),))
     # the frame matrix is P (I - E) with E = x e_1^t + (J_1 x) e_2n^t; E^2 = 0,
     # so the coframe is (I + E) C: row 1+t of C gains x_t b^1 + (J_1 x)_t b^2n
-    e = linalg.idmat(m + 2, kind)
+    e = linalg.idmat(m + 2, d.kind)
     for t in range(m):
         e[1 + t][0], e[1 + t][-1] = x[t], jx[t]
     coframe = tuple(map(tuple, linalg.mat_mul(e, d.coframe)))
     return HermitianData(
         n=d.n, a=d.a, v=tuple(vprime), A=d.A, J1=d.J1, frame=frame,
-        coframe=coframe, d_outer=one(kind), d_inner=d.d_inner, kind=kind)
+        coframe=coframe, d_outer=one(d.kind), d_inner=d.d_inner, kind=d.kind)

@@ -83,7 +83,9 @@ class ComplexStructure:
     @classmethod
     def from_matrix(cls, j):
         j = linalg.as_matrix(j)
-        if not linalg.is_zero_matrix(linalg.mat_shift(linalg.mat_mul(j, j), 1)):
+        # J^2 + Id = 0 on the integer numerators of J
+        ((d, jn),) = linalg._numerators(j)
+        if not linalg.is_zero_matrix(linalg.mat_shift(linalg._row_sums(jn, jn, 0), d * d)):
             raise HermitianError("NOT_COMPLEX", "J^2 != -Id")
         return cls(tuple(tuple(row) for row in j))
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .scalars import EXACT, exact_sqrt
 from . import linalg
-from .forms import KForm
+from .forms import KForm, exterior_derivative
 from .hermitian import ComplexStructure, HermitianStructure, Metric, riemann_is_flat
 from .lie import LieAlgebra
 from .lattice import _spectral_clusters
@@ -286,7 +286,6 @@ def verify_triple(L: LieAlgebra, triple: HypercomplexTriple):
     report["lee_forms_equal"] = (lee_forms[0].equals(lee_forms[1])
                                  and lee_forms[0].equals(lee_forms[2]))
     report["lee_form_matches"] = lee_forms[0].equals(triple.theta)
-    from .forms import exterior_derivative
     report["lee_form_closed"] = exterior_derivative(lee_forms[0], L).is_zero()
     report["ok"] = all(v for k, v in report.items())
     return report

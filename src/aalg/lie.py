@@ -74,10 +74,13 @@ class LieAlgebra:
     # -- construction -------------------------------------------------------
     @classmethod
     def semidirect(cls, D):
-        """R^k x|_D R: [e_last, e_j] = D e_j for the first k basis vectors."""
+        """R^k x|_D R: [e_last, e_j] = D e_j for the first k basis vectors;
+        -D is formed on D's numerators."""
         k = len(D)
         kind = linalg.matrix_kind(D)
-        brackets = {(j, k): [-D[t][j] for t in range(k)] + [zero(kind)] for j in range(k)}
+        ((d, rows),) = linalg._numerators(D)
+        neg = linalg._over([[-x for x in row] for row in rows], d)
+        brackets = {(j, k): [neg[t][j] for t in range(k)] + [zero(kind)] for j in range(k)}
         return cls(k + 1, brackets, kind=kind, _validated=True)
 
     # -- bracket machinery ----------------------------------------------------

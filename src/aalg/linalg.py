@@ -8,12 +8,13 @@ and are exact otherwise.
 Exact operands are cleared to Python ints once, and one Fraction is built
 per nonzero output entry:
 
-* The products (:func:`mat_mul`, :func:`mat_vec`, :func:`commutator`) have
+* The products (:func:`mat_mul`, :func:`mat_vec`, :func:`commutes`) have
   one body for both kinds, and the kind is decided in two helpers only.
   :func:`_numerators` clears exact operands to integer numerators over one
   common denominator; when any operand is a float matrix it passes every
   operand through unchanged, and the same sums run on floats.
-  :func:`_over` then builds Fractions, or returns floats.
+  :func:`_over` then builds Fractions, or returns floats; :func:`commutes`
+  compares the sums and builds none.
 * Elimination (:func:`rref` and all built on it,
   :func:`is_positive_definite`) clears each row to integers (a row of
   Python ints is taken as it is) and reduces the rows one at a time
@@ -211,10 +212,11 @@ def trace(a):
     return sum(a[i][i] for i in range(len(a)))
 
 
-def commutator(a, b):
-    """a b - b a, the operands cleared once as in :func:`mat_mul`."""
-    (da, ia), (db, ib) = _numerators(a, b)
-    return _over(mat_sub(_row_sums(ia, ib, 0), _row_sums(ib, ia, 0)), da * db)
+def commutes(a, b) -> bool:
+    """a b = b a, decided on the operands cleared once as in :func:`mat_mul`:
+    no Fraction is built."""
+    (_, ia), (_, ib) = _numerators(a, b)
+    return is_zero_matrix(mat_sub(_row_sums(ia, ib, 0), _row_sums(ib, ia, 0)))
 
 
 def mat_eq(a, b) -> bool:

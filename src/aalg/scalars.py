@@ -10,10 +10,11 @@ Two scalar kinds exist and are never mixed inside one container:
   sets another for the current thread or task until the block exits.
   No function takes a tolerance argument.  A value cached on an object
   (``HermitianStructure`` results, the integrability of its J included,
-  the integer view ``Metric.inverse``, and on a ``LieAlgebra`` its
-  coframe differentials and their integer terms and its abelian ideal,
-  searched for or validated once per declaration) keeps the tolerance in
-  force when it was first computed.
+  the integer view ``Metric.inverse``, on a ``LieAlgebra`` its coframe
+  differentials and their integer terms and its abelian ideal, searched
+  for or validated once per declaration, and the integer view
+  ``HermitianData.cleared``, which compares nothing) keeps the tolerance
+  in force when it was first computed.
 
 The one float policy: :func:`is_zero` compares with the absolute eps; a
 sum of products is zero-tested within :func:`scaled_eps` of its factors

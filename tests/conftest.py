@@ -129,6 +129,13 @@ def data_stream(seed, count, dims=(2, 3, 4), shapes=ALL_SHAPES):
     return out
 
 
+def adjoint(d):
+    """The g-adjoint of A on n_1, W^-1 A^t W for W = diag(d_inner), as
+    Fractions (floats): entry (i, j) is (1/w_i) (A_ji w_j)."""
+    inv = [1 / x for x in d.d_inner]
+    return [[inv[i] * (d.A[j][i] * d.d_inner[j]) for j in range(d.m)] for i in range(d.m)]
+
+
 def random_shear(rng, n):
     """A product of n rational shears: a change of basis s with s[i][j]
     the i-th coordinate of the new basis vector b_j."""

@@ -31,7 +31,7 @@ from aalg.hermitian import (ComplexStructure, HermitianError, HermitianStructure
 from aalg.lie import LieAlgebra, LieAlgebraError, abelian_ideal, abelian_ideal_defect
 from aalg.scalars import FLOAT, is_zero, one, sqrt_scalar, zero
 
-from conftest import ALL_SHAPES, random_data, random_shear, transported
+from conftest import ALL_SHAPES, adjoint, random_data, random_shear, transported
 
 
 # -- references: the Fraction loops -----------------------------------------------
@@ -347,11 +347,11 @@ def ref_vprime(d):
     """The g-orthogonal projection of v onto ker (A - a)^*, through the Gram
     matrix of a kernel basis: the reference for skt_to_lcb's one solve."""
     s = [[d.d_inner[i] if i == j else zero(d.kind) for j in range(d.m)] for i in range(d.m)]
-    kernel = linalg.nullspace(linalg.mat_shift(d.adjoint_A, -d.a))
+    kernel = linalg.nullspace(linalg.mat_shift(adjoint(d), -d.a))
     if not kernel:
         return [zero(d.kind)] * d.m
     gram = [[gdot(s, u, w) for w in kernel] for u in kernel]
-    coeffs = linalg.mat_vec(linalg.inverse(gram), [gdot(s, u, d.v_vector) for u in kernel])
+    coeffs = linalg.mat_vec(linalg.inverse(gram), [gdot(s, u, list(d.v)) for u in kernel])
     return linalg.mat_vec(linalg.transpose(kernel), coeffs)
 
 
@@ -420,15 +420,15 @@ def test_skt_split_is_the_projection(extracted):
         x, vprime = split(d, skt_to_lcb(d))
         assert repr(vprime) == repr(ref_vprime(d)), label
         shifted = linalg.mat_shift(d.A_matrix, -d.a)
-        assert linalg.is_zero_vector(linalg.mat_vec(linalg.mat_shift(d.adjoint_A, -d.a),
+        assert linalg.is_zero_vector(linalg.mat_vec(linalg.mat_shift(adjoint(d), -d.a),
                                                     vprime)), label
-        assert linalg.mat_vec(shifted, x) == linalg.vec_sub(d.v_vector, vprime), label
-        assert x == linalg.solve_general(shifted, linalg.vec_sub(d.v_vector, vprime)), label
+        assert linalg.mat_vec(shifted, x) == linalg.vec_sub(list(d.v), vprime), label
+        assert x == linalg.solve_general(shifted, linalg.vec_sub(list(d.v), vprime)), label
         assert is_skt_data(df), label
         xf, vf = split(df, skt_to_lcb(df))
         scale = max([1.0] + [abs(y) for y in df.v])
         assert all(abs(p - q) <= 1e-12 * scale
                    for p, q in zip(vf, ref_vprime(df), strict=True)), label
         residual = linalg.vec_sub(linalg.mat_vec(linalg.mat_shift(df.A_matrix, -df.a), xf),
-                                  linalg.vec_sub(df.v_vector, vf))
+                                  linalg.vec_sub(list(df.v), vf))
         assert all(abs(r) <= 1e-12 * scale for r in residual), label

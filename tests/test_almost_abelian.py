@@ -19,7 +19,7 @@ from aalg.catalog import ENTRIES, instantiate, witness_structures
 from aalg.documents import to_ideal
 from aalg.scalars import is_zero
 
-from conftest import data_stream, random_data, random_shear, transported
+from conftest import adjoint, data_stream, random_data, random_shear, transported
 
 
 def test_g4_data_example():
@@ -121,13 +121,17 @@ def test_dimension_2_data_satisfies_every_predicate():
 
 
 def test_adjoint_is_computed_once_per_data():
-    """A* is cached on the instance; field equality and hashing ignore it."""
+    """The integer view, the numerators of A* among it, is cached on the
+    instance; field equality and hashing ignore it."""
     d = random_data(random.Random(8), 3, "skt")
     twin = data_from_parts(d.a, d.v, d.A, d.J1)
-    first = d.adjoint_A
-    assert d.adjoint_A is first
+    first = d.cleared
+    assert d.cleared is first
     assert d == twin and hash(d) == hash(twin)
-    assert twin.adjoint_A == first
+    assert twin.cleared == first
+    _, _, (k, star, _), _ = first
+    dd = first[0][0]
+    assert [[F(x, k * dd) for x in row] for row in star] == adjoint(d)
 
 
 def test_lcb_trivial_v_zero():
@@ -140,7 +144,7 @@ def test_lcb_false_on_image_vectors():
     found = 0
     for _ in range(20):
         d = random_data(rng, 3, "lcb_false")
-        atv = linalg.mat_vec(d.adjoint_A, d.v_vector)
+        atv = linalg.mat_vec(adjoint(d), list(d.v))
         if linalg.is_zero_vector(atv):
             continue
         found += 1

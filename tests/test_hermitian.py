@@ -194,7 +194,7 @@ def connection_preserves_metric(gamma, g: Metric) -> bool:
 
 def connection_preserves_tensor(gamma, t) -> bool:
     """D t = 0 for an endomorphism t: [Gamma_i, t] = 0 for all i."""
-    return all(linalg.is_zero_matrix(linalg.commutator(gi, t)) for gi in gamma)
+    return all(linalg.commutes(gi, t) for gi in gamma)
 
 
 def test_levi_civita_properties():
@@ -410,7 +410,7 @@ def _float_structure(L, J, g):
 def curvature_operator(gamma, L: LieAlgebra, i, j):
     """R(e_i, e_j) = [Gamma_i, Gamma_j] - Gamma_{[e_i, e_j]}, by its definition
     on the connection matrices."""
-    r = linalg.commutator(gamma[i], gamma[j])
+    r = linalg.mat_sub(linalg.mat_mul(gamma[i], gamma[j]), linalg.mat_mul(gamma[j], gamma[i]))
     for t, c in enumerate(bracket(L, i, j)):
         if not is_zero(c):
             r = linalg.mat_sub(r, linalg.mat_scale(c, gamma[t]))

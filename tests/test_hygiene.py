@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports is used in that module,
-every definition in the package is reached from a command (or listed with
-its reason), and the float tolerance has one source
+package imports sit at the module head, every definition in the package
+is reached from a command (or listed with its reason), and the float
+tolerance has one source
 (``scalars.current_eps``, scaled only by ``scalars.scaled_eps``) and no
 hidden literal beside it."""
 
@@ -35,6 +36,26 @@ def unused_imports(path):
 def test_no_unused_imports():
     unused = [hit for path in SOURCES for hit in unused_imports(path)]
     assert not unused, "imported but never used:\n" + "\n".join(unused)
+
+
+def local_relative_imports(path):
+    """'file:line: ...' for each relative import inside a function."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    rel = path.relative_to(ROOT)
+    return sorted({f"{rel}:{node.lineno}: from {'.' * node.level}{node.module or ''} import"
+                   for func in ast.walk(tree)
+                   if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(func)
+                   if isinstance(node, ast.ImportFrom) and node.level})
+
+
+def test_package_imports_sit_at_the_module_head():
+    """A module imports its siblings in the package at its head; only a
+    lazy third-party import (numpy, kept off start-up) may sit in a
+    function."""
+    hits = [hit for path in sorted((ROOT / "src" / "aalg").glob("*.py"))
+            for hit in local_relative_imports(path)]
+    assert not hits, "function-local package imports:\n" + "\n".join(hits)
 
 
 def tolerance_knobs(path):

@@ -412,11 +412,13 @@ def test_exact_products_match_dense_fraction_loop(case):
 @given(st.integers(0, 4).flatmap(lambda n: st.tuples(_exact_matrix(n, n),
                                                      _exact_matrix(n, n))))
 def test_exact_commutator_matches_dense_fraction_loop(pair):
+    """commutes(a, b) says whether the dense Fraction loop's a b - b a is
+    zero, on random pairs and on pairs that commute (a with a^2 + a / 3)."""
     a, b = pair
     n = len(a)
-    got = linalg.commutator(a, b)
-    assert got == linalg.mat_sub(_dense_exact(a, b, n), _dense_exact(b, a, n))
-    assert _all_fractions(got)
+    assert linalg.commutes(a, b) == (_dense_exact(a, b, n) == _dense_exact(b, a, n))
+    poly = linalg.mat_add(_dense_exact(a, a, n), linalg.mat_scale(F(1, 3), a))
+    assert linalg.commutes(a, poly) and linalg.commutes(poly, a)
 
 
 def test_exact_kernel_on_unit_and_empty_shapes():
@@ -430,7 +432,7 @@ def test_exact_kernel_on_unit_and_empty_shapes():
     assert linalg.mat_mul([], col) == []
     assert linalg.mat_mul([[], []], []) == [[], []]
     assert linalg.mat_vec([[], []], []) == [F(0), F(0)]
-    assert linalg.commutator([], []) == []
+    assert linalg.commutes([], [])
     assert linalg.mat_mul([[0, 0]], [[1], [2]]) == [[F(0)]]
     assert _all_fractions(linalg.mat_mul([[1, 2]], [[3], [4]]))
 
@@ -448,17 +450,15 @@ def _all_floats(m):
 
 def test_a_float_operand_makes_a_float_product():
     """One exact and one float operand, in either order: no operand is
-    cleared alone, and mat_mul, mat_vec and commutator return only floats,
-    equal to the dense float loop."""
+    cleared alone: mat_mul and mat_vec return only floats, equal to the
+    dense float loop, and commutes compares the float sums."""
     exact = [[F(0), F(0)], [F(1), F(2)]]
     thirds = [[F(1, 3), F(0)], [F(1), F(2)]]
     floats = [[1.5, 0.0], [0.0, 2.0]]
     for a, b in [(exact, floats), (floats, exact), (thirds, floats), (floats, thirds)]:
         got = linalg.mat_mul(a, b)
         assert got == _dense_float(a, b) and _all_floats(got)
-        comm = linalg.commutator(a, b)
-        assert comm == linalg.mat_sub(_dense_float(a, b), _dense_float(b, a))
-        assert _all_floats(comm)
+        assert linalg.commutes(a, b) == (_dense_float(a, b) == _dense_float(b, a))
     for a, v in [(exact, [1.5, 2.0]), (thirds, [1.5, 2.0]), (floats, [F(1, 3), F(2)]),
                  (floats, [F(0), F(0)])]:
         got = linalg.mat_vec(a, v)
