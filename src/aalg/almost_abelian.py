@@ -366,8 +366,7 @@ def is_skt_data(d: HermitianData) -> bool:
     unit-frame normalization, which cancels the frame scale exactly.
     """
     (_, a, _, A, _), _, (k, star, sym), _ = d.cleared
-    if not linalg.is_zero_matrix(linalg.mat_sub(linalg._row_sums(A, star, 0),
-                                                linalg._row_sums(star, A, 0))):
+    if not linalg.commutes(A, star):
         return False
     # on floats T(T + a) is 4 S(S + a/2), bit for bit: compared within 4 eps
     with tolerance(scaled_eps([[2 * k]], [[2 * k]])):
@@ -469,9 +468,8 @@ def adapted_J_matrix(d: HermitianData):
 
 
 def is_type_11(rho: KForm, J) -> bool:
-    """rho(J., J.) = rho."""
-    jm = J.matrix if isinstance(J, ComplexStructure) else J
-    return pullback(rho, jm).equals(rho)
+    """rho(J., J.) = rho for the matrix J."""
+    return pullback(rho, J).equals(rho)
 
 
 def skt_to_lcb(d: HermitianData) -> HermitianData:

@@ -33,8 +33,9 @@ from .documents import (ParseError, parse, parse_ideal, render,
                         to_algebra, to_complex_structure, to_ideal, to_metric)
 from .hermitian import HermitianError, HermitianStructure
 from .lie import LieAlgebraError, abelian_ideal
-from .almost_abelian import (DataError, extract_data, is_lcb_data, is_skt_data,
-                             is_type_11, rho_b_closed, route_verdicts, skt_to_lcb)
+from .almost_abelian import (DATA_PREDICATES, DataError, extract_data, is_lcb_data,
+                             is_skt_data, is_type_11, rho_b_closed, route_verdicts,
+                             skt_to_lcb)
 from .lchk import LchkError, construct_lchk, lchk_admissible
 from .lattice import LatticeError, integrality_probe
 from .catalog import CatalogError, _restrict_last, verify_all
@@ -119,7 +120,7 @@ def _print_human(report, indent=0):
         print(f"{pad}{report}")
 
 
-PROPERTIES = ("kahler", "lck", "balanced", "skt", "lcb", "vaisman")
+PROPERTIES = (*DATA_PREDICATES, "vaisman")
 
 
 def cmd_check(args):
@@ -167,7 +168,7 @@ def cmd_rho_b(args):
         "closed_form": _form_json(closed),
         "curvature_oracle": _form_json(oracle),
         "residual": residual,
-        "type_1_1": is_type_11(closed, H.J),
+        "type_1_1": is_type_11(closed, H.J.matrix),
         "is_lcb_data": is_lcb_data(d),
     }
     _emit(report, args)

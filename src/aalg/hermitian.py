@@ -17,30 +17,30 @@ Conventions, fixed package-wide and spelled out in the README:
 * fundamental form  omega(X, Y) = g(JX, Y);
 * d alpha (X, Y) = -alpha([X, Y]);
 * d^c omega = -d omega (J., J., J.);
+* connections are integer tables (D, G), Gamma_i = G_i / D the matrix of
+  Y -> D_{e_i} Y, with G_i = g^{-1} T_i for the lowered table T_i[l][j] / d
+  = g(D_{e_i} e_j, e_l) (Koszul, plus 1/2 sigma for Bismut) on the integer
+  view of g^{-1}: ``levi_civita(L, g)`` and ``bismut_connection()`` return
+  them, and no Fraction connection matrix is built;
 * Bismut connection  g(D^B_X Y, Z) = g(D_X Y, Z) + 1/2 d omega(JX, JY, JZ),
   the unique sign for which D^B g = 0, D^B J = 0 and the torsion is a
   3-form under the two conventions above.  The torsion term is read from
   the nonzero coefficients of sigma = d omega(J., J., J.) = -d^c omega, each
-  written to its six permutations; d^c omega itself is the pullback of
-  d omega along J, three one-index contractions of its antisymmetric tensor
-  with the sparse integer rows of J (see ``forms``);
+  written to its six permutations; sigma is the pullback of d omega along
+  J, three one-index contractions of its antisymmetric tensor with the
+  sparse integer rows of J (see ``forms``), cached once per structure and
+  read by SKT (d sigma = 0) and the Bismut table;
 * Bismut-Ricci  rho^B(X, Y) = -1/2 sum_i g(R^B(X, Y) f_i, J f_i) over a
   g-orthonormal frame, evaluated basis-free as -1/2 tr(W R(e_i, e_j)) with
   W = g^{-1} J^t g, expanded as tr(P_i G_j) - tr(P_j G_i) - sum_t c^t_ij
-  tr(P_t), P_i = W G_i, for the Bismut tables G_i: O(n^4) in all, with no
-  curvature matrix.  Its one input is the lowered table T_i[l][j] / d =
-  g(D^B_{e_i} e_j, e_l), integers over one denominator (Koszul plus 1/2
-  sigma), so G_i = g^{-1} T_i / d and P_i = g^{-1} J^t T_i / d are integer
-  products with the integer views of g^{-1} and g^{-1} J^t, the traces
-  integer sums, and only rho^B's coefficients become Fractions (floats
-  pass with d = 2.0); no connection matrix is built;
+  tr(P_t), P_i = W G_i = g^{-1} J^t T_i / d, for the Bismut tables G_i:
+  O(n^4) in all, with no curvature matrix.  P_i is an integer product with
+  the integer view of g^{-1} J^t, the traces integer sums, and only
+  rho^B's coefficients become Fractions (floats pass with d = 2.0);
 * Levi-Civita flatness (``riemann_is_flat``, the check of a hyperkahler
-  witness) reads the same integer tables: Gamma_i = G_i / D with
-  G_i = g^{-1} T_i, and R(e_i, e_j) = 0 is dc (G_i G_j - G_j G_i) -
-  D sum_t c^t_ij G_t = 0, two integer products per pair i < j, summed over
-  the nonzero entries and rows only and zero-tested row by row up to the
-  first nonzero row (floats within scaled_eps(c, G, G)); no connection or
-  curvature matrix is built;
+  witness) is dc (G_i G_j - G_j G_i) - D sum_t c^t_ij G_t = 0, tested pair
+  by pair with two integer products (floats within scaled_eps(c, G, G));
+  Vaisman sums the same tables against theta's numerators;
 * Lee form  theta(e_k) = 1/2 sum_{p,q} M_pq d omega(e_p, e_q, e_k) with
   M = g^{-1} J^t, each coefficient of d omega entering in its six orderings,
   summed on the integer numerators of M and d omega; balanced is theta = 0
@@ -48,11 +48,11 @@ Conventions, fixed package-wide and spelled out in the README:
   d omega is a 3-form, so theta = 0 and every predicate on it holds.
 
 A structure checks and clears its (J, g) once, in the constructor, and
-rejects a g with g(J., J.) != g as J_NOT_COMPATIBLE.  Connection tables,
-the integrability of J, d omega, the Lee form and d theta are computed
-once per structure and cached on the instance, the integer view (d, rows)
-of the metric's inverse once per metric (each under the tolerance in
-force at that first call); instances are otherwise immutable.
+rejects a g with g(J., J.) != g as J_NOT_COMPATIBLE.  The Bismut table,
+the integrability of J, d omega, sigma, the Lee form and d theta are
+computed once per structure and cached on the instance, the integer view
+(d, rows) of the metric's inverse once per metric (each under the
+tolerance in force at that first call); instances are otherwise immutable.
 """
 
 from __future__ import annotations
@@ -252,42 +252,41 @@ class HermitianStructure:
         self._require_integrable()
         return self.n < 2 or self.dtheta().is_zero()
 
-    def dc_omega(self):
-        """d^c omega = -d omega (J., J., J.)."""
-        return self._memo("dc", lambda: pullback(self.domega(), self.J.matrix).scale(-1))
+    def sigma(self):
+        """sigma = d omega(J., J., J.) = -d^c omega, the pullback of d omega along J."""
+        return self._memo("sigma", lambda: pullback(self.domega(), self.J.matrix))
 
     def is_skt_direct(self) -> bool:
+        """dd^c omega = 0, i.e. d sigma = 0."""
         self._require_integrable()
-        return exterior_derivative(self.dc_omega(), self.L).is_zero()
+        return exterior_derivative(self.sigma(), self.L).is_zero()
 
     # -- connections ------------------------------------------------------------
-    def levi_civita(self):
-        """Connection tables Gamma[i] = matrix of Y -> D_{e_i} Y."""
-        return self._memo("lc", lambda: levi_civita(self.L, self.g))
-
     def bismut_connection(self):
+        """The Bismut connection as integer tables (D, G), Gamma^B_i = G_i / D."""
         return self._memo("bismut", self._compute_bismut)
 
     def _bismut_lowered(self):
         """:func:`_lowered` with sigma(X, Y, Z) = d omega(JX, JY, JZ)."""
         self._require_integrable()
-        return self._memo("lowered", lambda: _lowered(self.L, self.g, (-self.dc_omega()).coeffs))
+        return self._memo("lowered", lambda: _lowered(self.L, self.g, self.sigma().coeffs))
 
     def _compute_bismut(self):
-        return _raised(self.g, *self._bismut_lowered())
+        return _gamma_numerators(self.g, *self._bismut_lowered())
 
     def is_vaisman(self):
-        """LCK with Levi-Civita-parallel Lee form; returns (bool, note)."""
+        """LCK with Levi-Civita-parallel Lee form, sum_k theta_k Gamma_i[k][j] = 0,
+        summed on the integer tables of :func:`levi_civita` and theta's
+        numerators; returns (bool, note)."""
         if not self.is_lck_direct():
             return False, "not LCK"
         if self.n < 2:
             return True, "Kahler"
         theta = self.lee_form()
-        comps = [theta.get((i,)) for i in range(self.dim)]
-        lc = self.levi_civita()
-        parallel = all(
-            is_zero(sum(lc[i][k][j] * comps[k] for k in range(self.dim)))
-            for i in range(self.dim) for j in range(self.dim))
+        dd, gamma = levi_civita(self.L, self.g)
+        ((dt, (tn,)),) = linalg._numerators([[theta.get((k,)) for k in range(self.dim)]])
+        parallel = linalg.is_zero_matrix(linalg._over(
+            [[sum(map(mul, col, tn)) for col in zip(*gi)] for gi in gamma], dd * dt))
         if theta.is_zero():
             return parallel, "Kahler"
         return parallel, "parallel" if parallel else "theta not parallel"
@@ -299,11 +298,11 @@ class HermitianStructure:
 
     def _compute_rho(self):
         d, t = self._bismut_lowered()
-        (dm, mn), (di, gi) = self._ginv_jt, self.g.inverse
-        # G_i = g^{-1} T_i / d and P_i = W G_i = g^{-1} J^t T_i / d
+        dm, mn = self._ginv_jt
+        # P_i = W G_i = g^{-1} J^t T_i / d
         p = (dm * d, [linalg._row_sums(mn, ti, 0) for ti in t])
-        gamma = (di * d, [linalg._row_sums(gi, ti, 0) for ti in t])
-        return KForm(2, self.dim, _rho_coefficients(p, gamma, self.L.constants), kind=self.L.kind)
+        return KForm(2, self.dim, _rho_coefficients(p, self.bismut_connection(), self.L.constants),
+                     kind=self.L.kind)
 
 
 def _rho_coefficients(p, gamma, constants):
@@ -387,8 +386,9 @@ def nijenhuis(J: ComplexStructure, L: LieAlgebra):
 
 
 def levi_civita(L: LieAlgebra, g: Metric):
-    """Koszul connection on left-invariant fields; Gamma[i] maps Y to D_{e_i}Y."""
-    return _raised(g, *_lowered(L, g, {}))
+    """The Koszul connection on left-invariant fields as integer tables
+    (D, G): Gamma_i = G_i / D maps Y to D_{e_i} Y."""
+    return _gamma_numerators(g, *_lowered(L, g, {}))
 
 
 def _lowered(L: LieAlgebra, g: Metric, sigma):
@@ -425,33 +425,22 @@ def _gamma_numerators(g: Metric, d, t):
     return di * d, [linalg._row_sums(gi, ti, 0) if any(map(any, ti)) else ti for ti in t]
 
 
-def _raised(g: Metric, d, t):
-    """Gamma_i = g^{-1} T_i / d for the integer tables T of :func:`_lowered`."""
-    dd, gamma = _gamma_numerators(g, d, t)
-    return [linalg._over(gn, dd) for gn in gamma]
-
-
 def riemann_is_flat(L: LieAlgebra, g: Metric) -> bool:
-    """R = 0 for the Levi-Civita connection of g, decided on the integer
-    tables Gamma_i = G_i / D of :func:`_gamma_numerators`: with the
-    algebra's constants c^t_ij over dc, R(e_i, e_j) = [Gamma_i, Gamma_j] -
+    """R = 0 for the Levi-Civita connection of g, decided on its integer
+    tables Gamma_i = G_i / D (:func:`levi_civita`): with the algebra's
+    constants c^t_ij over dc, R(e_i, e_j) = [Gamma_i, Gamma_j] -
     sum_t c^t_ij Gamma_t vanishes exactly when
 
         dc (G_i G_j - G_j G_i) - D sum_t c^t_ij G_t = 0,
 
-    tested row by row, pair by pair i < j, up to the first nonzero row: two
-    integer products per pair and no Fraction.  Row k is summed from the
-    nonzero entries of row k of G_i and G_j over the nonzero rows they
-    meet, so rows and pairs that no nonzero entry reaches cost nothing.
-    Exact rows are zero-tested on Python ints; float rows (dc = 1.0,
-    D = 2.0) within scaled_eps(c, G, G), the scale of the terms."""
+    tested pair by pair, i < j: two integer products per pair and no
+    Fraction.  A pair with no bracket term and a zero G_i or G_j is
+    skipped.  Exact pairs are zero-tested on Python ints; float pairs
+    (dc = 1.0, D = 2.0) within scaled_eps(c, G, G), the scale of the terms."""
     n = L.dim
-    dd, gamma = _gamma_numerators(g, *_lowered(L, g, {}))
+    dd, gamma = levi_civita(L, g)
     dc, rows, table = L.constants
-    # nz[i][k]: the (l, dc G_i[k][l]) of the nonzero entries of row k of G_i
-    nz = [[[(l, dc * x) for l, x in enumerate(row) if x] for row in gi] for gi in gamma]
-    nonzero = [any(r) for r in nz]
-    zeros = [0] * n
+    nonzero = [any(map(any, gi)) for gi in gamma]
     flat = [row for gi in gamma for row in gi]
     with tolerance(scaled_eps(rows, flat, flat)):
         for i in range(n):
@@ -460,18 +449,10 @@ def riemann_is_flat(L: LieAlgebra, g: Metric) -> bool:
                          if c and nonzero[t]]
                 if not (terms or nonzero[i] and nonzero[j]):
                     continue
-                gi, gj, ni, nj = gamma[i], gamma[j], nz[i], nz[j]
-                for k in range(n):
-                    v = zeros
-                    for l, x in ni[k]:
-                        if nj[l]:
-                            v = [s + x * y for s, y in zip(v, gj[l])]
-                    for l, x in nj[k]:
-                        if ni[l]:
-                            v = [s - x * y for s, y in zip(v, gi[l])]
-                    for t, c in terms:
-                        if nz[t][k]:
-                            v = [s - c * y for s, y in zip(v, gamma[t][k])]
-                    if v is not zeros and any(v) and not linalg.is_zero_vector(v):
-                        return False
+                r = linalg.mat_scale(dc, linalg.mat_sub(linalg._row_sums(gamma[i], gamma[j], 0),
+                                                        linalg._row_sums(gamma[j], gamma[i], 0)))
+                for t, c in terms:
+                    r = linalg.mat_sub(r, linalg.mat_scale(c, gamma[t]))
+                if not linalg.is_zero_matrix(r):
+                    return False
     return True

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .scalars import EXACT, exact_sqrt
 from . import linalg
-from .forms import KForm, exterior_derivative
+from .forms import KForm
 from .hermitian import ComplexStructure, HermitianStructure, Metric, riemann_is_flat
 from .lie import LieAlgebra
 from .lattice import _spectral_clusters
@@ -277,16 +277,17 @@ def verify_triple(L: LieAlgebra, triple: HypercomplexTriple):
     report["quaternion_i1i2_eq_i3"] = linalg.mat_eq(linalg.mat_mul(i1, i2), i3)
     prod = linalg.mat_mul(linalg.mat_mul(i1, i2), i3)
     report["quaternion_product"] = linalg.is_zero_matrix(linalg.mat_shift(prod, 1))
-    lee_forms = []
+    structures = []
     for tag, J in (("I1", triple.I1), ("I2", triple.I2), ("I3", triple.I3)):
         H = HermitianStructure(L, J, triple.g)
         report[f"integrable_{tag}"] = H.integrable
-        lee_forms.append(H.lee_form())
+        structures.append(H)
         report[f"lck_{tag}"] = H.is_lck_direct()
+    lee_forms = [H.lee_form() for H in structures]
     report["lee_forms_equal"] = (lee_forms[0].equals(lee_forms[1])
                                  and lee_forms[0].equals(lee_forms[2]))
     report["lee_form_matches"] = lee_forms[0].equals(triple.theta)
-    report["lee_form_closed"] = exterior_derivative(lee_forms[0], L).is_zero()
+    report["lee_form_closed"] = structures[0].dtheta().is_zero()
     report["ok"] = all(v for k, v in report.items())
     return report
 

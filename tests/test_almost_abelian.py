@@ -216,7 +216,7 @@ def test_type_11_equivalence():
 
 def test_type_11_j_invariant_plane():
     rho = KForm(2, 4, {(0, 1): F(1)})
-    J = ComplexStructure.from_pairs(4, [(0, 1), (2, 3)])
+    J = ComplexStructure.from_pairs(4, [(0, 1), (2, 3)]).matrix
     assert is_type_11(rho, J)
     rho2 = KForm(2, 4, {(0, 2): F(1)})
     assert not is_type_11(rho2, J)

@@ -13,7 +13,7 @@ from aalg.hermitian import (ComplexStructure, HermitianError, HermitianStructure
                             Metric, levi_civita, nijenhuis, riemann_is_flat)
 from aalg.lie import LieAlgebra
 from aalg.almost_abelian import build_algebra, standard_j1
-from aalg.catalog import ENTRIES, LCHK_LIST, _restrict_last, instantiate
+from aalg.catalog import ENTRIES, LCHK_LIST, _restrict_last, instantiate, witness_structures
 from aalg.lchk import LchkError, construct_lchk
 
 from conftest import (ALL_SHAPES, bracket, data_stream, random_data, random_shear,
@@ -197,10 +197,16 @@ def connection_preserves_tensor(gamma, t) -> bool:
     return all(linalg.commutes(gi, t) for gi in gamma)
 
 
+def _tables(table):
+    """The connection matrices Gamma_i = G_i / D of an integer table (D, G)."""
+    d, gamma = table
+    return [linalg._over(gi, d) for gi in gamma]
+
+
 def test_levi_civita_properties():
     """Metric and torsion-free, also in sheared bases."""
     for L, J, g in _stream(77, 8, dims=(2, 3)):
-        gamma = levi_civita(L, g)
+        gamma = _tables(levi_civita(L, g))
         assert connection_preserves_metric(gamma, g)
         assert all(linalg.is_zero_vector(v) for v in torsion_tensor(gamma, L).values())
 
@@ -210,7 +216,7 @@ def test_bismut_invariants():
     half of them in a sheared basis."""
     for L, J, g in _stream(78, 8, dims=(2, 3)):
         H = HermitianStructure(L, J, g)
-        gamma = H.bismut_connection()
+        gamma = _tables(H.bismut_connection())
         assert connection_preserves_metric(gamma, g)
         assert connection_preserves_tensor(gamma, J.matrix)
         assert torsion_is_totally_skew(gamma, L, g)
@@ -242,15 +248,15 @@ def _reference_connections(H):
 
 
 def test_fused_tables_match_the_entrywise_formula():
-    """levi_civita and bismut_connection, raised from the one integer
-    lowered table, equal the entrywise formula exactly on rational
-    structures at dims 4, 6, 8 (every second one sheared), and within
-    1e-12 max(1, |entry|) of it on float copies."""
+    """levi_civita and bismut_connection, the integer tables (D, G) raised
+    from the one integer lowered table, equal the entrywise formula
+    exactly on rational structures at dims 4, 6, 8 (every second one
+    sheared), and within 1e-12 max(1, |entry|) of it on float copies."""
     for L, J, g in _stream(79, 12, dims=(2, 3, 4)):
         for H in (HermitianStructure(L, J, g), _float_structure(L, J, g)):
             lc, bismut = _reference_connections(H)
-            for got, want in ((levi_civita(H.L, H.g), lc), (H.levi_civita(), lc),
-                              (H.bismut_connection(), bismut)):
+            for got, want in ((_tables(levi_civita(H.L, H.g)), lc),
+                              (_tables(H.bismut_connection()), bismut)):
                 if H.L.kind == EXACT:
                     assert got == want
                 else:
@@ -420,7 +426,7 @@ def curvature_operator(gamma, L: LieAlgebra, i, j):
 def _literal_flat(L, g):
     """Every curvature matrix R(e_i, e_j), i < j, of the Levi-Civita
     connection is zero."""
-    gamma = levi_civita(L, g)
+    gamma = _tables(levi_civita(L, g))
     return all(linalg.is_zero_matrix(curvature_operator(gamma, L, i, j))
                for i in range(L.dim) for j in range(i + 1, L.dim))
 
@@ -503,8 +509,9 @@ def test_flatness_clears_once_and_builds_no_fraction(monkeypatch):
 
 def _literal_rho(H):
     """-1/2 tr(W R(e_i, e_j)) for every pair, W = g^-1 J^t g, with the
-    curvature matrix R formed by its definition."""
-    gamma = H.bismut_connection()
+    curvature matrix R formed by its definition from the entrywise Bismut
+    connection of :func:`_reference_connections`."""
+    gamma = _reference_connections(H)[1]
     gm = H.g.matrix
     weight = linalg.mat_mul(linalg.inverse(gm),
                             linalg.mat_mul(linalg.transpose(H.J.matrix), gm))
@@ -516,10 +523,10 @@ def _literal_rho(H):
 
 def test_rho_oracle_is_the_literal_curvature_trace():
     """The trace-form oracle equals -1/2 tr(W R) pair by pair, with R from
-    bismut_connection(): exactly on rational structures at dims 4, 6, 8
-    (half of them in a basis with a non-identity metric) and on one dense
-    sheared structure at dim 12, within the default tolerance on float
-    copies."""
+    the entrywise Bismut connection: exactly on rational structures at
+    dims 4, 6, 8 (half of them in a basis with a non-identity metric) and
+    on one dense sheared structure at dim 12, within the default tolerance
+    on float copies."""
     rng = random.Random(41)
     stream = data_stream(42, 24, dims=(2, 3, 4)) + [random_data(random.Random(43), 6, "generic")]
     for k, d in enumerate(stream):
@@ -535,6 +542,70 @@ def test_rho_oracle_is_the_literal_curvature_trace():
         rho_f = Hf.bismut_ricci_oracle()
         assert all(is_zero(rho_f.get(key) - val) for key, val in _literal_rho(Hf).items())
         assert all(is_zero(rho_f.get(key) - float(val)) for key, val in literal.items())
+
+
+def _literal_vaisman(H):
+    """LCK and D theta = 0 for the entrywise Levi-Civita connection of
+    :func:`_reference_connections`: (D_{e_i} theta)(e_j) =
+    -sum_k theta_k Gamma_i[k][j] vanishes for every i, j."""
+    lc = _reference_connections(H)[0]
+    theta = [H.lee_form().get((k,)) for k in range(H.dim)]
+    return H.is_lck_direct() and all(
+        is_zero(linalg.dot(theta, col)) for gi in lc for col in zip(*gi))
+
+
+def _vaisman_cases():
+    """data_stream structures at dims 4, 6, 8, plain and sheared, and the
+    witnesses of the catalog entries that claim vaisman (h3R, and aff2+2R
+    with an identity and a non-identity metric)."""
+    rng = random.Random(86)
+    cases = []
+    for d in data_stream(85, 32, dims=(2, 3, 4)):
+        L, J, g = build_algebra(d.a, list(d.v), d.A_matrix, d.J1_matrix)
+        cases += [(L, J, g), transported(L, J, g, random_shear(rng, L.dim))]
+    for name in ("h3R", "aff2+2R"):
+        entry = ENTRIES[name]
+        cases += [(H.L, H.J, H.g) for _, H, _, _ in witness_structures(entry, instantiate(entry))]
+    return cases
+
+
+def test_is_vaisman_is_the_literal_parallel_test():
+    """is_vaisman, on the integer Levi-Civita tables, equals LCK plus the
+    literal D theta = 0 on every case of :func:`_vaisman_cases` and on
+    their float copies; the catalog witnesses are Vaisman, and the stream
+    has LCK structures that are not."""
+    verdicts = []
+    for L, J, g in _vaisman_cases():
+        for H in (HermitianStructure(L, J, g), _float_structure(L, J, g)):
+            vaisman, note = H.is_vaisman()
+            assert vaisman == _literal_vaisman(H), (L, J, g, note)
+            verdicts.append((vaisman, note))
+    assert verdicts[-6:] == [(True, "parallel")] * 2 + [(True, "Kahler")] * 2 + [
+        (True, "parallel")] * 2, verdicts[-6:]
+    assert (False, "theta not parallel") in verdicts and (False, "not LCK") in verdicts
+
+
+def test_oracle_and_vaisman_make_one_over_call(monkeypatch):
+    """With the Bismut lowered table cached, an exact bismut_ricci_oracle
+    builds Fractions in one linalg._over call (rho^B's coefficients), no
+    connection table; with the Lee form cached, an exact is_vaisman makes
+    one (the sums against theta).  The metric's inverse, g^-1 J^t and the
+    algebra's constants, cleared once per object, are in place first."""
+    counts = []
+    for L, J, g in _vaisman_cases():
+        H = HermitianStructure(L, J, g)
+        H._bismut_lowered(), H.lee_form(), H._ginv_jt, g.inverse, L.constants
+        lck = H.is_lck_direct()
+        calls = []
+        with monkeypatch.context() as mp:
+            real = linalg._over
+            mp.setattr(linalg, "_over", lambda *a: calls.append(1) or real(*a))
+            H.bismut_ricci_oracle()
+            oracle = len(calls)
+            H.is_vaisman()
+        counts.append((oracle, len(calls) - oracle, lck))
+    assert {(o, v) for o, v, lck in counts if lck} == {(1, 1)}, counts
+    assert {(o, v) for o, v, lck in counts if not lck} == {(1, 0)}, counts
 
 
 def _random_pairing(rng, dim):

@@ -9,6 +9,8 @@ import ast
 import re
 from pathlib import Path
 
+from aalg.almost_abelian import DATA_PREDICATES
+
 ROOT = Path(__file__).resolve().parent.parent
 # the package __init__ imports names only to re-export them
 SOURCES = ([p for p in sorted((ROOT / "src" / "aalg").glob("*.py"))
@@ -216,7 +218,7 @@ class CallGraph:
 # route_verdicts calls getattr(H, f"is_{prop}_direct") for each key of
 # almost_abelian.DATA_PREDICATES
 GETATTR_ROOTS = {("hermitian", f"HermitianStructure.is_{prop}_direct")
-                 for prop in ("kahler", "lck", "balanced", "skt", "lcb")}
+                 for prop in DATA_PREDICATES}
 
 # what bench/*.py reaches (its identifiers, its attributes and the functions
 # bench/spans.py traces by name) and no command does; deleting one of them
@@ -227,7 +229,6 @@ BENCH_ONLY = {
     ("almost_abelian", "adapted_J_matrix"),
     ("almost_abelian", "data_from_parts"),
     ("forms", "wedge_power"),
-    ("hermitian", "HermitianStructure._compute_bismut"),
     ("lattice", "char_min_poly"),
     ("lchk", "canonical_form"),
     ("lie", "LieAlgebra.derived_algebra"),
@@ -240,8 +241,6 @@ BENCH_ONLY = {
 # reach counts as reached
 DECLARED_API = {
     ("forms", "KForm.basis"): "the k-form e^I by its indices, for tests and callers",
-    ("hermitian", "HermitianStructure.bismut_connection"):
-        "the Bismut connection itself; commands read only its Ricci form",
     ("documents", "render_manifest"):
         "the reference for the manifest round trip parse_manifest reads",
 }
